@@ -16,6 +16,7 @@ use std::sync::Mutex;
 
 use discover_bench::experiments;
 use discover_bench::report::Table;
+use simnet::EngineTally;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,23 +71,32 @@ fn main() {
     // experiment; results land in their original slot so the report
     // order is stable regardless of completion order.
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<(Table, f64)>>> =
+    let results: Vec<Mutex<Option<(Table, f64, EngineTally)>>> =
         selected.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some((_, run)) = selected.get(i) else { break };
+                // An experiment builds and drops its engines on this
+                // thread, so the thread's tally is the experiment's.
+                EngineTally::take();
                 let start = std::time::Instant::now();
                 let table = run();
-                *results[i].lock().unwrap() = Some((table, start.elapsed().as_secs_f64()));
+                let secs = start.elapsed().as_secs_f64();
+                *results[i].lock().unwrap() = Some((table, secs, EngineTally::take()));
             });
         }
     });
     for ((id, _), slot) in selected.iter().zip(&results) {
-        let Some((table, secs)) = slot.lock().unwrap().take() else { continue };
+        let Some((table, secs, tally)) = slot.lock().unwrap().take() else { continue };
         table.print();
         table.write_csv();
-        println!("  [{id} finished in {secs:.1}s wall time]");
+        let EngineTally { events, queue_peak } = tally;
+        let rate = events as f64 / secs.max(1e-9);
+        println!(
+            "  [{id} finished in {secs:.1} s wall, {events} events, {rate:.0} events/s, \
+             heap peak {queue_peak}]"
+        );
     }
 }

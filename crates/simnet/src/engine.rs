@@ -9,13 +9,29 @@
 //!   busy are deferred to the instant it frees up, preserving order. This
 //!   yields M/G/1-style queueing at saturated servers — the mechanism
 //!   behind every knee in the reproduced experiments.
+//! * A deferred event is *parked* in its node's own queue under the key
+//!   `(busy_until, fresh seq)` it would carry on the global heap, and the
+//!   heap holds one wake entry per backlogged node, at the key of that
+//!   node's parked head. The next event overall is still the smallest key
+//!   anywhere, so dispatch order, counters, RNG draws and timestamps are
+//!   those of pushing every deferred event back through the heap. When a
+//!   wake finds the node busy again, the parked entries sorting before
+//!   the heap's head are re-stamped in place in one pass: no handler can
+//!   run between them, so one by one they would have drawn the same
+//!   consecutive seqs. An entry with a foreign event wedged before it
+//!   waits behind its own wake.
+//! * A crash puts the node's backlog back on the heap under the keys it
+//!   holds: it is discarded (and `engine.down_drops` counted) at the
+//!   instant it was parked for, not at the crash.
+//! * [`Engine::events_processed`] and the event limit count each event
+//!   once, when it is dispatched or discarded, not per resurfacing.
 //! * Links add transmit time (size/bandwidth, with a per-direction
 //!   transmitter that serializes back-to-back sends), propagation latency,
 //!   optional jitter and loss.
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -24,7 +40,7 @@ use rand::{Rng, SeedableRng};
 use crate::actor::{Actor, Payload};
 use crate::flight::{FlightConfig, FlightDump, FlightRecorder};
 use crate::history::{HistoryEvent, HistoryLog};
-use crate::link::{LinkSpec, LinkState, LinkStats};
+use crate::link::{LinkKeys, LinkSpec, LinkState, LinkStats};
 use crate::metrics::{names, Metrics, MetricsRegistry};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
@@ -61,12 +77,21 @@ enum EventKind<M> {
     Start { node: NodeId },
     Crash { node: NodeId },
     Restart { node: NodeId },
+    /// Stands on the heap at the key of the head of `node`'s parked queue.
+    Wake { node: NodeId },
 }
 
 struct Event<M> {
     time: SimTime,
     seq: u64,
     kind: EventKind<M>,
+}
+
+impl<M> Event<M> {
+    /// Firing order: virtual instant, then creation (or parking) order.
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
 }
 
 impl<M> PartialEq for Event<M> {
@@ -82,11 +107,11 @@ impl<M> PartialOrd for Event<M> {
 }
 impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-struct NodeState {
+struct NodeState<M> {
     name: String,
     busy_until: SimTime,
     busy_micros: u64,
@@ -98,6 +123,10 @@ struct NodeState {
     /// means the event straddled a crash and must be discarded (the
     /// "connection" it rode on died with the process).
     epoch: u64,
+    /// Events that found this node busy, in key order. Non-empty only
+    /// while the node is up, and then every entry carries its epoch.
+    parked: VecDeque<Event<M>>,
+    parked_peak: usize,
 }
 
 /// Everything the engine owns *except* the actors themselves; handlers get
@@ -106,8 +135,10 @@ struct Core<M> {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Reverse<Event<M>>>,
-    nodes: Vec<NodeState>,
+    nodes: Vec<NodeState<M>>,
     links: HashMap<(u32, u32), LinkState>,
+    /// One entry per distinct link label, shared by every link carrying it.
+    link_keys: Vec<LinkKeys>,
     /// Timed partition windows keyed by unordered node pair; traffic in
     /// either direction departing inside a window is dropped.
     partitions: HashMap<(u32, u32), Vec<(SimTime, SimTime)>>,
@@ -123,13 +154,79 @@ struct Core<M> {
     next_timer_id: u64,
     events_processed: u64,
     event_limit: u64,
+    queue_peak: usize,
 }
 
 impl<M: Payload> Core<M> {
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.enqueue(Event { time, seq, kind });
+    }
+
+    fn enqueue(&mut self, ev: Event<M>) {
+        self.queue.push(Reverse(ev));
+        self.queue_peak = self.queue_peak.max(self.queue.len());
+    }
+
+    /// Hold an event that found `node` busy in the node's own queue, under
+    /// the key a push back onto the heap at `until` would have drawn.
+    fn park(&mut self, node: NodeId, until: SimTime, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        let state = &mut self.nodes[node.index()];
+        debug_assert!(state.parked.back().is_none_or(|last| last.key() < (until, seq)));
+        state.parked.push_back(Event { time: until, seq, kind });
+        state.parked_peak = state.parked_peak.max(state.parked.len());
+        if state.parked.len() == 1 {
+            self.enqueue(Event { time: until, seq, kind: EventKind::Wake { node } });
+        }
+    }
+
+    /// The next event overall, if it is `node`'s parked head; otherwise
+    /// re-arm the node's wake (if a backlog remains) and return `None`.
+    /// A parked entry is next when it sorts before `horizon`: the heap's
+    /// head, or the end of the run. While the node is busy past such
+    /// entries they are first re-stamped where they lie and rotated
+    /// behind whatever was already parked for `busy_until`; the pass
+    /// stops at an entry that must take the ordinary path (the node is
+    /// free at its instant, or it is a cancelled timer) or is not next.
+    fn next_parked(&mut self, node: NodeId, limit: SimTime) -> Option<Event<M>> {
+        let run_end = (limit, u64::MAX);
+        let horizon = self.queue.peek().map_or(run_end, |Reverse(head)| head.key().min(run_end));
+        let state = &mut self.nodes[node.index()];
+        let busy = state.busy_until;
+        let mut restamped = 0;
+        for ev in state.parked.iter_mut() {
+            if ev.key() >= horizon || ev.time >= busy {
+                break;
+            }
+            if let EventKind::Timer { id, .. } = ev.kind {
+                if self.cancelled_timers.contains(&id) {
+                    break;
+                }
+            }
+            debug_assert!(ev.time <= self.now);
+            (ev.time, ev.seq) = (busy, self.seq);
+            self.seq += 1;
+            restamped += 1;
+        }
+        state.parked.rotate_left(restamped);
+        let (time, seq) = state.parked.front()?.key();
+        if (time, seq) < horizon {
+            return state.parked.pop_front();
+        }
+        self.enqueue(Event { time, seq, kind: EventKind::Wake { node } });
+        None
+    }
+
+    fn install_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
+        let known = self.link_keys.iter().position(|keys| keys.label == spec.label);
+        let keys = known.unwrap_or_else(|| {
+            self.link_keys.push(LinkKeys::new(spec.label));
+            self.link_keys.len() - 1
+        });
+        self.links.insert((from.0, to.0), LinkState::new(spec, keys));
     }
 
     /// True if the unordered pair `(a, b)` is inside a partition window
@@ -159,14 +256,12 @@ impl<M: Payload> Core<M> {
             Some(link) => {
                 if cut {
                     link.dropped += 1;
-                    let label = link.spec.label;
-                    self.stats.incr(&format!("link.{label}.partitioned"));
+                    self.stats.incr(&self.link_keys[link.keys].partitioned);
                     return;
                 }
                 if link.spec.loss > 0.0 && self.rng.gen::<f64>() < link.spec.loss {
                     link.dropped += 1;
-                    let label = link.spec.label;
-                    self.stats.incr(&format!("link.{label}.dropped"));
+                    self.stats.incr(&self.link_keys[link.keys].dropped);
                     return;
                 }
                 let transmit = link.spec.transmit_time(size);
@@ -180,11 +275,10 @@ impl<M: Payload> Core<M> {
                 } else {
                     SimDuration::from_micros(self.rng.gen_range(0..=jitter_max))
                 };
-                let label = link.spec.label;
-                let arrival = link.busy_until + link.spec.latency + jitter;
-                self.stats.incr(&format!("link.{label}.msgs"));
-                self.stats.add(&format!("link.{label}.bytes"), size as u64);
-                arrival
+                let keys = &self.link_keys[link.keys];
+                self.stats.incr(&keys.msgs);
+                self.stats.add(&keys.bytes, size as u64);
+                link.busy_until + link.spec.latency + jitter
             }
         };
         self.push(arrival, EventKind::Deliver { from, to, msg, epoch });
@@ -371,6 +465,7 @@ impl<M: Payload> Engine<M> {
                 queue: BinaryHeap::new(),
                 nodes: Vec::new(),
                 links: HashMap::new(),
+                link_keys: Vec::new(),
                 partitions: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
                 stats: Stats::new(),
@@ -382,6 +477,7 @@ impl<M: Payload> Engine<M> {
                 next_timer_id: 0,
                 events_processed: 0,
                 event_limit: u64::MAX,
+                queue_peak: 0,
             },
             actors: Vec::new(),
         }
@@ -400,6 +496,8 @@ impl<M: Payload> Engine<M> {
             busy_micros: 0,
             up: true,
             epoch: 0,
+            parked: VecDeque::new(),
+            parked_peak: 0,
         });
         self.actors.push(Some(Box::new(actor)));
         self.core.push(self.core.now, EventKind::Start { node: id });
@@ -410,14 +508,14 @@ impl<M: Payload> Engine<M> {
     /// duplex) between `a` and `b`.
     pub fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
         assert_ne!(a, b, "loopback links are implicit");
-        self.core.links.insert((a.0, b.0), LinkState::new(spec));
-        self.core.links.insert((b.0, a.0), LinkState::new(spec));
+        self.core.install_link(a, b, spec);
+        self.core.install_link(b, a, spec);
     }
 
     /// Install a single directed link (rarely needed; tests use it to make
     /// asymmetric paths).
     pub fn link_directed(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        self.core.links.insert((from.0, to.0), LinkState::new(spec));
+        self.core.install_link(from, to, spec);
     }
 
     /// True if a directed link exists.
@@ -488,9 +586,20 @@ impl<M: Payload> Engine<M> {
         self.core.now
     }
 
-    /// Total events processed so far.
+    /// Total events processed so far: each event counts once, when it is
+    /// dispatched or discarded, however long it waited for a busy node.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
+    }
+
+    /// Largest number of entries the global event heap has held.
+    pub fn queue_peak(&self) -> usize {
+        self.core.queue_peak
+    }
+
+    /// Longest backlog that has waited for `node` while it was busy.
+    pub fn parked_peak(&self, node: NodeId) -> usize {
+        self.core.nodes[node.index()].parked_peak
     }
 
     /// The measurement sink.
@@ -661,82 +770,31 @@ impl<M: Payload> Engine<M> {
     /// Run until the queue is empty or the next event is after `limit`.
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
-        let mut processed = 0u64;
-        while let Some(Reverse(head)) = self.core.queue.peek() {
-            if head.time > limit {
-                break;
-            }
-            let Reverse(ev) = self.core.queue.pop().expect("peeked");
-            if ev.time > self.core.now {
-                self.core.now = ev.time;
-            }
-            self.core.events_processed += 1;
-            processed += 1;
-            assert!(
-                self.core.events_processed <= self.core.event_limit,
-                "event limit exceeded at {:?}: possible live-lock",
-                self.core.now
-            );
-            match ev.kind {
-                EventKind::Start { node } => self.dispatch(node, ev.time, |actor, ctx| {
-                    actor.on_start(ctx);
-                }),
-                EventKind::Deliver { from, to, msg, epoch } => {
-                    let state = &self.core.nodes[to.index()];
-                    if !state.up || state.epoch != epoch {
-                        self.core.stats.incr(names::ENGINE_DOWN_DROPS.key());
-                        self.core.node_metrics[to.index()].incr(names::ENGINE_DOWN_DROPS);
-                        continue;
+        let before = self.core.events_processed;
+        // The node whose wake surfaced last, for as long as its parked
+        // entries remain the next events overall.
+        let mut draining = None;
+        loop {
+            let next = match draining {
+                Some(node) => self.core.next_parked(node, limit),
+                None => match self.core.queue.peek() {
+                    Some(Reverse(head)) if head.time <= limit => {
+                        self.core.queue.pop().map(|Reverse(ev)| ev)
                     }
-                    let busy = state.busy_until;
-                    if busy > ev.time {
-                        self.core.push(busy, EventKind::Deliver { from, to, msg, epoch });
-                    } else {
-                        self.dispatch(to, ev.time, |actor, ctx| {
-                            actor.on_message(ctx, from, msg);
-                        });
+                    _ => break,
+                },
+            };
+            match next {
+                None => draining = None,
+                Some(Event { kind: EventKind::Wake { node }, seq, .. }) => {
+                    // A crash hands the backlog back to the heap and
+                    // leaves its wake behind: that one matches no head.
+                    let head = self.core.nodes[node.index()].parked.front();
+                    if head.map(|head| head.seq) == Some(seq) {
+                        draining = Some(node);
                     }
                 }
-                EventKind::Timer { node, tag, id, epoch } => {
-                    if self.core.cancelled_timers.remove(&id) {
-                        continue;
-                    }
-                    let state = &self.core.nodes[node.index()];
-                    if !state.up || state.epoch != epoch {
-                        continue;
-                    }
-                    let busy = state.busy_until;
-                    if busy > ev.time {
-                        self.core.push(busy, EventKind::Timer { node, tag, id, epoch });
-                    } else {
-                        self.dispatch(node, ev.time, |actor, ctx| {
-                            actor.on_timer(ctx, tag);
-                        });
-                    }
-                }
-                EventKind::Crash { node } => {
-                    let state = &mut self.core.nodes[node.index()];
-                    if state.up {
-                        state.up = false;
-                        state.epoch += 1;
-                        // Whatever CPU work was in flight dies with the
-                        // process; deferred events re-fire at the crash
-                        // instant and are discarded by the epoch check.
-                        state.busy_until = ev.time;
-                        self.core.stats.incr(names::ENGINE_CRASHES.key());
-                        self.core.node_metrics[node.index()].incr(names::ENGINE_CRASHES);
-                    }
-                }
-                EventKind::Restart { node } => {
-                    let state = &mut self.core.nodes[node.index()];
-                    if !state.up {
-                        state.up = true;
-                        state.busy_until = ev.time;
-                        self.dispatch(node, ev.time, |actor, ctx| {
-                            actor.on_restart(ctx);
-                        });
-                    }
-                }
+                Some(ev) => self.step(ev),
             }
         }
         // Clock advances to the horizon even if the queue drained earlier,
@@ -744,7 +802,83 @@ impl<M: Payload> Engine<M> {
         if limit > self.core.now && limit != SimTime::MAX {
             self.core.now = limit;
         }
-        processed
+        self.core.events_processed - before
+    }
+
+    /// Process the next event overall: dispatch it, discard it, or — if
+    /// it finds its node busy — park it, which does not count as processed.
+    fn step(&mut self, ev: Event<M>) {
+        if ev.time > self.core.now {
+            self.core.now = ev.time;
+        }
+        match ev.kind {
+            EventKind::Start { node } => self.dispatch(node, ev.time, |actor, ctx| {
+                actor.on_start(ctx);
+            }),
+            EventKind::Deliver { from, to, msg, epoch } => {
+                let state = &self.core.nodes[to.index()];
+                let busy = state.busy_until;
+                if !state.up || state.epoch != epoch {
+                    self.core.stats.incr(names::ENGINE_DOWN_DROPS.key());
+                    self.core.node_metrics[to.index()].incr(names::ENGINE_DOWN_DROPS);
+                } else if busy > ev.time {
+                    return self.core.park(to, busy, EventKind::Deliver { from, to, msg, epoch });
+                } else {
+                    self.dispatch(to, ev.time, |actor, ctx| {
+                        actor.on_message(ctx, from, msg);
+                    });
+                }
+            }
+            EventKind::Timer { node, tag, id, epoch } => {
+                let state = &self.core.nodes[node.index()];
+                let busy = state.busy_until;
+                if self.core.cancelled_timers.remove(&id) || !state.up || state.epoch != epoch {
+                    // Cancelled, or armed by an incarnation that crashed.
+                } else if busy > ev.time {
+                    return self.core.park(node, busy, EventKind::Timer { node, tag, id, epoch });
+                } else {
+                    self.dispatch(node, ev.time, |actor, ctx| {
+                        actor.on_timer(ctx, tag);
+                    });
+                }
+            }
+            EventKind::Crash { node } => {
+                let state = &mut self.core.nodes[node.index()];
+                if state.up {
+                    state.up = false;
+                    state.epoch += 1;
+                    // Whatever CPU work was in flight dies with the
+                    // process. The backlog goes back on the heap under the
+                    // keys it holds, so each entry surfaces at the instant
+                    // it was parked for and is discarded by the epoch
+                    // check there, even if the node restarts sooner; the
+                    // wake left behind matches no parked head.
+                    state.busy_until = ev.time;
+                    for parked in std::mem::take(&mut state.parked) {
+                        self.core.enqueue(parked);
+                    }
+                    self.core.stats.incr(names::ENGINE_CRASHES.key());
+                    self.core.node_metrics[node.index()].incr(names::ENGINE_CRASHES);
+                }
+            }
+            EventKind::Restart { node } => {
+                let state = &mut self.core.nodes[node.index()];
+                if !state.up {
+                    state.up = true;
+                    state.busy_until = ev.time;
+                    self.dispatch(node, ev.time, |actor, ctx| {
+                        actor.on_restart(ctx);
+                    });
+                }
+            }
+            EventKind::Wake { .. } => unreachable!("run_until consumes wakes"),
+        }
+        self.core.events_processed += 1;
+        assert!(
+            self.core.events_processed <= self.core.event_limit,
+            "event limit exceeded at {:?}: possible live-lock",
+            self.core.now
+        );
     }
 
     /// Run for an additional span of virtual time.
@@ -778,7 +912,11 @@ impl<M: Payload> Engine<M> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{Act, Note, Scenario, Scripted};
     use super::*;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -1098,5 +1236,170 @@ mod tests {
         eng.run_to_quiescence();
         assert_eq!(eng.actor_ref::<SelfTalker>(n).unwrap().count, 10);
         assert!(eng.now() >= SimTime::from_micros(10));
+    }
+
+    // ---- busy-node backlog: each quirk of the deferral order, pinned by
+    // name and held to the re-push reference loop (`Scenario::agree`) ----
+
+    const SERVER: u32 = 0;
+    const SOURCE: u32 = 1;
+
+    /// A server (node 0) and a source (node 1) 10 µs apart, every other
+    /// pair of nodes 5 µs apart; `injects` are `(note, delay)` from the
+    /// source, in departure order (a link transmits in send order). The
+    /// server's first handler invocation is its `on_start`.
+    fn backlog_scenario(scripts: Vec<Vec<Vec<Act>>>, injects: &[(u32, u64)]) -> Scenario {
+        let n = scripts.len();
+        let exact = |us| LinkSpec::loopback().with_latency(SimDuration::from_micros(us));
+        let mut links = vec![exact(5); n * (n - 1) / 2];
+        links[0] = exact(10);
+        Scenario {
+            seed: 1,
+            scripts,
+            links,
+            injects: injects.iter().map(|&(note, delay)| (SOURCE, SERVER, note, delay)).collect(),
+            crashes: vec![],
+            horizons: vec![],
+        }
+    }
+
+    /// `(µs, note)` of every message the server handled, in order.
+    fn server_messages(seen: &[reference::Seen]) -> Vec<(u64, u64)> {
+        seen.iter().filter(|s| s.1 == "message").map(|s| (s.0.as_micros(), s.3)).collect()
+    }
+
+    #[test]
+    fn native_arrival_at_free_instant_overtakes_parked() {
+        // Note 1 keeps the server busy 10..110. Note 2 arrives at 30 and is
+        // parked for 110 under a seq drawn at 30; note 3 was created (at
+        // inject time, an older seq) to arrive at exactly 110, so it runs
+        // first and note 2 waits out its 5 µs as well.
+        let server = vec![vec![], vec![Act::Consume(100)], vec![Act::Consume(5)]];
+        let s = backlog_scenario(vec![server, vec![]], &[(1, 0), (2, 20), (3, 100)]);
+        let (outcome, _) = s.agree();
+        assert_eq!(server_messages(&outcome.seen[0]), vec![(10, 1), (110, 3), (115, 2)]);
+    }
+
+    #[test]
+    fn timer_cancelled_while_parked_never_fires() {
+        // At 10 the server arms a timer for 15 and goes busy until 110.
+        // Note 2 (at 12), the timer (at 15) and note 4 (at 30) park for 110
+        // in that order. Note 3, native at 110, cancels the timer and
+        // consumes 5: the bulk pass re-stamps note 2, stops at the
+        // cancelled timer, which is discarded, and re-stamps note 4.
+        let server = vec![
+            vec![],
+            vec![Act::Schedule { delay: 5, keep: true }, Act::Consume(100)],
+            vec![Act::Cancel, Act::Consume(5)],
+        ];
+        let s = backlog_scenario(
+            vec![server.clone(), vec![]],
+            &[(1, 0), (2, 2), (4, 20), (3, 100)],
+        );
+        let (outcome, eng) = s.agree();
+        assert!(outcome.seen[0].iter().all(|s| s.1 != "timer"), "{:?}", outcome.seen[0]);
+        assert_eq!(server_messages(&outcome.seen[0]), vec![(10, 1), (110, 3), (115, 2), (115, 4)]);
+        assert_eq!(eng.parked_peak(NodeId(SERVER)), 3);
+        // Alone in the backlog, the timer is discarded at 110, where it
+        // surfaced cancelled — not carried to 115: the run ends at 110.
+        let s = backlog_scenario(vec![server, vec![]], &[(1, 0), (3, 100)]);
+        let (outcome, _) = s.agree();
+        assert_eq!(outcome.checkpoints.last().unwrap().0, SimTime::from_micros(110));
+    }
+
+    #[test]
+    fn crashed_backlog_is_dropped_at_its_parked_instant() {
+        // Note 2 is parked for 110 when the server crashes at 50. It
+        // restarts at 60; the source then sends two notes (sent earlier,
+        // they would carry the dead incarnation's epoch). The server
+        // handles the first at 70 for 20 µs and parks the second for 90 —
+        // an instant *before* the old backlog's. Note 2 is still dropped,
+        // and counted, at 110: not at the crash, not by 100.
+        let server = vec![vec![], vec![Act::Consume(100)], vec![], vec![Act::Consume(20)]];
+        let source = vec![
+            vec![Act::Schedule { delay: 60, keep: false }],
+            vec![Act::Send { to: SERVER, delay: 0 }, Act::Send { to: SERVER, delay: 5 }],
+        ];
+        let mut s = backlog_scenario(vec![server, source], &[(1, 0), (2, 20)]);
+        s.crashes = vec![(SERVER, 50, 60)];
+        s.horizons = vec![100, 110];
+        let (outcome, _) = s.agree();
+        let drops = |i: usize| {
+            let counters = &outcome.checkpoints[i].1;
+            counters.iter().find(|(k, _)| k == "engine.down_drops").map_or(0, |(_, v)| *v)
+        };
+        assert_eq!((drops(0), drops(1), drops(2)), (0, 1, 1));
+        assert_eq!(server_messages(&outcome.seen[0]), vec![(10, 1), (70, 10_001), (90, 10_002)]);
+    }
+
+    #[test]
+    fn run_until_horizon_splits_a_backlog() {
+        // Five notes, 10 µs of CPU each, all arrived by 14: handled at
+        // 10, 20, 30, 40, 50. A horizon at 35 cuts the drain after three.
+        let mut server = vec![vec![Act::Consume(10)]; 6];
+        server[0].clear();
+        let mut s = backlog_scenario(
+            vec![server, vec![]],
+            &[(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)],
+        );
+        s.horizons = vec![35];
+        let (outcome, _) = s.agree();
+        assert_eq!(
+            server_messages(&outcome.seen[0]),
+            vec![(10, 1), (20, 2), (30, 3), (40, 4), (50, 5)]
+        );
+        let mut eng = s.build();
+        eng.run_until(SimTime::from_micros(35));
+        let handled = |eng: &Engine<Note>| {
+            server_messages(&eng.actor_ref::<Scripted>(NodeId(SERVER)).unwrap().seen).len()
+        };
+        assert_eq!((handled(&eng), eng.now()), (3, SimTime::from_micros(35)));
+        eng.run_until(SimTime::from_micros(45));
+        assert_eq!(handled(&eng), 4);
+        eng.run_to_quiescence();
+        assert_eq!((handled(&eng), eng.now()), (5, SimTime::from_micros(50)));
+    }
+
+    #[test]
+    fn events_processed_counts_each_event_once() {
+        // 2 starts + 64 deliveries, however often the 63 that waited were
+        // re-stamped; the re-push loop counted every resurfacing.
+        let mut server = vec![vec![Act::Consume(10)]; 65];
+        server[0].clear();
+        let injects: Vec<(u32, u64)> = (0..64).map(|i| (i, 0)).collect();
+        let s = backlog_scenario(vec![server, vec![]], &injects);
+        let (_, parked) = s.play(Engine::run_until);
+        let (_, repushed) = s.play(Engine::run_until_reference);
+        assert_eq!(parked.events_processed(), 66);
+        assert_eq!(repushed.events_processed(), 66 + 63 * 64 / 2);
+        assert_eq!(parked.parked_peak(NodeId(SERVER)), 63);
+        assert!(parked.queue_peak() <= 66, "heap held {} entries", parked.queue_peak());
+    }
+
+    #[test]
+    fn bulk_restamp_stops_at_a_wedged_foreign_event() {
+        // Server busy 10..110; notes 2 and 3 park for 110 at 20 and 40.
+        // In between, at 30, node 2 arms a timer for exactly 110, so its
+        // key is wedged between the two parked entries. Note 4, native at
+        // 110, runs first and keeps the server busy until 115. The bulk
+        // pass may re-stamp note 2 only: the wedged timer's handler runs
+        // next and sends note 20000, which reaches the server at 115 with
+        // a seq after note 2's new one and before note 3's. Re-stamping
+        // both in one pass would have put 20000 last.
+        let server = vec![vec![], vec![Act::Consume(100)], vec![Act::Consume(5)]];
+        let bystander = vec![
+            vec![Act::Schedule { delay: 30, keep: false }],
+            vec![Act::Schedule { delay: 80, keep: false }],
+            vec![Act::Draw, Act::Send { to: SERVER, delay: 0 }],
+        ];
+        let s = backlog_scenario(
+            vec![server, vec![], bystander],
+            &[(1, 0), (2, 10), (3, 30), (4, 100)], // in departure order
+        );
+        let (outcome, _) = s.agree();
+        assert_eq!(
+            server_messages(&outcome.seen[0]),
+            vec![(10, 1), (110, 4), (115, 2), (115, 20_002), (115, 3)]
+        );
     }
 }

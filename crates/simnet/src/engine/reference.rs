@@ -1,0 +1,377 @@
+//! Test-only reference model of the run loop, and the differential tests
+//! that hold [`Engine::run_until`] to it.
+//!
+//! [`Engine::run_until_reference`] is the loop the engine used before
+//! deferred events were parked per node: every event that finds its node
+//! busy is pushed back onto the global heap at `busy_until` under a fresh
+//! seq, once per resurfacing. It shares the engine's link model, `Ctx`
+//! and `dispatch`, and never parks, so driving two same-seed engines
+//! through the same scenario — one per loop — isolates the scheduling
+//! decision: per-node dispatch traces, the clock, every counter and the
+//! RNG stream must agree exactly. (Its `events_processed` counts every
+//! resurfacing and is the one figure not compared.)
+
+use super::*;
+
+impl<M: Payload> Engine<M> {
+    /// `run_until` with busy-node deferral by re-push through the heap.
+    pub(super) fn run_until_reference(&mut self, limit: SimTime) -> u64 {
+        let mut processed = 0u64;
+        while let Some(Reverse(head)) = self.core.queue.peek() {
+            if head.time > limit {
+                break;
+            }
+            let Reverse(ev) = self.core.queue.pop().expect("peeked");
+            if ev.time > self.core.now {
+                self.core.now = ev.time;
+            }
+            self.core.events_processed += 1;
+            processed += 1;
+            assert!(
+                self.core.events_processed <= self.core.event_limit,
+                "event limit exceeded at {:?}: possible live-lock",
+                self.core.now
+            );
+            match ev.kind {
+                EventKind::Start { node } => self.dispatch(node, ev.time, |actor, ctx| {
+                    actor.on_start(ctx);
+                }),
+                EventKind::Deliver { from, to, msg, epoch } => {
+                    let state = &self.core.nodes[to.index()];
+                    if !state.up || state.epoch != epoch {
+                        self.core.stats.incr(names::ENGINE_DOWN_DROPS.key());
+                        self.core.node_metrics[to.index()].incr(names::ENGINE_DOWN_DROPS);
+                        continue;
+                    }
+                    let busy = state.busy_until;
+                    if busy > ev.time {
+                        self.core.push(busy, EventKind::Deliver { from, to, msg, epoch });
+                    } else {
+                        self.dispatch(to, ev.time, |actor, ctx| {
+                            actor.on_message(ctx, from, msg);
+                        });
+                    }
+                }
+                EventKind::Timer { node, tag, id, epoch } => {
+                    if self.core.cancelled_timers.remove(&id) {
+                        continue;
+                    }
+                    let state = &self.core.nodes[node.index()];
+                    if !state.up || state.epoch != epoch {
+                        continue;
+                    }
+                    let busy = state.busy_until;
+                    if busy > ev.time {
+                        self.core.push(busy, EventKind::Timer { node, tag, id, epoch });
+                    } else {
+                        self.dispatch(node, ev.time, |actor, ctx| {
+                            actor.on_timer(ctx, tag);
+                        });
+                    }
+                }
+                EventKind::Crash { node } => {
+                    let state = &mut self.core.nodes[node.index()];
+                    if state.up {
+                        state.up = false;
+                        state.epoch += 1;
+                        state.busy_until = ev.time;
+                        self.core.stats.incr(names::ENGINE_CRASHES.key());
+                        self.core.node_metrics[node.index()].incr(names::ENGINE_CRASHES);
+                    }
+                }
+                EventKind::Restart { node } => {
+                    let state = &mut self.core.nodes[node.index()];
+                    if !state.up {
+                        state.up = true;
+                        state.busy_until = ev.time;
+                        self.dispatch(node, ev.time, |actor, ctx| {
+                            actor.on_restart(ctx);
+                        });
+                    }
+                }
+                EventKind::Wake { .. } => unreachable!("the reference loop never parks"),
+            }
+        }
+        if limit > self.core.now && limit != SimTime::MAX {
+            self.core.now = limit;
+        }
+        processed
+    }
+}
+
+/// A message identified by a number; its size varies so bandwidth-limited
+/// links space arrivals unevenly.
+#[derive(Clone, Debug, PartialEq)]
+pub(super) struct Note(pub u32);
+
+impl Payload for Note {
+    fn size_bytes(&self) -> usize {
+        40 + (self.0 as usize * 37) % 400
+    }
+}
+
+/// What a handler saw: `(local clock, kind, sender, payload or tag)`.
+pub(super) type Seen = (SimTime, &'static str, u32, u64);
+
+/// One thing a [`Scripted`] handler does after recording what it saw.
+#[derive(Clone, Debug)]
+pub(super) enum Act {
+    Consume(u64),
+    Send { to: u32, delay: u64 },
+    /// Arm a timer; `keep` remembers its id for a later `Cancel`.
+    Schedule { delay: u64, keep: bool },
+    /// Cancel the oldest remembered timer, fired or not.
+    Cancel,
+    /// Draw from the engine RNG, so a reordered handler shifts the stream.
+    Draw,
+}
+
+/// Plays one list of acts per handler invocation, in order, then goes
+/// quiet; the script is the same whichever loop drives the engine.
+pub(super) struct Scripted {
+    pub script: VecDeque<Vec<Act>>,
+    pub seen: Vec<Seen>,
+    kept: VecDeque<TimerId>,
+    next_note: u32,
+}
+
+impl Scripted {
+    pub fn new(script: Vec<Vec<Act>>) -> Self {
+        Scripted { script: script.into(), seen: Vec::new(), kept: VecDeque::new(), next_note: 0 }
+    }
+
+    fn play(&mut self, ctx: &mut Ctx<'_, Note>, kind: &'static str, from: u32, what: u64) {
+        self.seen.push((ctx.now(), kind, from, what));
+        for act in self.script.pop_front().unwrap_or_default() {
+            match act {
+                Act::Consume(us) => ctx.consume(SimDuration::from_micros(us)),
+                Act::Send { to, delay } => {
+                    let note = Note(ctx.me().0 * 10_000 + self.next_note);
+                    self.next_note += 1;
+                    ctx.send_after(NodeId(to), note, SimDuration::from_micros(delay));
+                }
+                Act::Schedule { delay, keep } => {
+                    let tag = u64::from(self.next_note);
+                    self.next_note += 1;
+                    let id = ctx.schedule(SimDuration::from_micros(delay), tag);
+                    if keep {
+                        self.kept.push_back(id);
+                    }
+                }
+                Act::Cancel => {
+                    if let Some(id) = self.kept.pop_front() {
+                        ctx.cancel_timer(id);
+                    }
+                }
+                Act::Draw => {
+                    let drawn: u64 = ctx.rng().gen();
+                    self.seen.push((ctx.now(), "draw", ctx.me().0, drawn));
+                }
+            }
+        }
+    }
+}
+
+impl Actor<Note> for Scripted {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Note>) {
+        self.play(ctx, "start", ctx.me().0, 0);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Note>, from: NodeId, msg: Note) {
+        self.play(ctx, "message", from.0, u64::from(msg.0));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Note>, tag: u64) {
+        self.play(ctx, "timer", ctx.me().0, tag);
+    }
+    fn on_restart(&mut self, ctx: &mut Ctx<'_, Note>) {
+        self.play(ctx, "restart", ctx.me().0, 0);
+    }
+}
+
+/// Everything needed to build the same engine twice.
+#[derive(Clone, Debug)]
+pub(super) struct Scenario {
+    pub seed: u64,
+    /// One script per node.
+    pub scripts: Vec<Vec<Vec<Act>>>,
+    /// Link spec of every unordered node pair, in `(a, b)` with `a < b` order.
+    pub links: Vec<LinkSpec>,
+    /// `(from, to, note, delay µs)` injected before the first run.
+    pub injects: Vec<(u32, u32, u32, u64)>,
+    /// `(node, crash µs, restart µs)`.
+    pub crashes: Vec<(u32, u64, u64)>,
+    /// `run_until` horizons in µs, ascending; a run to quiescence follows.
+    pub horizons: Vec<u64>,
+}
+
+/// Everything observable about a finished run.
+#[derive(Debug, PartialEq)]
+pub(super) struct Outcome {
+    /// Per node, what its handlers saw, in order.
+    pub seen: Vec<Vec<Seen>>,
+    /// Clock and full counter dump after each horizon and at quiescence.
+    pub checkpoints: Vec<(SimTime, Vec<(String, u64)>)>,
+    pub busy: Vec<SimDuration>,
+    pub next_draw: u64,
+}
+
+impl Scenario {
+    pub fn build(&self) -> Engine<Note> {
+        let mut eng = Engine::new(self.seed);
+        let nodes: Vec<NodeId> = self
+            .scripts
+            .iter()
+            .enumerate()
+            .map(|(i, script)| eng.add_node(format!("n{i}"), Scripted::new(script.clone())))
+            .collect();
+        let mut links = self.links.iter();
+        for (i, &a) in nodes.iter().enumerate() {
+            for &b in &nodes[i + 1..] {
+                eng.link(a, b, *links.next().expect("one spec per pair"));
+            }
+        }
+        for &(from, to, note, delay) in &self.injects {
+            eng.inject(NodeId(from), NodeId(to), Note(note), SimDuration::from_micros(delay));
+        }
+        for &(node, crash, restart) in &self.crashes {
+            eng.crash_at(NodeId(node), SimTime::from_micros(crash));
+            eng.restart_at(NodeId(node), SimTime::from_micros(restart));
+        }
+        eng.set_event_limit(5_000_000);
+        eng
+    }
+
+    /// Drive a fresh engine through the scenario with `run` as its loop.
+    pub fn play(&self, run: fn(&mut Engine<Note>, SimTime) -> u64) -> (Outcome, Engine<Note>) {
+        let mut eng = self.build();
+        let mut checkpoints = Vec::new();
+        let limits = self.horizons.iter().map(|&us| SimTime::from_micros(us));
+        for limit in limits.chain([SimTime::MAX]) {
+            run(&mut eng, limit);
+            let counters = eng.stats().counters().map(|(k, v)| (k.to_owned(), v)).collect();
+            checkpoints.push((eng.now(), counters));
+        }
+        let ids = (0..eng.node_count() as u32).map(NodeId);
+        let outcome = Outcome {
+            seen: ids
+                .clone()
+                .map(|id| eng.actor_ref::<Scripted>(id).expect("scripted").seen.clone())
+                .collect(),
+            checkpoints,
+            busy: ids.map(|id| eng.node_busy(id)).collect(),
+            next_draw: eng.core.rng.gen(),
+        };
+        (outcome, eng)
+    }
+
+    /// Play the scenario under both loops, require exact agreement, and
+    /// return the parked engine with what it observed.
+    pub fn agree(&self) -> (Outcome, Engine<Note>) {
+        let (reference, repushed) = self.play(Engine::run_until_reference);
+        let (outcome, parked) = self.play(Engine::run_until);
+        assert_eq!(outcome, reference, "parked loop diverged from the re-push loop");
+        assert!(parked.events_processed() <= repushed.events_processed());
+        let drained = parked.core.nodes.iter().all(|n| n.parked.is_empty());
+        assert!(drained, "backlog left at quiescence");
+        (outcome, parked)
+    }
+}
+
+#[cfg(feature = "proptest")]
+mod generated {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Small integer microseconds everywhere, so arrivals, zero-delay
+    /// timers and several nodes' free-up instants keep coinciding.
+    fn small(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..10) {
+            0..=3 => 0,
+            4..=7 => rng.gen_range(1..6),
+            8 => rng.gen_range(6..40),
+            _ => rng.gen_range(100..400),
+        }
+    }
+
+    fn scenario(seed: u64) -> Scenario {
+        let rng = &mut StdRng::seed_from_u64(seed ^ 0x5eed_5ca1e);
+        let nodes = rng.gen_range(2..=6u32);
+        let scripts = (0..nodes)
+            .map(|_| {
+                let handlers = rng.gen_range(5..40);
+                (0..handlers)
+                    .map(|_| {
+                        (0..rng.gen_range(0..5))
+                            .map(|_| match rng.gen_range(0..10) {
+                                0..=2 => Act::Consume(small(rng)),
+                                3..=5 => {
+                                    Act::Send { to: rng.gen_range(0..nodes), delay: small(rng) }
+                                }
+                                6..=7 => Act::Schedule { delay: small(rng), keep: rng.gen() },
+                                8 => Act::Cancel,
+                                _ => Act::Draw,
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let pairs = nodes * (nodes - 1) / 2;
+        let links = (0..pairs)
+            .map(|_| {
+                let exact = LinkSpec::loopback().with_latency(SimDuration::from_micros(small(rng)));
+                match rng.gen_range(0..4) {
+                    0 => exact,
+                    1 => exact.with_jitter(SimDuration::from_micros(rng.gen_range(1..8))),
+                    2 => exact.with_loss(0.2).with_bandwidth_bps(50_000_000),
+                    _ => exact.with_bandwidth_bps(20_000_000),
+                }
+            })
+            .collect();
+        let injects = (0..rng.gen_range(4..40))
+            .map(|i| (rng.gen_range(0..nodes), rng.gen_range(0..nodes), 900_000 + i, small(rng)))
+            .collect();
+        // A crash whose restart comes within a few microseconds lands
+        // before the instant a long handler's backlog was parked for.
+        let crashes = (0..rng.gen_range(0..3))
+            .map(|_| {
+                let crash = rng.gen_range(0..600u64);
+                (rng.gen_range(0..nodes), crash, crash + rng.gen_range(1..30u64))
+            })
+            .collect();
+        let mut horizons: Vec<u64> =
+            (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..800)).collect();
+        horizons.sort_unstable();
+        Scenario { seed, scripts, links, injects, crashes, horizons }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The parked loop and the re-push loop agree on every generated
+        /// scenario: dispatch traces, clocks, counters, RNG stream.
+        #[test]
+        fn parked_loop_matches_repush_loop(seed in 0u64..u64::MAX) {
+            scenario(seed).agree();
+        }
+    }
+
+    /// The generator reaches the regimes the differential test exists
+    /// for; without this a tame generator would pass vacuously.
+    #[test]
+    fn generator_exercises_backlogs_crashes_and_wedges() {
+        let (mut backlog, mut dropped, mut deferred) = (0, 0, 0u64);
+        for seed in 0..200 {
+            let s = scenario(seed);
+            let (outcome, parked) = s.play(Engine::run_until);
+            let (_, repushed) = s.play(Engine::run_until_reference);
+            let nodes = (0..s.scripts.len() as u32).map(NodeId);
+            backlog = backlog.max(nodes.map(|n| parked.parked_peak(n)).max().unwrap());
+            let counters = &outcome.checkpoints.last().unwrap().1;
+            dropped += counters.iter().filter(|(k, _)| k == "engine.down_drops").count();
+            deferred += repushed.events_processed() - parked.events_processed();
+        }
+        assert!(backlog >= 8, "deepest backlog only {backlog}");
+        assert!(dropped >= 20, "only {dropped} of 200 scenarios dropped a crashed node's events");
+        assert!(deferred >= 10_000, "only {deferred} re-pushes saved over 200 scenarios");
+    }
+}

@@ -63,6 +63,7 @@ pub mod history;
 mod link;
 pub mod metrics;
 mod stats;
+mod tally;
 mod time;
 pub mod trace;
 
@@ -74,5 +75,6 @@ pub use history::HistoryEvent;
 pub use link::{LinkSpec, LinkStats};
 pub use metrics::{names, CounterDef, GaugeDef, Metrics, MetricsRegistry, TimerDef};
 pub use stats::{Histogram, HistogramSummary, Stats};
+pub use tally::EngineTally;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanRecord, TraceContext, Tracer};

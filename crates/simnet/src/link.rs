@@ -120,11 +120,35 @@ pub(crate) struct LinkState {
     pub msgs: u64,
     pub bytes: u64,
     pub dropped: u64,
+    /// Index of this link's label in the engine's [`LinkKeys`] table.
+    pub keys: usize,
 }
 
 impl LinkState {
-    pub fn new(spec: LinkSpec) -> Self {
-        LinkState { spec, busy_until: SimTime::ZERO, msgs: 0, bytes: 0, dropped: 0 }
+    pub fn new(spec: LinkSpec, keys: usize) -> Self {
+        LinkState { spec, busy_until: SimTime::ZERO, msgs: 0, bytes: 0, dropped: 0, keys }
+    }
+}
+
+/// The stat keys of one link label (`link.<label>.msgs` and friends),
+/// built once per label so routing a message formats nothing.
+pub(crate) struct LinkKeys {
+    pub label: &'static str,
+    pub msgs: String,
+    pub bytes: String,
+    pub dropped: String,
+    pub partitioned: String,
+}
+
+impl LinkKeys {
+    pub fn new(label: &'static str) -> Self {
+        LinkKeys {
+            label,
+            msgs: format!("link.{label}.msgs"),
+            bytes: format!("link.{label}.bytes"),
+            dropped: format!("link.{label}.dropped"),
+            partitioned: format!("link.{label}.partitioned"),
+        }
     }
 }
 

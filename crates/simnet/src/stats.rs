@@ -259,7 +259,14 @@ impl Stats {
     /// Add `n` to counter `key` (creating it at zero).
     pub fn add(&mut self, key: &str, n: u64) {
         self.assert_kind(key, "counter");
-        *self.counters.entry(key.to_owned()).or_insert(0) += n;
+        // Look up before inserting: the key string is allocated only the
+        // first time a counter is written, not on every increment.
+        match self.counters.get_mut(key) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(key.to_owned(), n);
+            }
+        }
     }
 
     /// Increment counter `key` by one.
@@ -284,7 +291,12 @@ impl Stats {
     /// Set gauge `key` to `v`.
     pub fn set_gauge(&mut self, key: &str, v: f64) {
         self.assert_kind(key, "gauge");
-        self.gauges.insert(key.to_owned(), v);
+        match self.gauges.get_mut(key) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(key.to_owned(), v);
+            }
+        }
     }
 
     /// Read gauge `key` (zero if absent).
@@ -294,14 +306,16 @@ impl Stats {
 
     /// Record a duration into histogram `key`.
     pub fn record(&mut self, key: &str, d: SimDuration) {
-        self.assert_kind(key, "histogram");
-        self.histograms.entry(key.to_owned()).or_default().record(d);
+        self.histogram_mut(key).record(d);
     }
 
     /// Mutable access to histogram `key`, creating it if absent.
     pub fn histogram_mut(&mut self, key: &str) -> &mut Histogram {
         self.assert_kind(key, "histogram");
-        self.histograms.entry(key.to_owned()).or_default()
+        if !self.histograms.contains_key(key) {
+            self.histograms.insert(key.to_owned(), Histogram::new());
+        }
+        self.histograms.get_mut(key).expect("present or just inserted")
     }
 
     /// Iterate all histograms in key order.
