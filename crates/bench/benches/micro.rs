@@ -1,16 +1,23 @@
 //! Micro-benchmarks of the middleware substrate's hot paths: the DBP
 //! codec, HTTP head rendering/parsing, GIOP framing, the poll FIFO, the
-//! steering lock, the trader's offer matching, and histogram queries.
+//! steering lock, the trader's offer matching, histogram queries, metric
+//! writes into a populated sink, and one application update fanned out
+//! to a 256-member group.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
-use simnet::{Histogram, SimDuration, SimTime};
+use discover_server::{ServerConfig, ServerCore};
+use simnet::{
+    names, Actor, Ctx, Engine, Histogram, Metrics, MetricsRegistry, NodeId, SimDuration, SimTime,
+    Stats,
+};
 use webserv::FifoBuffer;
-use wire::http::HttpRequest;
+use wire::http::{HttpRequest, HttpResponse};
+use wire::tcp::TcpFrame;
 use wire::{
-    codec, AppId, AppOp, ClientMessage, ClientRequest, ResponseBody, ServerAddr, UpdateBody,
-    UserId, Value,
+    codec, AppId, AppMsg, AppOp, AppToken, Channel, ClientMessage, ClientRequest, Content,
+    Envelope, InteractionSpec, Privilege, ResponseBody, ServerAddr, UpdateBody, UserId, Value,
 };
 
 fn sample_request() -> ClientRequest {
@@ -170,5 +177,125 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_codec, bench_http, bench_fifo, bench_lock, bench_histogram);
+/// What `ctx.metrics().incr(..)` costs inside a handler late in a run:
+/// the run-wide sink and the node registry already hold every `names::*`
+/// key and the keys of a dozen link labels. (Against a sink holding one
+/// key, a name-keyed tree and a slot table read alike.)
+fn bench_metrics(c: &mut Criterion) {
+    let mut global = Stats::new();
+    let mut node = MetricsRegistry::new("server0");
+    for key in names::ALL {
+        global.incr(key);
+        node.incr_dynamic(key);
+    }
+    for label in 0..12 {
+        for what in ["msgs", "bytes", "dropped", "partitioned"] {
+            global.incr(&format!("link.l{label}.{what}"));
+        }
+    }
+    const HOT: [simnet::CounterDef; 4] = [
+        names::WEBSERV_FIFO_ENQUEUED,
+        names::WEBSERV_FIFO_COALESCED,
+        names::SERVER_HTTP_REQUESTS,
+        names::SUBSTRATE_CACHE_HITS,
+    ];
+    let mut g = c.benchmark_group("metrics");
+    g.throughput(Throughput::Elements(HOT.len() as u64));
+    g.bench_function("metrics_incr_populated", |b| {
+        b.iter(|| {
+            let mut metrics = Metrics::new(&mut global, &mut node);
+            for counter in HOT {
+                metrics.incr(black_box(counter));
+            }
+        })
+    });
+    g.finish();
+}
+
+const GROUP: usize = 256;
+
+/// A server core alone on its node, playing its application and its
+/// `GROUP` viewers to itself: every reply is a self-send, so no link,
+/// portal or driver runs behind it.
+struct FanoutHost {
+    core: ServerCore,
+    app: AppId,
+}
+
+impl Actor<Envelope> for FanoutHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        let me = ctx.me();
+        let viewer = UserId::new("viewer");
+        let register = AppMsg::Register {
+            token: AppToken("bench".into()),
+            name: "hot".into(),
+            kind: "synthetic".into(),
+            acl: vec![(viewer.clone(), Privilege::ReadOnly)],
+            interface: InteractionSpec::default(),
+            slot: Some(self.app.seq),
+        };
+        self.core.handle_tcp(ctx, me, TcpFrame::new(Channel::Main, register), 0);
+        for _ in 0..GROUP {
+            let login = ClientRequest::Login { user: viewer.clone(), password: "secret-viewer".into() };
+            self.core.handle_http(ctx, me, HttpRequest::post("/discover/login", None, login), 0);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, from: NodeId, msg: Envelope) {
+        match msg.content {
+            // A login reply carries the new session's cookie: join the group.
+            Content::HttpResponse(HttpResponse { set_session: Some(cookie), .. }) => {
+                let select = ClientRequest::SelectApp { app: self.app };
+                let req = HttpRequest::post("/discover/select", Some(cookie), select);
+                self.core.handle_http(ctx, from, req, 0);
+            }
+            Content::Tcp(frame) => {
+                black_box(self.core.handle_tcp(ctx, from, frame, 0));
+            }
+            _ => {}
+        }
+    }
+}
+
+/// `ServerCore::handle_tcp` taking one `AppMsg::Update` to `GROUP`
+/// selected sessions nobody polls, coalescing on: after the first update
+/// every push replaces the queued status in its slot, the steady state
+/// of the wall-clock benchmark's `fanout_steady`.
+fn bench_route_update(c: &mut Criterion) {
+    let app = AppId { server: ServerAddr(1), seq: 0 };
+    let mut config = ServerConfig::new(app.server, "server0");
+    config.coalesce_fifo = true;
+    let mut engine = Engine::new(1);
+    let host = engine.add_node("server0", FanoutHost { core: ServerCore::new(config), app });
+    engine.run_to_quiescence();
+    let members = engine.actor_ref::<FanoutHost>(host).unwrap().core.collab().members(app).len();
+    assert_eq!(members, GROUP, "every viewer selected the app");
+
+    let mut iteration = 0;
+    let mut g = c.benchmark_group("server_core");
+    g.throughput(Throughput::Elements(GROUP as u64));
+    g.bench_function("route_update_g256", |b| {
+        b.iter(|| {
+            iteration += 1;
+            let status =
+                wire::AppStatus { phase: wire::AppPhase::Computing, iteration, progress: 0.5 };
+            let update = AppMsg::Update { app, status, readings: Vec::new() };
+            let frame = Envelope::tcp(TcpFrame::new(Channel::Main, update));
+            engine.inject(host, host, frame, SimDuration::ZERO);
+            engine.run_to_quiescence()
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_codec,
+    bench_http,
+    bench_fifo,
+    bench_lock,
+    bench_histogram,
+    bench_metrics,
+    bench_route_update
+);
 criterion_main!(benches);

@@ -105,31 +105,26 @@ impl CollabGroups {
         self.members.get(&app).map(|s| s.iter().copied().collect()).unwrap_or_default()
     }
 
-    /// Local recipients of a group broadcast for `app`: members minus the
-    /// originator (if local) minus muted clients.
-    pub fn broadcast_targets(&self, app: AppId, exclude: Option<ClientId>) -> Vec<ClientId> {
-        let mut out = Vec::new();
-        self.broadcast_targets_into(app, exclude, &mut out);
-        out
+    /// True if the default group of `app` has at least one local member.
+    pub fn has_members(&self, app: AppId) -> bool {
+        self.members.get(&app).is_some_and(|group| !group.is_empty())
     }
 
-    /// Append the broadcast target set to a caller-owned buffer, so the
-    /// per-update fan-out on the hot delivery path can reuse one scratch
-    /// allocation instead of collecting a fresh `Vec` per broadcast.
-    pub fn broadcast_targets_into(
+    /// Local recipients of a group broadcast for `app`, in id order:
+    /// members minus the originator (if local) minus muted clients.
+    /// Borrowed straight from the membership set, so the per-update
+    /// fan-out on the hot delivery path collects nothing.
+    pub fn broadcast_targets(
         &self,
         app: AppId,
         exclude: Option<ClientId>,
-        out: &mut Vec<ClientId>,
-    ) {
-        if let Some(s) = self.members.get(&app) {
-            out.extend(
-                s.iter()
-                    .copied()
-                    .filter(|c| Some(*c) != exclude)
-                    .filter(|c| !self.muted.contains(&(*c, app))),
-            );
-        }
+    ) -> impl Iterator<Item = ClientId> + '_ {
+        self.members
+            .get(&app)
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(move |c| Some(*c) != exclude && !self.muted.contains(&(*c, app)))
     }
 
     /// Members of a named subgroup.
@@ -191,11 +186,11 @@ mod tests {
             g.join(app(1), client(c));
         }
         g.set_broadcast(app(1), client(3), false);
-        let targets = g.broadcast_targets(app(1), Some(client(1)));
+        let targets: Vec<_> = g.broadcast_targets(app(1), Some(client(1))).collect();
         assert_eq!(targets, vec![client(2), client(4)]);
         // Re-enable restores delivery.
         g.set_broadcast(app(1), client(3), true);
-        assert_eq!(g.broadcast_targets(app(1), Some(client(1))).len(), 3);
+        assert_eq!(g.broadcast_targets(app(1), Some(client(1))).count(), 3);
     }
 
     #[test]

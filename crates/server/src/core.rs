@@ -27,7 +27,7 @@ use wire::tcp::TcpFrame;
 use wire::{
     AppDescriptor, AppId, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry, AppToken, Channel,
     ClientId, ClientMessage, ClientRequest, ControlEvent, ControlEventKind, DeadlineStamp,
-    Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, InteractionSpec, LogEntry, ObjectKey,
+    Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, IdMap, InteractionSpec, LogEntry, ObjectKey,
     OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Privilege, RequestId, ResponseBody,
     ServerAddr, StatusReport, UpdateBody, UserId, Value, WireError,
 };
@@ -309,6 +309,46 @@ enum OpOrigin {
     Peer { node: NodeId, giop_id: u64, operation: String, app: AppId, user: UserId },
 }
 
+/// What a run of FIFO pushes did, summed so one handler folds it into the
+/// node's metrics once instead of per push: enqueues, drops and coalesces
+/// count directly; the high-water mark is folded as a monotone counter of
+/// peak increments, since `fold_node_metrics` merges counters only.
+#[derive(Default)]
+struct FifoTally {
+    enqueued: u64,
+    dropped: u64,
+    coalesced: u64,
+    peak_growth: u64,
+}
+
+impl FifoTally {
+    /// Push `msg` and take note of what the buffer did with it.
+    fn push(&mut self, fifo: &mut FifoBuffer, msg: ClientMessage) {
+        let (dropped, coalesced, peak) = (fifo.dropped(), fifo.coalesced(), fifo.peak());
+        fifo.push(msg);
+        self.enqueued += 1;
+        self.dropped += fifo.dropped() - dropped;
+        self.coalesced += fifo.coalesced() - coalesced;
+        self.peak_growth += (fifo.peak() - peak) as u64;
+    }
+
+    /// Write each total that moved. A counter nothing moved stays
+    /// unwritten, hence absent from reports, as under per-push counting.
+    fn fold(self, ctx: &mut Ctx<'_, Envelope>) {
+        let mut metrics = ctx.metrics();
+        for (counter, n) in [
+            (names::WEBSERV_FIFO_ENQUEUED, self.enqueued),
+            (names::WEBSERV_FIFO_DROPPED, self.dropped),
+            (names::WEBSERV_FIFO_COALESCED, self.coalesced),
+            (names::WEBSERV_FIFO_PEAK, self.peak_growth),
+        ] {
+            if n > 0 {
+                metrics.add(counter, n);
+            }
+        }
+    }
+}
+
 /// The server core. See module docs.
 pub struct ServerCore {
     /// Configuration (public for inspection in tests/benches).
@@ -321,7 +361,7 @@ pub struct ServerCore {
     /// in the current one-second window).
     resume_accounting: (u64, u32),
     cookie_of_client: HashMap<ClientId, u64>,
-    fifos: HashMap<ClientId, FifoBuffer>,
+    fifos: IdMap<ClientId, FifoBuffer>,
     apps: HashMap<AppId, ApplicationProxy>,
     app_by_node: HashMap<NodeId, AppId>,
     next_app_seq: u32,
@@ -373,11 +413,6 @@ pub struct ServerCore {
     /// allocation is kept for the next phase change instead of being
     /// rebuilt per flush.
     flush_scratch: Vec<BufferedOp>,
-    /// Reusable scratch for broadcast fan-out targets: every routed
-    /// update needs the member list momentarily, so the hot path
-    /// borrows this one allocation instead of collecting a fresh
-    /// `Vec<ClientId>` per update.
-    fanout_scratch: Vec<ClientId>,
     /// Restart-from-archive recoveries executed so far (status page).
     recoveries: u64,
     /// Local apps whose proxy context was rebuilt in the last recovery.
@@ -397,7 +432,7 @@ impl ServerCore {
             parked: BTreeMap::new(),
             resume_accounting: (0, 0),
             cookie_of_client: HashMap::new(),
-            fifos: HashMap::new(),
+            fifos: IdMap::default(),
             apps: HashMap::new(),
             app_by_node: HashMap::new(),
             next_app_seq: 0,
@@ -420,7 +455,6 @@ impl ServerCore {
             peer_status: Vec::new(),
             dir_plane: wire::DirPlaneStatus::default(),
             flush_scratch: Vec::new(),
-            fanout_scratch: Vec::new(),
             recoveries: 0,
             recovered_apps: 0,
         }
@@ -597,27 +631,33 @@ impl ServerCore {
     }
 
     fn fifo_push(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId, msg: ClientMessage) {
+        let mut tally = FifoTally::default();
         if let Some(fifo) = self.fifos.get_mut(&client) {
-            let dropped0 = fifo.dropped();
-            let peak0 = fifo.peak();
-            let coalesced0 = fifo.coalesced();
-            fifo.push(msg);
-            // Fold the buffer's counters into the per-node registry:
-            // enqueues, drops and coalesces count directly; the
-            // high-water mark is folded as a monotone counter of peak
-            // increments, since `fold_node_metrics` merges counters only.
-            ctx.metrics().incr(names::WEBSERV_FIFO_ENQUEUED);
-            if fifo.dropped() > dropped0 {
-                ctx.metrics().incr(names::WEBSERV_FIFO_DROPPED);
-            }
-            if fifo.coalesced() > coalesced0 {
-                ctx.metrics().incr(names::WEBSERV_FIFO_COALESCED);
-            }
-            let peak_growth = fifo.peak().saturating_sub(peak0);
-            if peak_growth > 0 {
-                ctx.metrics().add(names::WEBSERV_FIFO_PEAK, peak_growth as u64);
+            tally.push(fifo, msg);
+        }
+        tally.fold(ctx);
+    }
+
+    /// Push `update` into the FIFO of every local broadcast target of its
+    /// application (members minus `exclude` minus muted clients) and fold
+    /// the FIFO counters once for the whole fan-out. Returns the number
+    /// of targets; each got a reference to the one frozen encoding.
+    fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        update: &FrozenUpdate,
+        exclude: Option<ClientId>,
+    ) -> u64 {
+        let mut targets = 0;
+        let mut tally = FifoTally::default();
+        for client in self.collab.broadcast_targets(update.app(), exclude) {
+            targets += 1;
+            if let Some(fifo) = self.fifos.get_mut(&client) {
+                tally.push(fifo, ClientMessage::Update(update.clone()));
             }
         }
+        tally.fold(ctx);
+        targets
     }
 
     /// Append to an app's archive log, folding the archival tick
@@ -683,24 +723,12 @@ impl ServerCore {
             // broadcast is exactly one network-wide.
             ctx.metrics().incr(names::SERVER_COLLAB_BROADCASTS);
         }
-        // The member list is only needed for the duration of this fan-out,
-        // so it fills the core's reusable scratch instead of collecting a
-        // fresh Vec per broadcast (the storm workload routes hundreds of
-        // updates per second through here).
-        let mut targets = std::mem::take(&mut self.fanout_scratch);
-        self.collab.broadcast_targets_into(app, exclude, &mut targets);
-        ctx.metrics().add(names::SERVER_COLLAB_LOCAL_FANOUT, targets.len() as u64);
         // Every fan-out target below — N local fifos, the proxy update
         // log, the archive, and M peer pushes — shares the one frozen
         // encoding; each reuse is a reference-count bump, not a clone or
         // a serializer walk.
-        let mut reuses = 0u64;
-        for &c in &targets {
-            self.fifo_push(ctx, c, ClientMessage::Update(update.clone()));
-            reuses += 1;
-        }
-        targets.clear();
-        self.fanout_scratch = targets;
+        let mut reuses = self.fan_out(ctx, &update, exclude);
+        ctx.metrics().add(names::SERVER_COLLAB_LOCAL_FANOUT, reuses);
         if app.host() == self.config.addr {
             // We are the host: record and fan out to subscribed peers.
             if let Some(proxy) = self.apps.get_mut(&app) {
@@ -1535,7 +1563,7 @@ impl ServerCore {
                 }
             }
         };
-        let first_member = self.collab.members(app).is_empty();
+        let first_member = !self.collab.has_members(app);
         self.collab.join(app, client);
         if let Some(s) = self.sessions.touch(self.cookie_of_client[&client], ctx.now()) {
             if !s.selected.contains(&app) {
@@ -1579,7 +1607,7 @@ impl ServerCore {
     }
 
     fn maybe_unsubscribe(&mut self, app: AppId, effects: &mut Vec<Effect>) {
-        if app.host() != self.config.addr && self.collab.members(app).is_empty() {
+        if app.host() != self.config.addr && !self.collab.has_members(app) {
             effects.push(Effect::Unsubscribe { app });
         }
     }
@@ -1992,12 +2020,7 @@ impl ServerCore {
         // frozen once, shared by fifos, archive and peer pushes alike.
         let update = FrozenUpdate::new(UpdateBody::AppClosed { app });
         ctx.metrics().incr(names::SERVER_COLLAB_BROADCASTS);
-        let targets = self.collab.broadcast_targets(app, None);
-        let mut reuses = 0u64;
-        for c in targets {
-            self.fifo_push(ctx, c, ClientMessage::Update(update.clone()));
-            reuses += 1;
-        }
+        let mut reuses = self.fan_out(ctx, &update, None);
         self.log_app_metered(ctx, app, None, LogEntry::Update(update.clone()));
         reuses += 1;
         let peers: Vec<ServerAddr> =
@@ -2739,5 +2762,135 @@ impl ServerCore {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::{Actor, Engine};
+    use wire::AppStatus;
+
+    const ADDR: ServerAddr = ServerAddr(1);
+    const APP: AppId = AppId { server: ADDR, seq: 0 };
+
+    fn client(seq: u32) -> ClientId {
+        ClientId { server: ADDR, seq }
+    }
+
+    fn status(iteration: u64) -> FrozenUpdate {
+        FrozenUpdate::new(UpdateBody::AppStatus {
+            app: APP,
+            status: AppStatus { phase: AppPhase::Computing, iteration, progress: 0.0 },
+            readings: Vec::new(),
+        })
+    }
+
+    fn chat(text: &str) -> ClientMessage {
+        ClientMessage::update(UpdateBody::Chat {
+            app: APP,
+            from: UserId::new("u"),
+            text: text.into(),
+        })
+    }
+
+    /// A core whose group members' FIFOs (capacity 4, coalescing) each
+    /// meet the next status broadcast differently.
+    fn staged_core() -> ServerCore {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.fifo_capacity = 4;
+        config.coalesce_fifo = true;
+        let mut core = ServerCore::new(config);
+        let mut stage = |seq: u32, queued: Vec<ClientMessage>, drain: usize| {
+            let mut fifo = FifoBuffer::with_coalescing(4, true);
+            queued.into_iter().for_each(|msg| fifo.push(msg));
+            fifo.drain(drain);
+            core.fifos.insert(client(seq), fifo);
+            core.collab.join(APP, client(seq));
+        };
+        let older = || ClientMessage::Update(status(1));
+        // Coalesce: a superseded status is still queued.
+        stage(0, vec![older()], 0);
+        stage(1, vec![chat("a"), older(), chat("b")], 1);
+        // Append below the high-water mark: peaked at 3, drained to 1.
+        stage(2, vec![chat("a"), chat("b"), chat("c")], 2);
+        // Evict: full, and no status among the four queued.
+        stage(3, vec![chat("a"), chat("b"), chat("c"), chat("d")], 0);
+        // Raise the peak: never held anything.
+        stage(4, Vec::new(), 0);
+        // A member whose FIFO is gone counts as a target and nothing else.
+        core.collab.join(APP, client(5));
+        core
+    }
+
+    /// Delivers one status update to the staged group at start: through
+    /// `route_update`, or with one `fifo_push` per member.
+    struct Host {
+        core: ServerCore,
+        batched: bool,
+    }
+
+    impl Actor<Envelope> for Host {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            let update = status(2);
+            if self.batched {
+                self.core.route_update(ctx, update, None, None, &mut Vec::new());
+            } else {
+                for seq in 0..6 {
+                    self.core.fifo_push(ctx, client(seq), ClientMessage::Update(update.clone()));
+                }
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<'_, Envelope>, _: NodeId, _: Envelope) {}
+    }
+
+    type Counters = Vec<(String, u64)>;
+    /// (run-wide, node registry) `webserv.fifo.*` counters and the FIFO
+    /// snapshot after the delivery.
+    type Outcome = (Counters, Counters, Vec<(ClientId, usize, usize, u64, u64)>);
+
+    fn deliver(batched: bool) -> Outcome {
+        let mut engine = Engine::new(1);
+        let node = engine.add_node("s", Host { core: staged_core(), batched });
+        engine.run_to_quiescence();
+        let fifo_counters = |stats: &simnet::Stats| {
+            stats
+                .counters()
+                .filter(|(key, _)| key.starts_with("webserv.fifo."))
+                .map(|(key, n)| (key.to_owned(), n))
+                .collect::<Vec<_>>()
+        };
+        let host = engine.actor_ref::<Host>(node).expect("the host actor");
+        (
+            fifo_counters(engine.stats()),
+            fifo_counters(engine.node_metrics(node).stats()),
+            host.core.fifo_snapshot(),
+        )
+    }
+
+    #[test]
+    fn one_broadcast_folds_to_the_counters_of_single_pushes() {
+        let batched = deliver(true);
+        assert_eq!(batched, deliver(false));
+        let expected: Counters = [("coalesced", 2), ("dropped", 1), ("enqueued", 5), ("peak", 1)]
+            .map(|(what, n)| (format!("webserv.fifo.{what}"), n))
+            .into();
+        assert_eq!(batched.0, expected);
+        assert_eq!(batched.1, expected);
+    }
+
+    #[test]
+    fn a_broadcast_that_moves_nothing_writes_no_fifo_counter() {
+        // Per-push counting never created a counter it did not bump; the
+        // fold must not either (reports list every written key).
+        let mut engine = Engine::new(1);
+        let mut core = staged_core();
+        core.fifos.clear();
+        let node = engine.add_node("s", Host { core, batched: true });
+        engine.run_to_quiescence();
+        assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
+        assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
+        assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
     }
 }

@@ -220,11 +220,17 @@ impl<M: Payload> Core<M> {
         None
     }
 
+    /// Write-through handle onto the run-wide sink and `node`'s registry.
+    fn metrics(&mut self, node: NodeId) -> Metrics<'_> {
+        Metrics::new(&mut self.stats, &mut self.node_metrics[node.index()])
+    }
+
     fn install_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
         let known = self.link_keys.iter().position(|keys| keys.label == spec.label);
         let keys = known.unwrap_or_else(|| {
-            self.link_keys.push(LinkKeys::new(spec.label));
-            self.link_keys.len() - 1
+            let nth = self.link_keys.len();
+            self.link_keys.push(LinkKeys::new(spec.label, nth));
+            nth
         });
         self.links.insert((from.0, to.0), LinkState::new(spec, keys));
     }
@@ -256,12 +262,12 @@ impl<M: Payload> Core<M> {
             Some(link) => {
                 if cut {
                     link.dropped += 1;
-                    self.stats.incr(&self.link_keys[link.keys].partitioned);
+                    self.link_keys[link.keys].partitioned.add_to(&mut self.stats, 1);
                     return;
                 }
                 if link.spec.loss > 0.0 && self.rng.gen::<f64>() < link.spec.loss {
                     link.dropped += 1;
-                    self.stats.incr(&self.link_keys[link.keys].dropped);
+                    self.link_keys[link.keys].dropped.add_to(&mut self.stats, 1);
                     return;
                 }
                 let transmit = link.spec.transmit_time(size);
@@ -276,8 +282,8 @@ impl<M: Payload> Core<M> {
                     SimDuration::from_micros(self.rng.gen_range(0..=jitter_max))
                 };
                 let keys = &self.link_keys[link.keys];
-                self.stats.incr(&keys.msgs);
-                self.stats.add(&keys.bytes, size as u64);
+                keys.msgs.add_to(&mut self.stats, 1);
+                keys.bytes.add_to(&mut self.stats, size as u64);
                 link.busy_until + link.spec.latency + jitter
             }
         };
@@ -352,8 +358,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// Write-through metrics handle: every counter/gauge/timer write lands
     /// in the run-wide [`Stats`] *and* this node's [`MetricsRegistry`].
     pub fn metrics(&mut self) -> Metrics<'_> {
-        let core = &mut *self.core;
-        Metrics { global: &mut core.stats, node: &mut core.node_metrics[self.me.index()] }
+        self.core.metrics(self.me)
     }
 
     /// Name of any node (for diagnostics).
@@ -420,8 +425,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
         let detail = detail.into();
         let fired = core.flight.observe(self.local_now, self.me, label, &subject, &actor, &detail);
         if fired > 0 {
-            core.stats.add(names::ENGINE_FLIGHT_DUMPS.key(), fired as u64);
-            core.node_metrics[self.me.index()].add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
+            core.metrics(self.me).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
         }
         core.history.record(self.local_now, self.me, label, subject, actor, detail);
     }
@@ -659,8 +663,7 @@ impl<M: Payload> Engine<M> {
         let detail = detail.into();
         let fired = self.core.flight.observe(now, node, label, &subject, &actor, &detail);
         if fired > 0 {
-            self.core.stats.add(names::ENGINE_FLIGHT_DUMPS.key(), fired as u64);
-            self.core.node_metrics[node.index()].add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
+            self.core.metrics(node).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
         }
         self.core.history.record(now, node, label, subject, actor, detail);
     }
@@ -703,8 +706,7 @@ impl<M: Payload> Engine<M> {
         let now = self.core.now;
         let fired = self.core.flight.force_dump(node, now, trigger);
         if fired > 0 {
-            self.core.stats.add(names::ENGINE_FLIGHT_DUMPS.key(), fired as u64);
-            self.core.node_metrics[node.index()].add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
+            self.core.metrics(node).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
         }
     }
 
@@ -819,8 +821,7 @@ impl<M: Payload> Engine<M> {
                 let state = &self.core.nodes[to.index()];
                 let busy = state.busy_until;
                 if !state.up || state.epoch != epoch {
-                    self.core.stats.incr(names::ENGINE_DOWN_DROPS.key());
-                    self.core.node_metrics[to.index()].incr(names::ENGINE_DOWN_DROPS);
+                    self.core.metrics(to).incr(names::ENGINE_DOWN_DROPS);
                 } else if busy > ev.time {
                     return self.core.park(to, busy, EventKind::Deliver { from, to, msg, epoch });
                 } else {
@@ -857,8 +858,7 @@ impl<M: Payload> Engine<M> {
                     for parked in std::mem::take(&mut state.parked) {
                         self.core.enqueue(parked);
                     }
-                    self.core.stats.incr(names::ENGINE_CRASHES.key());
-                    self.core.node_metrics[node.index()].incr(names::ENGINE_CRASHES);
+                    self.core.metrics(node).incr(names::ENGINE_CRASHES);
                 }
             }
             EventKind::Restart { node } => {

@@ -39,8 +39,7 @@ impl<M: Payload> Engine<M> {
                 EventKind::Deliver { from, to, msg, epoch } => {
                     let state = &self.core.nodes[to.index()];
                     if !state.up || state.epoch != epoch {
-                        self.core.stats.incr(names::ENGINE_DOWN_DROPS.key());
-                        self.core.node_metrics[to.index()].incr(names::ENGINE_DOWN_DROPS);
+                        self.core.metrics(to).incr(names::ENGINE_DOWN_DROPS);
                         continue;
                     }
                     let busy = state.busy_until;
@@ -75,8 +74,7 @@ impl<M: Payload> Engine<M> {
                         state.up = false;
                         state.epoch += 1;
                         state.busy_until = ev.time;
-                        self.core.stats.incr(names::ENGINE_CRASHES.key());
-                        self.core.node_metrics[node.index()].incr(names::ENGINE_CRASHES);
+                        self.core.metrics(node).incr(names::ENGINE_CRASHES);
                     }
                 }
                 EventKind::Restart { node } => {

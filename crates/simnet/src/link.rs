@@ -6,6 +6,8 @@
 //! saturate and queueing delay grow in the experiments, rather than being
 //! scripted.
 
+use crate::metrics::names;
+use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
 /// Immutable description of one direction of a network link.
@@ -130,24 +132,42 @@ impl LinkState {
     }
 }
 
-/// The stat keys of one link label (`link.<label>.msgs` and friends),
-/// built once per label so routing a message formats nothing.
+/// The stat keys of one link label (`link.<label>.msgs` and friends) and
+/// the slots they write through, fixed once per label so routing a
+/// message neither formats nor compares a key.
 pub(crate) struct LinkKeys {
     pub label: &'static str,
-    pub msgs: String,
-    pub bytes: String,
-    pub dropped: String,
-    pub partitioned: String,
+    pub msgs: LinkKey,
+    pub bytes: LinkKey,
+    pub dropped: LinkKey,
+    pub partitioned: LinkKey,
+}
+
+/// One run-time counter key with its slot in the engine's run-wide sink.
+pub(crate) struct LinkKey {
+    key: String,
+    slot: usize,
+}
+
+impl LinkKey {
+    /// Add `n` to this counter in `stats`, by slot.
+    pub fn add_to(&self, stats: &mut Stats, n: u64) {
+        stats.add_at(self.slot, &self.key, n);
+    }
 }
 
 impl LinkKeys {
-    pub fn new(label: &'static str) -> Self {
+    /// Keys of the `nth` distinct label an engine sees; their slots
+    /// follow the typed definitions' in label order.
+    pub fn new(label: &'static str, nth: usize) -> Self {
+        let base = names::ALL.len() + 4 * nth;
+        let key = |at, what| LinkKey { key: format!("link.{label}.{what}"), slot: base + at };
         LinkKeys {
             label,
-            msgs: format!("link.{label}.msgs"),
-            bytes: format!("link.{label}.bytes"),
-            dropped: format!("link.{label}.dropped"),
-            partitioned: format!("link.{label}.partitioned"),
+            msgs: key(0, "msgs"),
+            bytes: key(1, "bytes"),
+            dropped: key(2, "dropped"),
+            partitioned: key(3, "partitioned"),
         }
     }
 }

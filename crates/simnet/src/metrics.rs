@@ -8,7 +8,9 @@
 //! * [`names`] defines every metric key used by the DISCOVER stack as a
 //!   typed constant ([`CounterDef`] / [`GaugeDef`] / [`TimerDef`]); the
 //!   orb, substrate, server and client layers reference these instead of
-//!   inline literals.
+//!   inline literals. A constant carries its position in the list as a
+//!   dense slot, so a write through it indexes the sink's slot table
+//!   instead of comparing key strings down a tree.
 //! * [`MetricsRegistry`] is a per-node sink. The engine keeps one per
 //!   node and `Ctx::metrics()` writes through to **both** the node's
 //!   registry and the run-wide [`Stats`], so existing harness reads keep
@@ -17,37 +19,63 @@
 use crate::stats::Stats;
 use crate::time::SimDuration;
 
-/// A counter metric name (monotone event count).
+/// A counter metric name (monotone event count) and its dense slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterDef(pub &'static str);
-
-/// A gauge metric name (last-write-wins level).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeDef(pub &'static str);
-
-/// A timer metric name (duration histogram).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimerDef(pub &'static str);
-
-impl CounterDef {
-    /// The underlying key string.
-    pub fn key(self) -> &'static str {
-        self.0
-    }
+pub struct CounterDef {
+    key: &'static str,
+    slot: u16,
 }
 
-impl GaugeDef {
-    /// The underlying key string.
-    pub fn key(self) -> &'static str {
-        self.0
-    }
+/// A gauge metric name (last-write-wins level) and its dense slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GaugeDef {
+    key: &'static str,
+    slot: u16,
 }
 
-impl TimerDef {
-    /// The underlying key string.
-    pub fn key(self) -> &'static str {
-        self.0
-    }
+/// A timer metric name (duration histogram) and its dense slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimerDef {
+    key: &'static str,
+    slot: u16,
+}
+
+macro_rules! def_accessors {
+    ($($def:ident)*) => {$(
+        impl $def {
+            /// The underlying key string.
+            pub const fn key(self) -> &'static str {
+                self.key
+            }
+
+            /// Position in [`names::ALL`]: the index this definition
+            /// writes through in a [`Stats`] slot table.
+            pub(crate) const fn slot(self) -> usize {
+                self.slot as usize
+            }
+        }
+    )*};
+}
+def_accessors!(CounterDef GaugeDef TimerDef);
+
+/// Declares the typed constants of [`names`] and numbers them: a
+/// definition's slot is its position in the list, and [`names::ALL`] is
+/// the same list, so no constant can be unlisted or share a slot.
+macro_rules! metric_names {
+    ($($(#[$doc:meta])* $name:ident: $def:ident = $key:literal;)*) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        enum Slot {
+            $($name,)*
+        }
+        $(
+            $(#[$doc])*
+            pub const $name: $def = $def { key: $key, slot: Slot::$name as u16 };
+        )*
+        /// Every key defined in this module, by slot. A duplicated key
+        /// string would silently merge two metrics into one line; the
+        /// uniqueness self-test walks this list.
+        pub const ALL: &[&str] = &[$($key,)*];
+    };
 }
 
 /// Every metric name in the DISCOVER stack, one place, no drift.
@@ -57,413 +85,273 @@ impl TimerDef {
 pub mod names {
     use super::{CounterDef, GaugeDef, TimerDef};
 
-    // -- engine ----------------------------------------------------------
-    /// Node crashes executed by the engine.
-    pub const ENGINE_CRASHES: CounterDef = CounterDef("engine.crashes");
-    /// Deliveries/timers dropped because the target node was down or the
-    /// event straddled a crash epoch.
-    pub const ENGINE_DOWN_DROPS: CounterDef = CounterDef("engine.down_drops");
-    /// Flight-recorder dumps triggered (breaker open, shed burst,
-    /// deadline-expiry spike).
-    pub const ENGINE_FLIGHT_DUMPS: CounterDef = CounterDef("engine.flight_dumps");
+    metric_names! {
+        // -- engine ----------------------------------------------------------
+        /// Node crashes executed by the engine.
+        ENGINE_CRASHES: CounterDef = "engine.crashes";
+        /// Deliveries/timers dropped because the target node was down or the
+        /// event straddled a crash epoch.
+        ENGINE_DOWN_DROPS: CounterDef = "engine.down_drops";
+        /// Flight-recorder dumps triggered (breaker open, shed burst,
+        /// deadline-expiry spike).
+        ENGINE_FLIGHT_DUMPS: CounterDef = "engine.flight_dumps";
 
-    // -- client (portal) -------------------------------------------------
-    /// Steering operations issued by portals.
-    pub const CLIENT_OPS_ISSUED: CounterDef = CounterDef("client.ops_issued");
-    /// Lock acquisitions retried after a denial.
-    pub const CLIENT_LOCK_RETRIES: CounterDef = CounterDef("client.lock_retries");
-    /// End-to-end operation latency (issue -> OpDone/Error).
-    pub const CLIENT_OP_LATENCY: TimerDef = TimerDef("client.op_latency");
-    /// Lock acquisition latency.
-    pub const CLIENT_LOCK_LATENCY: TimerDef = TimerDef("client.lock_latency");
-    /// Operations rejected by server admission control (`Overloaded`).
-    pub const CLIENT_OPS_REJECTED: CounterDef = CounterDef("client.ops_rejected");
-    /// Operations whose reply was `DeadlineExceeded` (dropped en route).
-    pub const CLIENT_OPS_EXPIRED: CounterDef = CounterDef("client.ops_expired");
-    /// Resume requests issued after a session token stopped validating.
-    pub const CLIENT_RESUMES: CounterDef = CounterDef("client.resumes");
-    /// Resumes acknowledged by the server (parked session revived).
-    pub const CLIENT_RESUMES_OK: CounterDef = CounterDef("client.resumes_ok");
-    /// Resume attempts abandoned for a full re-login (session reclaimed).
-    pub const CLIENT_RESUME_FALLBACKS: CounterDef = CounterDef("client.resume_fallbacks");
-    /// In-flight operations written off as lost across a resume.
-    pub const CLIENT_OPS_ABANDONED: CounterDef = CounterDef("client.ops_abandoned");
-    /// Status-page probes issued by portals.
-    pub const CLIENT_STATUS_PROBES: CounterDef = CounterDef("client.status_probes");
-    /// Status-probe round-trip latency (issue -> StatusReport).
-    pub const CLIENT_STATUS_LATENCY: TimerDef = TimerDef("client.status_latency");
+        // -- client (portal) -------------------------------------------------
+        /// Steering operations issued by portals.
+        CLIENT_OPS_ISSUED: CounterDef = "client.ops_issued";
+        /// Lock acquisitions retried after a denial.
+        CLIENT_LOCK_RETRIES: CounterDef = "client.lock_retries";
+        /// End-to-end operation latency (issue -> OpDone/Error).
+        CLIENT_OP_LATENCY: TimerDef = "client.op_latency";
+        /// Lock acquisition latency.
+        CLIENT_LOCK_LATENCY: TimerDef = "client.lock_latency";
+        /// Operations rejected by server admission control (`Overloaded`).
+        CLIENT_OPS_REJECTED: CounterDef = "client.ops_rejected";
+        /// Operations whose reply was `DeadlineExceeded` (dropped en route).
+        CLIENT_OPS_EXPIRED: CounterDef = "client.ops_expired";
+        /// Resume requests issued after a session token stopped validating.
+        CLIENT_RESUMES: CounterDef = "client.resumes";
+        /// Resumes acknowledged by the server (parked session revived).
+        CLIENT_RESUMES_OK: CounterDef = "client.resumes_ok";
+        /// Resume attempts abandoned for a full re-login (session reclaimed).
+        CLIENT_RESUME_FALLBACKS: CounterDef = "client.resume_fallbacks";
+        /// In-flight operations written off as lost across a resume.
+        CLIENT_OPS_ABANDONED: CounterDef = "client.ops_abandoned";
+        /// Status-page probes issued by portals.
+        CLIENT_STATUS_PROBES: CounterDef = "client.status_probes";
+        /// Status-probe round-trip latency (issue -> StatusReport).
+        CLIENT_STATUS_LATENCY: TimerDef = "client.status_latency";
 
-    // -- server (session/handler layer) ----------------------------------
-    /// HTTP requests handled.
-    pub const SERVER_HTTP_REQUESTS: CounterDef = CounterDef("server.http.requests");
-    /// HTTP responses sent.
-    pub const SERVER_HTTP_RESPONSES: CounterDef = CounterDef("server.http.responses");
-    /// Successful logins.
-    pub const SERVER_LOGINS: CounterDef = CounterDef("server.logins");
-    /// Requests denied by the ACL.
-    pub const SERVER_ACL_DENIED: CounterDef = CounterDef("server.acl.denied");
-    /// Steering operations accepted.
-    pub const SERVER_OPS: CounterDef = CounterDef("server.ops");
-    /// Lock requests denied (already held).
-    pub const SERVER_LOCK_DENIED: CounterDef = CounterDef("server.lock.denied");
-    /// Steering locks force-released because their lease expired or their
-    /// relay peer was observed down.
-    pub const SERVER_LOCK_EVICTED: CounterDef = CounterDef("server.lock.evicted");
-    /// Poll requests served.
-    pub const SERVER_POLL_REQUESTS: CounterDef = CounterDef("server.poll.requests");
-    /// Updates delivered through poll responses.
-    pub const SERVER_POLL_DELIVERED: CounterDef = CounterDef("server.poll.delivered");
-    /// Poll requests whose batch carried at least one message (the
-    /// denominator for frames-per-poll: every nonempty batch ships in
-    /// exactly one envelope with one framing header).
-    pub const SERVER_POLL_NONEMPTY: CounterDef = CounterDef("server.poll.nonempty");
-    /// Collaboration updates fanned out to local session members.
-    pub const SERVER_COLLAB_LOCAL_FANOUT: CounterDef = CounterDef("server.collab.local_fanout");
-    /// Fan-out targets (local fifos, archive, proxy log, peer pushes)
-    /// that reused a broadcast's single frozen encoding instead of
-    /// re-serializing — the encode-once optimisation's reuse count.
-    pub const SERVER_FANOUT_PAYLOAD_REUSE: CounterDef = CounterDef("server.fanout_payload_reuse");
-    /// Update broadcasts routed (each = exactly one DBP serialization).
-    pub const SERVER_COLLAB_BROADCASTS: CounterDef = CounterDef("server.collab.broadcasts");
-    /// Full DBP serializer walks performed by the wire codec (folded in
-    /// from the codec's thread-local stats at the end of a run).
-    pub const WIRE_ENCODE_CALLS: CounterDef = CounterDef("wire.encode_calls");
-    /// Bytes produced by those walks.
-    pub const WIRE_BYTES_ENCODED: CounterDef = CounterDef("wire.bytes_encoded");
-    /// Pre-encoded payloads spliced verbatim (serializer walks avoided).
-    pub const WIRE_PAYLOAD_SPLICES: CounterDef = CounterDef("wire.payload_splices");
-    /// TCP frames handled.
-    pub const SERVER_TCP_FRAMES: CounterDef = CounterDef("server.tcp.frames");
-    /// Unexpected TCP frames.
-    pub const SERVER_TCP_UNEXPECTED: CounterDef = CounterDef("server.tcp.unexpected");
-    /// Application daemon registrations accepted.
-    pub const SERVER_DAEMON_REGISTERED: CounterDef = CounterDef("server.daemon.registered");
-    /// Application daemon registrations rejected.
-    pub const SERVER_DAEMON_REGISTER_REJECTED: CounterDef =
-        CounterDef("server.daemon.register_rejected");
-    /// Application daemon deregistrations.
-    pub const SERVER_DAEMON_DEREGISTERED: CounterDef = CounterDef("server.daemon.deregistered");
-    /// Commands buffered while an application was computing.
-    pub const SERVER_DAEMON_BUFFERED: CounterDef = CounterDef("server.daemon.buffered");
-    /// Buffered commands flushed after a phase change.
-    pub const SERVER_DAEMON_FLUSHED: CounterDef = CounterDef("server.daemon.flushed");
-    /// Inbound GIOP calls handled (skeleton layer).
-    pub const SERVER_GIOP_CALLS: CounterDef = CounterDef("server.giop.calls");
-    /// GIOP replies with no matching pending call.
-    pub const SERVER_GIOP_STRAY_REPLY: CounterDef = CounterDef("server.giop.stray_reply");
-    /// Peer calls rejected by the inbound throttle.
-    pub const SERVER_PEER_THROTTLED: CounterDef = CounterDef("server.peer.throttled");
-    /// Peer authentication requests served.
-    pub const SERVER_PEER_AUTH: CounterDef = CounterDef("server.peer.auth");
-    /// Proxied steering operations executed for peers.
-    pub const SERVER_PEER_PROXY_OPS: CounterDef = CounterDef("server.peer.proxy_ops");
-    /// Lock requests arriving from peers.
-    pub const SERVER_PEER_LOCK_REQUESTS: CounterDef = CounterDef("server.peer.lock_requests");
-    /// Subscription requests arriving from peers.
-    pub const SERVER_PEER_SUBSCRIBES: CounterDef = CounterDef("server.peer.subscribes");
-    /// Collaboration updates arriving from peers.
-    pub const SERVER_PEER_COLLAB_UPDATES: CounterDef = CounterDef("server.peer.collab_updates");
-    /// Remote authentications completed back to the requesting session.
-    pub const SERVER_REMOTE_AUTH_COMPLETIONS: CounterDef =
-        CounterDef("server.remote.auth_completions");
-    /// Idle sessions reaped.
-    pub const SERVER_SESSIONS_REAPED: CounterDef = CounterDef("server.sessions.reaped");
-    /// Idle sessions parked (lease lapsed; FIFO and lock interest kept
-    /// under the park TTL instead of torn down).
-    pub const SERVER_SESSIONS_PARKED: CounterDef = CounterDef("server.sessions.parked");
-    /// Parked sessions resumed in place by a returning client.
-    pub const SERVER_SESSIONS_RESUMED: CounterDef = CounterDef("server.sessions.resumed");
-    /// Parked sessions reclaimed because their park TTL expired.
-    pub const SERVER_SESSIONS_RECLAIMED: CounterDef = CounterDef("server.sessions.reclaimed");
-    /// Resume attempts deferred by the paced-recovery admission cap.
-    pub const SERVER_RESUME_THROTTLED: CounterDef = CounterDef("server.resume.throttled");
-    /// Archive records replayed to resuming clients (missed suffixes).
-    pub const SERVER_RESUME_REPLAYED: CounterDef = CounterDef("server.resume.replayed");
-    /// Requests rejected at ingress by the inflight admission budget.
-    pub const SERVER_ADMISSION_REJECTED: CounterDef = CounterDef("server.admission.rejected");
-    /// Requests already expired when they reached server ingress.
-    pub const SERVER_DEADLINE_INGRESS_EXPIRED: CounterDef =
-        CounterDef("server.deadline.ingress_expired");
-    /// Operations expired at dispatch-to-application time.
-    pub const SERVER_DEADLINE_DISPATCH_EXPIRED: CounterDef =
-        CounterDef("server.deadline.dispatch_expired");
-    /// Buffered operations expired while waiting in a proxy buffer
-    /// (dropped at dequeue instead of dispatched).
-    pub const SERVER_DEADLINE_DEQUEUE_EXPIRED: CounterDef =
-        CounterDef("server.deadline.dequeue_expired");
-    /// Buffered operations shed from a bounded proxy buffer on overflow
-    /// (lowest-priority-oldest first).
-    pub const SERVER_PROXY_SHED: CounterDef = CounterDef("server.proxy.shed");
-    /// Shed replies that carried a redirect hint to a known mirror.
-    pub const SERVER_PROXY_SHED_REDIRECTED: CounterDef =
-        CounterDef("server.proxy.shed_redirected");
-    /// Messages enqueued into per-client webserv FIFO buffers.
-    pub const WEBSERV_FIFO_ENQUEUED: CounterDef = CounterDef("webserv.fifo.enqueued");
-    /// Messages dropped (oldest evicted) from full webserv FIFO buffers.
-    pub const WEBSERV_FIFO_DROPPED: CounterDef = CounterDef("webserv.fifo.dropped");
-    /// High-water-mark growth of webserv FIFO buffers, folded as a
-    /// monotone counter of peak increments so per-node queue peaks
-    /// survive the labeled fold.
-    pub const WEBSERV_FIFO_PEAK: CounterDef = CounterDef("webserv.fifo.peak");
-    /// View-class updates coalesced in place: a still-queued superseded
-    /// update was replaced by its successor instead of enqueuing behind
-    /// it (only counted on servers with `coalesce_fifo` enabled).
-    pub const WEBSERV_FIFO_COALESCED: CounterDef = CounterDef("webserv.fifo.coalesced");
-    /// Read-only status snapshots served (`ClientRequest::Status`).
-    pub const SERVER_STATUS_REQUESTS: CounterDef = CounterDef("server.status.requests");
-    /// Archive snapshots taken at segment boundaries.
-    pub const SERVER_ARCHIVE_SNAPSHOTS: CounterDef = CounterDef("server.archive.snapshots");
-    /// Superseded view-class records dropped by closed-segment compaction.
-    pub const SERVER_ARCHIVE_COMPACTED: CounterDef = CounterDef("server.archive.compacted");
-    /// Snapshot-aware catch-up requests served (`ClientRequest::CatchUp`).
-    pub const SERVER_CATCHUP_REQUESTS: CounterDef = CounterDef("server.catchup.requests");
-    /// Catch-up responses that rode a snapshot instead of a full prefix.
-    pub const SERVER_CATCHUP_SNAPSHOT_HITS: CounterDef =
-        CounterDef("server.catchup.snapshot_hits");
-    /// Tail records shipped in catch-up responses (bounded by the
-    /// snapshot interval, not the session length — the E19 observable).
-    pub const SERVER_CATCHUP_RECORDS: CounterDef = CounterDef("server.catchup.records");
-    /// Restart-from-archive recoveries executed by a server core.
-    pub const SERVER_RECOVERIES: CounterDef = CounterDef("server.recoveries");
-    /// Local applications whose proxy state was rebuilt from the archive.
-    pub const SERVER_RECOVERED_APPS: CounterDef = CounterDef("server.recovered_apps");
+        // -- server (session/handler layer) ----------------------------------
+        /// HTTP requests handled.
+        SERVER_HTTP_REQUESTS: CounterDef = "server.http.requests";
+        /// HTTP responses sent.
+        SERVER_HTTP_RESPONSES: CounterDef = "server.http.responses";
+        /// Successful logins.
+        SERVER_LOGINS: CounterDef = "server.logins";
+        /// Requests denied by the ACL.
+        SERVER_ACL_DENIED: CounterDef = "server.acl.denied";
+        /// Steering operations accepted.
+        SERVER_OPS: CounterDef = "server.ops";
+        /// Lock requests denied (already held).
+        SERVER_LOCK_DENIED: CounterDef = "server.lock.denied";
+        /// Steering locks force-released because their lease expired or their
+        /// relay peer was observed down.
+        SERVER_LOCK_EVICTED: CounterDef = "server.lock.evicted";
+        /// Poll requests served.
+        SERVER_POLL_REQUESTS: CounterDef = "server.poll.requests";
+        /// Updates delivered through poll responses.
+        SERVER_POLL_DELIVERED: CounterDef = "server.poll.delivered";
+        /// Poll requests whose batch carried at least one message (the
+        /// denominator for frames-per-poll: every nonempty batch ships in
+        /// exactly one envelope with one framing header).
+        SERVER_POLL_NONEMPTY: CounterDef = "server.poll.nonempty";
+        /// Collaboration updates fanned out to local session members.
+        SERVER_COLLAB_LOCAL_FANOUT: CounterDef = "server.collab.local_fanout";
+        /// Fan-out targets (local fifos, archive, proxy log, peer pushes)
+        /// that reused a broadcast's single frozen encoding instead of
+        /// re-serializing — the encode-once optimisation's reuse count.
+        SERVER_FANOUT_PAYLOAD_REUSE: CounterDef = "server.fanout_payload_reuse";
+        /// Update broadcasts routed (each = exactly one DBP serialization).
+        SERVER_COLLAB_BROADCASTS: CounterDef = "server.collab.broadcasts";
+        /// Full DBP serializer walks performed by the wire codec (folded in
+        /// from the codec's thread-local stats at the end of a run).
+        WIRE_ENCODE_CALLS: CounterDef = "wire.encode_calls";
+        /// Bytes produced by those walks.
+        WIRE_BYTES_ENCODED: CounterDef = "wire.bytes_encoded";
+        /// Pre-encoded payloads spliced verbatim (serializer walks avoided).
+        WIRE_PAYLOAD_SPLICES: CounterDef = "wire.payload_splices";
+        /// TCP frames handled.
+        SERVER_TCP_FRAMES: CounterDef = "server.tcp.frames";
+        /// Unexpected TCP frames.
+        SERVER_TCP_UNEXPECTED: CounterDef = "server.tcp.unexpected";
+        /// Application daemon registrations accepted.
+        SERVER_DAEMON_REGISTERED: CounterDef = "server.daemon.registered";
+        /// Application daemon registrations rejected.
+        SERVER_DAEMON_REGISTER_REJECTED: CounterDef = "server.daemon.register_rejected";
+        /// Application daemon deregistrations.
+        SERVER_DAEMON_DEREGISTERED: CounterDef = "server.daemon.deregistered";
+        /// Commands buffered while an application was computing.
+        SERVER_DAEMON_BUFFERED: CounterDef = "server.daemon.buffered";
+        /// Buffered commands flushed after a phase change.
+        SERVER_DAEMON_FLUSHED: CounterDef = "server.daemon.flushed";
+        /// Inbound GIOP calls handled (skeleton layer).
+        SERVER_GIOP_CALLS: CounterDef = "server.giop.calls";
+        /// GIOP replies with no matching pending call.
+        SERVER_GIOP_STRAY_REPLY: CounterDef = "server.giop.stray_reply";
+        /// Peer calls rejected by the inbound throttle.
+        SERVER_PEER_THROTTLED: CounterDef = "server.peer.throttled";
+        /// Peer authentication requests served.
+        SERVER_PEER_AUTH: CounterDef = "server.peer.auth";
+        /// Proxied steering operations executed for peers.
+        SERVER_PEER_PROXY_OPS: CounterDef = "server.peer.proxy_ops";
+        /// Lock requests arriving from peers.
+        SERVER_PEER_LOCK_REQUESTS: CounterDef = "server.peer.lock_requests";
+        /// Subscription requests arriving from peers.
+        SERVER_PEER_SUBSCRIBES: CounterDef = "server.peer.subscribes";
+        /// Collaboration updates arriving from peers.
+        SERVER_PEER_COLLAB_UPDATES: CounterDef = "server.peer.collab_updates";
+        /// Remote authentications completed back to the requesting session.
+        SERVER_REMOTE_AUTH_COMPLETIONS: CounterDef = "server.remote.auth_completions";
+        /// Idle sessions reaped.
+        SERVER_SESSIONS_REAPED: CounterDef = "server.sessions.reaped";
+        /// Idle sessions parked (lease lapsed; FIFO and lock interest kept
+        /// under the park TTL instead of torn down).
+        SERVER_SESSIONS_PARKED: CounterDef = "server.sessions.parked";
+        /// Parked sessions resumed in place by a returning client.
+        SERVER_SESSIONS_RESUMED: CounterDef = "server.sessions.resumed";
+        /// Parked sessions reclaimed because their park TTL expired.
+        SERVER_SESSIONS_RECLAIMED: CounterDef = "server.sessions.reclaimed";
+        /// Resume attempts deferred by the paced-recovery admission cap.
+        SERVER_RESUME_THROTTLED: CounterDef = "server.resume.throttled";
+        /// Archive records replayed to resuming clients (missed suffixes).
+        SERVER_RESUME_REPLAYED: CounterDef = "server.resume.replayed";
+        /// Requests rejected at ingress by the inflight admission budget.
+        SERVER_ADMISSION_REJECTED: CounterDef = "server.admission.rejected";
+        /// Requests already expired when they reached server ingress.
+        SERVER_DEADLINE_INGRESS_EXPIRED: CounterDef = "server.deadline.ingress_expired";
+        /// Operations expired at dispatch-to-application time.
+        SERVER_DEADLINE_DISPATCH_EXPIRED: CounterDef = "server.deadline.dispatch_expired";
+        /// Buffered operations expired while waiting in a proxy buffer
+        /// (dropped at dequeue instead of dispatched).
+        SERVER_DEADLINE_DEQUEUE_EXPIRED: CounterDef = "server.deadline.dequeue_expired";
+        /// Buffered operations shed from a bounded proxy buffer on overflow
+        /// (lowest-priority-oldest first).
+        SERVER_PROXY_SHED: CounterDef = "server.proxy.shed";
+        /// Shed replies that carried a redirect hint to a known mirror.
+        SERVER_PROXY_SHED_REDIRECTED: CounterDef = "server.proxy.shed_redirected";
+        /// Messages enqueued into per-client webserv FIFO buffers.
+        WEBSERV_FIFO_ENQUEUED: CounterDef = "webserv.fifo.enqueued";
+        /// Messages dropped (oldest evicted) from full webserv FIFO buffers.
+        WEBSERV_FIFO_DROPPED: CounterDef = "webserv.fifo.dropped";
+        /// High-water-mark growth of webserv FIFO buffers, folded as a
+        /// monotone counter of peak increments so per-node queue peaks
+        /// survive the labeled fold.
+        WEBSERV_FIFO_PEAK: CounterDef = "webserv.fifo.peak";
+        /// View-class updates coalesced in place: a still-queued superseded
+        /// update was replaced by its successor instead of enqueuing behind
+        /// it (only counted on servers with `coalesce_fifo` enabled).
+        WEBSERV_FIFO_COALESCED: CounterDef = "webserv.fifo.coalesced";
+        /// Read-only status snapshots served (`ClientRequest::Status`).
+        SERVER_STATUS_REQUESTS: CounterDef = "server.status.requests";
+        /// Archive snapshots taken at segment boundaries.
+        SERVER_ARCHIVE_SNAPSHOTS: CounterDef = "server.archive.snapshots";
+        /// Superseded view-class records dropped by closed-segment compaction.
+        SERVER_ARCHIVE_COMPACTED: CounterDef = "server.archive.compacted";
+        /// Snapshot-aware catch-up requests served (`ClientRequest::CatchUp`).
+        SERVER_CATCHUP_REQUESTS: CounterDef = "server.catchup.requests";
+        /// Catch-up responses that rode a snapshot instead of a full prefix.
+        SERVER_CATCHUP_SNAPSHOT_HITS: CounterDef = "server.catchup.snapshot_hits";
+        /// Tail records shipped in catch-up responses (bounded by the
+        /// snapshot interval, not the session length — the E19 observable).
+        SERVER_CATCHUP_RECORDS: CounterDef = "server.catchup.records";
+        /// Restart-from-archive recoveries executed by a server core.
+        SERVER_RECOVERIES: CounterDef = "server.recoveries";
+        /// Local applications whose proxy state was rebuilt from the archive.
+        SERVER_RECOVERED_APPS: CounterDef = "server.recovered_apps";
 
-    // -- substrate (CORBA-ish middleware layer) --------------------------
-    /// Trader/directory discovery queries issued.
-    pub const SUBSTRATE_DISCOVERY_QUERIES: CounterDef =
-        CounterDef("substrate.discovery.queries");
-    /// Peers found by discovery responses.
-    pub const SUBSTRATE_DISCOVERY_PEERS_FOUND: CounterDef =
-        CounterDef("substrate.discovery.peers_found");
-    /// Object references re-bound after a stale entry.
-    pub const SUBSTRATE_REBINDS: CounterDef = CounterDef("substrate.rebinds");
-    /// Cross-server subscriptions issued.
-    pub const SUBSTRATE_SUBSCRIBES: CounterDef = CounterDef("substrate.subscribes");
-    /// Remote authentication calls issued.
-    pub const SUBSTRATE_REMOTE_AUTH_CALLS: CounterDef =
-        CounterDef("substrate.remote_auth.calls");
-    /// Remote authentications denied by the remote ACL.
-    pub const SUBSTRATE_REMOTE_AUTH_DENIED: CounterDef =
-        CounterDef("substrate.remote_auth.denied");
-    /// Remote steering operations issued.
-    pub const SUBSTRATE_REMOTE_OPS: CounterDef = CounterDef("substrate.remote_ops");
-    /// Remote lock operations issued.
-    pub const SUBSTRATE_REMOTE_LOCKS: CounterDef = CounterDef("substrate.remote_locks");
-    /// Calls fast-failed because the peer was known down.
-    pub const SUBSTRATE_FASTFAILS: CounterDef = CounterDef("substrate.fastfails");
-    /// Collaboration updates pushed to subscribed peers.
-    pub const SUBSTRATE_COLLAB_PUSHES: CounterDef = CounterDef("substrate.collab.pushes");
-    /// Collaboration updates forwarded to an application's host server.
-    pub const SUBSTRATE_COLLAB_FORWARDS: CounterDef = CounterDef("substrate.collab.forwards");
-    /// Control events announced to the peer group.
-    pub const SUBSTRATE_CONTROL_EVENTS: CounterDef = CounterDef("substrate.control.events");
-    /// Replies whose pending call had already been forgotten.
-    pub const SUBSTRATE_REPLIES_ORPHANED: CounterDef = CounterDef("substrate.replies.orphaned");
-    /// System-exception replies received.
-    pub const SUBSTRATE_REPLIES_EXCEPTIONS: CounterDef =
-        CounterDef("substrate.replies.exceptions");
-    /// Replies that did not match their continuation's expected shape.
-    pub const SUBSTRATE_REPLIES_MISMATCHED: CounterDef =
-        CounterDef("substrate.replies.mismatched");
-    /// Poll batches executed.
-    pub const SUBSTRATE_POLLS: CounterDef = CounterDef("substrate.polls");
-    /// Broker retry attempts (re-issues after timeout).
-    pub const SUBSTRATE_RETRIES: CounterDef = CounterDef("substrate.retries");
-    /// Calls abandoned because the peer's circuit breaker was open.
-    pub const SUBSTRATE_BREAKER_OPEN: CounterDef = CounterDef("substrate.breaker_open");
-    /// Calls that exhausted their retry budget.
-    pub const SUBSTRATE_TIMEOUTS: CounterDef = CounterDef("substrate.timeouts");
-    /// Failovers to a mirrored application on another peer.
-    pub const SUBSTRATE_FAILOVERS: CounterDef = CounterDef("substrate.failovers");
-    /// Directory entries dropped as stale.
-    pub const SUBSTRATE_DIRECTORY_STALE: CounterDef = CounterDef("substrate.directory.stale");
-    /// Cached routes invalidated immediately on a peer Nak (the target
-    /// answered `NoSuchApp` for an app our directory said it hosted).
-    pub const SUBSTRATE_ROUTES_INVALIDATED: CounterDef =
-        CounterDef("substrate.routes.invalidated");
-    /// Remote calls fast-failed because the request's deadline had
-    /// already passed at dispatch time.
-    pub const SUBSTRATE_DEADLINE_FASTFAIL: CounterDef =
-        CounterDef("substrate.deadline.fastfail");
-    /// Broker retries abandoned because the next attempt would land past
-    /// the request's deadline (remaining budget too small).
-    pub const SUBSTRATE_DEADLINE_GAVE_UP: CounterDef =
-        CounterDef("substrate.deadline.gave_up");
-    /// Discovery-cache lookups served from a fresh positive entry.
-    pub const SUBSTRATE_CACHE_HITS: CounterDef = CounterDef("substrate.cache.hits");
-    /// Discovery-cache lookups served from a fresh negative entry.
-    pub const SUBSTRATE_CACHE_NEG_HITS: CounterDef =
-        CounterDef("substrate.cache.negative_hits");
-    /// Discovery-cache lookups that found no entry.
-    pub const SUBSTRATE_CACHE_MISSES: CounterDef = CounterDef("substrate.cache.misses");
-    /// Discovery-cache lookups that found only an expired entry.
-    pub const SUBSTRATE_CACHE_EXPIRED: CounterDef = CounterDef("substrate.cache.expired");
-    /// Discovery-cache entries explicitly invalidated (Nak/failover).
-    pub const SUBSTRATE_CACHE_INVALIDATIONS: CounterDef =
-        CounterDef("substrate.cache.invalidations");
-    /// Directory queries coalesced onto an identical in-flight call
-    /// (one trader/naming call per key per miss window).
-    pub const SUBSTRATE_QUERIES_COALESCED: CounterDef =
-        CounterDef("substrate.queries.coalesced");
-    /// Directory-ring shard count seen by this substrate.
-    pub const SUBSTRATE_RING_SHARDS: GaugeDef = GaugeDef("substrate.ring.shards");
-    /// Directory-ring membership epoch seen by this substrate.
-    pub const SUBSTRATE_RING_EPOCH: GaugeDef = GaugeDef("substrate.ring.epoch");
+        // -- substrate (CORBA-ish middleware layer) --------------------------
+        /// Trader/directory discovery queries issued.
+        SUBSTRATE_DISCOVERY_QUERIES: CounterDef = "substrate.discovery.queries";
+        /// Peers found by discovery responses.
+        SUBSTRATE_DISCOVERY_PEERS_FOUND: CounterDef = "substrate.discovery.peers_found";
+        /// Object references re-bound after a stale entry.
+        SUBSTRATE_REBINDS: CounterDef = "substrate.rebinds";
+        /// Cross-server subscriptions issued.
+        SUBSTRATE_SUBSCRIBES: CounterDef = "substrate.subscribes";
+        /// Remote authentication calls issued.
+        SUBSTRATE_REMOTE_AUTH_CALLS: CounterDef = "substrate.remote_auth.calls";
+        /// Remote authentications denied by the remote ACL.
+        SUBSTRATE_REMOTE_AUTH_DENIED: CounterDef = "substrate.remote_auth.denied";
+        /// Remote steering operations issued.
+        SUBSTRATE_REMOTE_OPS: CounterDef = "substrate.remote_ops";
+        /// Remote lock operations issued.
+        SUBSTRATE_REMOTE_LOCKS: CounterDef = "substrate.remote_locks";
+        /// Calls fast-failed because the peer was known down.
+        SUBSTRATE_FASTFAILS: CounterDef = "substrate.fastfails";
+        /// Collaboration updates pushed to subscribed peers.
+        SUBSTRATE_COLLAB_PUSHES: CounterDef = "substrate.collab.pushes";
+        /// Collaboration updates forwarded to an application's host server.
+        SUBSTRATE_COLLAB_FORWARDS: CounterDef = "substrate.collab.forwards";
+        /// Control events announced to the peer group.
+        SUBSTRATE_CONTROL_EVENTS: CounterDef = "substrate.control.events";
+        /// Replies whose pending call had already been forgotten.
+        SUBSTRATE_REPLIES_ORPHANED: CounterDef = "substrate.replies.orphaned";
+        /// System-exception replies received.
+        SUBSTRATE_REPLIES_EXCEPTIONS: CounterDef = "substrate.replies.exceptions";
+        /// Replies that did not match their continuation's expected shape.
+        SUBSTRATE_REPLIES_MISMATCHED: CounterDef = "substrate.replies.mismatched";
+        /// Poll batches executed.
+        SUBSTRATE_POLLS: CounterDef = "substrate.polls";
+        /// Broker retry attempts (re-issues after timeout).
+        SUBSTRATE_RETRIES: CounterDef = "substrate.retries";
+        /// Calls abandoned because the peer's circuit breaker was open.
+        SUBSTRATE_BREAKER_OPEN: CounterDef = "substrate.breaker_open";
+        /// Calls that exhausted their retry budget.
+        SUBSTRATE_TIMEOUTS: CounterDef = "substrate.timeouts";
+        /// Failovers to a mirrored application on another peer.
+        SUBSTRATE_FAILOVERS: CounterDef = "substrate.failovers";
+        /// Directory entries dropped as stale.
+        SUBSTRATE_DIRECTORY_STALE: CounterDef = "substrate.directory.stale";
+        /// Cached routes invalidated immediately on a peer Nak (the target
+        /// answered `NoSuchApp` for an app our directory said it hosted).
+        SUBSTRATE_ROUTES_INVALIDATED: CounterDef = "substrate.routes.invalidated";
+        /// Remote calls fast-failed because the request's deadline had
+        /// already passed at dispatch time.
+        SUBSTRATE_DEADLINE_FASTFAIL: CounterDef = "substrate.deadline.fastfail";
+        /// Broker retries abandoned because the next attempt would land past
+        /// the request's deadline (remaining budget too small).
+        SUBSTRATE_DEADLINE_GAVE_UP: CounterDef = "substrate.deadline.gave_up";
+        /// Discovery-cache lookups served from a fresh positive entry.
+        SUBSTRATE_CACHE_HITS: CounterDef = "substrate.cache.hits";
+        /// Discovery-cache lookups served from a fresh negative entry.
+        SUBSTRATE_CACHE_NEG_HITS: CounterDef = "substrate.cache.negative_hits";
+        /// Discovery-cache lookups that found no entry.
+        SUBSTRATE_CACHE_MISSES: CounterDef = "substrate.cache.misses";
+        /// Discovery-cache lookups that found only an expired entry.
+        SUBSTRATE_CACHE_EXPIRED: CounterDef = "substrate.cache.expired";
+        /// Discovery-cache entries explicitly invalidated (Nak/failover).
+        SUBSTRATE_CACHE_INVALIDATIONS: CounterDef = "substrate.cache.invalidations";
+        /// Directory queries coalesced onto an identical in-flight call
+        /// (one trader/naming call per key per miss window).
+        SUBSTRATE_QUERIES_COALESCED: CounterDef = "substrate.queries.coalesced";
+        /// Directory-ring shard count seen by this substrate.
+        SUBSTRATE_RING_SHARDS: GaugeDef = "substrate.ring.shards";
+        /// Directory-ring membership epoch seen by this substrate.
+        SUBSTRATE_RING_EPOCH: GaugeDef = "substrate.ring.epoch";
 
-    // -- node (actor shell) ----------------------------------------------
-    /// DiscoverNode restarts (crash recovery).
-    pub const NODE_RESTARTS: CounterDef = CounterDef("node.restarts");
-    /// HTTP responses arriving at a server node (unexpected direction).
-    pub const NODE_UNEXPECTED_HTTP_RESPONSE: CounterDef =
-        CounterDef("node.unexpected.http_response");
+        // -- node (actor shell) ----------------------------------------------
+        /// DiscoverNode restarts (crash recovery).
+        NODE_RESTARTS: CounterDef = "node.restarts";
+        /// HTTP responses arriving at a server node (unexpected direction).
+        NODE_UNEXPECTED_HTTP_RESPONSE: CounterDef = "node.unexpected.http_response";
 
-    // -- standalone server shell -----------------------------------------
-    /// Remote-auth effects dropped by the standalone (peerless) server.
-    pub const STANDALONE_DROPPED_REMOTE_AUTH: CounterDef =
-        CounterDef("standalone.dropped.remote_auth");
-    /// Announce effects dropped by the standalone server.
-    pub const STANDALONE_DROPPED_ANNOUNCE: CounterDef =
-        CounterDef("standalone.dropped.announce");
-    /// Other peer effects dropped by the standalone server.
-    pub const STANDALONE_DROPPED_OTHER: CounterDef = CounterDef("standalone.dropped.other");
+        // -- standalone server shell -----------------------------------------
+        /// Remote-auth effects dropped by the standalone (peerless) server.
+        STANDALONE_DROPPED_REMOTE_AUTH: CounterDef = "standalone.dropped.remote_auth";
+        /// Announce effects dropped by the standalone server.
+        STANDALONE_DROPPED_ANNOUNCE: CounterDef = "standalone.dropped.announce";
+        /// Other peer effects dropped by the standalone server.
+        STANDALONE_DROPPED_OTHER: CounterDef = "standalone.dropped.other";
 
-    // -- cog kit ----------------------------------------------------------
-    /// Jobs launched by the CoG gateway.
-    pub const COG_JOBS_LAUNCHED: CounterDef = CounterDef("cog.jobs_launched");
-    /// Jobs submitted to the batch simulator.
-    pub const COG_JOBS_SUBMITTED: CounterDef = CounterDef("cog.jobs_submitted");
-    /// Launch requests accepted.
-    pub const COG_LAUNCHES_ACCEPTED: CounterDef = CounterDef("cog.launches_accepted");
+        // -- cog kit ----------------------------------------------------------
+        /// Jobs launched by the CoG gateway.
+        COG_JOBS_LAUNCHED: CounterDef = "cog.jobs_launched";
+        /// Jobs submitted to the batch simulator.
+        COG_JOBS_SUBMITTED: CounterDef = "cog.jobs_submitted";
+        /// Launch requests accepted.
+        COG_LAUNCHES_ACCEPTED: CounterDef = "cog.launches_accepted";
 
-    // -- appsim driver ----------------------------------------------------
-    /// Registration NAKs received by the application driver.
-    pub const DRIVER_REGISTER_NAK: CounterDef = CounterDef("driver.register_nak");
-
-    /// Every key defined in this module. A duplicated key string would
-    /// silently merge two metrics into one line; the uniqueness
-    /// self-test walks this list, and a companion test counts the
-    /// `const` declarations in the source so an unlisted key cannot
-    /// slip in.
-    pub const ALL: &[&str] = &[
-        ENGINE_CRASHES.0,
-        ENGINE_DOWN_DROPS.0,
-        ENGINE_FLIGHT_DUMPS.0,
-        CLIENT_OPS_ISSUED.0,
-        CLIENT_LOCK_RETRIES.0,
-        CLIENT_OP_LATENCY.0,
-        CLIENT_LOCK_LATENCY.0,
-        CLIENT_OPS_REJECTED.0,
-        CLIENT_OPS_EXPIRED.0,
-        CLIENT_RESUMES.0,
-        CLIENT_RESUMES_OK.0,
-        CLIENT_RESUME_FALLBACKS.0,
-        CLIENT_OPS_ABANDONED.0,
-        CLIENT_STATUS_PROBES.0,
-        CLIENT_STATUS_LATENCY.0,
-        SERVER_HTTP_REQUESTS.0,
-        SERVER_HTTP_RESPONSES.0,
-        SERVER_LOGINS.0,
-        SERVER_ACL_DENIED.0,
-        SERVER_OPS.0,
-        SERVER_LOCK_DENIED.0,
-        SERVER_LOCK_EVICTED.0,
-        SERVER_POLL_REQUESTS.0,
-        SERVER_POLL_DELIVERED.0,
-        SERVER_POLL_NONEMPTY.0,
-        SERVER_COLLAB_LOCAL_FANOUT.0,
-        SERVER_FANOUT_PAYLOAD_REUSE.0,
-        SERVER_COLLAB_BROADCASTS.0,
-        WIRE_ENCODE_CALLS.0,
-        WIRE_BYTES_ENCODED.0,
-        WIRE_PAYLOAD_SPLICES.0,
-        SERVER_TCP_FRAMES.0,
-        SERVER_TCP_UNEXPECTED.0,
-        SERVER_DAEMON_REGISTERED.0,
-        SERVER_DAEMON_REGISTER_REJECTED.0,
-        SERVER_DAEMON_DEREGISTERED.0,
-        SERVER_DAEMON_BUFFERED.0,
-        SERVER_DAEMON_FLUSHED.0,
-        SERVER_GIOP_CALLS.0,
-        SERVER_GIOP_STRAY_REPLY.0,
-        SERVER_PEER_THROTTLED.0,
-        SERVER_PEER_AUTH.0,
-        SERVER_PEER_PROXY_OPS.0,
-        SERVER_PEER_LOCK_REQUESTS.0,
-        SERVER_PEER_SUBSCRIBES.0,
-        SERVER_PEER_COLLAB_UPDATES.0,
-        SERVER_REMOTE_AUTH_COMPLETIONS.0,
-        SERVER_SESSIONS_REAPED.0,
-        SERVER_SESSIONS_PARKED.0,
-        SERVER_SESSIONS_RESUMED.0,
-        SERVER_SESSIONS_RECLAIMED.0,
-        SERVER_RESUME_THROTTLED.0,
-        SERVER_RESUME_REPLAYED.0,
-        SERVER_ADMISSION_REJECTED.0,
-        SERVER_DEADLINE_INGRESS_EXPIRED.0,
-        SERVER_DEADLINE_DISPATCH_EXPIRED.0,
-        SERVER_DEADLINE_DEQUEUE_EXPIRED.0,
-        SERVER_PROXY_SHED.0,
-        SERVER_PROXY_SHED_REDIRECTED.0,
-        WEBSERV_FIFO_ENQUEUED.0,
-        WEBSERV_FIFO_DROPPED.0,
-        WEBSERV_FIFO_PEAK.0,
-        WEBSERV_FIFO_COALESCED.0,
-        SERVER_STATUS_REQUESTS.0,
-        SERVER_ARCHIVE_SNAPSHOTS.0,
-        SERVER_ARCHIVE_COMPACTED.0,
-        SERVER_CATCHUP_REQUESTS.0,
-        SERVER_CATCHUP_SNAPSHOT_HITS.0,
-        SERVER_CATCHUP_RECORDS.0,
-        SERVER_RECOVERIES.0,
-        SERVER_RECOVERED_APPS.0,
-        SUBSTRATE_DISCOVERY_QUERIES.0,
-        SUBSTRATE_DISCOVERY_PEERS_FOUND.0,
-        SUBSTRATE_REBINDS.0,
-        SUBSTRATE_SUBSCRIBES.0,
-        SUBSTRATE_REMOTE_AUTH_CALLS.0,
-        SUBSTRATE_REMOTE_AUTH_DENIED.0,
-        SUBSTRATE_REMOTE_OPS.0,
-        SUBSTRATE_REMOTE_LOCKS.0,
-        SUBSTRATE_FASTFAILS.0,
-        SUBSTRATE_COLLAB_PUSHES.0,
-        SUBSTRATE_COLLAB_FORWARDS.0,
-        SUBSTRATE_CONTROL_EVENTS.0,
-        SUBSTRATE_REPLIES_ORPHANED.0,
-        SUBSTRATE_REPLIES_EXCEPTIONS.0,
-        SUBSTRATE_REPLIES_MISMATCHED.0,
-        SUBSTRATE_POLLS.0,
-        SUBSTRATE_RETRIES.0,
-        SUBSTRATE_BREAKER_OPEN.0,
-        SUBSTRATE_TIMEOUTS.0,
-        SUBSTRATE_FAILOVERS.0,
-        SUBSTRATE_DIRECTORY_STALE.0,
-        SUBSTRATE_ROUTES_INVALIDATED.0,
-        SUBSTRATE_DEADLINE_FASTFAIL.0,
-        SUBSTRATE_DEADLINE_GAVE_UP.0,
-        SUBSTRATE_CACHE_HITS.0,
-        SUBSTRATE_CACHE_NEG_HITS.0,
-        SUBSTRATE_CACHE_MISSES.0,
-        SUBSTRATE_CACHE_EXPIRED.0,
-        SUBSTRATE_CACHE_INVALIDATIONS.0,
-        SUBSTRATE_QUERIES_COALESCED.0,
-        SUBSTRATE_RING_SHARDS.0,
-        SUBSTRATE_RING_EPOCH.0,
-        NODE_RESTARTS.0,
-        NODE_UNEXPECTED_HTTP_RESPONSE.0,
-        STANDALONE_DROPPED_REMOTE_AUTH.0,
-        STANDALONE_DROPPED_ANNOUNCE.0,
-        STANDALONE_DROPPED_OTHER.0,
-        COG_JOBS_LAUNCHED.0,
-        COG_JOBS_SUBMITTED.0,
-        COG_LAUNCHES_ACCEPTED.0,
-        DRIVER_REGISTER_NAK.0,
-    ];
+        // -- appsim driver ----------------------------------------------------
+        /// Registration NAKs received by the application driver.
+        DRIVER_REGISTER_NAK: CounterDef = "driver.register_nak";
+    }
 }
 
 /// Per-node measurement sink.
 ///
-/// Same storage semantics as [`Stats`] (exact histograms, `BTreeMap`
-/// ordering); the node label lives on the registry, not in the key, so
+/// Same storage semantics as [`Stats`] (exact histograms, key-ordered
+/// reads, nothing allocated before the first write); the node label lives on the registry, not in the key, so
 /// keys stay comparable across nodes. Merging follows Stats semantics:
 /// counters add, gauges take the other's value, histograms pool samples.
 #[derive(Clone, Debug)]
@@ -485,32 +373,32 @@ impl MetricsRegistry {
 
     /// Increment a counter by one.
     pub fn incr(&mut self, c: CounterDef) {
-        self.stats.incr(c.0);
+        self.stats.add_def(c, 1);
     }
 
     /// Add `n` to a counter.
     pub fn add(&mut self, c: CounterDef, n: u64) {
-        self.stats.add(c.0, n);
+        self.stats.add_def(c, n);
     }
 
     /// Read a counter (zero if never written).
     pub fn counter(&self, c: CounterDef) -> u64 {
-        self.stats.counter(c.0)
+        self.stats.counter(c.key())
     }
 
     /// Set a gauge.
     pub fn set_gauge(&mut self, g: GaugeDef, v: f64) {
-        self.stats.set_gauge(g.0, v);
+        self.stats.set_gauge_def(g, v);
     }
 
     /// Read a gauge (zero if never written).
     pub fn gauge(&self, g: GaugeDef) -> f64 {
-        self.stats.gauge(g.0)
+        self.stats.gauge(g.key())
     }
 
     /// Record a duration sample.
     pub fn record(&mut self, t: TimerDef, d: SimDuration) {
-        self.stats.record(t.0, d);
+        self.stats.record_def(t, d);
     }
 
     /// Increment a dynamically-named counter (directory operations and
@@ -551,32 +439,36 @@ impl MetricsRegistry {
 /// [`MetricsRegistry`]; every write lands in both, so existing flat-key
 /// readers keep working while per-node attribution accrues.
 pub struct Metrics<'a> {
-    pub(crate) global: &'a mut Stats,
-    pub(crate) node: &'a mut MetricsRegistry,
+    global: &'a mut Stats,
+    node: &'a mut MetricsRegistry,
 }
 
-impl Metrics<'_> {
+impl<'a> Metrics<'a> {
+    /// Pair the run-wide sink with one node's registry.
+    pub fn new(global: &'a mut Stats, node: &'a mut MetricsRegistry) -> Self {
+        Metrics { global, node }
+    }
+
     /// Increment a counter by one.
     pub fn incr(&mut self, c: CounterDef) {
-        self.global.incr(c.0);
-        self.node.incr(c);
+        self.add(c, 1);
     }
 
     /// Add `n` to a counter.
     pub fn add(&mut self, c: CounterDef, n: u64) {
-        self.global.add(c.0, n);
+        self.global.add_def(c, n);
         self.node.add(c, n);
     }
 
     /// Set a gauge.
     pub fn set_gauge(&mut self, g: GaugeDef, v: f64) {
-        self.global.set_gauge(g.0, v);
+        self.global.set_gauge_def(g, v);
         self.node.set_gauge(g, v);
     }
 
     /// Record a duration sample.
     pub fn record(&mut self, t: TimerDef, d: SimDuration) {
-        self.global.record(t.0, d);
+        self.global.record_def(t, d);
         self.node.record(t, d);
     }
 
@@ -608,13 +500,13 @@ mod tests {
         let mut b = MetricsRegistry::new("b");
         a.add(names::SERVER_OPS, 5);
         b.add(names::SERVER_OPS, 7);
-        a.set_gauge(GaugeDef("x.level"), 1.0);
-        b.set_gauge(GaugeDef("x.level"), 9.0);
+        a.set_gauge(names::SUBSTRATE_RING_EPOCH, 1.0);
+        b.set_gauge(names::SUBSTRATE_RING_EPOCH, 9.0);
         a.record(names::CLIENT_OP_LATENCY, SimDuration::from_micros(10));
         b.record(names::CLIENT_OP_LATENCY, SimDuration::from_micros(30));
         a.merge(&b);
         assert_eq!(a.counter(names::SERVER_OPS), 12);
-        assert_eq!(a.gauge(GaugeDef("x.level")), 9.0);
+        assert_eq!(a.gauge(names::SUBSTRATE_RING_EPOCH), 9.0);
         let h = a.stats().histogram(names::CLIENT_OP_LATENCY.key()).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean().as_micros(), 20);
@@ -654,27 +546,24 @@ mod tests {
     }
 
     #[test]
-    fn every_metric_constant_is_listed_in_all() {
-        // Count the typed const declarations in this source file; each
-        // must appear in names::ALL exactly once, so a newly added
-        // constant that is not listed fails here.
-        let src = include_str!("metrics.rs");
-        let count = |needle: &str| src.matches(needle).count();
-        let declared = count(": CounterDef =") + count(": GaugeDef =") + count(": TimerDef =");
-        // The needles above also match their own string literals in this
-        // test; subtract those three occurrences.
-        assert_eq!(
-            declared - 3,
-            names::ALL.len(),
-            "a metric constant is missing from names::ALL (or listed twice)"
-        );
+    fn a_definitions_slot_is_its_position_in_all() {
+        for (def, slot) in [
+            (names::ENGINE_CRASHES, 0),
+            (names::ENGINE_FLIGHT_DUMPS, 2),
+            (names::DRIVER_REGISTER_NAK, names::ALL.len() - 1),
+        ] {
+            assert_eq!(def.slot(), slot);
+            assert_eq!(names::ALL[slot], def.key());
+        }
+        assert_eq!(names::ALL[names::CLIENT_OP_LATENCY.slot()], "client.op_latency");
+        assert_eq!(names::ALL[names::SUBSTRATE_RING_EPOCH.slot()], "substrate.ring.epoch");
     }
 
     #[test]
     fn write_through_lands_in_both() {
         let mut global = Stats::new();
         let mut node = MetricsRegistry::new("n0");
-        let mut m = Metrics { global: &mut global, node: &mut node };
+        let mut m = Metrics::new(&mut global, &mut node);
         m.incr(names::SERVER_LOGINS);
         m.incr_dynamic("directory.query");
         assert_eq!(global.counter("server.logins"), 1);

@@ -8,7 +8,9 @@
 //! quantile error from 64 sub-buckets per octave.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
+use crate::metrics::{CounterDef, GaugeDef, TimerDef};
 use crate::time::SimDuration;
 
 /// Sub-bucket resolution: 2^SUB_BITS linear sub-buckets per power-of-two
@@ -225,16 +227,93 @@ impl HistogramSummary {
     }
 }
 
+/// One metric kind's store: the values in a dense vector written by
+/// index, and the sorted name → index directory every read goes through.
+/// A key enters the directory at its first write, never before, so
+/// "present" keeps meaning "written at least once".
+#[derive(Clone, Debug, Default)]
+struct Table<T> {
+    values: Vec<T>,
+    dir: BTreeMap<String, u32>,
+    /// Definition slot → index into `values`, [`UNBOUND`] until that slot
+    /// is first written here. Empty until the first write by slot, so a
+    /// sink nobody writes to owns no heap memory.
+    slots: Vec<u32>,
+}
+
+const UNBOUND: u32 = u32::MAX;
+
+impl<T: Default> Table<T> {
+    /// The value of `key`, created at its default on first use: one tree
+    /// walk, and the key string is allocated only that first time.
+    fn by_name(&mut self, key: &str) -> &mut T {
+        let at = self.index_of(key);
+        &mut self.values[at as usize]
+    }
+
+    /// The value of the definition at `slot`, named `key`: two indexed
+    /// loads once the slot is bound, no comparison of key strings.
+    #[inline]
+    fn by_slot(&mut self, slot: usize, key: &str) -> &mut T {
+        match self.slots.get(slot) {
+            Some(&at) if at != UNBOUND => &mut self.values[at as usize],
+            _ => self.bind(slot, key),
+        }
+    }
+
+    /// First write through `slot`: bind it to the value `key` already
+    /// has here (written by name, or merged in), or to a fresh one.
+    #[cold]
+    fn bind(&mut self, slot: usize, key: &str) -> &mut T {
+        if self.slots.len() <= slot {
+            self.slots.resize((slot + 1).max(crate::metrics::names::ALL.len()), UNBOUND);
+        }
+        let at = self.index_of(key);
+        self.slots[slot] = at;
+        &mut self.values[at as usize]
+    }
+
+    /// Where `key`'s value lives, entering the key at its default if new.
+    fn index_of(&mut self, key: &str) -> u32 {
+        if let Some(&at) = self.dir.get(key) {
+            return at;
+        }
+        let at = u32::try_from(self.values.len()).expect("fewer than 2^32 metric keys");
+        self.values.push(T::default());
+        self.dir.insert(key.to_owned(), at);
+        at
+    }
+}
+
+impl<T> Table<T> {
+    fn get(&self, key: &str) -> Option<&T> {
+        self.dir.get(key).map(|&at| &self.values[at as usize])
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        self.dir.contains_key(key)
+    }
+
+    /// Every written key with its value, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.dir.iter().map(|(k, &at)| (k.as_str(), &self.values[at as usize]))
+    }
+}
+
 /// Central measurement sink for one simulation run.
 ///
 /// Keys are free-form strings; the DISCOVER stack uses dotted names like
-/// `"server.http.requests"` or `"client.response_latency"`. `BTreeMap`
-/// keeps report output deterministically ordered.
+/// `"server.http.requests"` or `"client.response_latency"`. Values live
+/// in dense slot tables: a write through a typed definition
+/// ([`CounterDef`] and friends carry their slot) indexes the table, a
+/// write by name walks the sorted name directory once. Reads always go
+/// through the directory, so report output is deterministically ordered
+/// and a key exists exactly from its first write (even of zero).
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Table<u64>,
+    gauges: Table<f64>,
+    histograms: Table<Histogram>,
 }
 
 impl Stats {
@@ -245,13 +324,13 @@ impl Stats {
 
     /// Debug-build guard against one key string naming two metric kinds
     /// (a duplicated key silently merges two metrics; a cross-kind reuse
-    /// silently splits one name across maps).
+    /// silently splits one name across tables).
     #[inline]
     fn assert_kind(&self, key: &str, kind: &str) {
         debug_assert!(
-            (kind == "counter" || !self.counters.contains_key(key))
-                && (kind == "gauge" || !self.gauges.contains_key(key))
-                && (kind == "histogram" || !self.histograms.contains_key(key)),
+            (kind == "counter" || !self.counters.contains(key))
+                && (kind == "gauge" || !self.gauges.contains(key))
+                && (kind == "histogram" || !self.histograms.contains(key)),
             "metric key {key:?} already registered as a different kind (writing as {kind})"
         );
     }
@@ -259,19 +338,27 @@ impl Stats {
     /// Add `n` to counter `key` (creating it at zero).
     pub fn add(&mut self, key: &str, n: u64) {
         self.assert_kind(key, "counter");
-        // Look up before inserting: the key string is allocated only the
-        // first time a counter is written, not on every increment.
-        match self.counters.get_mut(key) {
-            Some(v) => *v += n,
-            None => {
-                self.counters.insert(key.to_owned(), n);
-            }
-        }
+        *self.counters.by_name(key) += n;
     }
 
     /// Increment counter `key` by one.
     pub fn incr(&mut self, key: &str) {
         self.add(key, 1);
+    }
+
+    /// Add `n` to the counter `c` defines, by slot.
+    #[inline]
+    pub fn add_def(&mut self, c: CounterDef, n: u64) {
+        self.add_at(c.slot(), c.key(), n);
+    }
+
+    /// Add `n` to the counter named `key` through `slot`. Whoever numbers
+    /// slots past [`crate::names::ALL`] (the engine, for its link keys)
+    /// must keep one key per slot for the life of this sink.
+    #[inline]
+    pub(crate) fn add_at(&mut self, slot: usize, key: &str, n: u64) {
+        self.assert_kind(key, "counter");
+        *self.counters.by_slot(slot, key) += n;
     }
 
     /// Read counter `key` (zero if absent).
@@ -282,21 +369,23 @@ impl Stats {
     /// Sum of all counters whose name starts with `prefix`.
     pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
         self.counters
-            .range(prefix.to_owned()..)
+            .dir
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
+            .map(|(_, &at)| self.counters.values[at as usize])
             .sum()
     }
 
     /// Set gauge `key` to `v`.
     pub fn set_gauge(&mut self, key: &str, v: f64) {
         self.assert_kind(key, "gauge");
-        match self.gauges.get_mut(key) {
-            Some(g) => *g = v,
-            None => {
-                self.gauges.insert(key.to_owned(), v);
-            }
-        }
+        *self.gauges.by_name(key) = v;
+    }
+
+    /// Set the gauge `g` defines, by slot.
+    pub fn set_gauge_def(&mut self, g: GaugeDef, v: f64) {
+        self.assert_kind(g.key(), "gauge");
+        *self.gauges.by_slot(g.slot(), g.key()) = v;
     }
 
     /// Read gauge `key` (zero if absent).
@@ -309,18 +398,21 @@ impl Stats {
         self.histogram_mut(key).record(d);
     }
 
+    /// Record a duration into the histogram `t` defines, by slot.
+    pub fn record_def(&mut self, t: TimerDef, d: SimDuration) {
+        self.assert_kind(t.key(), "histogram");
+        self.histograms.by_slot(t.slot(), t.key()).record(d);
+    }
+
     /// Mutable access to histogram `key`, creating it if absent.
     pub fn histogram_mut(&mut self, key: &str) -> &mut Histogram {
         self.assert_kind(key, "histogram");
-        if !self.histograms.contains_key(key) {
-            self.histograms.insert(key.to_owned(), Histogram::new());
-        }
-        self.histograms.get_mut(key).expect("present or just inserted")
+        self.histograms.by_name(key)
     }
 
     /// Iterate all histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
+        self.histograms.iter()
     }
 
     /// Read-only access to histogram `key`, if present.
@@ -330,25 +422,25 @@ impl Stats {
 
     /// Iterate all counters in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.counters.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate all histogram names in key order.
     pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(|k| k.as_str())
+        self.histograms.iter().map(|(k, _)| k)
     }
 
     /// Merge another stats sink into this one (counters add, gauges take
     /// the other's value, histograms merge samples).
     pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, v) in other.counters.iter() {
+            *self.counters.by_name(k) += v;
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
+        for (k, v) in other.gauges.iter() {
+            *self.gauges.by_name(k) = *v;
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in other.histograms.iter() {
+            self.histograms.by_name(k).merge(h);
         }
     }
 }
@@ -485,6 +577,33 @@ mod tests {
     }
 
     #[test]
+    fn a_key_exists_from_its_first_write_by_either_path() {
+        use crate::metrics::names;
+        let mut s = Stats::new();
+        assert_eq!(s.counters().count(), 0);
+        // A zero add creates the counter, by slot as by name.
+        s.add_def(names::SERVER_OPS, 0);
+        s.add("dyn.zero", 0);
+        assert_eq!(s.counters().collect::<Vec<_>>(), vec![("dyn.zero", 0), ("server.ops", 0)]);
+        // One name, one value, whichever path wrote first.
+        s.add(names::SERVER_OPS.key(), 2);
+        s.add_def(names::SERVER_OPS, 3);
+        s.add(names::SERVER_LOGINS.key(), 1);
+        s.add_def(names::SERVER_LOGINS, 1);
+        assert_eq!(s.counter("server.ops"), 5);
+        assert_eq!(s.counter("server.logins"), 2);
+        assert_eq!(s.counters().count(), 3);
+    }
+
+    #[test]
+    fn an_unwritten_sink_owns_no_heap_memory() {
+        let s = Stats::new();
+        assert_eq!(s.counters.values.capacity() + s.counters.slots.capacity(), 0);
+        assert_eq!(s.gauges.values.capacity() + s.gauges.slots.capacity(), 0);
+        assert_eq!(s.histograms.values.capacity() + s.histograms.slots.capacity(), 0);
+    }
+
+    #[test]
     fn merge_combines() {
         let mut a = Stats::new();
         let mut b = Stats::new();
@@ -496,5 +615,194 @@ mod tests {
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 1);
         assert_eq!(a.gauge("g"), 3.5);
+    }
+
+    /// The slot-backed sink against the plain name-keyed maps it replaced.
+    #[cfg(feature = "proptest")]
+    mod differential {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::super::*;
+        use crate::metrics::names;
+
+        const COUNTERS: [CounterDef; 4] = [
+            names::ENGINE_CRASHES,
+            names::SERVER_OPS,
+            names::WEBSERV_FIFO_ENQUEUED,
+            names::DRIVER_REGISTER_NAK,
+        ];
+        /// Written by name: two keys that also have a definition above,
+        /// and two that only ever exist as strings.
+        const NAMED: [&str; 4] = ["server.ops", "engine.crashes", "directory.query", "link.lan"];
+        const LABELS: [&str; 3] = ["lan", "wan", "loopback"];
+        const WHAT: [&str; 4] = ["msgs", "bytes", "dropped", "partitioned"];
+        const GAUGES: [GaugeDef; 2] = [names::SUBSTRATE_RING_SHARDS, names::SUBSTRATE_RING_EPOCH];
+        const NAMED_GAUGES: [&str; 2] = ["substrate.ring.epoch", "g.level"];
+        const TIMERS: [TimerDef; 2] = [names::CLIENT_OP_LATENCY, names::CLIENT_STATUS_LATENCY];
+        const NAMED_TIMERS: [&str; 2] = ["client.op_latency", "node.s0.client.op_latency"];
+        const PREFIXES: [&str; 6] = ["", "link.", "link.lan", "server.", "engine.crashes", "zz"];
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Typed(usize, u64),
+            Named(usize, u64),
+            /// (label, which of its four keys, n): the engine's link path.
+            Link(usize, usize, u64),
+            Gauge(usize, u64),
+            NamedGauge(usize, u64),
+            Record(usize, u64),
+            NamedRecord(usize, u64),
+            /// Merge the other sink into this one.
+            Merge,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // Amounts include zero: a zero add still creates its key.
+            prop_oneof![
+                (0usize..4, 0u64..3).prop_map(|(i, n)| Op::Typed(i, n)),
+                (0usize..4, 0u64..3).prop_map(|(i, n)| Op::Named(i, n)),
+                (0usize..3, 0usize..4, 0u64..3).prop_map(|(l, w, n)| Op::Link(l, w, n)),
+                (0usize..2, 0u64..9).prop_map(|(i, v)| Op::Gauge(i, v)),
+                (0usize..2, 0u64..9).prop_map(|(i, v)| Op::NamedGauge(i, v)),
+                (0usize..2, 0u64..5000).prop_map(|(i, us)| Op::Record(i, us)),
+                (0usize..2, 0u64..5000).prop_map(|(i, us)| Op::NamedRecord(i, us)),
+                (0u8..1).prop_map(|_| Op::Merge),
+            ]
+        }
+
+        #[derive(Clone, Default)]
+        struct Model {
+            counters: BTreeMap<String, u64>,
+            gauges: BTreeMap<String, f64>,
+            samples: BTreeMap<String, Vec<u64>>,
+        }
+
+        impl Model {
+            fn merge(&mut self, other: &Model) {
+                for (k, v) in &other.counters {
+                    *self.counters.entry(k.clone()).or_insert(0) += v;
+                }
+                for (k, v) in &other.gauges {
+                    self.gauges.insert(k.clone(), *v);
+                }
+                for (k, v) in &other.samples {
+                    self.samples.entry(k.clone()).or_default().extend(v);
+                }
+            }
+        }
+
+        fn link_key(label: usize, what: usize) -> (usize, String) {
+            let slot = names::ALL.len() + 4 * label + what;
+            (slot, format!("link.{}.{}", LABELS[label], WHAT[what]))
+        }
+
+        fn apply(op: &Op, sut: &mut Stats, model: &mut Model, other: (&Stats, &Model)) {
+            let us = SimDuration::from_micros;
+            match *op {
+                Op::Typed(i, n) => {
+                    sut.add_def(COUNTERS[i], n);
+                    *model.counters.entry(COUNTERS[i].key().into()).or_insert(0) += n;
+                }
+                Op::Named(i, n) => {
+                    sut.add(NAMED[i], n);
+                    *model.counters.entry(NAMED[i].into()).or_insert(0) += n;
+                }
+                Op::Link(label, what, n) => {
+                    let (slot, key) = link_key(label, what);
+                    sut.add_at(slot, &key, n);
+                    *model.counters.entry(key).or_insert(0) += n;
+                }
+                Op::Gauge(i, v) => {
+                    sut.set_gauge_def(GAUGES[i], v as f64);
+                    model.gauges.insert(GAUGES[i].key().into(), v as f64);
+                }
+                Op::NamedGauge(i, v) => {
+                    sut.set_gauge(NAMED_GAUGES[i], v as f64);
+                    model.gauges.insert(NAMED_GAUGES[i].into(), v as f64);
+                }
+                Op::Record(i, d) => {
+                    sut.record_def(TIMERS[i], us(d));
+                    model.samples.entry(TIMERS[i].key().into()).or_default().push(d);
+                }
+                Op::NamedRecord(i, d) => {
+                    sut.record(NAMED_TIMERS[i], us(d));
+                    model.samples.entry(NAMED_TIMERS[i].into()).or_default().push(d);
+                }
+                Op::Merge => {
+                    sut.merge(other.0);
+                    model.merge(other.1);
+                }
+            }
+        }
+
+        fn assert_same(sut: &Stats, model: &Model) {
+            let counters: Vec<(&str, u64)> =
+                model.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(sut.counters().collect::<Vec<_>>(), counters);
+            let every_counter = COUNTERS
+                .iter()
+                .map(|c| c.key().to_owned())
+                .chain(NAMED.iter().map(|k| (*k).to_owned()))
+                .chain((0..12).map(|i| link_key(i / 4, i % 4).1));
+            for key in every_counter {
+                assert_eq!(sut.counter(&key), model.counters.get(&key).copied().unwrap_or(0));
+            }
+            for prefix in PREFIXES {
+                let sum: u64 = model
+                    .counters
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(prefix))
+                    .map(|(_, v)| *v)
+                    .sum();
+                assert_eq!(sut.counter_prefix_sum(prefix), sum, "prefix {prefix:?}");
+            }
+            for key in GAUGES.iter().map(|g| g.key()).chain(NAMED_GAUGES) {
+                assert_eq!(sut.gauge(key), model.gauges.get(key).copied().unwrap_or(0.0));
+            }
+            let names: Vec<&str> = model.samples.keys().map(String::as_str).collect();
+            assert_eq!(sut.histogram_names().collect::<Vec<_>>(), names);
+            for (name, h) in sut.histograms() {
+                let samples = &model.samples[name];
+                assert_eq!(h.count(), samples.len());
+                assert_eq!(h.max().as_micros(), samples.iter().copied().max().unwrap_or(0));
+            }
+            for key in TIMERS.iter().map(|t| t.key()).chain(NAMED_TIMERS) {
+                assert_eq!(sut.histogram(key).is_some(), model.samples.contains_key(key));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Two sinks take a random interleaving of writes by slot, by
+            /// name and through link slots, and merge into each other at
+            /// random points (so a merge meets keys its target has and
+            /// has not seen, bound and unbound): after every step both
+            /// read exactly as the name-keyed model does.
+            #[test]
+            fn slot_backed_stats_read_like_name_keyed_maps(
+                ops in prop::collection::vec((0u8..2, op()), 1..60),
+            ) {
+                let mut sinks = [(Stats::new(), Model::default()), (Stats::new(), Model::default())];
+                for (target, op) in &ops {
+                    let [a, b] = &mut sinks;
+                    let (this, other) = if *target == 0 { (a, b) } else { (b, a) };
+                    apply(op, &mut this.0, &mut this.1, (&other.0, &other.1));
+                    for (sut, model) in &sinks {
+                        assert_same(sut, model);
+                    }
+                }
+                // A copy carries its slot bindings along and stays its own sink.
+                let (mut copy, mut model) = sinks[0].clone();
+                let none = (Stats::new(), Model::default());
+                for (_, op) in &ops {
+                    apply(op, &mut copy, &mut model, (&none.0, &none.1));
+                }
+                assert_same(&copy, &model);
+                assert_same(&sinks[0].0, &sinks[0].1);
+            }
+        }
     }
 }

@@ -20,8 +20,17 @@
 //! position. Responses, errors and key-less (event-class) updates are
 //! never coalesced, and the queue order of everything else is untouched,
 //! so FIFO-within-class delivery is preserved by construction.
+//!
+//! The queued keys live in a small vector of `(key, sequence)` pairs, one
+//! per keyed update still in the queue, scanned linearly: a push per
+//! group member per application update is the server's hottest loop, no
+//! FIFO in the wall-clock benchmark's workloads or the E1–E20 harness
+//! ever holds more than two distinct keys at a time, and comparing a
+//! few keys is cheaper than hashing one. An entry leaves the vector
+//! with its update (drain or eviction), so the vector is bounded by the
+//! queue length, not by every key ever seen.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use wire::{ClientMessage, UpdateKey};
 
@@ -43,14 +52,13 @@ pub struct FifoBuffer {
     coalesced: u64,
     /// Monotone sequence number of the queue front: entry `i` of
     /// `queue` holds sequence `head_seq + i`. Advanced by every
-    /// front-removal (drain or overflow eviction), so `index` entries
-    /// below it are stale and treated as absent.
+    /// front-removal (drain or overflow eviction).
     head_seq: u64,
-    /// Latest-wins slot map: coalesce key -> sequence of the queued
-    /// update holding that key. Entries go stale (rather than being
-    /// eagerly removed) when their update leaves the queue; staleness
-    /// is `seq < head_seq`.
-    index: HashMap<UpdateKey, u64>,
+    /// Latest-wins slots: (coalesce key, sequence of the queued update
+    /// holding that key), one per keyed update in the queue and none
+    /// for updates that left it, so `index.len() <= queue.len()`.
+    /// Unordered; scanned linearly.
+    index: Vec<(UpdateKey, u64)>,
 }
 
 impl FifoBuffer {
@@ -74,7 +82,7 @@ impl FifoBuffer {
             coalesce,
             coalesced: 0,
             head_seq: 0,
-            index: HashMap::new(),
+            index: Vec::new(),
         }
     }
 
@@ -94,34 +102,41 @@ impl FifoBuffer {
             None
         };
         if let Some(key) = &key {
-            if let Some(&seq) = self.index.get(key) {
-                if seq >= self.head_seq {
-                    let at = (seq - self.head_seq) as usize;
-                    self.queue[at] = msg;
-                    self.coalesced += 1;
-                    self.enqueued += 1;
-                    return;
-                }
+            if let Some(&(_, seq)) = self.index.iter().find(|(queued, _)| queued == key) {
+                let at = (seq - self.head_seq) as usize;
+                self.queue[at] = msg;
+                self.coalesced += 1;
+                self.enqueued += 1;
+                return;
             }
         }
         if self.queue.len() == self.capacity {
             self.queue.pop_front();
-            self.head_seq += 1;
+            self.advance_head(1);
             self.dropped += 1;
         }
         if let Some(key) = key {
-            self.index.insert(key, self.head_seq + self.queue.len() as u64);
+            self.index.push((key, self.head_seq + self.queue.len() as u64));
         }
         self.queue.push_back(msg);
         self.enqueued += 1;
         self.peak = self.peak.max(self.queue.len());
     }
 
+    /// The `n` front entries left the queue: move the front sequence past
+    /// them and forget the keys they held.
+    fn advance_head(&mut self, n: usize) {
+        self.head_seq += n as u64;
+        let head = self.head_seq;
+        self.index.retain(|&(_, seq)| seq >= head);
+    }
+
     /// Dequeue up to `max` messages (one poll's worth).
     pub fn drain(&mut self, max: usize) -> Vec<ClientMessage> {
         let n = max.min(self.queue.len());
-        self.head_seq += n as u64;
-        self.queue.drain(..n).collect()
+        let out = self.queue.drain(..n).collect();
+        self.advance_head(n);
+        out
     }
 
     /// Dequeue up to `max` messages into a caller-owned scratch buffer
@@ -139,7 +154,7 @@ impl FifoBuffer {
                 wire::codec::note_drain_reuse();
             }
             out.extend(self.queue.drain(..n));
-            self.head_seq += n as u64;
+            self.advance_head(n);
         }
         n
     }
@@ -361,6 +376,25 @@ mod tests {
         let drained = buf.drain(10);
         assert_eq!(drained.len(), 2);
         assert_eq!(iteration_of(&drained[1]), 2);
+    }
+
+    #[test]
+    fn index_is_bounded_by_the_queue_not_by_keys_seen() {
+        let mut buf = FifoBuffer::with_coalescing(8, true);
+        for i in 0..10_000u32 {
+            buf.push(param(&format!("p{i}"), 0.0));
+            if i % 5 == 0 {
+                buf.push(chat("between"));
+            }
+            if i % 7 == 0 {
+                buf.drain(3);
+            }
+            if i % 1000 == 999 {
+                buf.drain(usize::MAX);
+            }
+            assert!(buf.index.len() <= buf.queue.len(), "after key {i}");
+        }
+        assert!(buf.index.capacity() <= 16, "the index never outgrows the queue's capacity");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 #![cfg(feature = "proptest")]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,8 +102,113 @@ fn bucket_of(m: &ClientMessage) -> Option<UpdateKey> {
     }
 }
 
+/// The FIFO as it was indexed before the live-slot vector: a `HashMap`
+/// from coalesce key to queue sequence whose entries go stale (sequence
+/// below the head) instead of being removed. Kept as the reference the
+/// linear index must agree with, operation by operation.
+struct HashIndexedFifo {
+    queue: VecDeque<ClientMessage>,
+    capacity: usize,
+    dropped: u64,
+    peak: usize,
+    enqueued: u64,
+    coalesced: u64,
+    head_seq: u64,
+    index: HashMap<UpdateKey, u64>,
+}
+
+impl HashIndexedFifo {
+    fn new(capacity: usize) -> Self {
+        HashIndexedFifo {
+            queue: VecDeque::new(),
+            capacity,
+            dropped: 0,
+            peak: 0,
+            enqueued: 0,
+            coalesced: 0,
+            head_seq: 0,
+            index: HashMap::new(),
+        }
+    }
+
+    fn push(&mut self, msg: ClientMessage) {
+        let key = bucket_of(&msg);
+        if let Some(key) = &key {
+            if let Some(&seq) = self.index.get(key) {
+                if seq >= self.head_seq {
+                    self.queue[(seq - self.head_seq) as usize] = msg;
+                    self.coalesced += 1;
+                    self.enqueued += 1;
+                    return;
+                }
+            }
+        }
+        if self.queue.len() == self.capacity {
+            self.queue.pop_front();
+            self.head_seq += 1;
+            self.dropped += 1;
+        }
+        if let Some(key) = key {
+            self.index.insert(key, self.head_seq + self.queue.len() as u64);
+        }
+        self.queue.push_back(msg);
+        self.enqueued += 1;
+        self.peak = self.peak.max(self.queue.len());
+    }
+
+    fn drain(&mut self, max: usize) -> Vec<ClientMessage> {
+        let n = max.min(self.queue.len());
+        self.head_seq += n as u64;
+        self.queue.drain(..n).collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The linearly indexed FIFO against the hash-indexed one it
+    /// replaced, over scripts with 32 distinct parameter keys and
+    /// capacities small enough to overflow: the same occupancy and
+    /// counters after every operation, the same messages out of every
+    /// drain, the same queue left at the end.
+    #[test]
+    fn linear_index_matches_hash_index(
+        capacity in 1usize..24,
+        ops in prop::collection::vec(prop_oneof![
+            3 => (0u8..5, 0u32..2, 0u8..16).prop_map(|(k, a, p)| Op::Push(k, a, p)),
+            // Mostly parameter updates, so many keys are live at once.
+            3 => (0u32..2, 0u8..16).prop_map(|(a, p)| Op::Push(1, a, p)),
+            1 => (1usize..8).prop_map(Op::Drain),
+        ], 1..300),
+    ) {
+        let mut fifo = FifoBuffer::with_coalescing(capacity, true);
+        let mut model = HashIndexedFifo::new(capacity);
+        let mut scratch = Vec::new();
+        for (version, op) in ops.into_iter().enumerate() {
+            match op {
+                Op::Push(k, a, p) => {
+                    let msg = make(k, a, p, version as u64);
+                    model.push(msg.clone());
+                    fifo.push(msg);
+                }
+                // Both ways out of the queue move the head alike.
+                Op::Drain(n) if version % 2 == 0 => {
+                    prop_assert_eq!(fifo.drain(n), model.drain(n));
+                }
+                Op::Drain(n) => {
+                    scratch.clear();
+                    fifo.drain_into(n, &mut scratch);
+                    prop_assert_eq!(&scratch, &model.drain(n));
+                }
+            }
+            prop_assert_eq!(fifo.len(), model.queue.len());
+            prop_assert_eq!(
+                (fifo.enqueued(), fifo.coalesced(), fifo.dropped(), fifo.peak()),
+                (model.enqueued, model.coalesced, model.dropped, model.peak)
+            );
+        }
+        prop_assert_eq!(fifo.drain(usize::MAX), model.drain(usize::MAX));
+    }
 
     /// Whatever interleaving of pushes and drains happens, the delivered
     /// stream is a strictly increasing subsequence of what was pushed,

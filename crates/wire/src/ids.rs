@@ -7,7 +7,9 @@
 //! [`AppId::host`] is exactly that extraction. Client ids are issued by the
 //! master handler; session ids pair a client with an application.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -81,6 +83,35 @@ impl fmt::Debug for ClientId {
 
 impl fmt::Display for ClientId {
     fmt_via_debug!();
+}
+
+/// Map keyed by an id this program issued itself ([`ClientId`], [`AppId`]:
+/// a server address and a local count). Such keys cannot be crafted to
+/// collide, so the table is probed with one multiply per word instead of
+/// SipHash — and with a fixed state, so iteration order repeats between
+/// processes. Never key it by anything a client chose.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher behind [`IdMap`]: multiply-rotate over the id's words.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        // The odd multiplier spreads a count's low bits over the high
+        // ones the table takes its tags from.
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A client-server-application interaction session (client id + app id per
@@ -220,6 +251,28 @@ mod tests {
         assert!(Privilege::ReadWrite.allows(Privilege::ReadOnly));
         assert!(!Privilege::ReadOnly.allows(Privilege::ReadWrite));
         assert!(!Privilege::ReadWrite.allows(Privilege::Steer));
+    }
+
+    #[test]
+    fn id_map_keeps_sequential_ids_apart() {
+        let mut map = IdMap::default();
+        for server in 0..4 {
+            for seq in 0..1024 {
+                map.insert(ClientId { server: ServerAddr(server), seq }, (server, seq));
+            }
+        }
+        assert_eq!(map.len(), 4096);
+        let id = ClientId { server: ServerAddr(3), seq: 1000 };
+        assert_eq!(map.get(&id), Some(&(3, 1000)));
+        // Distinct ids, distinct hashes: no run of ids shares a bucket.
+        let hashes: std::collections::HashSet<u64> = map
+            .keys()
+            .map(|id| {
+                use std::hash::BuildHasher;
+                map.hasher().hash_one(id)
+            })
+            .collect();
+        assert_eq!(hashes.len(), 4096);
     }
 
     #[test]

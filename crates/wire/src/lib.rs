@@ -32,8 +32,8 @@ pub use deadline::{DeadlineStamp, Priority};
 pub use envelope::{Content, Envelope};
 pub use payload::FrozenUpdate;
 pub use ids::{
-    AppId, AppToken, ClientId, ObjectKey, ObjectRef, Privilege, RequestId, ServerAddr, SessionId,
-    UserId,
+    AppId, AppToken, ClientId, IdMap, ObjectKey, ObjectRef, Privilege, RequestId, ServerAddr,
+    SessionId, UserId,
 };
 pub use messages::{
     AppCommand, AppDescriptor, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry,
