@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the middleware substrate's hot paths: the DBP
 //! codec, HTTP head rendering/parsing, GIOP framing, the poll FIFO, the
 //! steering lock, the trader's offer matching, histogram queries, metric
-//! writes into a populated sink, and one application update fanned out
-//! to a 256-member group.
+//! writes into a populated sink, one application update fanned out to a
+//! 256-member group, and the fixed cost of any message: its wire size
+//! and its trip through an event heap of realistic depth.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -86,6 +87,17 @@ fn bench_http(c: &mut Criterion) {
         b.iter(|| HttpRequest::parse_head(black_box(&head)).unwrap())
     });
     g.bench_function("wire_size", |b| b.iter(|| black_box(&req).wire_size()));
+    g.finish();
+
+    // What every poll and every reply pays before it reaches a link:
+    // building the envelope, wire size included.
+    let mut g = c.benchmark_group("wire");
+    let sid = black_box(0xdead_beef_u64);
+    g.bench_function("http_wire_size_poll", |b| {
+        b.iter(|| Envelope::http_request(HttpRequest::get(webserv::paths::POLL, Some(sid))))
+    });
+    let resp = HttpResponse::ok(vec![ClientMessage::update(sample_update())]);
+    g.bench_function("http_wire_size_response", |b| b.iter(|| black_box(&resp).wire_size()));
     g.finish();
 }
 
@@ -288,6 +300,44 @@ fn bench_route_update(c: &mut Criterion) {
     g.finish();
 }
 
+const DEPTH: u64 = 512;
+
+/// Sends every message it receives back to itself, to arrive `DEPTH` µs
+/// later (a self-send adds one).
+struct Carousel;
+
+impl Actor<Envelope> for Carousel {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, _from: NodeId, msg: Envelope) {
+        let me = ctx.me();
+        ctx.send_after(me, msg, SimDuration::from_micros(DEPTH - 1));
+    }
+}
+
+/// One event through the global heap while `DEPTH` envelope-carrying
+/// deliveries are pending, one due every microsecond: pop the head,
+/// dispatch it, push its successor. (The wall-clock benchmark's
+/// `simnet.engine.schedule_pop` kernel keeps a heap of one, where the
+/// size of a heap element cannot show.)
+fn bench_engine(c: &mut Criterion) {
+    let mut engine = Engine::new(1);
+    let node = engine.add_node("carousel", Carousel);
+    for due in 0..DEPTH {
+        let poll = HttpRequest::get(webserv::paths::POLL, Some(due));
+        engine.inject(node, node, Envelope::http_request(poll), SimDuration::from_micros(due));
+    }
+    engine.run_for(SimDuration::from_micros(4 * DEPTH));
+    const BATCH: u64 = 64;
+    let mut g = c.benchmark_group("engine");
+    g.throughput(Throughput::Elements(BATCH));
+    g.bench_function("schedule_pop_depth512", |b| {
+        b.iter(|| {
+            let events = engine.run_for(SimDuration::from_micros(BATCH));
+            assert_eq!(events, BATCH);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_codec,
@@ -296,6 +346,7 @@ criterion_group!(
     bench_lock,
     bench_histogram,
     bench_metrics,
-    bench_route_update
+    bench_route_update,
+    bench_engine
 );
 criterion_main!(benches);

@@ -373,9 +373,9 @@ impl<T> Broker<T> {
                 ctx.trace_annotate(p.trace, "breaker: closed -> open");
                 ctx.record_history(
                     "breaker.open",
-                    format!("n{}", p.to.0),
+                    format_args!("n{}", p.to.0),
                     "",
-                    format!("operation={}", p.operation),
+                    format_args!("operation={}", p.operation),
                 );
             }
             if p.attempt < self.retry.max_attempts && self.admits(now, p.to) {

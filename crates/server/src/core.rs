@@ -800,9 +800,9 @@ impl ServerCore {
         ctx.metrics().incr(names::SERVER_PROXY_SHED);
         ctx.record_history(
             "daemon.shed",
-            format!("{app}"),
+            app,
             "",
-            format!("req={} class={:?}", victim.req.0, victim.priority()),
+            format_args!("req={} class={:?}", victim.req.0, victim.priority()),
         );
         let span = self.req_traces.get(&victim.req).map(|(p, _)| *p);
         ctx.trace_annotate(span, "shed: daemon buffer full");
@@ -885,9 +885,9 @@ impl ServerCore {
                         ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
                         ctx.record_history(
                             "daemon.buffered",
-                            format!("{app}"),
+                            app,
                             "",
-                            format!("req={} class={class:?}", req.0),
+                            format_args!("req={} class={class:?}", req.0),
                         );
                         let span = self.req_traces.get(&req).map(|(p, _)| *p);
                         ctx.trace_annotate(span, "buffered: application computing");
@@ -899,9 +899,9 @@ impl ServerCore {
                             ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
                             ctx.record_history(
                                 "daemon.buffered",
-                                format!("{app}"),
+                                app,
                                 "",
-                                format!("req={} class={class:?}", req.0),
+                                format_args!("req={} class={class:?}", req.0),
                             );
                             let span = self.req_traces.get(&req).map(|(p, _)| *p);
                             ctx.trace_annotate(span, "buffered: application computing");
@@ -1381,7 +1381,7 @@ impl ServerCore {
                         "session.resume_deferred",
                         "",
                         &user,
-                        format!("limit={limit}"),
+                        format_args!("limit={limit}"),
                     );
                     let base_ms = self.config.overload_retry_after_ms;
                     let jitter_ms =
@@ -1409,7 +1409,7 @@ impl ServerCore {
                 "session.resumed",
                 "",
                 user.as_str(),
-                format!("parked_ms={parked_ms} apps={}", selected.len()),
+                format_args!("parked_ms={parked_ms} apps={}", selected.len()),
             );
             self.sessions.restore(p.session, ctx.now());
             (client, selected, p.cursors)
@@ -1514,7 +1514,7 @@ impl ServerCore {
                 proxy.lock.force_release();
                 ctx.record_history(
                     "lock.force_released",
-                    format!("{app}"),
+                    app,
                     user.as_str(),
                     "origin=logout",
                 );
@@ -1630,9 +1630,9 @@ impl ServerCore {
                 ctx.metrics().incr(names::SERVER_ACL_DENIED);
                 ctx.record_history(
                     "acl.denied",
-                    format!("{app}"),
+                    app,
                     user.as_str(),
-                    format!("level=2 reason=not-on-acl op={}", op.kind_name()),
+                    format_args!("level=2 reason=not-on-acl op={}", op.kind_name()),
                 );
                 return vec![Self::error(ErrorCode::AccessDenied, "not on the ACL")];
             };
@@ -1640,9 +1640,9 @@ impl ServerCore {
                 ctx.metrics().incr(names::SERVER_ACL_DENIED);
                 ctx.record_history(
                     "acl.denied",
-                    format!("{app}"),
+                    app,
                     user.as_str(),
-                    format!("level=2 reason=privilege op={}", op.kind_name()),
+                    format_args!("level=2 reason=privilege op={}", op.kind_name()),
                 );
                 return vec![ClientMessage::Error(e)];
             }
@@ -1676,9 +1676,9 @@ impl ServerCore {
                 .insert(req, OpOrigin::Local { client, user: user.clone(), app });
             ctx.record_history(
                 "op.accepted",
-                format!("{app}"),
+                app,
                 user.as_str(),
-                format!("op={} origin=local", op.kind_name()),
+                format_args!("op={} origin=local", op.kind_name()),
             );
             let deadline = self.incoming_deadline;
             self.dispatch_to_app(ctx, app, req, op, deadline);
@@ -1730,14 +1730,14 @@ impl ServerCore {
                         if let Some(evicted) = proxy.lock.take_evicted() {
                             ctx.record_history(
                                 "lock.evicted",
-                                format!("{app}"),
+                                app,
                                 evicted.as_str(),
                                 "origin=lease-lazy",
                             );
                         }
                         ctx.record_history(
                             "lock.granted",
-                            format!("{app}"),
+                            app,
                             user.as_str(),
                             "origin=local",
                         );
@@ -1750,9 +1750,9 @@ impl ServerCore {
                         ctx.metrics().incr(names::SERVER_LOCK_DENIED);
                         ctx.record_history(
                             "lock.denied",
-                            format!("{app}"),
+                            app,
                             user.as_str(),
-                            format!("origin=local holder={}", holder.as_str()),
+                            format_args!("origin=local holder={}", holder.as_str()),
                         );
                         vec![ClientMessage::Response(ResponseBody::LockDenied {
                             app,
@@ -1763,7 +1763,7 @@ impl ServerCore {
             } else if proxy.lock.release(user) {
                 ctx.record_history(
                     "lock.released",
-                    format!("{app}"),
+                    app,
                     user.as_str(),
                     "origin=local",
                 );
@@ -1773,7 +1773,7 @@ impl ServerCore {
             } else {
                 ctx.record_history(
                     "lock.release_failed",
-                    format!("{app}"),
+                    app,
                     user.as_str(),
                     "origin=local",
                 );
@@ -1955,9 +1955,9 @@ impl ServerCore {
                             ctx.metrics().incr(names::SERVER_DEADLINE_DEQUEUE_EXPIRED);
                             ctx.record_history(
                                 "daemon.expired",
-                                format!("{app}"),
+                                app,
                                 "",
-                                format!("req={} class={:?}", entry.req.0, entry.priority()),
+                                format_args!("req={} class={:?}", entry.req.0, entry.priority()),
                             );
                             self.drop_op(
                                 ctx,
@@ -1973,9 +1973,9 @@ impl ServerCore {
                     ctx.metrics().incr(names::SERVER_DAEMON_FLUSHED);
                     ctx.record_history(
                         "daemon.flushed",
-                        format!("{app}"),
+                        app,
                         "",
-                        format!("req={} class={:?}", entry.req.0, entry.priority()),
+                        format_args!("req={} class={:?}", entry.req.0, entry.priority()),
                     );
                     self.dispatch_to_app(ctx, app, entry.req, entry.op, entry.deadline);
                 }
@@ -2211,16 +2211,16 @@ impl ServerCore {
                             if let Some(evicted) = proxy.lock.take_evicted() {
                                 ctx.record_history(
                                     "lock.evicted",
-                                    format!("{app}"),
+                                    app,
                                     evicted.as_str(),
                                     "origin=lease-lazy",
                                 );
                             }
                             ctx.record_history(
                                 "lock.granted",
-                                format!("{app}"),
+                                app,
                                 user.as_str(),
-                                format!("origin=relay via={}", via.0),
+                                format_args!("origin=relay via={}", via.0),
                             );
                             reply(
                                 self,
@@ -2239,9 +2239,9 @@ impl ServerCore {
                             ctx.metrics().incr(names::SERVER_LOCK_DENIED);
                             ctx.record_history(
                                 "lock.denied",
-                                format!("{app}"),
+                                app,
                                 user.as_str(),
-                                format!("origin=relay holder={}", holder.as_str()),
+                                format_args!("origin=relay holder={}", holder.as_str()),
                             );
                             reply(
                                 self,
@@ -2262,7 +2262,7 @@ impl ServerCore {
                     if proxy.lock.release(&user) {
                         ctx.record_history(
                             "lock.released",
-                            format!("{app}"),
+                            app,
                             user.as_str(),
                             "origin=relay",
                         );
@@ -2273,9 +2273,9 @@ impl ServerCore {
                         let holder = proxy.lock.holder().cloned();
                         ctx.record_history(
                             "lock.release_failed",
-                            format!("{app}"),
+                            app,
                             user.as_str(),
-                            format!(
+                            format_args!(
                                 "origin=relay holder={}",
                                 holder.as_ref().map(|h| h.as_str()).unwrap_or("-")
                             ),
@@ -2544,7 +2544,7 @@ impl ServerCore {
             ctx.metrics().incr(names::SERVER_LOCK_EVICTED);
             ctx.record_history(
                 "lock.evicted",
-                format!("{app}"),
+                app,
                 holder.as_str(),
                 "origin=lease-sweep",
             );
@@ -2578,9 +2578,9 @@ impl ServerCore {
             ctx.metrics().incr(names::SERVER_LOCK_EVICTED);
             ctx.record_history(
                 "lock.evicted",
-                format!("{app}"),
+                app,
                 holder.as_str(),
-                format!("origin=peer-down peer={}", peer.0),
+                format_args!("origin=peer-down peer={}", peer.0),
             );
             let update = UpdateBody::LockChanged { app, holder: None };
             self.route_update(ctx, update, None, None, &mut effects);
@@ -2635,7 +2635,7 @@ impl ServerCore {
                         "session.reclaimed",
                         "",
                         p.session.user.as_str(),
-                        format!("apps={}", p.session.selected.len()),
+                        format_args!("apps={}", p.session.selected.len()),
                     );
                     self.reclaim_session(ctx, p.session, &mut effects);
                 }
@@ -2663,7 +2663,7 @@ impl ServerCore {
             "session.parked",
             "",
             session.user.as_str(),
-            format!("apps={}", session.selected.len()),
+            format_args!("apps={}", session.selected.len()),
         );
         self.parked
             .insert(session.cookie, ParkedSession { parked_at: ctx.now(), cursors, session });
@@ -2729,7 +2729,7 @@ impl ServerCore {
             "server.recovered",
             "",
             "",
-            format!("apps={recovered} sessions_dropped={dropped_sessions}"),
+            format_args!("apps={recovered} sessions_dropped={dropped_sessions}"),
         );
     }
 

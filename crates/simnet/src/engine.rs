@@ -9,6 +9,16 @@
 //!   busy are deferred to the instant it frees up, preserving order. This
 //!   yields M/G/1-style queueing at saturated servers — the mechanism
 //!   behind every knee in the reproduced experiments.
+//! * The heap and the parked queues below hold *keys* — `(time, seq)` and
+//!   a slot number, 24 bytes — and the payloads (a `wire::Envelope` is
+//!   240 bytes) stay put in a slab, so a sift, a re-stamp or a rotation
+//!   moves keys only. A slot is live exactly while its key is on the heap
+//!   or in a parked queue: `step` reads the payload where it lies to
+//!   decide between park, dispatch and discard, and moves it out once, on
+//!   the latter two. Freed slots are reused last-freed-first, so the slab
+//!   stops growing at the peak number of events in flight and a steady
+//!   run allocates nothing per event (a `Box` per event would). Nothing
+//!   compares a slot number, so the schedule does not depend on them.
 //! * A deferred event is *parked* in its node's own queue under the key
 //!   `(busy_until, fresh seq)` it would carry on the global heap, and the
 //!   heap holds one wake entry per backlogged node, at the key of that
@@ -77,41 +87,51 @@ enum EventKind<M> {
     Start { node: NodeId },
     Crash { node: NodeId },
     Restart { node: NodeId },
-    /// Stands on the heap at the key of the head of `node`'s parked queue.
-    Wake { node: NodeId },
 }
 
-struct Event<M> {
+/// What a queued key stands for.
+#[derive(Clone, Copy)]
+enum Entry {
+    /// The event whose payload is in `Core::slab` at this index.
+    Slot(u32),
+    /// The head of this node's parked queue, whose key the wake shares.
+    Wake(NodeId),
+}
+
+/// A queued event's key. The global heap and the parked queues order and
+/// move these; the payload stays in its slab slot until it is dispatched
+/// or dropped.
+struct Event {
     time: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    entry: Entry,
 }
 
-impl<M> Event<M> {
+impl Event {
     /// Firing order: virtual instant, then creation (or parking) order.
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
 }
 
-impl<M> PartialEq for Event<M> {
+impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
+impl Eq for Event {}
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Event<M> {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
     }
 }
 
-struct NodeState<M> {
+struct NodeState {
     name: String,
     busy_until: SimTime,
     busy_micros: u64,
@@ -123,9 +143,10 @@ struct NodeState<M> {
     /// means the event straddled a crash and must be discarded (the
     /// "connection" it rode on died with the process).
     epoch: u64,
-    /// Events that found this node busy, in key order. Non-empty only
-    /// while the node is up, and then every entry carries its epoch.
-    parked: VecDeque<Event<M>>,
+    /// Keys of the events that found this node busy, in key order.
+    /// Non-empty only while the node is up, and then every entry's
+    /// payload carries its epoch.
+    parked: VecDeque<Event>,
     parked_peak: usize,
 }
 
@@ -134,8 +155,14 @@ struct NodeState<M> {
 struct Core<M> {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Event<M>>>,
-    nodes: Vec<NodeState<M>>,
+    queue: BinaryHeap<Reverse<Event>>,
+    /// Payloads of the queued events. A slot is live exactly while its key
+    /// is on the heap or in a parked queue; `free` lists the others, last
+    /// freed first, so the slab grows only to the peak number of events
+    /// in flight.
+    slab: Vec<Option<EventKind<M>>>,
+    free: Vec<u32>,
+    nodes: Vec<NodeState>,
     links: HashMap<(u32, u32), LinkState>,
     /// One entry per distinct link label, shared by every link carrying it.
     link_keys: Vec<LinkKeys>,
@@ -161,25 +188,42 @@ impl<M: Payload> Core<M> {
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.enqueue(Event { time, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.enqueue(Event { time, seq, entry: Entry::Slot(slot) });
     }
 
-    fn enqueue(&mut self, ev: Event<M>) {
+    /// Move a payload out of the slab, once its key has left the queues
+    /// for good.
+    fn take(&mut self, slot: u32) -> EventKind<M> {
+        self.free.push(slot);
+        self.slab[slot as usize].take().expect("a queued key names a live slot")
+    }
+
+    fn enqueue(&mut self, ev: Event) {
         self.queue.push(Reverse(ev));
         self.queue_peak = self.queue_peak.max(self.queue.len());
     }
 
     /// Hold an event that found `node` busy in the node's own queue, under
     /// the key a push back onto the heap at `until` would have drawn.
-    fn park(&mut self, node: NodeId, until: SimTime, kind: EventKind<M>) {
+    fn park(&mut self, node: NodeId, until: SimTime, slot: u32) {
         let seq = self.seq;
         self.seq += 1;
         let state = &mut self.nodes[node.index()];
         debug_assert!(state.parked.back().is_none_or(|last| last.key() < (until, seq)));
-        state.parked.push_back(Event { time: until, seq, kind });
+        state.parked.push_back(Event { time: until, seq, entry: Entry::Slot(slot) });
         state.parked_peak = state.parked_peak.max(state.parked.len());
         if state.parked.len() == 1 {
-            self.enqueue(Event { time: until, seq, kind: EventKind::Wake { node } });
+            self.enqueue(Event { time: until, seq, entry: Entry::Wake(node) });
         }
     }
 
@@ -191,20 +235,26 @@ impl<M: Payload> Core<M> {
     /// behind whatever was already parked for `busy_until`; the pass
     /// stops at an entry that must take the ordinary path (the node is
     /// free at its instant, or it is a cancelled timer) or is not next.
-    fn next_parked(&mut self, node: NodeId, limit: SimTime) -> Option<Event<M>> {
+    fn next_parked(&mut self, node: NodeId, limit: SimTime) -> Option<Event> {
         let run_end = (limit, u64::MAX);
         let horizon = self.queue.peek().map_or(run_end, |Reverse(head)| head.key().min(run_end));
         let state = &mut self.nodes[node.index()];
         let busy = state.busy_until;
+        let (slab, cancelled) = (&self.slab, &self.cancelled_timers);
+        let cancelled_timer = |entry| {
+            let Entry::Slot(slot) = entry else { return false };
+            matches!(&slab[slot as usize], Some(EventKind::Timer { id, .. }) if cancelled.contains(id))
+        };
+        // Decided once, outside the loop: with no cancellation outstanding
+        // the pass reads and writes keys alone.
+        let any_cancelled = !cancelled.is_empty();
         let mut restamped = 0;
         for ev in state.parked.iter_mut() {
             if ev.key() >= horizon || ev.time >= busy {
                 break;
             }
-            if let EventKind::Timer { id, .. } = ev.kind {
-                if self.cancelled_timers.contains(&id) {
-                    break;
-                }
+            if any_cancelled && cancelled_timer(ev.entry) {
+                break;
             }
             debug_assert!(ev.time <= self.now);
             (ev.time, ev.seq) = (busy, self.seq);
@@ -216,7 +266,7 @@ impl<M: Payload> Core<M> {
         if (time, seq) < horizon {
             return state.parked.pop_front();
         }
-        self.enqueue(Event { time, seq, kind: EventKind::Wake { node } });
+        self.enqueue(Event { time, seq, entry: Entry::Wake(node) });
         None
     }
 
@@ -406,23 +456,24 @@ impl<'a, M: Payload> Ctx<'a, M> {
     }
 
     /// Record a semantic decision point into the history log and the
-    /// flight recorder (no-op while both are off). Never touches the RNG,
-    /// the queue, or the wire, so recorded and unrecorded runs share one
-    /// event schedule.
+    /// flight recorder. While both are off this is one branch: the
+    /// arguments are formatted only past it, so call sites pass
+    /// `format_args!`, not `format!`. Never touches the RNG, the queue, or
+    /// the wire, so recorded and unrecorded runs share one event schedule.
     pub fn record_history(
         &mut self,
         label: &'static str,
-        subject: impl Into<String>,
-        actor: impl Into<String>,
-        detail: impl Into<String>,
+        subject: impl fmt::Display,
+        actor: impl fmt::Display,
+        detail: impl fmt::Display,
     ) {
         let core = &mut *self.core;
         if !core.history.enabled() && !core.flight.enabled() {
             return;
         }
-        let subject = subject.into();
-        let actor = actor.into();
-        let detail = detail.into();
+        let subject = subject.to_string();
+        let actor = actor.to_string();
+        let detail = detail.to_string();
         let fired = core.flight.observe(self.local_now, self.me, label, &subject, &actor, &detail);
         if fired > 0 {
             core.metrics(self.me).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
@@ -467,6 +518,8 @@ impl<M: Payload> Engine<M> {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
                 nodes: Vec::new(),
                 links: HashMap::new(),
                 link_keys: Vec::new(),
@@ -788,7 +841,7 @@ impl<M: Payload> Engine<M> {
             };
             match next {
                 None => draining = None,
-                Some(Event { kind: EventKind::Wake { node }, seq, .. }) => {
+                Some(Event { entry: Entry::Wake(node), seq, .. }) => {
                     // A crash hands the backlog back to the heap and
                     // leaves its wake behind: that one matches no head.
                     let head = self.core.nodes[node.index()].parked.front();
@@ -796,7 +849,7 @@ impl<M: Payload> Engine<M> {
                         draining = Some(node);
                     }
                 }
-                Some(ev) => self.step(ev),
+                Some(Event { entry: Entry::Slot(slot), time, .. }) => self.step(time, slot),
             }
         }
         // Clock advances to the horizon even if the queue drained earlier,
@@ -809,52 +862,60 @@ impl<M: Payload> Engine<M> {
 
     /// Process the next event overall: dispatch it, discard it, or — if
     /// it finds its node busy — park it, which does not count as processed.
-    fn step(&mut self, ev: Event<M>) {
-        if ev.time > self.core.now {
-            self.core.now = ev.time;
+    /// The verdict is reached on the payload where it lies, so an event
+    /// that must wait moves only its key.
+    fn step(&mut self, at: SimTime, slot: u32) {
+        let core = &mut self.core;
+        if at > core.now {
+            core.now = at;
         }
-        match ev.kind {
-            EventKind::Start { node } => self.dispatch(node, ev.time, |actor, ctx| {
+        let payload = core.slab[slot as usize].as_ref().expect("a queued key names a live slot");
+        let addressed = match payload {
+            EventKind::Deliver { to, epoch, .. } => Some((*to, *epoch, false)),
+            EventKind::Timer { node, id, epoch, .. } => {
+                Some((*node, *epoch, core.cancelled_timers.remove(id)))
+            }
+            _ => None,
+        };
+        // A delivery or timer is live unless it was cancelled, or stamped
+        // by an incarnation of its node that has since crashed.
+        let mut live = true;
+        if let Some((node, epoch, cancelled)) = addressed {
+            let state = &core.nodes[node.index()];
+            live = !cancelled && state.up && state.epoch == epoch;
+            if live && state.busy_until > at {
+                return core.park(node, state.busy_until, slot);
+            }
+        }
+        match core.take(slot) {
+            EventKind::Start { node } => self.dispatch(node, at, |actor, ctx| {
                 actor.on_start(ctx);
             }),
-            EventKind::Deliver { from, to, msg, epoch } => {
-                let state = &self.core.nodes[to.index()];
-                let busy = state.busy_until;
-                if !state.up || state.epoch != epoch {
-                    self.core.metrics(to).incr(names::ENGINE_DOWN_DROPS);
-                } else if busy > ev.time {
-                    return self.core.park(to, busy, EventKind::Deliver { from, to, msg, epoch });
-                } else {
-                    self.dispatch(to, ev.time, |actor, ctx| {
-                        actor.on_message(ctx, from, msg);
-                    });
-                }
+            EventKind::Deliver { from, to, msg, .. } if live => {
+                self.dispatch(to, at, |actor, ctx| {
+                    actor.on_message(ctx, from, msg);
+                });
             }
-            EventKind::Timer { node, tag, id, epoch } => {
-                let state = &self.core.nodes[node.index()];
-                let busy = state.busy_until;
-                if self.core.cancelled_timers.remove(&id) || !state.up || state.epoch != epoch {
-                    // Cancelled, or armed by an incarnation that crashed.
-                } else if busy > ev.time {
-                    return self.core.park(node, busy, EventKind::Timer { node, tag, id, epoch });
-                } else {
-                    self.dispatch(node, ev.time, |actor, ctx| {
-                        actor.on_timer(ctx, tag);
-                    });
-                }
+            EventKind::Deliver { to, .. } => self.core.metrics(to).incr(names::ENGINE_DOWN_DROPS),
+            EventKind::Timer { node, tag, .. } if live => {
+                self.dispatch(node, at, |actor, ctx| {
+                    actor.on_timer(ctx, tag);
+                });
             }
+            // Cancelled, or armed by an incarnation that crashed.
+            EventKind::Timer { .. } => {}
             EventKind::Crash { node } => {
                 let state = &mut self.core.nodes[node.index()];
                 if state.up {
                     state.up = false;
                     state.epoch += 1;
                     // Whatever CPU work was in flight dies with the
-                    // process. The backlog goes back on the heap under the
-                    // keys it holds, so each entry surfaces at the instant
-                    // it was parked for and is discarded by the epoch
-                    // check there, even if the node restarts sooner; the
-                    // wake left behind matches no parked head.
-                    state.busy_until = ev.time;
+                    // process. The backlog's keys go back on the heap as
+                    // they are, so each entry surfaces at the instant it
+                    // was parked for and is discarded by the epoch check
+                    // there, even if the node restarts sooner; the wake
+                    // left behind matches no parked head.
+                    state.busy_until = at;
                     for parked in std::mem::take(&mut state.parked) {
                         self.core.enqueue(parked);
                     }
@@ -865,13 +926,12 @@ impl<M: Payload> Engine<M> {
                 let state = &mut self.core.nodes[node.index()];
                 if !state.up {
                     state.up = true;
-                    state.busy_until = ev.time;
-                    self.dispatch(node, ev.time, |actor, ctx| {
+                    state.busy_until = at;
+                    self.dispatch(node, at, |actor, ctx| {
                         actor.on_restart(ctx);
                     });
                 }
             }
-            EventKind::Wake { .. } => unreachable!("run_until consumes wakes"),
         }
         self.core.events_processed += 1;
         assert!(
@@ -1238,6 +1298,79 @@ mod tests {
         assert!(eng.now() >= SimTime::from_micros(10));
     }
 
+    #[test]
+    fn a_disarmed_record_history_formats_nothing() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Counts how often it is formatted.
+        struct Counted(Rc<Cell<u32>>);
+        impl fmt::Display for Counted {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("k=v")
+            }
+        }
+        struct Recorder(Rc<Cell<u32>>);
+        impl Actor<Ping> for Recorder {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {
+                ctx.record_history("daemon.shed", "app", "user", Counted(self.0.clone()));
+            }
+        }
+        let formatted = Rc::new(Cell::new(0));
+        let mut eng = Engine::new(1);
+        let n = eng.add_node("n", Recorder(formatted.clone()));
+        eng.inject(n, n, Ping(0), SimDuration::ZERO);
+        eng.run_to_quiescence();
+        assert_eq!(formatted.get(), 0, "both sinks off: one branch, no formatting");
+        assert!(eng.history().is_empty());
+
+        eng.enable_history();
+        eng.enable_flight_recorder(FlightConfig::default());
+        eng.inject(n, n, Ping(0), SimDuration::ZERO);
+        eng.run_to_quiescence();
+        assert_eq!(formatted.get(), 1, "both sinks on: formatted once, shared");
+        let [event] = eng.history() else { panic!("one event, got {:?}", eng.history()) };
+        assert_eq!(
+            (event.label, &*event.subject, &*event.actor, &*event.detail),
+            ("daemon.shed", "app", "user", "k=v")
+        );
+    }
+
+    // ---- keys on the heap, payloads in the slab ----
+
+    #[test]
+    fn a_heap_entry_is_a_key() {
+        // Every sift level and every parked rotation moves one of these.
+        assert!(std::mem::size_of::<Event>() <= 24);
+    }
+
+    #[test]
+    fn slots_are_reused_not_grown() {
+        /// Returns every message to its sender until `left` runs out.
+        struct Rally {
+            left: u32,
+        }
+        impl Actor<Ping> for Rally {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, from: NodeId, msg: Ping) {
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.send(from, msg);
+                }
+            }
+        }
+        let mut eng = Engine::new(1);
+        let a = eng.add_node("a", Rally { left: 50_000 });
+        let b = eng.add_node("b", Rally { left: 50_000 });
+        eng.link(a, b, fixed_link(10));
+        eng.inject(a, b, Ping(8), SimDuration::ZERO);
+        assert_eq!(eng.run_to_quiescence(), 2 + 100_001);
+        // Two starts and the injected ping were in flight at once; the
+        // hundred thousand returns each took the slot just vacated.
+        assert_eq!(eng.core.slab.len(), 3);
+        eng.assert_every_slot_free();
+    }
+
     // ---- busy-node backlog: each quirk of the deferral order, pinned by
     // name and held to the re-push reference loop (`Scenario::agree`) ----
 
@@ -1330,6 +1463,49 @@ mod tests {
         };
         assert_eq!((drops(0), drops(1), drops(2)), (0, 1, 1));
         assert_eq!(server_messages(&outcome.seen[0]), vec![(10, 1), (70, 10_001), (90, 10_002)]);
+    }
+
+    #[test]
+    fn every_slot_is_free_at_quiescence() {
+        // A backlog, a timer cancelled while parked and a wedged foreign
+        // timer: each payload leaves the slab exactly once, however many
+        // times its key was re-stamped, rotated or re-armed behind a wake.
+        let server = vec![
+            vec![],
+            vec![Act::Schedule { delay: 5, keep: true }, Act::Consume(100)],
+            vec![Act::Cancel, Act::Consume(5)],
+        ];
+        let bystander = vec![
+            vec![Act::Schedule { delay: 110, keep: false }],
+            vec![Act::Send { to: SERVER, delay: 0 }],
+        ];
+        let s = backlog_scenario(
+            vec![server, vec![], bystander],
+            &[(1, 0), (2, 2), (4, 20), (3, 100)],
+        );
+        let (_, eng) = s.agree();
+        assert_eq!(eng.parked_peak(NodeId(SERVER)), 3);
+        eng.assert_every_slot_free();
+    }
+
+    #[test]
+    fn a_crash_frees_the_backlogs_slots() {
+        // Notes 2 and 3 are parked for 110 when the server crashes at 50.
+        // Their keys go back on the heap and their payloads stay put until
+        // 110, where they surface, are discarded and free their slots.
+        let server = vec![vec![], vec![Act::Consume(100)]];
+        let mut s = backlog_scenario(vec![server, vec![]], &[(1, 0), (2, 20), (3, 30)]);
+        s.crashes = vec![(SERVER, 50, 60)];
+        let mut eng = s.build();
+        eng.run_until(SimTime::from_micros(45));
+        assert_eq!(eng.core.nodes[SERVER as usize].parked.len(), 2);
+        eng.run_until(SimTime::from_micros(100));
+        assert!(eng.core.nodes[SERVER as usize].parked.is_empty());
+        let live = eng.core.slab.iter().flatten().count();
+        assert_eq!((live, eng.stats().counter("engine.down_drops")), (2, 0));
+        eng.run_to_quiescence();
+        assert_eq!(eng.stats().counter("engine.down_drops"), 2);
+        eng.assert_every_slot_free();
     }
 
     #[test]

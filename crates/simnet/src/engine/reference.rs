@@ -4,12 +4,13 @@
 //! [`Engine::run_until_reference`] is the loop the engine used before
 //! deferred events were parked per node: every event that finds its node
 //! busy is pushed back onto the global heap at `busy_until` under a fresh
-//! seq, once per resurfacing. It shares the engine's link model, `Ctx`
-//! and `dispatch`, and never parks, so driving two same-seed engines
-//! through the same scenario — one per loop — isolates the scheduling
-//! decision: per-node dispatch traces, the clock, every counter and the
-//! RNG stream must agree exactly. (Its `events_processed` counts every
-//! resurfacing and is the one figure not compared.)
+//! seq, once per resurfacing — as a key of the same type, its payload
+//! back in the same slab. It shares the engine's link model, `Ctx` and
+//! `dispatch`, and never parks, so driving two same-seed engines through
+//! the same scenario — one per loop — isolates the scheduling decision:
+//! per-node dispatch traces, the clock, every counter and the RNG stream
+//! must agree exactly. (Its `events_processed` counts every resurfacing
+//! and is the one figure not compared.)
 
 use super::*;
 
@@ -32,7 +33,10 @@ impl<M: Payload> Engine<M> {
                 "event limit exceeded at {:?}: possible live-lock",
                 self.core.now
             );
-            match ev.kind {
+            let Entry::Slot(slot) = ev.entry else {
+                unreachable!("the reference loop never parks");
+            };
+            match self.core.take(slot) {
                 EventKind::Start { node } => self.dispatch(node, ev.time, |actor, ctx| {
                     actor.on_start(ctx);
                 }),
@@ -87,13 +91,19 @@ impl<M: Payload> Engine<M> {
                         });
                     }
                 }
-                EventKind::Wake { .. } => unreachable!("the reference loop never parks"),
             }
         }
         if limit > self.core.now && limit != SimTime::MAX {
             self.core.now = limit;
         }
         processed
+    }
+
+    /// At quiescence no payload has outlived its key.
+    pub(super) fn assert_every_slot_free(&self) {
+        assert!(self.core.queue.is_empty());
+        assert_eq!(self.core.free.len(), self.core.slab.len());
+        assert!(self.core.slab.iter().all(Option::is_none));
     }
 }
 
@@ -270,6 +280,8 @@ impl Scenario {
         assert!(parked.events_processed() <= repushed.events_processed());
         let drained = parked.core.nodes.iter().all(|n| n.parked.is_empty());
         assert!(drained, "backlog left at quiescence");
+        parked.assert_every_slot_free();
+        repushed.assert_every_slot_free();
         (outcome, parked)
     }
 }

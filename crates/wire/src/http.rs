@@ -9,10 +9,33 @@
 //! textual overhead is part of the bandwidth model — one half of the
 //! paper's "more apps than clients" asymmetry.
 
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize};
 
 use crate::codec;
 use crate::messages::{ClientMessage, ClientRequest};
+
+// The literals of a head. `render_head` writes them, `head_len` adds up
+// their lengths and `parse_head` matches on them, so the three cannot
+// drift apart.
+const REQUEST_LINE_TAIL: &str = " HTTP/1.0\r\nHost: discover\r\nConnection: keep-alive\r\n";
+const STATUS_LINE_HEAD: &str = "HTTP/1.0 ";
+const SERVER: &str = "\r\nServer: discover\r\n";
+const COOKIE: &str = "Cookie: JSESSIONID=";
+const SET_COOKIE: &str = "Set-Cookie: JSESSIONID=";
+/// A session cookie is always rendered as `{:016x}`.
+const COOKIE_DIGITS: usize = 16;
+const CONTENT_TYPE: &str = "Content-Type: application/x-discover\r\n";
+const CONTENT_LENGTH: &str = "Content-Length: ";
+const CRLF: &str = "\r\n";
+
+const STRING_WRITE: &str = "writing to a String cannot fail";
+
+/// Length of `n` rendered with `{}`.
+fn decimal_digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
 
 /// HTTP request methods used by DISCOVER portals.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -60,27 +83,36 @@ impl HttpRequest {
     /// Render the textual request head exactly as it would appear on the
     /// wire (HTTP/1.0 with keep-alive, as era-appropriate).
     pub fn render_head(&self, body_len: usize) -> String {
-        let mut head = format!(
-            "{} {} HTTP/1.0\r\nHost: discover\r\nConnection: keep-alive\r\n",
-            self.method.as_str(),
-            self.path
-        );
+        let mut head = String::with_capacity(self.head_len(body_len));
+        write!(head, "{} {}{REQUEST_LINE_TAIL}", self.method.as_str(), self.path)
+            .expect(STRING_WRITE);
         if let Some(sid) = self.session {
-            head.push_str(&format!("Cookie: JSESSIONID={sid:016x}\r\n"));
+            write!(head, "{COOKIE}{sid:016x}{CRLF}").expect(STRING_WRITE);
         }
         if body_len > 0 {
-            head.push_str(&format!(
-                "Content-Type: application/x-discover\r\nContent-Length: {body_len}\r\n"
-            ));
+            write!(head, "{CONTENT_TYPE}{CONTENT_LENGTH}{body_len}{CRLF}").expect(STRING_WRITE);
         }
-        head.push_str("\r\n");
+        head.push_str(CRLF);
         head
+    }
+
+    /// Length of [`HttpRequest::render_head`]'s output, without rendering it.
+    pub fn head_len(&self, body_len: usize) -> usize {
+        let mut len = self.method.as_str().len() + 1 + self.path.len() + REQUEST_LINE_TAIL.len();
+        if self.session.is_some() {
+            len += COOKIE.len() + COOKIE_DIGITS + CRLF.len();
+        }
+        if body_len > 0 {
+            len += CONTENT_TYPE.len() + CONTENT_LENGTH.len() + decimal_digits(body_len);
+            len += CRLF.len();
+        }
+        len + CRLF.len()
     }
 
     /// Total bytes on the wire: textual head plus DBP-encoded body.
     pub fn wire_size(&self) -> usize {
         let body_len = self.body.as_ref().map(codec::encoded_len).unwrap_or(0);
-        self.render_head(body_len).len() + body_len
+        self.head_len(body_len) + body_len
     }
 
     /// Parse a rendered head back into (method, path, session cookie,
@@ -105,10 +137,10 @@ impl HttpRequest {
             if line.is_empty() {
                 break;
             }
-            if let Some(rest) = line.strip_prefix("Cookie: JSESSIONID=") {
+            if let Some(rest) = line.strip_prefix(COOKIE) {
                 session =
                     Some(u64::from_str_radix(rest, 16).map_err(|e| format!("bad cookie: {e}"))?);
-            } else if let Some(rest) = line.strip_prefix("Content-Length: ") {
+            } else if let Some(rest) = line.strip_prefix(CONTENT_LENGTH) {
                 content_length = rest.parse().map_err(|e| format!("bad length: {e}"))?;
             }
         }
@@ -148,20 +180,33 @@ impl HttpResponse {
 
     /// Render the textual response head.
     pub fn render_head(&self, body_len: usize) -> String {
-        let mut head = format!("HTTP/1.0 {} {}\r\nServer: discover\r\n", self.status, self.reason());
+        let mut head = String::with_capacity(self.head_len(body_len));
+        write!(head, "{STATUS_LINE_HEAD}{} {}{SERVER}", self.status, self.reason())
+            .expect(STRING_WRITE);
         if let Some(sid) = self.set_session {
-            head.push_str(&format!("Set-Cookie: JSESSIONID={sid:016x}\r\n"));
+            write!(head, "{SET_COOKIE}{sid:016x}{CRLF}").expect(STRING_WRITE);
         }
-        head.push_str(&format!(
-            "Content-Type: application/x-discover\r\nContent-Length: {body_len}\r\n\r\n"
-        ));
+        write!(head, "{CONTENT_TYPE}{CONTENT_LENGTH}{body_len}{CRLF}{CRLF}").expect(STRING_WRITE);
         head
+    }
+
+    /// Length of [`HttpResponse::render_head`]'s output, without rendering it.
+    pub fn head_len(&self, body_len: usize) -> usize {
+        let mut len = STATUS_LINE_HEAD.len()
+            + decimal_digits(self.status.into())
+            + 1
+            + self.reason().len()
+            + SERVER.len();
+        if self.set_session.is_some() {
+            len += SET_COOKIE.len() + COOKIE_DIGITS + CRLF.len();
+        }
+        len + CONTENT_TYPE.len() + CONTENT_LENGTH.len() + decimal_digits(body_len) + 2 * CRLF.len()
     }
 
     /// Total bytes on the wire: textual head plus DBP-encoded body.
     pub fn wire_size(&self) -> usize {
         let body_len = codec::encoded_len(&self.body);
-        self.render_head(body_len).len() + body_len
+        self.head_len(body_len) + body_len
     }
 
     /// Parse a rendered response head back into (status, set-cookie,
@@ -186,10 +231,10 @@ impl HttpResponse {
             if line.is_empty() {
                 break;
             }
-            if let Some(rest) = line.strip_prefix("Set-Cookie: JSESSIONID=") {
+            if let Some(rest) = line.strip_prefix(SET_COOKIE) {
                 set_session =
                     Some(u64::from_str_radix(rest, 16).map_err(|e| format!("bad cookie: {e}"))?);
-            } else if let Some(rest) = line.strip_prefix("Content-Length: ") {
+            } else if let Some(rest) = line.strip_prefix(CONTENT_LENGTH) {
                 content_length = rest.parse().map_err(|e| format!("bad length: {e}"))?;
             }
         }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use simnet::SimTime;
 use wire::codec::{decode, decode_borrowed, encode, encoded_len, reset_stats, stats};
-use wire::http::HttpRequest;
+use wire::http::{HttpMethod, HttpRequest, HttpResponse};
 use wire::{
     AppCommand, AppId, AppOp, AppPhase, AppStatus, ClientMessage, ClientRequest, DeadlineStamp,
     Envelope, ErrorCode, FrozenUpdate, LogEntry, PeerMsg, Priority, Privilege, ResponseBody,
@@ -127,8 +127,69 @@ fn client_message_strategy() -> impl Strategy<Value = ClientMessage> {
     ]
 }
 
+fn session_strategy() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), Just(Some(0)), Just(Some(7)), Just(Some(u64::MAX))]
+}
+
+/// Every arm of `HttpResponse::reason`, and statuses of each decimal
+/// width that have none.
+fn http_status_strategy() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        Just(200u16), Just(400), Just(401), Just(403), Just(404), Just(500),
+        Just(7), Just(42), Just(299), Just(1000), Just(u16::MAX),
+    ]
+}
+
+/// Both sides of every decimal-width boundary up to 10^7, zero included.
+fn body_len_strategy() -> impl Strategy<Value = usize> {
+    (0u32..=7, 0usize..3).prop_map(|(exp, off)| 10usize.pow(exp) + off - 1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    // ------------------------------------------------------------------
+    // HTTP sizing: a head's length is computed, never rendered, on the
+    // simulated path; it must equal what the bytes path would write.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn head_len_matches_render_head(
+        post in any::<bool>(),
+        path in "[ -~]{0,40}",
+        wide in any::<bool>(),
+        session in session_strategy(),
+        status in http_status_strategy(),
+        body_len in body_len_strategy(),
+    ) {
+        let method = if post { HttpMethod::Post } else { HttpMethod::Get };
+        let path = if wide { path + "/é∑" } else { path };
+        let req = HttpRequest { method, path, session, body: None };
+        prop_assert_eq!(req.head_len(body_len), req.render_head(body_len).len());
+        let resp = HttpResponse { status, set_session: session, body: vec![] };
+        prop_assert_eq!(resp.head_len(body_len), resp.render_head(body_len).len());
+    }
+
+    #[test]
+    fn http_envelope_size_is_rendered_head_plus_body(
+        r in request_strategy(),
+        ms in prop::collection::vec(client_message_strategy(), 0..4),
+        session in session_strategy(),
+    ) {
+        let poll = HttpRequest::get("/discover/poll", session);
+        let expect = poll.render_head(0).len();
+        prop_assert_eq!(Envelope::http_request(poll).wire_size(), expect);
+
+        let post = HttpRequest::post("/discover/command", session, r);
+        let len = encoded_len(post.body.as_ref().expect("a post has a body"));
+        let expect = post.render_head(len).len() + len;
+        prop_assert_eq!(Envelope::http_request(post).wire_size(), expect);
+
+        let resp = HttpResponse { status: 200, set_session: session, body: ms };
+        let len = encoded_len(&resp.body);
+        let expect = resp.render_head(len).len() + len;
+        prop_assert_eq!(Envelope::http_response(resp).wire_size(), expect);
+    }
 
     #[test]
     fn values_roundtrip(v in value_strategy()) {
