@@ -18,7 +18,8 @@ use wire::http::{HttpRequest, HttpResponse};
 use wire::tcp::TcpFrame;
 use wire::{
     codec, AppId, AppMsg, AppOp, AppToken, Channel, ClientMessage, ClientRequest, Content,
-    Envelope, InteractionSpec, Privilege, ResponseBody, ServerAddr, UpdateBody, UserId, Value,
+    Envelope, FrozenUpdate, InteractionSpec, LogEntry, LogRecord, Privilege, ResponseBody,
+    ServerAddr, UpdateBody, UserId, Value,
 };
 
 fn sample_request() -> ClientRequest {
@@ -64,6 +65,20 @@ fn bench_codec(c: &mut Criterion) {
     g.bench_function("encoded_len_status_update", |b| {
         b.iter(|| codec::encoded_len(black_box(&update)))
     });
+    // What `archive::Log::append` pays per event-class record: the fold
+    // digests its encoding (one splice, then the frame around it).
+    let chat = LogRecord {
+        seq: 41,
+        at_us: 1_250_000,
+        user: Some(UserId::new("alice")),
+        entry: LogEntry::Update(FrozenUpdate::new(UpdateBody::Chat {
+            app: AppId { server: ServerAddr(3), seq: 17 },
+            from: UserId::new("alice"),
+            text: "raise the injection rate before the next checkpoint".to_string(),
+        })),
+    };
+    g.throughput(Throughput::Bytes(codec::encoded_len(&chat) as u64));
+    g.bench_function("digest_chat_record", |b| b.iter(|| codec::digest_fnv1a(black_box(&chat))));
     // Zero-copy ingress: decoding from a refcounted receive buffer adopts
     // the frozen payload as a slice of it instead of re-encoding.
     let msg_bytes = codec::encode(&ClientMessage::update(sample_update()));

@@ -1,5 +1,5 @@
 //! The experiment suite. Each function is self-contained and returns a
-//! [`Table`](crate::report::Table); the ids map to DESIGN.md's
+//! [`Table`]; the ids map to DESIGN.md's
 //! per-experiment index.
 
 mod archival;

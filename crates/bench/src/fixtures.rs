@@ -2,7 +2,7 @@
 //! network assembly helpers.
 //!
 //! Calibration (documented in EXPERIMENTS.md): the cost model lives in
-//! `webserv::{HttpCosts, TcpCosts, OrbCosts}::default()` and is shared by
+//! `webserv::{HttpCosts, TcpCosts, OrbCosts}::CALIBRATED` and is shared by
 //! every experiment; the workload rates here are the paper-era
 //! operating points — applications emit ~10 status updates/second under
 //! "high load" testing, clients poll every 200 ms and issue roughly one

@@ -14,14 +14,10 @@
 //! written to `--out` (default `target/scenario-repros`). Exit status is
 //! non-zero if any seed failed.
 //!
-//! `--mutation` runs the self-test instead: a scenario with the
-//! test-only double-grant fault injected must trip the linearizability
-//! oracle and shrink to ≤ 10 events, a scenario with lease reclamation
-//! disabled must trip the reclaim oracle and shrink just as small, a
-//! scenario with due snapshots silently skipped must trip the snapshot
-//! oracle's cadence check, and a scenario whose cache invalidations
-//! skip the eviction must trip the discovery oracle's never-re-served
-//! check.
+//! `--mutation` runs the self-test instead: for every
+//! [`discover_check::Mutation`], the crafted scenario that seeds the
+//! bug must trip the oracle [`discover_check::mutation_case`] names for
+//! it, and shrink to ≤ 10 events.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -30,6 +26,7 @@ use discover_check::oracle::{check_run, Violation};
 use discover_check::run::run;
 use discover_check::scenario::{Family, Scenario};
 use discover_check::shrink::shrink;
+use discover_check::{mutation_case, Mutation};
 
 struct Args {
     seeds: u64,
@@ -178,49 +175,44 @@ fn check_one(seed: u64, family: Family, out_dir: &str) -> bool {
     false
 }
 
-/// Run one seeded mutation: `scenario` carries an injected fault that
-/// `oracle` must detect, and the shrunk repro must stay small.
-fn mutation_case(what: &str, scenario: &Scenario, oracle: &'static str) -> bool {
-    let violations = check_run(&run(scenario));
+/// Run one seeded mutation: its scenario carries an injected bug that
+/// its oracle must detect, and the shrunk repro must stay small.
+fn mutation_detected(mutation: Mutation) -> bool {
+    let (scenario, oracle) = mutation_case(mutation);
+    let violations = check_run(&run(&scenario));
     if !violations.iter().any(|v| v.oracle == oracle) {
         eprintln!(
-            "mutation self-test FAILED: {what} not detected by oracle {oracle:?}; \
+            "mutation self-test FAILED: {mutation:?} not detected by oracle {oracle:?}; \
              violations:\n{}",
             render_violations(&violations)
         );
         return false;
     }
-    let shrunk = shrink(scenario, |s| still_fails(s, oracle));
+    let shrunk = shrink(&scenario, |s| still_fails(s, oracle));
     let confirm = check_run(&run(&shrunk));
     if !confirm.iter().any(|v| v.oracle == oracle) {
-        eprintln!("mutation self-test FAILED: shrunk {what} scenario no longer fails");
+        eprintln!("mutation self-test FAILED: shrunk {mutation:?} scenario no longer fails");
         return false;
     }
     if shrunk.event_count() > 10 {
         eprintln!(
-            "mutation self-test FAILED: {what} shrunk to {} events (> 10)\n{}",
+            "mutation self-test FAILED: {mutation:?} shrunk to {} events (> 10)\n{}",
             shrunk.event_count(),
             shrunk.describe()
         );
         return false;
     }
-    println!("mutation self-test: {what} detected and shrunk to {} events", shrunk.event_count());
+    println!(
+        "mutation self-test: {mutation:?} detected and shrunk to {} events",
+        shrunk.event_count()
+    );
     true
 }
 
 fn mutation_selftest() -> ExitCode {
-    // Each injected fault must be caught by its oracle and shrink small.
-    let double_grant = mutation_case("double grant", &Scenario::mutation(1), "linearizability");
-    let lease_leak =
-        mutation_case("disabled lease reclamation", &Scenario::mutation_churn(1), "reclaim");
-    let skipped_snapshot =
-        mutation_case("skipped snapshots", &Scenario::mutation_snapshot(1), "snapshot");
-    let stale_cache = mutation_case(
-        "stale cache re-served",
-        &Scenario::mutation_stale_cache(1),
-        "discovery",
-    );
-    if double_grant && lease_leak && skipped_snapshot && stale_cache {
+    // Counted, not short-circuited: a failing run reports every miss.
+    let missed = Mutation::ALL.into_iter().filter(|&m| !mutation_detected(m)).count();
+    if missed == 0 {
         println!("mutation self-test passed");
         ExitCode::SUCCESS
     } else {

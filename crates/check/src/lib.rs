@@ -58,3 +58,19 @@ pub mod oracle;
 pub mod run;
 pub mod scenario;
 pub mod shrink;
+
+pub use discover_server::Mutation;
+
+use scenario::Scenario;
+
+/// The mutation table: for each seeded bug, the crafted scenario that
+/// arms it and the oracle that must catch it. Matched exhaustively, so
+/// a new [`Mutation`] does not compile until it has both.
+pub fn mutation_case(mutation: Mutation) -> (Scenario, &'static str) {
+    match mutation {
+        Mutation::DoubleGrant => (Scenario::mutation(1), "linearizability"),
+        Mutation::NoReclaim => (Scenario::mutation_churn(1), "reclaim"),
+        Mutation::SkipSnapshot => (Scenario::mutation_snapshot(1), "snapshot"),
+        Mutation::StaleCache => (Scenario::mutation_stale_cache(1), "discovery"),
+    }
+}

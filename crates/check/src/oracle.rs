@@ -491,7 +491,7 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
 
     // Reclaim: park/resume/reclaim events must balance, and nothing may
     // still be parked when the run ends. A leak here is exactly the
-    // fault_no_reclaim mutation.
+    // `Mutation::NoReclaim` bug.
     let mut parked = 0u64;
     let mut reclaimed = 0u64;
     let mut resumed_at: Vec<u64> = Vec::new();
@@ -763,7 +763,7 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
 ///   `Insert` (which would bump the generation) — means an op was
 ///   dispatched against a server the directory already said lost
 ///   ownership of the key. This is exactly what the seeded
-///   `fault_stale_cache` mutation produces.
+///   `Mutation::StaleCache` bug produces.
 /// * **No hit past expiry**: a served entry must still be within its
 ///   recorded TTL at service time (expiry is exclusive).
 /// * **Generation discipline**: inserts stamp strictly increasing

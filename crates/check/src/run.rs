@@ -194,23 +194,18 @@ pub fn run(scenario: &Scenario) -> RunResult {
     // context of each server (breaker trips, shed bursts, expiry spikes).
     b.flight_recorder(FlightConfig::default());
     let lease = SimDuration::from_millis(s.lock_lease_ms);
-    let double_grant = s.fault_double_grant;
-    let no_reclaim = s.fault_no_reclaim;
+    let mutation = s.mutation;
     let coalesce_fifo = s.coalesce_fifo;
     let churn = s.churn.clone();
     let snapshot_every = s.snapshot_every;
     let recover_from_archive = s.recover_from_archive;
-    let fault_skip_snapshot = s.fault_skip_snapshot;
-    let fault_stale_cache = s.fault_stale_cache;
     b.tweak_servers(move |cfg| {
         cfg.lock_lease = Some(lease);
-        // Archival plane (recovery family): periodic snapshots, restart
-        // rebuilds from the archive, and the seeded snapshot-skip fault.
-        // Compaction stays off — the oracles compare against the full
-        // dense log.
+        // Archival plane (recovery family): periodic snapshots and
+        // restart rebuilds from the archive. Compaction stays off — the
+        // oracles compare against the full dense log.
         cfg.snapshot_every = snapshot_every;
         cfg.recover_from_archive = recover_from_archive;
-        cfg.fault_skip_snapshot = fault_skip_snapshot;
         // Hot-path delivery: churn scenarios flip FIFO coalescing at
         // random; every oracle (notably resume-replay byte-identity)
         // must hold in both positions because only superseded view-class
@@ -230,9 +225,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
             // runs.)
             None => cfg.session_idle_timeout = None,
         }
-        cfg.fault_double_grant = double_grant;
-        cfg.fault_no_reclaim = no_reclaim;
-        cfg.fault_stale_cache = fault_stale_cache;
+        cfg.mutation = mutation;
     });
     let servers: Vec<ServerHandle> =
         (0..s.n_servers).map(|i| b.server(&format!("s{i}"))).collect();

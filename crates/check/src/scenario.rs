@@ -22,6 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wire::Privilege;
 
+use crate::Mutation;
+
 /// Which oracle family a scenario exercises.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Family {
@@ -299,30 +301,19 @@ pub struct Scenario {
     /// oracle is expected to hold with the flag in both positions; churn
     /// families flip it randomly to keep that claim under test.
     pub coalesce_fifo: bool,
-    /// Arm the test-only double-grant bug in the host's lock manager
-    /// (mutation check: the linearizability oracle must catch it).
-    pub fault_double_grant: bool,
-    /// Arm the test-only reclaim-disable fault: parked sessions never
-    /// expire (mutation check: the reclaim oracle must catch the leak).
-    pub fault_no_reclaim: bool,
     /// Archive snapshot interval in records (recovery family); `None`
     /// leaves periodic snapshotting off.
     pub snapshot_every: Option<u64>,
     /// Rebuild collab/session/lock state from the archive when a server
     /// restarts after a crash (recovery family).
     pub recover_from_archive: bool,
-    /// Arm the test-only snapshot-skip fault: due snapshots are silently
-    /// dropped (mutation check: the snapshot oracle must catch the
-    /// broken cadence).
-    pub fault_skip_snapshot: bool,
     /// Sharded + cached discovery plane (discovery family only; `None`
     /// runs the single-shard, cache-off plane every other family uses).
     pub discovery: Option<DiscoverySpec>,
-    /// Arm the test-only stale-cache fault: a Nak-driven invalidation
-    /// logs and counts but skips the eviction, so the poisoned entry
-    /// keeps being served (mutation check: the discovery oracle must
-    /// catch the re-served generation).
-    pub fault_stale_cache: bool,
+    /// The seeded bug every server runs with (mutation check: the
+    /// oracle [`crate::mutation_case`] names must catch it). `None` in
+    /// every generated scenario.
+    pub mutation: Option<Mutation>,
 }
 
 /// Minimum spacing between one user's consecutive actions, ms.
@@ -335,6 +326,29 @@ const FIRST_ACTION_MS: u64 = 1500;
 const MAX_LOCK_OPS: usize = 24;
 
 impl Scenario {
+    /// The base every scenario names its differences from: one server,
+    /// nobody scripted, no faults, every optional plane off.
+    fn quiet(seed: u64, family: Family) -> Scenario {
+        Scenario {
+            seed,
+            family,
+            n_servers: 1,
+            users: Vec::new(),
+            admin: Vec::new(),
+            faults: FaultSpec::default(),
+            lock_lease_ms: 8000,
+            horizon_ms: 0,
+            app_iterations: None,
+            latecomer: None,
+            churn: None,
+            coalesce_fifo: false,
+            snapshot_every: None,
+            recover_from_archive: false,
+            discovery: None,
+            mutation: None,
+        }
+    }
+
     /// Generate the scenario for `(family, seed)`.
     pub fn generate(family: Family, seed: u64) -> Scenario {
         // Salt the stream per family so families explore independent
@@ -424,25 +438,11 @@ impl Scenario {
             });
         }
         Scenario {
-            seed,
-            family: Family::Locks,
             n_servers,
             users,
-            admin: Vec::new(),
             faults,
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Locks)
         }
     }
 
@@ -535,25 +535,12 @@ impl Scenario {
             });
         }
         Scenario {
-            seed,
-            family: Family::Acl,
             n_servers,
             users,
             admin,
             faults,
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Acl)
         }
     }
 
@@ -617,13 +604,9 @@ impl Scenario {
             });
         }
         Scenario {
-            seed,
-            family: Family::Replay,
             n_servers,
             users,
-            admin: Vec::new(),
             faults,
-            lock_lease_ms: 8000,
             horizon_ms,
             // ~10 kernel iterations/s at the driver cadence the runner
             // configures, so the app closes roughly mid-run.
@@ -632,15 +615,7 @@ impl Scenario {
                 user: "late".into(),
                 join_ms: rng.gen_range(6000u64..=12_000),
             }),
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Replay)
         }
     }
 
@@ -684,16 +659,8 @@ impl Scenario {
         let horizon_ms = (last_heal + 15_000).max(9000 + idle_timeout_ms + park_ttl_ms + 14_000);
         let coalesce_fifo = rng.gen_bool(0.5);
         Scenario {
-            seed,
-            family: Family::Churn,
-            n_servers: 1,
             users,
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
             churn: Some(ChurnSpec {
                 disconnects,
                 idle_timeout_ms,
@@ -701,13 +668,7 @@ impl Scenario {
                 resume_rate: None,
             }),
             coalesce_fifo,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Churn)
         }
     }
 
@@ -731,16 +692,8 @@ impl Scenario {
         let horizon_ms = heal_ms + 4000 + 2000 * n_users as u64 + 8000;
         let coalesce_fifo = rng.gen_bool(0.5);
         Scenario {
-            seed,
-            family: Family::FlashCrowd,
-            n_servers: 1,
             users,
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
             churn: Some(ChurnSpec {
                 disconnects,
                 idle_timeout_ms,
@@ -748,13 +701,7 @@ impl Scenario {
                 resume_rate,
             }),
             coalesce_fifo,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::FlashCrowd)
         }
     }
 
@@ -774,16 +721,8 @@ impl Scenario {
         let horizon_ms = heal_ms + 15_000;
         let coalesce_fifo = rng.gen_bool(0.5);
         Scenario {
-            seed,
-            family: Family::SlowConsumer,
-            n_servers: 1,
             users,
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
             churn: Some(ChurnSpec {
                 disconnects,
                 idle_timeout_ms,
@@ -791,13 +730,7 @@ impl Scenario {
                 resume_rate: None,
             }),
             coalesce_fifo,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::SlowConsumer)
         }
     }
 
@@ -848,25 +781,12 @@ impl Scenario {
         let mut faults = FaultSpec::default();
         faults.crashes.push(CrashSpec { server: 0, at_ms: crash_ms, restart_ms });
         Scenario {
-            seed,
-            family: Family::Recovery,
-            n_servers: 1,
             users,
-            admin: Vec::new(),
             faults,
-            lock_lease_ms: 8000,
             horizon_ms: restart_ms + 12_000,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
             snapshot_every: Some(rng.gen_range(4u64..=8)),
             recover_from_archive: true,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Recovery)
         }
     }
 
@@ -940,23 +860,10 @@ impl Scenario {
             None
         };
         Scenario {
-            seed,
-            family: Family::Discovery,
             n_servers,
             users,
-            admin: Vec::new(),
             faults,
-            lock_lease_ms: 8000,
             horizon_ms,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
             discovery: Some(DiscoverySpec {
                 dir_shards: rng.gen_range(2usize..=4),
                 // Near the action cadence: some hits, some expiries.
@@ -965,7 +872,7 @@ impl Scenario {
                 plant_stale_route,
                 directory_crash,
             }),
-            fault_stale_cache: false,
+            ..Scenario::quiet(seed, Family::Discovery)
         }
     }
 
@@ -978,8 +885,6 @@ impl Scenario {
     /// generation.
     pub fn mutation_stale_cache(seed: u64) -> Scenario {
         Scenario {
-            seed,
-            family: Family::Discovery,
             n_servers: 3,
             users: vec![UserSpec {
                 name: "u0".into(),
@@ -997,19 +902,8 @@ impl Scenario {
                     Action { at_ms: 7000, kind: ActionKind::GetSensors },
                 ],
             }],
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
             lock_lease_ms: 60_000,
             horizon_ms: 12_000,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
             discovery: Some(DiscoverySpec {
                 dir_shards: 1,
                 // Long TTL: nothing expires, only the (skipped) eviction
@@ -1019,7 +913,8 @@ impl Scenario {
                 plant_stale_route: Some(PlantSpec { at_ms: 2500, gateway: 1, wrong: 2 }),
                 directory_crash: None,
             }),
-            fault_stale_cache: true,
+            mutation: Some(Mutation::StaleCache),
+            ..Scenario::quiet(seed, Family::Discovery)
         }
     }
 
@@ -1030,9 +925,6 @@ impl Scenario {
     /// reports as a broken cadence.
     pub fn mutation_snapshot(seed: u64) -> Scenario {
         Scenario {
-            seed,
-            family: Family::Recovery,
-            n_servers: 1,
             users: vec![UserSpec {
                 name: "u0".into(),
                 privilege: Some(Privilege::Steer),
@@ -1043,21 +935,11 @@ impl Scenario {
                     Action { at_ms: 5000, kind: ActionKind::SetParam },
                 ],
             }],
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
             lock_lease_ms: 60_000,
             horizon_ms: 10_000,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
             snapshot_every: Some(2),
-            recover_from_archive: false,
-            fault_skip_snapshot: true,
-            discovery: None,
-            fault_stale_cache: false,
+            mutation: Some(Mutation::SkipSnapshot),
+            ..Scenario::quiet(seed, Family::Recovery)
         }
     }
 
@@ -1068,20 +950,13 @@ impl Scenario {
     /// oracle reports as parked state surviving the horizon.
     pub fn mutation_churn(seed: u64) -> Scenario {
         Scenario {
-            seed,
-            family: Family::FlashCrowd,
-            n_servers: 1,
             users: vec![
                 Self::churn_user("u0".into(), 0),
                 Self::churn_user("u1".into(), 0),
                 Self::churn_user("u2".into(), 0),
             ],
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
             lock_lease_ms: 60_000,
             horizon_ms: 24_000,
-            app_iterations: None,
-            latecomer: None,
             churn: Some(ChurnSpec {
                 disconnects: vec![
                     DisconnectSpec { user: 1, from_ms: 4000, until_ms: None },
@@ -1091,14 +966,8 @@ impl Scenario {
                 park_ttl_ms: 3000,
                 resume_rate: None,
             }),
-            coalesce_fifo: false,
-            fault_double_grant: false,
-            fault_no_reclaim: true,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            mutation: Some(Mutation::NoReclaim),
+            ..Scenario::quiet(seed, Family::FlashCrowd)
         }
     }
 
@@ -1109,9 +978,6 @@ impl Scenario {
     /// linearization of a single-holder lock can explain.
     pub fn mutation(seed: u64) -> Scenario {
         Scenario {
-            seed,
-            family: Family::Locks,
-            n_servers: 1,
             users: vec![
                 UserSpec {
                     name: "u0".into(),
@@ -1126,21 +992,10 @@ impl Scenario {
                     actions: vec![Action { at_ms: 3200, kind: ActionKind::Acquire }],
                 },
             ],
-            admin: Vec::new(),
-            faults: FaultSpec::default(),
             lock_lease_ms: 60_000,
             horizon_ms: 8000,
-            app_iterations: None,
-            latecomer: None,
-            churn: None,
-            coalesce_fifo: false,
-            fault_double_grant: true,
-            fault_no_reclaim: false,
-            snapshot_every: None,
-            recover_from_archive: false,
-            fault_skip_snapshot: false,
-            discovery: None,
-            fault_stale_cache: false,
+            mutation: Some(Mutation::DoubleGrant),
+            ..Scenario::quiet(seed, Family::Locks)
         }
     }
 
@@ -1176,11 +1031,8 @@ impl Scenario {
         if self.coalesce_fifo {
             out.push_str(" coalesce-fifo");
         }
-        if self.fault_double_grant {
-            out.push_str(" FAULT=double-grant");
-        }
-        if self.fault_no_reclaim {
-            out.push_str(" FAULT=no-reclaim");
+        if let Some(m) = self.mutation {
+            out.push_str(&format!(" MUTATION={m:?}"));
         }
         if let Some(every) = self.snapshot_every {
             out.push_str(&format!(" snapshot-every={every}"));
@@ -1188,17 +1040,11 @@ impl Scenario {
         if self.recover_from_archive {
             out.push_str(" recover-from-archive");
         }
-        if self.fault_skip_snapshot {
-            out.push_str(" FAULT=skip-snapshot");
-        }
         if let Some(d) = &self.discovery {
             out.push_str(&format!(
                 " dir-shards={} cache-ttl={}ms neg-ttl={}ms",
                 d.dir_shards, d.cache_ttl_ms, d.negative_ttl_ms
             ));
-        }
-        if self.fault_stale_cache {
-            out.push_str(" FAULT=stale-cache");
         }
         if let Some(iters) = self.app_iterations {
             out.push_str(&format!(" app-iterations={iters}"));
@@ -1361,12 +1207,11 @@ mod tests {
             for c in &disc.faults.crashes {
                 assert_eq!(c.server, 0, "seed {seed}: only the host crashes");
             }
-            assert!(!disc.fault_stale_cache, "the fault is mutation-only");
+            assert_eq!(disc.mutation, None, "generated scenarios seed no bug");
 
             let rec = Scenario::generate(Family::Recovery, seed);
             assert!(rec.snapshot_every.is_some());
             assert!(rec.recover_from_archive);
-            assert!(!rec.fault_skip_snapshot);
             assert_eq!(rec.faults.crashes.len(), 1, "seed {seed}: one host crash");
             let crash = rec.faults.crashes[0];
             assert_eq!(crash.server, 0, "recovery crashes the host");
@@ -1417,7 +1262,7 @@ mod tests {
     #[test]
     fn stale_cache_mutation_scenario_is_tiny() {
         let s = Scenario::mutation_stale_cache(1);
-        assert!(s.fault_stale_cache);
+        assert_eq!(s.mutation, Some(Mutation::StaleCache));
         let d = s.discovery.as_ref().unwrap();
         let p = d.plant_stale_route.expect("the mutation plants the stale route");
         assert!(p.wrong != 0 && p.wrong != p.gateway, "wrong host is live and remote");
@@ -1431,14 +1276,14 @@ mod tests {
     #[test]
     fn mutation_scenario_is_tiny() {
         let s = Scenario::mutation(1);
-        assert!(s.fault_double_grant);
+        assert_eq!(s.mutation, Some(Mutation::DoubleGrant));
         assert!(s.event_count() <= 10);
     }
 
     #[test]
     fn snapshot_mutation_scenario_is_tiny() {
         let s = Scenario::mutation_snapshot(1);
-        assert!(s.fault_skip_snapshot);
+        assert_eq!(s.mutation, Some(Mutation::SkipSnapshot));
         assert!(s.snapshot_every.is_some());
         assert!(s.event_count() <= 10);
         // No crash: the cadence break alone must trip the oracle.
@@ -1448,7 +1293,7 @@ mod tests {
     #[test]
     fn churn_mutation_scenario_is_tiny() {
         let s = Scenario::mutation_churn(1);
-        assert!(s.fault_no_reclaim);
+        assert_eq!(s.mutation, Some(Mutation::NoReclaim));
         assert!(s.family.is_churn());
         assert!(s.event_count() <= 10);
         // Park (idle + sweep) and the TTL both fit well inside the

@@ -1,24 +1,24 @@
 //! End-to-end tests of the scenario checker itself.
 //!
-//! * The **mutation** test proves the oracles have teeth: with the
-//!   test-only double-grant fault injected, the linearizability checker
-//!   must reject the run and the shrinker must cut the reproduction to
-//!   a handful of events.
-//! * The **determinism** test proves the whole pipeline — generator,
-//!   driver, oracles — is a pure function of the seed (byte-identical
-//!   run logs across executions) and free of false positives on the
-//!   unmodified stack.
+//! The **mutation** tests prove the oracles have teeth: with the
+//! test-only double-grant bug seeded, the linearizability checker must
+//! reject the run and the shrinker must cut the reproduction to a
+//! handful of events — and the same scenarios with the bug disarmed
+//! must pass every oracle. (The determinism-and-no-false-positive sweep
+//! over every family, and every mutation against its oracle, run in the
+//! root package's `tests/scenarios.rs`, so tier-1 covers them.)
 
 use discover_check::lin::LinKind;
 use discover_check::oracle::{build_lock_ops, check_run};
 use discover_check::run::run;
-use discover_check::scenario::{Family, Scenario};
+use discover_check::scenario::Scenario;
 use discover_check::shrink::shrink;
+use discover_check::Mutation;
 
 #[test]
 fn mutation_double_grant_is_detected_and_shrinks_small() {
     let scenario = Scenario::mutation(1);
-    assert!(scenario.fault_double_grant);
+    assert_eq!(scenario.mutation, Some(Mutation::DoubleGrant));
     let result = run(&scenario);
 
     // The injected fault hands the lock to a second user while the
@@ -57,7 +57,7 @@ fn mutation_double_grant_is_detected_and_shrinks_small() {
 fn mutation_disabled_passes_cleanly() {
     // The same tiny scenario without the fault must satisfy every oracle.
     let mut scenario = Scenario::mutation(1);
-    scenario.fault_double_grant = false;
+    scenario.mutation = None;
     let violations = check_run(&run(&scenario));
     assert!(violations.is_empty(), "clean run flagged: {violations:?}");
 }
@@ -67,7 +67,7 @@ fn mutation_skipped_snapshot_is_detected() {
     // With the skip fault armed the snapshot oracle must fire on the
     // broken cadence…
     let scenario = Scenario::mutation_snapshot(1);
-    assert!(scenario.fault_skip_snapshot);
+    assert_eq!(scenario.mutation, Some(Mutation::SkipSnapshot));
     let violations = check_run(&run(&scenario));
     assert!(
         violations.iter().any(|v| v.oracle == "snapshot"),
@@ -77,33 +77,7 @@ fn mutation_skipped_snapshot_is_detected() {
     // …and the identical scenario without the fault must satisfy every
     // oracle, including the cadence equality it just tripped.
     let mut clean = scenario.clone();
-    clean.fault_skip_snapshot = false;
+    clean.mutation = None;
     let violations = check_run(&run(&clean));
     assert!(violations.is_empty(), "clean snapshotting run flagged: {violations:?}");
-}
-
-#[test]
-fn seeds_run_deterministically_and_cleanly() {
-    // A slice of each family: same seed → byte-identical run log, and
-    // no oracle fires on the unmodified stack. (The CI job sweeps a
-    // much larger seed range; this is the smoke version.)
-    for family in Family::ALL {
-        for seed in 0..3u64 {
-            let scenario = Scenario::generate(family, seed);
-            let a = run(&scenario);
-            let b = run(&scenario);
-            assert_eq!(
-                a.run_log,
-                b.run_log,
-                "nondeterministic run for {} seed {seed}",
-                family.name()
-            );
-            let violations = check_run(&a);
-            assert!(
-                violations.is_empty(),
-                "oracle fired on clean stack, {} seed {seed}: {violations:?}",
-                family.name()
-            );
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! provided by the CORBA CoG Kit to discover, allocate and stage a
 //! scientific simulation, and then use the DISCOVER web-portal to
 //! collaboratively monitor, interact with, and steer the application."
-//! (This is the paper's companion effort, reference [43].)
+//! (This is the paper's companion effort, reference \[43\].)
 //!
 //! This crate provides that slice of grid middleware over the same ORB
 //! substrate:

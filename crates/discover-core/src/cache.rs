@@ -208,7 +208,7 @@ impl DiscoveryCache {
 
     /// Explicitly invalidate `key`. The `Invalidate` event is always
     /// logged and counted; `evict` controls whether the entry is
-    /// actually dropped — the seeded `fault_stale_cache` mutation passes
+    /// actually dropped — the seeded `Mutation::StaleCache` bug passes
     /// `false` here, which is exactly the bug the discovery oracle
     /// exists to catch (a generation served again after its
     /// invalidation).

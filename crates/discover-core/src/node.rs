@@ -50,7 +50,7 @@ impl Actor<Envelope> for DiscoverNode {
         let deadline = msg.deadline;
         // Cached content size, read before `content` is moved out; the
         // ingress handlers charge CPU from it instead of re-walking the
-        // payload with the size counter.
+        // payload with `encoded_len`.
         let content_size = msg.content_size();
         match msg.content {
             Content::HttpRequest(req) => {

@@ -30,13 +30,8 @@ use wire::{
     ObjectKey, ObjectRef, PeerMsg, PeerReply, ServerAddr, Value, WireError,
 };
 
-use discover_server::{Effect, ServerCore, CORBA_SERVER_KEY};
-
-/// Stub-side marshalling/dispatch CPU for one outgoing ORB message.
-fn charge_stub(ctx: &mut Ctx<'_, Envelope>, core: &ServerCore, msg: &PeerMsg) {
-    let bytes = wire::codec::encoded_len(msg);
-    ctx.consume(core.config.orb_costs.call_cost(bytes));
-}
+use discover_server::core::orb_call_cost;
+use discover_server::{Effect, Mutation, ServerCore, CORBA_SERVER_KEY};
 
 /// How collaboration updates travel between servers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -629,7 +624,7 @@ impl Substrate {
                     ctx.metrics().incr(names::SUBSTRATE_REMOTE_AUTH_CALLS);
                     let msg =
                         PeerMsg::Authenticate { user: user.clone(), password: password.clone() };
-                    charge_stub(ctx, core, &msg);
+                    ctx.consume(orb_call_cost(&msg));
                     let span = ctx.trace_child(dispatch, "orb.call");
                     if self
                         .broker
@@ -681,7 +676,7 @@ impl Substrate {
                         let dispatch = ctx.trace_child(self.request_trace, "substrate.dispatch");
                         ctx.metrics().incr(names::SUBSTRATE_REMOTE_OPS);
                         let msg = PeerMsg::ProxyOp { app, user, op };
-                        charge_stub(ctx, core, &msg);
+                        ctx.consume(orb_call_cost(&msg));
                         let span = ctx.trace_child(dispatch, "orb.call");
                         if self
                             .broker
@@ -796,7 +791,7 @@ impl Substrate {
                         ctx.metrics().incr(names::SUBSTRATE_COLLAB_PUSHES);
                         let msg =
                             PeerMsg::CollabUpdate { update: update.clone(), origin: self.addr };
-                        charge_stub(ctx, core, &msg);
+                        ctx.consume(orb_call_cost(&msg));
                         Broker::<CallCtx>::oneway(
                             ctx,
                             node,
@@ -917,12 +912,12 @@ impl Substrate {
                         core.clear_mirror_hint(app);
                     }
                     if self.config.discovery_cache.is_some() {
-                        // The Nak invalidates the cached route too; the
-                        // `fault_stale_cache` mutation skips only the
+                        // The Nak invalidates the cached route too;
+                        // `Mutation::StaleCache` skips only the
                         // eviction, leaving the poisoned entry for the
                         // discovery oracle to catch being re-served.
                         ctx.metrics().incr(names::SUBSTRATE_CACHE_INVALIDATIONS);
-                        let evict = !core.config.fault_stale_cache;
+                        let evict = core.config.mutation != Some(Mutation::StaleCache);
                         let name = format!("DISCOVER/apps/{app}");
                         self.cache.invalidate(ctx.now(), &name, evict);
                     }

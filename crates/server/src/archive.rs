@@ -29,6 +29,8 @@ use wire::{
     AppId, ArchiveSnapshot, ClientId, FoldedAppState, LogEntry, LogRecord, UpdateBody, UserId,
 };
 
+use crate::mutation::Mutation;
+
 /// What one application-log append did beyond the append itself
 /// (snapshot tick, segment compaction) — the metering observable.
 #[derive(Debug, Default, Clone, Copy)]
@@ -217,11 +219,9 @@ pub struct ArchiveStore {
     /// Only meaningful with `snapshot_every` set (segments close at
     /// snapshot boundaries).
     pub compact_closed_segments: bool,
-    /// Test-only fault injection: snapshot ticks silently drop their
-    /// snapshot (segments still close). Exists solely so the scenario
-    /// checker's mutation test can prove the snapshot-consistency oracle
-    /// catches missing coverage; never set outside tests.
-    pub fault_skip_snapshot: bool,
+    /// Test-only: [`Mutation::SkipSnapshot`] arms the seeded bug here.
+    #[doc(hidden)]
+    pub mutation: Option<Mutation>,
 }
 
 impl ArchiveStore {
@@ -249,7 +249,7 @@ impl ArchiveStore {
                 } else {
                     log.segment_start = log.next_seq;
                 }
-                if !self.fault_skip_snapshot {
+                if self.mutation != Some(Mutation::SkipSnapshot) {
                     log.take_snapshot(at);
                     tick.snapshot_taken = true;
                 }
@@ -460,7 +460,7 @@ mod tests {
     fn fault_skip_snapshot_drops_coverage_but_keeps_records() {
         let mut store = ArchiveStore {
             snapshot_every: Some(4),
-            fault_skip_snapshot: true,
+            mutation: Some(Mutation::SkipSnapshot),
             ..ArchiveStore::new()
         };
         for i in 0..20u64 {

@@ -35,6 +35,7 @@ use wire::{
 use crate::archive::ArchiveStore;
 use crate::collab::CollabGroups;
 use crate::locks::LockOutcome;
+use crate::mutation::Mutation;
 use crate::proxy::{ApplicationProxy, BufferPush, BufferedOp};
 use crate::security;
 use crate::store::RecordStore;
@@ -42,9 +43,26 @@ use crate::store::RecordStore;
 /// Object key under which each server's level-1 servant is reachable.
 pub const CORBA_SERVER_KEY: &str = "DiscoverCorbaServer";
 
-/// Marshalled size of a peer call body (drives the ORB cost model).
-fn codec_len_hint(msg: &PeerMsg) -> usize {
-    wire::codec::encoded_len(msg)
+// What every server runs and no caller varies. The cost models are
+// calibrated once and held fixed (`webserv::costs`); client sessions
+// always pay the SSL handshake of the paper's secure server.
+const HTTP_COSTS: HttpCosts = HttpCosts::CALIBRATED;
+const TCP_COSTS: TcpCosts = TcpCosts::CALIBRATED;
+const ORB_COSTS: OrbCosts = OrbCosts::CALIBRATED;
+/// Maximum messages returned by one poll.
+const POLL_BATCH_MAX: usize = 32;
+/// Recent-update log capacity per application (poll-mode peers).
+const UPDATE_LOG_CAPACITY: usize = 512;
+/// Create a database record every N application updates.
+const RECORD_EVERY: u64 = 16;
+/// Deterministic retry-after hint (milliseconds) embedded in
+/// `Overloaded` rejections.
+const OVERLOAD_RETRY_AFTER_MS: u64 = 500;
+
+/// Marshalling/dispatch CPU the ORB cost model charges for one peer
+/// message: stub side when sent, skeleton side when served.
+pub fn orb_call_cost(msg: &PeerMsg) -> simnet::SimDuration {
+    ORB_COSTS.call_cost(wire::codec::encoded_len(msg))
 }
 
 /// Static configuration of one DISCOVER server.
@@ -54,25 +72,11 @@ pub struct ServerConfig {
     pub addr: ServerAddr,
     /// Human name (e.g. `"rutgers"`).
     pub name: String,
-    /// HTTP/servlet cost model.
-    pub http_costs: HttpCosts,
-    /// Custom-TCP cost model.
-    pub tcp_costs: TcpCosts,
-    /// ORB cost model.
-    pub orb_costs: OrbCosts,
-    /// Whether client sessions run over the simulated SSL server.
-    pub ssl: bool,
     /// Per-client FIFO poll-buffer capacity.
     pub fifo_capacity: usize,
-    /// Maximum messages returned by one poll.
-    pub poll_batch_max: usize,
-    /// Recent-update log capacity per application (poll-mode peers).
-    pub update_log_capacity: usize,
     /// Application tokens accepted by the Daemon servlet; `None` accepts
     /// any token.
     pub accepted_tokens: Option<Vec<AppToken>>,
-    /// Create a database record every N application updates.
-    pub record_every: u64,
     /// Steering-lock lease: a holder silent for longer may be evicted on
     /// the next contending request (lazy expiry). `None` = hold forever,
     /// the paper's plain protocol.
@@ -114,19 +118,6 @@ pub struct ServerConfig {
     /// bench baselines are byte-identical; E18 and the coalescing check
     /// scenarios turn it on.
     pub coalesce_fifo: bool,
-    /// Deterministic retry-after hint (milliseconds) embedded in
-    /// `Overloaded` rejections.
-    pub overload_retry_after_ms: u64,
-    /// Test-only fault injection: plant the double-grant bug in every
-    /// registered application's steering lock (see
-    /// `SteeringLock::fault_double_grant`). Exists for the scenario
-    /// checker's mutation test; never set in production configs.
-    pub fault_double_grant: bool,
-    /// Test-only fault injection: parked sessions are never reclaimed,
-    /// leaking FIFO and lock state under mass leave — exactly the bug
-    /// the lease-reclamation oracle exists to catch. Never set in
-    /// production configs.
-    pub fault_no_reclaim: bool,
     /// Periodic archive snapshots: every N appended records per app log,
     /// the current delta segment closes and a folded-state snapshot is
     /// taken, so latecomer catch-up is nearest-snapshot + tail (O(N))
@@ -145,17 +136,10 @@ pub struct ServerConfig {
     /// crash mid-session recovers byte-identically instead of resetting.
     /// Returning clients are paced through `resume_rate_limit`.
     pub recover_from_archive: bool,
-    /// Test-only fault injection: segments close on schedule but the
-    /// snapshot itself is silently dropped — exactly the coverage gap
-    /// the snapshot-consistency oracle exists to catch. Never set in
-    /// production configs.
-    pub fault_skip_snapshot: bool,
-    /// Test-only fault injection: a `NoSuchApp` Nak still logs and
-    /// counts the discovery-cache invalidation but skips the eviction,
-    /// leaving the poisoned entry to be re-served — exactly the bug the
-    /// discovery oracle exists to catch. Never set in production
-    /// configs.
-    pub fault_stale_cache: bool,
+    /// Test-only: the one seeded bug this server runs with, for the
+    /// scenario checker's mutation test. Never set in production configs.
+    #[doc(hidden)]
+    pub mutation: Option<Mutation>,
 }
 
 impl ServerConfig {
@@ -164,15 +148,8 @@ impl ServerConfig {
         ServerConfig {
             addr,
             name: name.into(),
-            http_costs: HttpCosts::default(),
-            tcp_costs: TcpCosts::default(),
-            orb_costs: OrbCosts::default(),
-            ssl: true,
             fifo_capacity: 256,
-            poll_batch_max: 32,
-            update_log_capacity: 512,
             accepted_tokens: None,
-            record_every: 16,
             lock_lease: None,
             peer_rate_limit: None,
             session_idle_timeout: Some(simnet::SimDuration::from_secs(600)),
@@ -181,14 +158,10 @@ impl ServerConfig {
             admission_inflight_max: None,
             proxy_buffer_capacity: None,
             coalesce_fifo: false,
-            overload_retry_after_ms: 500,
-            fault_double_grant: false,
-            fault_no_reclaim: false,
             snapshot_every: None,
             compact_closed_segments: false,
             recover_from_archive: false,
-            fault_skip_snapshot: false,
-            fault_stale_cache: false,
+            mutation: None,
         }
     }
 }
@@ -425,7 +398,7 @@ impl ServerCore {
         let mut archive = ArchiveStore::new();
         archive.snapshot_every = config.snapshot_every;
         archive.compact_closed_segments = config.compact_closed_segments;
-        archive.fault_skip_snapshot = config.fault_skip_snapshot;
+        archive.mutation = config.mutation;
         ServerCore {
             config,
             sessions: SessionTable::new(),
@@ -695,7 +668,7 @@ impl ServerCore {
         // size, so the cost model reads the same number instead of
         // running a second full serializer walk over the body.
         let env = Envelope::http_response(HttpResponse { status, set_session, body });
-        let cost = self.config.http_costs.response_cost(env.wire_size(), self.config.ssl);
+        let cost = HTTP_COSTS.response_cost(env.wire_size());
         ctx.consume(cost);
         ctx.metrics().incr(names::SERVER_HTTP_RESPONSES);
         ctx.send(to, env);
@@ -813,10 +786,7 @@ impl ServerCore {
                     "daemon buffer full; redirect: DISCOVER/apps/{app} mirrored at host {mirror}"
                 )
             }
-            None => format!(
-                "daemon buffer full; retry-after: {}ms",
-                self.config.overload_retry_after_ms
-            ),
+            None => format!("daemon buffer full; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
         };
         self.drop_op(ctx, victim.req, WireError::new(ErrorCode::Overloaded, detail));
     }
@@ -864,7 +834,7 @@ impl ServerCore {
                 // Envelope construction performs the one sizing walk;
                 // the cost model reuses its cached size.
                 let env = Envelope::tcp(TcpFrame::new(Channel::Command, AppMsg::Command { req, op }));
-                ctx.consume(self.config.tcp_costs.frame_cost(env.wire_size()));
+                ctx.consume(TCP_COSTS.frame_cost(env.wire_size()));
                 ctx.send(node, env);
                 // Application compute time: from command departure to the
                 // daemon's response.
@@ -970,7 +940,7 @@ impl ServerCore {
                     &operation,
                     PeerReply::OpResult { app, result: result.clone() },
                 ));
-                ctx.consume(self.config.orb_costs.call_cost(env.wire_size()));
+                ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
                 ctx.send(node, env);
                 // The host owns global fan-out of state changes caused by
                 // remote steerers.
@@ -1062,7 +1032,7 @@ impl ServerCore {
         ctx.metrics().incr(names::SERVER_HTTP_REQUESTS);
         // `wire_bytes` is the envelope's cached content size — the same
         // number `req.wire_size()` would produce, minus the re-walk.
-        ctx.consume(self.config.http_costs.request_cost(wire_bytes, self.config.ssl));
+        ctx.consume(HTTP_COSTS.request_cost(wire_bytes));
         let mut effects = Vec::new();
 
         // Webserv ingress deadline check: work that expired in the
@@ -1151,10 +1121,7 @@ impl ServerCore {
                         None,
                         vec![Self::error(
                             ErrorCode::Overloaded,
-                            format!(
-                                "server overloaded; retry-after: {}ms",
-                                self.config.overload_retry_after_ms
-                            ),
+                            format!("server overloaded; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
                         )],
                     );
                     return effects;
@@ -1173,7 +1140,7 @@ impl ServerCore {
                 // reserves exactly once from the iterator's exact size.
                 let mut batch = Vec::new();
                 if let Some(f) = self.fifos.get_mut(&client) {
-                    f.drain_into(self.config.poll_batch_max, &mut batch);
+                    f.drain_into(POLL_BATCH_MAX, &mut batch);
                 }
                 ctx.metrics().incr(names::SERVER_POLL_REQUESTS);
                 ctx.metrics().add(names::SERVER_POLL_DELIVERED, batch.len() as u64);
@@ -1319,9 +1286,7 @@ impl ServerCore {
                 )],
             );
         }
-        if self.config.ssl {
-            ctx.consume(self.config.http_costs.ssl_handshake);
-        }
+        ctx.consume(HTTP_COSTS.ssl_handshake);
         let client = ClientId { server: self.config.addr, seq: self.next_client_seq };
         self.next_client_seq += 1;
         let now = ctx.now();
@@ -1383,14 +1348,14 @@ impl ServerCore {
                         &user,
                         format_args!("limit={limit}"),
                     );
-                    let base_ms = self.config.overload_retry_after_ms;
-                    let jitter_ms =
-                        wire::jitter::retry_jitter_us(&user, 0, base_ms.max(1) * 1000) / 1000;
+                    let retry_ms = OVERLOAD_RETRY_AFTER_MS
+                        + wire::jitter::retry_jitter_us(&user, 0, OVERLOAD_RETRY_AFTER_MS * 1000)
+                            / 1000;
                     return (
                         200,
                         vec![Self::error(
                             ErrorCode::Overloaded,
-                            format!("resume deferred; retry-after: {}ms", base_ms + jitter_ms),
+                            format!("resume deferred; retry-after: {retry_ms}ms"),
                         )],
                     );
                 }
@@ -1836,7 +1801,7 @@ impl ServerCore {
     ) -> Vec<Effect> {
         ctx.metrics().incr(names::SERVER_TCP_FRAMES);
         // Cached envelope size; identical to `frame.wire_size()`.
-        ctx.consume(self.config.tcp_costs.frame_cost(wire_bytes));
+        ctx.consume(TCP_COSTS.frame_cost(wire_bytes));
         let mut effects = Vec::new();
         match frame.msg {
             AppMsg::Register { token, name, kind, acl, interface, slot } => {
@@ -1887,10 +1852,10 @@ impl ServerCore {
                     from,
                     interface,
                     acl,
-                    self.config.update_log_capacity,
+                    UPDATE_LOG_CAPACITY,
                 );
                 proxy.buffer_capacity = self.config.proxy_buffer_capacity;
-                proxy.lock.fault_double_grant = self.config.fault_double_grant;
+                proxy.lock.mutation = self.config.mutation;
                 self.apps.insert(app, proxy);
                 self.app_by_node.insert(from, app);
                 ctx.metrics().incr(names::SERVER_DAEMON_REGISTERED);
@@ -1912,7 +1877,7 @@ impl ServerCore {
                     // read-only grants for the ACL users (§6.3).
                     let counter = self.update_counter.entry(app).or_insert(0);
                     *counter += 1;
-                    if (*counter).is_multiple_of(self.config.record_every) {
+                    if (*counter).is_multiple_of(RECORD_EVERY) {
                         let proxy = &self.apps[&app];
                         let owner = proxy.owner.clone();
                         let readers = proxy.acl_users();
@@ -2092,12 +2057,11 @@ impl ServerCore {
             }
         }
         // Skeleton-side unmarshalling/dispatch cost for every incoming call.
-        let incoming_bytes = codec_len_hint(&call);
-        ctx.consume(self.config.orb_costs.call_cost(incoming_bytes));
-        let reply = |core: &mut Self, ctx: &mut Ctx<'_, Envelope>, r: PeerReply| {
+        ctx.consume(orb_call_cost(&call));
+        let reply = |ctx: &mut Ctx<'_, Envelope>, r: PeerReply| {
             if expects_reply {
                 let env = Envelope::giop(GiopFrame::reply(request_id, target.clone(), &operation, r));
-                ctx.consume(core.config.orb_costs.call_cost(env.wire_size()));
+                ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
                 ctx.send(from, env);
             }
         };
@@ -2105,15 +2069,15 @@ impl ServerCore {
             PeerMsg::Authenticate { user, password } => {
                 ctx.metrics().incr(names::SERVER_PEER_AUTH);
                 if !security::credentials_valid(&user, &password) {
-                    reply(self, ctx, PeerReply::AuthDenied);
+                    reply(ctx, PeerReply::AuthDenied);
                     return effects;
                 }
                 let apps: Vec<AppDescriptor> =
                     self.apps.values().filter_map(|p| p.descriptor_for(&user)).collect();
                 if apps.is_empty() {
-                    reply(self, ctx, PeerReply::AuthDenied);
+                    reply(ctx, PeerReply::AuthDenied);
                 } else {
-                    reply(self, ctx, PeerReply::AuthOk { apps });
+                    reply(ctx, PeerReply::AuthOk { apps });
                 }
             }
             PeerMsg::ListActive => {
@@ -2129,13 +2093,12 @@ impl ServerCore {
                         interface: p.interface.clone(),
                     })
                     .collect();
-                reply(self, ctx, PeerReply::Active { apps, users: self.sessions.users() });
+                reply(ctx, PeerReply::Active { apps, users: self.sessions.users() });
             }
             PeerMsg::ProxyOp { app, user, op } => {
                 ctx.metrics().incr(names::SERVER_PEER_PROXY_OPS);
                 let Some(proxy) = self.apps.get(&app) else {
                     reply(
-                        self,
                         ctx,
                         PeerReply::OpResult {
                             app,
@@ -2146,7 +2109,6 @@ impl ServerCore {
                 };
                 let Some(privilege) = proxy.privilege_of(&user) else {
                     reply(
-                        self,
                         ctx,
                         PeerReply::OpResult {
                             app,
@@ -2156,12 +2118,11 @@ impl ServerCore {
                     return effects;
                 };
                 if let Err(e) = security::authorize_op(privilege, &op) {
-                    reply(self, ctx, PeerReply::OpResult { app, result: Err(e) });
+                    reply(ctx, PeerReply::OpResult { app, result: Err(e) });
                     return effects;
                 }
                 if op.is_mutating() && !proxy.lock.is_held_by(&user) {
                     reply(
-                        self,
                         ctx,
                         PeerReply::OpResult {
                             app,
@@ -2176,7 +2137,6 @@ impl ServerCore {
                 if matches!(op, AppOp::GetStatus) {
                     let status = proxy.last_status.clone();
                     reply(
-                        self,
                         ctx,
                         PeerReply::OpResult { app, result: Ok(OpOutcome::Status(status)) },
                     );
@@ -2197,7 +2157,6 @@ impl ServerCore {
                 ctx.metrics().incr(names::SERVER_PEER_LOCK_REQUESTS);
                 match self.apps.get_mut(&app) {
                     None => reply(
-                        self,
                         ctx,
                         PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
                     ),
@@ -2223,7 +2182,6 @@ impl ServerCore {
                                 format_args!("origin=relay via={}", via.0),
                             );
                             reply(
-                                self,
                                 ctx,
                                 PeerReply::LockDecision {
                                     app,
@@ -2244,7 +2202,6 @@ impl ServerCore {
                                 format_args!("origin=relay holder={}", holder.as_str()),
                             );
                             reply(
-                                self,
                                 ctx,
                                 PeerReply::LockDecision { app, granted: false, holder: Some(holder) },
                             );
@@ -2254,7 +2211,6 @@ impl ServerCore {
             }
             PeerMsg::LockRelease { app, user } => match self.apps.get_mut(&app) {
                 None => reply(
-                    self,
                     ctx,
                     PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
                 ),
@@ -2266,7 +2222,7 @@ impl ServerCore {
                             user.as_str(),
                             "origin=relay",
                         );
-                        reply(self, ctx, PeerReply::LockDecision { app, granted: true, holder: None });
+                        reply(ctx, PeerReply::LockDecision { app, granted: true, holder: None });
                         let update = UpdateBody::LockChanged { app, holder: None };
                         self.route_update(ctx, update, None, None, &mut effects);
                     } else {
@@ -2280,7 +2236,7 @@ impl ServerCore {
                                 holder.as_ref().map(|h| h.as_str()).unwrap_or("-")
                             ),
                         );
-                        reply(self, ctx, PeerReply::LockDecision { app, granted: false, holder });
+                        reply(ctx, PeerReply::LockDecision { app, granted: false, holder });
                     }
                 }
             },
@@ -2288,7 +2244,7 @@ impl ServerCore {
                 ctx.metrics().incr(names::SERVER_PEER_SUBSCRIBES);
                 if self.apps.contains_key(&app) {
                     self.subscribers.entry(app).or_default().insert(subscriber);
-                    reply(self, ctx, PeerReply::SubscribeOk { app });
+                    reply(ctx, PeerReply::SubscribeOk { app });
                     // Seed the subscriber with the current status.
                     if let Some(proxy) = self.apps.get(&app) {
                         effects.push(Effect::PushToPeers {
@@ -2302,7 +2258,6 @@ impl ServerCore {
                     }
                 } else {
                     reply(
-                        self,
                         ctx,
                         PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
                     );
@@ -2312,7 +2267,7 @@ impl ServerCore {
                 if let Some(set) = self.subscribers.get_mut(&app) {
                     set.remove(&subscriber);
                 }
-                reply(self, ctx, PeerReply::SubscribeOk { app });
+                reply(ctx, PeerReply::SubscribeOk { app });
             }
             PeerMsg::CollabUpdate { update, origin } => {
                 ctx.metrics().incr(names::SERVER_PEER_COLLAB_UPDATES);
@@ -2322,10 +2277,9 @@ impl ServerCore {
                 match self.apps.get(&app) {
                     Some(proxy) => {
                         let (updates, next_seq) = proxy.updates_since(since, Some(requester));
-                        reply(self, ctx, PeerReply::Updates { app, updates, next_seq });
+                        reply(ctx, PeerReply::Updates { app, updates, next_seq });
                     }
                     None => reply(
-                        self,
                         ctx,
                         PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
                     ),
@@ -2333,7 +2287,7 @@ impl ServerCore {
             }
             PeerMsg::FetchHistory { app, since } => {
                 let (records, next_seq) = self.archive.fetch_app(app, since);
-                reply(self, ctx, PeerReply::History { app, records, next_seq });
+                reply(ctx, PeerReply::History { app, records, next_seq });
             }
             PeerMsg::Control(event) => {
                 ctx.metrics().incr_dynamic(&format!("server.control.{:?}", event.kind));
@@ -2342,7 +2296,6 @@ impl ServerCore {
             // Directory operations belong to the directory node.
             other => {
                 reply(
-                    self,
                     ctx,
                     PeerReply::Exception(WireError::new(
                         ErrorCode::BadRequest,
@@ -2615,10 +2568,10 @@ impl ServerCore {
         }
         // Park-TTL expiry keeps parked state bounded: the grace window
         // elapsed with no resume, so the session is torn down for real.
-        // The test-only `fault_no_reclaim` mutation disables exactly this
-        // step (the leak the lease-reclamation oracle exists to catch).
+        // `Mutation::NoReclaim` disables exactly this step (the leak the
+        // lease-reclamation oracle exists to catch).
         if let Some(ttl) = self.config.session_park_ttl {
-            if !self.config.fault_no_reclaim {
+            if self.config.mutation != Some(Mutation::NoReclaim) {
                 let expired: Vec<u64> = self
                     .parked
                     .iter()

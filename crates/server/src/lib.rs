@@ -30,6 +30,7 @@ mod archive;
 mod collab;
 pub mod core;
 mod locks;
+mod mutation;
 mod proxy;
 pub mod security;
 mod standalone;
@@ -39,6 +40,7 @@ pub use archive::{ArchiveStore, Log};
 pub use collab::CollabGroups;
 pub use core::{Effect, RemoteApp, ServerConfig, ServerCore, CORBA_SERVER_KEY};
 pub use locks::{LockOutcome, SteeringLock};
+pub use mutation::Mutation;
 pub use proxy::{ApplicationProxy, BufferPush, BufferedOp};
 pub use standalone::StandaloneServer;
 pub use store::{Record, RecordAccess, RecordStore};

@@ -20,6 +20,8 @@
 use simnet::{SimDuration, SimTime};
 use wire::{ServerAddr, UserId};
 
+use crate::mutation::Mutation;
+
 /// Steering-lock state for one application.
 #[derive(Debug, Default)]
 pub struct SteeringLock {
@@ -40,12 +42,9 @@ pub struct SteeringLock {
     pub denials: u64,
     /// Total lease evictions (lazy + eager).
     pub evictions: u64,
-    /// Test-only fault injection: when set, a contending acquire is
-    /// *granted* without evicting the holder (two clients both believe
-    /// they drive). Exists solely so the scenario checker's mutation
-    /// test can prove the linearizability oracle catches a double grant;
-    /// never set outside tests.
-    pub fault_double_grant: bool,
+    /// Test-only: [`Mutation::DoubleGrant`] arms the seeded bug here.
+    #[doc(hidden)]
+    pub mutation: Option<Mutation>,
 }
 
 /// Outcome of a lock request.
@@ -140,9 +139,7 @@ impl SteeringLock {
                 self.acquisitions += 1;
                 LockOutcome::Granted
             }
-            Some(h) if self.fault_double_grant => {
-                // Injected bug: grant over a live holder (see field doc).
-                let _ = h;
+            Some(_) if self.mutation == Some(Mutation::DoubleGrant) => {
                 self.acquisitions += 1;
                 LockOutcome::Granted
             }
@@ -296,7 +293,7 @@ mod tests {
     #[test]
     fn double_grant_fault_injection() {
         let mut lock = SteeringLock::new();
-        lock.fault_double_grant = true;
+        lock.mutation = Some(Mutation::DoubleGrant);
         assert_eq!(lock.try_acquire(&u("a"), SimTime::ZERO), LockOutcome::Granted);
         // The injected bug grants the contender while "a" still holds.
         assert_eq!(lock.try_acquire(&u("b"), SimTime::ZERO), LockOutcome::Granted);

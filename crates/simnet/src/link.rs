@@ -19,7 +19,7 @@ pub struct LinkSpec {
     pub bandwidth_bps: Option<u64>,
     /// Maximum uniform random jitter added to each delivery.
     pub jitter: SimDuration,
-    /// Probability in [0,1] that a message is silently dropped.
+    /// Probability in `[0,1]` that a message is silently dropped.
     pub loss: f64,
     /// Label used for per-class stats (e.g. `"lan"`, `"wan"`).
     pub label: &'static str,

@@ -1,10 +1,12 @@
 //! CPU cost model of the servlet container.
 //!
 //! These constants stand in for the 2001-era web-server + servlet-JVM
-//! processing the paper's numbers reflect. They are calibrated once (see
-//! `bench/src/calibration.rs` and EXPERIMENTS.md) so that the paper's
-//! single-server knees (~40 applications, ~20 HTTP clients) emerge, and
-//! are then held fixed for every experiment.
+//! processing the paper's numbers reflect. They were calibrated once
+//! (EXPERIMENTS.md "Calibration" records the targets) so that the
+//! paper's single-server knees (~40 applications, ~20 HTTP clients)
+//! emerge, and are held fixed for every experiment: the `CALIBRATED`
+//! constants below are their only home, and no server config carries a
+//! copy to vary.
 
 use simnet::SimDuration;
 
@@ -24,38 +26,29 @@ pub struct HttpCosts {
     pub ssl_per_byte: SimDuration,
 }
 
-impl Default for HttpCosts {
-    fn default() -> Self {
-        // Era calibration (see EXPERIMENTS.md): chosen once so that the
-        // paper's single-server knees (~20 HTTP clients, >40 TCP apps)
-        // emerge from queueing; all experiments share these constants.
-        HttpCosts {
-            parse_dispatch: SimDuration::from_micros(5500),
-            render: SimDuration::from_micros(1500),
-            per_body_byte: SimDuration::from_micros(3),
-            ssl_handshake: SimDuration::from_millis(18),
-            ssl_per_byte: SimDuration::from_micros(1) / 10,
-        }
-    }
-}
-
 impl HttpCosts {
-    /// Total CPU to receive and parse a request of `body_bytes`.
-    pub fn request_cost(&self, body_bytes: usize, ssl: bool) -> SimDuration {
-        let mut d = self.parse_dispatch + self.per_body_byte * body_bytes as u64;
-        if ssl {
-            d += self.ssl_per_byte * body_bytes as u64;
-        }
-        d
+    /// Era calibration (see EXPERIMENTS.md): chosen once so that the
+    /// paper's single-server knees (~20 HTTP clients, >40 TCP apps)
+    /// emerge from queueing; all experiments share these constants.
+    pub const CALIBRATED: HttpCosts = HttpCosts {
+        parse_dispatch: SimDuration::from_micros(5500),
+        render: SimDuration::from_micros(1500),
+        per_body_byte: SimDuration::from_micros(3),
+        ssl_handshake: SimDuration::from_millis(18),
+        // 0.1 µs per byte is below the clock's 1 µs resolution and has
+        // always rounded to zero: the handshake carries the SSL cost.
+        ssl_per_byte: SimDuration::ZERO,
+    };
+
+    /// Total CPU to receive and parse a request of `body_bytes` on the
+    /// paper's SSL-based secure server.
+    pub fn request_cost(&self, body_bytes: usize) -> SimDuration {
+        self.parse_dispatch + (self.per_body_byte + self.ssl_per_byte) * body_bytes as u64
     }
 
     /// Total CPU to render and send a response of `body_bytes`.
-    pub fn response_cost(&self, body_bytes: usize, ssl: bool) -> SimDuration {
-        let mut d = self.render + self.per_body_byte * body_bytes as u64;
-        if ssl {
-            d += self.ssl_per_byte * body_bytes as u64;
-        }
-        d
+    pub fn response_cost(&self, body_bytes: usize) -> SimDuration {
+        self.render + (self.per_body_byte + self.ssl_per_byte) * body_bytes as u64
     }
 }
 
@@ -70,16 +63,13 @@ pub struct TcpCosts {
     pub per_byte: SimDuration,
 }
 
-impl Default for TcpCosts {
-    fn default() -> Self {
-        TcpCosts {
-            per_frame: SimDuration::from_micros(2200),
-            per_byte: SimDuration::from_micros(1),
-        }
-    }
-}
-
 impl TcpCosts {
+    /// The calibrated model (see [`HttpCosts::CALIBRATED`]).
+    pub const CALIBRATED: TcpCosts = TcpCosts {
+        per_frame: SimDuration::from_micros(2200),
+        per_byte: SimDuration::from_micros(1),
+    };
+
     /// CPU to handle one frame of `bytes`.
     pub fn frame_cost(&self, bytes: usize) -> SimDuration {
         self.per_frame + self.per_byte * bytes as u64
@@ -97,16 +87,13 @@ pub struct OrbCosts {
     pub per_byte: SimDuration,
 }
 
-impl Default for OrbCosts {
-    fn default() -> Self {
-        OrbCosts {
-            per_call: SimDuration::from_micros(3000),
-            per_byte: SimDuration::from_micros(2),
-        }
-    }
-}
-
 impl OrbCosts {
+    /// The calibrated model (see [`HttpCosts::CALIBRATED`]).
+    pub const CALIBRATED: OrbCosts = OrbCosts {
+        per_call: SimDuration::from_micros(3000),
+        per_byte: SimDuration::from_micros(2),
+    };
+
     /// CPU to issue or serve one call of `bytes`.
     pub fn call_cost(&self, bytes: usize) -> SimDuration {
         self.per_call + self.per_byte * bytes as u64
@@ -118,14 +105,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn http_costs_scale_with_size_and_ssl() {
-        let c = HttpCosts::default();
-        let small = c.request_cost(10, false);
-        let big = c.request_cost(1000, false);
-        assert!(big > small);
-        let ssl = c.request_cost(1000, true);
-        assert!(ssl >= big);
-        assert!(c.response_cost(0, false) >= c.render);
+    fn http_costs_scale_with_size() {
+        let c = HttpCosts::CALIBRATED;
+        assert!(c.request_cost(1000) > c.request_cost(10));
+        assert!(c.response_cost(0) >= c.render);
     }
 
     #[test]
@@ -133,9 +116,9 @@ mod tests {
         // For a typical small interaction message, the paper's observed
         // ordering must hold structurally: custom TCP < ORB < HTTP+servlet.
         let bytes = 120;
-        let tcp = TcpCosts::default().frame_cost(bytes);
-        let orb = OrbCosts::default().call_cost(bytes);
-        let http = HttpCosts::default().request_cost(bytes, false);
+        let tcp = TcpCosts::CALIBRATED.frame_cost(bytes);
+        let orb = OrbCosts::CALIBRATED.call_cost(bytes);
+        let http = HttpCosts::CALIBRATED.request_cost(bytes);
         assert!(tcp < orb, "tcp {tcp} should undercut orb {orb}");
         assert!(orb < http, "orb {orb} should undercut http {http}");
     }

@@ -8,22 +8,27 @@
 //! variants are encoded as a `u32` variant index followed by the variant
 //! payload; `Option` is a single presence byte.
 //!
-//! Four entry points:
+//! Five entry points:
 //! * [`encode`] — serialize a value to bytes,
+//! * [`encoded_len`] — byte length without materializing the buffer
+//!   (drives the simulator's bandwidth model),
+//! * [`digest_fnv1a`] — hash of those bytes without materializing them,
 //! * [`decode`] — deserialize a value from bytes (rejecting trailing garbage),
 //! * [`decode_borrowed`] — deserialize from a refcounted receive buffer,
-//!   letting frozen payloads borrow slices of it instead of copying,
-//! * [`encoded_len`] — byte length without materializing the buffer
-//!   (drives the simulator's bandwidth model).
+//!   letting frozen payloads borrow slices of it instead of copying.
+//!
+//! The first three are one serializer walk over three sinks (a buffer,
+//! a byte count, a hash state), so they cannot disagree on a byte or on
+//! which inputs they reject.
 //!
 //! Three hot-path mechanisms keep broadcast fan-out cheap:
 //! * a per-thread **pooled encode buffer** ([`encode`] reuses one
 //!   `BytesMut` instead of allocating 64 bytes and growing every call,
 //!   and finalizes by *splitting* the exact-size contents off the pooled
 //!   buffer — a refcount handoff, not a copy),
-//! * a **raw-splice fast path** ([`SPLICE_TOKEN`]) letting pre-encoded
-//!   payloads pass through both the serializer and the size counter
-//!   verbatim, so a payload frozen once is never walked again,
+//! * a **raw-splice fast path** (the `SPLICE_TOKEN` newtype name)
+//!   letting pre-encoded payloads pass through the serializer verbatim,
+//!   so a payload frozen once is never walked again,
 //! * a **zero-copy ingress path** ([`decode_borrowed`]): while decoding
 //!   from a registered receive buffer, a frozen payload's bytes are
 //!   taken as a refcounted slice of that buffer — the payload is never
@@ -44,9 +49,9 @@ use serde::ser::{self, Serialize};
 /// A shared payload (see [`FrozenUpdate`](crate::FrozenUpdate)) that
 /// already holds its own DBP encoding serializes itself as
 /// `serialize_newtype_struct(SPLICE_TOKEN, raw_bytes)`; the serializer
-/// and the size counter both recognise the token and emit/count the
-/// bytes verbatim — no length prefix, no second traversal — so the
-/// result is byte-identical to serializing the payload inline.
+/// recognises the token and hands the bytes to its sink verbatim — no
+/// length prefix, no second traversal — so the result is byte-identical
+/// to serializing the payload inline.
 pub(crate) const SPLICE_TOKEN: &str = "\0dbp-splice";
 
 /// Initial capacity of pooled encode buffers: large enough that steady
@@ -178,6 +183,10 @@ pub fn reset_stats() {
     STATS.with(|s| s.set(CodecStats::default()));
 }
 
+/// Why the entry points may `expect` a walk: every wire type serializes
+/// through derived impls that always pass sequence and map lengths.
+const INFALLIBLE: &str = "DBP serialization is infallible for wire types";
+
 /// Serialize `value` to bytes using this thread's pooled buffer.
 ///
 /// The pooled `BytesMut` is cleared, filled by a single serializer walk,
@@ -197,9 +206,7 @@ pub fn encode<T: Serialize>(value: &T) -> Bytes {
         }
     };
     buf.clear();
-    value
-        .serialize(&mut DbpSerializer { out: &mut buf, splice_armed: false })
-        .expect("DBP serialization is infallible for wire types");
+    let mut buf = walk(buf, value).expect(INFALLIBLE);
     let bytes = buf.split().freeze();
     POOL.with(|p| p.set(Some(buf)));
     bump(|s| {
@@ -213,33 +220,17 @@ pub fn encode<T: Serialize>(value: &T) -> Bytes {
 /// touching the encode pool or the hot-path stats ledger. The archive
 /// fold digests every event-class record it absorbs; that bookkeeping
 /// must not register as wire traffic (the encode-once gates count
-/// every [`encode`] call), so the digest walks the same serializer into
-/// a private scratch buffer and hashes it in place.
+/// every [`encode`] call), so the digest is the same serializer walk
+/// feeding a hash state instead of a buffer.
 pub fn digest_fnv1a<T: Serialize>(value: &T) -> u64 {
-    thread_local! {
-        static SCRATCH: Cell<Option<BytesMut>> = const { Cell::new(None) };
-    }
-    let mut buf =
-        SCRATCH.with(|c| c.take()).unwrap_or_else(|| BytesMut::with_capacity(POOL_BUF_CAPACITY));
-    buf.clear();
-    value
-        .serialize(&mut DbpSerializer { out: &mut buf, splice_armed: false })
-        .expect("DBP serialization is infallible for wire types");
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in buf.as_ref() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    SCRATCH.with(|c| c.set(Some(buf)));
-    hash
+    walk(Fnv1a(0xcbf2_9ce4_8422_2325), value).expect(INFALLIBLE).0
 }
 
 /// Byte length `encode(value)` would produce, without allocating it.
 pub fn encoded_len<T: Serialize>(value: &T) -> usize {
-    let mut counter = SizeCounter { len: 0, splice_armed: false };
-    value.serialize(&mut counter).expect("DBP size counting is infallible for wire types");
+    let len = walk(0usize, value).expect(INFALLIBLE);
     bump(|s| s.len_walks += 1);
-    counter.len
+    len
 }
 
 /// Deserialize a value of type `T` from `bytes`, requiring full consumption.
@@ -288,36 +279,78 @@ pub fn note_drain_reuse() {
 }
 
 // ---------------------------------------------------------------------------
-// Serializer
+// Serializer: one walk, three sinks
 // ---------------------------------------------------------------------------
 
-struct DbpSerializer<'a> {
-    out: &'a mut BytesMut,
+/// Where a serializer walk puts the bytes it produces. Monomorphised per
+/// sink, so the counting walk compiles down to `len += n`.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+/// [`encode`]: the bytes themselves.
+impl Sink for BytesMut {
+    fn put(&mut self, bytes: &[u8]) {
+        self.put_slice(bytes);
+    }
+}
+
+/// [`encoded_len`]: only how many.
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// [`digest_fnv1a`]: the running 64-bit FNV-1a hash.
+struct Fnv1a(u64);
+
+impl Sink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Run the one DBP serializer walk over `value` into `out`.
+fn walk<S: Sink, T: Serialize + ?Sized>(out: S, value: &T) -> Result<S, CodecError> {
+    let mut ser = DbpSerializer { out, splice_armed: false };
+    value.serialize(&mut ser)?;
+    Ok(ser.out)
+}
+
+struct DbpSerializer<S> {
+    out: S,
     /// Set while serializing the immediate payload of a
     /// [`SPLICE_TOKEN`] newtype struct: the next `serialize_bytes` call
     /// emits its input verbatim, with no length prefix.
     splice_armed: bool,
 }
 
-impl<'a> DbpSerializer<'a> {
+impl<S: Sink> DbpSerializer<S> {
+    fn put_u32(&mut self, v: u32) {
+        self.out.put(&v.to_le_bytes());
+    }
+
     fn put_len(&mut self, len: usize) -> Result<(), CodecError> {
         let len32 =
             u32::try_from(len).map_err(|_| CodecError::Invalid("length > u32::MAX".into()))?;
-        self.out.put_u32_le(len32);
+        self.put_u32(len32);
         Ok(())
     }
 }
 
 macro_rules! ser_fixed {
-    ($name:ident, $ty:ty, $put:ident) => {
+    ($($name:ident($ty:ty),)*) => {$(
         fn $name(self, v: $ty) -> Result<(), CodecError> {
-            self.out.$put(v);
+            self.out.put(&v.to_le_bytes());
             Ok(())
         }
-    };
+    )*};
 }
 
-impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
+impl<S: Sink> ser::Serializer for &mut DbpSerializer<S> {
     type Ok = ();
     type Error = CodecError;
     type SerializeSeq = Self;
@@ -329,51 +362,52 @@ impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.put_u8(v as u8);
+        self.out.put(&[v as u8]);
         Ok(())
     }
 
-    ser_fixed!(serialize_i8, i8, put_i8);
-    ser_fixed!(serialize_i16, i16, put_i16_le);
-    ser_fixed!(serialize_i32, i32, put_i32_le);
-    ser_fixed!(serialize_i64, i64, put_i64_le);
-    ser_fixed!(serialize_u8, u8, put_u8);
-    ser_fixed!(serialize_u16, u16, put_u16_le);
-    ser_fixed!(serialize_u32, u32, put_u32_le);
-    ser_fixed!(serialize_u64, u64, put_u64_le);
-    ser_fixed!(serialize_f32, f32, put_f32_le);
-    ser_fixed!(serialize_f64, f64, put_f64_le);
+    ser_fixed! {
+        serialize_i8(i8),
+        serialize_i16(i16),
+        serialize_i32(i32),
+        serialize_i64(i64),
+        serialize_u8(u8),
+        serialize_u16(u16),
+        serialize_u32(u32),
+        serialize_u64(u64),
+        serialize_f32(f32),
+        serialize_f64(f64),
+    }
 
     fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.out.put_u32_le(v as u32);
+        self.put_u32(v as u32);
         Ok(())
     }
 
     fn serialize_str(self, v: &str) -> Result<(), CodecError> {
         self.put_len(v.len())?;
-        self.out.put_slice(v.as_bytes());
+        self.out.put(v.as_bytes());
         Ok(())
     }
 
     fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
         if self.splice_armed {
             self.splice_armed = false;
-            self.out.put_slice(v);
             bump(|s| s.payload_splices += 1);
-            return Ok(());
+        } else {
+            self.put_len(v.len())?;
         }
-        self.put_len(v.len())?;
-        self.out.put_slice(v);
+        self.out.put(v);
         Ok(())
     }
 
     fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.put_u8(0);
+        self.out.put(&[0]);
         Ok(())
     }
 
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.put_u8(1);
+        self.out.put(&[1]);
         value.serialize(self)
     }
 
@@ -391,7 +425,7 @@ impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
         variant_index: u32,
         _variant: &'static str,
     ) -> Result<(), CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put_u32(variant_index);
         Ok(())
     }
 
@@ -416,7 +450,7 @@ impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
         _variant: &'static str,
         value: &T,
     ) -> Result<(), CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put_u32(variant_index);
         value.serialize(self)
     }
 
@@ -441,7 +475,7 @@ impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put_u32(variant_index);
         Ok(self)
     }
 
@@ -462,14 +496,14 @@ impl<'a, 'b> ser::Serializer for &'b mut DbpSerializer<'a> {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(variant_index);
+        self.put_u32(variant_index);
         Ok(self)
     }
 }
 
 macro_rules! ser_compound {
     ($tr:path, $func:ident) => {
-        impl<'a, 'b> $tr for &'b mut DbpSerializer<'a> {
+        impl<S: Sink> $tr for &mut DbpSerializer<S> {
             type Ok = ();
             type Error = CodecError;
             fn $func<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
@@ -487,7 +521,7 @@ ser_compound!(ser::SerializeTuple, serialize_element);
 ser_compound!(ser::SerializeTupleStruct, serialize_field);
 ser_compound!(ser::SerializeTupleVariant, serialize_field);
 
-impl<'a, 'b> ser::SerializeMap for &'b mut DbpSerializer<'a> {
+impl<S: Sink> ser::SerializeMap for &mut DbpSerializer<S> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
@@ -501,7 +535,7 @@ impl<'a, 'b> ser::SerializeMap for &'b mut DbpSerializer<'a> {
     }
 }
 
-impl<'a, 'b> ser::SerializeStruct for &'b mut DbpSerializer<'a> {
+impl<S: Sink> ser::SerializeStruct for &mut DbpSerializer<S> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -516,229 +550,7 @@ impl<'a, 'b> ser::SerializeStruct for &'b mut DbpSerializer<'a> {
     }
 }
 
-impl<'a, 'b> ser::SerializeStructVariant for &'b mut DbpSerializer<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Size counter (same traversal, no buffer)
-// ---------------------------------------------------------------------------
-
-struct SizeCounter {
-    len: usize,
-    /// Mirrors [`DbpSerializer::splice_armed`] so spliced payloads are
-    /// counted without the length prefix, keeping both walks identical.
-    splice_armed: bool,
-}
-
-macro_rules! count_fixed {
-    ($name:ident, $ty:ty, $n:expr) => {
-        fn $name(self, _v: $ty) -> Result<(), CodecError> {
-            self.len += $n;
-            Ok(())
-        }
-    };
-}
-
-impl ser::Serializer for &mut SizeCounter {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    count_fixed!(serialize_bool, bool, 1);
-    count_fixed!(serialize_i8, i8, 1);
-    count_fixed!(serialize_i16, i16, 2);
-    count_fixed!(serialize_i32, i32, 4);
-    count_fixed!(serialize_i64, i64, 8);
-    count_fixed!(serialize_u8, u8, 1);
-    count_fixed!(serialize_u16, u16, 2);
-    count_fixed!(serialize_u32, u32, 4);
-    count_fixed!(serialize_u64, u64, 8);
-    count_fixed!(serialize_f32, f32, 4);
-    count_fixed!(serialize_f64, f64, 8);
-    count_fixed!(serialize_char, char, 4);
-
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.len += 4 + v.len();
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        if self.splice_armed {
-            self.splice_armed = false;
-            self.len += v.len();
-            bump(|s| s.payload_splices += 1);
-            return Ok(());
-        }
-        self.len += 4 + v.len();
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.len += 1;
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.len += 1;
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.len += 4;
-        Ok(())
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        if name == SPLICE_TOKEN {
-            self.splice_armed = true;
-            let r = value.serialize(&mut *self);
-            debug_assert!(!self.splice_armed, "splice token payload must be raw bytes");
-            return r;
-        }
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.len += 4;
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Self, CodecError> {
-        self.len += 4;
-        Ok(self)
-    }
-
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.len += 4;
-        Ok(self)
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<Self, CodecError> {
-        self.len += 4;
-        Ok(self)
-    }
-
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.len += 4;
-        Ok(self)
-    }
-}
-
-macro_rules! count_compound {
-    ($tr:path, $func:ident) => {
-        impl<'b> $tr for &'b mut SizeCounter {
-            type Ok = ();
-            type Error = CodecError;
-            fn $func<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-count_compound!(ser::SerializeSeq, serialize_element);
-count_compound!(ser::SerializeTuple, serialize_element);
-count_compound!(ser::SerializeTupleStruct, serialize_field);
-count_compound!(ser::SerializeTupleVariant, serialize_field);
-
-impl ser::SerializeMap for &mut SizeCounter {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for &mut SizeCounter {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut SizeCounter {
+impl<S: Sink> ser::SerializeStructVariant for &mut DbpSerializer<S> {
     type Ok = ();
     type Error = CodecError;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -1221,7 +1033,7 @@ mod tests {
         let inline = encode(&(7u32, inner.clone(), "tail".to_string()));
         let spliced = encode(&(7u32, Spliced(encode(&inner)), "tail".to_string()));
         assert_eq!(inline, spliced);
-        // The size counter agrees with both.
+        // The counting sink agrees with both.
         assert_eq!(
             encoded_len(&(7u32, Spliced(encode(&inner)), "tail".to_string())),
             inline.len()
@@ -1246,6 +1058,39 @@ mod tests {
             }
         }
         Plain(b)
+    }
+
+    /// Opens a compound the way no derived impl does.
+    enum Malformed {
+        SeqWithoutLen,
+        MapWithoutLen,
+        SeqTooLong,
+    }
+
+    impl Serialize for Malformed {
+        fn serialize<S: ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+            match self {
+                Malformed::SeqWithoutLen => ser::SerializeSeq::end(s.serialize_seq(None)?),
+                Malformed::MapWithoutLen => ser::SerializeMap::end(s.serialize_map(None)?),
+                Malformed::SeqTooLong => {
+                    ser::SerializeSeq::end(s.serialize_seq(Some(u32::MAX as usize + 1))?)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_three_sinks_reject_the_same_malformed_input() {
+        for (bad, why) in [
+            (Malformed::SeqWithoutLen, "seq without length"),
+            (Malformed::MapWithoutLen, "map without length"),
+            (Malformed::SeqTooLong, "length > u32::MAX"),
+        ] {
+            let expect = Err(CodecError::Invalid(why.into()));
+            assert_eq!(walk(BytesMut::new(), &bad).map(drop), expect, "encode sink, {why}");
+            assert_eq!(walk(0usize, &bad).map(drop), expect, "counting sink, {why}");
+            assert_eq!(walk(Fnv1a(0), &bad).map(drop), expect, "digest sink, {why}");
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub struct AppDescriptor {
 /// A whiteboard stroke (collaboration tool payload).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct WhiteboardStroke {
-    /// Polyline points in normalized [0,1] canvas coordinates.
+    /// Polyline points in normalized `[0,1]` canvas coordinates.
     pub points: Vec<(f32, f32)>,
     /// RGBA color.
     pub color: u32,

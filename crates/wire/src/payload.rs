@@ -121,8 +121,8 @@ impl Serialize for RawBytes<'_> {
 
 impl Serialize for FrozenUpdate {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // The DBP serializer and size counter recognise the token and
-        // splice the bytes verbatim (no length prefix, no re-walk);
+        // The DBP serializer recognises the token and splices the bytes
+        // verbatim into any of its sinks (no length prefix, no re-walk);
         // output is byte-identical to serializing the body inline.
         serializer.serialize_newtype_struct(codec::SPLICE_TOKEN, &RawBytes(&self.bytes))
     }

@@ -5,12 +5,14 @@
 
 use proptest::prelude::*;
 use simnet::SimTime;
-use wire::codec::{decode, decode_borrowed, encode, encoded_len, reset_stats, stats};
+use wire::codec::{
+    decode, decode_borrowed, digest_fnv1a, encode, encoded_len, reset_stats, stats, CodecStats,
+};
 use wire::http::{HttpMethod, HttpRequest, HttpResponse};
 use wire::{
     AppCommand, AppId, AppOp, AppPhase, AppStatus, ClientMessage, ClientRequest, DeadlineStamp,
-    Envelope, ErrorCode, FrozenUpdate, LogEntry, PeerMsg, Priority, Privilege, ResponseBody,
-    ServerAddr, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
+    Envelope, ErrorCode, FrozenUpdate, LogEntry, LogRecord, PeerMsg, Priority, Privilege,
+    ResponseBody, ServerAddr, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -125,6 +127,35 @@ fn client_message_strategy() -> impl Strategy<Value = ClientMessage> {
         prop::collection::vec(leaf, 0..6)
             .prop_map(|batch| ClientMessage::Response(ResponseBody::Batch(batch))),
     ]
+}
+
+/// Archive records of every entry class, frozen (spliced) updates
+/// among them.
+fn log_record_strategy() -> impl Strategy<Value = LogRecord> {
+    let entry = prop_oneof![
+        op_strategy().prop_map(LogEntry::Request),
+        status_strategy().prop_map(LogEntry::Status),
+        update_strategy().prop_map(|u| LogEntry::Update(FrozenUpdate::new(u))),
+    ];
+    (any::<u64>(), any::<u64>(), prop::option::of(user_strategy()), entry)
+        .prop_map(|(seq, at_us, user, entry)| LogRecord { seq, at_us, user, entry })
+}
+
+/// Reference FNV-1a, written out here so the digest is checked against
+/// the definition and not against the codec's own hashing sink.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Frozen payloads directly inside `m` (the strategy nests one level).
+fn frozen_in(m: &ClientMessage) -> u64 {
+    match m {
+        ClientMessage::Update(_) => 1,
+        ClientMessage::Response(ResponseBody::Batch(items)) => items.iter().map(frozen_in).sum(),
+        _ => 0,
+    }
 }
 
 fn session_strategy() -> impl Strategy<Value = Option<u64>> {
@@ -293,6 +324,59 @@ proptest! {
         }
         prop_assert_eq!(&bytes[..], &expected[..]);
         prop_assert_eq!(decode::<ClientMessage>(&bytes).unwrap(), batch);
+    }
+
+    // ------------------------------------------------------------------
+    // One walk, three sinks: the digest hashes exactly the bytes encode
+    // produces, and each entry point moves only its own ledger lines.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn digest_is_fnv1a_of_the_encoding(
+        r in log_record_strategy(),
+        m in client_message_strategy(),
+    ) {
+        prop_assert_eq!(digest_fnv1a(&r), fnv1a(&encode(&r)));
+        prop_assert_eq!(digest_fnv1a(&m), fnv1a(&encode(&m)));
+    }
+
+    #[test]
+    fn each_entry_point_moves_exactly_its_own_counters(
+        m in client_message_strategy(),
+        r in log_record_strategy(),
+    ) {
+        let frozen_m = frozen_in(&m);
+        let frozen_r = u64::from(matches!(r.entry, LogEntry::Update(_)));
+        encode(&0u8); // warm this thread's pool: the measured encodes hit it
+
+        reset_stats();
+        let bytes = encode(&m);
+        prop_assert_eq!(stats(), CodecStats {
+            encode_calls: 1,
+            bytes_encoded: bytes.len() as u64,
+            pool_hits: 1,
+            payload_splices: frozen_m,
+            ..CodecStats::default()
+        });
+
+        reset_stats();
+        encoded_len(&m);
+        encoded_len(&r);
+        prop_assert_eq!(stats(), CodecStats {
+            len_walks: 2,
+            payload_splices: frozen_m + frozen_r,
+            ..CodecStats::default()
+        });
+
+        // The archive's bookkeeping is not wire traffic: nothing on the
+        // encode, pool or length-walk lines.
+        reset_stats();
+        digest_fnv1a(&m);
+        digest_fnv1a(&r);
+        prop_assert_eq!(stats(), CodecStats {
+            payload_splices: frozen_m + frozen_r,
+            ..CodecStats::default()
+        });
     }
 
     // ------------------------------------------------------------------

@@ -9,9 +9,9 @@
 //! * [`orb`] — CORBA-analogue broker, naming and trader services
 //! * [`webserv`] — servlet-container machinery
 //! * [`appsim`] — steerable applications + control networks
-//! * [`server`](discover_server) — the interaction/collaboration server
-//! * [`core`](discover_core) — the peer-to-peer middleware substrate
-//! * [`client`](discover_client) — thin web portals and workloads
+//! * [`server`] — the interaction/collaboration server
+//! * [`core`] — the peer-to-peer middleware substrate
+//! * [`client`] — thin web portals and workloads
 
 pub use appsim;
 pub use cogkit;
