@@ -3,7 +3,8 @@
 //! * **Linearizability** — lock responses observed at portals (plus
 //!   host-side evictions/forced releases as `Free` ops) must admit a
 //!   legal total order of the single-holder lock automaton ([`crate::lin`]).
-//! * **ACL** — every `op.accepted` history event must trace to a live,
+//! * **ACL** — every `op.accepted` history event (recorded at the host
+//!   for local and relayed operations alike) must trace to a live,
 //!   sufficient grant; users without a grant must complete nothing.
 //! * **FIFO-within-class** — the Daemon buffer's flush order must
 //!   preserve per-class arrival order, and no request may be both
@@ -859,6 +860,35 @@ mod tests {
         assert_eq!(detail_field("req=17 class=View", "req"), Some("17"));
         assert_eq!(detail_field("req=17 class=View", "class"), Some("View"));
         assert_eq!(detail_field("origin=local", "holder"), None);
+    }
+
+    #[test]
+    fn the_acl_oracle_sees_operations_relayed_over_the_orb() {
+        use crate::run::run;
+        use crate::scenario::{Family, Scenario};
+        // Half the `acl` family's users sit on a non-host server; the
+        // host records their admitted operations like local ones.
+        let relayed = |e: &simnet::HistoryEvent| {
+            e.label == "op.accepted" && detail_field(&e.detail, "origin") == Some("relay")
+        };
+        let mut result = (0..32)
+            .map(|seed| Scenario::generate(Family::Acl, seed))
+            .filter(|scenario| scenario.n_servers == 2)
+            .map(|scenario| run(&scenario))
+            .find(|result| result.history.iter().any(relayed))
+            .expect("an acl run on two servers relays an admitted operation");
+        let mut clean = Vec::new();
+        check_acl(&result, &mut clean);
+        assert!(clean.is_empty(), "clean run flagged: {clean:?}");
+        // Had the host admitted that operation for a user without a
+        // grant, the oracle must say so.
+        let outsider = result.scenario.users.iter().find(|u| u.privilege.is_none());
+        let outsider = outsider.expect("the acl family has an off-ACL user").name.clone();
+        let event = result.history.iter_mut().find(|e| relayed(e)).expect("found above");
+        event.actor = outsider;
+        let mut found = Vec::new();
+        check_acl(&result, &mut found);
+        assert!(found.iter().any(|v| v.oracle == "acl"), "breach over the ORB not reported");
     }
 
     #[test]

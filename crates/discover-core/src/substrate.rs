@@ -1011,12 +1011,10 @@ impl Substrate {
             }
             (CallCtx::Poll { app }, PeerReply::Updates { updates, next_seq, .. }) => {
                 let origin = app.host();
-                let mut effects = Vec::new();
                 for update in updates {
-                    core.apply_peer_update(ctx, update, origin, &mut effects);
+                    core.apply_peer_update(ctx, update, origin);
                 }
                 self.poll_state.insert(app, next_seq);
-                self.perform_all(ctx, core, effects);
             }
             (CallCtx::DirectoryWrite, _) => {}
             (_, PeerReply::Exception(e)) => {
@@ -1025,11 +1023,12 @@ impl Substrate {
             }
             _ => ctx.metrics().incr(names::SUBSTRATE_REPLIES_MISMATCHED),
         }
-        // Completion handlers may park effects (e.g. collaboration echoes
-        // of remote outcomes); resolve them now.
-        let deferred = core.drain_effects();
-        if !deferred.is_empty() {
-            self.perform_all(ctx, core, deferred);
+        // Completion handlers only queue their effects (collaboration
+        // echoes of remote outcomes, re-fanned poll updates); resolve
+        // them now.
+        let queued = core.drain_effects();
+        if !queued.is_empty() {
+            self.perform_all(ctx, core, queued);
         }
         true
     }

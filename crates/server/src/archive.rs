@@ -309,11 +309,6 @@ impl ArchiveStore {
         self.app_logs.get(&app)
     }
 
-    /// Boundary sequence of the latest snapshot for an app, if any.
-    pub fn latest_snapshot_seq(&self, app: AppId) -> Option<u64> {
-        self.app_logs.get(&app).and_then(|l| l.snapshots.last()).map(|s| s.seq)
-    }
-
     /// Applications with at least one archived record, sorted (recovery
     /// iterates this; sorted so restart replay is deterministic).
     pub fn archived_apps(&self) -> Vec<AppId> {

@@ -10,14 +10,26 @@
 //! handlers.
 //!
 //! The core is transport-complete for local traffic (HTTP clients, custom
-//! TCP applications, and *serving* GIOP peer requests). Anything that
-//! requires *calling out* to a peer server is returned as an [`Effect`];
-//! the middleware substrate (crate `discover-core`) resolves effects via
-//! the ORB and feeds results back through the `complete_remote_*`
-//! methods. A standalone server simply drops effects (there are no
-//! peers), which is exactly the paper's pre-substrate §4 system.
+//! TCP applications, and *serving* GIOP peer requests). Steering-lock
+//! state, the application log and the collaboration group live only at
+//! an application's *host* server, so every host-side verb (lock
+//! decision, op admission and completion, session teardown, lock seizure,
+//! replay) has exactly one implementation, parameterised by the
+//! `Origin` of the request; `handle_http` and `handle_giop` only decode,
+//! call it, and shape the reply (DESIGN.md §5 "Host-side verbs").
+//!
+//! Anything that requires *calling out* to a peer server is queued as an
+//! [`Effect`] on the core; every public entry point that returns effects
+//! drains that one queue, and the middleware substrate (crate
+//! `discover-core`) resolves them via the ORB and feeds results back
+//! through the `complete_remote_*` methods (draining what those queue
+//! with [`ServerCore::drain_effects`]). A standalone server simply drops
+//! effects (there are no peers), which is exactly the paper's
+//! pre-substrate §4 system.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 
 use simnet::{names, Ctx, NodeId, TraceContext};
 use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, SessionTable, TcpCosts};
@@ -34,7 +46,7 @@ use wire::{
 
 use crate::archive::ArchiveStore;
 use crate::collab::CollabGroups;
-use crate::locks::LockOutcome;
+use crate::locks::{LockOutcome, SteeringLock};
 use crate::mutation::Mutation;
 use crate::proxy::{ApplicationProxy, BufferPush, BufferedOp};
 use crate::security;
@@ -274,12 +286,72 @@ struct ParkedSession {
     cursors: Vec<(AppId, u64)>,
 }
 
-/// Where a forwarded operation came from (for response routing).
-enum OpOrigin {
-    /// A local HTTP client.
-    Local { client: ClientId, user: UserId, app: AppId },
-    /// A peer server's `CorbaProxy` call.
-    Peer { node: NodeId, giop_id: u64, operation: String, app: AppId, user: UserId },
+/// Where a host-side request came from. The host decides the same way
+/// for both; an origin only selects where the answer goes, whose FIFO a
+/// resulting broadcast skips, and the `origin=` token in the history.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// A session at this server.
+    Local { client: ClientId },
+    /// A peer server relaying for one of its sessions; `via` is that
+    /// server's node.
+    Relay { via: NodeId },
+}
+
+impl Origin {
+    /// The local session behind the request, if there is one.
+    fn client(self) -> Option<ClientId> {
+        match self {
+            Origin::Local { client } => Some(client),
+            Origin::Relay { .. } => None,
+        }
+    }
+
+    /// Detail texts of the `AccessDenied` and `LockRequired` refusals.
+    /// They differ per origin for no better reason than history, and stay
+    /// that way because they are sized on the links (DESIGN.md §5).
+    fn refusal_texts(self) -> (&'static str, &'static str) {
+        match self {
+            Origin::Local { .. } => ("not on the ACL", "acquire the steering lock first"),
+            Origin::Relay { .. } => ("not on ACL", "steering lock not held"),
+        }
+    }
+}
+
+/// The `origin=` token of a history detail.
+impl fmt::Display for Origin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Origin::Local { .. } => f.write_str("origin=local"),
+            Origin::Relay { via } => write!(f, "origin=relay via={via:?}"),
+        }
+    }
+}
+
+/// Which request a replay of an application's log answers. They share
+/// the walk (`ServerCore::replay`) and differ in whether the reply can
+/// carry a snapshot and in the counters they move.
+#[derive(Clone, Copy)]
+enum Replay {
+    /// `GetHistory` / a peer's `FetchHistory`: every retained record from
+    /// the cursor.
+    History,
+    /// `CatchUp`: nearest snapshot + tail, always as a `CatchUp` reply.
+    CatchUp,
+    /// One selected application of a `Resume`: nearest snapshot + tail,
+    /// as a `CatchUp` reply only when a snapshot came with it.
+    Resume,
+}
+
+/// An operation awaiting its result: who asked, and how the answer gets
+/// back to them.
+struct PendingOp {
+    origin: Origin,
+    user: UserId,
+    app: AppId,
+    /// The relayed GIOP call the result answers (request id, operation
+    /// name); `None` for a local client, whose result goes to its FIFO.
+    call: Option<(u64, String)>,
 }
 
 /// What a run of FIFO pushes did, summed so one handler folds it into the
@@ -340,7 +412,7 @@ pub struct ServerCore {
     next_app_seq: u32,
     next_client_seq: u32,
     next_request: u64,
-    origins: HashMap<RequestId, OpOrigin>,
+    origins: HashMap<RequestId, PendingOp>,
     collab: CollabGroups,
     archive: ArchiveStore,
     records: RecordStore,
@@ -351,7 +423,9 @@ pub struct ServerCore {
     /// Privileges learned from peer authentication, per (user, app).
     remote_privs: HashMap<(UserId, AppId), Privilege>,
     update_counter: HashMap<AppId, u64>,
-    deferred: Vec<Effect>,
+    /// The one effect channel: every handler queues its out-calls here
+    /// and each public entry point drains it once on the way out.
+    effects: Vec<Effect>,
     /// Per-peer request accounting: (window start micros, count in window,
     /// lifetime total, lifetime throttled).
     peer_accounting: HashMap<NodeId, (u64, u32, u64, u64)>,
@@ -419,7 +493,7 @@ impl ServerCore {
             remote_apps: HashMap::new(),
             remote_privs: HashMap::new(),
             update_counter: HashMap::new(),
-            deferred: Vec::new(),
+            effects: Vec::new(),
             peer_accounting: HashMap::new(),
             incoming_trace: None,
             incoming_deadline: None,
@@ -682,7 +756,6 @@ impl ServerCore {
         update: impl Into<FrozenUpdate>,
         exclude: Option<ClientId>,
         origin_peer: Option<ServerAddr>,
-        effects: &mut Vec<Effect>,
     ) {
         // Freeze once: the single DBP serialization this update will
         // ever get on this server (already-frozen updates from a peer
@@ -717,13 +790,13 @@ impl ServerCore {
                 .unwrap_or_default();
             if !peers.is_empty() {
                 reuses += peers.len() as u64;
-                effects.push(Effect::PushToPeers { update, peers });
+                self.effects.push(Effect::PushToPeers { update, peers });
             }
         } else if origin_peer.is_none() {
             // Locally generated update about a remote app: the host owns
             // global fan-out.
             reuses += 1;
-            effects.push(Effect::ForwardToHost { update });
+            self.effects.push(Effect::ForwardToHost { update });
         }
         ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
     }
@@ -752,17 +825,17 @@ impl ServerCore {
         out
     }
 
-    /// Fail `req` back to its origin without executing it.
-    fn drop_op(
+    /// Settle request `req` with `result` — the application's answer, or
+    /// the reason it never got one — and route it back to its origin.
+    fn resolve_op(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         req: RequestId,
-        error: WireError,
+        result: Result<OpOutcome, WireError>,
     ) {
-        let origin = self.origins.remove(&req);
         self.close_req_trace(ctx, req);
-        if let Some(origin) = origin {
-            self.finish_op(ctx, origin, Err(error));
+        if let Some(pending) = self.origins.remove(&req) {
+            self.complete_op(ctx, pending, result);
         }
     }
 
@@ -788,7 +861,7 @@ impl ServerCore {
             }
             None => format!("daemon buffer full; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
         };
-        self.drop_op(ctx, victim.req, WireError::new(ErrorCode::Overloaded, detail));
+        self.resolve_op(ctx, victim.req, Err(WireError::new(ErrorCode::Overloaded, detail)));
     }
 
     /// Forward `op` toward a local application, honouring the Daemon
@@ -811,12 +884,9 @@ impl ServerCore {
         if let Some(stamp) = deadline {
             if stamp.expired(ctx.now()) {
                 ctx.metrics().incr(names::SERVER_DEADLINE_DISPATCH_EXPIRED);
-                self.drop_op(
-                    ctx,
-                    req,
-                    WireError::new(ErrorCode::DeadlineExceeded, "deadline passed at dispatch"),
-                );
-                return;
+                let error =
+                    WireError::new(ErrorCode::DeadlineExceeded, "deadline passed at dispatch");
+                return self.resolve_op(ctx, req, Err(error));
             }
         }
         // A request reaches here once at ingress and possibly again when
@@ -850,42 +920,30 @@ impl ServerCore {
             }
             AppPhase::Computing => {
                 let class = wire::Priority::of_op(&op);
-                match proxy.buffer_op(req, op, deadline) {
-                    BufferPush::Buffered => {
-                        ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
-                        ctx.record_history(
-                            "daemon.buffered",
-                            app,
-                            "",
-                            format_args!("req={} class={class:?}", req.0),
-                        );
-                        let span = self.req_traces.get(&req).map(|(p, _)| *p);
-                        ctx.trace_annotate(span, "buffered: application computing");
-                    }
-                    BufferPush::Shed(victim) => {
-                        // The incoming op was buffered unless it was itself
-                        // the lowest-priority candidate.
-                        if victim.req != req {
-                            ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
-                            ctx.record_history(
-                                "daemon.buffered",
-                                app,
-                                "",
-                                format_args!("req={} class={class:?}", req.0),
-                            );
-                            let span = self.req_traces.get(&req).map(|(p, _)| *p);
-                            ctx.trace_annotate(span, "buffered: application computing");
-                        }
-                        self.shed_op(ctx, app, victim);
-                    }
+                let shed = match proxy.buffer_op(req, op, deadline) {
+                    BufferPush::Buffered => None,
+                    BufferPush::Shed(victim) => Some(victim),
+                };
+                // The incoming op was buffered unless it was itself the
+                // lowest-priority candidate.
+                if shed.as_ref().is_none_or(|victim| victim.req != req) {
+                    ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
+                    ctx.record_history(
+                        "daemon.buffered",
+                        app,
+                        "",
+                        format_args!("req={} class={class:?}", req.0),
+                    );
+                    let span = self.req_traces.get(&req).map(|(p, _)| *p);
+                    ctx.trace_annotate(span, "buffered: application computing");
+                }
+                if let Some(victim) = shed {
+                    self.shed_op(ctx, app, victim);
                 }
             }
             AppPhase::Terminated => {
-                self.drop_op(
-                    ctx,
-                    req,
-                    WireError::new(ErrorCode::Unavailable, "application terminated"),
-                );
+                let error = WireError::new(ErrorCode::Unavailable, "application terminated");
+                self.resolve_op(ctx, req, Err(error));
             }
         }
     }
@@ -898,122 +956,92 @@ impl ServerCore {
         }
     }
 
-    /// Route a completed operation result back to its origin.
-    fn finish_op(
+    /// The one completion of an operation, wherever it ran and whoever
+    /// asked: log the result (the application's log lives at its host, a
+    /// client's own log at its local server, §5.2.5), deliver it — into
+    /// the local client's FIFO, or as the GIOP reply the relaying peer is
+    /// waiting for — and, for a success, run the tail: one update to the
+    /// group, and the §6.3 record under the requesting user at the
+    /// client's server. Reached from the application's response, from every
+    /// path that fails an accepted operation, and (for a local client of
+    /// a remote application) from `complete_remote_op`.
+    fn complete_op(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
-        origin: OpOrigin,
+        pending: PendingOp,
         result: Result<OpOutcome, WireError>,
     ) {
-        match origin {
-            OpOrigin::Local { client, user, app } => {
-                let entry = match &result {
-                    Ok(outcome) => LogEntry::Response(outcome.clone()),
-                    Err(e) => LogEntry::Error(e.clone()),
-                };
-                self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry.clone());
-                self.log_app_metered(ctx, app, Some(user.clone()), entry);
-                match result {
-                    Ok(outcome) => {
-                        self.fifo_push(
-                            ctx,
-                            client,
-                            ClientMessage::Response(ResponseBody::OpDone {
-                                app,
-                                outcome: outcome.clone(),
-                            }),
-                        );
-                        self.after_outcome(ctx, client, user, app, outcome);
-                    }
-                    Err(e) => self.fifo_push(ctx, client, ClientMessage::Error(e)),
-                }
+        let PendingOp { origin, user, app, call } = pending;
+        let hosted = app.host() == self.config.addr;
+        let client = origin.client();
+        let entry = match &result {
+            Ok(outcome) => LogEntry::Response(outcome.clone()),
+            Err(e) => LogEntry::Error(e.clone()),
+        };
+        if hosted {
+            if let Some(client) = client {
+                let (at, user) = (ctx.now(), Some(user.clone()));
+                self.archive.log_client(client, app, at, user, entry.clone());
             }
-            OpOrigin::Peer { node, giop_id, operation, app, user } => {
-                let entry = match &result {
-                    Ok(outcome) => LogEntry::Response(outcome.clone()),
-                    Err(e) => LogEntry::Error(e.clone()),
-                };
-                self.log_app_metered(ctx, app, Some(user.clone()), entry);
-                let env = Envelope::giop(GiopFrame::reply(
-                    giop_id,
-                    ObjectKey::new(CORBA_SERVER_KEY),
-                    &operation,
-                    PeerReply::OpResult { app, result: result.clone() },
-                ));
-                ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
-                ctx.send(node, env);
-                // The host owns global fan-out of state changes caused by
-                // remote steerers.
-                if let Ok(outcome) = result {
-                    let update = match outcome {
-                        OpOutcome::ParamSet(name, value) => Some(UpdateBody::ParamChanged {
-                            app,
-                            name,
-                            value,
-                            by: user,
-                        }),
-                        OpOutcome::CommandDone(cmd) => {
-                            Some(UpdateBody::CommandApplied { app, command: cmd, by: user })
-                        }
-                        _ => None,
-                    };
-                    if let Some(update) = update {
-                        let mut effects = Vec::new();
-                        self.route_update(ctx, update, None, None, &mut effects);
-                        self.deferred.extend(effects);
-                    }
-                }
-            }
+            self.log_app_metered(ctx, app, Some(user.clone()), entry);
+        } else if let Some(client) = client {
+            self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry);
         }
-    }
-
-    /// Post-processing of a successful outcome for a local client:
-    /// mutating outcomes broadcast state-change updates; non-mutating
-    /// outcomes echo to the group when the client collaborates; §6.3
-    /// records are created under the requesting user.
-    fn after_outcome(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        client: ClientId,
-        user: UserId,
-        app: AppId,
-        outcome: OpOutcome,
-    ) {
-        let mut effects = Vec::new();
-        match &outcome {
-            OpOutcome::ParamSet(name, value) => {
-                let update = UpdateBody::ParamChanged {
-                    app,
-                    name: name.clone(),
-                    value: value.clone(),
-                    by: user.clone(),
-                };
-                self.route_update(ctx, update, Some(client), None, &mut effects);
-            }
-            OpOutcome::CommandDone(cmd) => {
-                let update = UpdateBody::CommandApplied { app, command: *cmd, by: user.clone() };
-                self.route_update(ctx, update, Some(client), None, &mut effects);
-            }
-            other => {
-                if self.collab.broadcast_enabled(app, client) {
-                    let update = UpdateBody::InteractionEcho {
-                        app,
-                        by: user.clone(),
-                        outcome: other.clone(),
-                    };
-                    self.route_update(ctx, update, Some(client), None, &mut effects);
+        let outcome = match origin {
+            Origin::Local { client } => match result {
+                Ok(outcome) => {
+                    let done = ResponseBody::OpDone { app, outcome: outcome.clone() };
+                    self.fifo_push(ctx, client, ClientMessage::Response(done));
+                    outcome
                 }
+                Err(e) => return self.fifo_push(ctx, client, ClientMessage::Error(e)),
+            },
+            Origin::Relay { via } => {
+                if let Some((giop_id, operation)) = call {
+                    let env = Envelope::giop(GiopFrame::reply(
+                        giop_id,
+                        ObjectKey::new(CORBA_SERVER_KEY),
+                        &operation,
+                        PeerReply::OpResult { app, result: result.clone() },
+                    ));
+                    ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
+                    ctx.send(via, env);
+                }
+                let Ok(outcome) = result else { return };
+                outcome
             }
+        };
+        let record = client.map(|_| format!("{outcome:?}"));
+        let collab = &self.collab;
+        let update = |by: Cow<'_, UserId>| match outcome {
+            // The host owns global fan-out of state changes, whoever
+            // steered; a relaying server broadcasts nothing for them.
+            OpOutcome::ParamSet(name, value) if hosted => {
+                Some(UpdateBody::ParamChanged { app, name, value, by: by.into_owned() })
+            }
+            OpOutcome::CommandDone(command) if hosted => {
+                Some(UpdateBody::CommandApplied { app, command, by: by.into_owned() })
+            }
+            OpOutcome::ParamSet(..) | OpOutcome::CommandDone(_) => None,
+            // Collaborative response sharing: a non-mutating outcome is
+            // echoed to the group when the client collaborates.
+            outcome => client
+                .filter(|client| collab.broadcast_enabled(app, *client))
+                .map(|_| UpdateBody::InteractionEcho { app, by: by.into_owned(), outcome }),
+        };
+        // The §6.3 record is written last and keeps the user; an update
+        // that goes out before one is built from a borrowed user.
+        let (update, record) = match record {
+            Some(text) => (update(Cow::Borrowed(&user)), Some((user, text))),
+            None => (update(Cow::Owned(user)), None),
+        };
+        if let Some(update) = update {
+            self.route_update(ctx, update, client, None);
         }
-        self.records.create(
-            app,
-            user,
-            [],
-            ctx.now(),
-            vec![("outcome".to_string(), Value::Text(format!("{outcome:?}")))],
-        );
-        // Effects produced here are deferred through the pending queue.
-        self.deferred.extend(effects);
+        if let Some((user, text)) = record {
+            let data = vec![("outcome".to_string(), Value::Text(text))];
+            self.records.create(app, user, [], ctx.now(), data);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1033,73 +1061,55 @@ impl ServerCore {
         // `wire_bytes` is the envelope's cached content size — the same
         // number `req.wire_size()` would produce, minus the re-walk.
         ctx.consume(HTTP_COSTS.request_cost(wire_bytes));
-        let mut effects = Vec::new();
+        let (status, set_session, body) = self.serve_http(ctx, req);
+        self.respond(ctx, from, status, set_session, body);
+        self.drain_effects()
+    }
 
+    /// Decide the single response to `req`: (status, session cookie to
+    /// set, body).
+    fn serve_http(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        req: HttpRequest,
+    ) -> (u16, Option<u64>, Vec<ClientMessage>) {
         // Webserv ingress deadline check: work that expired in the
         // network (or a client queue) is answered immediately instead of
         // burning server capacity. Only stamped requests (workload ops)
         // ever carry a deadline, so session bookkeeping is unaffected.
-        if let Some(stamp) = self.incoming_deadline {
-            if stamp.expired(ctx.now()) {
-                ctx.metrics().incr(names::SERVER_DEADLINE_INGRESS_EXPIRED);
-                self.respond(
-                    ctx,
-                    from,
-                    200,
-                    None,
-                    vec![Self::error(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline passed before server ingress",
-                    )],
-                );
-                return effects;
+        if self.incoming_deadline.is_some_and(|stamp| stamp.expired(ctx.now())) {
+            ctx.metrics().incr(names::SERVER_DEADLINE_INGRESS_EXPIRED);
+            let error =
+                Self::error(ErrorCode::DeadlineExceeded, "deadline passed before server ingress");
+            return (200, None, vec![error]);
+        }
+
+        let request = match req.body {
+            // Login is the only request valid without a session.
+            Some(ClientRequest::Login { user, password }) => {
+                return self.do_login(ctx, user, &password);
             }
-        }
-
-        // Login is the only request valid without a session.
-        if let Some(ClientRequest::Login { user, password }) = &req.body {
-            let (status, cookie, body) = self.do_login(ctx, user.clone(), password, &mut effects);
-            self.respond(ctx, from, status, cookie, body);
-            effects.extend(self.take_deferred());
-            return effects;
-        }
-
-        // Resume authenticates by the presented token (the session may be
-        // parked, in which case the live-session lookup below would 401).
-        if let Some(ClientRequest::Resume { cookie, cursors }) = &req.body {
-            let (cookie, cursors) = (*cookie, cursors.clone());
-            let (status, body) = self.do_resume(ctx, cookie, cursors, &mut effects);
-            self.respond(ctx, from, status, None, body);
-            effects.extend(self.take_deferred());
-            return effects;
-        }
-
-        // Status is a read-only introspection page, served with or
-        // without a session (like the paper's server list): operators
-        // must be able to probe a node whose session plane is wedged.
-        if let Some(ClientRequest::Status) = &req.body {
-            ctx.metrics().incr(names::SERVER_STATUS_REQUESTS);
-            let report = self.status_report(ctx.now().as_micros());
-            self.respond(
-                ctx,
-                from,
-                200,
-                None,
-                vec![ClientMessage::Response(ResponseBody::Status(report))],
-            );
-            return effects;
-        }
+            // Resume authenticates by the presented token (the session
+            // may be parked, in which case the live-session lookup below
+            // would 401).
+            Some(ClientRequest::Resume { cookie, cursors }) => {
+                let (status, body) = self.do_resume(ctx, cookie, cursors);
+                return (status, None, body);
+            }
+            // Status is a read-only introspection page, served with or
+            // without a session (like the paper's server list): operators
+            // must be able to probe a node whose session plane is wedged.
+            Some(ClientRequest::Status) => {
+                ctx.metrics().incr(names::SERVER_STATUS_REQUESTS);
+                let report = self.status_report(ctx.now().as_micros());
+                return (200, None, vec![ClientMessage::Response(ResponseBody::Status(report))]);
+            }
+            request => request,
+        };
 
         let session = req.session.and_then(|c| self.sessions.touch(c, ctx.now()));
         let Some(session) = session else {
-            self.respond(
-                ctx,
-                from,
-                401,
-                None,
-                vec![Self::error(ErrorCode::AuthFailed, "no valid session")],
-            );
-            return effects;
+            return (401, None, vec![Self::error(ErrorCode::AuthFailed, "no valid session")]);
         };
         let client = session.client;
         let user = session.user.clone();
@@ -1111,25 +1121,19 @@ impl ServerCore {
         // paper's interaction model keeps control responsive while
         // monitoring load is shed deterministically.
         if let Some(budget) = self.config.admission_inflight_max {
-            if let Some(ClientRequest::Op { op, .. }) = &req.body {
+            if let Some(ClientRequest::Op { op, .. }) = &request {
                 if !op.is_mutating() && self.origins.len() >= budget {
                     ctx.metrics().incr(names::SERVER_ADMISSION_REJECTED);
-                    self.respond(
-                        ctx,
-                        from,
-                        200,
-                        None,
-                        vec![Self::error(
-                            ErrorCode::Overloaded,
-                            format!("server overloaded; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
-                        )],
+                    let error = Self::error(
+                        ErrorCode::Overloaded,
+                        format!("server overloaded; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
                     );
-                    return effects;
+                    return (200, None, vec![error]);
                 }
             }
         }
 
-        let body = match req.body {
+        let body = match request {
             None | Some(ClientRequest::Poll) => {
                 // One envelope per poll: the whole drained batch ships
                 // behind a single framing header (`ResponseBody::Batch`),
@@ -1150,33 +1154,28 @@ impl ServerCore {
                 vec![ClientMessage::Response(ResponseBody::Batch(batch))]
             }
             Some(ClientRequest::Logout) => {
-                self.do_logout(ctx, cookie, client, &user, &mut effects);
+                self.sessions.remove(cookie);
+                self.end_session(ctx, client, &user);
                 vec![ClientMessage::Response(ResponseBody::LogoutOk)]
             }
             Some(ClientRequest::ListApplications) => {
                 // Refresh remote knowledge in the background.
-                effects.push(Effect::RemoteAuth {
+                self.effects.push(Effect::RemoteAuth {
                     client,
                     user: user.clone(),
                     password: security::expected_password(&user),
                 });
                 vec![ClientMessage::Response(ResponseBody::Apps(self.visible_apps(&user)))]
             }
-            Some(ClientRequest::SelectApp { app }) => {
-                self.do_select(ctx, client, &user, app, &mut effects)
-            }
+            Some(ClientRequest::SelectApp { app }) => self.do_select(ctx, client, &user, app),
             Some(ClientRequest::DeselectApp { app }) => {
-                self.do_deselect(ctx, client, &user, app, &mut effects);
+                self.do_deselect(ctx, client, &user, app);
                 vec![ClientMessage::Response(ResponseBody::AppDeselected { app })]
             }
-            Some(ClientRequest::Op { app, op }) => {
-                self.do_op(ctx, client, &user, app, op, &mut effects)
-            }
-            Some(ClientRequest::RequestLock { app }) => {
-                self.do_lock(ctx, client, &user, app, true, &mut effects)
-            }
+            Some(ClientRequest::Op { app, op }) => self.do_op(ctx, client, &user, app, op),
+            Some(ClientRequest::RequestLock { app }) => self.do_lock(ctx, client, &user, app, true),
             Some(ClientRequest::ReleaseLock { app }) => {
-                self.do_lock(ctx, client, &user, app, false, &mut effects)
+                self.do_lock(ctx, client, &user, app, false)
             }
             Some(ClientRequest::JoinSubgroup { app, group }) => {
                 self.collab.join_subgroup(app, &group, client);
@@ -1195,54 +1194,24 @@ impl ServerCore {
                 vec![ClientMessage::Response(ResponseBody::CollabModeOk { app, broadcast })]
             }
             Some(ClientRequest::Chat { app, text }) => {
-                let update = UpdateBody::Chat { app, from: user.clone(), text };
-                self.client_update(ctx, client, app, update, &mut effects)
+                let update = UpdateBody::Chat { app, from: user, text };
+                self.client_update(ctx, client, app, update)
             }
             Some(ClientRequest::Whiteboard { app, stroke }) => {
-                let update = UpdateBody::Whiteboard { app, from: user.clone(), stroke };
-                self.client_update(ctx, client, app, update, &mut effects)
+                let update = UpdateBody::Whiteboard { app, from: user, stroke };
+                self.client_update(ctx, client, app, update)
             }
             Some(ClientRequest::ShareView { app, view }) => {
                 // Explicit shares bypass the client's broadcast-disabled
                 // mode by definition.
-                let update = UpdateBody::ViewShared { app, from: user.clone(), view };
-                self.client_update(ctx, client, app, update, &mut effects)
+                let update = UpdateBody::ViewShared { app, from: user, view };
+                self.client_update(ctx, client, app, update)
             }
             Some(ClientRequest::GetHistory { app, since }) => {
-                if app.host() == self.config.addr {
-                    let (records, next_seq) = self.archive.fetch_app(app, since);
-                    vec![ClientMessage::Response(ResponseBody::History { app, records, next_seq })]
-                } else if self.collab.is_member(app, client) {
-                    effects.push(Effect::RemoteHistory { client, app, since });
-                    vec![ClientMessage::Response(ResponseBody::Accepted)]
-                } else {
-                    vec![Self::error(ErrorCode::AccessDenied, "select the application first")]
-                }
+                self.client_replay(ctx, client, app, since, Replay::History)
             }
             Some(ClientRequest::CatchUp { app, since }) => {
-                // Snapshot-aware latecomer path: nearest snapshot ahead of
-                // the cursor + the delta tail from its boundary, so the
-                // reply is O(snapshot interval), not O(session length).
-                // Falls back to a plain suffix when no snapshot helps.
-                if app.host() == self.config.addr {
-                    ctx.metrics().incr(names::SERVER_CATCHUP_REQUESTS);
-                    let (snapshot, records, next_seq) = self.archive.catch_up_app(app, since);
-                    if snapshot.is_some() {
-                        ctx.metrics().incr(names::SERVER_CATCHUP_SNAPSHOT_HITS);
-                    }
-                    ctx.metrics().add(names::SERVER_CATCHUP_RECORDS, records.len() as u64);
-                    vec![ClientMessage::Response(ResponseBody::CatchUp {
-                        app,
-                        snapshot,
-                        records,
-                        next_seq,
-                    })]
-                } else if self.collab.is_member(app, client) {
-                    effects.push(Effect::RemoteHistory { client, app, since });
-                    vec![ClientMessage::Response(ResponseBody::Accepted)]
-                } else {
-                    vec![Self::error(ErrorCode::AccessDenied, "select the application first")]
-                }
+                self.client_replay(ctx, client, app, since, Replay::CatchUp)
             }
             Some(ClientRequest::GetMyLog { app, since }) => {
                 // Client logs live at the client's local server regardless
@@ -1250,15 +1219,81 @@ impl ServerCore {
                 let (records, next_seq) = self.archive.fetch_client(client, app, since);
                 vec![ClientMessage::Response(ResponseBody::ClientLog { app, records, next_seq })]
             }
-            Some(ClientRequest::Login { .. })
-            | Some(ClientRequest::Resume { .. })
-            | Some(ClientRequest::Status) => {
-                unreachable!("handled above")
-            }
+            // Answered above, before the session lookup.
+            Some(
+                ClientRequest::Login { .. } | ClientRequest::Resume { .. } | ClientRequest::Status,
+            ) => vec![Self::error(ErrorCode::BadRequest, "not a session request")],
         };
-        self.respond(ctx, from, 200, None, body);
-        effects.extend(self.take_deferred());
-        effects
+        (200, None, body)
+    }
+
+    /// The one host-side replay of an application's log from `since`,
+    /// behind history fetches (local and relayed), catch-up and the
+    /// resume suffix: the nearest snapshot ahead of the cursor plus the
+    /// delta tail from its boundary, so the reply is O(snapshot
+    /// interval), not O(session length), and the plain suffix when no
+    /// snapshot helps — or when the reply cannot carry one (`History` has
+    /// no snapshot field, so a history fetch keeps returning every
+    /// retained record). `kind` also picks the counters that move.
+    fn replay(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        app: AppId,
+        since: u64,
+        kind: Replay,
+    ) -> (Option<wire::ArchiveSnapshot>, Vec<wire::LogRecord>, u64) {
+        let replayed = match kind {
+            Replay::History => {
+                let (records, next_seq) = self.archive.fetch_app(app, since);
+                return (None, records, next_seq);
+            }
+            Replay::CatchUp => {
+                ctx.metrics().incr(names::SERVER_CATCHUP_REQUESTS);
+                names::SERVER_CATCHUP_RECORDS
+            }
+            Replay::Resume => names::SERVER_RESUME_REPLAYED,
+        };
+        let (snapshot, records, next_seq) = self.archive.catch_up_app(app, since);
+        if snapshot.is_some() {
+            ctx.metrics().incr(names::SERVER_CATCHUP_SNAPSHOT_HITS);
+        }
+        ctx.metrics().add(replayed, records.len() as u64);
+        (snapshot, records, next_seq)
+    }
+
+    /// Answer a local client's replay request: from the log when the
+    /// application is hosted here; otherwise relayed to its host for a
+    /// group member (the records arrive through the client's FIFO) and
+    /// refused for anyone else. A resume replays only what its session
+    /// had selected and has its own answer, so it says nothing either way.
+    fn client_replay(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        app: AppId,
+        since: u64,
+        kind: Replay,
+    ) -> Vec<ClientMessage> {
+        if app.host() == self.config.addr {
+            let (snapshot, records, next_seq) = self.replay(ctx, app, since, kind);
+            let body = if snapshot.is_some() || matches!(kind, Replay::CatchUp) {
+                ResponseBody::CatchUp { app, snapshot, records, next_seq }
+            } else {
+                ResponseBody::History { app, records, next_seq }
+            };
+            return vec![ClientMessage::Response(body)];
+        }
+        let member = self.collab.is_member(app, client);
+        if member {
+            self.effects.push(Effect::RemoteHistory { client, app, since });
+        }
+        match (kind, member) {
+            (Replay::Resume, _) => Vec::new(),
+            (_, true) => vec![ClientMessage::Response(ResponseBody::Accepted)],
+            (_, false) => {
+                vec![Self::error(ErrorCode::AccessDenied, "select the application first")]
+            }
+        }
     }
 
     fn do_login(
@@ -1266,7 +1301,6 @@ impl ServerCore {
         ctx: &mut Ctx<'_, Envelope>,
         user: UserId,
         password: &str,
-        effects: &mut Vec<Effect>,
     ) -> (u16, Option<u64>, Vec<ClientMessage>) {
         ctx.metrics().incr(names::SERVER_LOGINS);
         if !security::credentials_valid(&user, password) {
@@ -1298,7 +1332,7 @@ impl ServerCore {
         );
         // Fan out level-1 authentication to the peer network for the
         // user's global application list.
-        effects.push(Effect::RemoteAuth {
+        self.effects.push(Effect::RemoteAuth {
             client,
             user: user.clone(),
             password: password.to_string(),
@@ -1316,142 +1350,99 @@ impl ServerCore {
         ctx: &mut Ctx<'_, Envelope>,
         cookie: u64,
         cursors: Vec<(AppId, u64)>,
-        effects: &mut Vec<Effect>,
     ) -> (u16, Vec<ClientMessage>) {
-        let is_parked = self.parked.contains_key(&cookie);
-        if !is_parked && self.sessions.get(cookie).is_none() {
-            return (
-                401,
-                vec![Self::error(ErrorCode::SessionExpired, "session expired; log in again")],
-            );
-        }
         // Paced recovery: reviving a parked session replays history, so
         // admissions are metered per accounting second. Deferred clients
         // get a retry-after jittered by stable identity — a flash crowd
         // spreads out instead of re-arriving as one synchronized burst.
-        if is_parked {
-            if let Some(limit) = self.config.resume_rate_limit {
-                let now_us = ctx.now().as_micros();
-                if now_us.saturating_sub(self.resume_accounting.0) >= 1_000_000 {
-                    self.resume_accounting = (now_us, 0);
-                }
-                if self.resume_accounting.1 >= limit {
-                    ctx.metrics().incr(names::SERVER_RESUME_THROTTLED);
-                    let user = self
-                        .parked
-                        .get(&cookie)
-                        .map(|p| p.session.user.as_str().to_string())
-                        .unwrap_or_default();
-                    ctx.record_history(
-                        "session.resume_deferred",
-                        "",
-                        &user,
-                        format_args!("limit={limit}"),
-                    );
-                    let retry_ms = OVERLOAD_RETRY_AFTER_MS
-                        + wire::jitter::retry_jitter_us(&user, 0, OVERLOAD_RETRY_AFTER_MS * 1000)
-                            / 1000;
-                    return (
-                        200,
-                        vec![Self::error(
-                            ErrorCode::Overloaded,
-                            format!("resume deferred; retry-after: {retry_ms}ms"),
-                        )],
-                    );
-                }
-                self.resume_accounting.1 += 1;
+        if let (Some(parked), Some(limit)) =
+            (self.parked.get(&cookie), self.config.resume_rate_limit)
+        {
+            let now_us = ctx.now().as_micros();
+            if now_us.saturating_sub(self.resume_accounting.0) >= 1_000_000 {
+                self.resume_accounting = (now_us, 0);
             }
+            if self.resume_accounting.1 >= limit {
+                ctx.metrics().incr(names::SERVER_RESUME_THROTTLED);
+                let user = parked.session.user.as_str();
+                ctx.record_history(
+                    "session.resume_deferred",
+                    "",
+                    user,
+                    format_args!("limit={limit}"),
+                );
+                let retry_ms = OVERLOAD_RETRY_AFTER_MS
+                    + wire::jitter::retry_jitter_us(user, 0, OVERLOAD_RETRY_AFTER_MS * 1000)
+                        / 1000;
+                return (
+                    200,
+                    vec![Self::error(
+                        ErrorCode::Overloaded,
+                        format!("resume deferred; retry-after: {retry_ms}ms"),
+                    )],
+                );
+            }
+            self.resume_accounting.1 += 1;
         }
-        let (client, selected, park_cursors) = if is_parked {
-            let p = self.parked.remove(&cookie).expect("checked above");
-            ctx.metrics().incr(names::SERVER_SESSIONS_RESUMED);
-            let client = p.session.client;
-            let user = p.session.user.clone();
-            let selected = p.session.selected.clone();
-            let parked_ms =
-                ctx.now().as_micros().saturating_sub(p.parked_at.as_micros()) / 1000;
-            ctx.record_history(
-                "session.resumed",
-                "",
-                user.as_str(),
-                format_args!("parked_ms={parked_ms} apps={}", selected.len()),
-            );
-            self.sessions.restore(p.session, ctx.now());
-            (client, selected, p.cursors)
-        } else {
-            let s = self.sessions.touch(cookie, ctx.now()).expect("checked above");
-            (s.client, s.selected.clone(), Vec::new())
+        let (client, selected, park_cursors) = match self.parked.remove(&cookie) {
+            Some(p) => {
+                ctx.metrics().incr(names::SERVER_SESSIONS_RESUMED);
+                let client = p.session.client;
+                let selected = p.session.selected.clone();
+                let parked_ms =
+                    ctx.now().as_micros().saturating_sub(p.parked_at.as_micros()) / 1000;
+                ctx.record_history(
+                    "session.resumed",
+                    "",
+                    p.session.user.as_str(),
+                    format_args!("parked_ms={parked_ms} apps={}", selected.len()),
+                );
+                self.sessions.restore(p.session, ctx.now());
+                (client, selected, p.cursors)
+            }
+            None => {
+                let Some(s) = self.sessions.touch(cookie, ctx.now()) else {
+                    let error =
+                        Self::error(ErrorCode::SessionExpired, "session expired; log in again");
+                    return (401, vec![error]);
+                };
+                (s.client, s.selected.clone(), Vec::new())
+            }
         };
         // Missed-suffix replay: park-time cursors establish the suffix
         // start; explicit client cursors override them (a client that
         // already paged further along skips what it has).
         let mut merged: BTreeMap<AppId, u64> = park_cursors.into_iter().collect();
-        for (app, since) in cursors {
-            merged.insert(app, since);
-        }
+        merged.extend(cursors);
         let mut body =
             vec![ClientMessage::Response(ResponseBody::Resumed { client, apps: selected.clone() })];
         for (app, since) in merged {
-            if !selected.contains(&app) {
-                continue;
-            }
-            if app.host() == self.config.addr {
-                // Snapshot-aware resume: when the archive keeps snapshots
-                // and one sits ahead of the cursor, the missed suffix
-                // ships as snapshot + tail instead of a full delta replay.
-                // Without snapshots (the default) this is byte-identical
-                // to the plain paged History path.
-                let snapshot_helps = self.config.snapshot_every.is_some()
-                    && self.archive.latest_snapshot_seq(app).is_some_and(|s| s > since);
-                if snapshot_helps {
-                    let (snapshot, records, next_seq) = self.archive.catch_up_app(app, since);
-                    ctx.metrics().incr(names::SERVER_CATCHUP_SNAPSHOT_HITS);
-                    ctx.metrics().add(names::SERVER_RESUME_REPLAYED, records.len() as u64);
-                    body.push(ClientMessage::Response(ResponseBody::CatchUp {
-                        app,
-                        snapshot,
-                        records,
-                        next_seq,
-                    }));
-                } else {
-                    let (records, next_seq) = self.archive.fetch_app(app, since);
-                    ctx.metrics().add(names::SERVER_RESUME_REPLAYED, records.len() as u64);
-                    body.push(ClientMessage::Response(ResponseBody::History {
-                        app,
-                        records,
-                        next_seq,
-                    }));
-                }
-            } else if self.collab.is_member(app, client) {
-                effects.push(Effect::RemoteHistory { client, app, since });
+            if selected.contains(&app) {
+                body.extend(self.client_replay(ctx, client, app, since, Replay::Resume));
             }
         }
         (200, body)
     }
 
-    fn do_logout(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        cookie: u64,
-        client: ClientId,
-        user: &UserId,
-        effects: &mut Vec<Effect>,
-    ) {
-        self.sessions.remove(cookie);
+    /// Tear down a session that has already left the live table: its FIFO
+    /// dropped, every group left (and told), subscriptions dropped and
+    /// steering locks freed. The one path behind a logout, the idle
+    /// reaper and park-TTL reclamation.
+    fn end_session(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId, user: &UserId) {
         self.cookie_of_client.remove(&client);
         self.fifos.remove(&client);
         let affected = self.collab.drop_client(client);
         let last_session = !self.sessions.iter().any(|s| s.user == *user);
         for app in affected {
             let update = UpdateBody::MemberLeft { app, user: user.clone() };
-            self.route_update(ctx, update, None, None, effects);
-            self.maybe_unsubscribe(app, effects);
-            self.release_lock_if_last_session(ctx, app, user, effects);
+            self.route_update(ctx, update, None, None);
+            self.maybe_unsubscribe(app);
+            self.release_lock_if_last_session(ctx, app, user);
             // A lock held on a REMOTE application must be released at its
             // host server via the relay (otherwise the host would strand
             // the lock until lease expiry).
             if last_session && app.host() != self.config.addr {
-                effects.push(Effect::RemoteLock {
+                self.effects.push(Effect::RemoteLock {
                     client,
                     user: user.clone(),
                     app,
@@ -1468,7 +1459,6 @@ impl ServerCore {
         ctx: &mut Ctx<'_, Envelope>,
         app: AppId,
         user: &UserId,
-        effects: &mut Vec<Effect>,
     ) {
         let still_here = self.sessions.iter().any(|s| s.user == *user);
         if still_here {
@@ -1484,9 +1474,15 @@ impl ServerCore {
                     "origin=logout",
                 );
                 let update = UpdateBody::LockChanged { app, holder: None };
-                self.route_update(ctx, update, None, None, effects);
+                self.route_update(ctx, update, None, None);
             }
         }
+    }
+
+    /// The live session of a local client, its idle clock refreshed.
+    fn session_of(&mut self, client: ClientId, now: simnet::SimTime) -> Option<&mut HttpSession> {
+        let cookie = *self.cookie_of_client.get(&client)?;
+        self.sessions.touch(cookie, now)
     }
 
     fn do_select(
@@ -1495,7 +1491,6 @@ impl ServerCore {
         client: ClientId,
         user: &UserId,
         app: AppId,
-        effects: &mut Vec<Effect>,
     ) -> Vec<ClientMessage> {
         // Level-2 authentication: resolve the user's privilege.
         let (privilege, interface, snapshot) = if app.host() == self.config.addr {
@@ -1530,16 +1525,16 @@ impl ServerCore {
         };
         let first_member = !self.collab.has_members(app);
         self.collab.join(app, client);
-        if let Some(s) = self.sessions.touch(self.cookie_of_client[&client], ctx.now()) {
+        if let Some(s) = self.session_of(client, ctx.now()) {
             if !s.selected.contains(&app) {
                 s.selected.push(app);
             }
         }
         if app.host() != self.config.addr && first_member {
-            effects.push(Effect::Subscribe { app });
+            self.effects.push(Effect::Subscribe { app });
         }
         let update = UpdateBody::MemberJoined { app, user: user.clone() };
-        self.route_update(ctx, update, Some(client), None, effects);
+        self.route_update(ctx, update, Some(client), None);
         let mut out = vec![ClientMessage::Response(ResponseBody::AppSelected {
             app,
             interface: security::filter_interface(&interface, privilege),
@@ -1557,23 +1552,20 @@ impl ServerCore {
         client: ClientId,
         user: &UserId,
         app: AppId,
-        effects: &mut Vec<Effect>,
     ) {
         self.collab.leave(app, client);
-        if let Some(cookie) = self.cookie_of_client.get(&client) {
-            if let Some(s) = self.sessions.touch(*cookie, ctx.now()) {
-                s.selected.retain(|a| *a != app);
-            }
+        if let Some(s) = self.session_of(client, ctx.now()) {
+            s.selected.retain(|a| *a != app);
         }
         let update = UpdateBody::MemberLeft { app, user: user.clone() };
-        self.route_update(ctx, update, Some(client), None, effects);
-        self.maybe_unsubscribe(app, effects);
-        self.release_lock_if_last_session(ctx, app, user, effects);
+        self.route_update(ctx, update, Some(client), None);
+        self.maybe_unsubscribe(app);
+        self.release_lock_if_last_session(ctx, app, user);
     }
 
-    fn maybe_unsubscribe(&mut self, app: AppId, effects: &mut Vec<Effect>) {
+    fn maybe_unsubscribe(&mut self, app: AppId) {
         if app.host() != self.config.addr && !self.collab.has_members(app) {
-            effects.push(Effect::Unsubscribe { app });
+            self.effects.push(Effect::Unsubscribe { app });
         }
     }
 
@@ -1584,95 +1576,113 @@ impl ServerCore {
         user: &UserId,
         app: AppId,
         op: AppOp,
-        effects: &mut Vec<Effect>,
     ) -> Vec<ClientMessage> {
         ctx.metrics().incr(names::SERVER_OPS);
         if app.host() == self.config.addr {
-            let Some(proxy) = self.apps.get_mut(&app) else {
-                return vec![Self::error(ErrorCode::NoSuchApp, format!("{app}"))];
-            };
-            let Some(privilege) = proxy.privilege_of(user) else {
-                ctx.metrics().incr(names::SERVER_ACL_DENIED);
-                ctx.record_history(
-                    "acl.denied",
-                    app,
-                    user.as_str(),
-                    format_args!("level=2 reason=not-on-acl op={}", op.kind_name()),
-                );
-                return vec![Self::error(ErrorCode::AccessDenied, "not on the ACL")];
-            };
-            if let Err(e) = security::authorize_op(privilege, &op) {
-                ctx.metrics().incr(names::SERVER_ACL_DENIED);
-                ctx.record_history(
-                    "acl.denied",
-                    app,
-                    user.as_str(),
-                    format_args!("level=2 reason=privilege op={}", op.kind_name()),
-                );
-                return vec![ClientMessage::Error(e)];
-            }
-            if op.is_mutating() && !proxy.lock.is_held_by(user) {
-                return vec![Self::error(
-                    ErrorCode::LockRequired,
-                    "acquire the steering lock first",
-                )];
-            }
-            if op.is_mutating() {
-                // Holder activity refreshes the steering-lock lease.
-                proxy.lock.touch(user, ctx.now());
-            }
-            if matches!(op, AppOp::GetStatus) {
-                // Served from the proxy's cached context.
+            let origin = Origin::Local { client };
+            return vec![match self.admit_op(ctx, origin, Cow::Borrowed(user), app, op, None) {
+                Ok(None) => ClientMessage::Response(ResponseBody::Accepted),
+                Ok(Some(outcome)) => ClientMessage::Response(ResponseBody::OpDone { app, outcome }),
+                Err(e) => ClientMessage::Error(e),
+            }];
+        }
+        let Some(privilege) = self.remote_privs.get(&(user.clone(), app)).copied() else {
+            return vec![Self::error(ErrorCode::AccessDenied, "unknown remote application")];
+        };
+        if let Err(e) = security::authorize_op(privilege, &op) {
+            return vec![ClientMessage::Error(e)];
+        }
+        if matches!(op, AppOp::GetStatus) {
+            if let Some(remote) = self.remote_apps.get(&app) {
                 return vec![ClientMessage::Response(ResponseBody::OpDone {
                     app,
-                    outcome: OpOutcome::Status(proxy.last_status.clone()),
+                    outcome: OpOutcome::Status(remote.last_status.clone()),
                 })];
             }
-            let req = self.alloc_request();
-            self.archive.log_client(
-                client,
-                app,
-                ctx.now(),
-                Some(user.clone()),
-                LogEntry::Request(op.clone()),
-            );
-            self.log_app_metered(ctx, app, Some(user.clone()), LogEntry::Request(op.clone()));
-            self.origins
-                .insert(req, OpOrigin::Local { client, user: user.clone(), app });
+        }
+        self.archive.log_client(
+            client,
+            app,
+            ctx.now(),
+            Some(user.clone()),
+            LogEntry::Request(op.clone()),
+        );
+        self.effects.push(Effect::RemoteOp { client, user: user.clone(), app, op });
+        vec![ClientMessage::Response(ResponseBody::Accepted)]
+    }
+
+    /// The one admission of an operation at its application's host,
+    /// whoever asks: ACL → privilege → steering lock held → cached
+    /// `GetStatus` → log → dispatch toward the application.
+    /// `Ok(Some(outcome))` was answered from the proxy's cached context,
+    /// `Ok(None)` is in flight and ends in `complete_op`, `Err` was
+    /// refused. `user` is borrowed from a session or owned off the wire.
+    /// `call` names the relayed GIOP call to answer; its operation name
+    /// is taken (left empty) only when the operation goes in flight —
+    /// the caller needs it to reply in every other case.
+    fn admit_op(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        origin: Origin,
+        user: Cow<'_, UserId>,
+        app: AppId,
+        op: AppOp,
+        call: Option<(u64, &mut String)>,
+    ) -> Result<Option<OpOutcome>, WireError> {
+        let Some(proxy) = self.apps.get_mut(&app) else {
+            return Err(WireError::new(ErrorCode::NoSuchApp, format!("{app}")));
+        };
+        let (not_on_acl, lock_required) = origin.refusal_texts();
+        let refusal = match proxy.privilege_of(&user) {
+            None => Some(("not-on-acl", WireError::new(ErrorCode::AccessDenied, not_on_acl))),
+            Some(privilege) => {
+                security::authorize_op(privilege, &op).err().map(|e| ("privilege", e))
+            }
+        };
+        if let Some((reason, error)) = refusal {
+            // Counted where the user's session lives, as it always was
+            // (the trend gates read this counter); the history records
+            // both origins.
+            if origin.client().is_some() {
+                ctx.metrics().incr(names::SERVER_ACL_DENIED);
+            }
             ctx.record_history(
-                "op.accepted",
+                "acl.denied",
                 app,
                 user.as_str(),
-                format_args!("op={} origin=local", op.kind_name()),
+                format_args!("level=2 reason={reason} op={} {origin}", op.kind_name()),
             );
-            let deadline = self.incoming_deadline;
-            self.dispatch_to_app(ctx, app, req, op, deadline);
-            vec![ClientMessage::Response(ResponseBody::Accepted)]
-        } else {
-            let Some(privilege) = self.remote_privs.get(&(user.clone(), app)).copied() else {
-                return vec![Self::error(ErrorCode::AccessDenied, "unknown remote application")];
-            };
-            if let Err(e) = security::authorize_op(privilege, &op) {
-                return vec![ClientMessage::Error(e)];
-            }
-            if matches!(op, AppOp::GetStatus) {
-                if let Some(remote) = self.remote_apps.get(&app) {
-                    return vec![ClientMessage::Response(ResponseBody::OpDone {
-                        app,
-                        outcome: OpOutcome::Status(remote.last_status.clone()),
-                    })];
-                }
-            }
-            self.archive.log_client(
-                client,
-                app,
-                ctx.now(),
-                Some(user.clone()),
-                LogEntry::Request(op.clone()),
-            );
-            effects.push(Effect::RemoteOp { client, user: user.clone(), app, op });
-            vec![ClientMessage::Response(ResponseBody::Accepted)]
+            return Err(error);
         }
+        if op.is_mutating() {
+            if !proxy.lock.is_held_by(&user) {
+                return Err(WireError::new(ErrorCode::LockRequired, lock_required));
+            }
+            // Holder activity refreshes the steering-lock lease.
+            proxy.lock.touch(&user, ctx.now());
+        }
+        if matches!(op, AppOp::GetStatus) {
+            // Served from the proxy's cached context.
+            return Ok(Some(OpOutcome::Status(proxy.last_status.clone())));
+        }
+        let req = self.alloc_request();
+        let request = LogEntry::Request(op.clone());
+        if let Some(client) = origin.client() {
+            let (at, user) = (ctx.now(), Some(user.as_ref().clone()));
+            self.archive.log_client(client, app, at, user, request.clone());
+        }
+        self.log_app_metered(ctx, app, Some(user.as_ref().clone()), request);
+        ctx.record_history(
+            "op.accepted",
+            app,
+            user.as_str(),
+            format_args!("op={} {origin}", op.kind_name()),
+        );
+        let call = call.map(|(id, operation)| (id, std::mem::take(operation)));
+        self.origins.insert(req, PendingOp { origin, user: user.into_owned(), app, call });
+        let deadline = self.incoming_deadline;
+        self.dispatch_to_app(ctx, app, req, op, deadline);
+        Ok(None)
     }
 
     fn do_lock(
@@ -1682,74 +1692,85 @@ impl ServerCore {
         user: &UserId,
         app: AppId,
         acquire: bool,
-        effects: &mut Vec<Effect>,
     ) -> Vec<ClientMessage> {
         if app.host() == self.config.addr {
-            let now = ctx.now();
-            let Some(proxy) = self.apps.get_mut(&app) else {
-                return vec![Self::error(ErrorCode::NoSuchApp, format!("{app}"))];
-            };
-            if acquire {
-                match proxy.lock.try_acquire_leased(user, now, self.config.lock_lease) {
-                    LockOutcome::Granted => {
-                        if let Some(evicted) = proxy.lock.take_evicted() {
-                            ctx.record_history(
-                                "lock.evicted",
-                                app,
-                                evicted.as_str(),
-                                "origin=lease-lazy",
-                            );
-                        }
+            return vec![match self.host_lock(ctx, Origin::Local { client }, app, user, acquire) {
+                Ok((granted, holder)) => Self::lock_message(app, acquire, granted, holder),
+                Err(e) => ClientMessage::Error(e),
+            }];
+        }
+        if !self.remote_privs.contains_key(&(user.clone(), app)) {
+            return vec![Self::error(ErrorCode::AccessDenied, "unknown remote application")];
+        }
+        self.effects.push(Effect::RemoteLock { client, user: user.clone(), app, acquire });
+        vec![ClientMessage::Response(ResponseBody::Accepted)]
+    }
+
+    /// The one steering-lock decision, taken at the application's host
+    /// (the only place lock state lives, §5.2.4) whoever asks: run the
+    /// acquire (lazily evicting a holder silent past its lease) or the
+    /// release, record the `lock.*` history events, and broadcast
+    /// `LockChanged` when the holder changed. Returns the verdict
+    /// `(granted, holder)` — `holder` being who stood in the way of a
+    /// refused request — which the caller maps to its own reply.
+    fn host_lock(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        origin: Origin,
+        app: AppId,
+        user: &UserId,
+        acquire: bool,
+    ) -> Result<(bool, Option<UserId>), WireError> {
+        let Some(proxy) = self.apps.get_mut(&app) else {
+            return Err(WireError::new(ErrorCode::NoSuchApp, format!("{app}")));
+        };
+        let (label, granted, holder) = if acquire {
+            match proxy.lock.try_acquire_leased(user, ctx.now(), self.config.lock_lease) {
+                LockOutcome::Granted => {
+                    if let Some(evicted) = proxy.lock.take_evicted() {
                         ctx.record_history(
-                            "lock.granted",
+                            "lock.evicted",
                             app,
-                            user.as_str(),
-                            "origin=local",
+                            evicted.as_str(),
+                            "origin=lease-lazy",
                         );
-                        let update =
-                            UpdateBody::LockChanged { app, holder: Some(user.clone()) };
-                        self.route_update(ctx, update, Some(client), None, effects);
-                        vec![ClientMessage::Response(ResponseBody::LockGranted { app })]
                     }
-                    LockOutcome::Denied { holder } => {
-                        ctx.metrics().incr(names::SERVER_LOCK_DENIED);
-                        ctx.record_history(
-                            "lock.denied",
-                            app,
-                            user.as_str(),
-                            format_args!("origin=local holder={}", holder.as_str()),
-                        );
-                        vec![ClientMessage::Response(ResponseBody::LockDenied {
-                            app,
-                            holder: Some(holder),
-                        })]
-                    }
+                    ("lock.granted", true, None)
                 }
-            } else if proxy.lock.release(user) {
-                ctx.record_history(
-                    "lock.released",
-                    app,
-                    user.as_str(),
-                    "origin=local",
-                );
-                let update = UpdateBody::LockChanged { app, holder: None };
-                self.route_update(ctx, update, Some(client), None, effects);
-                vec![ClientMessage::Response(ResponseBody::LockReleased { app })]
-            } else {
-                ctx.record_history(
-                    "lock.release_failed",
-                    app,
-                    user.as_str(),
-                    "origin=local",
-                );
-                vec![Self::error(ErrorCode::BadRequest, "not the lock holder")]
+                LockOutcome::Denied { holder } => {
+                    ctx.metrics().incr(names::SERVER_LOCK_DENIED);
+                    ("lock.denied", false, Some(holder))
+                }
             }
+        } else if proxy.lock.release(user) {
+            ("lock.released", true, None)
         } else {
-            if !self.remote_privs.contains_key(&(user.clone(), app)) {
-                return vec![Self::error(ErrorCode::AccessDenied, "unknown remote application")];
-            }
-            effects.push(Effect::RemoteLock { client, user: user.clone(), app, acquire });
-            vec![ClientMessage::Response(ResponseBody::Accepted)]
+            ("lock.release_failed", false, proxy.lock.holder().cloned())
+        };
+        if granted {
+            ctx.record_history(label, app, user.as_str(), origin);
+            let holder = acquire.then(|| user.clone());
+            self.route_update(ctx, UpdateBody::LockChanged { app, holder }, origin.client(), None);
+        } else {
+            let holder = holder.as_ref().map_or("-", UserId::as_str);
+            ctx.record_history(label, app, user.as_str(), format_args!("{origin} holder={holder}"));
+        }
+        Ok((granted, holder))
+    }
+
+    /// The client-facing message for the host's verdict on a lock
+    /// request, taken here or relayed back from the host.
+    fn lock_message(
+        app: AppId,
+        acquire: bool,
+        granted: bool,
+        holder: Option<UserId>,
+    ) -> ClientMessage {
+        match (acquire, granted) {
+            (true, true) => ClientMessage::Response(ResponseBody::LockGranted { app }),
+            (true, false) => ClientMessage::Response(ResponseBody::LockDenied { app, holder }),
+            (false, true) => ClientMessage::Response(ResponseBody::LockReleased { app }),
+            (false, false) => Self::error(ErrorCode::BadRequest, "not the lock holder"),
         }
     }
 
@@ -1761,28 +1782,20 @@ impl ServerCore {
         client: ClientId,
         app: AppId,
         update: UpdateBody,
-        effects: &mut Vec<Effect>,
     ) -> Vec<ClientMessage> {
         if !self.collab.is_member(app, client) {
             return vec![Self::error(ErrorCode::AccessDenied, "select the application first")];
         }
-        self.route_update(ctx, update, Some(client), None, effects);
+        self.route_update(ctx, update, Some(client), None);
         vec![ClientMessage::Response(ResponseBody::Accepted)]
     }
-}
 
-// Deferred-effect plumbing: `after_outcome` runs deep inside the TCP path
-// where the effects vector is not threaded through; it parks effects here
-// and the public entry points drain them.
-impl ServerCore {
-    fn take_deferred(&mut self) -> Vec<Effect> {
-        std::mem::take(&mut self.deferred)
-    }
-
-    /// Drain effects parked by completion paths (used by the substrate
-    /// after invoking `complete_remote_*`).
+    /// Hand the queued effects to the caller. Every public entry point
+    /// that returns effects ends here; the substrate calls it after the
+    /// `complete_remote_*` / `apply_peer_update` completions, which only
+    /// queue.
     pub fn drain_effects(&mut self) -> Vec<Effect> {
-        self.take_deferred()
+        std::mem::take(&mut self.effects)
     }
 }
 
@@ -1802,85 +1815,62 @@ impl ServerCore {
         ctx.metrics().incr(names::SERVER_TCP_FRAMES);
         // Cached envelope size; identical to `frame.wire_size()`.
         ctx.consume(TCP_COSTS.frame_cost(wire_bytes));
-        let mut effects = Vec::new();
         match frame.msg {
             AppMsg::Register { token, name, kind, acl, interface, slot } => {
-                let accepted = match &self.config.accepted_tokens {
-                    None => true,
-                    Some(list) => list.contains(&token),
-                };
-                if !accepted {
-                    ctx.metrics().incr(names::SERVER_DAEMON_REGISTER_REJECTED);
-                    ctx.send(
-                        from,
-                        Envelope::tcp(TcpFrame::new(
-                            Channel::Main,
-                            AppMsg::RegisterNak {
-                                error: WireError::new(ErrorCode::AuthFailed, "unknown app token"),
-                            },
-                        )),
-                    );
-                    return effects;
-                }
                 // A pre-assigned slot pins the AppId (static deployment);
                 // otherwise the Daemon hands out the next free sequence.
                 // Pinning matters because concurrent registrations arrive
                 // in network order, not launch order.
                 let seq = slot.unwrap_or(self.next_app_seq);
                 let app = AppId { server: self.config.addr, seq };
-                if self.apps.contains_key(&app) {
+                let tokens = self.config.accepted_tokens.as_ref();
+                let refusal = if tokens.is_some_and(|list| !list.contains(&token)) {
+                    Some(WireError::new(ErrorCode::AuthFailed, "unknown app token"))
+                } else if self.apps.contains_key(&app) {
+                    Some(WireError::new(ErrorCode::BadRequest, "application slot already bound"))
+                } else {
+                    None
+                };
+                let reply = if let Some(error) = refusal {
                     ctx.metrics().incr(names::SERVER_DAEMON_REGISTER_REJECTED);
-                    ctx.send(
+                    AppMsg::RegisterNak { error }
+                } else {
+                    self.next_app_seq = self.next_app_seq.max(seq + 1);
+                    self.effects.push(Effect::Announce {
+                        kind: ControlEventKind::AppRegistered,
+                        detail: format!("{name} as {app}"),
+                        app: Some(app),
+                    });
+                    let mut proxy = ApplicationProxy::new(
+                        app,
+                        name,
+                        kind,
                         from,
-                        Envelope::tcp(TcpFrame::new(
-                            Channel::Main,
-                            AppMsg::RegisterNak {
-                                error: WireError::new(
-                                    ErrorCode::BadRequest,
-                                    "application slot already bound",
-                                ),
-                            },
-                        )),
+                        interface,
+                        acl,
+                        UPDATE_LOG_CAPACITY,
                     );
-                    return effects;
-                }
-                self.next_app_seq = self.next_app_seq.max(seq + 1);
-                let mut proxy = ApplicationProxy::new(
-                    app,
-                    name.clone(),
-                    kind,
-                    from,
-                    interface,
-                    acl,
-                    UPDATE_LOG_CAPACITY,
-                );
-                proxy.buffer_capacity = self.config.proxy_buffer_capacity;
-                proxy.lock.mutation = self.config.mutation;
-                self.apps.insert(app, proxy);
-                self.app_by_node.insert(from, app);
-                ctx.metrics().incr(names::SERVER_DAEMON_REGISTERED);
-                ctx.send(
-                    from,
-                    Envelope::tcp(TcpFrame::new(Channel::Main, AppMsg::RegisterAck { app })),
-                );
-                effects.push(Effect::Announce {
-                    kind: ControlEventKind::AppRegistered,
-                    detail: format!("{name} as {app}"),
-                    app: Some(app),
-                });
+                    proxy.buffer_capacity = self.config.proxy_buffer_capacity;
+                    proxy.lock.mutation = self.config.mutation;
+                    self.apps.insert(app, proxy);
+                    self.app_by_node.insert(from, app);
+                    ctx.metrics().incr(names::SERVER_DAEMON_REGISTERED);
+                    AppMsg::RegisterAck { app }
+                };
+                ctx.send(from, Envelope::tcp(TcpFrame::new(Channel::Main, reply)));
             }
             AppMsg::Update { app, status, readings } => {
                 if let Some(proxy) = self.apps.get_mut(&app) {
                     proxy.apply_status(status.clone(), readings.clone());
-                    self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
                     // Periodic data records owned by the app's owner, with
                     // read-only grants for the ACL users (§6.3).
                     let counter = self.update_counter.entry(app).or_insert(0);
                     *counter += 1;
-                    if (*counter).is_multiple_of(RECORD_EVERY) {
-                        let proxy = &self.apps[&app];
-                        let owner = proxy.owner.clone();
-                        let readers = proxy.acl_users();
+                    let record = (*counter)
+                        .is_multiple_of(RECORD_EVERY)
+                        .then(|| (proxy.owner.clone(), proxy.acl_users()));
+                    self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
+                    if let Some((owner, readers)) = record {
                         let data = readings
                             .iter()
                             .map(|(k, v)| (k.clone(), v.clone()))
@@ -1888,7 +1878,7 @@ impl ServerCore {
                         self.records.create(app, owner, readers, ctx.now(), data);
                     }
                     let update = UpdateBody::AppStatus { app, status, readings };
-                    self.route_update(ctx, update, None, None, &mut effects);
+                    self.route_update(ctx, update, None, None);
                 }
             }
             AppMsg::PhaseChange { app, phase } => {
@@ -1915,25 +1905,20 @@ impl ServerCore {
                 for entry in to_flush.drain(..) {
                     // Proxy dequeue deadline check: work whose deadline
                     // lapsed while parked never reaches the application.
-                    if let Some(stamp) = entry.deadline {
-                        if stamp.expired(ctx.now()) {
-                            ctx.metrics().incr(names::SERVER_DEADLINE_DEQUEUE_EXPIRED);
-                            ctx.record_history(
-                                "daemon.expired",
-                                app,
-                                "",
-                                format_args!("req={} class={:?}", entry.req.0, entry.priority()),
-                            );
-                            self.drop_op(
-                                ctx,
-                                entry.req,
-                                WireError::new(
-                                    ErrorCode::DeadlineExceeded,
-                                    "deadline passed while buffered",
-                                ),
-                            );
-                            continue;
-                        }
+                    if entry.deadline.is_some_and(|stamp| stamp.expired(ctx.now())) {
+                        ctx.metrics().incr(names::SERVER_DEADLINE_DEQUEUE_EXPIRED);
+                        ctx.record_history(
+                            "daemon.expired",
+                            app,
+                            "",
+                            format_args!("req={} class={:?}", entry.req.0, entry.priority()),
+                        );
+                        let error = WireError::new(
+                            ErrorCode::DeadlineExceeded,
+                            "deadline passed while buffered",
+                        );
+                        self.resolve_op(ctx, entry.req, Err(error));
+                        continue;
                     }
                     ctx.metrics().incr(names::SERVER_DAEMON_FLUSHED);
                     ctx.record_history(
@@ -1946,40 +1931,26 @@ impl ServerCore {
                 }
                 self.flush_scratch = to_flush;
             }
-            AppMsg::Response { req, result } => {
-                self.close_req_trace(ctx, req);
-                if let Some(origin) = self.origins.remove(&req) {
-                    self.finish_op(ctx, origin, result);
-                }
-            }
-            AppMsg::Deregister { app } => {
-                self.close_app(ctx, app, &mut effects);
-            }
+            AppMsg::Response { req, result } => self.resolve_op(ctx, req, result),
+            AppMsg::Deregister { app } => self.close_app(ctx, app),
             // Server-to-app messages arriving here would be a wiring bug.
             AppMsg::RegisterAck { .. } | AppMsg::RegisterNak { .. } | AppMsg::Command { .. } => {
                 ctx.metrics().incr(names::SERVER_TCP_UNEXPECTED);
             }
         }
-        effects.extend(self.take_deferred());
-        effects
+        self.drain_effects()
     }
 
     /// Remove a local application: notify groups, fail buffered requests,
     /// announce on the control channel.
-    fn close_app(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId, effects: &mut Vec<Effect>) {
+    fn close_app(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId) {
         let Some(mut proxy) = self.apps.remove(&app) else { return };
         self.app_by_node.remove(&proxy.node);
         ctx.metrics().incr(names::SERVER_DAEMON_DEREGISTERED);
         // Fail anything still buffered.
         for entry in proxy.buffered.drain(..) {
-            self.close_req_trace(ctx, entry.req);
-            if let Some(origin) = self.origins.remove(&entry.req) {
-                self.finish_op(
-                    ctx,
-                    origin,
-                    Err(WireError::new(ErrorCode::Unavailable, "application closed")),
-                );
-            }
+            let error = WireError::new(ErrorCode::Unavailable, "application closed");
+            self.resolve_op(ctx, entry.req, Err(error));
         }
         // Push directly (route_update would try the removed proxy);
         // frozen once, shared by fifos, archive and peer pushes alike.
@@ -1992,11 +1963,11 @@ impl ServerCore {
             self.subscribers.remove(&app).map(|s| s.into_iter().collect()).unwrap_or_default();
         if !peers.is_empty() {
             reuses += peers.len() as u64;
-            effects.push(Effect::PushToPeers { update, peers });
+            self.effects.push(Effect::PushToPeers { update, peers });
         }
         ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
         self.collab.drop_app(app);
-        effects.push(Effect::Announce {
+        self.effects.push(Effect::Announce {
             kind: ControlEventKind::AppClosed,
             detail: format!("{app}"),
             app: Some(app),
@@ -2017,67 +1988,76 @@ impl ServerCore {
         from: NodeId,
         frame: GiopFrame,
     ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let GiopFrame { kind, request_id, target, operation, body } = frame;
+        let GiopFrame { kind, request_id, target, mut operation, body } = frame;
         let GiopBody::Call(call) = body else {
             ctx.metrics().incr(names::SERVER_GIOP_STRAY_REPLY);
-            return effects;
+            return self.drain_effects();
         };
         ctx.metrics().incr(names::SERVER_GIOP_CALLS);
+        let expects_reply = matches!(kind, GiopKind::Request { response_expected: true });
         // §6.3 resource accounting: meter each peer's request rate and
         // enforce the configured access policy.
-        let expects_reply = matches!(kind, GiopKind::Request { response_expected: true });
-        {
-            let now_us = ctx.now().as_micros();
-            let entry = self.peer_accounting.entry(from).or_insert((now_us, 0, 0, 0));
-            if now_us.saturating_sub(entry.0) >= 1_000_000 {
-                entry.0 = now_us;
-                entry.1 = 0;
+        let now_us = ctx.now().as_micros();
+        let entry = self.peer_accounting.entry(from).or_insert((now_us, 0, 0, 0));
+        if now_us.saturating_sub(entry.0) >= 1_000_000 {
+            entry.0 = now_us;
+            entry.1 = 0;
+        }
+        entry.1 += 1;
+        entry.2 += 1;
+        if self.config.peer_rate_limit.is_some_and(|limit| entry.1 > limit) {
+            entry.3 += 1;
+            ctx.metrics().incr(names::SERVER_PEER_THROTTLED);
+            // Refused before the skeleton runs: no marshalling is charged.
+            if expects_reply {
+                let refusal = PeerReply::Exception(WireError::new(
+                    ErrorCode::Unavailable,
+                    "peer request rate exceeds access policy",
+                ));
+                let frame = GiopFrame::reply(request_id, target, &operation, refusal);
+                ctx.send(from, Envelope::giop(frame));
             }
-            entry.1 += 1;
-            entry.2 += 1;
-            if let Some(limit) = self.config.peer_rate_limit {
-                if entry.1 > limit {
-                    entry.3 += 1;
-                    ctx.metrics().incr(names::SERVER_PEER_THROTTLED);
-                    if expects_reply {
-                        let frame = GiopFrame::reply(
-                            request_id,
-                            target.clone(),
-                            &operation,
-                            PeerReply::Exception(WireError::new(
-                                ErrorCode::Unavailable,
-                                "peer request rate exceeds access policy",
-                            )),
-                        );
-                        ctx.send(from, Envelope::giop(frame));
-                    }
-                    return effects;
-                }
-            }
+            return self.drain_effects();
         }
         // Skeleton-side unmarshalling/dispatch cost for every incoming call.
         ctx.consume(orb_call_cost(&call));
-        let reply = |ctx: &mut Ctx<'_, Envelope>, r: PeerReply| {
-            if expects_reply {
-                let env = Envelope::giop(GiopFrame::reply(request_id, target.clone(), &operation, r));
-                ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
-                ctx.send(from, env);
-            }
+        let reply = self.serve_giop(ctx, from, request_id, &mut operation, call);
+        if let (Some(reply), true) = (reply, expects_reply) {
+            let env = Envelope::giop(GiopFrame::reply(request_id, target, &operation, reply));
+            ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
+            ctx.send(from, env);
+        }
+        self.drain_effects()
+    }
+
+    /// Decode one peer call, run the verb it names, and shape the reply
+    /// (`None`: nothing to say now — a oneway, or an operation in flight
+    /// whose reply `complete_op` sends). `operation` is the call's name,
+    /// lent so an admitted `ProxyOp` can keep it for that later reply.
+    fn serve_giop(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        from: NodeId,
+        request_id: u64,
+        operation: &mut String,
+        call: PeerMsg,
+    ) -> Option<PeerReply> {
+        let origin = Origin::Relay { via: from };
+        let no_such_app = |app: AppId| {
+            PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}")))
         };
-        match call {
+        Some(match call {
             PeerMsg::Authenticate { user, password } => {
                 ctx.metrics().incr(names::SERVER_PEER_AUTH);
-                if !security::credentials_valid(&user, &password) {
-                    reply(ctx, PeerReply::AuthDenied);
-                    return effects;
-                }
-                let apps: Vec<AppDescriptor> =
-                    self.apps.values().filter_map(|p| p.descriptor_for(&user)).collect();
-                if apps.is_empty() {
-                    reply(ctx, PeerReply::AuthDenied);
+                let apps: Vec<AppDescriptor> = if security::credentials_valid(&user, &password) {
+                    self.apps.values().filter_map(|p| p.descriptor_for(&user)).collect()
                 } else {
-                    reply(ctx, PeerReply::AuthOk { apps });
+                    Vec::new()
+                };
+                if apps.is_empty() {
+                    PeerReply::AuthDenied
+                } else {
+                    PeerReply::AuthOk { apps }
                 }
             }
             PeerMsg::ListActive => {
@@ -2093,230 +2073,94 @@ impl ServerCore {
                         interface: p.interface.clone(),
                     })
                     .collect();
-                reply(ctx, PeerReply::Active { apps, users: self.sessions.users() });
+                PeerReply::Active { apps, users: self.sessions.users() }
             }
             PeerMsg::ProxyOp { app, user, op } => {
                 ctx.metrics().incr(names::SERVER_PEER_PROXY_OPS);
-                let Some(proxy) = self.apps.get(&app) else {
-                    reply(
-                        ctx,
-                        PeerReply::OpResult {
-                            app,
-                            result: Err(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
-                        },
-                    );
-                    return effects;
-                };
-                let Some(privilege) = proxy.privilege_of(&user) else {
-                    reply(
-                        ctx,
-                        PeerReply::OpResult {
-                            app,
-                            result: Err(WireError::new(ErrorCode::AccessDenied, "not on ACL")),
-                        },
-                    );
-                    return effects;
-                };
-                if let Err(e) = security::authorize_op(privilege, &op) {
-                    reply(ctx, PeerReply::OpResult { app, result: Err(e) });
-                    return effects;
-                }
-                if op.is_mutating() && !proxy.lock.is_held_by(&user) {
-                    reply(
-                        ctx,
-                        PeerReply::OpResult {
-                            app,
-                            result: Err(WireError::new(
-                                ErrorCode::LockRequired,
-                                "steering lock not held",
-                            )),
-                        },
-                    );
-                    return effects;
-                }
-                if matches!(op, AppOp::GetStatus) {
-                    let status = proxy.last_status.clone();
-                    reply(
-                        ctx,
-                        PeerReply::OpResult { app, result: Ok(OpOutcome::Status(status)) },
-                    );
-                    return effects;
-                }
-                let req = self.alloc_request();
-                self.log_app_metered(ctx, app, Some(user.clone()), LogEntry::Request(op.clone()));
-                self.origins.insert(
-                    req,
-                    OpOrigin::Peer { node: from, giop_id: request_id, operation, app, user },
-                );
-                let deadline = self.incoming_deadline;
-                self.dispatch_to_app(ctx, app, req, op, deadline);
-                // Reply is sent when the application responds.
+                let call = Some((request_id, operation));
+                let verdict = self.admit_op(ctx, origin, Cow::Owned(user), app, op, call);
+                // Admitted: the reply is sent when the application responds.
+                PeerReply::OpResult { app, result: verdict.transpose()? }
             }
             PeerMsg::LockRequest { app, user, via } => {
-                let now = ctx.now();
                 ctx.metrics().incr(names::SERVER_PEER_LOCK_REQUESTS);
-                match self.apps.get_mut(&app) {
-                    None => reply(
-                        ctx,
-                        PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
-                    ),
-                    Some(proxy) => match proxy.lock.try_acquire_leased(
-                        &user,
-                        now,
-                        self.config.lock_lease,
-                    ) {
-                        LockOutcome::Granted => {
+                match self.host_lock(ctx, origin, app, &user, true) {
+                    Ok((true, _)) => {
+                        // Remember which server relayed the grant, so the
+                        // lock can be seized if that server goes down.
+                        if let Some(proxy) = self.apps.get_mut(&app) {
                             proxy.lock.granted_via = Some(via);
-                            if let Some(evicted) = proxy.lock.take_evicted() {
-                                ctx.record_history(
-                                    "lock.evicted",
-                                    app,
-                                    evicted.as_str(),
-                                    "origin=lease-lazy",
-                                );
-                            }
-                            ctx.record_history(
-                                "lock.granted",
-                                app,
-                                user.as_str(),
-                                format_args!("origin=relay via={}", via.0),
-                            );
-                            reply(
-                                ctx,
-                                PeerReply::LockDecision {
-                                    app,
-                                    granted: true,
-                                    holder: Some(user.clone()),
-                                },
-                            );
-                            let update =
-                                UpdateBody::LockChanged { app, holder: Some(user.clone()) };
-                            self.route_update(ctx, update, None, None, &mut effects);
                         }
-                        LockOutcome::Denied { holder } => {
-                            ctx.metrics().incr(names::SERVER_LOCK_DENIED);
-                            ctx.record_history(
-                                "lock.denied",
-                                app,
-                                user.as_str(),
-                                format_args!("origin=relay holder={}", holder.as_str()),
-                            );
-                            reply(
-                                ctx,
-                                PeerReply::LockDecision { app, granted: false, holder: Some(holder) },
-                            );
-                        }
-                    },
+                        PeerReply::LockDecision { app, granted: true, holder: Some(user) }
+                    }
+                    Ok((false, holder)) => PeerReply::LockDecision { app, granted: false, holder },
+                    Err(e) => PeerReply::Exception(e),
                 }
             }
-            PeerMsg::LockRelease { app, user } => match self.apps.get_mut(&app) {
-                None => reply(
-                    ctx,
-                    PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
-                ),
-                Some(proxy) => {
-                    if proxy.lock.release(&user) {
-                        ctx.record_history(
-                            "lock.released",
-                            app,
-                            user.as_str(),
-                            "origin=relay",
-                        );
-                        reply(ctx, PeerReply::LockDecision { app, granted: true, holder: None });
-                        let update = UpdateBody::LockChanged { app, holder: None };
-                        self.route_update(ctx, update, None, None, &mut effects);
-                    } else {
-                        let holder = proxy.lock.holder().cloned();
-                        ctx.record_history(
-                            "lock.release_failed",
-                            app,
-                            user.as_str(),
-                            format_args!(
-                                "origin=relay holder={}",
-                                holder.as_ref().map(|h| h.as_str()).unwrap_or("-")
-                            ),
-                        );
-                        reply(ctx, PeerReply::LockDecision { app, granted: false, holder });
-                    }
+            PeerMsg::LockRelease { app, user } => {
+                match self.host_lock(ctx, origin, app, &user, false) {
+                    Ok((granted, holder)) => PeerReply::LockDecision { app, granted, holder },
+                    Err(e) => PeerReply::Exception(e),
                 }
-            },
+            }
             PeerMsg::SubscribeApp { app, subscriber } => {
                 ctx.metrics().incr(names::SERVER_PEER_SUBSCRIBES);
-                if self.apps.contains_key(&app) {
-                    self.subscribers.entry(app).or_default().insert(subscriber);
-                    reply(ctx, PeerReply::SubscribeOk { app });
-                    // Seed the subscriber with the current status.
-                    if let Some(proxy) = self.apps.get(&app) {
-                        effects.push(Effect::PushToPeers {
-                            update: FrozenUpdate::new(UpdateBody::AppStatus {
-                                app,
-                                status: proxy.last_status.clone(),
-                                readings: proxy.last_readings.clone(),
-                            }),
-                            peers: vec![subscriber],
-                        });
-                    }
-                } else {
-                    reply(
-                        ctx,
-                        PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
-                    );
-                }
+                let Some(proxy) = self.apps.get(&app) else { return Some(no_such_app(app)) };
+                self.subscribers.entry(app).or_default().insert(subscriber);
+                // Seed the subscriber with the current status.
+                self.effects.push(Effect::PushToPeers {
+                    update: FrozenUpdate::new(UpdateBody::AppStatus {
+                        app,
+                        status: proxy.last_status.clone(),
+                        readings: proxy.last_readings.clone(),
+                    }),
+                    peers: vec![subscriber],
+                });
+                PeerReply::SubscribeOk { app }
             }
             PeerMsg::UnsubscribeApp { app, subscriber } => {
                 if let Some(set) = self.subscribers.get_mut(&app) {
                     set.remove(&subscriber);
                 }
-                reply(ctx, PeerReply::SubscribeOk { app });
+                PeerReply::SubscribeOk { app }
             }
             PeerMsg::CollabUpdate { update, origin } => {
                 ctx.metrics().incr(names::SERVER_PEER_COLLAB_UPDATES);
-                self.apply_peer_update(ctx, update, origin, &mut effects);
+                self.apply_peer_update(ctx, update, origin);
+                return None;
             }
-            PeerMsg::PollUpdates { app, since, requester } => {
-                match self.apps.get(&app) {
-                    Some(proxy) => {
-                        let (updates, next_seq) = proxy.updates_since(since, Some(requester));
-                        reply(ctx, PeerReply::Updates { app, updates, next_seq });
-                    }
-                    None => reply(
-                        ctx,
-                        PeerReply::Exception(WireError::new(ErrorCode::NoSuchApp, format!("{app}"))),
-                    ),
+            PeerMsg::PollUpdates { app, since, requester } => match self.apps.get(&app) {
+                Some(proxy) => {
+                    let (updates, next_seq) = proxy.updates_since(since, Some(requester));
+                    PeerReply::Updates { app, updates, next_seq }
                 }
-            }
+                None => no_such_app(app),
+            },
             PeerMsg::FetchHistory { app, since } => {
-                let (records, next_seq) = self.archive.fetch_app(app, since);
-                reply(ctx, PeerReply::History { app, records, next_seq });
+                let (_, records, next_seq) = self.replay(ctx, app, since, Replay::History);
+                PeerReply::History { app, records, next_seq }
             }
             PeerMsg::Control(event) => {
                 ctx.metrics().incr_dynamic(&format!("server.control.{:?}", event.kind));
-                let _ = event;
+                return None;
             }
             // Directory operations belong to the directory node.
-            other => {
-                reply(
-                    ctx,
-                    PeerReply::Exception(WireError::new(
-                        ErrorCode::BadRequest,
-                        format!("not served here: {other:?}"),
-                    )),
-                );
-            }
-        }
-        effects.extend(self.take_deferred());
-        effects
+            other => PeerReply::Exception(WireError::new(
+                ErrorCode::BadRequest,
+                format!("not served here: {other:?}"),
+            )),
+        })
     }
 
     /// Ingest an update that arrived from a peer (push or poll). If this
     /// server hosts the app, it re-fans to locals and subscribers (minus
-    /// the origin); otherwise it only reaches local clients.
+    /// the origin); otherwise it only reaches local clients. Only queues
+    /// effects: the caller drains them ([`ServerCore::drain_effects`]).
     pub fn apply_peer_update(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         update: FrozenUpdate,
         origin: ServerAddr,
-        effects: &mut Vec<Effect>,
     ) {
         // Maintain the remote mirror's status cache.
         if let UpdateBody::AppStatus { app, status, .. } = update.body() {
@@ -2330,7 +2174,7 @@ impl ServerCore {
         }
         // The update arrives already frozen by its origin server; the
         // local re-fan-out reuses those bytes with zero re-encode.
-        self.route_update(ctx, update, None, Some(origin), effects);
+        self.route_update(ctx, update, None, Some(origin));
     }
 }
 
@@ -2346,9 +2190,7 @@ impl ServerCore {
         client: ClientId,
         apps: Vec<AppDescriptor>,
     ) {
-        let Some(cookie) = self.cookie_of_client.get(&client) else { return };
-        let Some(session) = self.sessions.get(*cookie) else { return };
-        let user = session.user.clone();
+        let Some(user) = self.user_of(client) else { return };
         for d in apps {
             self.remote_privs.insert((user.clone(), d.app), d.privilege);
             self.remote_apps.insert(
@@ -2366,6 +2208,12 @@ impl ServerCore {
         self.fifo_push(ctx, client, ClientMessage::Response(ResponseBody::Apps(list)));
     }
 
+    /// The user behind a local client's live session.
+    fn user_of(&self, client: ClientId) -> Option<UserId> {
+        let cookie = self.cookie_of_client.get(&client)?;
+        self.sessions.get(*cookie).map(|s| s.user.clone())
+    }
+
     /// A remote operation completed (or failed terminally).
     pub fn complete_remote_op(
         &mut self,
@@ -2374,53 +2222,9 @@ impl ServerCore {
         app: AppId,
         result: Result<OpOutcome, WireError>,
     ) {
-        let user = self
-            .cookie_of_client
-            .get(&client)
-            .and_then(|c| self.sessions.get(*c))
-            .map(|s| s.user.clone());
-        let Some(user) = user else { return };
-        let entry = match &result {
-            Ok(o) => LogEntry::Response(o.clone()),
-            Err(e) => LogEntry::Error(e.clone()),
-        };
-        self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry);
-        match result {
-            Ok(outcome) => {
-                self.fifo_push(
-                    ctx,
-                    client,
-                    ClientMessage::Response(ResponseBody::OpDone { app, outcome: outcome.clone() }),
-                );
-                // Collaborative response sharing: echo non-mutating
-                // outcomes to the group (mutating ones are broadcast by
-                // the host itself).
-                let mutating = matches!(
-                    outcome,
-                    OpOutcome::ParamSet(..) | OpOutcome::CommandDone(_)
-                );
-                if !mutating && self.collab.broadcast_enabled(app, client) {
-                    let update = UpdateBody::InteractionEcho {
-                        app,
-                        by: user.clone(),
-                        outcome: outcome.clone(),
-                    };
-                    let mut effects = Vec::new();
-                    self.route_update(ctx, update, Some(client), None, &mut effects);
-                    self.deferred.extend(effects);
-                }
-                // §6.3: the response record is created at the CLIENT's
-                // local server, owned by the requesting user.
-                self.records.create(
-                    app,
-                    user,
-                    [],
-                    ctx.now(),
-                    vec![("outcome".to_string(), Value::Text(format!("{outcome:?}")))],
-                );
-            }
-            Err(e) => self.fifo_push(ctx, client, ClientMessage::Error(e)),
-        }
+        let Some(user) = self.user_of(client) else { return };
+        let pending = PendingOp { origin: Origin::Local { client }, user, app, call: None };
+        self.complete_op(ctx, pending, result);
     }
 
     /// A relayed lock request/release was decided by the host server.
@@ -2433,13 +2237,7 @@ impl ServerCore {
         granted: bool,
         holder: Option<UserId>,
     ) {
-        let msg = match (acquire, granted) {
-            (true, true) => ClientMessage::Response(ResponseBody::LockGranted { app }),
-            (true, false) => ClientMessage::Response(ResponseBody::LockDenied { app, holder }),
-            (false, true) => ClientMessage::Response(ResponseBody::LockReleased { app }),
-            (false, false) => Self::error(ErrorCode::BadRequest, "not the lock holder"),
-        };
-        self.fifo_push(ctx, client, msg);
+        self.fifo_push(ctx, client, Self::lock_message(app, acquire, granted, holder));
     }
 
     /// Remote history fetch completed.
@@ -2476,35 +2274,30 @@ impl ServerCore {
         self.apps.get_mut(&app).map(|p| p.revoke(user)).unwrap_or((false, false))
     }
 
-    /// Eagerly force-release steering locks whose holder has been silent
-    /// past the lease, broadcasting the change. Without this, a lock held
-    /// by a crashed remote client is only reclaimed lazily, when someone
-    /// else contends — zero-contention apps would stay locked forever.
-    fn sweep_expired_leases(&mut self, ctx: &mut Ctx<'_, Envelope>) -> Vec<Effect> {
-        let Some(lease) = self.config.lock_lease else { return Vec::new() };
-        let now = ctx.now();
+    /// The one lock seizure: force-release every local steering lock
+    /// `stale` picks out, counting and recording each eviction under
+    /// `why` and broadcasting the change.
+    fn seize_locks(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        why: impl fmt::Display,
+        stale: impl Fn(&SteeringLock) -> bool,
+    ) {
         let mut freed = Vec::new();
         for (app, proxy) in self.apps.iter_mut() {
-            if proxy.lock.expired(now, Some(lease)) {
+            if stale(&proxy.lock) {
                 if let Some(holder) = proxy.lock.force_release() {
                     proxy.lock.evictions += 1;
                     freed.push((*app, holder));
                 }
             }
         }
-        let mut effects = Vec::new();
         for (app, holder) in freed {
             ctx.metrics().incr(names::SERVER_LOCK_EVICTED);
-            ctx.record_history(
-                "lock.evicted",
-                app,
-                holder.as_str(),
-                "origin=lease-sweep",
-            );
+            ctx.record_history("lock.evicted", app, holder.as_str(), &why);
             let update = UpdateBody::LockChanged { app, holder: None };
-            self.route_update(ctx, update, None, None, &mut effects);
+            self.route_update(ctx, update, None, None);
         }
-        effects
     }
 
     /// Force-release every lock whose grant was relayed via `peer`, which
@@ -2517,29 +2310,9 @@ impl ServerCore {
         ctx: &mut Ctx<'_, Envelope>,
         peer: ServerAddr,
     ) -> Vec<Effect> {
-        let mut freed = Vec::new();
-        for (app, proxy) in self.apps.iter_mut() {
-            if proxy.lock.granted_via == Some(peer) {
-                if let Some(holder) = proxy.lock.force_release() {
-                    proxy.lock.evictions += 1;
-                    freed.push((*app, holder));
-                }
-            }
-        }
-        let mut effects = Vec::new();
-        for (app, holder) in freed {
-            ctx.metrics().incr(names::SERVER_LOCK_EVICTED);
-            ctx.record_history(
-                "lock.evicted",
-                app,
-                holder.as_str(),
-                format_args!("origin=peer-down peer={}", peer.0),
-            );
-            let update = UpdateBody::LockChanged { app, holder: None };
-            self.route_update(ctx, update, None, None, &mut effects);
-        }
-        effects.extend(self.take_deferred());
-        effects
+        let why = format_args!("origin=peer-down peer={}", peer.0);
+        self.seize_locks(ctx, why, |lock| lock.granted_via == Some(peer));
+        self.drain_effects()
     }
 
     /// Reap sessions idle past the configured timeout and sweep expired
@@ -2550,20 +2323,22 @@ impl ServerCore {
     /// client can reconnect-with-resume while parked state stays bounded
     /// under mass leave. Returns resulting effects.
     pub fn reap_idle_sessions(&mut self, ctx: &mut Ctx<'_, Envelope>) -> Vec<Effect> {
-        let lease_effects = self.sweep_expired_leases(ctx);
-        let Some(timeout) = self.config.session_idle_timeout else {
-            let mut effects = lease_effects;
-            effects.extend(self.take_deferred());
-            return effects;
-        };
         let now = ctx.now();
+        // Eager lease expiry: without it, a lock held by a crashed remote
+        // client is only reclaimed lazily, when someone else contends —
+        // zero-contention apps would stay locked forever.
+        if let Some(lease) = self.config.lock_lease {
+            self.seize_locks(ctx, "origin=lease-sweep", |lock| lock.expired(now, Some(lease)));
+        }
+        let Some(timeout) = self.config.session_idle_timeout else {
+            return self.drain_effects();
+        };
         let cutoff_us = now.as_micros().saturating_sub(timeout.as_micros());
         let cutoff = simnet::SimTime::from_micros(cutoff_us);
-        let mut effects = lease_effects;
         for session in self.sessions.reap_idle(cutoff) {
             match self.config.session_park_ttl {
                 Some(_) => self.park_session(ctx, session),
-                None => self.reclaim_session(ctx, session, &mut effects),
+                None => self.reclaim_session(ctx, &session),
             }
         }
         // Park-TTL expiry keeps parked state bounded: the grace window
@@ -2582,7 +2357,7 @@ impl ServerCore {
                     .map(|(c, _)| *c)
                     .collect();
                 for cookie in expired {
-                    let p = self.parked.remove(&cookie).expect("collected above");
+                    let Some(p) = self.parked.remove(&cookie) else { continue };
                     ctx.metrics().incr(names::SERVER_SESSIONS_RECLAIMED);
                     ctx.record_history(
                         "session.reclaimed",
@@ -2590,12 +2365,18 @@ impl ServerCore {
                         p.session.user.as_str(),
                         format_args!("apps={}", p.session.selected.len()),
                     );
-                    self.reclaim_session(ctx, p.session, &mut effects);
+                    self.reclaim_session(ctx, &p.session);
                 }
             }
         }
-        effects.extend(self.take_deferred());
-        effects
+        self.drain_effects()
+    }
+
+    /// Count and tear down a session the reaper took off the live table
+    /// (or out of the park): from here on it is exactly a logout.
+    fn reclaim_session(&mut self, ctx: &mut Ctx<'_, Envelope>, session: &HttpSession) {
+        ctx.metrics().incr(names::SERVER_SESSIONS_REAPED);
+        self.end_session(ctx, session.client, &session.user);
     }
 
     /// Park an idle session under the park TTL: the session leaves the
@@ -2651,7 +2432,7 @@ impl ServerCore {
         self.update_counter.clear();
         self.peer_accounting.clear();
         self.req_traces.clear();
-        self.deferred.clear();
+        self.effects.clear();
         let now = ctx.now();
         let mut recovered = 0u32;
         for app in self.archive.archived_apps() {
@@ -2684,37 +2465,6 @@ impl ServerCore {
             "",
             format_args!("apps={recovered} sessions_dropped={dropped_sessions}"),
         );
-    }
-
-    /// Full teardown of a session already removed from the live table:
-    /// exactly a logout (groups left, locks freed, FIFO dropped).
-    fn reclaim_session(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        session: HttpSession,
-        effects: &mut Vec<Effect>,
-    ) {
-        ctx.metrics().incr(names::SERVER_SESSIONS_REAPED);
-        let client = session.client;
-        let user = session.user.clone();
-        self.cookie_of_client.remove(&client);
-        self.fifos.remove(&client);
-        let affected = self.collab.drop_client(client);
-        let last_session = !self.sessions.iter().any(|s| s.user == user);
-        for app in affected {
-            let update = UpdateBody::MemberLeft { app, user: user.clone() };
-            self.route_update(ctx, update, None, None, effects);
-            self.maybe_unsubscribe(app, effects);
-            self.release_lock_if_last_session(ctx, app, &user, effects);
-            if last_session && app.host() != self.config.addr {
-                effects.push(Effect::RemoteLock {
-                    client,
-                    user: user.clone(),
-                    app,
-                    acquire: false,
-                });
-            }
-        }
     }
 }
 
@@ -2787,7 +2537,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
             let update = status(2);
             if self.batched {
-                self.core.route_update(ctx, update, None, None, &mut Vec::new());
+                self.core.route_update(ctx, update, None, None);
             } else {
                 for seq in 0..6 {
                     self.core.fifo_push(ctx, client(seq), ClientMessage::Update(update.clone()));
@@ -2845,5 +2595,570 @@ mod tests {
         assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
         assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
         assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
+    }
+
+    // -----------------------------------------------------------------
+    // Host-side verbs: one path per verb, whoever asks
+    // -----------------------------------------------------------------
+
+    const ANCHOR: AppId = AppId { server: ADDR, seq: 1 };
+    const PEER: ServerAddr = ServerAddr(2);
+    const REMOTE: AppId = AppId { server: PEER, seq: 0 };
+
+    fn user(name: &str) -> UserId {
+        UserId::new(name)
+    }
+
+    type Script = Box<dyn FnOnce(&mut ServerCore, &mut Ctx<'_, Envelope>)>;
+
+    /// A core that is its own application, portal and peer server: the
+    /// script calls the public entry points directly, and whatever the
+    /// core sends comes back to this node, where commands are answered
+    /// as the application would and replies are kept.
+    struct Loopback {
+        core: ServerCore,
+        script: Option<Script>,
+        http: Vec<HttpResponse>,
+        giop: Vec<PeerReply>,
+        /// Effects returned while answering commands.
+        effects: Vec<Effect>,
+    }
+
+    impl Loopback {
+        fn run(config: ServerConfig, script: Script) -> (Engine<Envelope>, NodeId) {
+            let mut engine = Engine::new(1);
+            engine.enable_history();
+            let node = engine.add_node(
+                "s",
+                Loopback {
+                    core: ServerCore::new(config),
+                    script: Some(script),
+                    http: Vec::new(),
+                    giop: Vec::new(),
+                    effects: Vec::new(),
+                },
+            );
+            engine.run_to_quiescence();
+            (engine, node)
+        }
+    }
+
+    impl Actor<Envelope> for Loopback {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            if let Some(script) = self.script.take() {
+                script(&mut self.core, ctx);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, _: NodeId, msg: Envelope) {
+            match msg.content {
+                wire::Content::HttpResponse(response) => self.http.push(response),
+                wire::Content::Giop(GiopFrame { body: GiopBody::Return(reply), .. }) => {
+                    self.giop.push(reply)
+                }
+                wire::Content::Tcp(TcpFrame { msg: AppMsg::Command { req, op }, .. }) => {
+                    let outcome = match op {
+                        AppOp::SetParam(name, value) => OpOutcome::ParamSet(name, value),
+                        AppOp::Command(command) => OpOutcome::CommandDone(command),
+                        _ => OpOutcome::Sensors(Vec::new()),
+                    };
+                    let response = AppMsg::Response { req, result: Ok(outcome) };
+                    self.effects.extend(tcp(&mut self.core, ctx, response));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Every public entry point that returns effects hands over the whole
+    /// queue: nothing may be left behind for the next caller.
+    fn handed_off(core: &ServerCore, effects: Vec<Effect>) -> Vec<Effect> {
+        assert!(core.effects.is_empty(), "effects left queued: {:?}", core.effects);
+        effects
+    }
+
+    fn tcp(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>, msg: AppMsg) -> Vec<Effect> {
+        let me = ctx.me();
+        let effects = core.handle_tcp(ctx, me, TcpFrame::new(Channel::Main, msg), 0);
+        handed_off(core, effects)
+    }
+
+    fn http(
+        core: &mut ServerCore,
+        ctx: &mut Ctx<'_, Envelope>,
+        session: Option<u64>,
+        request: ClientRequest,
+    ) -> Vec<Effect> {
+        let me = ctx.me();
+        let request = HttpRequest::post(webserv::paths::COMMAND, session, request);
+        let effects = core.handle_http(ctx, me, request, 0);
+        handed_off(core, effects)
+    }
+
+    fn giop(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>, msg: PeerMsg) -> Vec<Effect> {
+        let me = ctx.me();
+        let frame = GiopFrame::request(7, ObjectKey::new(CORBA_SERVER_KEY), "call", msg);
+        let effects = core.handle_giop(ctx, me, frame);
+        handed_off(core, effects)
+    }
+
+    /// Register `APP` (interacting, ACL as given) and a login anchor every
+    /// named user may enter through, then log everyone in. Returns each
+    /// user's (cookie, client id), in `acl` order.
+    fn open_host(
+        core: &mut ServerCore,
+        ctx: &mut Ctx<'_, Envelope>,
+        acl: &[(&str, Option<Privilege>)],
+    ) -> Vec<(u64, ClientId)> {
+        let register = |acl: Vec<(UserId, Privilege)>, slot| AppMsg::Register {
+            token: AppToken::new("t"),
+            name: format!("app{slot}"),
+            kind: "k".into(),
+            acl,
+            interface: InteractionSpec::default(),
+            slot: Some(slot),
+        };
+        let granted = acl.iter().filter_map(|(name, p)| p.map(|p| (user(name), p))).collect();
+        tcp(core, ctx, register(granted, APP.seq));
+        let everyone = acl.iter().map(|(name, _)| (user(name), Privilege::ReadOnly)).collect();
+        tcp(core, ctx, register(everyone, ANCHOR.seq));
+        tcp(core, ctx, AppMsg::PhaseChange { app: APP, phase: AppPhase::Interacting });
+        acl.iter()
+            .map(|(name, _)| {
+                let user = user(name);
+                let password = security::expected_password(&user);
+                http(core, ctx, None, ClientRequest::Login { user: user.clone(), password });
+                let session = core.sessions.iter().find(|s| s.user == user).expect("logged in");
+                (session.cookie, session.client)
+            })
+            .collect()
+    }
+
+    /// A peer subscribes to `APP`, so every broadcast the host owns shows
+    /// up as a `PushToPeers` effect.
+    fn subscribe_peer(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) {
+        giop(core, ctx, PeerMsg::SubscribeApp { app: APP, subscriber: PEER });
+    }
+
+    fn pushed(effects: &[Effect]) -> Vec<&UpdateBody> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::PushToPeers { update, .. } => Some(update.body()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A history event without the tokens that name its origin.
+    fn sans_origin(e: &simnet::HistoryEvent) -> String {
+        let detail: Vec<&str> = e
+            .detail
+            .split_whitespace()
+            .filter(|tok| !tok.starts_with("origin=") && !tok.starts_with("via="))
+            .collect();
+        format!("{} {} {}", e.label, e.actor, detail.join(" "))
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum LockState {
+        Free,
+        Mine,
+        Theirs,
+    }
+
+    #[derive(Clone, Debug)]
+    enum Verb {
+        Op(AppOp),
+        Acquire,
+        Release,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Verdict {
+        /// Dispatched to the application.
+        Admitted,
+        /// Answered from the proxy's cached context.
+        Answered,
+        Refused(ErrorCode),
+        Lock { granted: bool, blocked_by: Option<UserId> },
+    }
+
+    /// Put one request to a host whose `APP` grants "u" `privilege` and
+    /// whose lock is in `lock`, through HTTP (`relayed == false`) or GIOP;
+    /// returns the verdict the caller saw and the history it left.
+    fn decide(
+        relayed: bool,
+        privilege: Option<Privilege>,
+        lock: LockState,
+        verb: Verb,
+    ) -> (Verdict, Vec<String>) {
+        let (acquire, release) = (matches!(verb, Verb::Acquire), matches!(verb, Verb::Release));
+        let script: Script = Box::new(move |core, ctx| {
+            let acl = [("u", privilege), ("other", Some(Privilege::Steer))];
+            let sessions = open_host(core, ctx, &acl);
+            let holder = match lock {
+                LockState::Free => None,
+                LockState::Mine => Some(user("u")),
+                LockState::Theirs => Some(user("other")),
+            };
+            if let Some(holder) = holder {
+                let lock = &mut core.apps.get_mut(&APP).expect("registered").lock;
+                assert_eq!(lock.try_acquire(&holder, ctx.now()), LockOutcome::Granted);
+            }
+            let (app, user) = (APP, user("u"));
+            if relayed {
+                let call = match verb {
+                    Verb::Op(op) => PeerMsg::ProxyOp { app, user, op },
+                    Verb::Acquire => PeerMsg::LockRequest { app, user, via: PEER },
+                    Verb::Release => PeerMsg::LockRelease { app, user },
+                };
+                giop(core, ctx, call);
+            } else {
+                let request = match verb {
+                    Verb::Op(op) => ClientRequest::Op { app, op },
+                    Verb::Acquire => ClientRequest::RequestLock { app },
+                    Verb::Release => ClientRequest::ReleaseLock { app },
+                };
+                http(core, ctx, Some(sessions[0].0), request);
+            }
+        });
+        let (engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        // Who stood in the way is part of the verdict only for a refused
+        // acquire: HTTP words a refused release as a bare error.
+        let lock_verdict = |granted: bool, holder: &Option<UserId>| Verdict::Lock {
+            granted,
+            blocked_by: holder.clone().filter(|_| acquire && !granted),
+        };
+        let verdict = if relayed {
+            match host.giop.as_slice() {
+                [PeerReply::OpResult { result: Ok(OpOutcome::Status(_)), .. }] => Verdict::Answered,
+                [PeerReply::OpResult { result: Ok(_), .. }] => Verdict::Admitted,
+                [PeerReply::OpResult { result: Err(e), .. }] => Verdict::Refused(e.code),
+                [PeerReply::LockDecision { granted, holder, .. }] => lock_verdict(*granted, holder),
+                other => panic!("unexpected GIOP replies: {other:?}"),
+            }
+        } else {
+            match host.http.last().map(|response| response.body.as_slice()) {
+                Some([ClientMessage::Response(body)]) => match body {
+                    ResponseBody::Accepted => Verdict::Admitted,
+                    ResponseBody::OpDone { outcome: OpOutcome::Status(_), .. } => Verdict::Answered,
+                    ResponseBody::LockGranted { .. } | ResponseBody::LockReleased { .. } => {
+                        lock_verdict(true, &None)
+                    }
+                    ResponseBody::LockDenied { holder, .. } => lock_verdict(false, holder),
+                    other => panic!("unexpected response: {other:?}"),
+                },
+                Some([ClientMessage::Error(_)]) if release => lock_verdict(false, &None),
+                Some([ClientMessage::Error(e)]) => Verdict::Refused(e.code),
+                other => panic!("unexpected HTTP response: {other:?}"),
+            }
+        };
+        (verdict, engine.history().iter().map(sans_origin).collect())
+    }
+
+    #[test]
+    fn local_and_relay_agree() {
+        let privileges =
+            [None, Some(Privilege::ReadOnly), Some(Privilege::ReadWrite), Some(Privilege::Steer)];
+        let verbs = [
+            Verb::Op(AppOp::GetStatus),
+            Verb::Op(AppOp::GetSensors),
+            Verb::Op(AppOp::SetParam("knob".into(), Value::Float(1.0))),
+            Verb::Op(AppOp::Command(wire::AppCommand::Pause)),
+            Verb::Acquire,
+            Verb::Release,
+        ];
+        let mut accepted = 0;
+        for privilege in privileges {
+            for lock in [LockState::Free, LockState::Mine, LockState::Theirs] {
+                for verb in &verbs {
+                    let case = format!("{privilege:?} / lock {lock:?} / {verb:?}");
+                    let (local, local_history) = decide(false, privilege, lock, verb.clone());
+                    let (relay, relay_history) = decide(true, privilege, lock, verb.clone());
+                    assert_eq!(local, relay, "verdicts differ: {case}");
+                    assert_eq!(local_history, relay_history, "histories differ: {case}");
+                    let admissions = local_history.iter().filter(|e| e.starts_with("op.accepted"));
+                    accepted += admissions.count();
+                }
+            }
+        }
+        // The table is not vacuous: both refusals and admissions occur.
+        assert!(accepted > 0, "no case admitted an operation");
+        let (refused, history) = decide(true, None, LockState::Free, verbs[1].clone());
+        assert_eq!(refused, Verdict::Refused(ErrorCode::AccessDenied));
+        assert_eq!(history, ["acl.denied u level=2 reason=not-on-acl op=getSensors"]);
+        let (admitted, history) =
+            decide(true, Some(Privilege::Steer), LockState::Mine, verbs[3].clone());
+        assert_eq!(admitted, Verdict::Admitted);
+        assert_eq!(history, ["op.accepted u op=command"]);
+    }
+
+    #[test]
+    fn a_relayed_holder_keeps_the_lease_alive_by_steering() {
+        // The admission is one function, so a relayed mutating operation
+        // refreshes the holder's lease exactly as a local one does.
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.lock_lease = Some(simnet::SimDuration::from_secs(30));
+        let script: Script = Box::new(|core, ctx| {
+            open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            giop(core, ctx, PeerMsg::LockRequest { app: APP, user: user("u"), via: PEER });
+            ctx.consume(simnet::SimDuration::from_secs(20));
+            let op = AppOp::SetParam("knob".into(), Value::Float(1.0));
+            giop(core, ctx, PeerMsg::ProxyOp { app: APP, user: user("u"), op });
+            ctx.consume(simnet::SimDuration::from_secs(20));
+            assert!(core.reap_idle_sessions(ctx).is_empty(), "an active holder is not evicted");
+            let lock = &core.apps[&APP].lock;
+            assert!(lock.is_held_by(&user("u")));
+            assert_eq!(lock.granted_via, Some(PEER));
+        });
+        Loopback::run(config, script);
+    }
+
+    #[test]
+    fn lock_decisions_hand_their_broadcast_to_the_caller() {
+        let script: Script = Box::new(|core, ctx| {
+            let sessions = open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let cookie = Some(sessions[0].0);
+            let granted = http(core, ctx, cookie, ClientRequest::RequestLock { app: APP });
+            let holder = Some(user("u"));
+            assert_eq!(pushed(&granted), [&UpdateBody::LockChanged { app: APP, holder }]);
+            // Refused: nothing changed, nothing to hand off.
+            let other = PeerMsg::LockRequest { app: APP, user: user("other"), via: PEER };
+            assert!(giop(core, ctx, other).is_empty());
+            let released = giop(core, ctx, PeerMsg::LockRelease { app: APP, user: user("u") });
+            assert_eq!(pushed(&released), [&UpdateBody::LockChanged { app: APP, holder: None }]);
+        });
+        Loopback::run(ServerConfig::new(ADDR, "s"), script);
+    }
+
+    #[test]
+    fn admitted_and_completed_ops_hand_their_effects_to_the_caller() {
+        let knob = || AppOp::SetParam("knob".into(), Value::Float(2.0));
+        let script: Script = Box::new(move |core, ctx| {
+            let sessions = open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let (cookie, client) = (Some(sessions[0].0), sessions[0].1);
+            http(core, ctx, cookie, ClientRequest::RequestLock { app: APP });
+            // Admission dispatches and hands off nothing, from either
+            // origin; the completions (answered by the loopback as the
+            // application, checked below) carry the broadcast.
+            assert!(http(core, ctx, cookie, ClientRequest::Op { app: APP, op: knob() }).is_empty());
+            let relayed = PeerMsg::ProxyOp { app: APP, user: user("u"), op: knob() };
+            assert!(giop(core, ctx, relayed).is_empty());
+            // A local client of a remote application: the completion only
+            // queues (the substrate drains it), here an echo for the host.
+            core.collab.join(REMOTE, client);
+            core.complete_remote_op(ctx, client, REMOTE, Ok(OpOutcome::Sensors(Vec::new())));
+            let queued = core.drain_effects();
+            assert!(
+                matches!(queued.as_slice(), [Effect::ForwardToHost { update }]
+                    if matches!(update.body(), UpdateBody::InteractionEcho { .. })),
+                "{queued:?}"
+            );
+            assert!(core.effects.is_empty());
+        });
+        let (engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let changed = UpdateBody::ParamChanged {
+            app: APP,
+            name: "knob".into(),
+            value: Value::Float(2.0),
+            by: user("u"),
+        };
+        assert_eq!(pushed(&host.effects), [&changed, &changed], "one per completed operation");
+        assert!(host.core.effects.is_empty());
+        assert!(host.core.origins.is_empty(), "both operations settled");
+    }
+
+    /// A host with one session that selected the hosted `APP` (holding
+    /// its lock) and the remote `REMOTE`, and a peer subscribed to `APP`.
+    fn open_session(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) -> u64 {
+        let (cookie, client) = open_host(core, ctx, &[("u", Some(Privilege::Steer))])[0];
+        subscribe_peer(core, ctx);
+        let remote = AppDescriptor {
+            app: REMOTE,
+            name: "remote".into(),
+            kind: "k".into(),
+            status: AppStatus { phase: AppPhase::Interacting, iteration: 0, progress: 0.0 },
+            privilege: Privilege::Steer,
+            interface: InteractionSpec::default(),
+        };
+        core.complete_remote_auth(ctx, client, vec![remote]);
+        for app in [APP, REMOTE] {
+            http(core, ctx, Some(cookie), ClientRequest::SelectApp { app });
+        }
+        http(core, ctx, Some(cookie), ClientRequest::RequestLock { app: APP });
+        cookie
+    }
+
+    #[test]
+    fn every_teardown_hands_the_same_effects_to_the_caller() {
+        // Logout, the idle reaper and park-TTL reclamation are one
+        // teardown: same effects, nothing left queued, nothing left held.
+        type Teardown = fn(&mut ServerCore, &mut Ctx<'_, Envelope>, u64) -> Vec<Effect>;
+        const MINUTE: simnet::SimDuration = simnet::SimDuration::from_secs(60);
+
+        fn idle_for_a_minute(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) -> Vec<Effect> {
+            ctx.consume(MINUTE + MINUTE / 60);
+            let effects = core.reap_idle_sessions(ctx);
+            handed_off(core, effects)
+        }
+
+        fn check(park_ttl: Option<simnet::SimDuration>, teardown: Teardown) {
+            let mut config = ServerConfig::new(ADDR, "s");
+            config.session_idle_timeout = Some(MINUTE);
+            config.session_park_ttl = park_ttl;
+            let script: Script = Box::new(move |core, ctx| {
+                let cookie = open_session(core, ctx);
+                let client = core.sessions.get(cookie).expect("live").client;
+                let mut effects = teardown(core, ctx, cookie);
+                let left = |app| FrozenUpdate::new(UpdateBody::MemberLeft { app, user: user("u") });
+                let freed = FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None });
+                let mut expected = vec![
+                    Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
+                    Effect::PushToPeers { update: freed, peers: vec![PEER] },
+                    Effect::ForwardToHost { update: left(REMOTE) },
+                    Effect::Unsubscribe { app: REMOTE },
+                    Effect::RemoteLock { client, user: user("u"), app: REMOTE, acquire: false },
+                ];
+                effects.sort_by_key(|e| format!("{e:?}"));
+                expected.sort_by_key(|e| format!("{e:?}"));
+                assert_eq!(effects, expected);
+                assert_eq!(core.session_count() + core.parked_count(), 0);
+                assert!(core.fifos.is_empty() && core.cookie_of_client.is_empty());
+                assert_eq!(core.apps[&APP].lock.holder(), None);
+            });
+            Loopback::run(config, script);
+        }
+
+        check(None, |core, ctx, cookie| http(core, ctx, Some(cookie), ClientRequest::Logout));
+        check(None, |core, ctx, _| idle_for_a_minute(core, ctx));
+        check(Some(MINUTE), |core, ctx, _| {
+            assert!(idle_for_a_minute(core, ctx).is_empty(), "parking tears nothing down");
+            assert_eq!(core.parked_count(), 1);
+            idle_for_a_minute(core, ctx)
+        });
+    }
+
+    #[test]
+    fn both_seizures_hand_their_broadcast_to_the_caller() {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.lock_lease = Some(simnet::SimDuration::from_secs(30));
+        let script: Script = Box::new(|core, ctx| {
+            open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let grant = PeerMsg::LockRequest { app: APP, user: user("u"), via: PEER };
+            let freed = UpdateBody::LockChanged { app: APP, holder: None };
+            // The relaying peer goes down.
+            giop(core, ctx, grant.clone());
+            let effects = core.evict_peer_locks(ctx, PEER);
+            assert_eq!(pushed(&handed_off(core, effects)), [&freed]);
+            let effects = core.evict_peer_locks(ctx, PEER);
+            assert!(handed_off(core, effects).is_empty(), "nothing left to seize");
+            // The holder goes silent past the lease.
+            giop(core, ctx, grant);
+            ctx.consume(simnet::SimDuration::from_secs(31));
+            let effects = core.reap_idle_sessions(ctx);
+            assert_eq!(pushed(&handed_off(core, effects)), [&freed]);
+            assert_eq!(core.apps[&APP].lock.evictions, 2);
+        });
+        let (engine, _) = Loopback::run(config, script);
+        let evictions: Vec<&str> = engine
+            .history()
+            .iter()
+            .filter(|e| e.label == "lock.evicted")
+            .map(|e| e.detail.as_str())
+            .collect();
+        assert_eq!(evictions, ["origin=peer-down peer=2", "origin=lease-sweep"]);
+    }
+
+    #[test]
+    fn history_catch_up_and_resume_serve_one_walk() {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.snapshot_every = Some(4);
+        let script: Script = Box::new(|core, ctx| {
+            let cookie = open_session(core, ctx);
+            let client = core.sessions.get(cookie).expect("live").client;
+            for iteration in 1..=10 {
+                let status = AppStatus { phase: AppPhase::Interacting, iteration, progress: 0.0 };
+                tcp(core, ctx, AppMsg::Update { app: APP, status, readings: Vec::new() });
+            }
+            let log = core.archive.app_log(APP).expect("archived");
+            let late = log.snapshots().last().expect("snapshots were taken").seq;
+            assert!(late < log.next_seq(), "a tail follows the last snapshot");
+            // Hosted: answered in the response, nothing to hand off.
+            for since in [0, late] {
+                let asks = [
+                    ClientRequest::GetHistory { app: APP, since },
+                    ClientRequest::CatchUp { app: APP, since },
+                    ClientRequest::Resume { cookie, cursors: vec![(APP, since)] },
+                ];
+                for ask in asks {
+                    assert!(http(core, ctx, Some(cookie), ask).is_empty());
+                }
+            }
+            // Remote: relayed to the host for a member, refused (or, in a
+            // resume, skipped) for anyone else.
+            let relayed = [Effect::RemoteHistory { client, app: REMOTE, since: 3 }];
+            let stranger = AppId { server: PEER, seq: 9 };
+            for app in [REMOTE, stranger] {
+                let asks = [
+                    ClientRequest::GetHistory { app, since: 3 },
+                    ClientRequest::CatchUp { app, since: 3 },
+                    ClientRequest::Resume { cookie, cursors: vec![(app, 3)] },
+                ];
+                for ask in asks {
+                    let effects = http(core, ctx, Some(cookie), ask);
+                    assert_eq!(effects, if app == REMOTE { &relayed[..] } else { &[] });
+                }
+            }
+        });
+        let (engine, node) = Loopback::run(config, script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let bodies: Vec<&[ClientMessage]> =
+            host.http[host.http.len() - 12..].iter().map(|r| r.body.as_slice()).collect();
+        let body = |m: &ClientMessage| match m {
+            ClientMessage::Response(body) => body.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        // Cursor behind the snapshots: history is the whole log; catch-up
+        // and resume are the same snapshot + tail.
+        let ResponseBody::History { records: full, .. } = body(&bodies[0][0]) else {
+            panic!("{:?}", bodies[0]);
+        };
+        let caught_up = body(&bodies[1][0]);
+        let ResponseBody::CatchUp { snapshot: Some(_), records: tail, .. } = &caught_up else {
+            panic!("{caught_up:?}");
+        };
+        assert!(tail.len() < full.len() && full.ends_with(tail));
+        assert!(matches!(body(&bodies[2][0]), ResponseBody::Resumed { .. }));
+        assert_eq!(body(&bodies[2][1]), caught_up);
+        // Cursor past the last snapshot: all three serve the plain suffix.
+        let suffix = body(&bodies[3][0]);
+        let ResponseBody::History { records, next_seq, .. } = suffix.clone() else {
+            panic!("{suffix:?}");
+        };
+        assert!(!records.is_empty());
+        let bare = ResponseBody::CatchUp { app: APP, snapshot: None, records, next_seq };
+        assert_eq!(body(&bodies[4][0]), bare);
+        assert_eq!(body(&bodies[5][1]), suffix);
+        // Remote, member: accepted (a resume just resumes); stranger: refused.
+        for accepted in [bodies[6], bodies[7]] {
+            assert_eq!(body(&accepted[0]), ResponseBody::Accepted);
+        }
+        for resumed in [bodies[8], bodies[11]] {
+            assert!(matches!(resumed, [ClientMessage::Response(ResponseBody::Resumed { .. })]));
+        }
+        for refused in [bodies[9], bodies[10]] {
+            let [ClientMessage::Error(e)] = refused else { panic!("{refused:?}") };
+            assert_eq!(e.code, ErrorCode::AccessDenied);
+        }
+        let stats = engine.node_metrics(node);
+        assert_eq!(stats.counter(names::SERVER_CATCHUP_REQUESTS), 2);
+        // One catch-up and one resume found a snapshot ahead of their cursor.
+        assert_eq!(stats.counter(names::SERVER_CATCHUP_SNAPSHOT_HITS), 2);
     }
 }

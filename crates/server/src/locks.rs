@@ -123,7 +123,8 @@ impl SteeringLock {
     }
 
     /// Request the lock for `user`. Re-acquisition by the holder is
-    /// idempotent, granted, and refreshes the lease clock.
+    /// idempotent, granted, refreshes the lease clock and, like a fresh
+    /// grant, clears the relay tag.
     pub fn try_acquire(&mut self, user: &UserId, now: SimTime) -> LockOutcome {
         match &self.holder {
             None => {
@@ -136,6 +137,9 @@ impl SteeringLock {
             }
             Some(h) if h == user => {
                 self.active_at = Some(now);
+                // The grant now runs through whoever asked this time; a
+                // relayed request re-tags it after the grant.
+                self.granted_via = None;
                 self.acquisitions += 1;
                 LockOutcome::Granted
             }
@@ -288,6 +292,18 @@ mod tests {
         assert_eq!(lock.force_release(), Some(u("a")));
         assert_eq!(lock.holder(), None);
         assert_eq!(lock.granted_via, None, "relay tag cleared with the grant");
+    }
+
+    #[test]
+    fn reacquisition_drops_the_relay_tag() {
+        // Granted via peer 9, then re-acquired through a session at the
+        // host: peer 9 going down must no longer cost the holder the lock.
+        let mut lock = SteeringLock::new();
+        lock.try_acquire(&u("a"), SimTime::ZERO);
+        lock.granted_via = Some(ServerAddr(9));
+        assert_eq!(lock.try_acquire(&u("a"), SimTime::from_secs(1)), LockOutcome::Granted);
+        assert_eq!(lock.granted_via, None, "relay tag cleared by the re-acquire");
+        assert!(lock.is_held_by(&u("a")));
     }
 
     #[test]
