@@ -1,25 +1,22 @@
-//! Micro-benchmarks of the middleware substrate's hot paths: the DBP
-//! codec, HTTP head rendering/parsing, GIOP framing, the poll FIFO, the
-//! steering lock, the trader's offer matching, histogram queries, metric
-//! writes into a populated sink, one application update fanned out to a
-//! 256-member group, and the fixed cost of any message: its wire size
-//! and its trip through an event heap of realistic depth.
+//! Micro-benchmarks of what the wall-clock benchmark's own kernel set
+//! (`benchmark/src/kernels.rs`: calibrated, JSON, compared) does not
+//! time: the archive fold's record digest, HTTP head rendering/parsing
+//! and wire sizes, metric writes into a populated sink, one application
+//! update fanned out to a 256-member group, and one event's trip through
+//! an event heap of realistic depth. The codec, FIFO, steering-lock and
+//! histogram kernels live there only.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use discover_server::{ServerConfig, ServerCore};
-use simnet::{
-    names, Actor, Ctx, Engine, Histogram, Metrics, MetricsRegistry, NodeId, SimDuration, SimTime,
-    Stats,
-};
-use webserv::FifoBuffer;
+use simnet::{names, Actor, Ctx, Engine, Metrics, MetricsRegistry, NodeId, SimDuration, Stats};
 use wire::http::{HttpRequest, HttpResponse};
 use wire::tcp::TcpFrame;
 use wire::{
     codec, AppId, AppMsg, AppOp, AppToken, Channel, ClientMessage, ClientRequest, Content,
-    Envelope, FrozenUpdate, InteractionSpec, LogEntry, LogRecord, Privilege, ResponseBody,
-    ServerAddr, UpdateBody, UserId, Value,
+    Envelope, FrozenUpdate, InteractionSpec, LogEntry, LogRecord, Privilege, ServerAddr,
+    UpdateBody, UserId, Value,
 };
 
 fn sample_request() -> ClientRequest {
@@ -47,24 +44,6 @@ fn sample_update() -> UpdateBody {
 
 fn bench_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec");
-    let req = sample_request();
-    let update = sample_update();
-    let req_bytes = codec::encode(&req);
-    let upd_bytes = codec::encode(&update);
-
-    g.throughput(Throughput::Bytes(req_bytes.len() as u64));
-    g.bench_function("encode_client_request", |b| b.iter(|| codec::encode(black_box(&req))));
-    g.bench_function("decode_client_request", |b| {
-        b.iter(|| codec::decode::<ClientRequest>(black_box(&req_bytes)).unwrap())
-    });
-    g.throughput(Throughput::Bytes(upd_bytes.len() as u64));
-    g.bench_function("encode_status_update", |b| b.iter(|| codec::encode(black_box(&update))));
-    g.bench_function("decode_status_update", |b| {
-        b.iter(|| codec::decode::<UpdateBody>(black_box(&upd_bytes)).unwrap())
-    });
-    g.bench_function("encoded_len_status_update", |b| {
-        b.iter(|| codec::encoded_len(black_box(&update)))
-    });
     // What `archive::Log::append` pays per event-class record: the fold
     // digests its encoding (one splice, then the frame around it).
     let chat = LogRecord {
@@ -79,16 +58,6 @@ fn bench_codec(c: &mut Criterion) {
     };
     g.throughput(Throughput::Bytes(codec::encoded_len(&chat) as u64));
     g.bench_function("digest_chat_record", |b| b.iter(|| codec::digest_fnv1a(black_box(&chat))));
-    // Zero-copy ingress: decoding from a refcounted receive buffer adopts
-    // the frozen payload as a slice of it instead of re-encoding.
-    let msg_bytes = codec::encode(&ClientMessage::update(sample_update()));
-    g.throughput(Throughput::Bytes(msg_bytes.len() as u64));
-    g.bench_function("decode_update_borrowed", |b| {
-        b.iter(|| codec::decode_borrowed::<ClientMessage>(black_box(&msg_bytes)).unwrap())
-    });
-    g.bench_function("decode_update_owned", |b| {
-        b.iter(|| codec::decode::<ClientMessage>(black_box(msg_bytes.as_slice())).unwrap())
-    });
     g.finish();
 }
 
@@ -114,94 +83,6 @@ fn bench_http(c: &mut Criterion) {
     let resp = HttpResponse::ok(vec![ClientMessage::update(sample_update())]);
     g.bench_function("http_wire_size_response", |b| b.iter(|| black_box(&resp).wire_size()));
     g.finish();
-}
-
-fn bench_fifo(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fifo");
-    let msg = ClientMessage::Response(ResponseBody::LogoutOk);
-    g.bench_function("push_drain_64", |b| {
-        b.iter_batched(
-            || FifoBuffer::new(256),
-            |mut fifo| {
-                for _ in 0..64 {
-                    fifo.push(msg.clone());
-                }
-                black_box(fifo.drain(32));
-                black_box(fifo.drain(32));
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // Coalesce push: 64 successive status updates for the same app all
-    // land in one slot, so the queue stays at length 1 and the drain is
-    // a single message; measures the index probe + replace-in-place cost.
-    let view = ClientMessage::update(sample_update());
-    g.bench_function("coalesce_push_64", |b| {
-        b.iter_batched(
-            || FifoBuffer::with_coalescing(256, true),
-            |mut fifo| {
-                for _ in 0..64 {
-                    fifo.push(view.clone());
-                }
-                black_box(fifo.coalesced());
-                black_box(fifo.drain(32));
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("overflow_behaviour", |b| {
-        b.iter_batched(
-            || FifoBuffer::new(16),
-            |mut fifo| {
-                for _ in 0..64 {
-                    fifo.push(msg.clone());
-                }
-                black_box(fifo.dropped())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
-fn bench_lock(c: &mut Criterion) {
-    use discover_server::SteeringLock;
-    let users: Vec<UserId> = (0..8).map(|i| UserId::new(format!("u{i}"))).collect();
-    c.bench_function("steering_lock_contention_cycle", |b| {
-        b.iter_batched(
-            SteeringLock::new,
-            |mut lock| {
-                for u in &users {
-                    let _ = black_box(lock.try_acquire(u, SimTime::ZERO));
-                }
-                lock.release(&users[0]);
-                for u in &users {
-                    let _ = black_box(lock.try_acquire(u, SimTime::ZERO));
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-fn bench_histogram(c: &mut Criterion) {
-    c.bench_function("histogram_record_and_quantiles_10k", |b| {
-        b.iter_batched(
-            || {
-                let mut h = Histogram::new();
-                for i in 0..10_000u64 {
-                    h.record(SimDuration::from_micros(i * 37 % 100_000));
-                }
-                h
-            },
-            |h| {
-                black_box(h.quantile(0.5));
-                black_box(h.quantile(0.95));
-                black_box(h.quantile(0.99));
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 /// What `ctx.metrics().incr(..)` costs inside a handler late in a run:
@@ -357,9 +238,6 @@ criterion_group!(
     benches,
     bench_codec,
     bench_http,
-    bench_fifo,
-    bench_lock,
-    bench_histogram,
     bench_metrics,
     bench_route_update,
     bench_engine

@@ -323,7 +323,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
 
     let dir_crash = s.discovery.as_ref().and_then(|d| {
         d.directory_crash.map(|(at, restart)| {
-            (b.directory_ring().node_for(&format!("DISCOVER/apps/{app}")), at, restart)
+            (b.directory_ring().node_for(&app.naming_path()), at, restart)
         })
     });
 

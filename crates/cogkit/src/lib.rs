@@ -161,8 +161,7 @@ impl Actor<Envelope> for GridSite {
                 ("speed".to_string(), Value::Float(self.config.speed)),
             ],
         };
-        let (key, op, msg) = calls::export(offer);
-        let _ = self.broker.call(ctx, self.directory, key, op, msg, ());
+        let _ = self.broker.call(ctx, self.directory, calls::export(offer), (), None, None);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, from: NodeId, msg: Envelope) {
@@ -275,8 +274,8 @@ impl GridLauncher {
 
     fn discover(&mut self, ctx: &mut Ctx<'_, Envelope>) {
         self.discovery_attempts += 1;
-        let (key, op, msg) = calls::query(GRID_SERVICE, vec![]);
-        let _ = self.broker.call(ctx, self.directory, key, op, msg, LaunchStep::Discover);
+        let query = calls::query(GRID_SERVICE, vec![]);
+        let _ = self.broker.call(ctx, self.directory, query, LaunchStep::Discover, None, None);
     }
 }
 
@@ -315,14 +314,8 @@ impl Actor<Envelope> for GridLauncher {
                 self.phase = LaunchPhase::Probing;
                 self.awaiting = self.candidates.len();
                 for (_, node) in self.candidates.clone() {
-                    let _ = self.broker.call(
-                        ctx,
-                        node,
-                        ObjectKey::new(GRAM_KEY),
-                        "gramQuery",
-                        PeerMsg::GramQuery,
-                        LaunchStep::Probe(node),
-                    );
+                    let query = (ObjectKey::new(GRAM_KEY), "gramQuery", PeerMsg::GramQuery);
+                    let _ = self.broker.call(ctx, node, query, LaunchStep::Probe(node), None, None);
                 }
             }
             (LaunchStep::Probe(node), PeerReply::GramStatus { free_slots, speed, .. }) => {
@@ -342,14 +335,10 @@ impl Actor<Envelope> for GridLauncher {
                         Some(node) => {
                             self.phase = LaunchPhase::Submitting;
                             self.chosen_site = Some(node);
-                            let _ = self.broker.call(
-                                ctx,
-                                node,
-                                ObjectKey::new(GRAM_KEY),
-                                "gramSubmit",
-                                PeerMsg::GramSubmit { job: self.job.clone() },
-                                LaunchStep::Submit,
-                            );
+                            let submit = PeerMsg::GramSubmit { job: self.job.clone() };
+                            let submit = (ObjectKey::new(GRAM_KEY), "gramSubmit", submit);
+                            let _ =
+                                self.broker.call(ctx, node, submit, LaunchStep::Submit, None, None);
                         }
                         None => self.phase = LaunchPhase::Failed,
                     }

@@ -363,19 +363,6 @@ impl CollaboratoryBuilder {
         node
     }
 
-    /// Attach an actor with a custom link (e.g. a slow modem client).
-    pub fn attach_with_link(
-        &mut self,
-        server: ServerHandle,
-        name: &str,
-        actor: impl Actor<Envelope>,
-        spec: LinkSpec,
-    ) -> NodeId {
-        let node = self.engine.add_node(name, actor);
-        self.engine.link(node, server.node, spec);
-        node
-    }
-
     /// Finalize the network. Runs a brief settling window so servers
     /// publish/discover each other and applications register before the
     /// caller's own workload starts.

@@ -31,7 +31,7 @@ pub use builder::{Collaboratory, CollaboratoryBuilder, ServerHandle};
 pub use cache::{CacheEvent, CacheEventKind, CacheStats, DiscoveryCache, DiscoveryCacheConfig};
 pub use node::DiscoverNode;
 pub use shard::DirectoryRing;
-pub use substrate::{CallCtx, CollabMode, PeerHealth, Substrate, SubstrateConfig};
+pub use substrate::{CollabMode, PeerHealth, Substrate, SubstrateConfig};
 
 // Convenience re-exports so downstream users need only this crate.
 pub use discover_server::{Effect, ServerConfig, ServerCore, StandaloneServer};

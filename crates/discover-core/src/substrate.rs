@@ -7,6 +7,16 @@
 //! [`Effect`]s into ORB calls, correlates the replies, and feeds results
 //! back into the core.
 //!
+//! **One lifecycle per remote call.** Every two-way call is handed to the
+//! broker by `issue` and ends, exactly once, in `settle` — the peer
+//! replied (a result or an exception), the breaker refused the call, a
+//! relay could not even start (deadline passed, no route, host down), or
+//! the retry sweep gave up. The client-facing relayed verbs (operation,
+//! lock, history fetch) share one continuation and one completion,
+//! [`ServerCore::complete_relay`]; what is specific to each is data
+//! beside the verb (`relay_call`, `Verb`, `Failure::error`; DESIGN.md §5
+//! "Relay-side verbs").
+//!
 //! Fault tolerance: expired calls are retried with backoff by the broker
 //! ([`orb::RetryPolicy`]); call outcomes drive a per-peer health state
 //! ([`PeerHealth`]) — a reply marks the peer `Up`, a retried timeout
@@ -14,24 +24,24 @@
 //! substrate re-queries the trader, re-resolves every mirrored app of
 //! that host through naming (failover), fails requests for the host fast
 //! with a redirect hint instead of letting them time out, and keeps
-//! serving the cached peer directory flagged stale rather than erroring.
+//! serving the cached peer directory rather than erroring.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use orb::directory::calls;
-use orb::{AddressBook, Broker, BreakerState, RetryPolicy, DISCOVER_SERVICE};
+use orb::directory::{calls, Call};
+use orb::{AddressBook, Broker, RetryPolicy, DISCOVER_SERVICE};
 
 use crate::cache::{DiscoveryCache, DiscoveryCacheConfig, Lookup};
 use crate::shard::{trader_partition, DirectoryRing};
-use simnet::{names, Ctx, NodeId, SimDuration, SimTime, TraceContext};
+use simnet::{names, CounterDef, Ctx, NodeId, SimDuration, SimTime, TraceContext};
 use wire::giop::GiopFrame;
 use wire::{
     AppId, ClientId, ControlEvent, ControlEventKind, DeadlineStamp, Envelope, ErrorCode,
-    ObjectKey, ObjectRef, PeerMsg, PeerReply, ServerAddr, Value, WireError,
+    ObjectKey, ObjectRef, PeerMsg, PeerReply, ServerAddr, ServiceOffer, Value, WireError,
 };
 
 use discover_server::core::orb_call_cost;
-use discover_server::{Effect, Mutation, ServerCore, CORBA_SERVER_KEY};
+use discover_server::{Effect, Mutation, Relayed, RelayVerb, ServerCore, CORBA_SERVER_KEY};
 
 /// How collaboration updates travel between servers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,56 +90,125 @@ impl Default for SubstrateConfig {
     }
 }
 
+/// Key of every server's level-1 `DiscoverCorbaServer` servant.
+fn server_key() -> ObjectKey {
+    ObjectKey::new(CORBA_SERVER_KEY)
+}
+
+/// The relayed verbs, in the style of [`orb::directory::calls`]: what
+/// stays behind as the call's continuation, and the call itself. An
+/// operation targets the application's own `CorbaProxy` servant (level
+/// 2), lock and history verbs the host's `DiscoverCorbaServer` (level 1).
+/// `via` is the relaying server, which a lock request names so the host
+/// can evict the lock if the relay dies.
+fn relay_call(app: AppId, verb: RelayVerb, via: ServerAddr) -> (Relayed, Call) {
+    match verb {
+        RelayVerb::Op { user, op } => {
+            (Relayed::Op, (app.servant_key(), "proxyOp", PeerMsg::ProxyOp { app, user, op }))
+        }
+        RelayVerb::Lock { user, acquire: true } => {
+            let request = PeerMsg::LockRequest { app, user, via };
+            (Relayed::Lock { acquire: true }, (server_key(), "lockRequest", request))
+        }
+        RelayVerb::Lock { user, acquire: false } => {
+            let release = PeerMsg::LockRelease { app, user };
+            (Relayed::Lock { acquire: false }, (server_key(), "lockRelease", release))
+        }
+        RelayVerb::History { since } => {
+            let fetch = PeerMsg::FetchHistory { app, since };
+            (Relayed::History { since }, (server_key(), "fetchHistory", fetch))
+        }
+    }
+}
+
+/// What is specific to one relayed verb, as data: every relay runs the
+/// same issue → settle lifecycle and reads its differences from its row
+/// (DESIGN.md §5 "Relay-side verbs" says why each difference is kept).
+struct Verb {
+    /// Counted once per call handed to the broker.
+    issued: Option<CounterDef>,
+    /// Dispatched like a local operation: refuses to start past the
+    /// request's deadline and carries the stamp on the wire, charges the
+    /// stub's `orb_call_cost`, and wraps marshalling and issue in a
+    /// `substrate.dispatch` span.
+    dispatched: bool,
+    /// The refusals that count `substrate.fastfails`.
+    fastfails: &'static [Failure],
+}
+
+impl Verb {
+    fn of(verb: Relayed) -> Verb {
+        use Failure::{HostDown, Refused};
+        let (issued, dispatched, fastfails): (_, _, &[Failure]) = match verb {
+            Relayed::Op => (Some(names::SUBSTRATE_REMOTE_OPS), true, &[HostDown, Refused]),
+            Relayed::Lock { .. } => (Some(names::SUBSTRATE_REMOTE_LOCKS), false, &[Refused]),
+            Relayed::History { .. } => (None, false, &[]),
+        };
+        Verb { issued, dispatched, fastfails }
+    }
+}
+
+/// Why a call ended without a reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Failure {
+    /// The request's deadline passed before the call could be issued.
+    DeadlinePassed,
+    /// No server is known for the application's host.
+    NoRoute,
+    /// The host is marked [`PeerHealth::Down`]: failed fast, not sent.
+    HostDown,
+    /// The callee's breaker is open: refused by the broker, not sent.
+    Refused,
+    /// Sent and retried until the attempts ran out.
+    GaveUp,
+    /// Sent, and abandoned because the request's deadline leaves no
+    /// budget for another attempt — the host may be healthy, the request
+    /// simply ran out of time.
+    DeadlineSpent,
+}
+
+impl Failure {
+    /// What a failed relay tells its client (an operation shows the
+    /// text; a lock verb is answered "denied", a history fetch an empty
+    /// page). `peer` is the server the call was routed to, if it got that
+    /// far; its error carries the naming path clients can re-resolve.
+    fn error(self, peer: Option<ServerAddr>, app: AppId) -> WireError {
+        use ErrorCode::{DeadlineExceeded, Unavailable};
+        match (self, peer) {
+            (Failure::DeadlinePassed, _) => {
+                WireError::new(DeadlineExceeded, "deadline passed before remote dispatch")
+            }
+            (Failure::DeadlineSpent, _) => {
+                WireError::new(DeadlineExceeded, "deadline exhausted while retrying remote call")
+            }
+            (Failure::NoRoute, _) => WireError::new(Unavailable, "host server unknown"),
+            (_, Some(addr)) => WireError::new(
+                Unavailable,
+                format!("host {addr} down; redirect: {}", app.naming_path()),
+            ),
+            (_, None) => WireError::new(Unavailable, "remote call timed out"),
+        }
+    }
+}
+
 /// Continuation context of an outstanding ORB call.
-#[derive(Debug)]
-pub enum CallCtx {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CallCtx {
     /// Level-1 auth fan-out for a local client.
-    Auth {
-        /// The client.
-        client: ClientId,
-    },
-    /// Remote operation for a local client.
-    Op {
-        /// The client.
-        client: ClientId,
-        /// Target app.
-        app: AppId,
-    },
-    /// Relayed lock request/release.
-    Lock {
-        /// The client.
-        client: ClientId,
-        /// Target app.
-        app: AppId,
-        /// Acquire or release.
-        acquire: bool,
-    },
-    /// Remote history fetch.
-    History {
-        /// The client.
-        client: ClientId,
-        /// Target app.
-        app: AppId,
-    },
+    Auth { client: ClientId },
+    /// A client-facing verb relayed to `app`'s host for `client`; `verb`
+    /// carries what answering a failure needs.
+    Relay { client: ClientId, app: AppId, verb: Relayed },
     /// Collaboration subscription handshake.
-    Subscribe {
-        /// Target app.
-        app: AppId,
-    },
+    Subscribe { app: AppId },
     /// Trader discovery query.
     Discovery,
     /// Directory mutation (export/bind); reply only acknowledged.
     DirectoryWrite,
     /// Poll-mode update fetch.
-    Poll {
-        /// Target app.
-        app: AppId,
-    },
+    Poll { app: AppId },
     /// Naming re-resolution of a mirrored app after its host went down.
-    Failover {
-        /// The app being re-routed.
-        app: AppId,
-    },
+    Failover { app: AppId },
 }
 
 /// Substrate-level view of one peer server's health.
@@ -156,11 +235,11 @@ pub struct Substrate {
     /// The TTL'd route cache (inert unless `config.discovery_cache` is
     /// set; lookups then go through [`Substrate::cached_route`]).
     cache: DiscoveryCache,
-    /// Directory keys with a read query (trader query / naming resolve)
-    /// currently in flight. A second query for the same key inside the
-    /// window is coalesced onto the outstanding one instead of issuing
-    /// its own call — the thundering-herd fix. Writes are never deduped.
-    dir_in_flight: BTreeSet<String>,
+    /// Directory reads (trader query / naming resolve) in flight, by
+    /// continuation (one per directory key; a handful at most). A second
+    /// read of a key in flight coalesces onto it instead of issuing its
+    /// own call — the thundering-herd fix. Writes are never deduped.
+    dir_in_flight: Vec<CallCtx>,
     /// Discovered peers (address → node), excluding self.
     peers: BTreeMap<ServerAddr, NodeId>,
     /// Poll-mode mirror state: app → next update sequence.
@@ -173,19 +252,6 @@ pub struct Substrate {
     /// Failover routes: mirrored app → host currently serving it, when
     /// naming re-resolution moved it off `app.host()`.
     routes: BTreeMap<AppId, ServerAddr>,
-    /// True while the peer directory is served from cache because the
-    /// last trader refresh failed.
-    peers_stale: bool,
-    /// Ambient trace parent for the request currently being processed;
-    /// the node shell sets it around ingress handling so every ORB call
-    /// issued while resolving that request's effects is parented under
-    /// the request's span. `None` between requests (background work).
-    pub request_trace: Option<TraceContext>,
-    /// Ambient deadline stamp for the request currently being processed,
-    /// set by the node shell alongside `request_trace`. ORB calls issued
-    /// for a deadlined request carry the stamp on the wire and refuse to
-    /// start once it has passed. `None` between requests.
-    pub request_deadline: Option<DeadlineStamp>,
 }
 
 impl Substrate {
@@ -208,21 +274,13 @@ impl Substrate {
             book,
             broker: Broker::with_retry(config.retry),
             cache: DiscoveryCache::new(record),
-            dir_in_flight: BTreeSet::new(),
+            dir_in_flight: Vec::new(),
             peers: BTreeMap::new(),
             poll_state: BTreeMap::new(),
             subscribed: BTreeMap::new(),
             health: BTreeMap::new(),
             routes: BTreeMap::new(),
-            peers_stale: false,
-            request_trace: None,
-            request_deadline: None,
         }
-    }
-
-    /// The directory ring this substrate routes through.
-    pub fn directory_ring(&self) -> &DirectoryRing {
-        &self.directory
     }
 
     /// The discovery cache (stats and oracle event log).
@@ -230,29 +288,22 @@ impl Substrate {
         &self.cache
     }
 
-    /// Directory node owning `key` under the consistent-hash ring.
-    fn dir_node(&self, key: &str) -> NodeId {
-        self.directory.node_for(key)
-    }
-
-    /// Whether an outgoing directory *read* for `key` should be issued,
-    /// or coalesced onto an identical in-flight one. Counting the
+    /// Whether the outgoing directory *read* `read` continues should be
+    /// issued, or coalesced onto an identical in-flight one. Counting the
     /// coalesce is the regression observable for the thundering-herd
     /// fix: one trader/naming call per key per miss window.
-    fn admit_dir_query(&mut self, ctx: &mut Ctx<'_, Envelope>, key: &str) -> bool {
-        if self.dir_in_flight.contains(key) {
+    fn admit_dir_query(&mut self, ctx: &mut Ctx<'_, Envelope>, read: CallCtx) -> bool {
+        if self.dir_in_flight.contains(&read) {
             ctx.metrics().incr(names::SUBSTRATE_QUERIES_COALESCED);
             return false;
         }
-        self.dir_in_flight.insert(key.to_string());
+        self.dir_in_flight.push(read);
         true
     }
 
     /// Known peer addresses (diagnostics).
     pub fn peer_addrs(&self) -> Vec<ServerAddr> {
-        let mut v: Vec<ServerAddr> = self.peers.keys().copied().collect();
-        v.sort();
-        v
+        self.peers.keys().copied().collect()
     }
 
     /// Outstanding ORB calls (diagnostics).
@@ -265,50 +316,30 @@ impl Substrate {
         self.health.get(&addr).copied().unwrap_or(PeerHealth::Up)
     }
 
-    /// True while the peer directory is a stale cache (last trader
-    /// refresh failed); listings keep being served from it regardless.
-    pub fn peers_stale(&self) -> bool {
-        self.peers_stale
-    }
-
-    /// Snapshot every known peer's health verdict and circuit-breaker
-    /// state as status-report lines (sorted by address, deterministic).
-    /// The node shell syncs this into the server core right before a
-    /// `Status` request is dispatched.
-    pub fn peer_status_snapshot(&self) -> Vec<wire::PeerStatusEntry> {
-        self.peers
-            .iter()
-            .map(|(&addr, &node)| {
-                let health = match self.peer_health(addr) {
-                    PeerHealth::Up => "up",
-                    PeerHealth::Suspect => "suspect",
-                    PeerHealth::Down => "down",
-                };
-                let breaker = match self.broker.breaker_state(node) {
-                    BreakerState::Closed => "closed".to_string(),
-                    BreakerState::HalfOpen => "half-open".to_string(),
-                    BreakerState::Open { until } => {
-                        format!("open(until={}us)", until.as_micros())
-                    }
-                };
-                wire::PeerStatusEntry { peer: addr, health: health.to_string(), breaker }
-            })
-            .collect()
-    }
-
-    /// Directory-plane snapshot for the status report: ring shape plus
-    /// cache counters. The node shell syncs this into the server core
-    /// right before a `Status` request is dispatched (pure memory copy,
-    /// like the peer-health snapshot).
-    pub fn dir_plane_snapshot(&self) -> wire::DirPlaneStatus {
+    /// What the status report shows of the substrate: every known peer's
+    /// health verdict and circuit-breaker state (sorted by address,
+    /// deterministic), and the directory plane — ring shape plus cache
+    /// counters. The node shell syncs this into the server core right
+    /// before a `Status` request is dispatched (pure memory copy).
+    pub fn status_snapshot(&self) -> (Vec<wire::PeerStatusEntry>, wire::DirPlaneStatus) {
+        let peer_line = |(&peer, &node): (&ServerAddr, &NodeId)| {
+            let health = match self.peer_health(peer) {
+                PeerHealth::Up => "up",
+                PeerHealth::Suspect => "suspect",
+                PeerHealth::Down => "down",
+            };
+            let breaker = self.broker.breaker_state(node).to_string();
+            wire::PeerStatusEntry { peer, health: health.to_string(), breaker }
+        };
         let s = &self.cache.stats;
-        wire::DirPlaneStatus {
+        let dir_plane = wire::DirPlaneStatus {
             shards: self.directory.len() as u32,
             ring_epoch: self.directory.epoch(),
             cache_hits: s.hits + s.negative_hits,
             cache_misses: s.misses + s.expired,
             cache_invalidations: s.invalidations,
-        }
+        };
+        (self.peers.iter().map(peer_line).collect(), dir_plane)
     }
 
     /// The host currently serving `app` (failover route if one exists,
@@ -331,7 +362,7 @@ impl Substrate {
     /// cache disabled.
     pub fn prime_cache(&mut self, now: SimTime, app: AppId, addr: ServerAddr) {
         if let Some(cfg) = self.config.discovery_cache {
-            self.cache.insert(now, &format!("DISCOVER/apps/{app}"), addr, cfg.ttl);
+            self.cache.insert(now, &app.naming_path(), addr, cfg.ttl);
         }
     }
 
@@ -340,68 +371,218 @@ impl Substrate {
         self.peers.iter().find(|(_, &n)| n == node).map(|(&a, _)| a)
     }
 
-    /// Effective target of `app`: routed address plus its node.
-    fn route_for(&self, app: AppId) -> Option<(ServerAddr, NodeId)> {
-        let addr = self.route_of(app);
-        self.node_of(addr).map(|n| (addr, n))
+    /// Resolve a server address to its node, via discovery or wiring.
+    fn node_of(&self, addr: ServerAddr) -> Option<NodeId> {
+        self.peers.get(&addr).copied().or_else(|| self.book.resolve(addr))
     }
 
-    /// Effective target of `app` through the discovery cache. With the
-    /// cache disabled this is exactly [`Substrate::route_for`]; enabled,
-    /// a fresh entry serves the route without consulting the failover
-    /// table, and a miss/expiry re-primes the entry from current route
-    /// knowledge under the configured TTL.
+    /// Look `name` up in the discovery cache, counting the outcome.
+    fn cache_lookup(&mut self, ctx: &mut Ctx<'_, Envelope>, name: &str) -> Lookup {
+        let outcome = self.cache.lookup(ctx.now(), name);
+        ctx.metrics().incr(match outcome {
+            Lookup::Hit(_) => names::SUBSTRATE_CACHE_HITS,
+            Lookup::NegativeHit => names::SUBSTRATE_CACHE_NEG_HITS,
+            Lookup::Miss => names::SUBSTRATE_CACHE_MISSES,
+            Lookup::Expired => names::SUBSTRATE_CACHE_EXPIRED,
+        });
+        outcome
+    }
+
+    /// Effective target of `app` — routed address plus its node —
+    /// through the discovery cache. With the cache disabled this is
+    /// [`Substrate::route_of`]; enabled, a fresh entry serves the route
+    /// without consulting the failover table, and a miss/expiry re-primes
+    /// the entry from current route knowledge under the configured TTL.
     fn cached_route(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         app: AppId,
     ) -> Option<(ServerAddr, NodeId)> {
-        let Some(cfg) = self.config.discovery_cache else {
-            return self.route_for(app);
-        };
-        let name = format!("DISCOVER/apps/{app}");
-        let addr = match self.cache.lookup(ctx.now(), &name) {
-            Lookup::Hit(addr) => {
-                ctx.metrics().incr(names::SUBSTRATE_CACHE_HITS);
-                addr
+        let mut addr = self.route_of(app);
+        if let Some(cfg) = self.config.discovery_cache {
+            let name = app.naming_path();
+            match self.cache_lookup(ctx, &name) {
+                Lookup::Hit(cached) => addr = cached,
+                // "Not bound" within the negative TTL: dispatch falls back
+                // to the home host (which will Nak authoritatively) rather
+                // than storming the directory.
+                Lookup::NegativeHit => {}
+                Lookup::Miss | Lookup::Expired => {
+                    self.cache.insert(ctx.now(), &name, addr, cfg.ttl)
+                }
             }
-            Lookup::NegativeHit => {
-                // "Not bound" within the negative TTL: dispatch falls
-                // back to the home host (which will Nak authoritatively)
-                // rather than storming the directory.
-                ctx.metrics().incr(names::SUBSTRATE_CACHE_NEG_HITS);
-                self.route_of(app)
-            }
-            outcome => {
-                ctx.metrics().incr(match outcome {
-                    Lookup::Expired => names::SUBSTRATE_CACHE_EXPIRED,
-                    _ => names::SUBSTRATE_CACHE_MISSES,
-                });
-                let addr = self.route_of(app);
-                self.cache.insert(ctx.now(), &name, addr, cfg.ttl);
-                addr
-            }
-        };
+        }
         self.node_of(addr).map(|n| (addr, n))
     }
 
-    /// The `Unavailable` error for a down host, carrying a redirect hint
-    /// (the naming path clients can re-resolve to find the new host).
-    fn down_error(addr: ServerAddr, app: AppId) -> WireError {
-        WireError::new(
-            ErrorCode::Unavailable,
-            format!("host {addr} down; redirect: DISCOVER/apps/{app}"),
-        )
+    /// Hand one two-way call to the broker. `span` is the call's open
+    /// span (`orb.call` under a request, or a root span for background
+    /// work), `deadline` the stamp it rides under. A call the broker
+    /// refuses (the callee's breaker is open) is settled on the spot.
+    #[allow(clippy::too_many_arguments)]
+    fn issue(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        core: &mut ServerCore,
+        to: NodeId,
+        call: Call,
+        user: CallCtx,
+        span: Option<TraceContext>,
+        deadline: Option<DeadlineStamp>,
+    ) {
+        if let Err(user) = self.broker.call(ctx, to, call, user, span, deadline) {
+            let peer = self.addr_of_node(to);
+            self.settle(ctx, core, user, peer, span, Err(Failure::Refused));
+        }
+    }
+
+    /// The one exit of a call: the peer's reply (a result or an
+    /// exception), or the [`Failure`] that ended it. Closes the call's
+    /// span, clears its directory-read marker, marks the peer — up on any
+    /// reply, down once retries are exhausted — completes or fails the
+    /// continuation, and resolves what the core's completion queued (the
+    /// collaboration echo of a remote outcome, re-fanned poll updates).
+    /// `peer` is the server called, unless it was a directory shard.
+    fn settle(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        core: &mut ServerCore,
+        user: CallCtx,
+        peer: Option<ServerAddr>,
+        span: Option<TraceContext>,
+        ending: Result<PeerReply, Failure>,
+    ) {
+        // The logical call is over; completions run under the request's
+        // own span.
+        ctx.trace_finish(span);
+        // However it ended, a directory read is no longer in flight;
+        // later misses for its key may issue a fresh query.
+        self.dir_in_flight.retain(|read| *read != user);
+        if let Ok(reply) = &ending {
+            if let Some(addr) = peer {
+                self.health.insert(addr, PeerHealth::Up);
+            }
+            let nak = match reply {
+                PeerReply::Exception(e) => Some(e.code),
+                // Proxied ops carry their Nak inside the result envelope.
+                PeerReply::OpResult { result: Err(e), .. } => Some(e.code),
+                _ => None,
+            };
+            if let (
+                Some(ErrorCode::NoSuchApp),
+                CallCtx::Relay { app, .. } | CallCtx::Subscribe { app } | CallCtx::Poll { app },
+            ) = (nak, user)
+            {
+                self.drop_route(ctx, core, app);
+            }
+        }
+        let gave_up = matches!(ending, Err(Failure::GaveUp | Failure::DeadlineSpent));
+        match (user, ending) {
+            (CallCtx::Relay { client, app, verb }, ending) => {
+                let result = ending.map_err(|failure| {
+                    if Verb::of(verb).fastfails.contains(&failure) {
+                        ctx.metrics().incr(names::SUBSTRATE_FASTFAILS);
+                        if failure == Failure::HostDown {
+                            let note = "fastfail: host down, redirect hint";
+                            ctx.trace_annotate(core.incoming_trace, note);
+                        }
+                    }
+                    failure.error(peer, app)
+                });
+                core.complete_relay(ctx, client, app, verb, result);
+            }
+            (CallCtx::Auth { client }, Ok(PeerReply::AuthOk { apps })) => {
+                core.complete_remote_auth(ctx, client, apps);
+            }
+            (CallCtx::Auth { .. }, Ok(PeerReply::AuthDenied)) => {
+                ctx.metrics().incr(names::SUBSTRATE_REMOTE_AUTH_DENIED);
+            }
+            (CallCtx::Subscribe { app }, Ok(PeerReply::SubscribeOk { .. })) => {
+                self.subscribed.insert(app, true);
+            }
+            (CallCtx::Subscribe { app }, Err(_)) => {
+                // Leave the intent recorded; the next discovery refresh
+                // re-issues the subscription.
+                self.subscribed.insert(app, false);
+            }
+            (CallCtx::Discovery, Ok(PeerReply::TraderOffers { offers })) => {
+                self.adopt_offers(ctx, core, offers);
+            }
+            // Trader unreachable: keep serving the cached peer set; the
+            // discovery timer re-queries.
+            (CallCtx::Discovery, Err(_)) if gave_up => {
+                ctx.metrics().incr(names::SUBSTRATE_DIRECTORY_STALE);
+            }
+            (CallCtx::Failover { app }, Ok(PeerReply::NamingResolved { object })) => {
+                if let Some(cfg) = self.config.discovery_cache {
+                    // The authoritative answer refreshes the cache:
+                    // positive with the resolved host, negative when the
+                    // directory has no binding.
+                    let name = app.naming_path();
+                    match &object {
+                        Some(o) => self.cache.insert(ctx.now(), &name, o.server, cfg.ttl),
+                        None => self.cache.insert_negative(ctx.now(), &name, cfg.negative_ttl),
+                    }
+                }
+                if let Some(object) = object {
+                    self.adopt_route(ctx, core, app, object.server);
+                }
+            }
+            (CallCtx::Poll { app }, Ok(PeerReply::Updates { updates, next_seq, .. })) => {
+                let origin = app.host();
+                for update in updates {
+                    core.apply_peer_update(ctx, update, origin);
+                }
+                self.poll_state.insert(app, next_seq);
+            }
+            // Nobody waits on these. A directory write is only
+            // acknowledged; a failed auth leg, poll or failover resolve
+            // is re-issued by the next login, poll tick or `mark_down`
+            // (poll state untouched, in-flight marker cleared above).
+            (CallCtx::DirectoryWrite, _) | (_, Err(_)) => {}
+            (_, Ok(PeerReply::Exception(_))) => {
+                ctx.metrics().incr(names::SUBSTRATE_REPLIES_EXCEPTIONS);
+            }
+            (_, Ok(_)) => ctx.metrics().incr(names::SUBSTRATE_REPLIES_MISMATCHED),
+        }
+        if let (true, Some(addr)) = (gave_up, peer) {
+            self.mark_down(ctx, core, addr);
+        }
+        let queued = core.drain_effects();
+        self.perform_all(ctx, core, queued);
+    }
+
+    /// Stale directory-cache repair: a peer answering `NoSuchApp` for an
+    /// app we routed to it is a definitive Nak — the failover route (and
+    /// its redirect hint) is wrong NOW, not when its next discovery
+    /// refresh happens to notice. Drop it immediately so the very next
+    /// call falls back to the app's home host.
+    fn drop_route(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, app: AppId) {
+        if self.routes.remove(&app).is_some() {
+            ctx.metrics().incr(names::SUBSTRATE_ROUTES_INVALIDATED);
+            core.clear_mirror_hint(app);
+        }
+        if self.config.discovery_cache.is_some() {
+            // The Nak invalidates the cached route too;
+            // `Mutation::StaleCache` skips only the eviction, leaving the
+            // poisoned entry for the discovery oracle to catch being
+            // re-served.
+            ctx.metrics().incr(names::SUBSTRATE_CACHE_INVALIDATIONS);
+            let evict = core.config.mutation != Some(Mutation::StaleCache);
+            self.cache.invalidate(ctx.now(), &app.naming_path(), evict);
+        }
     }
 
     /// Publish this server to the trader and the naming service. Offers
     /// route to the shard owning the service-type partition; the server
-    /// binding routes to the shard owning its naming path.
-    pub fn publish_self(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+    /// binding routes to the shard owning its naming path. After a process
+    /// restart the daemon also re-binds every local application under its
+    /// `DISCOVER/apps/<id>` name (a first start has none yet).
+    pub fn publish_self(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore) {
         ctx.metrics().set_gauge(names::SUBSTRATE_RING_SHARDS, self.directory.len() as f64);
         ctx.metrics().set_gauge(names::SUBSTRATE_RING_EPOCH, self.directory.epoch() as f64);
-        let object = ObjectRef { server: self.addr, key: ObjectKey::new(CORBA_SERVER_KEY) };
-        let offer = wire::ServiceOffer {
+        let object = ObjectRef { server: self.addr, key: server_key() };
+        let offer = ServiceOffer {
             service_type: DISCOVER_SERVICE.to_string(),
             object: object.clone(),
             properties: vec![
@@ -409,51 +590,71 @@ impl Substrate {
                 ("name".to_string(), Value::Text(self.name.clone())),
             ],
         };
-        let trader = self.dir_node(&trader_partition(DISCOVER_SERVICE));
-        let (key, op, msg) = calls::export(offer);
-        let _ = self.broker.call(ctx, trader, key, op, msg, CallCtx::DirectoryWrite);
+        let trader = self.directory.node_for(&trader_partition(DISCOVER_SERVICE));
+        self.issue(ctx, core, trader, calls::export(offer), CallCtx::DirectoryWrite, None, None);
         let naming_key = format!("DISCOVER/servers/{}", self.name);
-        let shard = self.dir_node(&naming_key);
-        let (key, op, msg) = calls::bind(naming_key, object);
-        let _ = self.broker.call(ctx, shard, key, op, msg, CallCtx::DirectoryWrite);
+        let shard = self.directory.node_for(&naming_key);
+        let bind = calls::bind(naming_key, object);
+        self.issue(ctx, core, shard, bind, CallCtx::DirectoryWrite, None, None);
+        for app in core.local_app_ids() {
+            ctx.metrics().incr(names::SUBSTRATE_REBINDS);
+            self.naming_for_app(ctx, core, app, true);
+        }
     }
 
     /// Query the trader for the current peer set. A query while another
     /// trader query is still outstanding coalesces onto it — after a
     /// failover storm every `mark_down` used to issue its own query.
-    pub fn discover_peers(&mut self, ctx: &mut Ctx<'_, Envelope>) {
-        let partition = trader_partition(DISCOVER_SERVICE);
-        if !self.admit_dir_query(ctx, &partition) {
+    pub fn discover_peers(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore) {
+        if !self.admit_dir_query(ctx, CallCtx::Discovery) {
             return;
         }
         ctx.metrics().incr(names::SUBSTRATE_DISCOVERY_QUERIES);
         // Background work: a trader query opens its own root span rather
         // than riding any client request.
         let span = ctx.trace_root("substrate.trader_query");
-        let (key, op, msg) = calls::query(DISCOVER_SERVICE, vec![]);
-        if self
-            .broker
-            .call_traced(ctx, self.dir_node(&partition), key, op, msg, CallCtx::Discovery, span)
-            .is_err()
-        {
-            ctx.trace_finish(span);
-            self.dir_in_flight.remove(&partition);
-            self.peers_stale = true;
+        let trader = self.directory.node_for(&trader_partition(DISCOVER_SERVICE));
+        let query = calls::query(DISCOVER_SERVICE, vec![]);
+        self.issue(ctx, core, trader, query, CallCtx::Discovery, span, None);
+    }
+
+    /// The trader's answer to a discovery query: adopt new peers, send
+    /// failed-over apps home, retry unconfirmed subscriptions.
+    fn adopt_offers(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        core: &mut ServerCore,
+        offers: Vec<ServiceOffer>,
+    ) {
+        for offer in offers {
+            let addr = offer.object.server;
+            if addr == self.addr {
+                continue;
+            }
+            if let Some(node) = self.book.resolve(addr) {
+                if self.peers.insert(addr, node).is_none() {
+                    ctx.metrics().incr(names::SUBSTRATE_DISCOVERY_PEERS_FOUND);
+                }
+                // An offer in the trader means the peer is serving
+                // (a restarted host re-exports itself on the way up).
+                self.health.insert(addr, PeerHealth::Up);
+            }
         }
-    }
-
-    /// A peer answered: mark it healthy again.
-    fn mark_up(&mut self, addr: ServerAddr) {
-        self.health.insert(addr, PeerHealth::Up);
-    }
-
-    /// Daemon re-registration after a process restart: re-publish this
-    /// server to the trader/naming and re-bind every local application
-    /// under its `DISCOVER/apps/<id>` name.
-    pub fn rebind_local_apps(&mut self, ctx: &mut Ctx<'_, Envelope>, apps: Vec<AppId>) {
-        for app in apps {
-            ctx.metrics().incr(names::SUBSTRATE_REBINDS);
-            self.naming_for_app(ctx, app, true);
+        // Failed-over apps return to their home host once it is
+        // healthy again.
+        let health = &self.health;
+        let home = |app: &AppId| health.get(&app.host()) == Some(&PeerHealth::Up);
+        let returned: Vec<AppId> = self.routes.keys().copied().filter(home).collect();
+        for app in returned {
+            self.routes.remove(&app);
+            core.clear_mirror_hint(app);
+        }
+        // Re-issue push subscriptions that never got confirmed
+        // (lost subscribe, or host was down when we tried).
+        let unconfirmed: Vec<AppId> =
+            self.subscribed.iter().filter(|(_, &ok)| !ok).map(|(&app, _)| app).collect();
+        for app in unconfirmed {
+            self.subscribe_app(ctx, core, app);
         }
     }
 
@@ -462,10 +663,9 @@ impl Substrate {
     /// re-confirmed with their hosts. The discovery cache is dropped too
     /// — the new incarnation must not trust the dead one's routes.
     pub fn on_restart(&mut self) {
-        let retry = self.broker.retry;
-        let breaker = self.broker.breaker;
-        self.broker = Broker::with_retry(retry);
-        self.broker.breaker = breaker;
+        let mut fresh = Broker::with_retry(self.broker.retry);
+        fresh.breaker = self.broker.breaker;
+        self.broker = fresh;
         self.cache.clear();
         self.dir_in_flight.clear();
         for confirmed in self.subscribed.values_mut() {
@@ -484,7 +684,7 @@ impl Substrate {
         // so local collaborators are not stranded until lease expiry.
         let lock_effects = core.evict_peer_locks(ctx, addr);
         self.perform_all(ctx, core, lock_effects);
-        self.discover_peers(ctx);
+        self.discover_peers(ctx, core);
         let mirrored: Vec<AppId> = self
             .poll_state
             .keys()
@@ -493,7 +693,7 @@ impl Substrate {
             .filter(|&app| self.route_of(app) == addr)
             .collect();
         for app in mirrored {
-            self.resolve_app_route(ctx, core, app);
+            self.resolve_route(ctx, core, app);
         }
     }
 
@@ -501,42 +701,26 @@ impl Substrate {
     /// resolve consults the discovery cache first — a fresh answer
     /// (positive or negative) short-circuits the directory call — and
     /// concurrent resolves for the same key coalesce onto one call.
-    fn resolve_app_route(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, app: AppId) {
-        let name = format!("DISCOVER/apps/{app}");
+    fn resolve_route(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, app: AppId) {
+        let name = app.naming_path();
         if self.config.discovery_cache.is_some() {
-            match self.cache.lookup(ctx.now(), &name) {
-                Lookup::Hit(server) => {
-                    ctx.metrics().incr(names::SUBSTRATE_CACHE_HITS);
-                    self.adopt_route(ctx, core, app, server);
-                    return;
-                }
-                Lookup::NegativeHit => {
-                    // The directory said "not bound" within the negative
-                    // TTL; don't storm it with re-resolves.
-                    ctx.metrics().incr(names::SUBSTRATE_CACHE_NEG_HITS);
-                    return;
-                }
-                Lookup::Miss => ctx.metrics().incr(names::SUBSTRATE_CACHE_MISSES),
-                Lookup::Expired => ctx.metrics().incr(names::SUBSTRATE_CACHE_EXPIRED),
+            match self.cache_lookup(ctx, &name) {
+                Lookup::Hit(server) => return self.adopt_route(ctx, core, app, server),
+                // The directory said "not bound" within the negative
+                // TTL; don't storm it with re-resolves.
+                Lookup::NegativeHit => return,
+                Lookup::Miss | Lookup::Expired => {}
             }
         }
-        if !self.admit_dir_query(ctx, &name) {
+        if !self.admit_dir_query(ctx, CallCtx::Failover { app }) {
             return;
         }
         // Failover re-resolution is background recovery work with its
         // own root span; the redirect it installs serves later calls.
         let span = ctx.trace_root("substrate.failover");
         ctx.trace_annotate(span, "re-resolving mirrored app: host down");
-        let shard = self.dir_node(&name);
-        let (key, op, msg) = calls::resolve(name.clone());
-        if self
-            .broker
-            .call_traced(ctx, shard, key, op, msg, CallCtx::Failover { app }, span)
-            .is_err()
-        {
-            ctx.trace_finish(span);
-            self.dir_in_flight.remove(&name);
-        }
+        let shard = self.directory.node_for(&name);
+        self.issue(ctx, core, shard, calls::resolve(name), CallCtx::Failover { app }, span, None);
     }
 
     /// Install or clear `app`'s failover route from a resolved server
@@ -549,8 +733,7 @@ impl Substrate {
         app: AppId,
         server: ServerAddr,
     ) {
-        let previous = self.route_of(app);
-        if server != previous {
+        if server != self.route_of(app) {
             ctx.metrics().incr(names::SUBSTRATE_FAILOVERS);
         }
         if server == app.host() {
@@ -565,478 +748,194 @@ impl Substrate {
     }
 
     /// Issue (or re-issue) a push-mode collaboration subscription.
-    fn subscribe_app(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId) {
-        let Some((addr, node)) = self.route_for(app) else { return };
+    fn subscribe_app(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, app: AppId) {
+        // Subscriptions follow the failover table, not the cache.
+        let addr = self.route_of(app);
+        let Some(node) = self.node_of(addr) else { return };
         if self.peer_health(addr) == PeerHealth::Down {
             return;
         }
         ctx.metrics().incr(names::SUBSTRATE_SUBSCRIBES);
         self.subscribed.entry(app).or_insert(false);
-        let span = ctx.trace_child(self.request_trace, "orb.call");
-        if self
-            .broker
-            .call_traced(
-                ctx,
-                node,
-                ObjectKey::new(CORBA_SERVER_KEY),
-                "subscribeApp",
-                PeerMsg::SubscribeApp { app, subscriber: self.addr },
-                CallCtx::Subscribe { app },
-                span,
-            )
-            .is_err()
-        {
-            ctx.trace_finish(span);
-        }
-    }
-
-    /// Resolve a server address to its node, via discovery or wiring.
-    fn node_of(&self, addr: ServerAddr) -> Option<NodeId> {
-        self.peers.get(&addr).copied().or_else(|| self.book.resolve(addr))
+        let span = ctx.trace_child(core.incoming_trace, "orb.call");
+        let subscribe = PeerMsg::SubscribeApp { app, subscriber: self.addr };
+        let call = (server_key(), "subscribeApp", subscribe);
+        self.issue(ctx, core, node, call, CallCtx::Subscribe { app }, span, None);
     }
 
     /// Bind/unbind an application in the naming service (the CorbaProxy
     /// "binds itself to the CORBA naming service using the application's
     /// unique identifier as the name").
-    fn naming_for_app(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId, register: bool) {
-        let name = format!("DISCOVER/apps/{app}");
-        let shard = self.dir_node(&name);
-        let (key, op, msg) = if register {
-            calls::bind(name, ObjectRef { server: self.addr, key: ObjectKey::new(format!("apps/{app}")) })
+    fn naming_for_app(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        core: &mut ServerCore,
+        app: AppId,
+        register: bool,
+    ) {
+        let name = app.naming_path();
+        let shard = self.directory.node_for(&name);
+        let call = if register {
+            calls::bind(name, ObjectRef { server: self.addr, key: app.servant_key() })
         } else {
             calls::unbind(name)
         };
-        let _ = self.broker.call(ctx, shard, key, op, msg, CallCtx::DirectoryWrite);
+        self.issue(ctx, core, shard, call, CallCtx::DirectoryWrite, None, None);
     }
 
-    /// Resolve one core [`Effect`] into ORB traffic.
-    pub fn perform(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, effect: Effect) {
-        match effect {
-            Effect::RemoteAuth { client, user, password } => {
-                let dispatch = ctx.trace_child(self.request_trace, "substrate.dispatch");
-                let targets: Vec<(ServerAddr, NodeId)> = self
-                    .peers
-                    .iter()
-                    .filter(|(&a, _)| a != self.addr && self.peer_health(a) != PeerHealth::Down)
-                    .map(|(&a, &n)| (a, n))
-                    .collect();
-                for (_, node) in targets {
-                    ctx.metrics().incr(names::SUBSTRATE_REMOTE_AUTH_CALLS);
-                    let msg =
-                        PeerMsg::Authenticate { user: user.clone(), password: password.clone() };
-                    ctx.consume(orb_call_cost(&msg));
-                    let span = ctx.trace_child(dispatch, "orb.call");
-                    if self
-                        .broker
-                        .call_traced(
-                            ctx,
-                            node,
-                            ObjectKey::new(CORBA_SERVER_KEY),
-                            "authenticate",
-                            msg,
-                            CallCtx::Auth { client },
-                            span,
-                        )
-                        .is_err()
-                    {
-                        ctx.trace_finish(span);
-                    }
+    /// Relay one client-facing verb to `app`'s host: deadline → route →
+    /// health → spans and charges per the verb's [`Verb`] row → issue. A
+    /// relay that cannot start is settled on the spot with the reason.
+    fn relay(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        core: &mut ServerCore,
+        client: ClientId,
+        app: AppId,
+        verb: RelayVerb,
+    ) {
+        let (verb, call) = relay_call(app, verb, self.addr);
+        let row = Verb::of(verb);
+        let user = CallCtx::Relay { client, app, verb };
+        let parent = core.incoming_trace;
+        let deadline = core.incoming_deadline.filter(|_| row.dispatched);
+        let routed = if deadline.is_some_and(|stamp| stamp.expired(ctx.now())) {
+            // An op whose budget ran out in the servlet never goes on
+            // the wire.
+            ctx.metrics().incr(names::SUBSTRATE_DEADLINE_FASTFAIL);
+            ctx.trace_annotate(parent, "fastfail: deadline passed before orb call");
+            Err((None, Failure::DeadlinePassed))
+        } else {
+            match self.cached_route(ctx, app) {
+                None => Err((None, Failure::NoRoute)),
+                Some((addr, _)) if self.peer_health(addr) == PeerHealth::Down => {
+                    Err((Some(addr), Failure::HostDown))
                 }
-                ctx.trace_finish(dispatch);
+                Some((_, node)) => Ok(node),
             }
-            Effect::RemoteOp { client, user, app, op } => {
-                // Deadline check at the orb-call hop: an op whose budget
-                // ran out in the servlet never goes on the wire.
-                if let Some(stamp) = self.request_deadline {
-                    if stamp.expired(ctx.now()) {
-                        ctx.metrics().incr(names::SUBSTRATE_DEADLINE_FASTFAIL);
-                        ctx.trace_annotate(
-                            self.request_trace,
-                            "fastfail: deadline passed before orb call",
-                        );
-                        core.complete_remote_op(
-                            ctx,
-                            client,
-                            app,
-                            Err(WireError::new(
-                                ErrorCode::DeadlineExceeded,
-                                "deadline passed before remote dispatch",
-                            )),
-                        );
-                        return;
-                    }
-                }
-                match self.cached_route(ctx, app) {
-                    Some((addr, _)) if self.peer_health(addr) == PeerHealth::Down => {
-                        ctx.metrics().incr(names::SUBSTRATE_FASTFAILS);
-                        ctx.trace_annotate(self.request_trace, "fastfail: host down, redirect hint");
-                        core.complete_remote_op(ctx, client, app, Err(Self::down_error(addr, app)));
-                    }
-                    Some((addr, node)) => {
-                        let dispatch = ctx.trace_child(self.request_trace, "substrate.dispatch");
-                        ctx.metrics().incr(names::SUBSTRATE_REMOTE_OPS);
-                        let msg = PeerMsg::ProxyOp { app, user, op };
-                        ctx.consume(orb_call_cost(&msg));
-                        let span = ctx.trace_child(dispatch, "orb.call");
-                        if self
-                            .broker
-                            .call_traced_deadline(
-                                ctx,
-                                node,
-                                ObjectKey::new(format!("apps/{app}")),
-                                "proxyOp",
-                                msg,
-                                CallCtx::Op { client, app },
-                                span,
-                                self.request_deadline,
-                            )
-                            .is_err()
-                        {
-                            ctx.trace_finish(span);
-                            ctx.metrics().incr(names::SUBSTRATE_FASTFAILS);
-                            core.complete_remote_op(
-                                ctx,
-                                client,
-                                app,
-                                Err(Self::down_error(addr, app)),
-                            );
-                        }
-                        ctx.trace_finish(dispatch);
-                    }
-                    None => core.complete_remote_op(
-                        ctx,
-                        client,
-                        app,
-                        Err(WireError::new(ErrorCode::Unavailable, "host server unknown")),
-                    ),
-                }
-            }
-            Effect::RemoteLock { client, user, app, acquire } => match self.cached_route(ctx, app) {
-                Some((addr, node)) if self.peer_health(addr) != PeerHealth::Down => {
-                    let (operation, msg) = if acquire {
-                        ("lockRequest", PeerMsg::LockRequest { app, user, via: self.addr })
-                    } else {
-                        ("lockRelease", PeerMsg::LockRelease { app, user })
-                    };
-                    ctx.metrics().incr(names::SUBSTRATE_REMOTE_LOCKS);
-                    let span = ctx.trace_child(self.request_trace, "orb.call");
-                    if self
-                        .broker
-                        .call_traced(
-                            ctx,
-                            node,
-                            ObjectKey::new(CORBA_SERVER_KEY),
-                            operation,
-                            msg,
-                            CallCtx::Lock { client, app, acquire },
-                            span,
-                        )
-                        .is_err()
-                    {
-                        ctx.trace_finish(span);
-                        ctx.metrics().incr(names::SUBSTRATE_FASTFAILS);
-                        core.complete_remote_lock(ctx, client, app, acquire, false, None);
-                    }
-                }
-                _ => core.complete_remote_lock(ctx, client, app, acquire, false, None),
-            },
-            Effect::RemoteHistory { client, app, since } => match self.cached_route(ctx, app) {
-                Some((addr, node)) if self.peer_health(addr) != PeerHealth::Down => {
-                    let span = ctx.trace_child(self.request_trace, "orb.call");
-                    if self
-                        .broker
-                        .call_traced(
-                            ctx,
-                            node,
-                            ObjectKey::new(CORBA_SERVER_KEY),
-                            "fetchHistory",
-                            PeerMsg::FetchHistory { app, since },
-                            CallCtx::History { client, app },
-                            span,
-                        )
-                        .is_err()
-                    {
-                        ctx.trace_finish(span);
-                        core.complete_remote_history(ctx, client, app, Vec::new(), since);
-                    }
-                }
-                _ => core.complete_remote_history(ctx, client, app, Vec::new(), since),
-            },
-            Effect::Subscribe { app } => match self.config.collab_mode {
-                CollabMode::Push => self.subscribe_app(ctx, app),
-                CollabMode::Poll { .. } => {
-                    self.poll_state.entry(app).or_insert(0);
-                }
-            },
-            Effect::Unsubscribe { app } => match self.config.collab_mode {
-                CollabMode::Push => {
-                    self.subscribed.remove(&app);
-                    if let Some(node) = self.node_of(app.host()) {
-                        Broker::<CallCtx>::oneway(
-                            ctx,
-                            node,
-                            ObjectKey::new(CORBA_SERVER_KEY),
-                            "unsubscribeApp",
-                            PeerMsg::UnsubscribeApp { app, subscriber: self.addr },
-                        );
-                    }
-                }
-                CollabMode::Poll { .. } => {
-                    self.poll_state.remove(&app);
-                }
-            },
-            Effect::PushToPeers { update, peers } => {
-                for peer in peers {
-                    if let Some(node) = self.node_of(peer) {
-                        ctx.metrics().incr(names::SUBSTRATE_COLLAB_PUSHES);
-                        let msg =
-                            PeerMsg::CollabUpdate { update: update.clone(), origin: self.addr };
-                        ctx.consume(orb_call_cost(&msg));
-                        Broker::<CallCtx>::oneway(
-                            ctx,
-                            node,
-                            ObjectKey::new(CORBA_SERVER_KEY),
-                            "collabUpdate",
-                            msg,
-                        );
-                    }
-                }
-            }
-            Effect::ForwardToHost { update } => {
-                if let Some(node) = self.node_of(update.app().host()) {
-                    ctx.metrics().incr(names::SUBSTRATE_COLLAB_FORWARDS);
-                    Broker::<CallCtx>::oneway(
-                        ctx,
-                        node,
-                        ObjectKey::new(CORBA_SERVER_KEY),
-                        "collabUpdate",
-                        PeerMsg::CollabUpdate { update, origin: self.addr },
-                    );
-                }
-            }
-            Effect::Announce { kind, detail, app } => {
-                match (kind, app) {
-                    (ControlEventKind::AppRegistered, Some(app)) => {
-                        self.naming_for_app(ctx, app, true)
-                    }
-                    (ControlEventKind::AppClosed, Some(app)) => {
-                        self.naming_for_app(ctx, app, false)
-                    }
-                    _ => {}
-                }
-                let event = ControlEvent { origin: self.addr, kind, detail };
-                for (&peer_addr, &node) in &self.peers {
-                    if peer_addr == self.addr {
-                        continue;
-                    }
-                    ctx.metrics().incr(names::SUBSTRATE_CONTROL_EVENTS);
-                    Broker::<CallCtx>::oneway(
-                        ctx,
-                        node,
-                        ObjectKey::new(CORBA_SERVER_KEY),
-                        "control",
-                        PeerMsg::Control(event.clone()),
-                    );
-                }
-            }
+        };
+        let node = match routed {
+            Ok(node) => node,
+            Err((peer, failure)) => return self.settle(ctx, core, user, peer, None, Err(failure)),
+        };
+        let dispatch =
+            if row.dispatched { ctx.trace_child(parent, "substrate.dispatch") } else { None };
+        if let Some(issued) = row.issued {
+            ctx.metrics().incr(issued);
         }
+        if row.dispatched {
+            ctx.consume(orb_call_cost(&call.2));
+        }
+        let span = ctx.trace_child(dispatch.or(parent), "orb.call");
+        self.issue(ctx, core, node, call, user, span, deadline);
+        ctx.trace_finish(dispatch);
     }
 
-    /// Resolve a batch of effects.
+    /// Resolve the core's [`Effect`]s into ORB traffic, in order.
     pub fn perform_all(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         core: &mut ServerCore,
         effects: Vec<Effect>,
     ) {
-        for e in effects {
-            self.perform(ctx, core, e);
+        for effect in effects {
+            match effect {
+                Effect::RemoteAuth { client, user, password } => {
+                    let dispatch = ctx.trace_child(core.incoming_trace, "substrate.dispatch");
+                    let targets: Vec<NodeId> = self
+                        .peers
+                        .iter()
+                        .filter(|(&a, _)| self.peer_health(a) != PeerHealth::Down)
+                        .map(|(_, &n)| n)
+                        .collect();
+                    for node in targets {
+                        ctx.metrics().incr(names::SUBSTRATE_REMOTE_AUTH_CALLS);
+                        let (user, password) = (user.clone(), password.clone());
+                        let msg = PeerMsg::Authenticate { user, password };
+                        ctx.consume(orb_call_cost(&msg));
+                        let span = ctx.trace_child(dispatch, "orb.call");
+                        let call = (server_key(), "authenticate", msg);
+                        self.issue(ctx, core, node, call, CallCtx::Auth { client }, span, None);
+                    }
+                    ctx.trace_finish(dispatch);
+                }
+                Effect::Relay { client, app, verb } => self.relay(ctx, core, client, app, verb),
+                // Poll mode mirrors an app by polling its host from the
+                // next tick on; push mode by subscribing to it.
+                Effect::Subscribe { app } if self.poll_interval().is_some() => {
+                    self.poll_state.entry(app).or_insert(0);
+                }
+                Effect::Subscribe { app } => self.subscribe_app(ctx, core, app),
+                Effect::Unsubscribe { app } if self.poll_interval().is_some() => {
+                    self.poll_state.remove(&app);
+                }
+                Effect::Unsubscribe { app } => {
+                    self.subscribed.remove(&app);
+                    if let Some(node) = self.node_of(app.host()) {
+                        let msg = PeerMsg::UnsubscribeApp { app, subscriber: self.addr };
+                        Broker::<CallCtx>::oneway(ctx, node, server_key(), "unsubscribeApp", msg);
+                    }
+                }
+                Effect::PushToPeers { update, peers } => {
+                    for peer in peers {
+                        if let Some(node) = self.node_of(peer) {
+                            ctx.metrics().incr(names::SUBSTRATE_COLLAB_PUSHES);
+                            let msg =
+                                PeerMsg::CollabUpdate { update: update.clone(), origin: self.addr };
+                            ctx.consume(orb_call_cost(&msg));
+                            Broker::<CallCtx>::oneway(ctx, node, server_key(), "collabUpdate", msg);
+                        }
+                    }
+                }
+                Effect::ForwardToHost { update } => {
+                    if let Some(node) = self.node_of(update.app().host()) {
+                        ctx.metrics().incr(names::SUBSTRATE_COLLAB_FORWARDS);
+                        let msg = PeerMsg::CollabUpdate { update, origin: self.addr };
+                        Broker::<CallCtx>::oneway(ctx, node, server_key(), "collabUpdate", msg);
+                    }
+                }
+                Effect::Announce { kind, detail, app } => {
+                    match (kind, app) {
+                        (ControlEventKind::AppRegistered, Some(app)) => {
+                            self.naming_for_app(ctx, core, app, true)
+                        }
+                        (ControlEventKind::AppClosed, Some(app)) => {
+                            self.naming_for_app(ctx, core, app, false)
+                        }
+                        _ => {}
+                    }
+                    let event = ControlEvent { origin: self.addr, kind, detail };
+                    for &node in self.peers.values() {
+                        ctx.metrics().incr(names::SUBSTRATE_CONTROL_EVENTS);
+                        let msg = PeerMsg::Control(event.clone());
+                        Broker::<CallCtx>::oneway(ctx, node, server_key(), "control", msg);
+                    }
+                }
+            }
         }
     }
 
-    /// Handle a GIOP *reply* frame addressed to this substrate's broker.
-    /// Returns false if the reply did not match an outstanding call.
+    /// Handle a GIOP *reply* frame addressed to this substrate's broker:
+    /// settle the call it answers (a reply matching no outstanding call —
+    /// a duplicate, or one whose call already gave up — is counted).
     pub fn handle_reply(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         core: &mut ServerCore,
         frame: GiopFrame,
-    ) -> bool {
-        let wire::giop::GiopBody::Return(reply) = frame.body else { return false };
+    ) {
+        let wire::giop::GiopBody::Return(reply) = frame.body else { return };
         let Some(pending) = self.broker.complete(frame.request_id) else {
-            ctx.metrics().incr(names::SUBSTRATE_REPLIES_ORPHANED);
-            return false;
+            return ctx.metrics().incr(names::SUBSTRATE_REPLIES_ORPHANED);
         };
-        // The logical call is over the moment its reply arrives; the
-        // completion handlers below run under the request's own span.
-        ctx.trace_finish(pending.trace);
-        // Whatever the reply shape (offers, resolution, exception), the
-        // directory read it answers is no longer in flight; later misses
-        // for the key may issue a fresh query.
-        match &pending.user {
-            CallCtx::Discovery => {
-                self.dir_in_flight.remove(&trader_partition(DISCOVER_SERVICE));
-            }
-            CallCtx::Failover { app } => {
-                self.dir_in_flight.remove(&format!("DISCOVER/apps/{app}"));
-            }
-            _ => {}
-        }
-        if let Some(addr) = self.addr_of_node(pending.to) {
-            self.mark_up(addr);
-        }
-        // Stale directory-cache repair: a peer answering `NoSuchApp` for
-        // an app we routed to it is a definitive Nak — the failover route
-        // (and its redirect hint) is wrong NOW, not when its next
-        // discovery refresh happens to notice. Drop it immediately so the
-        // very next call falls back to the app's home host.
-        let nak = match &reply {
-            PeerReply::Exception(e) => Some(e),
-            // Proxied ops carry their Nak inside the result envelope.
-            PeerReply::OpResult { result: Err(e), .. } => Some(e),
-            _ => None,
-        };
-        if let Some(e) = nak {
-            if matches!(e.code, ErrorCode::NoSuchApp) {
-                let routed_app = match &pending.user {
-                    CallCtx::Op { app, .. }
-                    | CallCtx::Lock { app, .. }
-                    | CallCtx::History { app, .. }
-                    | CallCtx::Subscribe { app }
-                    | CallCtx::Poll { app } => Some(*app),
-                    _ => None,
-                };
-                if let Some(app) = routed_app {
-                    if self.routes.remove(&app).is_some() {
-                        ctx.metrics().incr(names::SUBSTRATE_ROUTES_INVALIDATED);
-                        core.clear_mirror_hint(app);
-                    }
-                    if self.config.discovery_cache.is_some() {
-                        // The Nak invalidates the cached route too;
-                        // `Mutation::StaleCache` skips only the
-                        // eviction, leaving the poisoned entry for the
-                        // discovery oracle to catch being re-served.
-                        ctx.metrics().incr(names::SUBSTRATE_CACHE_INVALIDATIONS);
-                        let evict = core.config.mutation != Some(Mutation::StaleCache);
-                        let name = format!("DISCOVER/apps/{app}");
-                        self.cache.invalidate(ctx.now(), &name, evict);
-                    }
-                }
-            }
-        }
-        match (pending.user, reply) {
-            (CallCtx::Auth { client }, PeerReply::AuthOk { apps }) => {
-                core.complete_remote_auth(ctx, client, apps);
-            }
-            (CallCtx::Auth { .. }, PeerReply::AuthDenied) => {
-                ctx.metrics().incr(names::SUBSTRATE_REMOTE_AUTH_DENIED);
-            }
-            (CallCtx::Op { client, app }, PeerReply::OpResult { result, .. }) => {
-                core.complete_remote_op(ctx, client, app, result);
-            }
-            (CallCtx::Op { client, app }, PeerReply::Exception(e)) => {
-                core.complete_remote_op(ctx, client, app, Err(e));
-            }
-            (
-                CallCtx::Lock { client, app, acquire },
-                PeerReply::LockDecision { granted, holder, .. },
-            ) => {
-                core.complete_remote_lock(ctx, client, app, acquire, granted, holder);
-            }
-            (CallCtx::Lock { client, app, acquire }, PeerReply::Exception(_)) => {
-                core.complete_remote_lock(ctx, client, app, acquire, false, None);
-            }
-            (CallCtx::History { client, app }, PeerReply::History { records, next_seq, .. }) => {
-                core.complete_remote_history(ctx, client, app, records, next_seq);
-            }
-            (CallCtx::Subscribe { app }, PeerReply::SubscribeOk { .. }) => {
-                self.subscribed.insert(app, true);
-            }
-            (CallCtx::Discovery, PeerReply::TraderOffers { offers }) => {
-                self.peers_stale = false;
-                for offer in offers {
-                    let addr = offer.object.server;
-                    if addr == self.addr {
-                        continue;
-                    }
-                    if let Some(node) = self.book.resolve(addr) {
-                        if self.peers.insert(addr, node).is_none() {
-                            ctx.metrics().incr(names::SUBSTRATE_DISCOVERY_PEERS_FOUND);
-                        }
-                        // An offer in the trader means the peer is serving
-                        // (a restarted host re-exports itself on the way up).
-                        self.mark_up(addr);
-                    }
-                }
-                // Failed-over apps return to their home host once it is
-                // healthy again.
-                let health = &self.health;
-                let mut returned: Vec<AppId> = Vec::new();
-                self.routes.retain(|&app, _| {
-                    let keep = health.get(&app.host()) != Some(&PeerHealth::Up);
-                    if !keep {
-                        returned.push(app);
-                    }
-                    keep
-                });
-                for app in returned {
-                    core.clear_mirror_hint(app);
-                }
-                // Re-issue push subscriptions that never got confirmed
-                // (lost subscribe, or host was down when we tried).
-                let unconfirmed: Vec<AppId> = self
-                    .subscribed
-                    .iter()
-                    .filter(|(_, &ok)| !ok)
-                    .map(|(&app, _)| app)
-                    .collect();
-                for app in unconfirmed {
-                    self.subscribe_app(ctx, app);
-                }
-            }
-            (CallCtx::Failover { app }, PeerReply::NamingResolved { object }) => {
-                let name = format!("DISCOVER/apps/{app}");
-                if let Some(cfg) = self.config.discovery_cache {
-                    // The authoritative answer refreshes the cache:
-                    // positive with the resolved host, negative when the
-                    // directory has no binding.
-                    match &object {
-                        Some(o) => self.cache.insert(ctx.now(), &name, o.server, cfg.ttl),
-                        None => self.cache.insert_negative(ctx.now(), &name, cfg.negative_ttl),
-                    }
-                }
-                if let Some(object) = object {
-                    self.adopt_route(ctx, core, app, object.server);
-                }
-            }
-            (CallCtx::Poll { app }, PeerReply::Updates { updates, next_seq, .. }) => {
-                let origin = app.host();
-                for update in updates {
-                    core.apply_peer_update(ctx, update, origin);
-                }
-                self.poll_state.insert(app, next_seq);
-            }
-            (CallCtx::DirectoryWrite, _) => {}
-            (_, PeerReply::Exception(e)) => {
-                ctx.metrics().incr(names::SUBSTRATE_REPLIES_EXCEPTIONS);
-                let _ = e;
-            }
-            _ => ctx.metrics().incr(names::SUBSTRATE_REPLIES_MISMATCHED),
-        }
-        // Completion handlers only queue their effects (collaboration
-        // echoes of remote outcomes, re-fanned poll updates); resolve
-        // them now.
-        let queued = core.drain_effects();
-        if !queued.is_empty() {
-            self.perform_all(ctx, core, queued);
-        }
-        true
+        let peer = self.addr_of_node(pending.to);
+        self.settle(ctx, core, pending.user, peer, pending.trace, Ok(reply));
     }
 
     /// Poll-mode tick: query every mirrored app's host for new updates.
     /// Hosts currently marked down are skipped; polling resumes when they
     /// come back up via a discovery refresh.
-    pub fn poll_tick(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+    pub fn poll_tick(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore) {
         let apps: Vec<(AppId, u64)> = self.poll_state.iter().map(|(a, s)| (*a, *s)).collect();
         for (app, since) in apps {
             let Some((addr, node)) = self.cached_route(ctx, app) else { continue };
@@ -1044,103 +943,49 @@ impl Substrate {
                 continue;
             }
             ctx.metrics().incr(names::SUBSTRATE_POLLS);
-            let _ = self.broker.call(
-                ctx,
-                node,
-                ObjectKey::new(CORBA_SERVER_KEY),
-                "pollUpdates",
-                PeerMsg::PollUpdates { app, since, requester: self.addr },
-                CallCtx::Poll { app },
-            );
+            let poll = PeerMsg::PollUpdates { app, since, requester: self.addr };
+            let call = (server_key(), "pollUpdates", poll);
+            self.issue(ctx, core, node, call, CallCtx::Poll { app }, None, None);
         }
     }
 
     /// Timeout sweep. Expired calls are retried with backoff by the
-    /// broker; callers of calls that exhausted their attempts are failed,
-    /// and the callee is marked [`PeerHealth::Down`] (triggering trader
-    /// re-resolution and mirrored-app failover). Retried calls mark their
-    /// callee [`PeerHealth::Suspect`].
+    /// broker; calls that exhausted their attempts are settled as
+    /// failures, which fails their callers and marks the callee
+    /// [`PeerHealth::Down`] (triggering trader re-resolution and
+    /// mirrored-app failover). Retried calls mark their callee
+    /// [`PeerHealth::Suspect`].
     pub fn sweep_timeouts(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore) {
-        let Some(cutoff) = ctx.now().checked_sub(self.config.call_timeout) else { return };
-        if cutoff == SimTime::ZERO {
-            return;
-        }
+        let cutoff = ctx.now().checked_sub(self.config.call_timeout);
+        let Some(cutoff) = cutoff.filter(|&cutoff| cutoff != SimTime::ZERO) else { return };
         let report = self.broker.sweep_expired(ctx, cutoff);
-        if report.retried > 0 {
-            ctx.metrics().add(names::SUBSTRATE_RETRIES, report.retried as u64);
-        }
-        if report.opened > 0 {
-            ctx.metrics().add(names::SUBSTRATE_BREAKER_OPEN, report.opened as u64);
-        }
-        if report.deadline_gave_up > 0 {
-            ctx.metrics().add(names::SUBSTRATE_DEADLINE_GAVE_UP, report.deadline_gave_up as u64);
+        for (counter, n) in [
+            (names::SUBSTRATE_RETRIES, report.retried_to.len() as u32),
+            (names::SUBSTRATE_BREAKER_OPEN, report.opened),
+            (names::SUBSTRATE_DEADLINE_GAVE_UP, report.deadline_gave_up),
+        ] {
+            if n > 0 {
+                ctx.metrics().add(counter, n as u64);
+            }
         }
         for node in report.retried_to {
             if let Some(addr) = self.addr_of_node(node) {
-                self.health.entry(addr).or_insert(PeerHealth::Up);
-                if self.health[&addr] == PeerHealth::Up {
-                    self.health.insert(addr, PeerHealth::Suspect);
+                let health = self.health.entry(addr).or_insert(PeerHealth::Up);
+                if *health == PeerHealth::Up {
+                    *health = PeerHealth::Suspect;
                 }
             }
         }
         for (_, pending) in report.gave_up {
             ctx.metrics().incr(names::SUBSTRATE_TIMEOUTS);
             ctx.trace_annotate(pending.trace, "gave up: retry budget exhausted");
-            ctx.trace_finish(pending.trace);
-            let failed_addr = self.addr_of_node(pending.to);
-            match pending.user {
-                CallCtx::Op { client, app } => {
-                    // A deadline-driven give-up reports the spent budget
-                    // rather than a host-down redirect: the host may be
-                    // healthy, the request simply ran out of time.
-                    let err = if pending.deadline.is_some_and(|d| d.expired(ctx.now())) {
-                        WireError::new(
-                            ErrorCode::DeadlineExceeded,
-                            "deadline exhausted while retrying remote call",
-                        )
-                    } else {
-                        match failed_addr {
-                            Some(addr) => Self::down_error(addr, app),
-                            None => {
-                                WireError::new(ErrorCode::Unavailable, "remote call timed out")
-                            }
-                        }
-                    };
-                    core.complete_remote_op(ctx, client, app, Err(err));
-                }
-                CallCtx::Lock { client, app, acquire } => {
-                    core.complete_remote_lock(ctx, client, app, acquire, false, None)
-                }
-                CallCtx::History { client, app } => {
-                    core.complete_remote_history(ctx, client, app, Vec::new(), 0)
-                }
-                CallCtx::Subscribe { app } => {
-                    // Leave the intent recorded; the next discovery
-                    // refresh re-issues the subscription.
-                    self.subscribed.insert(app, false);
-                }
-                CallCtx::Discovery => {
-                    // Trader unreachable: keep serving the cached peer
-                    // set, flagged stale. The discovery timer re-queries.
-                    self.dir_in_flight.remove(&trader_partition(DISCOVER_SERVICE));
-                    self.peers_stale = true;
-                    ctx.metrics().incr(names::SUBSTRATE_DIRECTORY_STALE);
-                }
-                CallCtx::Poll { .. } => {
-                    // Poll state is untouched: the next poll tick re-polls
-                    // from the same sequence once the host is back up.
-                }
-                CallCtx::Failover { app } => {
-                    // The resolve died with the shard; clearing the
-                    // in-flight marker lets the next mark_down/refresh
-                    // re-issue it.
-                    self.dir_in_flight.remove(&format!("DISCOVER/apps/{app}"));
-                }
-                CallCtx::Auth { .. } | CallCtx::DirectoryWrite => {}
-            }
-            if let Some(addr) = failed_addr {
-                self.mark_down(ctx, core, addr);
-            }
+            let failure = if pending.deadline.is_some_and(|d| d.expired(ctx.now())) {
+                Failure::DeadlineSpent
+            } else {
+                Failure::GaveUp
+            };
+            let peer = self.addr_of_node(pending.to);
+            self.settle(ctx, core, pending.user, peer, pending.trace, Err(failure));
         }
     }
 
@@ -1149,6 +994,355 @@ impl Substrate {
         match self.config.collab_mode {
             CollabMode::Poll { interval } => Some(interval),
             CollabMode::Push => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::DiscoverNode;
+    use discover_server::{security, ServerConfig};
+    use orb::{Directory, DirectoryCosts};
+    use simnet::{Actor, Engine, LinkSpec};
+    use wire::http::HttpRequest;
+    use wire::tcp::TcpFrame;
+    use wire::{
+        AppMsg, AppOp, AppToken, Channel, ClientMessage, ClientRequest, Content, InteractionSpec,
+        Priority, Privilege, ResponseBody, UserId,
+    };
+
+    const GATEWAY: ServerAddr = ServerAddr(1);
+    const HOST: ServerAddr = ServerAddr(2);
+    const APP: AppId = AppId { server: HOST, seq: 7 };
+    const SINCE: u64 = 42;
+
+    fn user() -> UserId {
+        UserId::new("vijay")
+    }
+
+    fn verbs() -> [RelayVerb; 4] {
+        let op = AppOp::SetParam("knob0".into(), Value::Float(2.0));
+        [
+            RelayVerb::Op { user: user(), op },
+            RelayVerb::Lock { user: user(), acquire: true },
+            RelayVerb::Lock { user: user(), acquire: false },
+            RelayVerb::History { since: SINCE },
+        ]
+    }
+
+    /// The verb table puts on the wire what the three hand-written relay
+    /// arms did: servant key, operation name, and a request of the same
+    /// encoded size (literals measured at the parent of the fold).
+    #[test]
+    fn every_relayed_verb_keeps_its_wire_call() {
+        let pinned = [
+            (Relayed::Op, "apps/app:10.0.0.2#7", "proxyOp", 46, 105),
+            (Relayed::Lock { acquire: true }, CORBA_SERVER_KEY, "lockRequest", 25, 88),
+            (Relayed::Lock { acquire: false }, CORBA_SERVER_KEY, "lockRelease", 21, 84),
+            (Relayed::History { since: SINCE }, CORBA_SERVER_KEY, "fetchHistory", 20, 84),
+        ];
+        for (verb, (then, key, operation, msg_len, wire_size)) in verbs().into_iter().zip(pinned) {
+            let (relayed, (k, op, msg)) = relay_call(APP, verb, GATEWAY);
+            assert_eq!((relayed, k.0.as_str(), op), (then, key, operation));
+            assert_eq!(wire::codec::encoded_len(&msg), msg_len, "{operation}: request size");
+            let request = Envelope::giop(GiopFrame::request(1, k, op, msg));
+            assert_eq!(request.wire_size(), wire_size, "{operation}: frame size");
+        }
+    }
+
+    /// Swallows what it is sent, keeping the HTTP responses: the
+    /// gateway's browser and its login-anchor application.
+    #[derive(Default)]
+    struct Sink {
+        responses: Vec<wire::http::HttpResponse>,
+    }
+    impl Actor<Envelope> for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_, Envelope>, _: NodeId, msg: Envelope) {
+            if let Content::HttpResponse(response) = msg.content {
+                self.responses.push(response);
+            }
+        }
+    }
+
+    /// The host as the gateway sees it: a peer that never answers, or
+    /// one that refuses every call the way a throttling host does.
+    struct StubHost {
+        refuses: bool,
+    }
+    impl Actor<Envelope> for StubHost {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, from: NodeId, msg: Envelope) {
+            let Content::Giop(frame) = msg.content else { return };
+            if self.refuses && frame.expects_reply() {
+                let refusal = PeerReply::Exception(WireError::new(
+                    ErrorCode::Unavailable,
+                    "peer request rate exceeds access policy",
+                ));
+                let reply =
+                    GiopFrame::reply(frame.request_id, frame.target, &frame.operation, refusal);
+                ctx.send(from, Envelope::giop(reply));
+            }
+        }
+    }
+
+    const TAG_STAGE: u64 = 90;
+    type Stage = Box<dyn FnOnce(&mut DiscoverNode, &mut Ctx<'_, Envelope>)>;
+
+    /// A real gateway node whose test can reach in with a `Ctx`: every
+    /// 100 ms it runs the staged closure, if one is waiting.
+    struct Gateway {
+        node: DiscoverNode,
+        sink: NodeId,
+        host: NodeId,
+        stage: Option<Stage>,
+    }
+    impl Actor<Envelope> for Gateway {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            self.node.on_start(ctx);
+            self.node.substrate.peers.insert(HOST, self.host);
+            // A login-anchor application, then the client's session.
+            let register = AppMsg::Register {
+                token: AppToken::new("t"),
+                name: "anchor".into(),
+                kind: "k".into(),
+                acl: vec![(user(), Privilege::Steer)],
+                interface: InteractionSpec::default(),
+                slot: Some(0),
+            };
+            let register = Envelope::tcp(TcpFrame::new(Channel::Main, register));
+            self.node.on_message(ctx, self.sink, register);
+            let password = security::expected_password(&user());
+            let login = ClientRequest::Login { user: user(), password };
+            let login = HttpRequest::post(webserv::paths::COMMAND, None, login);
+            self.node.on_message(ctx, self.sink, Envelope::http_request(login));
+            ctx.schedule(SimDuration::from_millis(100), TAG_STAGE);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, from: NodeId, msg: Envelope) {
+            self.node.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Envelope>, tag: u64) {
+            if tag != TAG_STAGE {
+                return self.node.on_timer(ctx, tag);
+            }
+            if let Some(stage) = self.stage.take() {
+                stage(&mut self.node, ctx);
+            }
+            ctx.schedule(SimDuration::from_millis(100), TAG_STAGE);
+        }
+    }
+
+    struct Rig {
+        eng: Engine<Envelope>,
+        gateway: NodeId,
+        sink: NodeId,
+        client: ClientId,
+    }
+
+    impl Rig {
+        /// Directory, gateway (one logged-in client, two send attempts per
+        /// call, breaker tripping on the first failure), stub host.
+        fn new(host_refuses: bool) -> Rig {
+            let mut eng = Engine::new(7);
+            eng.enable_tracing();
+            let directory = eng.add_node("directory", Directory::new(DirectoryCosts::default()));
+            let sink = eng.add_node("sink", Sink::default());
+            let host = eng.add_node("host", StubHost { refuses: host_refuses });
+            let config = SubstrateConfig {
+                call_timeout: SimDuration::from_secs(2),
+                sweep_interval: SimDuration::from_millis(500),
+                retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
+                ..SubstrateConfig::default()
+            };
+            let book = AddressBook::new();
+            let ring = DirectoryRing::single(directory);
+            let mut substrate = Substrate::new(config, GATEWAY, "gateway", ring, book.clone());
+            substrate.broker.breaker.failure_threshold = 1;
+            let node = DiscoverNode::new(ServerConfig::new(GATEWAY, "gateway"), substrate);
+            let gateway = eng.add_node("gateway", Gateway { node, sink, host, stage: None });
+            book.register(GATEWAY, gateway);
+            book.register(HOST, host);
+            for peer in [directory, sink, host] {
+                eng.link(gateway, peer, LinkSpec::lan());
+            }
+            eng.run_until(SimTime::from_secs(1));
+            let fifos = eng.actor_ref::<Gateway>(gateway).unwrap().node.core.fifo_snapshot();
+            assert_eq!(fifos.len(), 1, "the client is logged in");
+            Rig { eng, gateway, sink, client: fifos[0].0 }
+        }
+
+        /// Run `stage` on the gateway at its next 100 ms tick, then let
+        /// `secs` of virtual time pass.
+        fn stage(
+            &mut self,
+            secs: u64,
+            stage: impl FnOnce(&mut DiscoverNode, &mut Ctx<'_, Envelope>) + 'static,
+        ) {
+            self.eng.actor_mut::<Gateway>(self.gateway).unwrap().stage = Some(Box::new(stage));
+            let until = self.eng.now() + SimDuration::from_secs(secs);
+            self.eng.run_until(until);
+        }
+
+        fn node(&self) -> &DiscoverNode {
+            &self.eng.actor_ref::<Gateway>(self.gateway).unwrap().node
+        }
+
+        /// Messages ever pushed into the client's FIFO.
+        fn answered(&self) -> u64 {
+            self.node().core.fifo_snapshot()[0].4
+        }
+
+        /// Poll the client's FIFO empty and return what was in it.
+        fn poll(&mut self) -> Vec<ClientMessage> {
+            let sink = self.eng.actor_mut::<Sink>(self.sink).unwrap();
+            let cookie = sink.responses[0].set_session;
+            let seen = sink.responses.len();
+            let poll = Envelope::http_request(HttpRequest::get(webserv::paths::POLL, cookie));
+            self.eng.inject(self.sink, self.gateway, poll, SimDuration::ZERO);
+            let until = self.eng.now() + SimDuration::from_millis(50);
+            self.eng.run_until(until);
+            let sink = self.eng.actor_ref::<Sink>(self.sink).unwrap();
+            let unbatched = |m: &ClientMessage| match m {
+                ClientMessage::Response(ResponseBody::Batch(batch)) => batch.clone(),
+                single => vec![single.clone()],
+            };
+            sink.responses[seen..].iter().flat_map(|r| &r.body).flat_map(unbatched).collect()
+        }
+    }
+
+    /// The ways a relay can end without the host's answer.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Exit {
+        UnknownHost,
+        HostDown,
+        BreakerOpen,
+        DeadlinePassed,
+        ExceptionReply,
+        RetriesExhausted,
+        DeadlineGiveUp,
+    }
+
+    /// Relay `verb` for the rig's client as one traced request, under
+    /// `deadline` if given.
+    fn relay_as_request(
+        node: &mut DiscoverNode,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        app: AppId,
+        verb: RelayVerb,
+        deadline: Option<SimTime>,
+    ) {
+        let span = ctx.trace_root("test.request");
+        node.core.incoming_trace = span;
+        node.core.incoming_deadline =
+            deadline.map(|deadline| DeadlineStamp { deadline, priority: Priority::Command });
+        let relay = vec![Effect::Relay { client, app, verb }];
+        node.substrate.perform_all(ctx, &mut node.core, relay);
+        node.core.incoming_trace = None;
+        node.core.incoming_deadline = None;
+        ctx.trace_finish(span);
+    }
+
+    /// Every way a relayed verb can fail ends in the one settle path:
+    /// the client is answered exactly once, with the answer its verb
+    /// owes it, nothing stays in flight and no span stays open.
+    #[test]
+    fn every_relay_failure_answers_its_client_once() {
+        use Exit::*;
+        let exits = [
+            UnknownHost,
+            HostDown,
+            BreakerOpen,
+            DeadlinePassed,
+            ExceptionReply,
+            RetriesExhausted,
+            DeadlineGiveUp,
+        ];
+        for verb in verbs() {
+            for exit in exits {
+                let is_op = matches!(verb, RelayVerb::Op { .. });
+                if exit == DeadlinePassed && !is_op {
+                    continue; // only an operation checks the deadline before dispatch
+                }
+                let cell = format!("{verb:?} x {exit:?}");
+                let mut rig = Rig::new(exit == ExceptionReply);
+                let client = rig.client;
+                if exit == BreakerOpen {
+                    // Trip the host's breaker with a sacrificial fetch,
+                    // then forget the down verdict it also left, so the
+                    // cell's call gets as far as the broker.
+                    rig.stage(8, move |node, ctx| {
+                        let fetch = RelayVerb::History { since: 0 };
+                        relay_as_request(node, ctx, client, APP, fetch, None);
+                    });
+                    assert_eq!(rig.node().substrate.peer_health(HOST), PeerHealth::Down, "{cell}");
+                    assert_eq!(rig.poll().len(), 1, "{cell}: the sacrificial fetch's empty page");
+                }
+                let before = rig.answered();
+                let staged = verb.clone();
+                rig.stage(12, move |node, ctx| {
+                    let now = ctx.now();
+                    let (app, deadline) = match exit {
+                        UnknownHost => (AppId { server: ServerAddr(99), seq: 0 }, None),
+                        DeadlinePassed => (APP, Some(now)),
+                        DeadlineGiveUp => (APP, Some(now + SimDuration::from_millis(2100))),
+                        _ => (APP, None),
+                    };
+                    match exit {
+                        HostDown => node.substrate.health.insert(HOST, PeerHealth::Down),
+                        BreakerOpen => node.substrate.health.insert(HOST, PeerHealth::Up),
+                        _ => None,
+                    };
+                    relay_as_request(node, ctx, client, app, staged, deadline);
+                });
+                assert_eq!(rig.answered() - before, 1, "{cell}: answered exactly once");
+                assert_eq!(rig.node().substrate.in_flight(), 0, "{cell}: nothing in flight");
+                assert_eq!(rig.eng.tracer_mut().open_count(), 0, "{cell}: no span left open");
+                let answers = rig.poll();
+                let [answer] = answers.as_slice() else { panic!("{cell}: {answers:?}") };
+                let failed_app = if exit == UnknownHost { ServerAddr(99) } else { HOST };
+                match (&verb, answer) {
+                    (RelayVerb::Op { .. }, ClientMessage::Error(e)) => {
+                        let code = match exit {
+                            DeadlinePassed | DeadlineGiveUp => ErrorCode::DeadlineExceeded,
+                            _ => ErrorCode::Unavailable,
+                        };
+                        assert_eq!(e.code, code, "{cell}: {e:?}");
+                    }
+                    (
+                        RelayVerb::Lock { acquire: true, .. },
+                        ClientMessage::Response(ResponseBody::LockDenied { app, holder: None }),
+                    ) => assert_eq!(app.host(), failed_app, "{cell}"),
+                    (RelayVerb::Lock { acquire: false, .. }, ClientMessage::Error(e)) => {
+                        assert_eq!(e.code, ErrorCode::BadRequest, "{cell}: {e:?}");
+                    }
+                    (
+                        RelayVerb::History { .. },
+                        ClientMessage::Response(ResponseBody::History { app, records, next_seq }),
+                    ) => {
+                        assert_eq!(app.host(), failed_app, "{cell}");
+                        assert!(records.is_empty(), "{cell}: an empty page");
+                        assert_eq!(*next_seq, SINCE, "{cell}: the cursor stays where it was");
+                    }
+                    _ => panic!("{cell}: wrong answer {answer:?}"),
+                }
+                let fastfails = rig.eng.stats().counter(names::SUBSTRATE_FASTFAILS.key());
+                let row = Verb::of(relay_call(APP, verb.clone(), GATEWAY).0);
+                let counted = match exit {
+                    HostDown => row.fastfails.contains(&Failure::HostDown),
+                    BreakerOpen => row.fastfails.contains(&Failure::Refused),
+                    _ => false,
+                };
+                assert_eq!(fastfails, counted as u64, "{cell}: substrate.fastfails");
+                // Counted at issue: what got as far as the broker, by the
+                // verb's own counter (a history fetch has none).
+                let handed_over =
+                    matches!(exit, BreakerOpen | ExceptionReply | RetriesExhausted | DeadlineGiveUp);
+                for counter in [names::SUBSTRATE_REMOTE_OPS, names::SUBSTRATE_REMOTE_LOCKS] {
+                    let expected = handed_over && row.issued == Some(counter);
+                    let issued = rig.eng.stats().counter(counter.key());
+                    assert_eq!(issued, expected as u64, "{cell}: {}", counter.key());
+                }
+            }
         }
     }
 }

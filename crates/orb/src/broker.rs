@@ -6,6 +6,13 @@
 //! Each DISCOVER server embeds one [`Broker`] per simulation actor. The
 //! generic parameter `T` is the caller's continuation context — whatever
 //! it needs to resume processing when the reply (or timeout) arrives.
+//!
+//! A continuation leaves the broker by exactly one of three doors, and
+//! the caller owes it an ending at each: [`Broker::call`] refuses it
+//! (`Err(user)`, breaker open, nothing sent), [`Broker::complete`] hands
+//! it back with its reply, or [`Broker::sweep_expired`] lists it in
+//! `gave_up`. There is one two-way `call`; span context and deadline
+//! stamp are its two optional riders, not separate entry points.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::{Ctx, NodeId, SimDuration, SimTime, TraceContext};
 use wire::{DeadlineStamp, Envelope, ObjectKey, PeerMsg};
+
+use crate::directory::Call;
 
 /// Retry discipline for expired two-way calls.
 #[derive(Clone, Copy, Debug)]
@@ -87,9 +96,10 @@ impl Default for BreakerConfig {
 }
 
 /// Observable circuit-breaker state for one callee.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Calls flow normally.
+    #[default]
     Closed,
     /// Calls are rejected until the embedded deadline.
     Open {
@@ -100,16 +110,21 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-#[derive(Debug)]
+/// As a peer's line of the `Status` report shows it.
+impl std::fmt::Display for BreakerState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BreakerState::Closed => f.write_str("closed"),
+            BreakerState::HalfOpen => f.write_str("half-open"),
+            BreakerState::Open { until } => write!(f, "open(until={}us)", until.as_micros()),
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct Breaker {
     state: BreakerState,
     consecutive_failures: u32,
-}
-
-impl Default for Breaker {
-    fn default() -> Self {
-        Breaker { state: BreakerState::Closed, consecutive_failures: 0 }
-    }
 }
 
 /// An outstanding two-way call.
@@ -142,9 +157,8 @@ pub struct Pending<T> {
 /// Outcome of a [`Broker::sweep_expired`] pass.
 #[derive(Debug)]
 pub struct SweepReport<T> {
-    /// Calls re-issued with backoff.
-    pub retried: u32,
-    /// Callee of each re-issued call (peer-health bookkeeping).
+    /// Callee of each call re-issued with backoff, one entry per retry
+    /// (peer-health bookkeeping).
     pub retried_to: Vec<NodeId>,
     /// Breakers that tripped open during this sweep.
     pub opened: u32,
@@ -219,8 +233,7 @@ impl<T> Broker<T> {
     fn record_outcome(&mut self, now: SimTime, to: NodeId, ok: bool) -> bool {
         let b = self.breakers.entry(to).or_default();
         if ok {
-            b.consecutive_failures = 0;
-            b.state = BreakerState::Closed;
+            *b = Breaker::default();
             return false;
         }
         b.consecutive_failures += 1;
@@ -235,50 +248,23 @@ impl<T> Broker<T> {
         trip
     }
 
-    /// Issue a two-way call to the servant `key` at node `to`; the reply
-    /// will carry the returned request id. Fails fast with `Err(user)`
-    /// when the circuit breaker for `to` is open.
+    /// Issue a two-way call to node `to`; the reply will carry the
+    /// returned request id. `trace` is the caller's open span for this
+    /// logical call: it rides every (re-)issued request envelope so the
+    /// callee can parent its handler span under it, and the caller — not
+    /// the broker — finishes it when the call completes or fails.
+    /// `deadline` is the end-to-end stamp of the request being served: it
+    /// rides the same envelopes, and the retry sweep refuses to schedule
+    /// an attempt that would land past it.
+    ///
+    /// While the circuit breaker for `to` is open the call is refused:
+    /// nothing is sent, nothing is recorded, and `Err(user)` hands the
+    /// continuation back for the caller to fail on the spot.
     pub fn call(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         to: NodeId,
-        key: ObjectKey,
-        operation: &'static str,
-        msg: PeerMsg,
-        user: T,
-    ) -> Result<u64, T> {
-        self.call_traced(ctx, to, key, operation, msg, user, None)
-    }
-
-    /// [`Broker::call`] with an open span context: the context rides every
-    /// (re-)issued request envelope so the callee can parent its handler
-    /// span under it. The broker does not finish the span — the caller
-    /// does, when it completes or fails the call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_traced(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        to: NodeId,
-        key: ObjectKey,
-        operation: &'static str,
-        msg: PeerMsg,
-        user: T,
-        trace: Option<TraceContext>,
-    ) -> Result<u64, T> {
-        self.call_traced_deadline(ctx, to, key, operation, msg, user, trace, None)
-    }
-
-    /// [`Broker::call_traced`] with an end-to-end deadline stamp: the
-    /// stamp rides every (re-)issued request envelope, and the retry
-    /// sweep refuses to schedule an attempt that would land past it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_traced_deadline(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        to: NodeId,
-        key: ObjectKey,
-        operation: &'static str,
-        msg: PeerMsg,
+        (key, operation, msg): Call,
         user: T,
         trace: Option<TraceContext>,
         deadline: Option<DeadlineStamp>,
@@ -287,29 +273,24 @@ impl<T> Broker<T> {
             ctx.trace_annotate(trace, "breaker: call rejected (open)");
             return Err(user);
         }
+        let issued_at = ctx.now();
+        let call =
+            Pending { user, issued_at, to, operation, key, msg, attempt: 1, trace, deadline };
+        Ok(self.send(ctx, call, SimDuration::ZERO))
+    }
+
+    /// Put `call` on the wire under a fresh request id, departing `delay`
+    /// from now, and record it as pending. First sends and retries both
+    /// end here; they differ in `delay`, `attempt` and `issued_at`.
+    fn send(&mut self, ctx: &mut Ctx<'_, Envelope>, call: Pending<T>, delay: SimDuration) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        ctx.send(
-            to,
-            Envelope::giop(wire::giop::GiopFrame::request(id, key.clone(), operation, msg.clone()))
-                .with_trace(trace)
-                .with_deadline(deadline),
-        );
-        self.pending.insert(
-            id,
-            Pending {
-                user,
-                issued_at: ctx.now(),
-                to,
-                operation,
-                key,
-                msg,
-                attempt: 1,
-                trace,
-                deadline,
-            },
-        );
-        Ok(id)
+        let request =
+            wire::giop::GiopFrame::request(id, call.key.clone(), call.operation, call.msg.clone());
+        let envelope = Envelope::giop(request).with_trace(call.trace).with_deadline(call.deadline);
+        ctx.send_after(call.to, envelope, delay);
+        self.pending.insert(id, call);
+        id
     }
 
     /// Issue a oneway call (no reply, nothing recorded).
@@ -330,24 +311,16 @@ impl<T> Broker<T> {
     /// expired replies.
     pub fn complete(&mut self, request_id: u64) -> Option<Pending<T>> {
         let p = self.pending.remove(&request_id)?;
-        let b = self.breakers.entry(p.to).or_default();
-        b.consecutive_failures = 0;
-        b.state = BreakerState::Closed;
+        self.breakers.insert(p.to, Breaker::default());
         Some(p)
     }
 
-    /// Remove and return every call issued before `cutoff` (timeout sweep).
+    /// Remove and return every call issued before `cutoff`, in request-id
+    /// order (timeout sweep).
     pub fn expire_issued_before(&mut self, cutoff: SimTime) -> Vec<(u64, Pending<T>)> {
-        let ids: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.issued_at < cutoff)
-            .map(|(id, _)| *id)
-            .collect();
-        let mut out: Vec<(u64, Pending<T>)> =
-            ids.into_iter().filter_map(|id| self.pending.remove(&id).map(|p| (id, p))).collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+        let expired = |(id, p): (&u64, &Pending<T>)| (p.issued_at < cutoff).then_some(*id);
+        let ids: Vec<u64> = self.pending.iter().filter_map(expired).collect();
+        ids.into_iter().filter_map(|id| self.pending.remove(&id).map(|p| (id, p))).collect()
     }
 
     /// Timeout sweep with retries: every call issued before `cutoff` is
@@ -361,7 +334,6 @@ impl<T> Broker<T> {
     ) -> SweepReport<T> {
         let now = ctx.now();
         let mut report = SweepReport {
-            retried: 0,
             retried_to: Vec::new(),
             opened: 0,
             gave_up: Vec::new(),
@@ -396,26 +368,9 @@ impl<T> Broker<T> {
                 // logical call, so trace views attribute backoff delay
                 // separately from wire/servant time.
                 ctx.trace_window(p.trace, "orb.backoff", now, now + delay);
-                let new_id = self.next_id;
-                self.next_id += 1;
-                ctx.send_after(
-                    p.to,
-                    Envelope::giop(wire::giop::GiopFrame::request(
-                        new_id,
-                        p.key.clone(),
-                        p.operation,
-                        p.msg.clone(),
-                    ))
-                    .with_trace(p.trace)
-                    .with_deadline(p.deadline),
-                    delay,
-                );
                 report.retried_to.push(p.to);
-                self.pending.insert(
-                    new_id,
-                    Pending { issued_at: now + delay, attempt: p.attempt + 1, ..p },
-                );
-                report.retried += 1;
+                let retry = Pending { issued_at: now + delay, attempt: p.attempt + 1, ..p };
+                self.send(ctx, retry, delay);
             } else {
                 report.gave_up.push((id, p));
             }
@@ -434,6 +389,11 @@ mod tests {
     use super::*;
     use simnet::{Actor, Engine, LinkSpec, SimDuration};
     use wire::{Content, PeerReply};
+
+    /// The call every test here issues.
+    fn list_active() -> Call {
+        (ObjectKey::new("DiscoverCorbaServer"), "listActive", PeerMsg::ListActive)
+    }
 
     /// Echo servant: replies to every GIOP request with `Active`.
     struct Servant;
@@ -466,14 +426,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
             if let Some(to) = self.servant {
                 for k in 0..self.calls {
-                    let _ = self.broker.call(
-                        ctx,
-                        to,
-                        ObjectKey::new("DiscoverCorbaServer"),
-                        "listActive",
-                        PeerMsg::ListActive,
-                        k,
-                    );
+                    let _ = self.broker.call(ctx, to, list_active(), k, None, None);
                 }
             }
         }
@@ -623,6 +576,41 @@ mod tests {
         );
     }
 
+    /// Caller whose breaker for the servant is already open when it
+    /// issues its one call.
+    struct RefusedCaller {
+        broker: Broker<&'static str>,
+        servant: NodeId,
+        handed_back: Option<&'static str>,
+    }
+    impl Actor<Envelope> for RefusedCaller {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            for _ in 0..self.broker.breaker.failure_threshold {
+                self.broker.record_outcome(ctx.now(), self.servant, false);
+            }
+            let refused = self.broker.call(ctx, self.servant, list_active(), "kept", None, None);
+            self.handed_back = refused.err();
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Envelope>, _: NodeId, _: Envelope) {}
+    }
+
+    #[test]
+    fn a_refused_call_hands_the_continuation_back_and_sends_nothing() {
+        let mut eng = Engine::new(5);
+        let servant = eng.add_node("servant", Servant);
+        let caller = eng.add_node(
+            "caller",
+            RefusedCaller { broker: Broker::new(), servant, handed_back: None },
+        );
+        eng.link(caller, servant, LinkSpec::lan());
+        eng.run_to_quiescence();
+        let c = eng.actor_ref::<RefusedCaller>(caller).unwrap();
+        assert_eq!(c.handed_back, Some("kept"), "the caller gets its context back");
+        assert_eq!(c.broker.in_flight(), 0, "nothing recorded");
+        assert_eq!(eng.link_stats(caller, servant).unwrap().msgs, 0, "nothing on the wire");
+        assert!(matches!(c.broker.breaker_state(servant), BreakerState::Open { .. }));
+    }
+
     /// Caller whose servant never answers; retries must re-issue the
     /// request and eventually give up through `sweep_expired`.
     struct RetryCaller {
@@ -635,14 +623,7 @@ mod tests {
     impl Actor<Envelope> for RetryCaller {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
             if let Some(to) = self.servant {
-                let _ = self.broker.call(
-                    ctx,
-                    to,
-                    ObjectKey::new("DiscoverCorbaServer"),
-                    "listActive",
-                    PeerMsg::ListActive,
-                    1,
-                );
+                let _ = self.broker.call(ctx, to, list_active(), 1, None, None);
             }
             ctx.schedule(SimDuration::from_secs(1), 0);
         }
@@ -650,7 +631,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Envelope>, _tag: u64) {
             if let Some(cutoff) = ctx.now().checked_sub(self.timeout) {
                 let report = self.broker.sweep_expired(ctx, cutoff);
-                self.retried += report.retried;
+                self.retried += report.retried_to.len() as u32;
                 self.failed += report.gave_up.len() as u32;
             }
             ctx.schedule(SimDuration::from_secs(1), 0);
@@ -706,19 +687,9 @@ mod tests {
     impl Actor<Envelope> for DeadlineCaller {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
             if let Some(to) = self.servant {
-                let _ = self.broker.call_traced_deadline(
-                    ctx,
-                    to,
-                    ObjectKey::new("DiscoverCorbaServer"),
-                    "listActive",
-                    PeerMsg::ListActive,
-                    1,
-                    None,
-                    Some(DeadlineStamp {
-                        deadline: self.deadline,
-                        priority: wire::Priority::View,
-                    }),
-                );
+                let stamp =
+                    DeadlineStamp { deadline: self.deadline, priority: wire::Priority::View };
+                let _ = self.broker.call(ctx, to, list_active(), 1, None, Some(stamp));
             }
             ctx.schedule(SimDuration::from_secs(1), 0);
         }
@@ -726,7 +697,7 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Envelope>, _tag: u64) {
             if let Some(cutoff) = ctx.now().checked_sub(self.timeout) {
                 let report = self.broker.sweep_expired(ctx, cutoff);
-                self.retried += report.retried;
+                self.retried += report.retried_to.len() as u32;
                 self.failed += report.gave_up.len() as u32;
                 self.deadline_failed += report.deadline_gave_up;
             }

@@ -203,46 +203,47 @@ impl Actor<Envelope> for Directory {
     }
 }
 
+/// One two-way call as [`crate::Broker::call`] takes it: the servant's
+/// key, the IDL operation name, and the request.
+pub type Call = (ObjectKey, &'static str, PeerMsg);
+
 /// Convenience constructors for directory calls (used with
 /// [`crate::Broker`]).
 pub mod calls {
     use super::*;
 
     /// Bind `name` → `object` at the naming service.
-    pub fn bind(name: impl Into<String>, object: ObjectRef) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn bind(name: impl Into<String>, object: ObjectRef) -> Call {
         (ObjectKey::new(NAMING_KEY), "bind", PeerMsg::NamingBind { name: name.into(), object })
     }
 
     /// Resolve `name` at the naming service.
-    pub fn resolve(name: impl Into<String>) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn resolve(name: impl Into<String>) -> Call {
         (ObjectKey::new(NAMING_KEY), "resolve", PeerMsg::NamingResolve { name: name.into() })
     }
 
     /// Unbind `name` at the naming service.
-    pub fn unbind(name: impl Into<String>) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn unbind(name: impl Into<String>) -> Call {
         (ObjectKey::new(NAMING_KEY), "unbind", PeerMsg::NamingUnbind { name: name.into() })
     }
 
     /// List bindings under `prefix`.
-    pub fn list(prefix: impl Into<String>) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn list(prefix: impl Into<String>) -> Call {
         (ObjectKey::new(NAMING_KEY), "list", PeerMsg::NamingList { prefix: prefix.into() })
     }
 
     /// Export a trader offer.
-    pub fn export(offer: ServiceOffer) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn export(offer: ServiceOffer) -> Call {
         (ObjectKey::new(TRADER_KEY), "export", PeerMsg::TraderExport { offer })
     }
 
     /// Withdraw all offers of `object`.
-    pub fn withdraw(object: ObjectRef) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn withdraw(object: ObjectRef) -> Call {
         (ObjectKey::new(TRADER_KEY), "withdraw", PeerMsg::TraderWithdraw { object })
     }
 
     /// Query offers of `service_type` matching `constraints`.
-    pub fn query(
-        service_type: impl Into<String>,
-        constraints: Vec<(String, Value)>,
-    ) -> (ObjectKey, &'static str, PeerMsg) {
+    pub fn query(service_type: impl Into<String>, constraints: Vec<(String, Value)>) -> Call {
         (
             ObjectKey::new(TRADER_KEY),
             "query",

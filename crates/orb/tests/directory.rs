@@ -24,9 +24,9 @@ impl Driver {
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_, Envelope>) {
         if self.step < self.script.len() {
-            let (key, op, msg) = self.script[self.step].clone();
+            let call = self.script[self.step].clone();
             let to = self.directory.expect("directory node set");
-            let _ = self.broker.call(ctx, to, key, op, msg, self.step);
+            let _ = self.broker.call(ctx, to, call, self.step, None, None);
             self.step += 1;
         }
     }

@@ -40,7 +40,7 @@ impl NamingDriver {
         }
         let dir = self.directory.expect("wired");
         let op = self.ops[self.step].clone();
-        let (key, opname, msg) = match op {
+        let call = match op {
             NamingOp::Bind(n, o) => calls::bind(
                 format!("apps/{n}"),
                 ObjectRef { server: ServerAddr(o as u32), key: ObjectKey::new("x") },
@@ -48,7 +48,7 @@ impl NamingDriver {
             NamingOp::Unbind(n) => calls::unbind(format!("apps/{n}")),
             NamingOp::Resolve(n) => calls::resolve(format!("apps/{n}")),
         };
-        let _ = self.broker.call(ctx, dir, key, opname, msg, self.step);
+        let _ = self.broker.call(ctx, dir, call, self.step, None, None);
         self.step += 1;
     }
 }
@@ -143,9 +143,10 @@ proptest! {
         impl Actor<Envelope> for Issuer {
             fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
                 for k in 0..self.n {
+                    let call = (ObjectKey::new("k"), "op", PeerMsg::ListActive);
                     let id = self
                         .broker
-                        .call(ctx, self.to, ObjectKey::new("k"), "op", PeerMsg::ListActive, k)
+                        .call(ctx, self.to, call, k, None, None)
                         .expect("breaker starts closed");
                     self.ids.push(id);
                 }

@@ -22,8 +22,9 @@
 //! [`Effect`] on the core; every public entry point that returns effects
 //! drains that one queue, and the middleware substrate (crate
 //! `discover-core`) resolves them via the ORB and feeds results back
-//! through the `complete_remote_*` methods (draining what those queue
-//! with [`ServerCore::drain_effects`]). A standalone server simply drops
+//! through [`ServerCore::complete_relay`] and
+//! [`ServerCore::complete_remote_auth`] (draining what those queue with
+//! [`ServerCore::drain_effects`]). A standalone server simply drops
 //! effects (there are no peers), which is exactly the paper's
 //! pre-substrate §4 system.
 
@@ -190,36 +191,16 @@ pub enum Effect {
         /// Password (shared-secret convention).
         password: String,
     },
-    /// Invoke an operation on a remote application via its `CorbaProxy`.
-    RemoteOp {
-        /// Requesting local client.
-        client: ClientId,
-        /// Acting user.
-        user: UserId,
-        /// Remote application.
-        app: AppId,
-        /// The operation.
-        op: AppOp,
-    },
-    /// Relay a steering-lock request/release to the app's host server.
-    RemoteLock {
-        /// Requesting local client.
-        client: ClientId,
-        /// Acting user.
-        user: UserId,
-        /// Remote application.
-        app: AppId,
-        /// True = acquire, false = release.
-        acquire: bool,
-    },
-    /// Fetch archived history from the app's host server.
-    RemoteHistory {
+    /// Relay one client-facing verb to a remote application's host
+    /// server; the answer (or the reason there is none) comes back
+    /// through [`ServerCore::complete_relay`].
+    Relay {
         /// Requesting local client.
         client: ClientId,
         /// Remote application.
         app: AppId,
-        /// First sequence wanted.
-        since: u64,
+        /// What to ask of its host.
+        verb: RelayVerb,
     },
     /// Subscribe this server to collaboration updates for a remote app.
     Subscribe {
@@ -255,6 +236,50 @@ pub enum Effect {
         /// The application concerned (registration/closure events), so
         /// the substrate can maintain the naming service bindings.
         app: Option<AppId>,
+    },
+}
+
+/// A client-facing verb whose state lives at the application's host, as
+/// a non-host server relays it (§5.2.2–§5.2.5).
+#[derive(Clone, Debug, PartialEq)]
+pub enum RelayVerb {
+    /// Invoke an operation via the application's `CorbaProxy`.
+    Op {
+        /// Acting user.
+        user: UserId,
+        /// The operation.
+        op: AppOp,
+    },
+    /// Request (`acquire`) or release the steering lock.
+    Lock {
+        /// Acting user.
+        user: UserId,
+        /// True = acquire, false = release.
+        acquire: bool,
+    },
+    /// Fetch archived history.
+    History {
+        /// First sequence wanted.
+        since: u64,
+    },
+}
+
+/// The continuation of a relayed verb: which verb it was, and what
+/// answering the client needs when the call fails — the lock direction
+/// to word the refusal, the cursor an empty history page leaves unmoved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Relayed {
+    /// A relayed operation.
+    Op,
+    /// A relayed lock request/release.
+    Lock {
+        /// True = acquire, false = release.
+        acquire: bool,
+    },
+    /// A relayed history fetch.
+    History {
+        /// First sequence that was wanted.
+        since: u64,
     },
 }
 
@@ -856,7 +881,8 @@ impl ServerCore {
             Some(mirror) => {
                 ctx.metrics().incr(names::SERVER_PROXY_SHED_REDIRECTED);
                 format!(
-                    "daemon buffer full; redirect: DISCOVER/apps/{app} mirrored at host {mirror}"
+                    "daemon buffer full; redirect: {} mirrored at host {mirror}",
+                    app.naming_path()
                 )
             }
             None => format!("daemon buffer full; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms"),
@@ -964,7 +990,7 @@ impl ServerCore {
     /// group, and the §6.3 record under the requesting user at the
     /// client's server. Reached from the application's response, from every
     /// path that fails an accepted operation, and (for a local client of
-    /// a remote application) from `complete_remote_op`.
+    /// a remote application) from `complete_relay`.
     fn complete_op(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
@@ -1285,7 +1311,7 @@ impl ServerCore {
         }
         let member = self.collab.is_member(app, client);
         if member {
-            self.effects.push(Effect::RemoteHistory { client, app, since });
+            self.effects.push(Effect::Relay { client, app, verb: RelayVerb::History { since } });
         }
         match (kind, member) {
             (Replay::Resume, _) => Vec::new(),
@@ -1442,12 +1468,8 @@ impl ServerCore {
             // host server via the relay (otherwise the host would strand
             // the lock until lease expiry).
             if last_session && app.host() != self.config.addr {
-                self.effects.push(Effect::RemoteLock {
-                    client,
-                    user: user.clone(),
-                    app,
-                    acquire: false,
-                });
+                let verb = RelayVerb::Lock { user: user.clone(), acquire: false };
+                self.effects.push(Effect::Relay { client, app, verb });
             }
         }
     }
@@ -1607,7 +1629,8 @@ impl ServerCore {
             Some(user.clone()),
             LogEntry::Request(op.clone()),
         );
-        self.effects.push(Effect::RemoteOp { client, user: user.clone(), app, op });
+        let verb = RelayVerb::Op { user: user.clone(), op };
+        self.effects.push(Effect::Relay { client, app, verb });
         vec![ClientMessage::Response(ResponseBody::Accepted)]
     }
 
@@ -1702,7 +1725,8 @@ impl ServerCore {
         if !self.remote_privs.contains_key(&(user.clone(), app)) {
             return vec![Self::error(ErrorCode::AccessDenied, "unknown remote application")];
         }
-        self.effects.push(Effect::RemoteLock { client, user: user.clone(), app, acquire });
+        let verb = RelayVerb::Lock { user: user.clone(), acquire };
+        self.effects.push(Effect::Relay { client, app, verb });
         vec![ClientMessage::Response(ResponseBody::Accepted)]
     }
 
@@ -1792,8 +1816,8 @@ impl ServerCore {
 
     /// Hand the queued effects to the caller. Every public entry point
     /// that returns effects ends here; the substrate calls it after the
-    /// `complete_remote_*` / `apply_peer_update` completions, which only
-    /// queue.
+    /// `complete_relay` / `complete_remote_auth` / `apply_peer_update`
+    /// completions, which only queue.
     pub fn drain_effects(&mut self) -> Vec<Effect> {
         std::mem::take(&mut self.effects)
     }
@@ -2214,46 +2238,46 @@ impl ServerCore {
         self.sessions.get(*cookie).map(|s| s.user.clone())
     }
 
-    /// A remote operation completed (or failed terminally).
-    pub fn complete_remote_op(
+    /// The one completion of a relayed verb: `result` is the host's
+    /// reply, or why none will come (the substrate's refusal, fast-fail
+    /// or give-up). Every [`Effect::Relay`] ends here exactly once and
+    /// answers its client exactly once: an operation with its outcome or
+    /// the error (through `complete_op`, like a local one), a lock verb
+    /// with the host's decision or a plain refusal, a history fetch with
+    /// the host's page or an empty one that leaves the cursor unmoved.
+    pub fn complete_relay(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         client: ClientId,
         app: AppId,
-        result: Result<OpOutcome, WireError>,
+        verb: Relayed,
+        result: Result<PeerReply, WireError>,
     ) {
-        let Some(user) = self.user_of(client) else { return };
-        let pending = PendingOp { origin: Origin::Local { client }, user, app, call: None };
-        self.complete_op(ctx, pending, result);
-    }
-
-    /// A relayed lock request/release was decided by the host server.
-    pub fn complete_remote_lock(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        client: ClientId,
-        app: AppId,
-        acquire: bool,
-        granted: bool,
-        holder: Option<UserId>,
-    ) {
-        self.fifo_push(ctx, client, Self::lock_message(app, acquire, granted, holder));
-    }
-
-    /// Remote history fetch completed.
-    pub fn complete_remote_history(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        client: ClientId,
-        app: AppId,
-        records: Vec<wire::LogRecord>,
-        next_seq: u64,
-    ) {
-        self.fifo_push(
-            ctx,
-            client,
-            ClientMessage::Response(ResponseBody::History { app, records, next_seq }),
-        );
+        let message = match (verb, result) {
+            (Relayed::Op, result) => {
+                let result = match result {
+                    Ok(PeerReply::OpResult { result, .. }) => result,
+                    Ok(PeerReply::Exception(e)) | Err(e) => Err(e),
+                    Ok(_) => Err(WireError::new(ErrorCode::Unavailable, "unexpected peer reply")),
+                };
+                let Some(user) = self.user_of(client) else { return };
+                let pending = PendingOp { origin: Origin::Local { client }, user, app, call: None };
+                return self.complete_op(ctx, pending, result);
+            }
+            (Relayed::Lock { acquire }, Ok(PeerReply::LockDecision { granted, holder, .. })) => {
+                Self::lock_message(app, acquire, granted, holder)
+            }
+            (Relayed::Lock { acquire }, _) => Self::lock_message(app, acquire, false, None),
+            (Relayed::History { .. }, Ok(PeerReply::History { records, next_seq, .. })) => {
+                ClientMessage::Response(ResponseBody::History { app, records, next_seq })
+            }
+            (Relayed::History { since }, _) => ClientMessage::Response(ResponseBody::History {
+                app,
+                records: Vec::new(),
+                next_seq: since,
+            }),
+        };
+        self.fifo_push(ctx, client, message);
     }
 
     /// A control event arrived from the peer network.
@@ -2951,7 +2975,9 @@ mod tests {
             // A local client of a remote application: the completion only
             // queues (the substrate drains it), here an echo for the host.
             core.collab.join(REMOTE, client);
-            core.complete_remote_op(ctx, client, REMOTE, Ok(OpOutcome::Sensors(Vec::new())));
+            let done =
+                PeerReply::OpResult { app: REMOTE, result: Ok(OpOutcome::Sensors(Vec::new())) };
+            core.complete_relay(ctx, client, REMOTE, Relayed::Op, Ok(done));
             let queued = core.drain_effects();
             assert!(
                 matches!(queued.as_slice(), [Effect::ForwardToHost { update }]
@@ -3022,7 +3048,11 @@ mod tests {
                     Effect::PushToPeers { update: freed, peers: vec![PEER] },
                     Effect::ForwardToHost { update: left(REMOTE) },
                     Effect::Unsubscribe { app: REMOTE },
-                    Effect::RemoteLock { client, user: user("u"), app: REMOTE, acquire: false },
+                    Effect::Relay {
+                        client,
+                        app: REMOTE,
+                        verb: RelayVerb::Lock { user: user("u"), acquire: false },
+                    },
                 ];
                 effects.sort_by_key(|e| format!("{e:?}"));
                 expected.sort_by_key(|e| format!("{e:?}"));
@@ -3102,7 +3132,8 @@ mod tests {
             }
             // Remote: relayed to the host for a member, refused (or, in a
             // resume, skipped) for anyone else.
-            let relayed = [Effect::RemoteHistory { client, app: REMOTE, since: 3 }];
+            let relayed =
+                [Effect::Relay { client, app: REMOTE, verb: RelayVerb::History { since: 3 } }];
             let stranger = AppId { server: PEER, seq: 9 };
             for app in [REMOTE, stranger] {
                 let asks = [

@@ -54,6 +54,19 @@ impl AppId {
     pub fn host(&self) -> ServerAddr {
         self.server
     }
+
+    /// The name this application is bound under in the naming service
+    /// (`DISCOVER/apps/<id>`): directory-ring key, discovery-cache key,
+    /// and the redirect hint clients of a failed or shedding host get.
+    pub fn naming_path(&self) -> String {
+        format!("DISCOVER/apps/{self}")
+    }
+
+    /// The key of this application's `CorbaProxy` servant at its host
+    /// (`apps/<id>`), the target of relayed operations.
+    pub fn servant_key(&self) -> ObjectKey {
+        ObjectKey(format!("apps/{self}"))
+    }
 }
 
 impl fmt::Debug for AppId {
@@ -280,6 +293,8 @@ mod tests {
         assert_eq!(format!("{}", ServerAddr(258)), "10.0.1.2");
         let id = AppId { server: ServerAddr(1), seq: 2 };
         assert_eq!(format!("{id}"), "app:10.0.0.1#2");
+        assert_eq!(id.naming_path(), "DISCOVER/apps/app:10.0.0.1#2");
+        assert_eq!(id.servant_key(), ObjectKey::new("apps/app:10.0.0.1#2"));
         assert_eq!(format!("{}", UserId::new("vijay")), "vijay");
     }
 

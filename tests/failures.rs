@@ -12,6 +12,20 @@ fn steer_acl() -> Vec<(UserId, Privilege)> {
     vec![(UserId::new("vijay"), Privilege::Steer)]
 }
 
+/// Every `History` page `portal` received for `app`, in arrival order:
+/// (records on the page, the cursor it leaves).
+fn history_pages(portal: &Portal, app: AppId) -> Vec<(usize, u64)> {
+    let page = |(_, m): &(SimTime, ClientMessage)| match m {
+        ClientMessage::Response(ResponseBody::History { app: a, records, next_seq })
+            if *a == app =>
+        {
+            Some((records.len(), *next_seq))
+        }
+        _ => None,
+    };
+    portal.received.iter().filter_map(page).collect()
+}
+
 #[test]
 fn lossy_wan_link_degrades_gracefully() {
     // 30% loss on the WAN: oneway collaboration pushes vanish sometimes,
@@ -223,6 +237,102 @@ fn peer_rate_policy_throttles_excessive_peers() {
     // The client still made progress within the allowed budget.
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     assert!(!p.op_latencies_us.is_empty());
+}
+
+#[test]
+fn throttled_history_fetch_still_answers_its_client() {
+    // The same strict 5 req/s policy, met by relayed history fetches: a
+    // burst of nine in one accounting window, so the host refuses most
+    // of them with an exception. A refused fetch must still answer its
+    // client — an empty page that leaves the cursor where it was — not
+    // vanish into `substrate.replies.exceptions`.
+    let mut b = CollaboratoryBuilder::new(35);
+    b.tweak_servers(|cfg| cfg.peer_rate_limit = Some(5));
+    let host = b.server("host");
+    let gateway = b.server("gateway");
+    b.link_servers(host, gateway, LinkSpec::wan());
+    let mut dc = DriverConfig::default();
+    dc.name = "app0".into();
+    dc.token = AppToken::new("app0");
+    dc.acl = steer_acl();
+    dc.batch_time = SimDuration::from_millis(50);
+    dc.batches_per_phase = 1;
+    dc.interaction_window = SimDuration::from_secs(1);
+    let (_, app) = b.application(host, synthetic_app(2, u64::MAX), dc.clone());
+    let mut anchor = dc.clone();
+    anchor.name = "anchor".into();
+    anchor.token = AppToken::new("anchor");
+    b.application(gateway, synthetic_app(1, u64::MAX), anchor);
+
+    const FETCHES: u64 = 9;
+    const SINCE: u64 = 3;
+    let mut cfg = discover_client::PortalConfig::new("vijay")
+        .select_app(app)
+        .poll_every(SimDuration::from_millis(100));
+    for k in 0..FETCHES {
+        let at = SimDuration::from_millis(10_000 + 10 * k);
+        cfg = cfg.at(at, ClientRequest::GetHistory { app, since: SINCE });
+    }
+    let node = b.attach(gateway, "vijay", Portal::new(cfg));
+    let mut c = b.build();
+    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
+    c.engine.run_until(SimTime::from_secs(20));
+
+    assert!(c.engine.stats().counter("server.peer.throttled") > 0, "the burst must be throttled");
+    let p = c.engine.actor_ref::<Portal>(node).unwrap();
+    let pages = history_pages(p, app);
+    assert_eq!(pages.len() as u64, FETCHES, "every fetch is answered exactly once: {pages:?}");
+    let refused = pages.iter().filter(|(records, _)| *records == 0).count();
+    assert!(refused > 0 && refused < pages.len(), "some served, some refused: {pages:?}");
+    for (records, next_seq) in pages {
+        assert!(records > 0 || next_seq == SINCE, "a refused fetch leaves the cursor unmoved");
+    }
+}
+
+#[test]
+fn history_fetch_abandoned_after_host_crash_keeps_the_cursor() {
+    // The host crashes with a history fetch on the wire. The retry sweep
+    // gives the call up, and the page that answers the client must leave
+    // its archive cursor where the fetch started — `next_seq == since` —
+    // not rewind it to the start of the log.
+    let mut b = CollaboratoryBuilder::new(38);
+    b.substrate_config.call_timeout = SimDuration::from_secs(2);
+    b.substrate_config.sweep_interval = SimDuration::from_millis(500);
+    let home = b.server("home");
+    let far = b.server("far");
+    b.link_servers(home, far, LinkSpec::wan());
+    let mut dc = DriverConfig::default();
+    dc.name = "ipars".into();
+    dc.acl = steer_acl();
+    dc.batch_time = SimDuration::from_millis(200);
+    dc.batches_per_phase = 1;
+    dc.interaction_window = SimDuration::from_millis(300);
+    let (_, app) = b.application(far, synthetic_app(2, u64::MAX), dc.clone());
+    let mut anchor = dc.clone();
+    anchor.name = "anchor".into();
+    b.application(home, synthetic_app(1, u64::MAX), anchor);
+
+    const SINCE: u64 = 2;
+    let cfg = discover_client::PortalConfig::new("vijay")
+        .select_app(app)
+        .at(SimDuration::from_secs(4), ClientRequest::GetHistory { app, since: 0 })
+        .at(SimDuration::from_secs(8), ClientRequest::GetHistory { app, since: SINCE });
+    let node = b.attach(home, "vijay", Portal::new(cfg));
+    let mut c = b.build();
+    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
+    // Down 10 ms after the second fetch leaves the portal: mid-fetch.
+    c.engine.crash_at(far.node, SimTime::from_millis(8_010));
+    c.engine.run_until(SimTime::from_secs(25));
+
+    assert!(c.engine.stats().counter("substrate.timeouts") > 0, "the fetch must be given up");
+    let p = c.engine.actor_ref::<Portal>(node).unwrap();
+    let pages = history_pages(p, app);
+    let [(served, cursor), abandoned] = pages.as_slice() else {
+        panic!("one page per fetch: {pages:?}");
+    };
+    assert!(*served > 0 && *cursor > SINCE, "the first fetch is served: {pages:?}");
+    assert_eq!(*abandoned, (0, SINCE), "the abandoned fetch must not move the cursor");
+    assert_eq!(c.node(home).unwrap().substrate.in_flight(), 0);
 }
 
 #[test]
