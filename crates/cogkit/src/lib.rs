@@ -199,7 +199,7 @@ impl Actor<Envelope> for GridSite {
             )),
         };
         if matches!(kind, GiopKind::Request { response_expected: true }) {
-            ctx.send(from, Envelope::giop(GiopFrame::reply(request_id, target, &operation, reply)));
+            ctx.send(from, Envelope::giop(GiopFrame::reply(request_id, target, operation, reply)));
         }
     }
 

@@ -91,8 +91,8 @@ impl Default for SubstrateConfig {
 }
 
 /// Key of every server's level-1 `DiscoverCorbaServer` servant.
-fn server_key() -> ObjectKey {
-    ObjectKey::new(CORBA_SERVER_KEY)
+const fn server_key() -> ObjectKey {
+    ObjectKey::from_static(CORBA_SERVER_KEY)
 }
 
 /// The relayed verbs, in the style of [`orb::directory::calls`]: what
@@ -831,14 +831,15 @@ impl Substrate {
         ctx.trace_finish(dispatch);
     }
 
-    /// Resolve the core's [`Effect`]s into ORB traffic, in order.
+    /// Resolve the core's [`Effect`]s into ORB traffic, in order, and hand
+    /// the emptied queue back to the core.
     pub fn perform_all(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         core: &mut ServerCore,
-        effects: Vec<Effect>,
+        mut effects: Vec<Effect>,
     ) {
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::RemoteAuth { client, user, password } => {
                     let dispatch = ctx.trace_child(core.incoming_trace, "substrate.dispatch");
@@ -913,6 +914,7 @@ impl Substrate {
                 }
             }
         }
+        core.recycle_effects(effects);
     }
 
     /// Handle a GIOP *reply* frame addressed to this substrate's broker:
@@ -1079,7 +1081,7 @@ mod tests {
                     "peer request rate exceeds access policy",
                 ));
                 let reply =
-                    GiopFrame::reply(frame.request_id, frame.target, &frame.operation, refusal);
+                    GiopFrame::reply(frame.request_id, frame.target, frame.operation, refusal);
                 ctx.send(from, Envelope::giop(reply));
             }
         }

@@ -19,7 +19,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::{Ctx, NodeId, SimDuration, SimTime, TraceContext};
-use wire::{DeadlineStamp, Envelope, ObjectKey, PeerMsg};
+use wire::giop::GiopFrame;
+use wire::{DeadlineStamp, Envelope, Name, ObjectKey, PeerMsg};
 
 use crate::directory::Call;
 
@@ -285,8 +286,8 @@ impl<T> Broker<T> {
     fn send(&mut self, ctx: &mut Ctx<'_, Envelope>, call: Pending<T>, delay: SimDuration) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let request =
-            wire::giop::GiopFrame::request(id, call.key.clone(), call.operation, call.msg.clone());
+        let operation = Name::from_static(call.operation);
+        let request = GiopFrame::request(id, call.key.clone(), operation, call.msg.clone());
         let envelope = Envelope::giop(request).with_trace(call.trace).with_deadline(call.deadline);
         ctx.send_after(call.to, envelope, delay);
         self.pending.insert(id, call);
@@ -303,7 +304,8 @@ impl<T> Broker<T> {
     ) {
         // Oneways share the id space conceptually but need no correlation;
         // id 0 is fine because no reply will reference it.
-        ctx.send(to, Envelope::giop(wire::giop::GiopFrame::oneway(0, key, operation, msg)));
+        let operation = Name::from_static(operation);
+        ctx.send(to, Envelope::giop(GiopFrame::oneway(0, key, operation, msg)));
     }
 
     /// Take the pending record for a reply's request id, crediting the

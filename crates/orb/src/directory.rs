@@ -185,7 +185,7 @@ impl Actor<Envelope> for Directory {
                     Envelope::giop(GiopFrame::reply(
                         request_id,
                         target.clone(),
-                        &operation,
+                        operation,
                         PeerReply::Exception(WireError::new(
                             ErrorCode::BadRequest,
                             format!("no servant {target:?} at directory"),
@@ -198,7 +198,7 @@ impl Actor<Envelope> for Directory {
         ctx.metrics().incr_dynamic(&format!("directory.{operation}"));
         let reply = self.handle(ctx, call);
         if matches!(kind, wire::giop::GiopKind::Request { response_expected: true }) {
-            ctx.send(from, Envelope::giop(GiopFrame::reply(request_id, target, &operation, reply)));
+            ctx.send(from, Envelope::giop(GiopFrame::reply(request_id, target, operation, reply)));
         }
     }
 }
@@ -212,40 +212,43 @@ pub type Call = (ObjectKey, &'static str, PeerMsg);
 pub mod calls {
     use super::*;
 
+    const NAMING: ObjectKey = ObjectKey::from_static(NAMING_KEY);
+    const TRADER: ObjectKey = ObjectKey::from_static(TRADER_KEY);
+
     /// Bind `name` → `object` at the naming service.
     pub fn bind(name: impl Into<String>, object: ObjectRef) -> Call {
-        (ObjectKey::new(NAMING_KEY), "bind", PeerMsg::NamingBind { name: name.into(), object })
+        (NAMING, "bind", PeerMsg::NamingBind { name: name.into(), object })
     }
 
     /// Resolve `name` at the naming service.
     pub fn resolve(name: impl Into<String>) -> Call {
-        (ObjectKey::new(NAMING_KEY), "resolve", PeerMsg::NamingResolve { name: name.into() })
+        (NAMING, "resolve", PeerMsg::NamingResolve { name: name.into() })
     }
 
     /// Unbind `name` at the naming service.
     pub fn unbind(name: impl Into<String>) -> Call {
-        (ObjectKey::new(NAMING_KEY), "unbind", PeerMsg::NamingUnbind { name: name.into() })
+        (NAMING, "unbind", PeerMsg::NamingUnbind { name: name.into() })
     }
 
     /// List bindings under `prefix`.
     pub fn list(prefix: impl Into<String>) -> Call {
-        (ObjectKey::new(NAMING_KEY), "list", PeerMsg::NamingList { prefix: prefix.into() })
+        (NAMING, "list", PeerMsg::NamingList { prefix: prefix.into() })
     }
 
     /// Export a trader offer.
     pub fn export(offer: ServiceOffer) -> Call {
-        (ObjectKey::new(TRADER_KEY), "export", PeerMsg::TraderExport { offer })
+        (TRADER, "export", PeerMsg::TraderExport { offer })
     }
 
     /// Withdraw all offers of `object`.
     pub fn withdraw(object: ObjectRef) -> Call {
-        (ObjectKey::new(TRADER_KEY), "withdraw", PeerMsg::TraderWithdraw { object })
+        (TRADER, "withdraw", PeerMsg::TraderWithdraw { object })
     }
 
     /// Query offers of `service_type` matching `constraints`.
     pub fn query(service_type: impl Into<String>, constraints: Vec<(String, Value)>) -> Call {
         (
-            ObjectKey::new(TRADER_KEY),
+            TRADER,
             "query",
             PeerMsg::TraderQuery { service_type: service_type.into(), constraints },
         )

@@ -28,9 +28,8 @@
 //! effects (there are no peers), which is exactly the paper's
 //! pre-substrate §4 system.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write};
 
 use simnet::{names, Ctx, NodeId, TraceContext};
 use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, SessionTable, TcpCosts};
@@ -40,8 +39,8 @@ use wire::tcp::TcpFrame;
 use wire::{
     AppDescriptor, AppId, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry, AppToken, Channel,
     ClientId, ClientMessage, ClientRequest, ControlEvent, ControlEventKind, DeadlineStamp,
-    Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, IdMap, InteractionSpec, LogEntry, ObjectKey,
-    OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Privilege, RequestId, ResponseBody,
+    Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, IdMap, InteractionSpec, LogEntry, Name,
+    ObjectKey, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Privilege, RequestId, ResponseBody,
     ServerAddr, StatusReport, UpdateBody, UserId, Value, WireError,
 };
 
@@ -376,7 +375,7 @@ struct PendingOp {
     app: AppId,
     /// The relayed GIOP call the result answers (request id, operation
     /// name); `None` for a local client, whose result goes to its FIFO.
-    call: Option<(u64, String)>,
+    call: Option<(u64, Name)>,
 }
 
 /// What a run of FIFO pushes did, summed so one handler folds it into the
@@ -485,6 +484,8 @@ pub struct ServerCore {
     /// allocation is kept for the next phase change instead of being
     /// rebuilt per flush.
     flush_scratch: Vec<BufferedOp>,
+    /// Length of the last §6.3 outcome record (`record_text`).
+    record_len: usize,
     /// Restart-from-archive recoveries executed so far (status page).
     recoveries: u64,
     /// Local apps whose proxy context was rebuilt in the last recovery.
@@ -527,6 +528,7 @@ impl ServerCore {
             peer_status: Vec::new(),
             dir_plane: wire::DirPlaneStatus::default(),
             flush_scratch: Vec::new(),
+            record_len: 0,
             recoveries: 0,
             recovered_apps: 0,
         }
@@ -1006,68 +1008,76 @@ impl ServerCore {
         };
         if hosted {
             if let Some(client) = client {
-                let (at, user) = (ctx.now(), Some(user.clone()));
-                self.archive.log_client(client, app, at, user, entry.clone());
+                self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry.clone());
             }
             self.log_app_metered(ctx, app, Some(user.clone()), entry);
         } else if let Some(client) = client {
             self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry);
         }
-        let outcome = match origin {
-            Origin::Local { client } => match result {
-                Ok(outcome) => {
-                    let done = ResponseBody::OpDone { app, outcome: outcome.clone() };
-                    self.fifo_push(ctx, client, ClientMessage::Response(done));
-                    outcome
-                }
-                Err(e) => return self.fifo_push(ctx, client, ClientMessage::Error(e)),
-            },
+        // What the tail needs of a success: the text of the record, and
+        // a copy of the outcome only if an update will be built from it —
+        // otherwise the delivery below is the outcome's last owner.
+        let record = match (&result, client) {
+            (Ok(outcome), Some(_)) => Some(self.record_text(outcome)),
+            _ => None,
+        };
+        let shared = match &result {
+            // The host owns global fan-out of state changes, whoever
+            // steered; a relaying server broadcasts nothing for them.
+            Ok(OpOutcome::ParamSet(..) | OpOutcome::CommandDone(_)) => hosted,
+            // Collaborative response sharing: a non-mutating outcome is
+            // echoed to the group when the client collaborates.
+            Ok(_) => client.is_some_and(|client| self.collab.broadcast_enabled(app, client)),
+            Err(_) => false,
+        };
+        let outcome = result.as_ref().ok().filter(|_| shared).cloned();
+        match origin {
+            Origin::Local { client } => {
+                let message = match result {
+                    Ok(outcome) => ClientMessage::Response(ResponseBody::OpDone { app, outcome }),
+                    Err(e) => ClientMessage::Error(e),
+                };
+                self.fifo_push(ctx, client, message);
+            }
             Origin::Relay { via } => {
                 if let Some((giop_id, operation)) = call {
                     let env = Envelope::giop(GiopFrame::reply(
                         giop_id,
-                        ObjectKey::new(CORBA_SERVER_KEY),
-                        &operation,
-                        PeerReply::OpResult { app, result: result.clone() },
+                        ObjectKey::from_static(CORBA_SERVER_KEY),
+                        operation,
+                        PeerReply::OpResult { app, result },
                     ));
                     ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
                     ctx.send(via, env);
                 }
-                let Ok(outcome) = result else { return };
-                outcome
             }
-        };
-        let record = client.map(|_| format!("{outcome:?}"));
-        let collab = &self.collab;
-        let update = |by: Cow<'_, UserId>| match outcome {
-            // The host owns global fan-out of state changes, whoever
-            // steered; a relaying server broadcasts nothing for them.
-            OpOutcome::ParamSet(name, value) if hosted => {
-                Some(UpdateBody::ParamChanged { app, name, value, by: by.into_owned() })
+        }
+        let update = outcome.map(|outcome| match outcome {
+            OpOutcome::ParamSet(name, value) => {
+                UpdateBody::ParamChanged { app, name, value, by: user.clone() }
             }
-            OpOutcome::CommandDone(command) if hosted => {
-                Some(UpdateBody::CommandApplied { app, command, by: by.into_owned() })
+            OpOutcome::CommandDone(command) => {
+                UpdateBody::CommandApplied { app, command, by: user.clone() }
             }
-            OpOutcome::ParamSet(..) | OpOutcome::CommandDone(_) => None,
-            // Collaborative response sharing: a non-mutating outcome is
-            // echoed to the group when the client collaborates.
-            outcome => client
-                .filter(|client| collab.broadcast_enabled(app, *client))
-                .map(|_| UpdateBody::InteractionEcho { app, by: by.into_owned(), outcome }),
-        };
-        // The §6.3 record is written last and keeps the user; an update
-        // that goes out before one is built from a borrowed user.
-        let (update, record) = match record {
-            Some(text) => (update(Cow::Borrowed(&user)), Some((user, text))),
-            None => (update(Cow::Owned(user)), None),
-        };
+            outcome => UpdateBody::InteractionEcho { app, by: user.clone(), outcome },
+        });
         if let Some(update) = update {
             self.route_update(ctx, update, client, None);
         }
-        if let Some((user, text)) = record {
+        if let Some(text) = record {
             let data = vec![("outcome".to_string(), Value::Text(text))];
             self.records.create(app, user, [], ctx.now(), data);
         }
+    }
+
+    /// The text of an outcome's §6.3 record. Successive records are
+    /// about as long as each other, so the buffer starts at the length
+    /// of the last one instead of growing there in steps.
+    fn record_text(&mut self, outcome: &OpOutcome) -> String {
+        let mut text = String::with_capacity(self.record_len);
+        write!(text, "{outcome:?}").expect("writing to a String cannot fail");
+        self.record_len = text.len();
+        text
     }
 
     // -----------------------------------------------------------------
@@ -1602,7 +1612,7 @@ impl ServerCore {
         ctx.metrics().incr(names::SERVER_OPS);
         if app.host() == self.config.addr {
             let origin = Origin::Local { client };
-            return vec![match self.admit_op(ctx, origin, Cow::Borrowed(user), app, op, None) {
+            return vec![match self.admit_op(ctx, origin, user, app, op, None) {
                 Ok(None) => ClientMessage::Response(ResponseBody::Accepted),
                 Ok(Some(outcome)) => ClientMessage::Response(ResponseBody::OpDone { app, outcome }),
                 Err(e) => ClientMessage::Error(e),
@@ -1639,24 +1649,22 @@ impl ServerCore {
     /// `GetStatus` → log → dispatch toward the application.
     /// `Ok(Some(outcome))` was answered from the proxy's cached context,
     /// `Ok(None)` is in flight and ends in `complete_op`, `Err` was
-    /// refused. `user` is borrowed from a session or owned off the wire.
-    /// `call` names the relayed GIOP call to answer; its operation name
-    /// is taken (left empty) only when the operation goes in flight —
-    /// the caller needs it to reply in every other case.
+    /// refused. `call` names the relayed GIOP call to answer (request id,
+    /// operation name), kept with the operation while it is in flight.
     fn admit_op(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         origin: Origin,
-        user: Cow<'_, UserId>,
+        user: &UserId,
         app: AppId,
         op: AppOp,
-        call: Option<(u64, &mut String)>,
+        call: Option<(u64, &Name)>,
     ) -> Result<Option<OpOutcome>, WireError> {
         let Some(proxy) = self.apps.get_mut(&app) else {
             return Err(WireError::new(ErrorCode::NoSuchApp, format!("{app}")));
         };
         let (not_on_acl, lock_required) = origin.refusal_texts();
-        let refusal = match proxy.privilege_of(&user) {
+        let refusal = match proxy.privilege_of(user) {
             None => Some(("not-on-acl", WireError::new(ErrorCode::AccessDenied, not_on_acl))),
             Some(privilege) => {
                 security::authorize_op(privilege, &op).err().map(|e| ("privilege", e))
@@ -1678,11 +1686,11 @@ impl ServerCore {
             return Err(error);
         }
         if op.is_mutating() {
-            if !proxy.lock.is_held_by(&user) {
+            if !proxy.lock.is_held_by(user) {
                 return Err(WireError::new(ErrorCode::LockRequired, lock_required));
             }
             // Holder activity refreshes the steering-lock lease.
-            proxy.lock.touch(&user, ctx.now());
+            proxy.lock.touch(user, ctx.now());
         }
         if matches!(op, AppOp::GetStatus) {
             // Served from the proxy's cached context.
@@ -1691,18 +1699,17 @@ impl ServerCore {
         let req = self.alloc_request();
         let request = LogEntry::Request(op.clone());
         if let Some(client) = origin.client() {
-            let (at, user) = (ctx.now(), Some(user.as_ref().clone()));
-            self.archive.log_client(client, app, at, user, request.clone());
+            self.archive.log_client(client, app, ctx.now(), Some(user.clone()), request.clone());
         }
-        self.log_app_metered(ctx, app, Some(user.as_ref().clone()), request);
+        self.log_app_metered(ctx, app, Some(user.clone()), request);
         ctx.record_history(
             "op.accepted",
             app,
             user.as_str(),
             format_args!("op={} {origin}", op.kind_name()),
         );
-        let call = call.map(|(id, operation)| (id, std::mem::take(operation)));
-        self.origins.insert(req, PendingOp { origin, user: user.into_owned(), app, call });
+        let call = call.map(|(id, operation)| (id, operation.clone()));
+        self.origins.insert(req, PendingOp { origin, user: user.clone(), app, call });
         let deadline = self.incoming_deadline;
         self.dispatch_to_app(ctx, app, req, op, deadline);
         Ok(None)
@@ -1821,6 +1828,18 @@ impl ServerCore {
     pub fn drain_effects(&mut self) -> Vec<Effect> {
         std::mem::take(&mut self.effects)
     }
+
+    /// Take back the buffer of a drained effect queue, emptied by whoever
+    /// performed the effects, so that the next handler queues into it
+    /// instead of growing a new one from nothing. Kept only if the queue
+    /// owns no buffer by now (a nested drain may already have handed one
+    /// back).
+    pub fn recycle_effects(&mut self, mut drained: Vec<Effect>) {
+        if self.effects.capacity() == 0 {
+            drained.clear();
+            self.effects = drained;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1885,7 +1904,7 @@ impl ServerCore {
             }
             AppMsg::Update { app, status, readings } => {
                 if let Some(proxy) = self.apps.get_mut(&app) {
-                    proxy.apply_status(status.clone(), readings.clone());
+                    proxy.apply_status(status.clone(), &readings);
                     // Periodic data records owned by the app's owner, with
                     // read-only grants for the ACL users (§6.3).
                     let counter = self.update_counter.entry(app).or_insert(0);
@@ -1895,11 +1914,7 @@ impl ServerCore {
                         .then(|| (proxy.owner.clone(), proxy.acl_users()));
                     self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
                     if let Some((owner, readers)) = record {
-                        let data = readings
-                            .iter()
-                            .map(|(k, v)| (k.clone(), v.clone()))
-                            .collect::<Vec<_>>();
-                        self.records.create(app, owner, readers, ctx.now(), data);
+                        self.records.create(app, owner, readers, ctx.now(), readings.to_vec());
                     }
                     let update = UpdateBody::AppStatus { app, status, readings };
                     self.route_update(ctx, update, None, None);
@@ -2012,7 +2027,7 @@ impl ServerCore {
         from: NodeId,
         frame: GiopFrame,
     ) -> Vec<Effect> {
-        let GiopFrame { kind, request_id, target, mut operation, body } = frame;
+        let GiopFrame { kind, request_id, target, operation, body } = frame;
         let GiopBody::Call(call) = body else {
             ctx.metrics().incr(names::SERVER_GIOP_STRAY_REPLY);
             return self.drain_effects();
@@ -2038,16 +2053,16 @@ impl ServerCore {
                     ErrorCode::Unavailable,
                     "peer request rate exceeds access policy",
                 ));
-                let frame = GiopFrame::reply(request_id, target, &operation, refusal);
+                let frame = GiopFrame::reply(request_id, target, operation, refusal);
                 ctx.send(from, Envelope::giop(frame));
             }
             return self.drain_effects();
         }
         // Skeleton-side unmarshalling/dispatch cost for every incoming call.
         ctx.consume(orb_call_cost(&call));
-        let reply = self.serve_giop(ctx, from, request_id, &mut operation, call);
+        let reply = self.serve_giop(ctx, from, request_id, &operation, call);
         if let (Some(reply), true) = (reply, expects_reply) {
-            let env = Envelope::giop(GiopFrame::reply(request_id, target, &operation, reply));
+            let env = Envelope::giop(GiopFrame::reply(request_id, target, operation, reply));
             ctx.consume(ORB_COSTS.call_cost(env.wire_size()));
             ctx.send(from, env);
         }
@@ -2057,13 +2072,13 @@ impl ServerCore {
     /// Decode one peer call, run the verb it names, and shape the reply
     /// (`None`: nothing to say now — a oneway, or an operation in flight
     /// whose reply `complete_op` sends). `operation` is the call's name,
-    /// lent so an admitted `ProxyOp` can keep it for that later reply.
+    /// which an admitted `ProxyOp` keeps for that later reply.
     fn serve_giop(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         from: NodeId,
         request_id: u64,
-        operation: &mut String,
+        operation: &Name,
         call: PeerMsg,
     ) -> Option<PeerReply> {
         let origin = Origin::Relay { via: from };
@@ -2102,7 +2117,7 @@ impl ServerCore {
             PeerMsg::ProxyOp { app, user, op } => {
                 ctx.metrics().incr(names::SERVER_PEER_PROXY_OPS);
                 let call = Some((request_id, operation));
-                let verdict = self.admit_op(ctx, origin, Cow::Owned(user), app, op, call);
+                let verdict = self.admit_op(ctx, origin, &user, app, op, call);
                 // Admitted: the reply is sent when the application responds.
                 PeerReply::OpResult { app, result: verdict.transpose()? }
             }
@@ -2470,7 +2485,7 @@ impl ServerCore {
             // folded transition history, not from volatile memory.
             proxy.lock.force_release();
             if let Some(status) = folded.status {
-                proxy.apply_status(status, folded.readings);
+                proxy.apply_status(status, &folded.readings);
             }
             if !folded.closed {
                 if let Some(holder) = folded.lock_holder {
@@ -2997,6 +3012,68 @@ mod tests {
         assert_eq!(pushed(&host.effects), [&changed, &changed], "one per completed operation");
         assert!(host.core.effects.is_empty());
         assert!(host.core.origins.is_empty(), "both operations settled");
+    }
+
+    #[test]
+    fn a_completed_op_goes_to_its_owners_and_no_further() {
+        // The outcome is copied for the log and for an update built from
+        // it; its delivery takes the original. Who gets what must not
+        // depend on which of them got the original.
+        let sensors = || ClientRequest::Op { app: APP, op: AppOp::GetSensors };
+        let script: Script = Box::new(move |core, ctx| {
+            let sessions = open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let cookie = Some(sessions[0].0);
+            http(core, ctx, cookie, ClientRequest::SelectApp { app: APP });
+            // A relayed read: logged and answered, neither echoed nor
+            // recorded (the relaying server does both for its client).
+            giop(core, ctx, PeerMsg::ProxyOp { app: APP, user: user("u"), op: AppOp::GetSensors });
+            // A local read by a client that keeps its views to itself:
+            // answered and recorded, not echoed.
+            let quiet = ClientRequest::SetCollabMode { app: APP, broadcast: false };
+            http(core, ctx, cookie, quiet);
+            http(core, ctx, cookie, sensors());
+        });
+        let (mut engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let host = engine.actor_mut::<Loopback>(node).expect("the loopback actor");
+        let done = OpOutcome::Sensors(Vec::new());
+        assert_eq!(host.giop.len(), 2, "SubscribeOk, then the relayed result");
+        assert_eq!(host.giop[1], PeerReply::OpResult { app: APP, result: Ok(done.clone()) });
+        let echoes = |effects: &[Effect]| {
+            pushed(effects)
+                .iter()
+                .filter(|u| matches!(u, UpdateBody::InteractionEcho { .. }))
+                .count()
+        };
+        assert_eq!(echoes(&host.effects), 0);
+        let responses = |log: &[wire::LogRecord]| {
+            log.iter().filter(|r| r.entry == LogEntry::Response(done.clone())).count()
+        };
+        let app_log = host.core.archive.app_log(APP).expect("logged");
+        assert_eq!(responses(app_log.all()), 2, "both reads are in the application's log");
+        assert_eq!(host.core.records.count_for_app(APP), 1, "only the local read is recorded");
+        let client = host.core.sessions.iter().next().expect("logged in").client;
+        let answered = ClientMessage::Response(ResponseBody::OpDone { app: APP, outcome: done });
+        let queued = host.core.fifos.get_mut(&client).expect("its FIFO").drain(usize::MAX);
+        assert_eq!(queued.iter().filter(|m| **m == answered).count(), 1);
+
+        // The same local read by a collaborating client is echoed too.
+        let script: Script = Box::new(move |core, ctx| {
+            let sessions = open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            http(core, ctx, Some(sessions[0].0), ClientRequest::SelectApp { app: APP });
+            http(core, ctx, Some(sessions[0].0), sensors());
+        });
+        let (engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        assert_eq!(echoes(&host.effects), 1);
+        assert_eq!(host.core.records.count_for_app(APP), 1);
+    }
+
+    /// Shared names are no wider than the `String`s they replaced.
+    #[test]
+    fn an_effect_is_still_96_bytes() {
+        assert_eq!(std::mem::size_of::<Effect>(), 96);
     }
 
     /// A host with one session that selected the hosted `APP` (holding

@@ -240,11 +240,12 @@ impl ApplicationProxy {
         (updates, self.update_next_seq)
     }
 
-    /// Keep the cached state in sync with a Main-channel update.
-    pub fn apply_status(&mut self, status: AppStatus, readings: Vec<(String, Value)>) {
+    /// Keep the cached state in sync with a Main-channel update. The
+    /// readings are assigned into the vector the proxy already owns.
+    pub fn apply_status(&mut self, status: AppStatus, readings: &[(String, Value)]) {
         self.phase = status.phase;
         self.last_status = status;
-        self.last_readings = readings;
+        wire::assign_readings(&mut self.last_readings, readings);
     }
 
     /// ACL users other than the owner (read grant targets for records).
@@ -393,7 +394,7 @@ mod tests {
         let mut p = proxy();
         p.apply_status(
             AppStatus { phase: AppPhase::Interacting, iteration: 42, progress: 0.5 },
-            vec![("t".into(), Value::Int(1))],
+            &[("t".into(), Value::Int(1))],
         );
         assert_eq!(p.phase, AppPhase::Interacting);
         assert_eq!(p.last_status.iteration, 42);

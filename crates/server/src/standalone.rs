@@ -23,13 +23,13 @@ impl StandaloneServer {
 impl Actor<Envelope> for StandaloneServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, from: NodeId, msg: Envelope) {
         let content_size = msg.content_size();
-        let effects = match msg.content {
+        let mut effects = match msg.content {
             Content::HttpRequest(req) => self.core.handle_http(ctx, from, req, content_size),
             Content::Tcp(frame) => self.core.handle_tcp(ctx, from, frame, content_size),
             Content::Giop(frame) => self.core.handle_giop(ctx, from, frame),
             Content::HttpResponse(_) => Vec::new(), // not a client
         };
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 // Without a peer network these are inert; count them so
                 // tests can assert they were produced.
@@ -38,5 +38,6 @@ impl Actor<Envelope> for StandaloneServer {
                 _ => ctx.metrics().incr(names::STANDALONE_DROPPED_OTHER),
             }
         }
+        self.core.recycle_effects(effects);
     }
 }

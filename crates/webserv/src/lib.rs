@@ -12,7 +12,8 @@
 //! * [`HttpCosts`], [`TcpCosts`], [`OrbCosts`] — the calibrated CPU cost
 //!   model that separates the three protocol stacks (the source of the
 //!   paper's "more apps than clients" asymmetry),
-//! * the well-known servlet [`paths`].
+//! * the well-known servlet [`paths`] (defined beside the HTTP model in
+//!   `wire::http`, which hands a parsed one back as the literal it is).
 //!
 //! The handlers themselves (master, command, collaboration, security,
 //! daemon) live in the `discover-server` crate; this crate is the
@@ -29,18 +30,4 @@ pub use costs::{HttpCosts, OrbCosts, TcpCosts};
 pub use fifo::FifoBuffer;
 pub use session::{HttpSession, SessionTable};
 
-/// Well-known servlet paths of a DISCOVER server.
-pub mod paths {
-    /// Master (accepter/controller) handler: login/logout/list.
-    pub const MASTER: &str = "/discover/master";
-    /// Command handler: interaction and steering operations.
-    pub const COMMAND: &str = "/discover/command";
-    /// Collaboration handler: groups, chat, whiteboard, shared views.
-    pub const COLLAB: &str = "/discover/collab";
-    /// Poll endpoint: drain the client's FIFO buffer.
-    pub const POLL: &str = "/discover/poll";
-    /// Session archival handler: history replay.
-    pub const ARCHIVE: &str = "/discover/archive";
-    /// Live status introspection: read-only node health snapshot.
-    pub const STATUS: &str = "/discover/status";
-}
+pub use wire::http::paths;

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::codec;
-use crate::ids::ObjectKey;
+use crate::ids::{Name, ObjectKey};
 use crate::messages::{PeerMsg, PeerReply};
 
 /// Fixed GIOP header size (magic "GIOP", version, flags, type, length).
@@ -52,41 +52,56 @@ pub struct GiopFrame {
     /// Target servant key (e.g. `"DiscoverCorbaServer"`, `"apps/10.0.0.1#2"`).
     pub target: ObjectKey,
     /// Operation name, as it would appear in IDL.
-    pub operation: String,
+    pub operation: Name,
     /// Marshalled arguments or return value.
     pub body: GiopBody,
 }
 
 impl GiopFrame {
     /// A two-way request frame.
-    pub fn request(request_id: u64, target: ObjectKey, operation: &str, msg: PeerMsg) -> Self {
+    pub fn request(
+        request_id: u64,
+        target: ObjectKey,
+        operation: impl Into<Name>,
+        msg: PeerMsg,
+    ) -> Self {
         GiopFrame {
             kind: GiopKind::Request { response_expected: true },
             request_id,
             target,
-            operation: operation.to_string(),
+            operation: operation.into(),
             body: GiopBody::Call(msg),
         }
     }
 
     /// A oneway request frame (no reply expected).
-    pub fn oneway(request_id: u64, target: ObjectKey, operation: &str, msg: PeerMsg) -> Self {
+    pub fn oneway(
+        request_id: u64,
+        target: ObjectKey,
+        operation: impl Into<Name>,
+        msg: PeerMsg,
+    ) -> Self {
         GiopFrame {
             kind: GiopKind::Request { response_expected: false },
             request_id,
             target,
-            operation: operation.to_string(),
+            operation: operation.into(),
             body: GiopBody::Call(msg),
         }
     }
 
     /// A reply frame correlated to `request_id`.
-    pub fn reply(request_id: u64, target: ObjectKey, operation: &str, reply: PeerReply) -> Self {
+    pub fn reply(
+        request_id: u64,
+        target: ObjectKey,
+        operation: impl Into<Name>,
+        reply: PeerReply,
+    ) -> Self {
         GiopFrame {
             kind: GiopKind::Reply,
             request_id,
             target,
-            operation: operation.to_string(),
+            operation: operation.into(),
             body: GiopBody::Return(reply),
         }
     }

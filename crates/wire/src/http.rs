@@ -14,6 +14,7 @@ use std::fmt::Write;
 use serde::{Deserialize, Serialize};
 
 use crate::codec;
+use crate::ids::Name;
 use crate::messages::{ClientMessage, ClientRequest};
 
 // The literals of a head. `render_head` writes them, `head_len` adds up
@@ -32,9 +33,73 @@ const CRLF: &str = "\r\n";
 
 const STRING_WRITE: &str = "writing to a String cannot fail";
 
+/// Well-known servlet paths of a DISCOVER server.
+pub mod paths {
+    /// Master (accepter/controller) handler: login/logout/list.
+    pub const MASTER: &str = "/discover/master";
+    /// Command handler: interaction and steering operations.
+    pub const COMMAND: &str = "/discover/command";
+    /// Collaboration handler: groups, chat, whiteboard, shared views.
+    pub const COLLAB: &str = "/discover/collab";
+    /// Poll endpoint: drain the client's FIFO buffer.
+    pub const POLL: &str = "/discover/poll";
+    /// Session archival handler: history replay.
+    pub const ARCHIVE: &str = "/discover/archive";
+    /// Live status introspection: read-only node health snapshot.
+    pub const STATUS: &str = "/discover/status";
+    /// Every path above.
+    pub const ALL: [&str; 6] = [MASTER, COMMAND, COLLAB, POLL, ARCHIVE, STATUS];
+}
+
 /// Length of `n` rendered with `{}`.
 fn decimal_digits(n: usize) -> usize {
     n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+// `parse_head` accepts exactly what `render_head` writes, so that the
+// `head_len` the cost model charges is the length of the bytes that
+// arrived: every accepted head re-renders to itself. The pieces below
+// each take one rendered element off the front of `rest`.
+
+/// A number as `{}` renders it: digits only, no sign, no leading zero.
+fn decimal<T: std::str::FromStr>(rest: &str) -> Result<(T, &str), String> {
+    let end = rest.bytes().position(|b| !b.is_ascii_digit()).unwrap_or(rest.len());
+    let (digits, rest) = rest.split_at(end);
+    if digits.is_empty() || (digits.len() > 1 && digits.starts_with('0')) {
+        return Err(format!("not a canonical decimal: {digits:?}"));
+    }
+    let n = digits.parse().map_err(|_| format!("number out of range: {digits}"))?;
+    Ok((n, rest))
+}
+
+/// The cookie line under `name`, if `rest` starts with one: exactly
+/// [`COOKIE_DIGITS`] lowercase hex digits (`{:016x}`).
+fn cookie_line<'a>(rest: &'a str, name: &str) -> Result<(Option<u64>, &'a str), String> {
+    let Some(after) = rest.strip_prefix(name) else { return Ok((None, rest)) };
+    let bad = || format!("bad cookie: {:?}", after.lines().next().unwrap_or_default());
+    let (digits, rest) = after.split_at_checked(COOKIE_DIGITS).ok_or_else(bad)?;
+    if !digits.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err(bad());
+    }
+    let sid = u64::from_str_radix(digits, 16).map_err(|_| bad())?;
+    Ok((Some(sid), rest.strip_prefix(CRLF).ok_or_else(bad)?))
+}
+
+/// The `Content-Type` and `Content-Length` lines.
+fn content_lines(rest: &str) -> Result<(usize, &str), String> {
+    let rest = rest.strip_prefix(CONTENT_TYPE).ok_or("missing content type")?;
+    let rest = rest.strip_prefix(CONTENT_LENGTH).ok_or("missing content length")?;
+    let (len, rest) = decimal(rest).map_err(|e| format!("bad length: {e}"))?;
+    Ok((len, rest.strip_prefix(CRLF).ok_or("bad length: trailing text")?))
+}
+
+/// The blank line that ends a head, and nothing after it.
+fn end_of_head(rest: &str) -> Result<(), String> {
+    if rest == CRLF {
+        Ok(())
+    } else {
+        Err(format!("unexpected header text: {:?}", rest.lines().next().unwrap_or_default()))
+    }
 }
 
 /// HTTP request methods used by DISCOVER portals.
@@ -62,7 +127,7 @@ pub struct HttpRequest {
     /// GET or POST.
     pub method: HttpMethod,
     /// Servlet path, e.g. `/discover/master`.
-    pub path: String,
+    pub path: Name,
     /// Session cookie issued by the master servlet at login.
     pub session: Option<u64>,
     /// Typed body (absent for bare GET polls without parameters).
@@ -70,14 +135,15 @@ pub struct HttpRequest {
 }
 
 impl HttpRequest {
-    /// POST a request to a servlet path.
-    pub fn post(path: impl Into<String>, session: Option<u64>, body: ClientRequest) -> Self {
-        HttpRequest { method: HttpMethod::Post, path: path.into(), session, body: Some(body) }
+    /// POST a request to a well-known servlet path.
+    pub fn post(path: &'static str, session: Option<u64>, body: ClientRequest) -> Self {
+        let path = Name::from_static(path);
+        HttpRequest { method: HttpMethod::Post, path, session, body: Some(body) }
     }
 
-    /// GET poll against a servlet path.
-    pub fn get(path: impl Into<String>, session: Option<u64>) -> Self {
-        HttpRequest { method: HttpMethod::Get, path: path.into(), session, body: None }
+    /// GET poll against a well-known servlet path.
+    pub fn get(path: &'static str, session: Option<u64>) -> Self {
+        HttpRequest { method: HttpMethod::Get, path: Name::from_static(path), session, body: None }
     }
 
     /// Render the textual request head exactly as it would appear on the
@@ -116,35 +182,55 @@ impl HttpRequest {
     }
 
     /// Parse a rendered head back into (method, path, session cookie,
-    /// content length). Round-trip partner of [`HttpRequest::render_head`].
-    pub fn parse_head(text: &str) -> Result<(HttpMethod, String, Option<u64>, usize), String> {
-        let mut lines = text.split("\r\n");
-        let request_line = lines.next().ok_or("empty head")?;
-        let mut parts = request_line.split(' ');
-        let method = match parts.next().ok_or("missing method")? {
+    /// content length). Round-trip partner of [`HttpRequest::render_head`]:
+    /// a head it accepts renders back to the same bytes.
+    pub fn parse_head(text: &str) -> Result<(HttpMethod, Name, Option<u64>, usize), String> {
+        let (method, rest) = text.split_once(' ').ok_or("missing method")?;
+        let method = match method {
             "GET" => HttpMethod::Get,
             "POST" => HttpMethod::Post,
             other => return Err(format!("unsupported method {other}")),
         };
-        let path = parts.next().ok_or("missing path")?.to_string();
-        match parts.next() {
-            Some("HTTP/1.0") | Some("HTTP/1.1") => {}
-            other => return Err(format!("bad version {other:?}")),
+        let (path, rest) = rest.split_once(' ').ok_or("missing path")?;
+        if path.is_empty() || path.contains(['\r', '\n']) {
+            return Err(format!("bad path {path:?}"));
         }
-        let mut session = None;
-        let mut content_length = 0usize;
-        for line in lines {
-            if line.is_empty() {
-                break;
+        // `split_once` ate the space the tail begins with.
+        let rest = rest
+            .strip_prefix(&REQUEST_LINE_TAIL[1..])
+            .ok_or_else(|| format!("bad request line after {path:?}"))?;
+        let (session, rest) = cookie_line(rest, COOKIE)?;
+        // A bodiless request carries no content headers at all.
+        let (content_length, rest) = if rest.starts_with(CONTENT_TYPE) {
+            let (len, rest) = content_lines(rest)?;
+            if len == 0 {
+                return Err("bad length: a bodiless request has no content headers".into());
             }
-            if let Some(rest) = line.strip_prefix(COOKIE) {
-                session =
-                    Some(u64::from_str_radix(rest, 16).map_err(|e| format!("bad cookie: {e}"))?);
-            } else if let Some(rest) = line.strip_prefix(CONTENT_LENGTH) {
-                content_length = rest.parse().map_err(|e| format!("bad length: {e}"))?;
-            }
-        }
+            (len, rest)
+        } else {
+            (0, rest)
+        };
+        end_of_head(rest)?;
+        // A well-known path — what every portal sends — is handed back as
+        // the literal it is; only a stranger's path is copied.
+        let path = match paths::ALL.iter().find(|known| **known == path) {
+            Some(known) => Name::from_static(known),
+            None => path.into(),
+        };
         Ok((method, path, session, content_length))
+    }
+}
+
+/// Reason phrase of a status code.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        401 => "Unauthorized",
+        403 => "Forbidden",
+        404 => "Not Found",
+        500 => "Internal Server Error",
+        _ => "Unknown",
     }
 }
 
@@ -167,15 +253,7 @@ impl HttpResponse {
 
     /// Reason phrase for the status code.
     pub fn reason(&self) -> &'static str {
-        match self.status {
-            200 => "OK",
-            400 => "Bad Request",
-            401 => "Unauthorized",
-            403 => "Forbidden",
-            404 => "Not Found",
-            500 => "Internal Server Error",
-            _ => "Unknown",
-        }
+        reason(self.status)
     }
 
     /// Render the textual response head.
@@ -211,33 +289,19 @@ impl HttpResponse {
 
     /// Parse a rendered response head back into (status, set-cookie,
     /// content length). Round-trip partner of
-    /// [`HttpResponse::render_head`].
+    /// [`HttpResponse::render_head`]: a head it accepts renders back to
+    /// the same bytes.
     pub fn parse_head(text: &str) -> Result<(u16, Option<u64>, usize), String> {
-        let mut lines = text.split("\r\n");
-        let status_line = lines.next().ok_or("empty head")?;
-        let mut parts = status_line.split(' ');
-        match parts.next() {
-            Some("HTTP/1.0") | Some("HTTP/1.1") => {}
-            other => return Err(format!("bad version {other:?}")),
-        }
-        let status: u16 = parts
-            .next()
-            .ok_or("missing status")?
-            .parse()
-            .map_err(|e| format!("bad status: {e}"))?;
-        let mut set_session = None;
-        let mut content_length = 0usize;
-        for line in lines {
-            if line.is_empty() {
-                break;
-            }
-            if let Some(rest) = line.strip_prefix(SET_COOKIE) {
-                set_session =
-                    Some(u64::from_str_radix(rest, 16).map_err(|e| format!("bad cookie: {e}"))?);
-            } else if let Some(rest) = line.strip_prefix(CONTENT_LENGTH) {
-                content_length = rest.parse().map_err(|e| format!("bad length: {e}"))?;
-            }
-        }
+        let rest = text.strip_prefix(STATUS_LINE_HEAD).ok_or("bad version")?;
+        let (status, rest) = decimal::<u16>(rest).map_err(|e| format!("bad status: {e}"))?;
+        let rest = rest
+            .strip_prefix(' ')
+            .and_then(|rest| rest.strip_prefix(reason(status)))
+            .and_then(|rest| rest.strip_prefix(SERVER))
+            .ok_or_else(|| format!("bad status line for {status}"))?;
+        let (set_session, rest) = cookie_line(rest, SET_COOKIE)?;
+        let (content_length, rest) = content_lines(rest)?;
+        end_of_head(rest)?;
         Ok((status, set_session, content_length))
     }
 }
@@ -280,6 +344,74 @@ mod tests {
         assert!(HttpRequest::parse_head("PATCH /x HTTP/1.0\r\n\r\n").is_err());
         assert!(HttpRequest::parse_head("GET /x SPDY/3\r\n\r\n").is_err());
         assert!(HttpRequest::parse_head("").is_err());
+    }
+
+    /// Spellings the parent accepted although `render_head` never
+    /// writes them: each re-rendered to a head of another length, so the
+    /// `head_len` charged disagreed with the bytes that arrived.
+    #[test]
+    fn non_canonical_request_heads_are_rejected() {
+        let canonical = HttpRequest::post(paths::COMMAND, Some(0x1f), ClientRequest::Poll);
+        let canonical = canonical.render_head(5);
+        let (_, path, session, len) = HttpRequest::parse_head(&canonical).unwrap();
+        assert_eq!((path.as_str(), session, len), (paths::COMMAND, Some(0x1f), 5));
+        let cookie = "JSESSIONID=000000000000001f";
+        let spellings = [
+            ("a signed cookie", cookie, "JSESSIONID=+00000000000001f"),
+            ("an upper-case cookie", cookie, "JSESSIONID=000000000000001F"),
+            ("a short cookie", cookie, "JSESSIONID=1f"),
+            ("a long cookie", cookie, "JSESSIONID=0000000000000001f"),
+            ("a signed length", "Content-Length: 5", "Content-Length: +5"),
+            ("a zero-padded length", "Content-Length: 5", "Content-Length: 005"),
+            ("a zero length", "Content-Length: 5", "Content-Length: 0"),
+            ("no length", "Content-Length: 5", "Content-Length: "),
+            ("an empty path", " /discover/command ", "  "),
+            ("a fourth token", " HTTP/1.0\r\n", " HTTP/1.0 extra\r\n"),
+            ("a token before the version", " HTTP/1.0\r\n", " extra HTTP/1.0\r\n"),
+            ("another version", "HTTP/1.0", "HTTP/1.1"),
+            ("a header never written", "Host: discover", "Host: elsewhere"),
+            ("text after the blank line", "5\r\n\r\n", "5\r\n\r\nPOST"),
+            ("no blank line", "5\r\n\r\n", "5\r\n"),
+        ];
+        for (what, written, spelled) in spellings {
+            assert!(canonical.contains(written), "{what}: {written:?} is in the head");
+            let head = canonical.replacen(written, spelled, 1);
+            assert!(HttpRequest::parse_head(&head).is_err(), "{what} parsed: {head:?}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_response_heads_are_rejected() {
+        let resp = HttpResponse { status: 200, set_session: Some(0xbeef), body: vec![] };
+        let canonical = resp.render_head(0);
+        assert_eq!(HttpResponse::parse_head(&canonical), Ok((200, Some(0xbeef), 0)));
+        let spellings = [
+            ("an upper-case cookie", "000000000000beef", "000000000000BEEF"),
+            ("a short cookie", "000000000000beef", "beef"),
+            ("a signed length", "Content-Length: 0", "Content-Length: +0"),
+            ("a zero-padded length", "Content-Length: 0", "Content-Length: 00"),
+            ("a zero-padded status", " 200 ", " 0200 "),
+            ("another reason", "200 OK", "200 Fine"),
+            ("no length", "Content-Type", "X-Content-Type"),
+            ("text after the blank line", "0\r\n\r\n", "0\r\n\r\nHTTP"),
+        ];
+        for (what, written, spelled) in spellings {
+            assert!(canonical.contains(written), "{what}: {written:?} is in the head");
+            let head = canonical.replacen(written, spelled, 1);
+            assert!(HttpResponse::parse_head(&head).is_err(), "{what} parsed: {head:?}");
+        }
+    }
+
+    #[test]
+    fn a_path_parses_back_well_known_or_not() {
+        for path in paths::ALL {
+            let head = HttpRequest::get(path, None).render_head(0);
+            let (_, parsed, ..) = HttpRequest::parse_head(&head).unwrap();
+            assert_eq!(parsed, path);
+        }
+        let stranger = "GET /elsewhere".to_string() + REQUEST_LINE_TAIL + CRLF;
+        let (_, parsed, ..) = HttpRequest::parse_head(&stranger).unwrap();
+        assert_eq!(parsed, "/elsewhere");
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! [`AppId::host`] is exactly that extraction. Client ids are issued by the
 //! master handler; session ids pair a client with an application.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 macro_rules! fmt_via_debug {
     () => {
@@ -19,6 +22,128 @@ macro_rules! fmt_via_debug {
             fmt::Debug::fmt(self, f)
         }
     };
+}
+
+/// A shared immutable string: the text of a user id, an object key, a
+/// GIOP operation name, an HTTP path. Identifiers are written once and
+/// then copied at every hop they cross, so a copy is a pointer copy (a
+/// literal) or a reference-count bump (text that came off the wire),
+/// never a fresh heap string. Equality, order and hash are those of the
+/// text, whichever way it is held; on the wire it is the `String` it
+/// replaces, byte for byte.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// A name that is a literal of the program: no allocation, ever.
+    pub const fn from_static(text: &'static str) -> Self {
+        Name(Repr::Static(text))
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Static(text) => text,
+            Repr::Shared(text) => text,
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Self {
+        Name(Repr::Shared(text.into()))
+    }
+}
+
+impl From<String> for Name {
+    fn from(text: String) -> Self {
+        Name(Repr::Shared(text.into()))
+    }
+}
+
+impl From<&String> for Name {
+    fn from(text: &String) -> Self {
+        text.as_str().into()
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl Serialize for Name {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(self.as_str())
+    }
+}
+
+impl<'de> Deserialize<'de> for Name {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct Text;
+        impl serde::de::Visitor<'_> for Text {
+            type Value = Name;
+            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a string")
+            }
+            fn visit_str<E: serde::de::Error>(self, text: &str) -> Result<Name, E> {
+                Ok(text.into())
+            }
+        }
+        deserializer.deserialize_str(Text)
+    }
 }
 
 /// Simulated network address of a DISCOVER server (stands in for the IP
@@ -65,7 +190,7 @@ impl AppId {
     /// The key of this application's `CorbaProxy` servant at its host
     /// (`apps/<id>`), the target of relayed operations.
     pub fn servant_key(&self) -> ObjectKey {
-        ObjectKey(format!("apps/{self}"))
+        ObjectKey::new(format!("apps/{self}"))
     }
 }
 
@@ -154,11 +279,11 @@ impl fmt::Display for RequestId {
 /// A user identity. Per the paper, "user-IDs do not belong to a server but
 /// to an application/service", and are assumed consistent across servers.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UserId(pub String);
+pub struct UserId(pub Name);
 
 impl UserId {
     /// Convenience constructor.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>) -> Self {
         UserId(name.into())
     }
     /// The raw user name.
@@ -181,7 +306,7 @@ impl fmt::Display for UserId {
 
 impl From<&str> for UserId {
     fn from(s: &str) -> Self {
-        UserId(s.to_string())
+        UserId(s.into())
     }
 }
 
@@ -220,12 +345,17 @@ impl AppToken {
 /// Keys object implementations register under with the ORB's object
 /// adapter; naming and trader entries resolve to (server address, key).
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ObjectKey(pub String);
+pub struct ObjectKey(pub Name);
 
 impl ObjectKey {
     /// Convenience constructor.
-    pub fn new(key: impl Into<String>) -> Self {
+    pub fn new(key: impl Into<Name>) -> Self {
         ObjectKey(key.into())
+    }
+
+    /// A well-known key that is a literal of the program.
+    pub const fn from_static(key: &'static str) -> Self {
+        ObjectKey(Name::from_static(key))
     }
 }
 

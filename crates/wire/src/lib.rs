@@ -32,8 +32,8 @@ pub use deadline::{DeadlineStamp, Priority};
 pub use envelope::{Content, Envelope};
 pub use payload::FrozenUpdate;
 pub use ids::{
-    AppId, AppToken, ClientId, IdMap, ObjectKey, ObjectRef, Privilege, RequestId, ServerAddr,
-    SessionId, UserId,
+    AppId, AppToken, ClientId, IdMap, Name, ObjectKey, ObjectRef, Privilege, RequestId,
+    ServerAddr, SessionId, UserId,
 };
 pub use messages::{
     AppCommand, AppDescriptor, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry,
@@ -42,4 +42,4 @@ pub use messages::{
     LogEntry, LogRecord, MessageKind, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry,
     ResponseBody, ServiceOffer, StatusReport, UpdateBody, UpdateKey, WhiteboardStroke, WireError,
 };
-pub use value::Value;
+pub use value::{assign_readings, Value};

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{AppId, AppToken, ClientId, ObjectRef, Privilege, RequestId, ServerAddr, UserId};
 use crate::payload::FrozenUpdate;
-use crate::value::Value;
+use crate::value::{assign_readings, Value};
 
 // ---------------------------------------------------------------------------
 // Shared vocabulary
@@ -1322,7 +1322,7 @@ impl FoldedAppState {
             LogEntry::Update(u) => match u.body() {
                 UpdateBody::AppStatus { status, readings, .. } => {
                     self.status = Some(status.clone());
-                    self.readings = readings.clone();
+                    assign_readings(&mut self.readings, readings);
                 }
                 UpdateBody::ParamChanged { name, value, .. } => {
                     match self.params.binary_search_by(|(n, _)| n.as_str().cmp(name)) {

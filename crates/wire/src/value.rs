@@ -71,6 +71,32 @@ impl Value {
     pub fn same_type(&self, other: &Value) -> bool {
         self.type_name() == other.type_name()
     }
+
+    /// `*self = src.clone()`, into the buffer `self` already owns when
+    /// both are `Text` or both are `Vector`.
+    pub fn assign(&mut self, src: &Value) {
+        match (self, src) {
+            (Value::Text(dst), Value::Text(src)) => dst.clone_from(src),
+            (Value::Vector(dst), Value::Vector(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
+/// `*dst = src.to_vec()`, into the vector and the strings `dst` already
+/// owns. State that is overwritten again and again by a same-shaped
+/// successor (an application's sensor readings, ten times a second) is
+/// assigned, not reallocated: once the set of names is stable — it
+/// always is — this touches the heap only for a `Text` or `Vector`
+/// reading that outgrew its predecessor.
+pub fn assign_readings(dst: &mut Vec<(String, Value)>, src: &[(String, Value)]) {
+    dst.truncate(src.len());
+    let (overwritten, appended) = src.split_at(dst.len());
+    for ((name, value), (src_name, src_value)) in dst.iter_mut().zip(overwritten) {
+        name.clone_from(src_name);
+        value.assign(src_value);
+    }
+    dst.extend_from_slice(appended);
 }
 
 impl fmt::Display for Value {
@@ -141,6 +167,38 @@ mod tests {
     fn display() {
         assert_eq!(format!("{}", Value::Int(-3)), "-3");
         assert_eq!(format!("{}", Value::Vector(vec![0.0; 5])), "vector[5]");
+    }
+
+    #[test]
+    fn assigned_readings_equal_a_fresh_copy() {
+        let reading = |name: &str, value: Value| (name.to_string(), value);
+        let src = vec![
+            reading("pressure", Value::Float(2.5)),
+            reading("phase", Value::Text("a considerably longer label".into())),
+            reading("trace", Value::Vector(vec![1.0, 2.0, 3.0])),
+            reading("step", Value::Int(7)),
+        ];
+        let destinations = [
+            // Longer, shorter, equal, and empty; `Text` over `Text`,
+            // `Vector` over `Vector`, and either over another type.
+            vec![reading("x", Value::Bool(true)); 6],
+            vec![reading("a much longer name than any above", Value::Vector(vec![9.0; 8]))],
+            vec![
+                reading("p", Value::Text("t".into())),
+                reading("phase", Value::Text("short".into())),
+                reading("trace", Value::Vector(vec![0.0; 16])),
+                reading("step", Value::Text("was text".into())),
+            ],
+            Vec::new(),
+        ];
+        for mut dst in destinations {
+            let was = dst.clone();
+            assign_readings(&mut dst, &src);
+            assert_eq!(dst, src.to_vec(), "over {was:?}");
+        }
+        let mut dst = src.clone();
+        assign_readings(&mut dst, &[]);
+        assert!(dst.is_empty());
     }
 
     #[test]

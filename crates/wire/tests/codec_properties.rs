@@ -3,16 +3,21 @@
 
 #![cfg(feature = "proptest")]
 
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+
 use proptest::prelude::*;
+use serde::Serialize;
 use simnet::SimTime;
 use wire::codec::{
     decode, decode_borrowed, digest_fnv1a, encode, encoded_len, reset_stats, stats, CodecStats,
 };
+use wire::giop::{GiopBody, GiopFrame, GiopKind};
 use wire::http::{HttpMethod, HttpRequest, HttpResponse};
 use wire::{
     AppCommand, AppId, AppOp, AppPhase, AppStatus, ClientMessage, ClientRequest, DeadlineStamp,
-    Envelope, ErrorCode, FrozenUpdate, LogEntry, LogRecord, PeerMsg, Priority, Privilege,
-    ResponseBody, ServerAddr, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
+    Envelope, ErrorCode, FrozenUpdate, LogEntry, LogRecord, Name, ObjectKey, PeerMsg, Priority,
+    Privilege, ResponseBody, ServerAddr, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -176,6 +181,116 @@ fn body_len_strategy() -> impl Strategy<Value = usize> {
     (0u32..=7, 0usize..3).prop_map(|(exp, off)| 10usize.pow(exp) + off - 1)
 }
 
+// The four wire types whose text became a shared `Name`, with the field
+// layout they had while it was a `String`. DBP is not self-describing,
+// so a twin encodes like the original if and only if the fields do.
+#[derive(Serialize)]
+struct UserIdThen(String);
+
+#[derive(Serialize)]
+struct ObjectKeyThen(String);
+
+#[derive(Serialize)]
+struct GiopFrameThen {
+    kind: GiopKind,
+    request_id: u64,
+    target: ObjectKeyThen,
+    operation: String,
+    body: GiopBody,
+}
+
+#[derive(Serialize)]
+struct HttpRequestThen {
+    method: HttpMethod,
+    path: String,
+    session: Option<u64>,
+    body: Option<ClientRequest>,
+}
+
+/// All three serializer walks agree between `now` and its twin.
+fn same_on_the_wire(now: &impl Serialize, then: &impl Serialize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&encode(now)[..], &encode(then)[..]);
+    prop_assert_eq!(encoded_len(now), encoded_len(then));
+    prop_assert_eq!(digest_fnv1a(now), digest_fnv1a(then));
+    Ok(())
+}
+
+/// Printable ASCII, with a multi-byte tail every other time.
+fn text_strategy() -> impl Strategy<Value = String> {
+    ("[ -~]{0,24}", any::<bool>()).prop_map(|(t, wide)| if wide { t + "/é∑" } else { t })
+}
+
+/// One of `canonical` three times in four, else one of `other`.
+fn piece(
+    canonical: &'static [&'static str],
+    other: &'static [&'static str],
+) -> impl Strategy<Value = &'static str> {
+    (0u32..4, any::<usize>()).prop_map(move |(odds, pick)| {
+        let from = if odds < 3 { canonical } else { other };
+        from[pick % from.len()]
+    })
+}
+
+/// A request head put together from the pieces `render_head` writes,
+/// each now and then in a spelling it never writes.
+fn request_head_strategy() -> impl Strategy<Value = String> {
+    vec![
+        piece(&["GET ", "POST "], &["PATCH ", "GET", "get "]),
+        piece(&["/discover/poll", "/x", "/é∑"], &["", "/a b", "/a\r\nHost: x"]),
+        piece(&[" HTTP/1.0\r\n"], &[" HTTP/1.1\r\n", " HTTP/1.0 x\r\n", "\r\n"]),
+        piece(
+            &["Host: discover\r\nConnection: keep-alive\r\n"],
+            &["Host: elsewhere\r\nConnection: keep-alive\r\n", "Connection: keep-alive\r\n", ""],
+        ),
+        piece(
+            &["", "Cookie: JSESSIONID=000000000000001f\r\n", "Cookie: JSESSIONID=ffffffffffffffff\r\n"],
+            &[
+                "Cookie: JSESSIONID=+00000000000001f\r\n",
+                "Cookie: JSESSIONID=000000000000001F\r\n",
+                "Cookie: JSESSIONID=1f\r\n",
+                "Cookie: JSESSIONID=0000000000000001f\r\n",
+                "Cookie: JSESSIONID=000000000000001f",
+            ],
+        ),
+        piece(&["", "Content-Type: application/x-discover\r\n"], &["Content-Type: text/plain\r\n"]),
+        piece(
+            &["", "Content-Length: 5\r\n", "Content-Length: 1000\r\n"],
+            &[
+                "Content-Length: +5\r\n",
+                "Content-Length: 005\r\n",
+                "Content-Length: 0\r\n",
+                "Content-Length: \r\n",
+                "Content-Length: 99999999999999999999999\r\n",
+            ],
+        ),
+        piece(&["\r\n"], &["", "\r\n\r\n", "\r\nGET"]),
+    ]
+    .prop_map(|pieces| pieces.concat())
+}
+
+/// The same for a response head.
+fn response_head_strategy() -> impl Strategy<Value = String> {
+    vec![
+        piece(&["HTTP/1.0 "], &["HTTP/1.1 ", "HTTP/1.0"]),
+        piece(
+            &["200 OK", "404 Not Found", "7 Unknown", "65535 Unknown"],
+            &["0200 OK", "+200 OK", "200 Fine", "200", "65536 Unknown"],
+        ),
+        piece(&["\r\nServer: discover\r\n"], &["\r\nServer: other\r\n", "\r\n"]),
+        piece(
+            &["", "Set-Cookie: JSESSIONID=000000000000beef\r\n"],
+            &["Set-Cookie: JSESSIONID=000000000000BEEF\r\n", "Set-Cookie: JSESSIONID=beef\r\n"],
+        ),
+        piece(&["Content-Type: application/x-discover\r\n"], &[""]),
+        piece(
+            &["Content-Length: 0\r\n", "Content-Length: 12\r\n"],
+            &["Content-Length: 00\r\n", "Content-Length: +1\r\n", ""],
+        ),
+        piece(&["\r\n"], &["", "\r\nx"]),
+    ]
+    .prop_map(|pieces| pieces.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -195,7 +310,7 @@ proptest! {
     ) {
         let method = if post { HttpMethod::Post } else { HttpMethod::Get };
         let path = if wide { path + "/é∑" } else { path };
-        let req = HttpRequest { method, path, session, body: None };
+        let req = HttpRequest { method, path: path.into(), session, body: None };
         prop_assert_eq!(req.head_len(body_len), req.render_head(body_len).len());
         let resp = HttpResponse { status, set_session: session, body: vec![] };
         prop_assert_eq!(resp.head_len(body_len), resp.render_head(body_len).len());
@@ -220,6 +335,103 @@ proptest! {
         let len = encoded_len(&resp.body);
         let expect = resp.render_head(len).len() + len;
         prop_assert_eq!(Envelope::http_response(resp).wire_size(), expect);
+    }
+
+    // `parse_head` accepts exactly what `render_head` writes: whatever
+    // it accepts re-renders to itself, so `head_len` — what the cost
+    // model charges — is the length of the bytes that arrived.
+    #[test]
+    fn an_accepted_request_head_renders_back_to_itself(head in request_head_strategy()) {
+        if let Ok((method, path, session, len)) = HttpRequest::parse_head(&head) {
+            let req = HttpRequest { method, path, session, body: None };
+            prop_assert_eq!(req.head_len(len), head.len());
+            prop_assert_eq!(req.render_head(len), head);
+        }
+    }
+
+    #[test]
+    fn an_accepted_response_head_renders_back_to_itself(head in response_head_strategy()) {
+        if let Ok((status, set_session, len)) = HttpResponse::parse_head(&head) {
+            let resp = HttpResponse { status, set_session, body: vec![] };
+            prop_assert_eq!(resp.head_len(len), head.len());
+            prop_assert_eq!(resp.render_head(len), head);
+        }
+    }
+
+    #[test]
+    fn every_rendered_head_is_accepted(
+        post in any::<bool>(),
+        path in "[!-~]{1,40}",
+        session in session_strategy(),
+        status in http_status_strategy(),
+        body_len in body_len_strategy(),
+    ) {
+        let method = if post { HttpMethod::Post } else { HttpMethod::Get };
+        let req = HttpRequest { method, path: path.as_str().into(), session, body: None };
+        let parsed = HttpRequest::parse_head(&req.render_head(body_len));
+        prop_assert_eq!(parsed, Ok((method, Name::from(path), session, body_len)));
+        let resp = HttpResponse { status, set_session: session, body: vec![] };
+        let parsed = HttpResponse::parse_head(&resp.render_head(body_len));
+        prop_assert_eq!(parsed, Ok((status, session, body_len)));
+    }
+
+    // ------------------------------------------------------------------
+    // Shared names: on the wire a `Name` is the `String` it replaced, and
+    // as a key it is its text, however it is held.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn names_encode_as_the_strings_they_replaced(
+        text in text_strategy(),
+        operation in text_strategy(),
+        request_id in any::<u64>(),
+        post in any::<bool>(),
+        session in session_strategy(),
+        body in prop::option::of(request_strategy()),
+    ) {
+        let user = UserId::new(&text);
+        same_on_the_wire(&user, &UserIdThen(text.clone()))?;
+        prop_assert_eq!(&decode_borrowed::<UserId>(&encode(&user)).unwrap(), &user);
+
+        let key = ObjectKey::new(text.as_str());
+        same_on_the_wire(&key, &ObjectKeyThen(text.clone()))?;
+        prop_assert_eq!(&decode_borrowed::<ObjectKey>(&encode(&key)).unwrap(), &key);
+
+        let call = PeerMsg::LockRelease { app: AppId { server: ServerAddr(2), seq: 7 }, user };
+        let frame = GiopFrame::request(request_id, key, operation.as_str(), call);
+        let then = GiopFrameThen {
+            kind: frame.kind.clone(),
+            request_id,
+            target: ObjectKeyThen(text.clone()),
+            operation,
+            body: frame.body.clone(),
+        };
+        same_on_the_wire(&frame, &then)?;
+        prop_assert_eq!(&decode_borrowed::<GiopFrame>(&encode(&frame)).unwrap(), &frame);
+
+        let method = if post { HttpMethod::Post } else { HttpMethod::Get };
+        let req = HttpRequest { method, path: text.as_str().into(), session, body };
+        let then = HttpRequestThen { method, path: text, session, body: req.body.clone() };
+        same_on_the_wire(&req, &then)?;
+        prop_assert_eq!(&decode_borrowed::<HttpRequest>(&encode(&req)).unwrap(), &req);
+    }
+
+    #[test]
+    fn a_literal_and_a_decoded_name_are_one_key(text in text_strategy(), other in text_strategy()) {
+        // The test's stand-in for a literal of the program.
+        let literal = Name::from_static(Box::leak(text.clone().into_boxed_str()));
+        let decoded: Name = decode(&encode(&text)).unwrap();
+        prop_assert_eq!(&literal, &decoded);
+        prop_assert_eq!(literal.as_str(), text.as_str());
+        let other = Name::from(other);
+        prop_assert_eq!(literal.cmp(&other), decoded.cmp(&other));
+        prop_assert_eq!(literal.cmp(&other), text.as_str().cmp(other.as_str()));
+        let hasher = BuildHasherDefault::<DefaultHasher>::default();
+        prop_assert_eq!(hasher.hash_one(&literal), hasher.hash_one(&decoded));
+        let ordered = BTreeMap::from([(literal.clone(), 1)]);
+        prop_assert_eq!(ordered.get(&decoded), Some(&1));
+        let hashed = HashMap::from([(decoded, 2)]);
+        prop_assert_eq!(hashed.get(&literal), Some(&2));
     }
 
     #[test]
@@ -548,4 +760,31 @@ proptest! {
         // allows() agrees with the declared ordering.
         prop_assert_eq!(pa.allows(pb), pa >= pb);
     }
+}
+
+/// Encodings measured at the last commit that held these fields as
+/// `String`s.
+#[test]
+fn name_encodings_pinned_from_the_string_days() {
+    let user = UserId::new("vijay");
+    assert_eq!(&encode(&user)[..], [5, 0, 0, 0, 118, 105, 106, 97, 121]);
+    assert_eq!(digest_fnv1a(&user), 0x66c1_d0b0_d3de_2d1b);
+    let key = ObjectKey::from_static("DiscoverCorbaServer");
+    assert_eq!((encoded_len(&key), digest_fnv1a(&key)), (23, 0x634d_d453_3e51_1051));
+    let app = AppId { server: ServerAddr(2), seq: 7 };
+    let call = PeerMsg::LockRequest { app, user: user.clone(), via: ServerAddr(1) };
+    let frame = GiopFrame::request(7, key, Name::from_static("lockRequest"), call);
+    assert_eq!((encoded_len(&frame), frame.wire_size()), (80, 88));
+    assert_eq!(digest_fnv1a(&frame), 0xa847_2935_c23b_7d07);
+    let login = ClientRequest::Login { user, password: "pw".into() };
+    let req = HttpRequest::post("/discover/command", Some(0xabcd), login);
+    assert_eq!((encoded_len(&req), digest_fnv1a(&req)), (54, 0x39a5_1271_ac6b_ebc4));
+}
+
+/// A name is no wider than the `String` it replaced, so no message or
+/// effect that carries one grew.
+#[test]
+fn a_name_is_no_wider_than_a_string() {
+    assert!(std::mem::size_of::<Name>() <= std::mem::size_of::<String>());
+    assert_eq!(std::mem::size_of::<Option<UserId>>(), std::mem::size_of::<Name>());
 }
