@@ -1,5 +1,6 @@
 //! Sampling allocation profiler: which source lines allocate on the
-//! per-message paths, and how often per answered client op.
+//! per-message paths, and how often — or, with `--bytes`, how much — per
+//! answered client op.
 //!
 //! A counting `#[global_allocator]` captures a backtrace on every
 //! [`SAMPLE_EVERY`]th allocation inside the measured window. Frames of
@@ -7,6 +8,15 @@
 //! what is left is keyed by its innermost [`KEY_FRAMES`] frames, and the
 //! heaviest keys are printed as
 //! `share  allocs/op  avg bytes  site <- caller <- …`.
+//!
+//! `--bytes` ranks the sites by bytes asked for instead
+//! (`share  bytes/op  allocs/op  site <- caller <- …`) and attributes
+//! *every* allocation of at least [`EVERY_FROM`] bytes, one in
+//! [`SAMPLE_EVERY`] only of the rest: a queue that doubles to 140 KB does
+//! so a handful of times in the window, and a one-in-53 sample sees that
+//! once or never. Bytes are counted as `benchmark/src/alloc.rs` counts
+//! them (a `realloc` asks for its new size), so the header's bytes per
+//! op is `alloc_bytes_per_work` of the matching workload at seed 1.
 //!
 //! It profiles the two shapes of the wall-clock benchmark's steering
 //! workloads (constants copied from `benchmark/src/sim.rs`; that
@@ -19,7 +29,7 @@
 //! `[profile.release]` sets.
 //!
 //! Usage:
-//!   cargo run --release -p discover-bench --bin alloc_sites -- [--local] [--top N]
+//!   cargo run --release -p discover-bench --bin alloc_sites -- [--local] [--bytes] [--top N]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -40,31 +50,46 @@ use wire::{AppId, Privilege};
 /// One allocation in this many is attributed (a prime, so the sample
 /// does not lock onto a periodic allocation pattern).
 const SAMPLE_EVERY: u64 = 53;
+/// With `--bytes`, the size from which every allocation is attributed.
+const EVERY_FROM: usize = 1024;
 /// Frames that make up a site's key.
 const KEY_FRAMES: usize = 6;
 const SEED: u64 = 1;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Allocations seen below [`ATTRIBUTE_FROM`]: the sampled ones.
+    static SMALL: Cell<u64> = const { Cell::new(0) };
+    /// The size from which every allocation is attributed: none is,
+    /// unless `--bytes` lowers it to [`EVERY_FROM`].
+    static ATTRIBUTE_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
     /// Set while the measured window runs.
     static ARMED: Cell<bool> = const { Cell::new(false) };
     /// Set while a sample is being taken: capturing and storing a
     /// backtrace allocates, and those allocations are the profiler's.
     static SAMPLING: Cell<bool> = const { Cell::new(false) };
-    static SAMPLES: RefCell<Vec<(usize, Backtrace)>> = const { RefCell::new(Vec::new()) };
+    /// Per sample: bytes asked for, allocations it stands for, where.
+    static SAMPLES: RefCell<Vec<(usize, u64, Backtrace)>> = const { RefCell::new(Vec::new()) };
 }
 
 fn note(size: usize) {
     if !ARMED.with(Cell::get) || SAMPLING.with(Cell::get) {
         return;
     }
-    let n = ALLOCS.with(|c| c.replace(c.get() + 1));
-    if n.is_multiple_of(SAMPLE_EVERY) {
-        SAMPLING.with(|s| s.set(true));
-        let trace = Backtrace::force_capture();
-        SAMPLES.with(|s| s.borrow_mut().push((size, trace)));
-        SAMPLING.with(|s| s.set(false));
-    }
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + size as u64));
+    let weight = if size >= ATTRIBUTE_FROM.with(Cell::get) {
+        1
+    } else if SMALL.with(|c| c.replace(c.get() + 1)).is_multiple_of(SAMPLE_EVERY) {
+        SAMPLE_EVERY
+    } else {
+        return;
+    };
+    SAMPLING.with(|s| s.set(true));
+    let trace = Backtrace::force_capture();
+    SAMPLES.with(|s| s.borrow_mut().push((size, weight, trace)));
+    SAMPLING.with(|s| s.set(false));
 }
 
 /// The system allocator, counting and sampling what the armed thread
@@ -220,11 +245,13 @@ fn site_key(trace: &Backtrace) -> String {
 
 fn main() {
     let mut local = false;
+    let mut by_bytes = false;
     let mut top = 15usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--local" => local = true,
+            "--bytes" => by_bytes = true,
             "--top" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) => top = n,
                 None => {
@@ -233,7 +260,10 @@ fn main() {
                 }
             },
             other => {
-                eprintln!("error: unknown argument '{other}' (usage: alloc_sites [--local] [--top N])");
+                eprintln!(
+                    "error: unknown argument '{other}' \
+                     (usage: alloc_sites [--local] [--bytes] [--top N])"
+                );
                 std::process::exit(2);
             }
         }
@@ -244,38 +274,66 @@ fn main() {
     shape.collab.engine.run_until(start);
     let ops_before = total_ops(&shape.collab, &shape.portals);
 
+    if by_bytes {
+        ATTRIBUTE_FROM.with(|from| from.set(EVERY_FROM));
+    }
     ARMED.with(|a| a.set(true));
     shape.collab.engine.run_until(start + SimDuration::from_secs(shape.window));
     ARMED.with(|a| a.set(false));
 
     let ops = total_ops(&shape.collab, &shape.portals) - ops_before;
-    let allocs = ALLOCS.with(Cell::get);
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let samples = SAMPLES.with(RefCell::take);
-    // Per site: samples taken, bytes they asked for.
+    // Per site, estimated from its samples: allocations made, bytes
+    // asked for.
     let mut sites: HashMap<String, (u64, u64)> = HashMap::new();
-    for (size, trace) in &samples {
+    for (size, weight, trace) in &samples {
         let site = sites.entry(site_key(trace)).or_default();
-        site.0 += 1;
-        site.1 += *size as u64;
+        site.0 += weight;
+        site.1 += weight * *size as u64;
     }
+    let rank = |&(allocs, bytes): &(u64, u64)| if by_bytes { bytes } else { allocs };
     let mut sites: Vec<(String, (u64, u64))> = sites.into_iter().collect();
-    sites.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
+    sites.sort_by(|a, b| rank(&b.1).cmp(&rank(&a.1)).then_with(|| a.0.cmp(&b.0)));
+    let ranked: u64 = sites.iter().map(|(_, site)| rank(site)).sum();
 
-    println!(
-        "{name}-shaped, seed {SEED}: {ops} client ops answered in {} virtual s, {allocs} \
-         allocations = {:.2} per op; one in {SAMPLE_EVERY} attributed ({} samples, {} sites)",
-        shape.window,
-        allocs as f64 / ops as f64,
-        samples.len(),
-        sites.len(),
-    );
-    println!("{:>6}  {:>9}  {:>9}  site <- caller <- ...", "share", "allocs/op", "avg bytes");
-    for (site, (hits, bytes)) in sites.iter().take(top) {
+    let per_op = |n: u64| n as f64 / ops as f64;
+    print!("{name}-shaped, seed {SEED}: {ops} client ops answered in {} virtual s, ", shape.window);
+    if by_bytes {
         println!(
-            "{:>5.1}%  {:>9.2}  {:>9.0}  {site}",
-            100.0 * *hits as f64 / samples.len() as f64,
-            (hits * SAMPLE_EVERY) as f64 / ops as f64,
-            *bytes as f64 / *hits as f64,
+            "{bytes} bytes in {allocs} allocations = {:.0} B per op; every allocation of \
+             {EVERY_FROM} B or more and one in {SAMPLE_EVERY} of the rest attributed \
+             ({} samples, {} sites)",
+            per_op(bytes),
+            samples.len(),
+            sites.len(),
         );
+        println!("{:>6}  {:>9}  {:>9}  site <- caller <- ...", "share", "bytes/op", "allocs/op");
+    } else {
+        println!(
+            "{allocs} allocations = {:.2} per op; one in {SAMPLE_EVERY} attributed \
+             ({} samples, {} sites)",
+            per_op(allocs),
+            samples.len(),
+            sites.len(),
+        );
+        println!("{:>6}  {:>9}  {:>9}  site <- caller <- ...", "share", "allocs/op", "avg bytes");
+    }
+    for (site, counts) in sites.iter().take(top) {
+        let share = 100.0 * rank(counts) as f64 / ranked as f64;
+        let (site_allocs, site_bytes) = *counts;
+        if by_bytes {
+            println!(
+                "{share:>5.1}%  {:>9.0}  {:>9.2}  {site}",
+                per_op(site_bytes),
+                per_op(site_allocs)
+            );
+        } else {
+            println!(
+                "{share:>5.1}%  {:>9.2}  {:>9.0}  {site}",
+                per_op(site_allocs),
+                site_bytes as f64 / site_allocs as f64
+            );
+        }
     }
 }

@@ -17,6 +17,8 @@
 //! logs, which is both the reproducibility guarantee and the cheapest
 //! possible regression check.
 
+use std::sync::Arc;
+
 use appsim::{synthetic_app, DriverConfig};
 use discover_bench::fixtures::poll_period;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
@@ -103,10 +105,13 @@ pub struct UserObservation {
     /// Every `History` batch this portal received for the main app, in
     /// order (resume replays land here).
     pub history_fetches: Vec<Vec<LogRecord>>,
-    /// Every snapshot-aware `CatchUp` reply for the main app, in order:
-    /// arrival µs, served snapshot, tail records, next sequence.
-    pub catchup_fetches: Vec<(u64, Option<ArchiveSnapshot>, Vec<LogRecord>, u64)>,
+    /// Every snapshot-aware `CatchUp` reply for the main app, in order.
+    pub catchup_fetches: Vec<CatchUpObservation>,
 }
+
+/// One snapshot-aware `CatchUp` reply as a portal saw it: arrival µs,
+/// served snapshot (the host's own, shared), tail records, next sequence.
+pub type CatchUpObservation = (u64, Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64);
 
 /// The harvest of one scenario execution.
 #[derive(Clone, Debug)]
@@ -122,7 +127,7 @@ pub struct RunResult {
     /// The host's full application archive at the end of the run.
     pub host_archive: Vec<LogRecord>,
     /// The host's archive snapshots for the main app, in seq order.
-    pub host_snapshots: Vec<ArchiveSnapshot>,
+    pub host_snapshots: Vec<Arc<ArchiveSnapshot>>,
     /// The host's archive next-sequence for the main app at run end.
     pub host_next_seq: u64,
     /// Every `History` response the latecomer received, in order
@@ -493,7 +498,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
                 _ => None,
             })
             .collect();
-        let catchup_fetches: Vec<(u64, Option<ArchiveSnapshot>, Vec<LogRecord>, u64)> = p
+        let catchup_fetches: Vec<CatchUpObservation> = p
             .catchup_fetches
             .iter()
             .filter(|(_, a, _, _, _)| *a == app)

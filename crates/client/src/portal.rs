@@ -9,6 +9,7 @@
 //! (issue → OpDone observed), including the polling delay HTTP imposes.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use simnet::{names, Actor, Ctx, NodeId, SimDuration, SimTime, TraceContext};
 use wire::http::HttpRequest;
@@ -234,7 +235,7 @@ impl PortalConfig {
 /// One snapshot-aware catch-up reply as observed by a portal: arrival
 /// time, app, the snapshot ridden (if any), the delta tail, and the
 /// next sequence to read from.
-pub type CatchUpFetch = (SimTime, AppId, Option<ArchiveSnapshot>, Vec<LogRecord>, u64);
+pub type CatchUpFetch = (SimTime, AppId, Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64);
 
 /// The portal actor.
 pub struct Portal {
@@ -591,7 +592,7 @@ impl Portal {
                 if let Some(issued) = self.status_outstanding.pop_front() {
                     ctx.metrics().record(names::CLIENT_STATUS_LATENCY, at.since(issued));
                 }
-                self.status_reports.push((at, report.clone()));
+                self.status_reports.push((at, StatusReport::clone(report)));
             }
             ClientMessage::Response(ResponseBody::History { app, next_seq, .. }) => {
                 // Archive read cursor: the next suffix replay starts here.

@@ -23,6 +23,7 @@
 //! (see `ServerCore::recover_from_archive`).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use simnet::SimTime;
 use wire::{
@@ -79,8 +80,9 @@ fn compact_key(record: &LogRecord) -> Option<CompactKey> {
 pub struct Log {
     records: Vec<LogRecord>,
     next_seq: u64,
-    /// State snapshots at segment boundaries, ascending by `seq`.
-    snapshots: Vec<ArchiveSnapshot>,
+    /// State snapshots at segment boundaries, ascending by `seq`. Each
+    /// is written once and shared with every catch-up reply it rides.
+    snapshots: Vec<Arc<ArchiveSnapshot>>,
     /// Running fold of every record ever appended (compaction does not
     /// touch it): the state a full replay reconstructs.
     folded: FoldedAppState,
@@ -104,11 +106,11 @@ impl Log {
     /// Capture a snapshot at the current boundary (`next_seq`): the
     /// running fold covers exactly the records with `seq < next_seq`.
     fn take_snapshot(&mut self, at: SimTime) {
-        self.snapshots.push(ArchiveSnapshot {
+        self.snapshots.push(Arc::new(ArchiveSnapshot {
             seq: self.next_seq,
             at_us: at.as_micros(),
             state: self.folded.clone(),
-        });
+        }));
     }
 
     /// Close the segment `[segment_start, boundary)` and drop every
@@ -158,11 +160,11 @@ impl Log {
     /// behind it — the client adopts the snapshot's folded state and
     /// applies the tail, landing on the same state a full replay folds
     /// to. Otherwise a plain tail fetch from `since`.
-    pub fn catch_up(&self, since: u64) -> (Option<ArchiveSnapshot>, Vec<LogRecord>, u64) {
+    pub fn catch_up(&self, since: u64) -> (Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64) {
         match self.snapshots.iter().rev().find(|s| s.seq > since) {
             Some(snap) => {
                 let (records, next_seq) = self.fetch(snap.seq);
-                (Some(snap.clone()), records, next_seq)
+                (Some(Arc::clone(snap)), records, next_seq)
             }
             None => {
                 let (records, next_seq) = self.fetch(since);
@@ -187,7 +189,7 @@ impl Log {
     }
 
     /// The snapshot side-index, ascending by boundary sequence.
-    pub fn snapshots(&self) -> &[ArchiveSnapshot] {
+    pub fn snapshots(&self) -> &[Arc<ArchiveSnapshot>] {
         &self.snapshots
     }
 
@@ -297,7 +299,7 @@ impl ArchiveStore {
         &self,
         app: AppId,
         since: u64,
-    ) -> (Option<ArchiveSnapshot>, Vec<LogRecord>, u64) {
+    ) -> (Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64) {
         match self.app_logs.get(&app) {
             Some(log) => log.catch_up(since),
             None => (None, Vec::new(), 0),
@@ -638,7 +640,7 @@ mod tests {
                     );
                 }
                 let (snap, tail, next_seq) = store.catch_up_app(app(), 0);
-                let mut state = snap.map(|s| s.state).unwrap_or_default();
+                let mut state = snap.map(|s| s.state.clone()).unwrap_or_default();
                 state.apply_all(&tail);
                 prop_assert_eq!(
                     wire::codec::encode(&state),

@@ -30,6 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Write};
+use std::sync::Arc;
 
 use simnet::{names, Ctx, NodeId, TraceContext};
 use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, SessionTable, TcpCosts};
@@ -667,16 +668,17 @@ impl ServerCore {
             })
             .collect();
         apps.sort_by_key(|a| a.app);
-        let fifos: Vec<FifoStatusEntry> = self
-            .fifo_snapshot()
-            .into_iter()
-            .map(|(client, queued, peak, dropped, _enqueued)| FifoStatusEntry {
-                client,
-                queued: queued as u32,
-                peak: peak as u32,
-                dropped,
+        let mut fifos: Vec<FifoStatusEntry> = self
+            .fifos
+            .iter()
+            .map(|(client, fifo)| FifoStatusEntry {
+                client: *client,
+                queued: fifo.len() as u32,
+                peak: fifo.peak() as u32,
+                dropped: fifo.dropped(),
             })
             .collect();
+        fifos.sort_by_key(|f| f.client);
         StatusReport {
             server: self.config.addr,
             at_us,
@@ -1137,7 +1139,7 @@ impl ServerCore {
             // must be able to probe a node whose session plane is wedged.
             Some(ClientRequest::Status) => {
                 ctx.metrics().incr(names::SERVER_STATUS_REQUESTS);
-                let report = self.status_report(ctx.now().as_micros());
+                let report = Box::new(self.status_report(ctx.now().as_micros()));
                 return (200, None, vec![ClientMessage::Response(ResponseBody::Status(report))]);
             }
             request => request,
@@ -1277,7 +1279,7 @@ impl ServerCore {
         app: AppId,
         since: u64,
         kind: Replay,
-    ) -> (Option<wire::ArchiveSnapshot>, Vec<wire::LogRecord>, u64) {
+    ) -> (Option<Arc<wire::ArchiveSnapshot>>, Vec<wire::LogRecord>, u64) {
         let replayed = match kind {
             Replay::History => {
                 let (records, next_seq) = self.archive.fetch_app(app, since);
@@ -3076,6 +3078,26 @@ mod tests {
         assert_eq!(std::mem::size_of::<Effect>(), 96);
     }
 
+    /// Every update waits once per group member as a `ClientMessage` in
+    /// a FIFO slot, and is moved as one into the poll batch, the
+    /// response body and the portal's log.
+    #[test]
+    fn a_waiting_message_is_as_wide_as_its_hot_variants() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<FrozenUpdate>(), 32, "the variant that fills the FIFOs");
+        assert!(
+            size_of::<ResponseBody>() <= 88,
+            "{} bytes: a reply asked for a few times a session (`Status`, a `CatchUp` \
+             snapshot) hangs off a pointer; inline it sizes every slot",
+            size_of::<ResponseBody>()
+        );
+        assert!(
+            size_of::<ClientMessage>() <= 88,
+            "{} bytes: `ResponseBody`'s niche should hold the tag",
+            size_of::<ClientMessage>()
+        );
+    }
+
     /// A host with one session that selected the hosted `APP` (holding
     /// its lock) and the remote `REMOTE`, and a peer subscribed to `APP`.
     fn open_session(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) -> u64 {
@@ -3238,12 +3260,19 @@ mod tests {
             panic!("{:?}", bodies[0]);
         };
         let caught_up = body(&bodies[1][0]);
-        let ResponseBody::CatchUp { snapshot: Some(_), records: tail, .. } = &caught_up else {
+        let ResponseBody::CatchUp { snapshot: Some(shared), records: tail, .. } = &caught_up else {
             panic!("{caught_up:?}");
         };
         assert!(tail.len() < full.len() && full.ends_with(tail));
         assert!(matches!(body(&bodies[2][0]), ResponseBody::Resumed { .. }));
         assert_eq!(body(&bodies[2][1]), caught_up);
+        // Not a copy of it either: both replies point at the archive's own.
+        let ResponseBody::CatchUp { snapshot: Some(resumed), .. } = body(&bodies[2][1]) else {
+            panic!("{:?}", bodies[2]);
+        };
+        let archived = host.core.archive.app_log(APP).expect("archived").snapshots();
+        assert!(Arc::ptr_eq(shared, &resumed));
+        assert!(Arc::ptr_eq(shared, archived.last().expect("snapshots were taken")));
         // Cursor past the last snapshot: all three serve the plain suffix.
         let suffix = body(&bodies[3][0]);
         let ResponseBody::History { records, next_seq, .. } = suffix.clone() else {

@@ -22,10 +22,13 @@
 //! which inputs they reject.
 //!
 //! Three hot-path mechanisms keep broadcast fan-out cheap:
-//! * a per-thread **pooled encode buffer** ([`encode`] reuses one
-//!   `BytesMut` instead of allocating 64 bytes and growing every call,
-//!   and finalizes by *splitting* the exact-size contents off the pooled
-//!   buffer — a refcount handoff, not a copy),
+//! * a per-thread **pooled encode buffer** ([`encode`] fills a
+//!   `BytesMut` of the pool's capacity instead of starting at 64 bytes
+//!   and growing every call, and finalizes by *splitting* the contents
+//!   off it — no copy; with the `vendor/bytes` stand-in the whole `Vec`
+//!   leaves with the result and the pool is allocated a new one of that
+//!   capacity, so the result pins the pool's capacity, not its own
+//!   length),
 //! * a **raw-splice fast path** (the `SPLICE_TOKEN` newtype name)
 //!   letting pre-encoded payloads pass through the serializer verbatim,
 //!   so a payload frozen once is never walked again,
@@ -54,8 +57,10 @@ use serde::ser::{self, Serialize};
 /// to serializing the payload inline.
 pub(crate) const SPLICE_TOKEN: &str = "\0dbp-splice";
 
-/// Initial capacity of pooled encode buffers: large enough that steady
-/// state never grows (a typical update message is well under 1 KiB).
+/// Initial capacity of pooled encode buffers: large enough that a
+/// typical update message (well under 1 KiB) never grows one. It is also
+/// what every [`encode`] allocates and every result holds on to, until a
+/// larger message has grown the pool's buffer: from then on, that.
 const POOL_BUF_CAPACITY: usize = 1024;
 
 /// Errors produced by the codec.
@@ -113,14 +118,14 @@ pub struct CodecStats {
     /// Pre-encoded payloads spliced verbatim into an outer walk — each
     /// one is a traversal of the payload that did NOT happen.
     pub payload_splices: u64,
-    /// Encode calls served by the pooled buffer.
+    /// Encode calls that found a buffer in the pool.
     pub pool_hits: u64,
-    /// Encode calls that had to allocate a buffer (first use per thread,
-    /// or re-entrant encodes).
+    /// Encode calls that found the pool empty (first use per thread, or
+    /// re-entrant encodes) and started from a 1 KiB buffer.
     pub pool_misses: u64,
     /// Bytes memcpy'd to finalize an [`encode`] output buffer. The
-    /// split-off-the-pool path hands the filled buffer away by refcount,
-    /// so this stays zero; any nonzero value means a copying finalizer
+    /// split-off-the-pool path hands the filled buffer away whole, so
+    /// this stays zero; any nonzero value means a copying finalizer
     /// crept back in (asserted in `codec_properties`).
     pub encode_copy_bytes: u64,
     /// Frozen payloads whose bytes were captured during decode (no
@@ -190,10 +195,13 @@ const INFALLIBLE: &str = "DBP serialization is infallible for wire types";
 /// Serialize `value` to bytes using this thread's pooled buffer.
 ///
 /// The pooled `BytesMut` is cleared, filled by a single serializer walk,
-/// then *split*: the filled prefix is handed off by refcount as the
-/// exact-size immutable [`Bytes`] result (no finalizing memcpy — see
-/// [`CodecStats::encode_copy_bytes`]), while the buffer keeps its
-/// capacity and returns to the pool warm.
+/// then *split*: the contents leave as the immutable [`Bytes`] result
+/// without a finalizing memcpy (see [`CodecStats::encode_copy_bytes`]).
+/// The `vendor/bytes` stand-in has no shared-buffer split, so the result
+/// takes the buffer's whole `Vec` — its length is exact, its allocation
+/// is the pool's capacity — and the pool gets a newly allocated `Vec` of
+/// that capacity back: one pool-sized allocation per call (DESIGN.md §8,
+/// "Why `encode` still gives its pool buffer away").
 pub fn encode<T: Serialize>(value: &T) -> Bytes {
     let mut buf = match POOL.with(|p| p.take()) {
         Some(b) => {

@@ -14,6 +14,8 @@
 //!   and `CorbaProxy` servants, plus the Control channel events and the
 //!   Naming/Trader directory operations.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{AppId, AppToken, ClientId, ObjectRef, Privilege, RequestId, ServerAddr, UserId};
@@ -504,8 +506,10 @@ pub enum ResponseBody {
         /// Applications still selected for this session.
         apps: Vec<AppId>,
     },
-    /// Live status snapshot (reply to [`ClientRequest::Status`]).
-    Status(StatusReport),
+    /// Live status snapshot (reply to [`ClientRequest::Status`]). Boxed:
+    /// an operator asks for it a few times a session, and inline its
+    /// 168 bytes would size every slot a [`ClientMessage`] waits in.
+    Status(Box<StatusReport>),
     /// Snapshot-aware catch-up reply (reply to [`ClientRequest::CatchUp`]):
     /// the nearest archived snapshot at or after the client's cursor, if
     /// one helps, plus the delta records behind it. A client folds the
@@ -516,8 +520,10 @@ pub enum ResponseBody {
         app: AppId,
         /// Nearest usable state snapshot (`None` = the tail alone covers
         /// the request, e.g. the client's cursor is already past the
-        /// latest snapshot).
-        snapshot: Option<ArchiveSnapshot>,
+        /// latest snapshot). Shared with the archive that took it and
+        /// with every other latecomer it is served to: written once,
+        /// never cloned.
+        snapshot: Option<Arc<ArchiveSnapshot>>,
         /// Delta records from the snapshot boundary (or from `since`)
         /// onward.
         records: Vec<LogRecord>,
@@ -1520,14 +1526,14 @@ mod tests {
         assert_eq!(decode::<ClientRequest>(&encode(&req)).unwrap(), req);
         let resp = ResponseBody::CatchUp {
             app,
-            snapshot: Some(ArchiveSnapshot {
+            snapshot: Some(Arc::new(ArchiveSnapshot {
                 seq: 64,
                 at_us: 1_000_000,
                 state: FoldedAppState {
                     lock_holder: Some(UserId::new("vijay")),
                     ..FoldedAppState::default()
                 },
-            }),
+            })),
             records: vec![LogRecord {
                 seq: 64,
                 at_us: 1_000_100,

@@ -5,6 +5,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use serde::Serialize;
@@ -15,9 +16,11 @@ use wire::codec::{
 use wire::giop::{GiopBody, GiopFrame, GiopKind};
 use wire::http::{HttpMethod, HttpRequest, HttpResponse};
 use wire::{
-    AppCommand, AppId, AppOp, AppPhase, AppStatus, ClientMessage, ClientRequest, DeadlineStamp,
-    Envelope, ErrorCode, FrozenUpdate, LogEntry, LogRecord, Name, ObjectKey, PeerMsg, Priority,
-    Privilege, ResponseBody, ServerAddr, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
+    AppCommand, AppId, AppOp, AppPhase, AppStatus, AppStatusEntry, ArchiveSnapshot, ClientId,
+    ClientMessage, ClientRequest, DeadlineStamp, DirPlaneStatus, Envelope, ErrorCode,
+    FifoStatusEntry, FoldedAppState, FrozenUpdate, InteractionSpec, LogEntry, LogRecord, Name,
+    ObjectKey, OpOutcome, PeerMsg, PeerStatusEntry, Priority, Privilege, ResponseBody, ServerAddr,
+    StatusReport, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -74,7 +77,7 @@ fn status_strategy() -> impl Strategy<Value = AppStatus> {
 
 fn update_strategy() -> impl Strategy<Value = UpdateBody> {
     prop_oneof![
-        (app_id_strategy(), status_strategy(), prop::collection::vec(("[a-z]{1,8}", value_strategy()), 0..4))
+        (app_id_strategy(), status_strategy(), readings_strategy())
             .prop_map(|(app, status, readings)| UpdateBody::AppStatus { app, status, readings }),
         (app_id_strategy(), "[a-z_]{1,12}", value_strategy(), user_strategy())
             .prop_map(|(app, name, value, by)| UpdateBody::ParamChanged { app, name, value, by }),
@@ -106,6 +109,145 @@ fn request_strategy() -> impl Strategy<Value = ClientRequest> {
     ]
 }
 
+fn readings_strategy() -> impl Strategy<Value = Vec<(String, Value)>> {
+    prop::collection::vec(("[a-z]{1,8}", value_strategy()), 0..4)
+}
+
+fn status_report_strategy() -> impl Strategy<Value = StatusReport> {
+    let app = (
+        app_id_strategy(),
+        "[a-z-]{1,16}",
+        status_strategy(),
+        prop::option::of(user_strategy()),
+        any::<u32>(),
+        any::<u64>(),
+    )
+        .prop_map(|(app, name, status, lock_holder, buffered, n)| AppStatusEntry {
+            app,
+            name,
+            phase: status.phase,
+            lock_holder,
+            buffered,
+            shed_total: n,
+            archive_records: n.rotate_left(7),
+            archive_snapshots: buffered.rotate_left(3),
+            archive_compacted: n >> 3,
+            db_records: !n,
+        });
+    let fifo = (0u32..1000, any::<u32>(), any::<u32>(), any::<u64>()).prop_map(
+        |(seq, queued, peak, dropped)| FifoStatusEntry {
+            client: ClientId { server: ServerAddr(1), seq },
+            queued,
+            peak,
+            dropped,
+        },
+    );
+    let peer = (0u32..1000, "[a-z]{2,7}", "[a-z-]{4,9}")
+        .prop_map(|(p, health, breaker)| PeerStatusEntry { peer: ServerAddr(p), health, breaker });
+    (
+        (0u32..1000, any::<u64>(), any::<u32>(), any::<u32>(), any::<u64>()),
+        prop::collection::vec(app, 0..3),
+        prop::collection::vec(fifo, 0..5),
+        prop::collection::vec(peer, 0..3),
+    )
+        .prop_map(|((server, at_us, sessions, shards, n), apps, fifos, peers)| StatusReport {
+            server: ServerAddr(server),
+            at_us,
+            sessions_active: sessions,
+            sessions_parked: sessions >> 4,
+            admission_in_flight: sessions.rotate_left(9),
+            fifo_dropped: n,
+            shed_total: n.rotate_left(11),
+            apps,
+            fifos,
+            peers,
+            recovered_apps: shards >> 8,
+            recoveries: n >> 60,
+            dir_plane: DirPlaneStatus {
+                shards,
+                ring_epoch: n >> 32,
+                cache_hits: n.rotate_left(21),
+                cache_misses: n.rotate_left(33),
+                cache_invalidations: n.rotate_left(45),
+            },
+        })
+}
+
+fn snapshot_strategy() -> impl Strategy<Value = ArchiveSnapshot> {
+    (
+        (any::<u64>(), any::<u64>(), any::<bool>()),
+        prop::option::of(status_strategy()),
+        readings_strategy(),
+        readings_strategy(),
+        prop::option::of(user_strategy()),
+        prop::collection::vec(user_strategy(), 0..4),
+    )
+        .prop_map(|((seq, n, closed), status, readings, params, lock_holder, members)| {
+            ArchiveSnapshot {
+                seq,
+                at_us: n,
+                state: FoldedAppState {
+                    status,
+                    readings,
+                    params,
+                    lock_holder,
+                    members,
+                    closed,
+                    event_records: n >> 40,
+                    event_digest: n.rotate_left(17),
+                },
+            }
+        })
+}
+
+fn outcome_strategy() -> impl Strategy<Value = OpOutcome> {
+    prop_oneof![
+        status_strategy().prop_map(OpOutcome::Status),
+        ("[a-z_]{1,16}", value_strategy()).prop_map(|(n, v)| OpOutcome::Param(n, v)),
+        ("[a-z_]{1,16}", value_strategy()).prop_map(|(n, v)| OpOutcome::ParamSet(n, v)),
+        readings_strategy().prop_map(OpOutcome::Sensors),
+        command_strategy().prop_map(OpOutcome::CommandDone),
+    ]
+}
+
+fn interface_strategy() -> impl Strategy<Value = InteractionSpec> {
+    (
+        prop::collection::vec(("[a-z_]{1,12}", "[a-z0-9]{1,6}", value_strategy()), 0..4),
+        prop::collection::vec("[a-z_]{1,12}", 0..4),
+        prop::collection::vec(command_strategy(), 0..5),
+    )
+        .prop_map(|(params, sensors, commands)| InteractionSpec { params, sensors, commands })
+}
+
+/// The replies a portal is sent one at a time (a poll batch nests them):
+/// the two whose payload hangs off a pointer, the widest one left
+/// inline (`AppSelected`), and the ones an op, a lock request and a
+/// replay end on.
+fn reply_strategy() -> impl Strategy<Value = ResponseBody> {
+    let records = || prop::collection::vec(log_record_strategy(), 0..4);
+    prop_oneof![
+        status_report_strategy().prop_map(|report| ResponseBody::Status(Box::new(report))),
+        (app_id_strategy(), prop::option::of(snapshot_strategy()), records(), any::<u64>())
+            .prop_map(|(app, snapshot, records, next_seq)| ResponseBody::CatchUp {
+                app,
+                snapshot: snapshot.map(Arc::new),
+                records,
+                next_seq,
+            }),
+        (app_id_strategy(), records(), any::<u64>())
+            .prop_map(|(app, records, next_seq)| ResponseBody::History { app, records, next_seq }),
+        (app_id_strategy(), outcome_strategy())
+            .prop_map(|(app, outcome)| ResponseBody::OpDone { app, outcome }),
+        (app_id_strategy(), interface_strategy(), 0u8..3).prop_map(|(app, interface, p)| {
+            let privilege =
+                [Privilege::ReadOnly, Privilege::ReadWrite, Privilege::Steer][p as usize];
+            ResponseBody::AppSelected { app, interface, privilege }
+        }),
+        (app_id_strategy(), prop::option::of(user_strategy()))
+            .prop_map(|(app, holder)| ResponseBody::LockDenied { app, holder }),
+    ]
+}
+
 fn client_message_strategy() -> impl Strategy<Value = ClientMessage> {
     let leaf = prop_oneof![
         update_strategy().prop_map(ClientMessage::update),
@@ -125,6 +267,7 @@ fn client_message_strategy() -> impl Strategy<Value = ClientMessage> {
             ClientMessage::Error(WireError::new(code, detail))
         }),
         Just(ClientMessage::Response(ResponseBody::LogoutOk)),
+        reply_strategy().prop_map(ClientMessage::Response),
     ];
     // One level of Batch nesting exercises recursive encoding.
     prop_oneof![
@@ -154,11 +297,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
-/// Frozen payloads directly inside `m` (the strategy nests one level).
+/// Frozen payloads inside `m`: the update itself, the updates among a
+/// replay's records, and (the strategy nests one level) a batch's.
 fn frozen_in(m: &ClientMessage) -> u64 {
     match m {
         ClientMessage::Update(_) => 1,
         ClientMessage::Response(ResponseBody::Batch(items)) => items.iter().map(frozen_in).sum(),
+        ClientMessage::Response(
+            ResponseBody::History { records, .. } | ResponseBody::CatchUp { records, .. },
+        ) => records.iter().filter(|r| matches!(r.entry, LogEntry::Update(_))).count() as u64,
         _ => 0,
     }
 }
@@ -787,4 +934,223 @@ fn name_encodings_pinned_from_the_string_days() {
 fn a_name_is_no_wider_than_a_string() {
     assert!(std::mem::size_of::<Name>() <= std::mem::size_of::<String>());
     assert_eq!(std::mem::size_of::<Option<UserId>>(), std::mem::size_of::<Name>());
+}
+
+/// A box and a shared pointer add nothing to the encoding, whichever
+/// way the value goes.
+#[test]
+fn a_box_and_an_arc_encode_as_what_they_point_to() {
+    let report = golden_status_report();
+    let bytes = encode(&report);
+    assert_eq!(encode(&Box::new(report.clone())), bytes);
+    assert_eq!(encode(&Arc::new(report.clone())), bytes);
+    assert_eq!(encoded_len(&Arc::new(report.clone())), bytes.len());
+    assert_eq!(digest_fnv1a(&Box::new(report.clone())), digest_fnv1a(&report));
+    assert_eq!(*decode::<Box<StatusReport>>(&bytes).unwrap(), report);
+    assert_eq!(*decode::<Arc<StatusReport>>(&bytes).unwrap(), report);
+    let snapshot = Some(golden_snapshot());
+    let shared = decode::<Option<Arc<ArchiveSnapshot>>>(&encode(&snapshot)).unwrap();
+    assert_eq!(shared.as_deref(), snapshot.as_ref());
+    assert_eq!(encode(&shared), encode(&snapshot));
+}
+
+fn golden_status_report() -> StatusReport {
+    let app = AppId { server: ServerAddr(2), seq: 7 };
+    StatusReport {
+        server: ServerAddr(2),
+        at_us: 1_234_567,
+        sessions_active: 3,
+        sessions_parked: 1,
+        admission_in_flight: 2,
+        fifo_dropped: 5,
+        shed_total: 4,
+        apps: vec![AppStatusEntry {
+            app,
+            name: "ipars-oil-reservoir".into(),
+            phase: AppPhase::Interacting,
+            lock_holder: Some(UserId::new("vijay")),
+            buffered: 1,
+            shed_total: 4,
+            archive_records: 130,
+            archive_snapshots: 2,
+            archive_compacted: 17,
+            db_records: 9,
+        }],
+        fifos: vec![
+            FifoStatusEntry {
+                client: ClientId { server: ServerAddr(2), seq: 1 },
+                queued: 12,
+                peak: 40,
+                dropped: 5,
+            },
+            FifoStatusEntry {
+                client: ClientId { server: ServerAddr(2), seq: 2 },
+                queued: 0,
+                peak: 3,
+                dropped: 0,
+            },
+        ],
+        peers: vec![PeerStatusEntry {
+            peer: ServerAddr(1),
+            health: "up".into(),
+            breaker: "closed".into(),
+        }],
+        recovered_apps: 1,
+        recoveries: 1,
+        dir_plane: DirPlaneStatus {
+            shards: 4,
+            ring_epoch: 3,
+            cache_hits: 100,
+            cache_misses: 7,
+            cache_invalidations: 2,
+        },
+    }
+}
+
+fn golden_snapshot() -> ArchiveSnapshot {
+    ArchiveSnapshot {
+        seq: 128,
+        at_us: 9_000_000,
+        state: FoldedAppState {
+            status: Some(AppStatus { phase: AppPhase::Computing, iteration: 640, progress: 0.5 }),
+            readings: vec![
+                ("pressure".into(), Value::Float(101.25)),
+                ("wells".into(), Value::Int(12)),
+            ],
+            params: vec![("inject_rate".into(), Value::Float(2.5))],
+            lock_holder: Some(UserId::new("vijay")),
+            members: vec![UserId::new("manish"), UserId::new("vijay")],
+            closed: false,
+            event_records: 31,
+            event_digest: 0x0123_4567_89ab_cdef,
+        },
+    }
+}
+
+fn golden_tail() -> Vec<LogRecord> {
+    let app = AppId { server: ServerAddr(2), seq: 7 };
+    vec![
+        LogRecord {
+            seq: 128,
+            at_us: 9_000_100,
+            user: Some(UserId::new("vijay")),
+            entry: LogEntry::Request(AppOp::GetSensors),
+        },
+        LogRecord {
+            seq: 129,
+            at_us: 9_000_200,
+            user: None,
+            entry: LogEntry::Update(FrozenUpdate::new(UpdateBody::Chat {
+                app,
+                from: UserId::new("manish"),
+                text: "look at well 3".into(),
+            })),
+        },
+    ]
+}
+
+fn golden_interface() -> InteractionSpec {
+    InteractionSpec {
+        params: vec![("inject_rate".into(), "f64".into(), Value::Float(2.5))],
+        sensors: vec!["pressure".into(), "wells".into()],
+        commands: vec![AppCommand::Pause, AppCommand::Checkpoint],
+    }
+}
+
+/// Encodings captured at the last commit that held `StatusReport` and
+/// `ArchiveSnapshot` inline in `ResponseBody`: moving a payload behind a
+/// pointer moved no byte, so no `wire_size()`, cost-model charge or
+/// schedule moved either. `AppSelected` is pinned for the day its
+/// `InteractionSpec` follows.
+#[test]
+fn reply_encodings_pinned_from_the_inline_days() {
+    const STATUS: (&[u8], u64) = (
+        &[
+            0, 0, 0, 0, 16, 0, 0, 0, 2, 0, 0, 0, 135, 214, 18, 0, 0, 0, 0, 0, 3, 0, 0,
+            0, 1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 19, 0, 0, 0, 105, 112, 97, 114, 115, 45,
+            111, 105, 108, 45, 114, 101, 115, 101, 114, 118, 111, 105, 114, 1, 0, 0, 0,
+            1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
+            130, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0,
+            0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 12, 0, 0, 0, 40, 0, 0, 0, 5,
+            0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 117, 112, 6, 0, 0, 0,
+            99, 108, 111, 115, 101, 100, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0,
+            3, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2,
+            0, 0, 0, 0, 0, 0, 0,
+        ],
+        0x6913_40ec_3acc_6be9,
+    );
+    const CATCH_UP_WITH_SNAPSHOT: (&[u8], u64) = (
+        &[
+            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 128, 0, 0, 0, 0, 0, 0,
+            0, 64, 84, 137, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 128, 2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 224, 63, 2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101, 115, 115,
+            117, 114, 101, 2, 0, 0, 0, 0, 0, 0, 0, 0, 80, 89, 64, 5, 0, 0, 0, 119, 101,
+            108, 108, 115, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
+            105, 110, 106, 101, 99, 116, 95, 114, 97, 116, 101, 2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 4, 64, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 2, 0, 0, 0, 6, 0, 0, 0,
+            109, 97, 110, 105, 115, 104, 5, 0, 0, 0, 118, 105, 106, 97, 121, 0, 31, 0,
+            0, 0, 0, 0, 0, 0, 239, 205, 171, 137, 103, 69, 35, 1, 2, 0, 0, 0, 128, 0, 0,
+            0, 0, 0, 0, 0, 164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106,
+            97, 121, 0, 0, 0, 0, 3, 0, 0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0,
+            0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109,
+            97, 110, 105, 115, 104, 14, 0, 0, 0, 108, 111, 111, 107, 32, 97, 116, 32,
+            119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
+        ],
+        0x567e_49ee_c2fe_a116,
+    );
+    const CATCH_UP_BARE: (&[u8], u64) = (
+        &[
+            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 128, 0, 0,
+            0, 0, 0, 0, 0, 164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106,
+            97, 121, 0, 0, 0, 0, 3, 0, 0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0,
+            0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109,
+            97, 110, 105, 115, 104, 14, 0, 0, 0, 108, 111, 111, 107, 32, 97, 116, 32,
+            119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
+        ],
+        0x6ca5_4c4b_9769_d211,
+    );
+    const APP_SELECTED: (&[u8], u64) = (
+        &[
+            0, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
+            105, 110, 106, 101, 99, 116, 95, 114, 97, 116, 101, 3, 0, 0, 0, 102, 54, 52,
+            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 64, 2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101,
+            115, 115, 117, 114, 101, 5, 0, 0, 0, 119, 101, 108, 108, 115, 2, 0, 0, 0, 0,
+            0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0,
+        ],
+        0xecba_87ea_3722_fb08,
+    );
+    let app = AppId { server: ServerAddr(2), seq: 7 };
+    let replies = [
+        (ResponseBody::Status(Box::new(golden_status_report())), STATUS),
+        (
+            ResponseBody::CatchUp {
+                app,
+                snapshot: Some(Arc::new(golden_snapshot())),
+                records: golden_tail(),
+                next_seq: 130,
+            },
+            CATCH_UP_WITH_SNAPSHOT,
+        ),
+        (
+            ResponseBody::CatchUp { app, snapshot: None, records: golden_tail(), next_seq: 130 },
+            CATCH_UP_BARE,
+        ),
+        (
+            ResponseBody::AppSelected {
+                app,
+                interface: golden_interface(),
+                privilege: Privilege::Steer,
+            },
+            APP_SELECTED,
+        ),
+    ];
+    for (reply, (bytes, digest)) in replies {
+        let message = ClientMessage::Response(reply);
+        assert_eq!(&encode(&message)[..], bytes, "{message:?}");
+        assert_eq!(encoded_len(&message), bytes.len());
+        assert_eq!(digest_fnv1a(&message), digest);
+        assert_eq!(decode::<ClientMessage>(bytes).unwrap(), message);
+    }
 }

@@ -1,5 +1,6 @@
 //! Allocation budgets of the per-message paths, pinned in tier-1: what a
-//! status update costs its host and what an empty poll costs, counted by
+//! status update costs its host, what an empty poll and a latecomer's
+//! catch-up cost, and how many bytes a queued update holds, counted by
 //! this test's own allocator. An integration test is a crate of its own,
 //! so the counting allocator — and its `unsafe` — stay out of the
 //! library crates. Counters are thread-local: each test runs on its own
@@ -8,44 +9,58 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
-use discover_server::{ServerConfig, StandaloneServer};
+use discover_server::{ArchiveStore, ServerConfig, StandaloneServer};
 use simnet::{names, Actor, Ctx, Engine, LinkSpec, NodeId, SimDuration, SimTime};
 use wire::codec::{decode, encode};
 use wire::giop::GiopFrame;
 use wire::http::{paths, HttpRequest};
 use wire::tcp::TcpFrame;
 use wire::{
-    AppId, AppMsg, AppPhase, AppStatus, AppToken, Channel, ClientRequest, Content, Envelope,
-    InteractionSpec, ObjectKey, PeerMsg, Privilege, ServerAddr, UserId, Value,
+    AppId, AppMsg, AppPhase, AppStatus, AppToken, Channel, ClientMessage, ClientRequest, Content,
+    Envelope, FrozenUpdate, InteractionSpec, LogEntry, ObjectKey, PeerMsg, Privilege, ServerAddr,
+    UpdateBody, UserId, Value,
 };
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: requested and not yet given back.
+    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting `alloc` + `realloc` calls per thread.
+/// One more call that hands out memory; the thread's holdings go from
+/// `old` bytes (of the block it replaces, if any) to `new`.
+fn count(old: usize, new: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    LIVE_BYTES.with(|c| c.set(c.get().wrapping_sub(old).wrapping_add(new)));
+}
+
+/// The system allocator, counting `alloc` + `realloc` calls and the
+/// bytes held, per thread.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only added work is a
-// thread-local `Cell<u64>` update with a constant initialiser, which
-// neither allocates nor unwinds.
+// which upholds the `GlobalAlloc` contract; the only added work is
+// updates of thread-local `Cell`s with constant initialisers, which
+// neither allocate nor unwind (the byte count wraps: a block may be
+// given back by another thread than the one that asked for it).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(0, layout.size());
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.with(|c| c.set(c.get().wrapping_sub(layout.size())));
         // SAFETY: `ptr` was returned by this allocator for `layout`,
         // i.e. by `System` (the caller's contract).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size(), new_size);
         // SAFETY: `ptr`/`layout` come from this allocator, i.e. from
         // `System`; `new_size` is the caller's, passed through unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,6 +75,13 @@ fn allocations<T>(work: impl FnOnce() -> T) -> u64 {
     let before = ALLOCS.with(Cell::get);
     black_box(work());
     ALLOCS.with(Cell::get) - before
+}
+
+/// Bytes this thread holds after `work` that it did not hold before.
+fn bytes_kept(work: impl FnOnce()) -> usize {
+    let before = LIVE_BYTES.with(Cell::get);
+    work();
+    LIVE_BYTES.with(Cell::get).wrapping_sub(before)
 }
 
 const ADDR: ServerAddr = ServerAddr(1);
@@ -211,4 +233,53 @@ fn an_empty_poll_copies_neither_user_nor_path() {
     // with the portal's path `String` and the session's user `String`.
     let per_poll = steady_allocations_per(names::SERVER_POLL_REQUESTS, true);
     assert!(per_poll <= 1.0, "{per_poll} allocations per empty poll");
+}
+
+/// A status update with two sensor readings, frozen once.
+fn status_update(iteration: u64) -> FrozenUpdate {
+    FrozenUpdate::new(UpdateBody::AppStatus {
+        app: APP,
+        status: AppStatus { phase: AppPhase::Computing, iteration, progress: 0.5 },
+        readings: vec![
+            ("residual".to_string(), Value::Float(iteration as f64)),
+            ("energy".to_string(), Value::Float(0.25)),
+        ],
+    })
+}
+
+#[test]
+fn latecomers_share_the_snapshot_they_catch_up_from() {
+    let mut archive = ArchiveStore::new();
+    archive.snapshot_every = Some(8);
+    for i in 0..20 {
+        let entry = LogEntry::Update(status_update(i));
+        archive.log_app(APP, SimTime::from_millis(i), None, entry);
+    }
+    let (first, tail, _) = archive.catch_up_app(APP, 0);
+    let first = first.expect("two snapshots were taken");
+    assert_eq!((first.seq, tail.len()), (16, 4));
+    assert_eq!(first.state.readings.len(), 2, "state a deep copy would allocate for");
+    let mut second = None;
+    // Measured 1, the tail's `Vec` (its records are frozen updates:
+    // reference counts); at the parent 4, with the folded state's
+    // readings — a `Vec` and a name each — copied per latecomer.
+    let served = allocations(|| second = archive.catch_up_app(APP, 0).0);
+    assert!(Arc::ptr_eq(&first, &second.expect("the same snapshot")));
+    assert_eq!(served, 1, "allocations to serve a second latecomer");
+}
+
+#[test]
+fn a_queued_update_holds_one_slot_of_88_bytes() {
+    let update = status_update(1);
+    let mut fifo = webserv::FifoBuffer::new(4096);
+    let held = bytes_kept(|| {
+        for _ in 0..1000 {
+            fifo.push(ClientMessage::Update(update.clone()));
+        }
+    });
+    // Measured 90 112: a `VecDeque` doubles, so a thousand slots are
+    // 1 024 of them, and the update itself is shared. At the parent
+    // 204 800, each slot as wide as an inline status page (200 bytes).
+    assert_eq!(fifo.len(), 1000);
+    assert!(held <= 1024 * 88, "{held} bytes held by 1000 queued updates");
 }
