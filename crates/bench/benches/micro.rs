@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use discover_server::{ServerConfig, ServerCore};
-use simnet::{names, Actor, Ctx, Engine, Metrics, MetricsRegistry, NodeId, SimDuration, Stats};
+use simnet::{names, Actor, Ctx, Engine, MetricsRegistry, NodeId, SimDuration};
 use wire::http::{HttpRequest, HttpResponse};
 use wire::tcp::TcpFrame;
 use wire::{
@@ -86,20 +86,13 @@ fn bench_http(c: &mut Criterion) {
 }
 
 /// What `ctx.metrics().incr(..)` costs inside a handler late in a run:
-/// the run-wide sink and the node registry already hold every `names::*`
-/// key and the keys of a dozen link labels. (Against a sink holding one
-/// key, a name-keyed tree and a slot table read alike.)
+/// the node's registry, the one store a write lands in, already holds
+/// every `names::*` key. (Against a sink holding one key, a name-keyed
+/// tree and a slot table read alike.)
 fn bench_metrics(c: &mut Criterion) {
-    let mut global = Stats::new();
     let mut node = MetricsRegistry::new("server0");
     for key in names::ALL {
-        global.incr(key);
         node.incr_dynamic(key);
-    }
-    for label in 0..12 {
-        for what in ["msgs", "bytes", "dropped", "partitioned"] {
-            global.incr(&format!("link.l{label}.{what}"));
-        }
     }
     const HOT: [simnet::CounterDef; 4] = [
         names::WEBSERV_FIFO_ENQUEUED,
@@ -111,9 +104,8 @@ fn bench_metrics(c: &mut Criterion) {
     g.throughput(Throughput::Elements(HOT.len() as u64));
     g.bench_function("metrics_incr_populated", |b| {
         b.iter(|| {
-            let mut metrics = Metrics::new(&mut global, &mut node);
             for counter in HOT {
-                metrics.incr(black_box(counter));
+                node.incr(black_box(counter));
             }
         })
     });

@@ -25,7 +25,7 @@ use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{
     CacheEvent, CollaboratoryBuilder, DiscoverNode, DiscoveryCacheConfig, ServerHandle,
 };
-use simnet::{FaultPlan, FlightConfig, HistoryEvent, LinkSpec, SimDuration, SimTime};
+use simnet::{names, FaultPlan, FlightConfig, HistoryEvent, LinkSpec, SimDuration, SimTime};
 use wire::{
     AppCommand, AppId, AppOp, ArchiveSnapshot, ClientMessage, ClientRequest, ErrorCode, LogRecord,
     Privilege, ResponseBody, UserId, Value,
@@ -630,16 +630,15 @@ pub fn run(scenario: &Scenario) -> RunResult {
         run_log.push_str("--- discovery ---\n");
         for (i, &srv) in servers.iter().enumerate() {
             if let Some(n) = c.node(srv) {
-                let cache = n.substrate.discovery_cache();
-                let st = cache.stats;
+                let count = |def| c.engine.node_metrics(srv.node).counter(def);
                 run_log.push_str(&format!(
                     "s{i} cache: hits={} neg={} misses={} expired={} inval={} events={}\n",
-                    st.hits,
-                    st.negative_hits,
-                    st.misses,
-                    st.expired,
-                    st.invalidations,
-                    cache.events.len(),
+                    count(names::SUBSTRATE_CACHE_HITS),
+                    count(names::SUBSTRATE_CACHE_NEG_HITS),
+                    count(names::SUBSTRATE_CACHE_MISSES),
+                    count(names::SUBSTRATE_CACHE_EXPIRED),
+                    count(names::SUBSTRATE_CACHE_INVALIDATIONS),
+                    n.substrate.discovery_cache().events.len(),
                 ));
             }
         }

@@ -13,8 +13,10 @@
 //!   entry immediately, riding the same plumbing that already drops the
 //!   substrate's failover routes.
 //!
-//! Every transition can be recorded into an append-only event log
-//! (enabled by the check harness, off for benches) which the
+//! The cache counts nothing itself: the substrate counts each lookup
+//! outcome and invalidation as `substrate.cache.*` in its node's metrics
+//! registry. Every transition can be recorded into an append-only event
+//! log (enabled by the check harness, off for benches) which the
 //! `discovery` oracle replays: an invalidated generation must never be
 //! served again, and no hit may land past its entry's expiry.
 
@@ -84,35 +86,6 @@ pub struct CacheEvent {
     pub expires: SimTime,
 }
 
-/// Aggregate counters, mirrored into the node metrics registry and the
-/// status report.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// Fresh positive entries served.
-    pub hits: u64,
-    /// Fresh negative entries served.
-    pub negative_hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Lookups that found only an expired entry.
-    pub expired: u64,
-    /// Explicit invalidations.
-    pub invalidations: u64,
-}
-
-impl CacheStats {
-    /// Hit rate over all lookups (1.0 for an untouched cache).
-    pub fn hit_rate(&self) -> f64 {
-        let served = self.hits + self.negative_hits;
-        let total = served + self.misses + self.expired;
-        if total == 0 {
-            1.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 struct Entry {
     /// `Some(addr)` = the app resolves to `addr`; `None` = negative
@@ -142,8 +115,6 @@ pub struct DiscoveryCache {
     generations: BTreeMap<String, u64>,
     /// Event log (only when [`DiscoveryCacheConfig::record`] is set).
     pub events: Vec<CacheEvent>,
-    /// Aggregate counters.
-    pub stats: CacheStats,
     record: bool,
 }
 
@@ -160,7 +131,7 @@ impl DiscoveryCache {
         }
     }
 
-    /// Look up `key` at time `now`, counting the outcome.
+    /// Look up `key` at time `now`.
     pub fn lookup(&mut self, now: SimTime, key: &str) -> Lookup {
         match self.entries.get(key) {
             Some(e) if now < e.expires => {
@@ -169,21 +140,15 @@ impl DiscoveryCache {
                     None => (CacheEventKind::NegativeHit, Lookup::NegativeHit),
                 };
                 let expires = e.expires;
-                match outcome {
-                    Lookup::Hit(_) => self.stats.hits += 1,
-                    _ => self.stats.negative_hits += 1,
-                }
                 self.log(now, key, kind, expires);
                 outcome
             }
             Some(_) => {
                 self.entries.remove(key);
-                self.stats.expired += 1;
                 self.log(now, key, CacheEventKind::Expired, SimTime::ZERO);
                 Lookup::Expired
             }
             None => {
-                self.stats.misses += 1;
                 self.log(now, key, CacheEventKind::Miss, SimTime::ZERO);
                 Lookup::Miss
             }
@@ -207,13 +172,11 @@ impl DiscoveryCache {
     }
 
     /// Explicitly invalidate `key`. The `Invalidate` event is always
-    /// logged and counted; `evict` controls whether the entry is
-    /// actually dropped — the seeded `Mutation::StaleCache` bug passes
-    /// `false` here, which is exactly the bug the discovery oracle
-    /// exists to catch (a generation served again after its
-    /// invalidation).
+    /// logged; `evict` controls whether the entry is actually dropped —
+    /// the seeded `Mutation::StaleCache` bug passes `false` here, which is
+    /// exactly the bug the discovery oracle exists to catch (a generation
+    /// served again after its invalidation).
     pub fn invalidate(&mut self, now: SimTime, key: &str, evict: bool) {
-        self.stats.invalidations += 1;
         self.log(now, key, CacheEventKind::Invalidate, SimTime::ZERO);
         if evict {
             self.entries.remove(key);
@@ -256,9 +219,6 @@ mod tests {
         assert_eq!(c.lookup(t(101), "k"), Lookup::Miss, "expired entry was evicted");
         c.insert(t(101), "k", ServerAddr(4), ttl);
         assert_eq!(c.lookup(t(150), "k"), Lookup::Hit(ServerAddr(4)));
-        assert_eq!(c.stats.hits, 2);
-        assert_eq!(c.stats.misses, 2);
-        assert_eq!(c.stats.expired, 1);
         // Generations stamp inserts 1, 2; the second hit carries gen 2.
         let last = c.events.last().unwrap();
         assert_eq!(last.kind, CacheEventKind::Hit);
@@ -272,27 +232,10 @@ mod tests {
         assert_eq!(c.lookup(t(10), "gone"), Lookup::NegativeHit);
         c.invalidate(t(20), "gone", true);
         assert_eq!(c.lookup(t(21), "gone"), Lookup::Miss);
-        assert_eq!(c.stats.invalidations, 1);
-        assert_eq!(c.stats.negative_hits, 1);
         // A faulty (non-evicting) invalidation leaves the entry served —
         // the oracle's job to flag, not the cache's.
         c.insert(t(30), "stale", ServerAddr(9), SimDuration::from_millis(100));
         c.invalidate(t(40), "stale", false);
         assert_eq!(c.lookup(t(50), "stale"), Lookup::Hit(ServerAddr(9)));
-        assert_eq!(c.stats.invalidations, 2);
-    }
-
-    #[test]
-    fn hit_rate_over_lookups() {
-        let mut c = DiscoveryCache::new(false);
-        assert_eq!(c.stats.hit_rate(), 1.0);
-        c.lookup(t(0), "a");
-        c.insert(t(0), "a", ServerAddr(1), SimDuration::from_secs(1));
-        for i in 1..=9 {
-            c.lookup(t(i), "a");
-        }
-        let r = c.stats.hit_rate();
-        assert!((r - 0.9).abs() < 1e-9, "9 hits / 10 lookups, got {r}");
-        assert!(c.events.is_empty(), "recording off logs nothing");
     }
 }

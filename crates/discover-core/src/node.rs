@@ -74,7 +74,8 @@ impl Actor<Envelope> for DiscoverNode {
                 // substrate owns; sync them only when asked for (pure
                 // memory copy — no RNG, no wire, no schedule effect).
                 if matches!(req.body, Some(wire::ClientRequest::Status)) {
-                    (self.core.peer_status, self.core.dir_plane) = self.substrate.status_snapshot();
+                    (self.core.peer_status, self.core.dir_plane) =
+                        self.substrate.status_snapshot(ctx.metrics());
                 }
                 self.core.handle_http(ctx, from, req, content_size)
             }

@@ -33,7 +33,7 @@ use orb::{AddressBook, Broker, RetryPolicy, DISCOVER_SERVICE};
 
 use crate::cache::{DiscoveryCache, DiscoveryCacheConfig, Lookup};
 use crate::shard::{trader_partition, DirectoryRing};
-use simnet::{names, CounterDef, Ctx, NodeId, SimDuration, SimTime, TraceContext};
+use simnet::{names, CounterDef, Ctx, MetricsRegistry, NodeId, SimDuration, SimTime, TraceContext};
 use wire::giop::GiopFrame;
 use wire::{
     AppId, ClientId, ControlEvent, ControlEventKind, DeadlineStamp, Envelope, ErrorCode,
@@ -283,7 +283,7 @@ impl Substrate {
         }
     }
 
-    /// The discovery cache (stats and oracle event log).
+    /// The discovery cache (entries and oracle event log).
     pub fn discovery_cache(&self) -> &DiscoveryCache {
         &self.cache
     }
@@ -318,10 +318,14 @@ impl Substrate {
 
     /// What the status report shows of the substrate: every known peer's
     /// health verdict and circuit-breaker state (sorted by address,
-    /// deterministic), and the directory plane — ring shape plus cache
-    /// counters. The node shell syncs this into the server core right
-    /// before a `Status` request is dispatched (pure memory copy).
-    pub fn status_snapshot(&self) -> (Vec<wire::PeerStatusEntry>, wire::DirPlaneStatus) {
+    /// deterministic), and the directory plane — ring shape plus the cache
+    /// counters read from `metrics`, this node's registry. The node shell
+    /// syncs this into the server core right before a `Status` request is
+    /// dispatched (pure memory copy).
+    pub fn status_snapshot(
+        &self,
+        metrics: &MetricsRegistry,
+    ) -> (Vec<wire::PeerStatusEntry>, wire::DirPlaneStatus) {
         let peer_line = |(&peer, &node): (&ServerAddr, &NodeId)| {
             let health = match self.peer_health(peer) {
                 PeerHealth::Up => "up",
@@ -331,13 +335,14 @@ impl Substrate {
             let breaker = self.broker.breaker_state(node).to_string();
             wire::PeerStatusEntry { peer, health: health.to_string(), breaker }
         };
-        let s = &self.cache.stats;
+        let count = |c| metrics.counter(c);
         let dir_plane = wire::DirPlaneStatus {
             shards: self.directory.len() as u32,
             ring_epoch: self.directory.epoch(),
-            cache_hits: s.hits + s.negative_hits,
-            cache_misses: s.misses + s.expired,
-            cache_invalidations: s.invalidations,
+            cache_hits: count(names::SUBSTRATE_CACHE_HITS) + count(names::SUBSTRATE_CACHE_NEG_HITS),
+            cache_misses: count(names::SUBSTRATE_CACHE_MISSES)
+                + count(names::SUBSTRATE_CACHE_EXPIRED),
+            cache_invalidations: count(names::SUBSTRATE_CACHE_INVALIDATIONS),
         };
         (self.peers.iter().map(peer_line).collect(), dir_plane)
     }

@@ -17,7 +17,7 @@ use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::shard::trader_partition;
 use discover_core::{CollaboratoryBuilder, DiscoveryCacheConfig};
 use orb::{Directory, DISCOVER_SERVICE};
-use simnet::{NodeId, SimDuration, SimTime};
+use simnet::{names, NodeId, SimDuration, SimTime};
 use wire::{Privilege, UserId};
 
 fn steering_acl(user: &str) -> Vec<(UserId, Privilege)> {
@@ -222,10 +222,10 @@ fn discovery_cache_serves_dispatch_and_reports_status() {
     let rate = hits as f64 / (hits + misses) as f64;
     assert!(rate >= 0.8, "steady-state hit rate must dominate, got {rate:.2}");
 
-    // The gateway's substrate agrees with the engine-wide counters (the
-    // host never dispatches remotely here).
-    let stats = c.node(gateway).unwrap().substrate.discovery_cache().stats;
-    assert_eq!(stats.hits, hits);
+    // The gateway's registry holds every one of them (the host never
+    // dispatches remotely here).
+    let gw = c.engine.node_metrics(gateway.node);
+    assert_eq!(gw.counter(names::SUBSTRATE_CACHE_HITS), hits);
 
     let p = c.engine.actor_ref::<Portal>(operator).unwrap();
     let (_, last) = p.status_reports.last().expect("periodic status probes");

@@ -1,11 +1,12 @@
 //! End-to-end telemetry plane: live status introspection over the wire,
-//! the anomaly flight recorder on a real overload scenario, and the
+//! the anomaly flight recorder on a real overload scenario, the
 //! observer-effect guarantee (armed telemetry never changes the event
-//! schedule of an identically-seeded run).
+//! schedule of an identically-seeded run), and the run-wide view summed
+//! from the per-node and per-link stores.
 
 use appsim::{synthetic_app, DriverConfig};
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
-use discover_core::{Collaboratory, CollaboratoryBuilder, DiscoverNode};
+use discover_core::{Collaboratory, CollaboratoryBuilder, DiscoverNode, DiscoveryCacheConfig};
 use simnet::{names, FlightConfig, SimDuration, SimTime};
 use wire::{Privilege, UserId};
 
@@ -53,7 +54,7 @@ fn run_status_fixture() -> (Collaboratory, simnet::NodeId, discover_core::Server
 /// state, and the portal renders it as a text status page.
 #[test]
 fn status_probe_reports_sessions_locks_and_peer_health() {
-    let (mut c, operator, gateway) = run_status_fixture();
+    let (c, operator, gateway) = run_status_fixture();
 
     let p = c.engine.actor_ref::<Portal>(operator).unwrap();
     assert!(!p.status_reports.is_empty(), "periodic probes must yield reports");
@@ -84,8 +85,6 @@ fn status_probe_reports_sessions_locks_and_peer_health() {
     let probes = c.engine.node_metrics(operator).counter(names::CLIENT_STATUS_PROBES);
     let served = c.engine.node_metrics(gateway.node).counter(names::SERVER_STATUS_REQUESTS);
     assert!(reports > 0 && served >= reports && probes >= served, "probe/served/report funnel: {probes} >= {served} >= {reports}");
-    c.engine.fold_node_metrics();
-    assert_eq!(c.engine.stats().counter("node.gateway.server.status.requests"), served);
     let lat = c
         .engine
         .node_metrics(operator)
@@ -231,4 +230,166 @@ fn armed_flight_recorder_leaves_the_event_schedule_untouched() {
             key.key()
         );
     }
+}
+
+/// Every kind of run-wide key at once: a lossy WAN link with a
+/// partition window, a host crash and restart, an armed flight recorder
+/// that fires, two directory shards behind a discovery cache, and
+/// portals recording op and status latencies.
+fn run_every_key_fixture() -> Collaboratory {
+    let mut b = CollaboratoryBuilder::new(2603);
+    b.directory_shards(2);
+    b.substrate_config.discovery_cache = Some(DiscoveryCacheConfig::default());
+    let mut flight = FlightConfig::default();
+    flight.expiry_spike_threshold = 2;
+    b.flight_recorder(flight);
+    let gateway = b.server("gateway");
+    let host = b.server("host");
+    b.link_servers(gateway, host, simnet::LinkSpec::wan().with_loss(0.05));
+
+    let mut dc = DriverConfig::default();
+    dc.name = "ipars".into();
+    dc.acl = vec![
+        (UserId::new("vijay"), Privilege::Steer),
+        (UserId::new("operator"), Privilege::ReadOnly),
+    ];
+    dc.batch_time = SimDuration::from_millis(50);
+    dc.batches_per_phase = 1;
+    dc.interaction_window = SimDuration::from_secs(1);
+    let (_, app) = b.application(host, synthetic_app(2, u64::MAX), dc.clone());
+    let mut anchor = dc;
+    anchor.name = "anchor".into();
+    b.application(gateway, synthetic_app(1, u64::MAX), anchor);
+
+    let mut steer = PortalConfig::new("vijay")
+        .select_app(app)
+        .poll_every(SimDuration::from_millis(200))
+        .workload(Workload::new(app, OpMix::steering_only(), SimDuration::from_millis(300)));
+    steer.login_delay = SimDuration::from_millis(100);
+    let steerer = b.attach(gateway, "vijay", Portal::new(steer));
+    let mut op = PortalConfig::new("operator").status_every(SimDuration::from_millis(500));
+    op.login_delay = SimDuration::from_millis(150);
+    let operator = b.attach(gateway, "operator", Portal::new(op));
+    let mut portals = vec![steerer, operator];
+
+    // A 2 s compute phase against a 400 ms budget: the watchers' buffered
+    // ops expire at dequeue in clusters, which fires the recorder.
+    let mut slow = DriverConfig::default();
+    slow.name = "slow".into();
+    let watchers = ["w0", "w1", "w2"];
+    slow.acl = watchers.iter().map(|&w| (UserId::new(w), Privilege::ReadOnly)).collect();
+    slow.batch_time = SimDuration::from_secs(2);
+    slow.batches_per_phase = 1;
+    slow.interaction_window = SimDuration::from_millis(300);
+    let (_, slow_app) = b.application(gateway, synthetic_app(2, u64::MAX), slow);
+    for (i, w) in watchers.into_iter().enumerate() {
+        let mut cfg = PortalConfig::new(w)
+            .select_app(slow_app)
+            .poll_every(SimDuration::from_millis(500))
+            .workload(Workload::new(slow_app, OpMix::sensors_only(), SimDuration::from_millis(300)))
+            .deadline(SimDuration::from_millis(400));
+        cfg.login_delay = SimDuration::from_millis(100 + 30 * i as u64);
+        portals.push(b.attach(gateway, w, Portal::new(cfg)));
+    }
+
+    let mut c = b.build();
+    for n in portals {
+        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(gateway.node);
+    }
+    c.engine.partition(gateway.node, host.node, SimTime::from_secs(4), SimTime::from_secs(6));
+    c.engine.crash_at(host.node, SimTime::from_secs(10));
+    c.engine.restart_at(host.node, SimTime::from_secs(13));
+    c.engine.run_until(SimTime::from_secs(25));
+    c
+}
+
+/// `engine.stats()` as text: counters in key order, the two gauges, and
+/// every histogram's summary.
+fn render_run_wide(stats: &simnet::Stats) -> String {
+    let mut out = String::new();
+    for (key, v) in stats.counters() {
+        out.push_str(&format!("{key} {v}\n"));
+    }
+    for g in [names::SUBSTRATE_RING_SHARDS, names::SUBSTRATE_RING_EPOCH] {
+        out.push_str(&format!("{} {}\n", g.key(), stats.gauge(g.key())));
+    }
+    for (key, h) in stats.histograms() {
+        out.push_str(&format!("{key} {}\n", h.summary().render()));
+    }
+    out
+}
+
+/// The fixture's run-wide view, pinned from when every write also landed
+/// in a run-wide sink of its own: summing the node registries and the
+/// links must reproduce it key for key, value for value.
+const EVERY_KEY_RUN_WIDE: &str = "\
+client.ops_expired 30
+client.ops_issued 43
+client.status_probes 49
+directory.bind 7
+directory.export 3
+directory.query 3
+engine.crashes 1
+engine.down_drops 9
+engine.flight_dumps 4
+link.campus.bytes 2719
+link.campus.msgs 26
+link.lan.bytes 147800
+link.lan.msgs 1146
+link.wan.bytes 7624
+link.wan.dropped 5
+link.wan.msgs 64
+link.wan.partitioned 2
+node.restarts 1
+server.collab.broadcasts 73
+server.collab.local_fanout 61
+server.daemon.buffered 41
+server.daemon.flushed 7
+server.daemon.registered 3
+server.deadline.dequeue_expired 30
+server.fanout_payload_reuse 239
+server.giop.calls 48
+server.http.requests 472
+server.http.responses 472
+server.logins 5
+server.ops 43
+server.peer.auth 5
+server.peer.collab_updates 29
+server.peer.lock_requests 2
+server.peer.proxy_ops 10
+server.peer.subscribes 2
+server.poll.delivered 103
+server.poll.nonempty 56
+server.poll.requests 370
+server.remote.auth_completions 2
+server.status.requests 49
+server.tcp.frames 181
+substrate.cache.expired 2
+substrate.cache.hits 8
+substrate.cache.misses 1
+substrate.collab.forwards 1
+substrate.collab.pushes 33
+substrate.discovery.peers_found 2
+substrate.discovery.queries 3
+substrate.rebinds 1
+substrate.remote_auth.calls 5
+substrate.remote_auth.denied 3
+substrate.remote_locks 1
+substrate.remote_ops 10
+substrate.retries 2
+substrate.subscribes 1
+webserv.fifo.enqueued 103
+webserv.fifo.peak 10
+substrate.ring.shards 2
+substrate.ring.epoch 2
+client.lock_latency count=1 mean=15190436 min=15190436 p50=15190436 p90=15190436 p99=15190436 max=15190436
+client.op_latency count=39 mean=1716952 min=292107 p50=1900543 p90=2207663 p99=2207663 max=2207663
+client.status_latency count=49 mean=12131 min=9586 p50=9727 p90=17332 p99=17332 max=17332
+";
+
+#[test]
+fn run_wide_view_is_the_sum_of_the_stores() {
+    let c = run_every_key_fixture();
+    assert!(!c.engine.flight_dumps().is_empty(), "the fixture must fire the recorder");
+    assert_eq!(render_run_wide(&c.engine.stats()), EVERY_KEY_RUN_WIDE);
 }

@@ -132,7 +132,7 @@ fn untraced_runs_mint_no_spans() {
 
 #[test]
 fn per_node_registries_attribute_and_fold_into_global_stats() {
-    let (mut c, portal, gateway, host) = run_remote_steering(true);
+    let (c, portal, gateway, host) = run_remote_steering(true);
 
     // Work landed where it should: HTTP at the gateway, GIOP skeleton
     // calls at the host, issued ops at the portal.
@@ -146,16 +146,8 @@ fn per_node_registries_attribute_and_fold_into_global_stats() {
     // The host never serves client HTTP in this topology.
     assert_eq!(ho.counter(names::SERVER_HTTP_REQUESTS), 0);
 
-    // Write-through: only the gateway serves HTTP here, so the run-wide
-    // flat key must equal its per-node count exactly.
+    // Only the gateway serves HTTP here, so the run-wide sum must equal
+    // its per-node count exactly.
     let gw_http = gw.counter(names::SERVER_HTTP_REQUESTS);
     assert_eq!(c.engine.stats().counter(names::SERVER_HTTP_REQUESTS.key()), gw_http);
-
-    // Folding exposes labelled per-node keys in the global sink.
-    c.engine.fold_node_metrics();
-    assert_eq!(
-        c.engine.stats().counter("node.gateway.server.http.requests"),
-        gw_http,
-        "folded key must carry the gateway's own count"
-    );
 }

@@ -382,7 +382,7 @@ struct PendingOp {
 /// What a run of FIFO pushes did, summed so one handler folds it into the
 /// node's metrics once instead of per push: enqueues, drops and coalesces
 /// count directly; the high-water mark is folded as a monotone counter of
-/// peak increments, since `fold_node_metrics` merges counters only.
+/// peak increments, since the run-wide total sums counters.
 #[derive(Default)]
 struct FifoTally {
     enqueued: u64,
@@ -405,7 +405,7 @@ impl FifoTally {
     /// Write each total that moved. A counter nothing moved stays
     /// unwritten, hence absent from reports, as under per-push counting.
     fn fold(self, ctx: &mut Ctx<'_, Envelope>) {
-        let mut metrics = ctx.metrics();
+        let metrics = ctx.metrics();
         for (counter, n) in [
             (names::WEBSERV_FIFO_ENQUEUED, self.enqueued),
             (names::WEBSERV_FIFO_DROPPED, self.dropped),
@@ -2607,7 +2607,7 @@ mod tests {
         };
         let host = engine.actor_ref::<Host>(node).expect("the host actor");
         (
-            fifo_counters(engine.stats()),
+            fifo_counters(&engine.stats()),
             fifo_counters(engine.node_metrics(node).stats()),
             host.core.fifo_snapshot(),
         )

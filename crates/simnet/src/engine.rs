@@ -41,7 +41,7 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -50,8 +50,8 @@ use rand::{Rng, SeedableRng};
 use crate::actor::{Actor, Payload};
 use crate::flight::{FlightConfig, FlightDump, FlightRecorder};
 use crate::history::{HistoryEvent, HistoryLog};
-use crate::link::{LinkKeys, LinkSpec, LinkState, LinkStats};
-use crate::metrics::{names, Metrics, MetricsRegistry};
+use crate::link::{LinkSpec, LinkState, LinkStats};
+use crate::metrics::{names, MetricsRegistry};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceContext, Tracer};
@@ -164,15 +164,12 @@ struct Core<M> {
     free: Vec<u32>,
     nodes: Vec<NodeState>,
     links: HashMap<(u32, u32), LinkState>,
-    /// One entry per distinct link label, shared by every link carrying it.
-    link_keys: Vec<LinkKeys>,
     /// Timed partition windows keyed by unordered node pair; traffic in
     /// either direction departing inside a window is dropped.
     partitions: HashMap<(u32, u32), Vec<(SimTime, SimTime)>>,
     rng: StdRng,
-    stats: Stats,
-    /// One registry per node, parallel to `nodes`; `Ctx::metrics` writes
-    /// through to both this and the run-wide `stats`.
+    /// One registry per node, parallel to `nodes`: the only store of
+    /// every counter, gauge and timer a node writes (`Ctx::metrics`).
     node_metrics: Vec<MetricsRegistry>,
     tracer: Tracer,
     history: HistoryLog,
@@ -270,19 +267,18 @@ impl<M: Payload> Core<M> {
         None
     }
 
-    /// Write-through handle onto the run-wide sink and `node`'s registry.
-    fn metrics(&mut self, node: NodeId) -> Metrics<'_> {
-        Metrics::new(&mut self.stats, &mut self.node_metrics[node.index()])
+    /// `node`'s metrics registry.
+    fn metrics(&mut self, node: NodeId) -> &mut MetricsRegistry {
+        &mut self.node_metrics[node.index()]
     }
 
+    /// Install the directed link `from -> to`. Re-installing one replaces
+    /// its spec and idles its transmitter; the traffic it has counted
+    /// stays (and is summed under its current label).
     fn install_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        let known = self.link_keys.iter().position(|keys| keys.label == spec.label);
-        let keys = known.unwrap_or_else(|| {
-            let nth = self.link_keys.len();
-            self.link_keys.push(LinkKeys::new(spec.label, nth));
-            nth
-        });
-        self.links.insert((from.0, to.0), LinkState::new(spec, keys));
+        let link = self.links.entry((from.0, to.0)).or_insert_with(|| LinkState::new(spec));
+        link.spec = spec;
+        link.busy_until = SimTime::ZERO;
     }
 
     /// True if the unordered pair `(a, b)` is inside a partition window
@@ -311,13 +307,11 @@ impl<M: Payload> Core<M> {
             ),
             Some(link) => {
                 if cut {
-                    link.dropped += 1;
-                    self.link_keys[link.keys].partitioned.add_to(&mut self.stats, 1);
+                    link.partitioned += 1;
                     return;
                 }
                 if link.spec.loss > 0.0 && self.rng.gen::<f64>() < link.spec.loss {
-                    link.dropped += 1;
-                    self.link_keys[link.keys].dropped.add_to(&mut self.stats, 1);
+                    link.lost += 1;
                     return;
                 }
                 let transmit = link.spec.transmit_time(size);
@@ -331,9 +325,6 @@ impl<M: Payload> Core<M> {
                 } else {
                     SimDuration::from_micros(self.rng.gen_range(0..=jitter_max))
                 };
-                let keys = &self.link_keys[link.keys];
-                keys.msgs.add_to(&mut self.stats, 1);
-                keys.bytes.add_to(&mut self.stats, size as u64);
                 link.busy_until + link.spec.latency + jitter
             }
         };
@@ -400,14 +391,9 @@ impl<'a, M: Payload> Ctx<'a, M> {
         &mut self.core.rng
     }
 
-    /// The shared measurement sink.
-    pub fn stats(&mut self) -> &mut Stats {
-        &mut self.core.stats
-    }
-
-    /// Write-through metrics handle: every counter/gauge/timer write lands
-    /// in the run-wide [`Stats`] *and* this node's [`MetricsRegistry`].
-    pub fn metrics(&mut self) -> Metrics<'_> {
+    /// This node's metrics registry, the one store of what it counts;
+    /// [`Engine::stats`] sums the registries into the run-wide view.
+    pub fn metrics(&mut self) -> &mut MetricsRegistry {
         self.core.metrics(self.me)
     }
 
@@ -522,10 +508,8 @@ impl<M: Payload> Engine<M> {
                 free: Vec::new(),
                 nodes: Vec::new(),
                 links: HashMap::new(),
-                link_keys: Vec::new(),
                 partitions: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
-                stats: Stats::new(),
                 node_metrics: Vec::new(),
                 tracer: Tracer::new(),
                 history: HistoryLog::new(),
@@ -659,14 +643,46 @@ impl<M: Payload> Engine<M> {
         self.core.nodes[node.index()].parked_peak
     }
 
-    /// The measurement sink.
-    pub fn stats(&self) -> &Stats {
-        &self.core.stats
-    }
-
-    /// Mutable access to the measurement sink.
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.core.stats
+    /// The run-wide view, summed from the stores when asked for: every
+    /// node's registry merged in node order (counters add, histograms
+    /// pool, a gauge reads as the last node set it; the stack's two
+    /// gauges, `substrate.ring.{shards,epoch}`, are equal on every
+    /// server), then each label's link traffic as
+    /// `link.<label>.{msgs,bytes,dropped,partitioned}`. A link key is
+    /// present once it counted something: `msgs` and `bytes` from the
+    /// first message that went, `dropped` (loss) and `partitioned` from
+    /// the first one cut.
+    pub fn stats(&self) -> Stats {
+        let mut total = Stats::new();
+        for registry in &self.core.node_metrics {
+            total.merge(registry.stats());
+        }
+        // Summed per label first, so a key is formatted per label, not per link.
+        let mut labels: BTreeMap<&str, [u64; 4]> = BTreeMap::new();
+        for link in self.core.links.values() {
+            let [msgs, bytes, lost, cut] = labels.entry(link.spec.label).or_default();
+            *msgs += link.msgs;
+            *bytes += link.bytes;
+            *lost += link.lost;
+            *cut += link.partitioned;
+        }
+        for (label, [msgs, bytes, lost, cut]) in labels {
+            let mut key = format!("link.{label}.");
+            let stem = key.len();
+            for (what, n, present) in [
+                ("msgs", msgs, msgs),
+                ("bytes", bytes, msgs),
+                ("dropped", lost, lost),
+                ("partitioned", cut, cut),
+            ] {
+                if present > 0 {
+                    key.truncate(stem);
+                    key.push_str(what);
+                    total.add(&key, n);
+                }
+            }
+        }
+        total
     }
 
     /// Turn on span collection. Off by default so untraced runs carry no
@@ -768,22 +784,13 @@ impl<M: Payload> Engine<M> {
         &self.core.node_metrics[id.index()]
     }
 
-    /// Fold every node's registry into the run-wide sink under
-    /// `node.<name>.<key>` labels (see
-    /// [`MetricsRegistry::merge_labeled_into`]).
-    pub fn fold_node_metrics(&mut self) {
-        let core = &mut self.core;
-        for reg in &core.node_metrics {
-            reg.merge_labeled_into(&mut core.stats);
-        }
-    }
-
     /// Traffic accounting for the directed link `from -> to`.
     pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.core
-            .links
-            .get(&(from.0, to.0))
-            .map(|l| LinkStats { msgs: l.msgs, bytes: l.bytes, dropped: l.dropped })
+        self.core.links.get(&(from.0, to.0)).map(|l| LinkStats {
+            msgs: l.msgs,
+            bytes: l.bytes,
+            dropped: l.lost + l.partitioned,
+        })
     }
 
     /// Name given to a node at `add_node` time.
@@ -1236,6 +1243,42 @@ mod tests {
         assert_eq!(eng.actor_ref::<Collector>(b).unwrap().arrivals.len(), 4);
         assert_eq!(eng.actor_ref::<Collector>(a).unwrap().arrivals.len(), 4);
         assert_eq!(eng.stats().counter("link.pair.partitioned"), 4);
+    }
+
+    #[test]
+    fn relinking_keeps_the_traffic_counted_so_far() {
+        let mut eng = Engine::new(1);
+        let a = eng.add_node("a", Collector { arrivals: vec![] });
+        let b = eng.add_node("b", Collector { arrivals: vec![] });
+        eng.link(a, b, fixed_link(10).with_label("pair"));
+        for _ in 0..3 {
+            eng.inject(a, b, Ping(100), SimDuration::ZERO);
+        }
+        eng.run_to_quiescence();
+        eng.link(a, b, fixed_link(20).with_label("pair"));
+        eng.inject(a, b, Ping(50), SimDuration::ZERO);
+        eng.run_to_quiescence();
+        assert_eq!(eng.actor_ref::<Collector>(b).unwrap().arrivals.len(), 4);
+        let ls = eng.link_stats(a, b).unwrap();
+        assert_eq!((ls.msgs, ls.bytes, ls.dropped), (4, 350, 0));
+        let stats = eng.stats();
+        assert_eq!((stats.counter("link.pair.msgs"), stats.counter("link.pair.bytes")), (4, 350));
+    }
+
+    #[test]
+    fn link_keys_appear_once_they_count_something() {
+        let mut eng = Engine::new(1);
+        let a = eng.add_node("a", Collector { arrivals: vec![] });
+        let b = eng.add_node("b", Collector { arrivals: vec![] });
+        let c = eng.add_node("c", Collector { arrivals: vec![] });
+        eng.link(a, b, fixed_link(10).with_label("pair"));
+        eng.link(a, c, fixed_link(10).with_label("idle"));
+        eng.inject(a, b, Ping(0), SimDuration::ZERO);
+        eng.run_to_quiescence();
+        let keys: Vec<(String, u64)> =
+            eng.stats().counters().map(|(k, v)| (k.to_owned(), v)).collect();
+        let pair = |what: &str, n| (format!("link.pair.{what}"), n);
+        assert_eq!(keys, vec![pair("bytes", 0), pair("msgs", 1)]);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   jitter and loss,
 //! * an explicit CPU model ([`Ctx::consume`]) that makes busy nodes queue
 //!   work, and
-//! * a [`Stats`] sink (counters, gauges, exact-quantile histograms) that
-//!   every experiment reads its results from.
+//! * a [`MetricsRegistry`] per node (counters, gauges, log-bucketed
+//!   histograms) and per-link traffic counters, summed on demand into the
+//!   run-wide [`Stats`] every experiment reads its results from
+//!   ([`Engine::stats`]).
 //!
 //! Determinism: a single seeded RNG drives jitter and loss; two runs with
 //! the same seed produce identical event traces (see the engine tests).
@@ -73,7 +75,7 @@ pub use fault::FaultPlan;
 pub use flight::{FlightConfig, FlightDump, FlightRecorder};
 pub use history::HistoryEvent;
 pub use link::{LinkSpec, LinkStats};
-pub use metrics::{names, CounterDef, GaugeDef, Metrics, MetricsRegistry, TimerDef};
+pub use metrics::{names, CounterDef, GaugeDef, MetricsRegistry, TimerDef};
 pub use stats::{Histogram, HistogramSummary, Stats};
 pub use tally::EngineTally;
 pub use time::{SimDuration, SimTime};

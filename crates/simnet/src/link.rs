@@ -4,10 +4,10 @@
 //! Each direction owns a `busy_until` instant so back-to-back messages
 //! serialize at the link's bandwidth — this is what makes throughput
 //! saturate and queueing delay grow in the experiments, rather than being
-//! scripted.
+//! scripted. Each direction also counts its own traffic, the one store of
+//! it: the run-wide `link.<label>.*` keys are sums over the links carrying
+//! a label (see [`crate::Engine::stats`]).
 
-use crate::metrics::names;
-use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 
 /// Immutable description of one direction of a network link.
@@ -113,62 +113,26 @@ impl LinkSpec {
     }
 }
 
-/// Mutable per-direction link state.
+/// Mutable per-direction link state: the transmitter and the traffic
+/// counters.
 #[derive(Clone, Debug)]
 pub(crate) struct LinkState {
     pub spec: LinkSpec,
     /// Instant the transmitter is free again.
     pub busy_until: SimTime,
+    /// Messages accepted onto the wire.
     pub msgs: u64,
+    /// Payload bytes accepted onto the wire.
     pub bytes: u64,
-    pub dropped: u64,
-    /// Index of this link's label in the engine's [`LinkKeys`] table.
-    pub keys: usize,
+    /// Messages dropped by the loss process.
+    pub lost: u64,
+    /// Messages dropped because they departed inside a partition window.
+    pub partitioned: u64,
 }
 
 impl LinkState {
-    pub fn new(spec: LinkSpec, keys: usize) -> Self {
-        LinkState { spec, busy_until: SimTime::ZERO, msgs: 0, bytes: 0, dropped: 0, keys }
-    }
-}
-
-/// The stat keys of one link label (`link.<label>.msgs` and friends) and
-/// the slots they write through, fixed once per label so routing a
-/// message neither formats nor compares a key.
-pub(crate) struct LinkKeys {
-    pub label: &'static str,
-    pub msgs: LinkKey,
-    pub bytes: LinkKey,
-    pub dropped: LinkKey,
-    pub partitioned: LinkKey,
-}
-
-/// One run-time counter key with its slot in the engine's run-wide sink.
-pub(crate) struct LinkKey {
-    key: String,
-    slot: usize,
-}
-
-impl LinkKey {
-    /// Add `n` to this counter in `stats`, by slot.
-    pub fn add_to(&self, stats: &mut Stats, n: u64) {
-        stats.add_at(self.slot, &self.key, n);
-    }
-}
-
-impl LinkKeys {
-    /// Keys of the `nth` distinct label an engine sees; their slots
-    /// follow the typed definitions' in label order.
-    pub fn new(label: &'static str, nth: usize) -> Self {
-        let base = names::ALL.len() + 4 * nth;
-        let key = |at, what| LinkKey { key: format!("link.{label}.{what}"), slot: base + at };
-        LinkKeys {
-            label,
-            msgs: key(0, "msgs"),
-            bytes: key(1, "bytes"),
-            dropped: key(2, "dropped"),
-            partitioned: key(3, "partitioned"),
-        }
+    pub fn new(spec: LinkSpec) -> Self {
+        LinkState { spec, busy_until: SimTime::ZERO, msgs: 0, bytes: 0, lost: 0, partitioned: 0 }
     }
 }
 
@@ -179,7 +143,7 @@ pub struct LinkStats {
     pub msgs: u64,
     /// Payload bytes accepted onto the wire.
     pub bytes: u64,
-    /// Messages dropped by the loss process.
+    /// Messages dropped by the loss process or a partition window.
     pub dropped: u64,
 }
 

@@ -1,20 +1,16 @@
 //! Typed metric definitions and the per-node metrics registry.
 //!
-//! Two problems with bare `stats.incr("substrate.retries")` calls: the key
-//! strings drift (a typo silently creates a new counter), and everything
-//! lands in one flat run-wide sink, so nothing can be attributed to a
-//! node. This module fixes both:
-//!
 //! * [`names`] defines every metric key used by the DISCOVER stack as a
 //!   typed constant ([`CounterDef`] / [`GaugeDef`] / [`TimerDef`]); the
 //!   orb, substrate, server and client layers reference these instead of
-//!   inline literals. A constant carries its position in the list as a
-//!   dense slot, so a write through it indexes the sink's slot table
-//!   instead of comparing key strings down a tree.
-//! * [`MetricsRegistry`] is a per-node sink. The engine keeps one per
-//!   node and `Ctx::metrics()` writes through to **both** the node's
-//!   registry and the run-wide [`Stats`], so existing harness reads keep
-//!   working while per-node breakdowns become possible.
+//!   inline literals, so a typo cannot silently create a new counter. A
+//!   constant carries its position in the list as a dense slot, so a
+//!   write through it indexes the sink's slot table instead of comparing
+//!   key strings down a tree.
+//! * [`MetricsRegistry`] is a per-node sink and the one store of every
+//!   measurement a node makes: the engine keeps one per node and
+//!   `Ctx::metrics()` hands out that node's. The run-wide view
+//!   (`Engine::stats`) is their sum, computed when read.
 
 use crate::stats::Stats;
 use crate::time::SimDuration;
@@ -224,9 +220,9 @@ pub mod names {
         WEBSERV_FIFO_ENQUEUED: CounterDef = "webserv.fifo.enqueued";
         /// Messages dropped (oldest evicted) from full webserv FIFO buffers.
         WEBSERV_FIFO_DROPPED: CounterDef = "webserv.fifo.dropped";
-        /// High-water-mark growth of webserv FIFO buffers, folded as a
-        /// monotone counter of peak increments so per-node queue peaks
-        /// survive the labeled fold.
+        /// High-water-mark growth of webserv FIFO buffers, kept as a
+        /// monotone counter of peak increments so the run-wide view, which
+        /// sums counters, still carries every node's queue peaks.
         WEBSERV_FIFO_PEAK: CounterDef = "webserv.fifo.peak";
         /// View-class updates coalesced in place: a still-queued superseded
         /// update was replaced by its successor instead of enqueuing behind
@@ -351,9 +347,9 @@ pub mod names {
 /// Per-node measurement sink.
 ///
 /// Same storage semantics as [`Stats`] (exact histograms, key-ordered
-/// reads, nothing allocated before the first write); the node label lives on the registry, not in the key, so
-/// keys stay comparable across nodes. Merging follows Stats semantics:
-/// counters add, gauges take the other's value, histograms pool samples.
+/// reads, nothing allocated before the first write); the node label lives
+/// on the registry, not in the key, so keys stay comparable across nodes
+/// and registries sum key by key ([`Stats::merge`]).
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
     node: String,
@@ -412,72 +408,6 @@ impl MetricsRegistry {
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
-
-    /// Merge another registry's measurements into this one (counters add,
-    /// gauges overwrite, histograms pool). Node labels need not match —
-    /// merging across nodes is how subsystem rollups are built.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.stats.merge(&other.stats);
-    }
-
-    /// Fold this registry into a run-wide sink with node-labeled keys
-    /// (`node.<name>.<key>`), for harness reports that want per-node
-    /// columns out of one flat `Stats`. Counters fold as counters;
-    /// timers fold their full bucket histograms, so per-node percentile
-    /// lines (`summary()` on `node.<name>.<timer>`) come for free.
-    pub fn merge_labeled_into(&self, global: &mut Stats) {
-        for (k, v) in self.stats.counters() {
-            global.add(&format!("node.{}.{}", self.node, k), v);
-        }
-        for (k, h) in self.stats.histograms() {
-            global.histogram_mut(&format!("node.{}.{}", self.node, k)).merge(h);
-        }
-    }
-}
-
-/// Write-through handle pairing the run-wide [`Stats`] with one node's
-/// [`MetricsRegistry`]; every write lands in both, so existing flat-key
-/// readers keep working while per-node attribution accrues.
-pub struct Metrics<'a> {
-    global: &'a mut Stats,
-    node: &'a mut MetricsRegistry,
-}
-
-impl<'a> Metrics<'a> {
-    /// Pair the run-wide sink with one node's registry.
-    pub fn new(global: &'a mut Stats, node: &'a mut MetricsRegistry) -> Self {
-        Metrics { global, node }
-    }
-
-    /// Increment a counter by one.
-    pub fn incr(&mut self, c: CounterDef) {
-        self.add(c, 1);
-    }
-
-    /// Add `n` to a counter.
-    pub fn add(&mut self, c: CounterDef, n: u64) {
-        self.global.add_def(c, n);
-        self.node.add(c, n);
-    }
-
-    /// Set a gauge.
-    pub fn set_gauge(&mut self, g: GaugeDef, v: f64) {
-        self.global.set_gauge_def(g, v);
-        self.node.set_gauge(g, v);
-    }
-
-    /// Record a duration sample.
-    pub fn record(&mut self, t: TimerDef, d: SimDuration) {
-        self.global.record_def(t, d);
-        self.node.record(t, d);
-    }
-
-    /// Increment a dynamically-named counter (see
-    /// [`MetricsRegistry::incr_dynamic`]).
-    pub fn incr_dynamic(&mut self, key: &str) {
-        self.global.incr(key);
-        self.node.incr_dynamic(key);
-    }
 }
 
 #[cfg(test)]
@@ -504,36 +434,13 @@ mod tests {
         b.set_gauge(names::SUBSTRATE_RING_EPOCH, 9.0);
         a.record(names::CLIENT_OP_LATENCY, SimDuration::from_micros(10));
         b.record(names::CLIENT_OP_LATENCY, SimDuration::from_micros(30));
-        a.merge(&b);
-        assert_eq!(a.counter(names::SERVER_OPS), 12);
-        assert_eq!(a.gauge(names::SUBSTRATE_RING_EPOCH), 9.0);
-        let h = a.stats().histogram(names::CLIENT_OP_LATENCY.key()).unwrap();
+        let mut sum = a.stats().clone();
+        sum.merge(b.stats());
+        assert_eq!(sum.counter(names::SERVER_OPS.key()), 12);
+        assert_eq!(sum.gauge(names::SUBSTRATE_RING_EPOCH.key()), 9.0);
+        let h = sum.histogram(names::CLIENT_OP_LATENCY.key()).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.mean().as_micros(), 20);
-    }
-
-    #[test]
-    fn labeled_fold_prefixes_node() {
-        let mut r = MetricsRegistry::new("backend1");
-        r.add(names::SUBSTRATE_FAILOVERS, 4);
-        let mut global = Stats::new();
-        r.merge_labeled_into(&mut global);
-        assert_eq!(global.counter("node.backend1.substrate.failovers"), 4);
-    }
-
-    #[test]
-    fn labeled_fold_carries_timer_percentiles() {
-        let mut r = MetricsRegistry::new("s0");
-        for us in [10u64, 20, 30, 40, 50] {
-            r.record(names::CLIENT_OP_LATENCY, SimDuration::from_micros(us));
-        }
-        let mut global = Stats::new();
-        r.merge_labeled_into(&mut global);
-        let h = global.histogram("node.s0.client.op_latency").expect("folded timer");
-        let s = h.summary();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.p50.as_micros(), 30);
-        assert_eq!(s.max.as_micros(), 50);
     }
 
     #[test]
@@ -557,18 +464,5 @@ mod tests {
         }
         assert_eq!(names::ALL[names::CLIENT_OP_LATENCY.slot()], "client.op_latency");
         assert_eq!(names::ALL[names::SUBSTRATE_RING_EPOCH.slot()], "substrate.ring.epoch");
-    }
-
-    #[test]
-    fn write_through_lands_in_both() {
-        let mut global = Stats::new();
-        let mut node = MetricsRegistry::new("n0");
-        let mut m = Metrics::new(&mut global, &mut node);
-        m.incr(names::SERVER_LOGINS);
-        m.incr_dynamic("directory.query");
-        assert_eq!(global.counter("server.logins"), 1);
-        assert_eq!(global.counter("directory.query"), 1);
-        assert_eq!(node.counter(names::SERVER_LOGINS), 1);
-        assert_eq!(node.stats().counter("directory.query"), 1);
     }
 }

@@ -1,12 +1,14 @@
-//! Simulation-wide measurement: counters, latency histograms, gauges.
+//! Measurement sinks: counters, latency histograms, gauges.
 //!
-//! Every experiment in the benchmark harness reads its results from a
-//! [`Stats`] collected during a run. Latency samples land in a
-//! deterministic log-bucketed (HDR-style) [`Histogram`]: constant memory
-//! per timer regardless of sample volume, pure integer bucket math (so
-//! two same-seed runs summarize bit-for-bit), and ≤ ~1.6% relative
+//! Every node's metrics registry stores its measurements in a [`Stats`],
+//! and every experiment in the benchmark harness reads its results from
+//! the run-wide [`Stats`] the engine sums from them. Latency samples land
+//! in a deterministic log-bucketed (HDR-style) [`Histogram`]: constant
+//! memory per timer regardless of sample volume, pure integer bucket math
+//! (so two same-seed runs summarize bit-for-bit), and ≤ ~1.6% relative
 //! quantile error from 64 sub-buckets per octave.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -234,7 +236,10 @@ impl HistogramSummary {
 #[derive(Clone, Debug, Default)]
 struct Table<T> {
     values: Vec<T>,
-    dir: BTreeMap<String, u32>,
+    /// A definition's name is kept as the `&'static str` it is; only a
+    /// name written at run time is copied, once. So summing sinks (as
+    /// `Engine::stats` does per call) copies no name of a typed metric.
+    dir: BTreeMap<Cow<'static, str>, u32>,
     /// Definition slot → index into `values`, [`UNBOUND`] until that slot
     /// is first written here. Empty until the first write by slot, so a
     /// sink nobody writes to owns no heap memory.
@@ -247,14 +252,23 @@ impl<T: Default> Table<T> {
     /// The value of `key`, created at its default on first use: one tree
     /// walk, and the key string is allocated only that first time.
     fn by_name(&mut self, key: &str) -> &mut T {
-        let at = self.index_of(key);
+        let at = self.index_of(key, || Cow::Owned(key.to_owned()));
         &mut self.values[at as usize]
+    }
+
+    /// Fold every value of `other` into this table's value of the same
+    /// name with `fold`, sharing a definition's name rather than copying it.
+    fn merge_with(&mut self, other: &Table<T>, mut fold: impl FnMut(&mut T, &T)) {
+        for (key, &from) in &other.dir {
+            let at = self.index_of(key, || key.clone());
+            fold(&mut self.values[at as usize], &other.values[from as usize]);
+        }
     }
 
     /// The value of the definition at `slot`, named `key`: two indexed
     /// loads once the slot is bound, no comparison of key strings.
     #[inline]
-    fn by_slot(&mut self, slot: usize, key: &str) -> &mut T {
+    fn by_slot(&mut self, slot: usize, key: &'static str) -> &mut T {
         match self.slots.get(slot) {
             Some(&at) if at != UNBOUND => &mut self.values[at as usize],
             _ => self.bind(slot, key),
@@ -264,23 +278,23 @@ impl<T: Default> Table<T> {
     /// First write through `slot`: bind it to the value `key` already
     /// has here (written by name, or merged in), or to a fresh one.
     #[cold]
-    fn bind(&mut self, slot: usize, key: &str) -> &mut T {
-        if self.slots.len() <= slot {
-            self.slots.resize((slot + 1).max(crate::metrics::names::ALL.len()), UNBOUND);
+    fn bind(&mut self, slot: usize, key: &'static str) -> &mut T {
+        if self.slots.is_empty() {
+            self.slots.resize(crate::metrics::names::ALL.len(), UNBOUND);
         }
-        let at = self.index_of(key);
+        let at = self.index_of(key, || Cow::Borrowed(key));
         self.slots[slot] = at;
         &mut self.values[at as usize]
     }
 
     /// Where `key`'s value lives, entering the key at its default if new.
-    fn index_of(&mut self, key: &str) -> u32 {
+    fn index_of(&mut self, key: &str, stored: impl FnOnce() -> Cow<'static, str>) -> u32 {
         if let Some(&at) = self.dir.get(key) {
             return at;
         }
         let at = u32::try_from(self.values.len()).expect("fewer than 2^32 metric keys");
         self.values.push(T::default());
-        self.dir.insert(key.to_owned(), at);
+        self.dir.insert(stored(), at);
         at
     }
 }
@@ -296,7 +310,7 @@ impl<T> Table<T> {
 
     /// Every written key with its value, in key order.
     fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
-        self.dir.iter().map(|(k, &at)| (k.as_str(), &self.values[at as usize]))
+        self.dir.iter().map(|(k, &at)| (&**k, &self.values[at as usize]))
     }
 }
 
@@ -349,16 +363,8 @@ impl Stats {
     /// Add `n` to the counter `c` defines, by slot.
     #[inline]
     pub fn add_def(&mut self, c: CounterDef, n: u64) {
-        self.add_at(c.slot(), c.key(), n);
-    }
-
-    /// Add `n` to the counter named `key` through `slot`. Whoever numbers
-    /// slots past [`crate::names::ALL`] (the engine, for its link keys)
-    /// must keep one key per slot for the life of this sink.
-    #[inline]
-    pub(crate) fn add_at(&mut self, slot: usize, key: &str, n: u64) {
-        self.assert_kind(key, "counter");
-        *self.counters.by_slot(slot, key) += n;
+        self.assert_kind(c.key(), "counter");
+        *self.counters.by_slot(c.slot(), c.key()) += n;
     }
 
     /// Read counter `key` (zero if absent).
@@ -433,15 +439,9 @@ impl Stats {
     /// Merge another stats sink into this one (counters add, gauges take
     /// the other's value, histograms merge samples).
     pub fn merge(&mut self, other: &Stats) {
-        for (k, v) in other.counters.iter() {
-            *self.counters.by_name(k) += v;
-        }
-        for (k, v) in other.gauges.iter() {
-            *self.gauges.by_name(k) = *v;
-        }
-        for (k, h) in other.histograms.iter() {
-            self.histograms.by_name(k).merge(h);
-        }
+        self.counters.merge_with(&other.counters, |sum, n| *sum += n);
+        self.gauges.merge_with(&other.gauges, |level, v| *level = *v);
+        self.histograms.merge_with(&other.histograms, Histogram::merge);
     }
 }
 
@@ -636,8 +636,6 @@ mod tests {
         /// Written by name: two keys that also have a definition above,
         /// and two that only ever exist as strings.
         const NAMED: [&str; 4] = ["server.ops", "engine.crashes", "directory.query", "link.lan"];
-        const LABELS: [&str; 3] = ["lan", "wan", "loopback"];
-        const WHAT: [&str; 4] = ["msgs", "bytes", "dropped", "partitioned"];
         const GAUGES: [GaugeDef; 2] = [names::SUBSTRATE_RING_SHARDS, names::SUBSTRATE_RING_EPOCH];
         const NAMED_GAUGES: [&str; 2] = ["substrate.ring.epoch", "g.level"];
         const TIMERS: [TimerDef; 2] = [names::CLIENT_OP_LATENCY, names::CLIENT_STATUS_LATENCY];
@@ -648,8 +646,6 @@ mod tests {
         enum Op {
             Typed(usize, u64),
             Named(usize, u64),
-            /// (label, which of its four keys, n): the engine's link path.
-            Link(usize, usize, u64),
             Gauge(usize, u64),
             NamedGauge(usize, u64),
             Record(usize, u64),
@@ -663,7 +659,6 @@ mod tests {
             prop_oneof![
                 (0usize..4, 0u64..3).prop_map(|(i, n)| Op::Typed(i, n)),
                 (0usize..4, 0u64..3).prop_map(|(i, n)| Op::Named(i, n)),
-                (0usize..3, 0usize..4, 0u64..3).prop_map(|(l, w, n)| Op::Link(l, w, n)),
                 (0usize..2, 0u64..9).prop_map(|(i, v)| Op::Gauge(i, v)),
                 (0usize..2, 0u64..9).prop_map(|(i, v)| Op::NamedGauge(i, v)),
                 (0usize..2, 0u64..5000).prop_map(|(i, us)| Op::Record(i, us)),
@@ -693,11 +688,6 @@ mod tests {
             }
         }
 
-        fn link_key(label: usize, what: usize) -> (usize, String) {
-            let slot = names::ALL.len() + 4 * label + what;
-            (slot, format!("link.{}.{}", LABELS[label], WHAT[what]))
-        }
-
         fn apply(op: &Op, sut: &mut Stats, model: &mut Model, other: (&Stats, &Model)) {
             let us = SimDuration::from_micros;
             match *op {
@@ -708,11 +698,6 @@ mod tests {
                 Op::Named(i, n) => {
                     sut.add(NAMED[i], n);
                     *model.counters.entry(NAMED[i].into()).or_insert(0) += n;
-                }
-                Op::Link(label, what, n) => {
-                    let (slot, key) = link_key(label, what);
-                    sut.add_at(slot, &key, n);
-                    *model.counters.entry(key).or_insert(0) += n;
                 }
                 Op::Gauge(i, v) => {
                     sut.set_gauge_def(GAUGES[i], v as f64);
@@ -744,8 +729,7 @@ mod tests {
             let every_counter = COUNTERS
                 .iter()
                 .map(|c| c.key().to_owned())
-                .chain(NAMED.iter().map(|k| (*k).to_owned()))
-                .chain((0..12).map(|i| link_key(i / 4, i % 4).1));
+                .chain(NAMED.iter().map(|k| (*k).to_owned()));
             for key in every_counter {
                 assert_eq!(sut.counter(&key), model.counters.get(&key).copied().unwrap_or(0));
             }
@@ -776,11 +760,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Two sinks take a random interleaving of writes by slot, by
-            /// name and through link slots, and merge into each other at
-            /// random points (so a merge meets keys its target has and
-            /// has not seen, bound and unbound): after every step both
-            /// read exactly as the name-keyed model does.
+            /// Two sinks take a random interleaving of writes by slot and
+            /// by name, and merge into each other at random points (so a
+            /// merge meets keys its target has and has not seen, bound and
+            /// unbound): after every step both read exactly as the
+            /// name-keyed model does.
             #[test]
             fn slot_backed_stats_read_like_name_keyed_maps(
                 ops in prop::collection::vec((0u8..2, op()), 1..60),
