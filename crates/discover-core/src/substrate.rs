@@ -530,7 +530,7 @@ impl Substrate {
                     }
                 }
                 if let Some(object) = object {
-                    self.adopt_route(ctx, core, app, object.server);
+                    self.adopt_route(ctx, app, object.server);
                 }
             }
             (CallCtx::Poll { app }, Ok(PeerReply::Updates { updates, next_seq, .. })) => {
@@ -558,14 +558,13 @@ impl Substrate {
     }
 
     /// Stale directory-cache repair: a peer answering `NoSuchApp` for an
-    /// app we routed to it is a definitive Nak — the failover route (and
-    /// its redirect hint) is wrong NOW, not when its next discovery
-    /// refresh happens to notice. Drop it immediately so the very next
-    /// call falls back to the app's home host.
+    /// app we routed to it is a definitive Nak — the failover route is
+    /// wrong NOW, not when its next discovery refresh happens to notice.
+    /// Drop it immediately so the very next call falls back to the app's
+    /// home host.
     fn drop_route(&mut self, ctx: &mut Ctx<'_, Envelope>, core: &mut ServerCore, app: AppId) {
         if self.routes.remove(&app).is_some() {
             ctx.metrics().incr(names::SUBSTRATE_ROUTES_INVALIDATED);
-            core.clear_mirror_hint(app);
         }
         if self.config.discovery_cache.is_some() {
             // The Nak invalidates the cached route too;
@@ -649,11 +648,7 @@ impl Substrate {
         // healthy again.
         let health = &self.health;
         let home = |app: &AppId| health.get(&app.host()) == Some(&PeerHealth::Up);
-        let returned: Vec<AppId> = self.routes.keys().copied().filter(home).collect();
-        for app in returned {
-            self.routes.remove(&app);
-            core.clear_mirror_hint(app);
-        }
+        self.routes.retain(|app, _| !home(app));
         // Re-issue push subscriptions that never got confirmed
         // (lost subscribe, or host was down when we tried).
         let unconfirmed: Vec<AppId> =
@@ -710,7 +705,7 @@ impl Substrate {
         let name = app.naming_path();
         if self.config.discovery_cache.is_some() {
             match self.cache_lookup(ctx, &name) {
-                Lookup::Hit(server) => return self.adopt_route(ctx, core, app, server),
+                Lookup::Hit(server) => return self.adopt_route(ctx, app, server),
                 // The directory said "not bound" within the negative
                 // TTL; don't storm it with re-resolves.
                 Lookup::NegativeHit => return,
@@ -729,26 +724,15 @@ impl Substrate {
     }
 
     /// Install or clear `app`'s failover route from a resolved server
-    /// (`server == app.host()` clears the route: the app is home again),
-    /// maintaining the overload path's mirror hints alongside.
-    fn adopt_route(
-        &mut self,
-        ctx: &mut Ctx<'_, Envelope>,
-        core: &mut ServerCore,
-        app: AppId,
-        server: ServerAddr,
-    ) {
+    /// (`server == app.host()` clears the route: the app is home again).
+    fn adopt_route(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId, server: ServerAddr) {
         if server != self.route_of(app) {
             ctx.metrics().incr(names::SUBSTRATE_FAILOVERS);
         }
         if server == app.host() {
             self.routes.remove(&app);
-            core.clear_mirror_hint(app);
         } else {
             self.routes.insert(app, server);
-            // Let the overload path hand out redirect hints for shed
-            // work targeting this app.
-            core.set_mirror_hint(app, server);
         }
     }
 

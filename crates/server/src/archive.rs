@@ -289,11 +289,6 @@ impl ArchiveStore {
         }
     }
 
-    /// Number of records in an app's log.
-    pub fn app_log_len(&self, app: AppId) -> usize {
-        self.app_logs.get(&app).map(Log::len).unwrap_or(0)
-    }
-
     /// Snapshot-aware catch-up for an application (see [`Log::catch_up`]).
     pub fn catch_up_app(
         &self,

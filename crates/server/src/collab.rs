@@ -140,11 +140,6 @@ impl CollabGroups {
         self.members.get(&app).map(|s| s.contains(&client)).unwrap_or(false)
     }
 
-    /// Number of local members across all groups (diagnostics).
-    pub fn total_memberships(&self) -> usize {
-        self.members.values().map(BTreeSet::len).sum()
-    }
-
     /// Forget every membership, subgroup and mute flag (crash recovery:
     /// the restarted server's clients must log in and re-select their
     /// applications, so stale membership must not leak into fan-out).

@@ -1,0 +1,527 @@
+//! The collaboration handler: one broadcast path for every update,
+//! selection and the group it joins, client-generated content, closing an
+//! application, and the one replay of an application's log.
+
+use std::sync::Arc;
+
+use wire::{LogEntry, ResponseBody, UpdateBody};
+
+use super::*;
+use crate::security;
+
+impl ServerCore {
+    /// Deliver `update` to local group members (except `exclude`), and if
+    /// this server hosts the app, log it and return the peer push set.
+    pub(super) fn route_update(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        update: impl Into<FrozenUpdate>,
+        exclude: Option<ClientId>,
+        origin_peer: Option<ServerAddr>,
+    ) {
+        // Freeze once: the single DBP serialization this update will
+        // ever get on this server (already-frozen updates from a peer
+        // pass through untouched).
+        let update: FrozenUpdate = update.into();
+        let app = update.app();
+        if origin_peer.is_none() {
+            // A logical broadcast originates here (every origin_peer=Some
+            // call re-routes an update some other server already froze
+            // and counted), so `wire.encode_calls` per steady-state
+            // broadcast is exactly one network-wide.
+            ctx.metrics().incr(names::SERVER_COLLAB_BROADCASTS);
+        }
+        // Every fan-out target below — N local fifos, the proxy update
+        // log, the archive, and M peer pushes — shares the one frozen
+        // encoding; each reuse is a reference-count bump, not a clone or
+        // a serializer walk.
+        let mut reuses = self.fan_out(ctx, &update, exclude);
+        ctx.metrics().add(names::SERVER_COLLAB_LOCAL_FANOUT, reuses);
+        if app.host() == self.config.addr {
+            // We are the host: record and fan out to subscribed peers.
+            let mut peers = Vec::new();
+            if let Some(proxy) = self.apps.get_mut(&app) {
+                proxy.push_update(update.clone(), origin_peer);
+                reuses += 1;
+                let others = proxy.subscribers.iter().filter(|p| Some(**p) != origin_peer);
+                peers.extend(others);
+            }
+            self.log_app_metered(ctx, app, None, LogEntry::Update(update.clone()));
+            reuses += 1;
+            if !peers.is_empty() {
+                reuses += peers.len() as u64;
+                self.effects.push(Effect::PushToPeers { update, peers });
+            }
+        } else if origin_peer.is_none() {
+            // Locally generated update about a remote app: the host owns
+            // global fan-out.
+            reuses += 1;
+            self.effects.push(Effect::ForwardToHost { update });
+        }
+        ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
+    }
+
+    /// Push `update` into the FIFO of every local broadcast target of its
+    /// application (members minus `exclude` minus muted clients) and fold
+    /// the FIFO counters once for the whole fan-out. Returns the number
+    /// of targets; each got a reference to the one frozen encoding.
+    fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        update: &FrozenUpdate,
+        exclude: Option<ClientId>,
+    ) -> u64 {
+        let mut targets = 0;
+        let mut tally = FifoTally::default();
+        for client in self.collab.broadcast_targets(update.app(), exclude) {
+            targets += 1;
+            if let Some(fifo) = self.fifos.get_mut(&client) {
+                tally.push(fifo, ClientMessage::Update(update.clone()));
+            }
+        }
+        tally.fold(ctx);
+        targets
+    }
+
+    /// Append to an app's archive log, folding the archival tick
+    /// (snapshot taken / records compacted) into the node's metrics.
+    pub(super) fn log_app_metered(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        app: AppId,
+        user: Option<UserId>,
+        entry: LogEntry,
+    ) {
+        let tick = self.archive.log_app(app, ctx.now(), user, entry);
+        if tick.snapshot_taken {
+            ctx.metrics().incr(names::SERVER_ARCHIVE_SNAPSHOTS);
+        }
+        if tick.compacted > 0 {
+            ctx.metrics().add(names::SERVER_ARCHIVE_COMPACTED, tick.compacted);
+        }
+    }
+
+    pub(super) fn do_select(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        user: &UserId,
+        app: AppId,
+    ) -> Vec<ClientMessage> {
+        // Level-2 authentication: resolve the user's privilege.
+        let (privilege, interface, snapshot) = if app.host() == self.config.addr {
+            match self.apps.get(&app) {
+                None => return vec![Self::error(ErrorCode::NoSuchApp, format!("{app}"))],
+                Some(proxy) => match proxy.privilege_of(user) {
+                    None => {
+                        ctx.metrics().incr(names::SERVER_ACL_DENIED);
+                        return vec![Self::error(ErrorCode::AccessDenied, "not on the ACL")];
+                    }
+                    Some(p) => (
+                        p,
+                        proxy.interface.clone(),
+                        Some(UpdateBody::AppStatus {
+                            app,
+                            status: proxy.last_status.clone(),
+                            readings: proxy.last_readings.clone(),
+                        }),
+                    ),
+                },
+            }
+        } else {
+            match (self.remote_privs.get(&(user.clone(), app)), self.remote_apps.get(&app)) {
+                (Some(p), Some(remote)) => (*p, remote.interface.clone(), None),
+                _ => {
+                    return vec![Self::error(
+                        ErrorCode::AccessDenied,
+                        "unknown remote application for this user (list applications first)",
+                    )]
+                }
+            }
+        };
+        let first_member = !self.collab.has_members(app);
+        self.collab.join(app, client);
+        if let Some(s) = self.session_of(client, ctx.now()) {
+            if !s.selected.contains(&app) {
+                s.selected.push(app);
+            }
+        }
+        if app.host() != self.config.addr && first_member {
+            self.effects.push(Effect::Subscribe { app });
+        }
+        let update = UpdateBody::MemberJoined { app, user: user.clone() };
+        self.route_update(ctx, update, Some(client), None);
+        let mut out = vec![ClientMessage::Response(ResponseBody::AppSelected {
+            app,
+            interface: security::filter_interface(&interface, privilege),
+            privilege,
+        })];
+        if let Some(snapshot) = snapshot {
+            out.push(ClientMessage::update(snapshot));
+        }
+        out
+    }
+
+    pub(super) fn do_deselect(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        user: &UserId,
+        app: AppId,
+    ) {
+        self.collab.leave(app, client);
+        if let Some(s) = self.session_of(client, ctx.now()) {
+            s.selected.retain(|a| *a != app);
+        }
+        let update = UpdateBody::MemberLeft { app, user: user.clone() };
+        self.route_update(ctx, update, Some(client), None);
+        self.maybe_unsubscribe(app);
+        self.release_lock_if_last_session(ctx, app, user);
+    }
+
+    pub(super) fn maybe_unsubscribe(&mut self, app: AppId) {
+        if app.host() != self.config.addr && !self.collab.has_members(app) {
+            self.effects.push(Effect::Unsubscribe { app });
+        }
+    }
+
+    /// Collaboration content generated by a local client (chat,
+    /// whiteboard, shared view).
+    pub(super) fn client_update(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        app: AppId,
+        update: UpdateBody,
+    ) -> Vec<ClientMessage> {
+        if !self.collab.is_member(app, client) {
+            return vec![Self::error(ErrorCode::AccessDenied, "select the application first")];
+        }
+        self.route_update(ctx, update, Some(client), None);
+        vec![ClientMessage::Response(ResponseBody::Accepted)]
+    }
+
+    /// Remove a local application: notify groups, fail buffered requests,
+    /// announce on the control channel.
+    pub(super) fn close_app(&mut self, ctx: &mut Ctx<'_, Envelope>, app: AppId) {
+        let Some(mut proxy) = self.apps.remove(&app) else { return };
+        ctx.metrics().incr(names::SERVER_DAEMON_DEREGISTERED);
+        // Fail anything still buffered.
+        for entry in proxy.buffered.drain(..) {
+            let error = WireError::new(ErrorCode::Unavailable, "application closed");
+            self.resolve_op(ctx, entry.req, Err(error));
+        }
+        // Push directly (route_update would try the removed proxy);
+        // frozen once, shared by fifos, archive and peer pushes alike.
+        let update = FrozenUpdate::new(UpdateBody::AppClosed { app });
+        ctx.metrics().incr(names::SERVER_COLLAB_BROADCASTS);
+        let mut reuses = self.fan_out(ctx, &update, None);
+        self.log_app_metered(ctx, app, None, LogEntry::Update(update.clone()));
+        reuses += 1;
+        let peers: Vec<ServerAddr> = proxy.subscribers.into_iter().collect();
+        if !peers.is_empty() {
+            reuses += peers.len() as u64;
+            self.effects.push(Effect::PushToPeers { update, peers });
+        }
+        ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
+        self.collab.drop_app(app);
+        self.effects.push(Effect::Announce {
+            kind: ControlEventKind::AppClosed,
+            detail: format!("{app}"),
+            app: Some(app),
+        });
+    }
+
+    /// The one host-side replay of an application's log from `since`,
+    /// behind history fetches (local and relayed), catch-up and the
+    /// resume suffix: the nearest snapshot ahead of the cursor plus the
+    /// delta tail from its boundary, so the reply is O(snapshot
+    /// interval), not O(session length), and the plain suffix when no
+    /// snapshot helps — or when the reply cannot carry one (`History` has
+    /// no snapshot field, so a history fetch keeps returning every
+    /// retained record). `kind` also picks the counters that move.
+    pub(super) fn replay(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        app: AppId,
+        since: u64,
+        kind: Replay,
+    ) -> (Option<Arc<wire::ArchiveSnapshot>>, Vec<wire::LogRecord>, u64) {
+        let replayed = match kind {
+            Replay::History => {
+                let (records, next_seq) = self.archive.fetch_app(app, since);
+                return (None, records, next_seq);
+            }
+            Replay::CatchUp => {
+                ctx.metrics().incr(names::SERVER_CATCHUP_REQUESTS);
+                names::SERVER_CATCHUP_RECORDS
+            }
+            Replay::Resume => names::SERVER_RESUME_REPLAYED,
+        };
+        let (snapshot, records, next_seq) = self.archive.catch_up_app(app, since);
+        if snapshot.is_some() {
+            ctx.metrics().incr(names::SERVER_CATCHUP_SNAPSHOT_HITS);
+        }
+        ctx.metrics().add(replayed, records.len() as u64);
+        (snapshot, records, next_seq)
+    }
+
+    /// Answer a local client's replay request: from the log when the
+    /// application is hosted here; otherwise relayed to its host for a
+    /// group member (the records arrive through the client's FIFO) and
+    /// refused for anyone else. A resume replays only what its session
+    /// had selected and has its own answer, so it says nothing either way.
+    pub(super) fn client_replay(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        client: ClientId,
+        app: AppId,
+        since: u64,
+        kind: Replay,
+    ) -> Vec<ClientMessage> {
+        if app.host() == self.config.addr {
+            let (snapshot, records, next_seq) = self.replay(ctx, app, since, kind);
+            let body = if snapshot.is_some() || matches!(kind, Replay::CatchUp) {
+                ResponseBody::CatchUp { app, snapshot, records, next_seq }
+            } else {
+                ResponseBody::History { app, records, next_seq }
+            };
+            return vec![ClientMessage::Response(body)];
+        }
+        let member = self.collab.is_member(app, client);
+        if member {
+            self.effects.push(Effect::Relay { client, app, verb: RelayVerb::History { since } });
+        }
+        match (kind, member) {
+            (Replay::Resume, _) => Vec::new(),
+            (_, true) => vec![ClientMessage::Response(ResponseBody::Accepted)],
+            (_, false) => {
+                vec![Self::error(ErrorCode::AccessDenied, "select the application first")]
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::{Actor, Engine};
+    use wire::{AppMsg, AppPhase, ClientRequest};
+
+    use super::super::tests::*;
+    use super::*;
+
+    fn client(seq: u32) -> ClientId {
+        ClientId { server: ADDR, seq }
+    }
+
+    fn status(iteration: u64) -> FrozenUpdate {
+        FrozenUpdate::new(UpdateBody::AppStatus {
+            app: APP,
+            status: AppStatus { phase: AppPhase::Computing, iteration, progress: 0.0 },
+            readings: Vec::new(),
+        })
+    }
+
+    fn chat(text: &str) -> ClientMessage {
+        ClientMessage::update(UpdateBody::Chat {
+            app: APP,
+            from: UserId::new("u"),
+            text: text.into(),
+        })
+    }
+
+    /// A core whose group members' FIFOs (capacity 4, coalescing) each
+    /// meet the next status broadcast differently.
+    fn staged_core() -> ServerCore {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.fifo_capacity = 4;
+        config.coalesce_fifo = true;
+        let mut core = ServerCore::new(config);
+        let mut stage = |seq: u32, queued: Vec<ClientMessage>, drain: usize| {
+            let mut fifo = FifoBuffer::with_coalescing(4, true);
+            queued.into_iter().for_each(|msg| fifo.push(msg));
+            fifo.drain(drain);
+            core.fifos.insert(client(seq), fifo);
+            core.collab.join(APP, client(seq));
+        };
+        let older = || ClientMessage::Update(status(1));
+        // Coalesce: a superseded status is still queued.
+        stage(0, vec![older()], 0);
+        stage(1, vec![chat("a"), older(), chat("b")], 1);
+        // Append below the high-water mark: peaked at 3, drained to 1.
+        stage(2, vec![chat("a"), chat("b"), chat("c")], 2);
+        // Evict: full, and no status among the four queued.
+        stage(3, vec![chat("a"), chat("b"), chat("c"), chat("d")], 0);
+        // Raise the peak: never held anything.
+        stage(4, Vec::new(), 0);
+        // A member whose FIFO is gone counts as a target and nothing else.
+        core.collab.join(APP, client(5));
+        core
+    }
+
+    /// Delivers one status update to the staged group at start: through
+    /// `route_update`, or with one `fifo_push` per member.
+    struct Host {
+        core: ServerCore,
+        batched: bool,
+    }
+
+    impl Actor<Envelope> for Host {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            let update = status(2);
+            if self.batched {
+                self.core.route_update(ctx, update, None, None);
+            } else {
+                for seq in 0..6 {
+                    self.core.fifo_push(ctx, client(seq), ClientMessage::Update(update.clone()));
+                }
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Ctx<'_, Envelope>, _: NodeId, _: Envelope) {}
+    }
+
+    type Counters = Vec<(String, u64)>;
+    /// (run-wide, node registry) `webserv.fifo.*` counters and the FIFO
+    /// snapshot after the delivery.
+    type Outcome = (Counters, Counters, Vec<(ClientId, usize, usize, u64, u64)>);
+
+    fn deliver(batched: bool) -> Outcome {
+        let mut engine = Engine::new(1);
+        let node = engine.add_node("s", Host { core: staged_core(), batched });
+        engine.run_to_quiescence();
+        let fifo_counters = |stats: &simnet::Stats| {
+            stats
+                .counters()
+                .filter(|(key, _)| key.starts_with("webserv.fifo."))
+                .map(|(key, n)| (key.to_owned(), n))
+                .collect::<Vec<_>>()
+        };
+        let host = engine.actor_ref::<Host>(node).expect("the host actor");
+        (
+            fifo_counters(&engine.stats()),
+            fifo_counters(engine.node_metrics(node).stats()),
+            host.core.fifo_snapshot(),
+        )
+    }
+
+    #[test]
+    fn one_broadcast_folds_to_the_counters_of_single_pushes() {
+        let batched = deliver(true);
+        assert_eq!(batched, deliver(false));
+        let expected: Counters = [("coalesced", 2), ("dropped", 1), ("enqueued", 5), ("peak", 1)]
+            .map(|(what, n)| (format!("webserv.fifo.{what}"), n))
+            .into();
+        assert_eq!(batched.0, expected);
+        assert_eq!(batched.1, expected);
+    }
+
+    #[test]
+    fn a_broadcast_that_moves_nothing_writes_no_fifo_counter() {
+        // Per-push counting never created a counter it did not bump; the
+        // fold must not either (reports list every written key).
+        let mut engine = Engine::new(1);
+        let mut core = staged_core();
+        core.fifos.clear();
+        let node = engine.add_node("s", Host { core, batched: true });
+        engine.run_to_quiescence();
+        assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
+        assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
+        assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
+    }
+
+    #[test]
+    fn history_catch_up_and_resume_serve_one_walk() {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.snapshot_every = Some(4);
+        let script: Script = Box::new(|core, ctx| {
+            let cookie = open_session(core, ctx);
+            let client = core.sessions.get(cookie).expect("live").client;
+            for iteration in 1..=10 {
+                let status = AppStatus { phase: AppPhase::Interacting, iteration, progress: 0.0 };
+                tcp(core, ctx, AppMsg::Update { app: APP, status, readings: Vec::new() });
+            }
+            let log = core.archive.app_log(APP).expect("archived");
+            let late = log.snapshots().last().expect("snapshots were taken").seq;
+            assert!(late < log.next_seq(), "a tail follows the last snapshot");
+            // Hosted: answered in the response, nothing to hand off.
+            for since in [0, late] {
+                let asks = [
+                    ClientRequest::GetHistory { app: APP, since },
+                    ClientRequest::CatchUp { app: APP, since },
+                    ClientRequest::Resume { cookie, cursors: vec![(APP, since)] },
+                ];
+                for ask in asks {
+                    assert!(http(core, ctx, Some(cookie), ask).is_empty());
+                }
+            }
+            // Remote: relayed to the host for a member, refused (or, in a
+            // resume, skipped) for anyone else.
+            let relayed =
+                [Effect::Relay { client, app: REMOTE, verb: RelayVerb::History { since: 3 } }];
+            let stranger = AppId { server: PEER, seq: 9 };
+            for app in [REMOTE, stranger] {
+                let asks = [
+                    ClientRequest::GetHistory { app, since: 3 },
+                    ClientRequest::CatchUp { app, since: 3 },
+                    ClientRequest::Resume { cookie, cursors: vec![(app, 3)] },
+                ];
+                for ask in asks {
+                    let effects = http(core, ctx, Some(cookie), ask);
+                    assert_eq!(effects, if app == REMOTE { &relayed[..] } else { &[] });
+                }
+            }
+        });
+        let (engine, node) = Loopback::run(config, script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let bodies: Vec<&[ClientMessage]> =
+            host.http[host.http.len() - 12..].iter().map(|r| r.body.as_slice()).collect();
+        let body = |m: &ClientMessage| match m {
+            ClientMessage::Response(body) => body.clone(),
+            other => panic!("unexpected {other:?}"),
+        };
+        // Cursor behind the snapshots: history is the whole log; catch-up
+        // and resume are the same snapshot + tail.
+        let ResponseBody::History { records: full, .. } = body(&bodies[0][0]) else {
+            panic!("{:?}", bodies[0]);
+        };
+        let caught_up = body(&bodies[1][0]);
+        let ResponseBody::CatchUp { snapshot: Some(shared), records: tail, .. } = &caught_up else {
+            panic!("{caught_up:?}");
+        };
+        assert!(tail.len() < full.len() && full.ends_with(tail));
+        assert!(matches!(body(&bodies[2][0]), ResponseBody::Resumed { .. }));
+        assert_eq!(body(&bodies[2][1]), caught_up);
+        // Not a copy of it either: both replies point at the archive's own.
+        let ResponseBody::CatchUp { snapshot: Some(resumed), .. } = body(&bodies[2][1]) else {
+            panic!("{:?}", bodies[2]);
+        };
+        let archived = host.core.archive.app_log(APP).expect("archived").snapshots();
+        assert!(Arc::ptr_eq(shared, &resumed));
+        assert!(Arc::ptr_eq(shared, archived.last().expect("snapshots were taken")));
+        // Cursor past the last snapshot: all three serve the plain suffix.
+        let suffix = body(&bodies[3][0]);
+        let ResponseBody::History { records, next_seq, .. } = suffix.clone() else {
+            panic!("{suffix:?}");
+        };
+        assert!(!records.is_empty());
+        let bare = ResponseBody::CatchUp { app: APP, snapshot: None, records, next_seq };
+        assert_eq!(body(&bodies[4][0]), bare);
+        assert_eq!(body(&bodies[5][1]), suffix);
+        // Remote, member: accepted (a resume just resumes); stranger: refused.
+        for accepted in [bodies[6], bodies[7]] {
+            assert_eq!(body(&accepted[0]), ResponseBody::Accepted);
+        }
+        for resumed in [bodies[8], bodies[11]] {
+            assert!(matches!(resumed, [ClientMessage::Response(ResponseBody::Resumed { .. })]));
+        }
+        for refused in [bodies[9], bodies[10]] {
+            let [ClientMessage::Error(e)] = refused else { panic!("{refused:?}") };
+            assert_eq!(e.code, ErrorCode::AccessDenied);
+        }
+        let stats = engine.node_metrics(node);
+        assert_eq!(stats.counter(names::SERVER_CATCHUP_REQUESTS), 2);
+        // One catch-up and one resume found a snapshot ahead of their cursor.
+        assert_eq!(stats.counter(names::SERVER_CATCHUP_SNAPSHOT_HITS), 2);
+    }
+}

@@ -214,8 +214,6 @@ pub mod names {
         /// Buffered operations shed from a bounded proxy buffer on overflow
         /// (lowest-priority-oldest first).
         SERVER_PROXY_SHED: CounterDef = "server.proxy.shed";
-        /// Shed replies that carried a redirect hint to a known mirror.
-        SERVER_PROXY_SHED_REDIRECTED: CounterDef = "server.proxy.shed_redirected";
         /// Messages enqueued into per-client webserv FIFO buffers.
         WEBSERV_FIFO_ENQUEUED: CounterDef = "webserv.fifo.enqueued";
         /// Messages dropped (oldest evicted) from full webserv FIFO buffers.
