@@ -4,14 +4,15 @@
 //! servlet handlers for real-time application interaction, steering, and
 //! client collaboration. This crate contains every handler:
 //!
-//! * master handler — client sessions and ids ([`core`] + `webserv`),
-//! * command handler — operation routing to [`ApplicationProxy`]s,
+//! * master handler — client sessions and ids (`core/session.rs`),
+//! * command handler — operation routing to [`ApplicationProxy`]s, one
+//!   record per hosted application (`core/dispatch.rs`),
 //! * collaboration handler — groups, subgroups, chat, whiteboard
-//!   ([`CollabGroups`]),
+//!   ([`CollabGroups`]; broadcast and replay in `core/group.rs`),
 //! * security/authentication handler — two-level auth with per
 //!   user-application ACLs ([`security`]),
 //! * Daemon servlet — application registration and compute-phase request
-//!   buffering ([`core`]),
+//!   buffering (`core/dispatch.rs`),
 //! * session archival handler — client and application logs, replay and
 //!   latecomer catch-up ([`ArchiveStore`]),
 //! * database handler — record ownership rules of §6.3 ([`RecordStore`]),
@@ -19,9 +20,9 @@
 //!
 //! [`ServerCore`] is transport-complete for local traffic and *serves*
 //! peer (GIOP) requests; out-calls to peers are returned as [`Effect`]s
-//! for the middleware substrate in `discover-core` to perform.
-//! [`StandaloneServer`] wraps the core as the paper's pre-substrate,
-//! single-server system.
+//! for the middleware substrate in `discover-core` to perform; [`core`]
+//! writes it one plane per file. [`StandaloneServer`] wraps the core as
+//! the paper's pre-substrate, single-server system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
