@@ -46,7 +46,6 @@ pub struct Actuator<S> {
 /// An automated periodic interaction ("schedule automated periodic
 /// interactions" is an explicitly listed DISCOVER capability).
 pub struct InteractionAgent<S> {
-    name: String,
     period: u64,
     act: AgentFn<S>,
 }
@@ -99,25 +98,15 @@ impl<S> ControlNetwork<S> {
     }
 
     /// Register an interaction agent firing every `period` iterations.
-    pub fn agent(
-        mut self,
-        name: impl Into<String>,
-        period: u64,
-        act: impl FnMut(&mut S) + Send + 'static,
-    ) -> Self {
+    pub fn agent(mut self, period: u64, act: impl FnMut(&mut S) + Send + 'static) -> Self {
         assert!(period > 0, "agent period must be positive");
-        self.agents.push(InteractionAgent { name: name.into(), period, act: Box::new(act) });
+        self.agents.push(InteractionAgent { period, act: Box::new(act) });
         self
     }
 
     /// Sensor names.
     pub fn sensor_names(&self) -> Vec<String> {
         self.sensors.iter().map(|s| s.name.clone()).collect()
-    }
-
-    /// Agent names.
-    pub fn agent_names(&self) -> Vec<String> {
-        self.agents.iter().map(|a| a.name.clone()).collect()
     }
 }
 
@@ -302,7 +291,7 @@ mod tests {
                     |s: &Counter| Value::Float(s.gain),
                     |s, v| write_clamped_f64(v, 0.0, 10.0, s, |s, x| s.gain = x),
                 )
-                .agent("bump", 5, |s: &mut Counter| s.agent_fires += 1),
+                .agent(5, |s: &mut Counter| s.agent_fires += 1),
         )
     }
 

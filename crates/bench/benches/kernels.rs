@@ -1,6 +1,5 @@
 //! Application-kernel benchmarks: one iteration of each of the paper's
-//! four application classes, including the serial-vs-parallel `parkit`
-//! ablation (set `PARKIT_THREADS=1` to compare).
+//! four application classes.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -75,29 +74,5 @@ fn bench_relativity(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parkit(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parkit");
-    let data: Vec<f64> = (0..100_000).map(|i| i as f64 * 0.001).collect();
-    g.bench_function("par_map_100k", |b| {
-        b.iter(|| parkit::par_map(black_box(&data), |x| x.sin() * x.cos()))
-    });
-    g.bench_function("par_reduce_100k", |b| {
-        b.iter(|| {
-            parkit::par_reduce(0..data.len(), 1024, 0.0f64, |i| data[i] * data[i], |a, b| a + b)
-        })
-    });
-    g.bench_function("seq_map_100k_reference", |b| {
-        b.iter(|| data.iter().map(|x| x.sin() * x.cos()).collect::<Vec<f64>>())
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_oilres,
-    bench_cfd,
-    bench_seismic,
-    bench_relativity,
-    bench_parkit
-);
+criterion_group!(benches, bench_oilres, bench_cfd, bench_seismic, bench_relativity);
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 
 use appsim::synthetic_app;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
-use discover_core::{CollabMode, CollaboratoryBuilder, DiscoverNode};
+use discover_core::{CollaboratoryBuilder, DiscoverNode};
 use simnet::{SimDuration, SimTime};
 use wire::{ClientMessage, ClientRequest, Privilege, ResponseBody};
 
@@ -250,9 +250,4 @@ pub fn e10_latecomer_replay() -> Table {
     }
     table.note("archive volume and transfer bytes grow linearly with session age; fetch stays a single round trip");
     table
-}
-
-/// Sanity: poll-mode collaboration (ablation referenced from EXPERIMENTS).
-pub fn _collab_mode_is_configurable() -> CollabMode {
-    CollabMode::Poll { interval: SimDuration::from_millis(500) }
 }

@@ -1,5 +1,5 @@
-//! Shared experiment fixtures: calibrated workload parameters and
-//! network assembly helpers.
+//! Shared experiment fixtures: calibrated workload parameters, portal
+//! and ACL builders, and per-portal result collectors.
 //!
 //! Calibration (documented in EXPERIMENTS.md): the cost model lives in
 //! `webserv::{HttpCosts, TcpCosts, OrbCosts}::CALIBRATED` and is shared by
@@ -8,9 +8,9 @@
 //! "high load" testing, clients poll every 200 ms and issue roughly one
 //! interaction per second.
 
-use appsim::{synthetic_app, DriverConfig};
+use appsim::DriverConfig;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
-use discover_core::{CollabMode, Collaboratory, CollaboratoryBuilder, ServerHandle};
+use discover_core::Collaboratory;
 use simnet::{NodeId, SimDuration};
 use wire::{AppId, AppToken, Privilege, UserId};
 
@@ -65,34 +65,6 @@ pub fn workload_portal(user: &str, app: AppId, mix: OpMix, think_ms: u64) -> Por
     Portal::new(cfg)
 }
 
-/// Attach `n` viewer portals with a given workload to a server; names are
-/// `user{base+i}`. Every user must already be on the target app's ACL.
-pub fn attach_workload_clients(
-    b: &mut CollaboratoryBuilder,
-    server: ServerHandle,
-    app: AppId,
-    users: &[String],
-    mix: OpMix,
-    think_ms: u64,
-) -> Vec<NodeId> {
-    users
-        .iter()
-        .map(|u| {
-            let portal = workload_portal(u, app, mix.clone(), think_ms);
-            b.attach(server, &format!("portal-{u}"), portal)
-        })
-        .collect()
-}
-
-/// Wire every portal's `server` field after build (portals are created
-/// before their server NodeId is final only in edge cases, but the
-/// builder's `attach` returns the node so we set it here uniformly).
-pub fn wire_portals(c: &mut Collaboratory, portals: &[(NodeId, ServerHandle)]) {
-    for (node, server) in portals {
-        c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(server.node);
-    }
-}
-
 /// Collect all op latencies (microseconds) across portals.
 pub fn collect_op_latencies(c: &Collaboratory, nodes: &[NodeId]) -> Vec<u64> {
     let mut all = Vec::new();
@@ -127,38 +99,4 @@ pub fn total_ops(c: &Collaboratory, nodes: &[NodeId]) -> u64 {
 /// An ACL granting `user0..userN` the given privilege.
 pub fn acl_users(n: usize, privilege: Privilege) -> Vec<(String, Privilege)> {
     (0..n).map(|i| (format!("user{i}"), privilege)).collect()
-}
-
-/// A single-server fixture with one hot app whose ACL covers `n_users`
-/// ReadWrite users. Returns (builder, server, app id).
-pub fn single_server(seed: u64, n_users: usize) -> (CollaboratoryBuilder, ServerHandle, AppId) {
-    let mut b = CollaboratoryBuilder::new(seed);
-    let server = b.server("server0");
-    let users = acl_users(n_users, Privilege::ReadWrite);
-    let acl: Vec<(&str, Privilege)> = users.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-    let (_, app) = b.application(server, synthetic_app(2, u64::MAX), hot_app_config("app0", &acl));
-    (b, server, app)
-}
-
-/// An S-server WAN mesh, each server hosting one hot app with a shared
-/// user population of `n_users` ReadWrite users. Returns
-/// (builder, servers, apps).
-pub fn server_mesh(
-    seed: u64,
-    s: usize,
-    n_users: usize,
-    mode: CollabMode,
-) -> (CollaboratoryBuilder, Vec<ServerHandle>, Vec<AppId>) {
-    let mut b = CollaboratoryBuilder::new(seed);
-    b.collab_mode(mode);
-    let servers: Vec<ServerHandle> = (0..s).map(|i| b.server(&format!("server{i}"))).collect();
-    b.mesh_servers(simnet::LinkSpec::wan());
-    let users = acl_users(n_users, Privilege::ReadWrite);
-    let acl: Vec<(&str, Privilege)> = users.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-    let apps: Vec<AppId> = servers
-        .iter()
-        .enumerate()
-        .map(|(i, &srv)| b.application(srv, synthetic_app(2, u64::MAX), hot_app_config(&format!("app{i}"), &acl)).1)
-        .collect();
-    (b, servers, apps)
 }

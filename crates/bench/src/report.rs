@@ -209,8 +209,3 @@ pub fn summarize_us(values: &[u64]) -> LatencySummary {
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
-
-/// Format a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}

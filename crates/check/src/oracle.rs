@@ -471,7 +471,8 @@ fn check_resume_replay(run: &RunResult, out: &mut Vec<Violation>) {
                 out.push(Violation::new(
                     "replay",
                     format!(
-                        "resume replay for {} (seq {}..={}, len {}) is not a                          byte-identical contiguous slice of the host archive (len {})",
+                        "resume replay for {} (seq {}..={}, len {}) is not a \
+                         byte-identical contiguous slice of the host archive (len {})",
                         u.name,
                         first.seq,
                         last.seq,
@@ -509,7 +510,8 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
         out.push(Violation::new(
             "reclaim",
             format!(
-                "lease leak: parked={parked} resumed={resumed} reclaimed={reclaimed}                  parked_at_end={}",
+                "lease leak: parked={parked} resumed={resumed} reclaimed={reclaimed} \
+                 parked_at_end={}",
                 run.parked_at_end
             ),
         ));
@@ -529,7 +531,8 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
                 out.push(Violation::new(
                     "pacing",
                     format!(
-                        "{} resumes inside one second around t={}µs exceeds 2x the                          configured rate {rate}/s",
+                        "{} resumes inside one second around t={}µs exceeds 2x the \
+                         configured rate {rate}/s",
                         hi - lo + 1,
                         resumed_at[hi]
                     ),
@@ -592,7 +595,8 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
                 out.push(Violation::new(
                     "recovery",
                     format!(
-                        "user {} resumed at {first}µs, past the O(backlog) budget of                          {budget_ms}ms",
+                        "user {} resumed at {first}µs, past the O(backlog) budget of \
+                         {budget_ms}ms",
                         u.name
                     ),
                 ));

@@ -356,15 +356,6 @@ impl Portal {
         self.received.iter().map(|(_, m)| m).filter(|m| m.kind() == kind).collect()
     }
 
-    /// Mean completion latency of workload operations.
-    pub fn mean_latency(&self) -> Option<SimDuration> {
-        if self.op_latencies_us.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.op_latencies_us.iter().map(|&x| x as u128).sum();
-        Some(SimDuration::from_micros((sum / self.op_latencies_us.len() as u128) as u64))
-    }
-
     fn post(&mut self, ctx: &mut Ctx<'_, Envelope>, req: ClientRequest) {
         self.post_traced(ctx, req, None);
     }

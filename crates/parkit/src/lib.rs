@@ -3,108 +3,42 @@
 //! The DISCOVER back-end applications (oil reservoir, CFD, seismic,
 //! relativity kernels in the `appsim` crate) are "high-performance parallel
 //! applications" in the paper. Rather than pull in an external
-//! data-parallelism dependency, this crate provides the small set of
-//! primitives those kernels need, built directly on `std::thread::scope`:
+//! data-parallelism dependency, this crate provides the two primitives
+//! those kernels call, built directly on `std::thread::scope`:
 //!
-//! * [`par_for`] — index-space parallel for with atomic work dealing,
 //! * [`par_chunks_mut`] — disjoint mutable chunk processing,
-//! * [`par_map`] — order-preserving parallel map,
-//! * [`par_reduce`] — map + associative reduction,
-//! * [`join`] — two-way fork/join.
+//! * [`par_map`] — order-preserving parallel map.
 //!
-//! All primitives fall back to sequential execution when the requested
-//! parallelism is 1 (set `PARKIT_THREADS=1`), so single-threaded
-//! benchmarking ablations are exact.
+//! Both run sequentially on a single-core machine and on inputs too small
+//! to split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use parking_lot::Mutex;
 
-/// Number of worker threads used by the `par_*` primitives, resolved once
-/// per call: the `PARKIT_THREADS` environment variable if set, else the
-/// machine's available parallelism, else 1.
-pub fn threads() -> usize {
-    if let Ok(v) = std::env::var("PARKIT_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
+/// Worker threads available to the primitives: the machine's available
+/// parallelism, else 1.
+fn threads() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Run `a` and `b` potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if threads() <= 1 {
-        return (a(), b());
-    }
-    thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("parkit::join worker panicked");
-        (ra, rb)
-    })
-}
-
-/// Parallel `for i in range { f(i) }` with dynamic work dealing.
-///
-/// Indices are handed out in grains of `grain` via an atomic counter, so
-/// irregular per-index costs balance across workers. `f` must be safe to
-/// call concurrently for distinct indices.
-pub fn par_for<F>(range: Range<usize>, grain: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let grain = grain.max(1);
-    let n = threads();
-    if n <= 1 || range.len() <= grain {
-        for i in range {
-            f(i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(range.start);
-    let end = range.end;
-    let workers = n.min(range.len().div_ceil(grain));
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let start = next.fetch_add(grain, Ordering::Relaxed);
-                if start >= end {
-                    break;
-                }
-                let stop = (start + grain).min(end);
-                for i in start..stop {
-                    f(i);
-                }
-            });
-        }
-    });
 }
 
 /// Process disjoint mutable chunks of `data` in parallel.
 ///
 /// `data` is split into chunks of `chunk_size` elements; `f` receives the
 /// element offset of the chunk and the chunk itself. Chunks are dealt to
-/// workers dynamically.
+/// workers dynamically, and no more workers are spawned than there are
+/// chunks.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_size: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     let chunk_size = chunk_size.max(1);
-    let n = threads();
-    if n <= 1 || data.len() <= chunk_size {
+    let workers = threads().min(data.len().div_ceil(chunk_size));
+    if workers <= 1 {
         for (ci, chunk) in data.chunks_mut(chunk_size).enumerate() {
             f(ci * chunk_size, chunk);
         }
@@ -118,7 +52,7 @@ where
             .collect(),
     );
     thread::scope(|s| {
-        for _ in 0..n {
+        for _ in 0..workers {
             s.spawn(|| loop {
                 let item = work.lock().pop();
                 match item {
@@ -159,79 +93,9 @@ where
     out
 }
 
-/// Parallel map-reduce over an index space: computes
-/// `map(range.start) ⊕ ... ⊕ map(range.end - 1)` where `⊕` is `reduce`,
-/// starting from `identity`. `reduce` must be associative and commutative
-/// with `identity` as neutral element for the result to be well-defined.
-pub fn par_reduce<A, M, R>(range: Range<usize>, grain: usize, identity: A, map: M, reduce: R) -> A
-where
-    A: Send + Clone,
-    M: Fn(usize) -> A + Sync,
-    R: Fn(A, A) -> A + Sync + Send,
-{
-    let grain = grain.max(1);
-    let n = threads();
-    if n <= 1 || range.len() <= grain {
-        let mut acc = identity;
-        for i in range {
-            acc = reduce(acc, map(i));
-        }
-        return acc;
-    }
-    let next = AtomicUsize::new(range.start);
-    let end = range.end;
-    let workers = n.min(range.len().div_ceil(grain));
-    let partials: Vec<A> = thread::scope(|s| {
-        let (map, reduce) = (&map, &reduce);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let mut acc = identity.clone();
-                let next = &next;
-                s.spawn(move || {
-                    loop {
-                        let start = next.fetch_add(grain, Ordering::Relaxed);
-                        if start >= end {
-                            break;
-                        }
-                        let stop = (start + grain).min(end);
-                        for i in start..stop {
-                            acc = reduce(acc, map(i));
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parkit::par_reduce worker panicked"))
-            .collect()
-    });
-    let mut acc = identity;
-    for p in partials {
-        acc = reduce(acc, p);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn par_for_covers_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
-        par_for(0..hits.len(), 8, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn par_for_empty_range() {
-        par_for(5..5, 4, |_| panic!("must not be called"));
-    }
 
     #[test]
     fn par_chunks_mut_writes_disjointly() {
@@ -255,18 +119,5 @@ mod tests {
     fn par_map_empty_and_singleton() {
         assert_eq!(par_map(&Vec::<u32>::new(), |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_reduce_matches_sequential() {
-        let sum = par_reduce(0..10_000, 128, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(sum, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 21 * 2, || "ok");
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests: every parallel primitive agrees with its sequential
-//! counterpart for arbitrary inputs, grains and thread counts.
+//! Property tests: both parallel primitives agree with their sequential
+//! counterparts for arbitrary inputs and chunk sizes.
 
 #![cfg(feature = "proptest")]
 
@@ -15,13 +15,6 @@ proptest! {
     }
 
     #[test]
-    fn par_reduce_equals_seq_sum(n in 0usize..5000, grain in 1usize..512) {
-        let par = parkit::par_reduce(0..n, grain, 0u64, |i| (i as u64).wrapping_mul(17), |a, b| a.wrapping_add(b));
-        let seq: u64 = (0..n as u64).map(|i| i.wrapping_mul(17)).fold(0, |a, b| a.wrapping_add(b));
-        prop_assert_eq!(par, seq);
-    }
-
-    #[test]
     fn par_chunks_mut_equals_seq(len in 0usize..2000, chunk in 1usize..300) {
         let mut par_data = vec![0u32; len];
         let mut seq_data = vec![0u32; len];
@@ -34,15 +27,5 @@ proptest! {
             *v = (i as u32).wrapping_mul(3);
         }
         prop_assert_eq!(par_data, seq_data);
-    }
-
-    #[test]
-    fn par_for_touches_each_exactly_once(n in 0usize..3000, grain in 1usize..200) {
-        use std::sync::atomic::{AtomicU8, Ordering};
-        let hits: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(0)).collect();
-        parkit::par_for(0..n, grain, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

@@ -402,11 +402,6 @@ impl<'a, M: Payload> Ctx<'a, M> {
         &self.core.nodes[id.index()].name
     }
 
-    /// Whether span collection is on (see `Engine::enable_tracing`).
-    pub fn tracing_enabled(&self) -> bool {
-        self.core.tracer.enabled()
-    }
-
     /// Open a root span (new trace) on this node at the local clock.
     /// `None` when tracing is disabled.
     pub fn trace_root(&mut self, name: &str) -> Option<TraceContext> {
@@ -434,11 +429,6 @@ impl<'a, M: Payload> Ctx<'a, M> {
         if let Some(span) = span {
             self.core.tracer.annotate(span, self.local_now, text);
         }
-    }
-
-    /// Whether history recording is on (see `Engine::enable_history`).
-    pub fn history_enabled(&self) -> bool {
-        self.core.history.enabled()
     }
 
     /// Record a semantic decision point into the history log and the
@@ -551,12 +541,6 @@ impl<M: Payload> Engine<M> {
         assert_ne!(a, b, "loopback links are implicit");
         self.core.install_link(a, b, spec);
         self.core.install_link(b, a, spec);
-    }
-
-    /// Install a single directed link (rarely needed; tests use it to make
-    /// asymmetric paths).
-    pub fn link_directed(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        self.core.install_link(from, to, spec);
     }
 
     /// True if a directed link exists.
@@ -744,11 +728,6 @@ impl<M: Payload> Engine<M> {
         self.core.flight.enable(config);
     }
 
-    /// Whether the flight recorder is on.
-    pub fn flight_enabled(&self) -> bool {
-        self.core.flight.enabled()
-    }
-
     /// Every triggered flight dump so far, in trigger order.
     pub fn flight_dumps(&self) -> &[FlightDump] {
         self.core.flight.dumps()
@@ -764,19 +743,6 @@ impl<M: Payload> Engine<M> {
     /// it recorded).
     pub fn flight_ring_rendered(&self, node: NodeId) -> String {
         self.core.flight.ring_rendered(node)
-    }
-
-    /// Force a flight dump of `node`'s ring under `trigger` at the global
-    /// clock — harnesses call this when an oracle fails so the repro
-    /// ships with each node's recent past. Counted under
-    /// `engine.flight_dumps` like triggered dumps. No-op while the
-    /// recorder is off.
-    pub fn flight_force_dump(&mut self, node: NodeId, trigger: &str) {
-        let now = self.core.now;
-        let fired = self.core.flight.force_dump(node, now, trigger);
-        if fired > 0 {
-            self.core.metrics(node).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
-        }
     }
 
     /// One node's metrics registry.

@@ -71,9 +71,8 @@ pub struct FlightDump {
     pub at: SimTime,
     /// The node whose ring was snapshotted.
     pub node: NodeId,
-    /// What fired (`"breaker.open"`, `"shed.burst"`, `"expiry.spike"`,
-    /// or a caller-supplied tag for forced dumps).
-    pub trigger: String,
+    /// What fired: `"breaker.open"`, `"shed.burst"` or `"expiry.spike"`.
+    pub trigger: &'static str,
     /// The ring contents, oldest first.
     pub events: Vec<HistoryEvent>,
 }
@@ -216,35 +215,23 @@ impl FlightRecorder {
             _ => None,
         };
         match trigger {
-            Some(tag) => self.dump(node, at, tag, true),
+            Some(tag) => self.dump(node, at, tag),
             None => 0,
         }
     }
 
-    /// Snapshot `node`'s ring under a caller-supplied trigger tag,
-    /// ignoring the cooldown (harnesses force dumps on oracle failures
-    /// and want them unconditionally). No-op while disabled.
-    pub fn force_dump(&mut self, node: NodeId, at: SimTime, trigger: &str) -> u32 {
-        if !self.enabled {
-            return 0;
-        }
-        self.dump(node, at, trigger, false)
-    }
-
-    fn dump(&mut self, node: NodeId, at: SimTime, trigger: &str, honor_cooldown: bool) -> u32 {
+    /// Snapshot `node`'s ring under `trigger` unless the node dumped
+    /// within the cooldown.
+    fn dump(&mut self, node: NodeId, at: SimTime, trigger: &'static str) -> u32 {
         let cooldown = self.config.cooldown;
         let seq = self.dumps.len() as u64;
         let state = self.node_mut(node);
-        if honor_cooldown {
-            if let Some(last) = state.last_dump {
-                if at < last + cooldown {
-                    return 0;
-                }
-            }
+        if state.last_dump.is_some_and(|last| at < last + cooldown) {
+            return 0;
         }
         state.last_dump = Some(at);
         let events: Vec<HistoryEvent> = state.ring.iter().cloned().collect();
-        self.dumps.push(FlightDump { seq, at, node, trigger: trigger.to_string(), events });
+        self.dumps.push(FlightDump { seq, at, node, trigger, events });
         1
     }
 
@@ -292,7 +279,6 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let mut rec = FlightRecorder::new();
         assert_eq!(ev(&mut rec, 1, 0, TRIGGER_BREAKER_OPEN), 0);
-        assert_eq!(rec.force_dump(NodeId(0), SimTime::ZERO, "forced"), 0);
         assert!(rec.dumps().is_empty());
         assert_eq!(rec.ring_len(NodeId(0)), 0);
     }
@@ -345,15 +331,15 @@ mod tests {
     }
 
     #[test]
-    fn cooldown_suppresses_back_to_back_dumps_but_not_forced() {
+    fn cooldown_suppresses_back_to_back_dumps_per_node() {
         let mut rec = FlightRecorder::new();
         rec.enable(FlightConfig { cooldown: SimDuration::from_secs(5), ..FlightConfig::default() });
         assert_eq!(ev(&mut rec, 1_000_000, 0, TRIGGER_BREAKER_OPEN), 1);
         assert_eq!(ev(&mut rec, 2_000_000, 0, TRIGGER_BREAKER_OPEN), 0, "inside cooldown");
-        assert_eq!(rec.force_dump(NodeId(0), SimTime::from_micros(2_500_000), "oracle.failed"), 1);
+        assert_eq!(ev(&mut rec, 2_500_000, 1, TRIGGER_BREAKER_OPEN), 1, "another node's cooldown");
         assert_eq!(ev(&mut rec, 8_000_000, 0, TRIGGER_BREAKER_OPEN), 1, "cooldown elapsed");
         assert_eq!(rec.dumps().len(), 3);
-        assert_eq!(rec.dumps()[1].trigger, "oracle.failed");
+        assert_eq!(rec.dumps()[1].node, NodeId(1));
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Tracer {
         self.enabled = true;
     }
 
-    /// Whether spans are being collected.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn alloc_span(&mut self) -> u64 {
         self.next_span_id += 1;
         self.next_span_id

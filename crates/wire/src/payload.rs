@@ -70,11 +70,6 @@ impl FrozenUpdate {
     pub fn wire_len(&self) -> usize {
         self.bytes.len()
     }
-
-    /// An owned copy of the body (for consumers that must mutate it).
-    pub fn to_body(&self) -> UpdateBody {
-        (*self.body).clone()
-    }
 }
 
 impl Deref for FrozenUpdate {

@@ -14,7 +14,6 @@
 //! * [`client`] — thin web portals and workloads
 
 pub use appsim;
-pub use cogkit;
 pub use discover_client as client;
 pub use discover_core as core;
 pub use discover_server as server;

@@ -42,5 +42,8 @@ fn every_mutation_trips_its_oracle() {
             violations.iter().any(|v| v.oracle == oracle),
             "{mutation:?} not detected by the {oracle} oracle; violations: {violations:?}"
         );
+        for v in &violations {
+            assert!(!v.detail.contains("  "), "{} detail has a run of spaces: {:?}", v.oracle, v.detail);
+        }
     }
 }
