@@ -18,18 +18,24 @@
 //! them (a `realloc` asks for its new size), so the header's bytes per
 //! op is `alloc_bytes_per_work` of the matching workload at seed 1.
 //!
-//! It profiles the two shapes of the wall-clock benchmark's steering
-//! workloads (constants copied from `benchmark/src/sim.rs`; that
-//! workspace is the judge and this crate does not depend on it):
-//! `mesh_remote` — 4 servers on a WAN mesh, push-mode collaboration, 2
-//! directory shards, a 15 s discovery cache, one hot app per server, 16
-//! portals each steering the next server's app — and, with `--local`,
-//! `steer_local` — 8 portals steering 8 interactive apps through one
-//! server. File and line come from `debug = "line-tables-only"`, which
+//! It profiles three shapes of the wall-clock benchmark's workloads
+//! (constants copied from `benchmark/src/sim.rs`; that workspace is the
+//! judge and this crate does not depend on it):
+//! - `mesh_remote` (the default): 4 servers on a WAN mesh, push-mode
+//!   collaboration, 2 directory shards, a 15 s discovery cache, one hot
+//!   app per server, 16 portals each steering the next server's app. An
+//!   op is a client op answered.
+//! - `steer_local` (`--local`): 8 portals steering 8 interactive apps
+//!   through one server. An op is a client op answered.
+//! - `fanout_steady` (`--fanout`): one hot app on a coalescing server, a
+//!   steering writer and 256 viewers polling every 4 s, measured after
+//!   their join has drained. An op is a message delivered to a portal.
+//!
+//! File and line come from `debug = "line-tables-only"`, which
 //! `[profile.release]` sets.
 //!
 //! Usage:
-//!   cargo run --release -p discover-bench --bin alloc_sites -- [--local] [--bytes] [--top N]
+//!   cargo run --release -p discover-bench --bin alloc_sites -- [--local | --fanout] [--bytes] [--top N]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -40,7 +46,7 @@ use appsim::synthetic_app;
 use discover_bench::fixtures::{
     hot_app_config, interactive_app_config, total_ops, workload_portal,
 };
-use discover_client::OpMix;
+use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{
     CollabMode, Collaboratory, CollaboratoryBuilder, DiscoveryCacheConfig, ServerHandle,
 };
@@ -132,14 +138,21 @@ unsafe impl GlobalAlloc for Sampling {
 #[global_allocator]
 static GLOBAL: Sampling = Sampling;
 
-/// A built shape: the network, its portals, and the warm-up and measured
-/// window in virtual seconds.
+/// A built shape: the network, its portals, the warm-up and measured
+/// window in virtual seconds, and what it counts as one op.
 struct Shape {
     collab: Collaboratory,
     portals: Vec<NodeId>,
     warmup: u64,
     window: u64,
+    /// The op, as the header names it.
+    unit: &'static str,
+    /// Ops done so far.
+    done: fn(&Collaboratory, &[NodeId]) -> u64,
 }
+
+/// What the steering shapes count.
+const OPS: &str = "client ops answered";
 
 /// Attach a closed-loop portal for `user`, homed on `home` and steering
 /// `app`, logging in after `login_delay_ms`.
@@ -168,7 +181,7 @@ fn steer_local() -> Shape {
         let (_, app) = b.application(server, synthetic_app(2, u64::MAX), cfg);
         portals.push(attach_portal(&mut b, server, &user, app, &mix, 50));
     }
-    Shape { collab: b.build(), portals, warmup: 3, window: 480 }
+    Shape { collab: b.build(), portals, warmup: 3, window: 480, unit: OPS, done: total_ops }
 }
 
 fn mesh_remote() -> Shape {
@@ -202,7 +215,50 @@ fn mesh_remote() -> Shape {
         let login_delay_ms = 100 + (j as u64 * 131) % 1900;
         portals.push(attach_portal(&mut b, servers[home], user, target, &mix, login_delay_ms));
     }
-    Shape { collab: b.build(), portals, warmup: 6, window: 240 }
+    Shape { collab: b.build(), portals, warmup: 6, window: 240, unit: OPS, done: total_ops }
+}
+
+fn fanout_steady() -> Shape {
+    const VIEWERS: usize = 256;
+    let ms = SimDuration::from_millis;
+    let mut b = CollaboratoryBuilder::new(SEED);
+    b.tweak_servers(|cfg| cfg.coalesce_fifo = true);
+    let server = b.server("server0");
+    let users: Vec<String> = (0..VIEWERS).map(|i| format!("user{i}")).collect();
+    let mut acl: Vec<(&str, Privilege)> =
+        users.iter().map(|u| (u.as_str(), Privilege::ReadOnly)).collect();
+    acl.push(("steerer", Privilege::Steer));
+    let (_, app) =
+        b.application(server, synthetic_app(2, u64::MAX), hot_app_config("storm0", &acl));
+    let attach = |b: &mut CollaboratoryBuilder, name: &str, config: PortalConfig| {
+        let mut portal = Portal::new(config);
+        portal.server = Some(server.node);
+        b.attach(server, name, portal)
+    };
+    let steerer = PortalConfig::new("steerer")
+        .select_app(app)
+        .poll_every(ms(500))
+        .workload(Workload::new(app, OpMix::steering_only(), ms(200)));
+    let mut portals = vec![attach(&mut b, "steerer", steerer)];
+    for (i, user) in users.iter().enumerate() {
+        let mut viewer =
+            PortalConfig::new(user).select_app(app).poll_every(SimDuration::from_secs(4));
+        // Logins spread over the first 8 s; the 60 s warm-up drains the
+        // join broadcast.
+        viewer.login_delay = ms(200 + (i as u64 * 15) % 7800);
+        portals.push(attach(&mut b, &format!("viewer{i}"), viewer));
+    }
+    let unit = "messages delivered";
+    Shape { collab: b.build(), portals, warmup: 60, window: 480, unit, done: total_deliveries }
+}
+
+/// Messages delivered to the portals so far.
+fn total_deliveries(c: &Collaboratory, nodes: &[NodeId]) -> u64 {
+    nodes
+        .iter()
+        .filter_map(|&n| c.engine.actor_ref::<Portal>(n))
+        .map(|p| p.received.len() as u64)
+        .sum()
 }
 
 /// One frame of a rendered backtrace as `file:line function`; `None` for
@@ -244,13 +300,15 @@ fn site_key(trace: &Backtrace) -> String {
 }
 
 fn main() {
-    let mut local = false;
+    let mut build: fn() -> Shape = mesh_remote;
+    let mut name = "mesh_remote";
     let mut by_bytes = false;
     let mut top = 15usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--local" => local = true,
+            "--local" => (build, name) = (steer_local, "steer_local"),
+            "--fanout" => (build, name) = (fanout_steady, "fanout_steady"),
             "--bytes" => by_bytes = true,
             "--top" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) => top = n,
@@ -262,17 +320,16 @@ fn main() {
             other => {
                 eprintln!(
                     "error: unknown argument '{other}' \
-                     (usage: alloc_sites [--local] [--bytes] [--top N])"
+                     (usage: alloc_sites [--local | --fanout] [--bytes] [--top N])"
                 );
                 std::process::exit(2);
             }
         }
     }
-    let (name, mut shape) =
-        if local { ("steer_local", steer_local()) } else { ("mesh_remote", mesh_remote()) };
+    let mut shape = build();
     let start = SimTime::from_secs(shape.warmup);
     shape.collab.engine.run_until(start);
-    let ops_before = total_ops(&shape.collab, &shape.portals);
+    let ops_before = (shape.done)(&shape.collab, &shape.portals);
 
     if by_bytes {
         ATTRIBUTE_FROM.with(|from| from.set(EVERY_FROM));
@@ -281,7 +338,7 @@ fn main() {
     shape.collab.engine.run_until(start + SimDuration::from_secs(shape.window));
     ARMED.with(|a| a.set(false));
 
-    let ops = total_ops(&shape.collab, &shape.portals) - ops_before;
+    let ops = (shape.done)(&shape.collab, &shape.portals) - ops_before;
     let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let samples = SAMPLES.with(RefCell::take);
     // Per site, estimated from its samples: allocations made, bytes
@@ -298,7 +355,7 @@ fn main() {
     let ranked: u64 = sites.iter().map(|(_, site)| rank(site)).sum();
 
     let per_op = |n: u64| n as f64 / ops as f64;
-    print!("{name}-shaped, seed {SEED}: {ops} client ops answered in {} virtual s, ", shape.window);
+    print!("{name}-shaped, seed {SEED}: {ops} {} in {} virtual s, ", shape.unit, shape.window);
     if by_bytes {
         println!(
             "{bytes} bytes in {allocs} allocations = {:.0} B per op; every allocation of \

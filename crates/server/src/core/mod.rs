@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use simnet::{names, Ctx, NodeId, TraceContext};
-use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, SessionTable, TcpCosts};
+use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, Pushed, SessionTable, TcpCosts};
 use wire::http::HttpResponse;
 use wire::{
     AppId, AppOp, AppStatus, AppStatusEntry, AppToken, ClientId, ClientMessage, ControlEventKind,
@@ -401,12 +401,12 @@ struct FifoTally {
 impl FifoTally {
     /// Push `msg` and take note of what the buffer did with it.
     fn push(&mut self, fifo: &mut FifoBuffer, msg: ClientMessage) {
-        let (dropped, coalesced, peak) = (fifo.dropped(), fifo.coalesced(), fifo.peak());
-        fifo.push(msg);
         self.enqueued += 1;
-        self.dropped += fifo.dropped() - dropped;
-        self.coalesced += fifo.coalesced() - coalesced;
-        self.peak_growth += (fifo.peak() - peak) as u64;
+        match fifo.push_with_outcome(msg) {
+            Pushed::Appended { peak_rose } => self.peak_growth += u64::from(peak_rose),
+            Pushed::Coalesced => self.coalesced += 1,
+            Pushed::EvictedOldest => self.dropped += 1,
+        }
     }
 
     /// Write each total that moved. A counter nothing moved stays

@@ -21,18 +21,45 @@
 //! never coalesced, and the queue order of everything else is untouched,
 //! so FIFO-within-class delivery is preserved by construction.
 //!
-//! The queued keys live in a small vector of `(key, sequence)` pairs, one
-//! per keyed update still in the queue, scanned linearly: a push per
-//! group member per application update is the server's hottest loop, no
-//! FIFO in the wall-clock benchmark's workloads or the E1–E20 harness
-//! ever holds more than two distinct keys at a time, and comparing a
-//! few keys is cheaper than hashing one. An entry leaves the vector
-//! with its update (drain or eviction), so the vector is bounded by the
-//! queue length, not by every key ever seen.
+//! The index is a small vector holding the queue sequence of each keyed
+//! update still in the queue, scanned linearly: a push per group member
+//! per application update is the server's hottest loop, no FIFO in the
+//! wall-clock benchmark's workloads or the E1–E20 harness ever holds
+//! more than two distinct keys at a time, and comparing a few keys is
+//! cheaper than hashing one. The index stores no key: a push compares
+//! the new update's borrowed key with the key of the update queued at
+//! each indexed sequence, so coalescing allocates nothing. An entry
+//! leaves the vector with its update (drain or eviction), so the vector
+//! is bounded by the queue length, not by every key ever seen.
 
 use std::collections::VecDeque;
 
 use wire::{ClientMessage, UpdateKey};
+
+/// What one [`FifoBuffer::push_with_outcome`] did with the message.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Pushed {
+    /// Appended at the back; `peak_rose` when that set a new high-water
+    /// mark.
+    Appended {
+        /// The queue is longer than it has ever been.
+        peak_rose: bool,
+    },
+    /// Replaced the queued update with the same coalesce key, in its
+    /// slot.
+    Coalesced,
+    /// Appended after evicting the oldest entry of a full queue (which
+    /// cannot raise the peak: it already equals the capacity).
+    EvictedOldest,
+}
+
+/// The coalesce key of a queued or pushed message, if it has one.
+fn key_of(msg: &ClientMessage) -> Option<UpdateKey<'_>> {
+    match msg {
+        ClientMessage::Update(u) => u.coalesce_key(),
+        _ => None,
+    }
+}
 
 /// Bounded FIFO of undelivered [`ClientMessage`]s for one client.
 #[derive(Debug)]
@@ -54,11 +81,11 @@ pub struct FifoBuffer {
     /// `queue` holds sequence `head_seq + i`. Advanced by every
     /// front-removal (drain or overflow eviction).
     head_seq: u64,
-    /// Latest-wins slots: (coalesce key, sequence of the queued update
-    /// holding that key), one per keyed update in the queue and none
-    /// for updates that left it, so `index.len() <= queue.len()`.
-    /// Unordered; scanned linearly.
-    index: Vec<(UpdateKey, u64)>,
+    /// Latest-wins slots: the sequence of each keyed update in the
+    /// queue and none for updates that left it, so `index.len() <=
+    /// queue.len()`. The key is read off the queued update. Unordered;
+    /// scanned linearly.
+    index: Vec<u64>,
 }
 
 impl FifoBuffer {
@@ -93,34 +120,48 @@ impl FifoBuffer {
     /// growth); commands, responses, errors and event-class updates
     /// always append.
     pub fn push(&mut self, msg: ClientMessage) {
-        let key = if self.coalesce {
-            match &msg {
-                ClientMessage::Update(u) => u.coalesce_key(),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        if let Some(key) = &key {
-            if let Some(&(_, seq)) = self.index.iter().find(|(queued, _)| queued == key) {
-                let at = (seq - self.head_seq) as usize;
-                self.queue[at] = msg;
-                self.coalesced += 1;
-                self.enqueued += 1;
-                return;
-            }
+        self.push_with_outcome(msg);
+    }
+
+    /// [`FifoBuffer::push`], saying what it did: appended (and whether
+    /// that raised the peak), coalesced, or evicted the oldest entry.
+    pub fn push_with_outcome(&mut self, msg: ClientMessage) -> Pushed {
+        let key = if self.coalesce { key_of(&msg) } else { None };
+        let keyed = key.is_some();
+        if let Some(at) = key.and_then(|key| self.slot_of(key)) {
+            self.queue[at] = msg;
+            self.coalesced += 1;
+            self.enqueued += 1;
+            return Pushed::Coalesced;
         }
-        if self.queue.len() == self.capacity {
+        let evicted = self.queue.len() == self.capacity;
+        if evicted {
             self.queue.pop_front();
             self.advance_head(1);
             self.dropped += 1;
         }
-        if let Some(key) = key {
-            self.index.push((key, self.head_seq + self.queue.len() as u64));
+        if keyed {
+            self.index.push(self.head_seq + self.queue.len() as u64);
         }
         self.queue.push_back(msg);
         self.enqueued += 1;
-        self.peak = self.peak.max(self.queue.len());
+        if evicted {
+            return Pushed::EvictedOldest;
+        }
+        let peak_rose = self.queue.len() > self.peak;
+        if peak_rose {
+            self.peak = self.queue.len();
+        }
+        Pushed::Appended { peak_rose }
+    }
+
+    /// The queue position of the update holding `key`, compared in
+    /// place against each keyed update still queued.
+    fn slot_of(&self, key: UpdateKey<'_>) -> Option<usize> {
+        self.index
+            .iter()
+            .map(|&seq| (seq - self.head_seq) as usize)
+            .find(|&at| key_of(&self.queue[at]) == Some(key))
     }
 
     /// The `n` front entries left the queue: move the front sequence past
@@ -128,7 +169,7 @@ impl FifoBuffer {
     fn advance_head(&mut self, n: usize) {
         self.head_seq += n as u64;
         let head = self.head_seq;
-        self.index.retain(|&(_, seq)| seq >= head);
+        self.index.retain(|&seq| seq >= head);
     }
 
     /// Dequeue up to `max` messages (one poll's worth).

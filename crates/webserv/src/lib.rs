@@ -27,7 +27,7 @@ mod fifo;
 mod session;
 
 pub use costs::{HttpCosts, OrbCosts, TcpCosts};
-pub use fifo::FifoBuffer;
+pub use fifo::{FifoBuffer, Pushed};
 pub use session::{HttpSession, SessionTable};
 
 pub use wire::http::paths;

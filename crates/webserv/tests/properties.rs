@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::SimTime;
-use webserv::{FifoBuffer, SessionTable};
+use webserv::{FifoBuffer, Pushed, SessionTable};
 use wire::{
     AppCommand, AppId, AppPhase, AppStatus, ClientId, ClientMessage, ServerAddr, UpdateBody,
     UpdateKey, UserId, Value,
@@ -93,13 +93,24 @@ fn version_of(m: &ClientMessage) -> u64 {
     }
 }
 
+/// An owned copy of a message's coalesce key, which borrows from the
+/// message: the models keep it after the message moved on.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Bucket {
+    Status(AppId),
+    Param(AppId, String),
+    Lock(AppId),
+}
+
 /// The class bucket a message competes in: its coalesce key for
 /// view-class updates, `None` for everything that must never coalesce.
-fn bucket_of(m: &ClientMessage) -> Option<UpdateKey> {
-    match m {
-        ClientMessage::Update(u) => u.coalesce_key(),
-        _ => None,
-    }
+fn bucket_of(m: &ClientMessage) -> Option<Bucket> {
+    let ClientMessage::Update(u) = m else { return None };
+    Some(match u.coalesce_key()? {
+        UpdateKey::Status(app) => Bucket::Status(app),
+        UpdateKey::Param(app, name) => Bucket::Param(app, name.to_owned()),
+        UpdateKey::Lock(app) => Bucket::Lock(app),
+    })
 }
 
 /// The FIFO as it was indexed before the live-slot vector: a `HashMap`
@@ -114,7 +125,7 @@ struct HashIndexedFifo {
     enqueued: u64,
     coalesced: u64,
     head_seq: u64,
-    index: HashMap<UpdateKey, u64>,
+    index: HashMap<Bucket, u64>,
 }
 
 impl HashIndexedFifo {
@@ -169,8 +180,9 @@ proptest! {
     /// The linearly indexed FIFO against the hash-indexed one it
     /// replaced, over scripts with 32 distinct parameter keys and
     /// capacities small enough to overflow: the same occupancy and
-    /// counters after every operation, the same messages out of every
-    /// drain, the same queue left at the end.
+    /// counters after every operation, a push outcome that matches the
+    /// counters it moved, the same messages out of every drain, the
+    /// same queue left at the end.
     #[test]
     fn linear_index_matches_hash_index(
         capacity in 1usize..24,
@@ -188,8 +200,17 @@ proptest! {
             match op {
                 Op::Push(k, a, p) => {
                     let msg = make(k, a, p, version as u64);
+                    let before = (model.coalesced, model.dropped, model.peak);
                     model.push(msg.clone());
-                    fifo.push(msg);
+                    // What the push reports is what the counters say it did.
+                    let expected = if model.coalesced > before.0 {
+                        Pushed::Coalesced
+                    } else if model.dropped > before.1 {
+                        Pushed::EvictedOldest
+                    } else {
+                        Pushed::Appended { peak_rose: model.peak > before.2 }
+                    };
+                    prop_assert_eq!(fifo.push_with_outcome(msg), expected);
                 }
                 // Both ways out of the queue move the head alike.
                 Op::Drain(n) if version % 2 == 0 => {
@@ -285,7 +306,7 @@ proptest! {
             delivered.len() as u64 + fifo.dropped() + fifo.coalesced(),
             fifo.enqueued()
         );
-        let mut last_in_bucket: HashMap<Option<UpdateKey>, u64> = HashMap::new();
+        let mut last_in_bucket: HashMap<Option<Bucket>, u64> = HashMap::new();
         for m in &delivered {
             let v = version_of(m);
             if let Some(prev) = last_in_bucket.insert(bucket_of(m), v) {
@@ -335,7 +356,7 @@ proptest! {
         };
         prop_assert_eq!(cmds(&got_plain), cmds(&got_merged));
         // Folded client state: the freshest message of every view slot.
-        let fold = |v: &[ClientMessage]| -> HashMap<UpdateKey, ClientMessage> {
+        let fold = |v: &[ClientMessage]| -> HashMap<Bucket, ClientMessage> {
             let mut state = HashMap::new();
             for m in v {
                 if let Some(k) = bucket_of(m) {

@@ -837,12 +837,13 @@ impl UpdateBody {
     /// whiteboard strokes, shared views, membership changes, app close,
     /// interaction echoes) is history, not state: each instance must be
     /// delivered, so no key.
-    pub fn coalesce_key(&self) -> Option<UpdateKey> {
+    ///
+    /// The key borrows the parameter name from the update, so computing
+    /// and comparing keys allocates nothing.
+    pub fn coalesce_key(&self) -> Option<UpdateKey<'_>> {
         match self {
             UpdateBody::AppStatus { app, .. } => Some(UpdateKey::Status(*app)),
-            UpdateBody::ParamChanged { app, name, .. } => {
-                Some(UpdateKey::Param(*app, name.clone()))
-            }
+            UpdateBody::ParamChanged { app, name, .. } => Some(UpdateKey::Param(*app, name)),
             UpdateBody::LockChanged { app, .. } => Some(UpdateKey::Lock(*app)),
             UpdateBody::CommandApplied { .. }
             | UpdateBody::Chat { .. }
@@ -858,12 +859,12 @@ impl UpdateBody {
 
 /// The (app, view-key) identity of a coalescible view-class update: a
 /// newer update with an equal key fully supersedes an older one.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum UpdateKey {
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum UpdateKey<'a> {
     /// Periodic status snapshot of one application.
     Status(AppId),
     /// Current value of one named parameter of one application.
-    Param(AppId, String),
+    Param(AppId, &'a str),
     /// Steering-lock holder of one application.
     Lock(AppId),
 }

@@ -7,17 +7,31 @@
 //! containing frame's `wire_size()` re-traverses the update).
 //!
 //! [`FrozenUpdate`] fixes both: the body is serialized to DBP bytes
-//! exactly once at creation and thereafter shared behind an `Arc` + a
-//! cheap reference-counted [`Bytes`] handle. When a message containing a
-//! `FrozenUpdate` is serialized (or size-counted), the pre-encoded bytes
-//! are spliced into the stream verbatim via the codec's
-//! `SPLICE_TOKEN` fast path — producing output byte-identical to inline
-//! serialization of the body, so wire sizes, bandwidth costs and the
-//! whole event schedule are unchanged by the optimisation.
+//! exactly once at creation, and a clone shares both halves. When a
+//! message containing a `FrozenUpdate` is serialized (or size-counted),
+//! the pre-encoded bytes are spliced into the stream verbatim via the
+//! codec's `SPLICE_TOKEN` fast path — producing output byte-identical to
+//! inline serialization of the body, so wire sizes, bandwidth costs and
+//! the whole event schedule are unchanged by the optimisation.
+//!
+//! The two halves are shared differently, because only one of them ever
+//! needs to leave its thread:
+//! - The decoded body sits behind an `Rc`. It is read by the node that
+//!   holds the update (coalescing keys, archive folds, portal state),
+//!   and every node runs on one thread, so a clone bumps a plain count.
+//!   A group broadcast clones once per member; this keeps it to one
+//!   atomic per member instead of two. A `FrozenUpdate` is therefore
+//!   neither `Send` nor `Sync`.
+//! - The encoding is a [`Bytes`] handle, whose count is atomic and
+//!   which is `Send + Sync`. It is the half a socket writer thread
+//!   would share: hand it [`FrozenUpdate::bytes`], never the update.
+//!
+//! The halves stay two fields, not one shared `(body, bytes)` record: a
+//! merged record makes every frozen update's allocation wider.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use serde::de::{Deserialize, Deserializer, Visitor};
@@ -28,21 +42,27 @@ use crate::messages::UpdateBody;
 
 /// An [`UpdateBody`] frozen to its DBP encoding exactly once.
 ///
-/// Cloning is two reference-count bumps; serializing splices the frozen
-/// bytes without another traversal. The invariant `bytes ==
-/// codec::encode(body)` holds by construction, which is what makes
-/// equality-by-bytes and splice-serialization sound.
+/// Cloning is two reference-count bumps, one of them atomic; serializing
+/// splices the frozen bytes without another traversal. The invariant
+/// `bytes == codec::encode(body)` holds by construction, which is what
+/// makes equality-by-bytes and splice-serialization sound.
 #[derive(Clone)]
 pub struct FrozenUpdate {
-    body: Arc<UpdateBody>,
+    body: Rc<UpdateBody>,
     bytes: Bytes,
 }
+
+// The encoding is the half a socket writer thread may be handed.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Bytes>();
+};
 
 impl FrozenUpdate {
     /// Freeze `body`: the one and only DBP serialization it will get.
     pub fn new(body: UpdateBody) -> Self {
         let bytes = codec::encode(&body);
-        FrozenUpdate { body: Arc::new(body), bytes }
+        FrozenUpdate { body: Rc::new(body), bytes }
     }
 
     /// Assemble from a decoded body plus its already-on-the-wire
@@ -53,7 +73,7 @@ impl FrozenUpdate {
     /// serializer walk (`codec_properties` proves the equality; checking
     /// it here would itself cost the walk being skipped).
     fn from_wire(body: UpdateBody, bytes: Bytes) -> Self {
-        FrozenUpdate { body: Arc::new(body), bytes }
+        FrozenUpdate { body: Rc::new(body), bytes }
     }
 
     /// The decoded body.
@@ -61,7 +81,8 @@ impl FrozenUpdate {
         &self.body
     }
 
-    /// The frozen DBP encoding of the body.
+    /// The frozen DBP encoding of the body: the half that may cross a
+    /// thread.
     pub fn bytes(&self) -> &Bytes {
         &self.bytes
     }
@@ -199,5 +220,12 @@ mod tests {
         assert_eq!(frozen, copy);
         assert_eq!(copy.bytes().as_slice(), frozen.bytes().as_slice());
         assert_eq!(copy.app(), frozen.app());
+        assert!(std::ptr::eq(copy.body(), frozen.body()), "one decoded body");
+        assert!(copy.bytes().shares_storage(frozen.bytes()), "one encoding");
+    }
+
+    #[test]
+    fn a_frozen_update_is_four_words() {
+        assert_eq!(std::mem::size_of::<FrozenUpdate>(), 32);
     }
 }

@@ -221,7 +221,7 @@ fn a_status_update_is_assigned_not_copied_at_its_host() {
     // archive's folded state) and, every sixteenth update, the copied
     // names of the record's owner and reader. Left are the application's
     // own readings (3), the freeze (pool buffer, `Bytes`,
-    // `Arc<UpdateBody>`) and what the logs' growth and the sixteenth
+    // `Rc<UpdateBody>`) and what the logs' growth and the sixteenth
     // update's record amortise to.
     let per_update = steady_allocations_per(names::SERVER_TCP_FRAMES, false);
     assert!(per_update <= 6.33, "{per_update} allocations per status update");
@@ -266,6 +266,40 @@ fn latecomers_share_the_snapshot_they_catch_up_from() {
     let served = allocations(|| second = archive.catch_up_app(APP, 0).0);
     assert!(Arc::ptr_eq(&first, &second.expect("the same snapshot")));
     assert_eq!(served, 1, "allocations to serve a second latecomer");
+}
+
+#[test]
+fn a_coalescing_push_allocates_nothing() {
+    // Three view slots (a parameter, the status, the lock holder), each
+    // superseded over and over; the updates are frozen up front, as a
+    // broadcast freezes once for all its members.
+    let updates: Vec<FrozenUpdate> = (0..100u64)
+        .flat_map(|i| {
+            let param = UpdateBody::ParamChanged {
+                app: APP,
+                name: "pressure".into(),
+                value: Value::Float(i as f64),
+                by: UserId::new(USER),
+            };
+            let holder = (i % 2 == 0).then(|| UserId::new(USER));
+            let lock = UpdateBody::LockChanged { app: APP, holder };
+            [FrozenUpdate::new(param), status_update(i), FrozenUpdate::new(lock)]
+        })
+        .collect();
+    let mut fifo = webserv::FifoBuffer::with_coalescing(16, true);
+    let (first, rest) = updates.split_at(3);
+    for update in first {
+        fifo.push(ClientMessage::Update(update.clone()));
+    }
+    // Measured 0; at the parent 1 per parameter push, the key's copy of
+    // the parameter's name.
+    let pushes = allocations(|| {
+        for update in rest {
+            fifo.push(ClientMessage::Update(update.clone()));
+        }
+    });
+    assert_eq!((fifo.len(), fifo.coalesced()), (3, 297), "every later push coalesced");
+    assert_eq!(pushes, 0, "allocations for {} coalescing pushes", rest.len());
 }
 
 #[test]
