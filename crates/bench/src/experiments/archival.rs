@@ -118,15 +118,12 @@ fn run_bounded() -> BoundedRun {
     let mut fetches = Vec::new();
     for (i, &node) in portals.iter().enumerate() {
         let p = c.engine.actor_ref::<Portal>(node).unwrap();
-        for (_, fapp, snap, recs, next) in &p.catchup_fetches {
-            if *fapp != app {
-                continue;
-            }
+        for (_, snap, recs, next) in p.catch_ups(app) {
             let snap_bytes =
                 snap.as_ref().map_or(0, |s| wire::codec::encoded_len(s) as u64);
             fetches.push(Fetch {
                 age_s: FETCH_SECS[i],
-                depth: *next,
+                depth: next,
                 snap_seq: snap.as_ref().map_or(u64::MAX, |s| s.seq),
                 tail_records: recs.len() as u64,
                 bytes: snap_bytes + wire::codec::encoded_len(recs) as u64,
@@ -231,10 +228,7 @@ fn run_fidelity(crash: bool) -> FidelityRun {
     let mut fetch_sig = Vec::new();
     let mut fetch_tail = 0u64;
     let p = c.engine.actor_ref::<Portal>(viewer).unwrap();
-    for (_, fapp, snap, recs, next) in &p.catchup_fetches {
-        if *fapp != app {
-            continue;
-        }
+    for (_, snap, recs, next) in p.catch_ups(app) {
         fetch_sig.extend_from_slice(&wire::codec::encode(snap));
         fetch_sig.extend_from_slice(&wire::codec::encode(recs));
         fetch_sig.extend_from_slice(&next.to_le_bytes());

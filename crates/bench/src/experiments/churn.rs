@@ -158,9 +158,10 @@ fn run_churn(mode: Mode) -> ChurnRun {
     let (mut resumes_sent, mut resumes_ok, mut fallbacks) = (0u64, 0u64, 0u64);
     for &node in &portals {
         let p = c.engine.actor_ref::<Portal>(node).unwrap();
-        resumes_sent += p.resumes_sent;
-        resumes_ok += p.resumes_ok;
-        fallbacks += p.resume_fallbacks;
+        let m = c.engine.node_metrics(node);
+        resumes_sent += m.counter(names::CLIENT_RESUMES);
+        resumes_ok += p.resumed_at.len() as u64;
+        fallbacks += m.counter(names::CLIENT_RESUME_FALLBACKS);
         for &(at, _, ok) in &p.op_completions {
             if ok {
                 completions.push(at.as_micros());

@@ -233,8 +233,7 @@ pub fn e5_remote_vs_local() -> Table {
         let mut c = b.build();
         c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
-        let p = c.engine.actor_ref::<Portal>(node).unwrap();
-        let lat = summarize_us(&p.op_latencies_us);
+        let lat = summarize_us(&fixtures::collect_op_latencies(&c, &[node]));
         table.row(vec![
             if remote { "remote (WAN)".into() } else { "local".to_string() },
             lat.count.to_string(),

@@ -124,7 +124,7 @@ fn collect_outcome(c: &Collaboratory, portals: &[NodeId]) -> ChaosOutcome {
                 _ => {}
             }
         }
-        for &us in &p.op_latencies_us {
+        for &(_, us, _) in &p.op_completions {
             latencies.record(SimDuration::from_micros(us));
         }
     }

@@ -44,7 +44,7 @@ pub fn e1_app_scalability() -> Table {
 
         let frames = c.engine.stats().counter("server.tcp.frames");
         let util = c.engine.node_utilization(server.node);
-        let lat = summarize_us(&c.engine.actor_ref::<Portal>(probe_node).unwrap().op_latencies_us);
+        let lat = summarize_us(&fixtures::collect_op_latencies(&c, &[probe_node]));
         if lat.mean_ms < baseline {
             baseline = lat.mean_ms;
         }

@@ -151,7 +151,7 @@ fn run_variant(variant: Variant) -> TelemetryRun {
             let p = c.engine.actor_ref::<Portal>(op).unwrap();
             (
                 m.counter(names::CLIENT_STATUS_PROBES),
-                p.status_reports.len() as u64,
+                p.status_reports().count() as u64,
                 p50,
                 p99,
                 p.status_page().unwrap_or_default(),

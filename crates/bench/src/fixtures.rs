@@ -70,7 +70,7 @@ pub fn collect_op_latencies(c: &Collaboratory, nodes: &[NodeId]) -> Vec<u64> {
     let mut all = Vec::new();
     for &n in nodes {
         if let Some(p) = c.engine.actor_ref::<Portal>(n) {
-            all.extend_from_slice(&p.op_latencies_us);
+            all.extend(p.op_completions.iter().map(|o| o.1));
         }
     }
     all
@@ -92,7 +92,7 @@ pub fn total_ops(c: &Collaboratory, nodes: &[NodeId]) -> u64 {
     nodes
         .iter()
         .filter_map(|&n| c.engine.actor_ref::<Portal>(n))
-        .map(|p| p.op_latencies_us.len() as u64)
+        .map(|p| p.op_completions.len() as u64)
         .sum()
 }
 

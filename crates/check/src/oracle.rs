@@ -879,7 +879,7 @@ mod tests {
             .map(|seed| Scenario::generate(Family::Acl, seed))
             .filter(|scenario| scenario.n_servers == 2)
             .map(|scenario| run(&scenario))
-            .find(|result| result.history.iter().any(relayed))
+            .find(|result| result.history.iter().any(|e| relayed(e)))
             .expect("an acl run on two servers relays an admitted operation");
         let mut clean = Vec::new();
         check_acl(&result, &mut clean);
@@ -889,7 +889,7 @@ mod tests {
         let outsider = result.scenario.users.iter().find(|u| u.privilege.is_none());
         let outsider = outsider.expect("the acl family has an off-ACL user").name.clone();
         let event = result.history.iter_mut().find(|e| relayed(e)).expect("found above");
-        event.actor = outsider;
+        std::rc::Rc::make_mut(event).actor = outsider;
         let mut found = Vec::new();
         check_acl(&result, &mut found);
         assert!(found.iter().any(|v| v.oracle == "acl"), "breach over the ORB not reported");

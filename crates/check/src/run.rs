@@ -17,6 +17,7 @@
 //! logs, which is both the reproducibility guarantee and the cheapest
 //! possible regression check.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use appsim::{synthetic_app, DriverConfig};
@@ -121,7 +122,7 @@ pub struct RunResult {
     /// The main application.
     pub app: AppId,
     /// The engine's semantic history, in execution order.
-    pub history: Vec<HistoryEvent>,
+    pub history: Vec<Rc<HistoryEvent>>,
     /// Per-user observations, in scenario user order.
     pub users: Vec<UserObservation>,
     /// The host's full application archive at the end of the run.
@@ -443,7 +444,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
     c.engine.run_until(SimTime::from_millis(s.horizon_ms));
 
     // Harvest.
-    let history: Vec<HistoryEvent> = c.engine.history().to_vec();
+    let history = c.engine.history().to_vec();
     let mut users = Vec::new();
     for (ui, u) in s.users.iter().enumerate() {
         let p = c.engine.actor_ref::<Portal>(portal_nodes[ui]).unwrap();
@@ -499,11 +500,10 @@ pub fn run(scenario: &Scenario) -> RunResult {
             })
             .collect();
         let catchup_fetches: Vec<CatchUpObservation> = p
-            .catchup_fetches
-            .iter()
-            .filter(|(_, a, _, _, _)| *a == app)
-            .map(|(at, _, snap, recs, next)| (at.as_micros(), snap.clone(), recs.clone(), *next))
+            .catch_ups(app)
+            .map(|(at, snap, recs, next)| (at.as_micros(), snap.clone(), recs.clone(), next))
             .collect();
+        let metrics = c.engine.node_metrics(portal_nodes[ui]);
         users.push(UserObservation {
             name: u.name.clone(),
             server: u.server,
@@ -529,9 +529,9 @@ pub fn run(scenario: &Scenario) -> RunResult {
                 .iter()
                 .map(|(at, _, ok)| (at.as_micros(), *ok))
                 .collect(),
-            resumes_sent: p.resumes_sent,
-            resumes_ok: p.resumes_ok,
-            resume_fallbacks: p.resume_fallbacks,
+            resumes_sent: metrics.counter(names::CLIENT_RESUMES),
+            resumes_ok: p.resumed_at.len() as u64,
+            resume_fallbacks: metrics.counter(names::CLIENT_RESUME_FALLBACKS),
             resumed_at_us: p.resumed_at.iter().map(|t| t.as_micros()).collect(),
             history_fetches,
             catchup_fetches,

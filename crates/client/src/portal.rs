@@ -232,11 +232,6 @@ impl PortalConfig {
     }
 }
 
-/// One snapshot-aware catch-up reply as observed by a portal: arrival
-/// time, app, the snapshot ridden (if any), the delta tail, and the
-/// next sequence to read from.
-pub type CatchUpFetch = (SimTime, AppId, Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64);
-
 /// The portal actor.
 pub struct Portal {
     /// Configuration.
@@ -247,10 +242,10 @@ pub struct Portal {
     pub cookie: Option<u64>,
     /// HTTP status of the login response.
     pub login_status: Option<u16>,
-    /// Everything received, flattened (batches unpacked), with arrival times.
+    /// Everything received, flattened (batches unpacked), with arrival
+    /// times: the one store of replies. Status reports, catch-up tails and
+    /// history batches are read off it.
     pub received: Vec<(SimTime, ClientMessage)>,
-    /// Completion latencies of closed-loop operations (microseconds).
-    pub op_latencies_us: Vec<u64>,
     /// Every tracked completion: (completion time, latency µs, success).
     /// `success` is false for error replies (shed, rejected, expired, …),
     /// letting experiments compute goodput — successes within a latency
@@ -280,21 +275,11 @@ pub struct Portal {
     resuming: bool,
     /// Monotone retry ordinal feeding the deterministic jitter.
     backoff_attempt: u64,
-    /// Number of `Resume` requests sent (including paced retries).
-    pub resumes_sent: u64,
-    /// Number of successful resumes (a `Resumed` reply).
-    pub resumes_ok: u64,
-    /// Number of resume attempts that fell back to a full re-login.
-    pub resume_fallbacks: u64,
-    /// Completion time of each successful resume.
+    /// Completion time of each successful resume (a `Resumed` reply that
+    /// arrived while resuming). Resumes sent and fallbacks to a full
+    /// re-login are the node's `client.resumes` and
+    /// `client.resume_fallbacks` counters.
     pub resumed_at: Vec<SimTime>,
-    /// Every snapshot-aware catch-up reply received: arrival time, app,
-    /// the snapshot ridden (if any), the delta tail, and the next
-    /// sequence to read from. The flash-crowd oracles compare these
-    /// against the host's archive.
-    pub catchup_fetches: Vec<CatchUpFetch>,
-    /// Every status report received, with its arrival time.
-    pub status_reports: Vec<(SimTime, StatusReport)>,
     /// Issue times of in-flight status probes (replies arrive in FIFO
     /// order on the synchronous command channel).
     status_outstanding: VecDeque<SimTime>,
@@ -309,7 +294,6 @@ impl Portal {
             cookie: None,
             login_status: None,
             received: Vec::new(),
-            op_latencies_us: Vec::new(),
             op_completions: Vec::new(),
             ops_issued: 0,
             ops_since_lock: 0,
@@ -324,20 +308,42 @@ impl Portal {
             cursors: BTreeMap::new(),
             resuming: false,
             backoff_attempt: 0,
-            resumes_sent: 0,
-            resumes_ok: 0,
-            resume_fallbacks: 0,
             resumed_at: Vec::new(),
-            catchup_fetches: Vec::new(),
-            status_reports: Vec::new(),
             status_outstanding: VecDeque::new(),
         }
+    }
+
+    /// Every status report received, with its arrival time, oldest
+    /// first.
+    pub fn status_reports(&self) -> impl DoubleEndedIterator<Item = (SimTime, &StatusReport)> {
+        self.received.iter().filter_map(|(at, m)| match m {
+            ClientMessage::Response(ResponseBody::Status(report)) => Some((*at, &**report)),
+            _ => None,
+        })
+    }
+
+    /// Every snapshot-aware catch-up reply received for `app`, oldest
+    /// first: arrival time, the snapshot ridden (if any), the delta tail,
+    /// and the next sequence to read from.
+    pub fn catch_ups(
+        &self,
+        app: AppId,
+    ) -> impl Iterator<Item = (SimTime, &Option<Arc<ArchiveSnapshot>>, &Vec<LogRecord>, u64)> {
+        self.received.iter().filter_map(move |(at, m)| match m {
+            ClientMessage::Response(ResponseBody::CatchUp {
+                app: a,
+                snapshot,
+                records,
+                next_seq,
+            }) if *a == app => Some((*at, snapshot, records, *next_seq)),
+            _ => None,
+        })
     }
 
     /// Render the most recent status report as a text status page, the
     /// way the paper's portals render server-side views for the browser.
     pub fn status_page(&self) -> Option<String> {
-        self.status_reports.last().map(|(_, r)| r.render())
+        self.status_reports().next_back().map(|(_, r)| r.render())
     }
 
     /// All updates received, in order.
@@ -402,7 +408,6 @@ impl Portal {
     fn send_resume(&mut self, ctx: &mut Ctx<'_, Envelope>) {
         let Some(cookie) = self.cookie else { return };
         self.resuming = true;
-        self.resumes_sent += 1;
         ctx.metrics().incr(names::CLIENT_RESUMES);
         let cursors: Vec<(AppId, u64)> = self.cursors.iter().map(|(a, s)| (*a, *s)).collect();
         let server = self.server.expect("portal not wired to a server");
@@ -450,7 +455,6 @@ impl Portal {
         self.lock_requested_at = None;
         self.workload_started = false;
         self.cursors.clear();
-        self.resume_fallbacks += 1;
         ctx.metrics().incr(names::CLIENT_RESUME_FALLBACKS);
         self.abandon_outstanding(ctx);
         ctx.schedule(SimDuration::ZERO, TAG_LOGIN);
@@ -579,37 +583,22 @@ impl Portal {
                     }
                 }
             }
-            ClientMessage::Response(ResponseBody::Status(report)) => {
+            ClientMessage::Response(ResponseBody::Status(_)) => {
                 if let Some(issued) = self.status_outstanding.pop_front() {
                     ctx.metrics().record(names::CLIENT_STATUS_LATENCY, at.since(issued));
                 }
-                self.status_reports.push((at, StatusReport::clone(report)));
             }
-            ClientMessage::Response(ResponseBody::History { app, next_seq, .. }) => {
-                // Archive read cursor: the next suffix replay starts here.
+            // Archive read cursor: the next suffix replay starts here. A
+            // snapshot-aware catch-up advances it exactly as a History
+            // reply does.
+            ClientMessage::Response(
+                ResponseBody::History { app, next_seq, .. }
+                | ResponseBody::CatchUp { app, next_seq, .. },
+            ) => {
                 self.cursors.insert(*app, *next_seq);
-            }
-            ClientMessage::Response(ResponseBody::CatchUp {
-                app,
-                snapshot,
-                records,
-                next_seq,
-            }) => {
-                // Snapshot-aware catch-up: the cursor advances exactly as
-                // a History reply would; the snapshot + tail themselves
-                // are kept for the flash-crowd oracles.
-                self.cursors.insert(*app, *next_seq);
-                self.catchup_fetches.push((
-                    at,
-                    *app,
-                    snapshot.clone(),
-                    records.clone(),
-                    *next_seq,
-                ));
             }
             ClientMessage::Response(ResponseBody::Resumed { apps, .. }) if self.resuming => {
                 self.resuming = false;
-                self.resumes_ok += 1;
                 self.resumed_at.push(at);
                 ctx.metrics().incr(names::CLIENT_RESUMES_OK);
                 // Completions of pre-park operations are gone with the
@@ -679,7 +668,6 @@ impl Portal {
                 if let Some((issued, trace)) = self.outstanding.pop_front() {
                     ctx.trace_finish(trace);
                     let latency = at.since(issued);
-                    self.op_latencies_us.push(latency.as_micros());
                     let ok = matches!(&msg, ClientMessage::Response(_));
                     self.op_completions.push((at, latency.as_micros(), ok));
                     ctx.metrics().record(names::CLIENT_OP_LATENCY, latency);

@@ -111,7 +111,8 @@ pub enum Lookup {
 #[derive(Debug, Default)]
 pub struct DiscoveryCache {
     entries: BTreeMap<String, Entry>,
-    /// Insert count per key — the generation stamp for oracle replay.
+    /// Insert count per key — the generation stamp for oracle replay,
+    /// kept only while recording (nothing else reads it).
     generations: BTreeMap<String, u64>,
     /// Event log (only when [`DiscoveryCacheConfig::record`] is set).
     pub events: Vec<CacheEvent>,
@@ -126,6 +127,9 @@ impl DiscoveryCache {
 
     fn log(&mut self, at: SimTime, key: &str, kind: CacheEventKind, expires: SimTime) {
         if self.record {
+            if matches!(kind, CacheEventKind::Insert | CacheEventKind::InsertNegative) {
+                *self.generations.entry(key.to_string()).or_insert(0) += 1;
+            }
             let generation = self.generations.get(key).copied().unwrap_or(0);
             self.events.push(CacheEvent { at, key: key.to_string(), kind, generation, expires });
         }
@@ -157,7 +161,6 @@ impl DiscoveryCache {
 
     /// Install (or refresh) a positive entry.
     pub fn insert(&mut self, now: SimTime, key: &str, route: ServerAddr, ttl: SimDuration) {
-        *self.generations.entry(key.to_string()).or_insert(0) += 1;
         let expires = now + ttl;
         self.entries.insert(key.to_string(), Entry { route: Some(route), expires });
         self.log(now, key, CacheEventKind::Insert, expires);
@@ -165,7 +168,6 @@ impl DiscoveryCache {
 
     /// Install (or refresh) a negative entry.
     pub fn insert_negative(&mut self, now: SimTime, key: &str, ttl: SimDuration) {
-        *self.generations.entry(key.to_string()).or_insert(0) += 1;
         let expires = now + ttl;
         self.entries.insert(key.to_string(), Entry { route: None, expires });
         self.log(now, key, CacheEventKind::InsertNegative, expires);

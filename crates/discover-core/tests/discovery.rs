@@ -228,7 +228,7 @@ fn discovery_cache_serves_dispatch_and_reports_status() {
     assert_eq!(gw.counter(names::SUBSTRATE_CACHE_HITS), hits);
 
     let p = c.engine.actor_ref::<Portal>(operator).unwrap();
-    let (_, last) = p.status_reports.last().expect("periodic status probes");
+    let (_, last) = p.status_reports().next_back().expect("periodic status probes");
     assert_eq!(last.dir_plane.shards, 1);
     assert!(last.dir_plane.cache_hits > 0, "cache hits must ride the status report");
     let page = last.render();

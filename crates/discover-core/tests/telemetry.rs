@@ -57,8 +57,7 @@ fn status_probe_reports_sessions_locks_and_peer_health() {
     let (c, operator, gateway) = run_status_fixture();
 
     let p = c.engine.actor_ref::<Portal>(operator).unwrap();
-    assert!(!p.status_reports.is_empty(), "periodic probes must yield reports");
-    let (_, last) = p.status_reports.last().unwrap();
+    let (_, last) = p.status_reports().next_back().expect("periodic probes must yield reports");
 
     // Steady state after both logins: two live sessions, nothing parked,
     // and the steering portal holds the lock it took at selection.
@@ -81,7 +80,7 @@ fn status_probe_reports_sessions_locks_and_peer_health() {
 
     // Server-side accounting: every report the portal received was a
     // served status request (later probes may still be in flight).
-    let reports = p.status_reports.len() as u64;
+    let reports = p.status_reports().count() as u64;
     let probes = c.engine.node_metrics(operator).counter(names::CLIENT_STATUS_PROBES);
     let served = c.engine.node_metrics(gateway.node).counter(names::SERVER_STATUS_REQUESTS);
     assert!(reports > 0 && served >= reports && probes >= served, "probe/served/report funnel: {probes} >= {served} >= {reports}");

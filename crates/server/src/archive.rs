@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use simnet::SimTime;
 use wire::{
-    AppId, ArchiveSnapshot, ClientId, FoldedAppState, LogEntry, LogRecord, UpdateBody, UserId,
+    AppId, ArchiveSnapshot, ClientId, FoldedAppState, LogEntry, LogRecord, UpdateKey, UserId,
 };
 
 use crate::mutation::Mutation;
@@ -46,30 +46,24 @@ pub struct ArchiveTick {
 /// The latest-wins identity a record competes under inside one segment:
 /// a later record with an equal key fully supersedes an earlier one in
 /// the fold, so the earlier one may be dropped from a closed segment.
+/// An update's identity is its [`wire::UpdateBody::coalesce_key`], the
+/// one definition of view identity (a log holds one application, so
+/// the key's application part never tells two records apart).
 /// `LogEntry::Status` and `UpdateBody::AppStatus` fold different
 /// footprints (the update also carries readings), so they compact under
 /// distinct keys.
 #[derive(PartialEq, Eq, Hash)]
-enum CompactKey {
+enum CompactKey<'a> {
     /// Periodic `LogEntry::Status` message.
     Status,
-    /// `UpdateBody::AppStatus` broadcast (status + readings).
-    AppStatus,
-    /// Current value of one named parameter.
-    Param(String),
-    /// Steering-lock holder.
-    Lock,
+    /// A view-class update.
+    Update(UpdateKey<'a>),
 }
 
-fn compact_key(record: &LogRecord) -> Option<CompactKey> {
+fn compact_key(record: &LogRecord) -> Option<CompactKey<'_>> {
     match &record.entry {
         LogEntry::Status(_) => Some(CompactKey::Status),
-        LogEntry::Update(u) => match u.body() {
-            UpdateBody::AppStatus { .. } => Some(CompactKey::AppStatus),
-            UpdateBody::ParamChanged { name, .. } => Some(CompactKey::Param(name.clone())),
-            UpdateBody::LockChanged { .. } => Some(CompactKey::Lock),
-            _ => None,
-        },
+        LogEntry::Update(u) => u.body().coalesce_key().map(CompactKey::Update),
         _ => None,
     }
 }
@@ -318,7 +312,7 @@ impl ArchiveStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::{AppOp, AppPhase, AppStatus, FrozenUpdate, ServerAddr, Value};
+    use wire::{AppOp, AppPhase, AppStatus, FrozenUpdate, ServerAddr, UpdateBody, Value};
 
     fn app() -> AppId {
         AppId { server: ServerAddr(1), seq: 1 }

@@ -672,7 +672,7 @@ mod tests {
                 other => panic!("unexpected HTTP response: {other:?}"),
             }
         };
-        (verdict, engine.history().iter().map(sans_origin).collect())
+        (verdict, engine.history().iter().map(|e| sans_origin(e)).collect())
     }
 
     #[test]

@@ -27,8 +27,8 @@ impl ServerCore {
         if origin_peer.is_none() {
             // A logical broadcast originates here (every origin_peer=Some
             // call re-routes an update some other server already froze
-            // and counted), so `wire.encode_calls` per steady-state
-            // broadcast is exactly one network-wide.
+            // and counted), so `CodecStats::encode_calls` per
+            // steady-state broadcast is exactly one network-wide.
             ctx.metrics().incr(names::SERVER_COLLAB_BROADCASTS);
         }
         // Every fan-out target below — N local fifos, the proxy update

@@ -21,7 +21,6 @@ impl ServerCore {
         for (app, proxy) in self.apps.iter_mut() {
             if stale(&proxy.lock) {
                 if let Some(holder) = proxy.lock.force_release() {
-                    proxy.lock.evictions += 1;
                     freed.push((*app, holder));
                 }
             }
@@ -153,7 +152,7 @@ mod tests {
             ctx.consume(simnet::SimDuration::from_secs(31));
             let effects = core.reap_idle_sessions(ctx);
             assert_eq!(pushed(&handed_off(core, effects)), [&freed]);
-            assert_eq!(core.apps[&APP].lock.evictions, 2);
+            assert_eq!(ctx.metrics().counter(names::SERVER_LOCK_EVICTED), 2);
         });
         let (engine, _) = Loopback::run(config, script);
         let evictions: Vec<&str> = engine

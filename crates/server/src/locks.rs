@@ -36,12 +36,6 @@ pub struct SteeringLock {
     /// The peer server that relayed the current grant, when the holder
     /// sits at a remote server. `None` for locally granted locks.
     pub granted_via: Option<ServerAddr>,
-    /// Total successful acquisitions.
-    pub acquisitions: u64,
-    /// Total denials.
-    pub denials: u64,
-    /// Total lease evictions (lazy + eager).
-    pub evictions: u64,
     /// Test-only: [`Mutation::DoubleGrant`] arms the seeded bug here.
     #[doc(hidden)]
     pub mutation: Option<Mutation>,
@@ -92,7 +86,6 @@ impl SteeringLock {
         lease: Option<SimDuration>,
     ) -> LockOutcome {
         if self.holder.as_ref() != Some(user) && self.expired(now, lease) {
-            self.evictions += 1;
             self.evicted = self.force_release();
         }
         self.try_acquire(user, now)
@@ -132,7 +125,6 @@ impl SteeringLock {
                 self.acquired_at = Some(now);
                 self.active_at = Some(now);
                 self.granted_via = None;
-                self.acquisitions += 1;
                 LockOutcome::Granted
             }
             Some(h) if h == user => {
@@ -140,17 +132,10 @@ impl SteeringLock {
                 // The grant now runs through whoever asked this time; a
                 // relayed request re-tags it after the grant.
                 self.granted_via = None;
-                self.acquisitions += 1;
                 LockOutcome::Granted
             }
-            Some(_) if self.mutation == Some(Mutation::DoubleGrant) => {
-                self.acquisitions += 1;
-                LockOutcome::Granted
-            }
-            Some(h) => {
-                self.denials += 1;
-                LockOutcome::Denied { holder: h.clone() }
-            }
+            Some(_) if self.mutation == Some(Mutation::DoubleGrant) => LockOutcome::Granted,
+            Some(h) => LockOutcome::Denied { holder: h.clone() },
         }
     }
 
@@ -201,8 +186,6 @@ mod tests {
         );
         assert!(lock.is_held_by(&u("a")));
         assert!(!lock.is_held_by(&u("b")));
-        assert_eq!(lock.acquisitions, 1);
-        assert_eq!(lock.denials, 1);
     }
 
     #[test]
@@ -252,7 +235,6 @@ mod tests {
         assert!(lock.is_held_by(&u("b")));
         assert_eq!(lock.take_evicted(), Some(u("a")));
         assert_eq!(lock.take_evicted(), None, "eviction collected once");
-        assert_eq!(lock.evictions, 1);
         // Without a lease, holders are never evicted.
         let mut lock = SteeringLock::new();
         lock.try_acquire_leased(&u("a"), SimTime::ZERO, None);

@@ -43,6 +43,7 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,6 +175,9 @@ struct Core<M> {
     tracer: Tracer,
     history: HistoryLog,
     flight: FlightRecorder,
+    /// Sequence of the next decision event: the history log and the
+    /// flight rings hold the same events, so they share one count.
+    decisions: u64,
     cancelled_timers: HashSet<u64>,
     next_timer_id: u64,
     events_processed: u64,
@@ -270,6 +274,38 @@ impl<M: Payload> Core<M> {
     /// `node`'s metrics registry.
     fn metrics(&mut self, node: NodeId) -> &mut MetricsRegistry {
         &mut self.node_metrics[node.index()]
+    }
+
+    /// The one body of [`Ctx::record_history`] and
+    /// [`Engine::record_history`]: the event is built once, and the
+    /// history log and the flight ring share it.
+    fn record_history(
+        &mut self,
+        at: SimTime,
+        node: NodeId,
+        label: &'static str,
+        subject: impl fmt::Display,
+        actor: impl fmt::Display,
+        detail: impl fmt::Display,
+    ) {
+        if !self.history.enabled() && !self.flight.enabled() {
+            return;
+        }
+        let event = Rc::new(HistoryEvent {
+            seq: self.decisions,
+            at,
+            node,
+            label,
+            subject: subject.to_string(),
+            actor: actor.to_string(),
+            detail: detail.to_string(),
+        });
+        self.decisions += 1;
+        let fired = self.flight.observe(&event);
+        if fired > 0 {
+            self.metrics(node).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
+        }
+        self.history.record(event);
     }
 
     /// Install the directed link `from -> to`. Re-installing one replaces
@@ -443,18 +479,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
         actor: impl fmt::Display,
         detail: impl fmt::Display,
     ) {
-        let core = &mut *self.core;
-        if !core.history.enabled() && !core.flight.enabled() {
-            return;
-        }
-        let subject = subject.to_string();
-        let actor = actor.to_string();
-        let detail = detail.to_string();
-        let fired = core.flight.observe(self.local_now, self.me, label, &subject, &actor, &detail);
-        if fired > 0 {
-            core.metrics(self.me).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
-        }
-        core.history.record(self.local_now, self.me, label, subject, actor, detail);
+        self.core.record_history(self.local_now, self.me, label, subject, actor, detail);
     }
 
     /// Record a complete child span covering `[start, end]` (windows known
@@ -504,6 +529,7 @@ impl<M: Payload> Engine<M> {
                 tracer: Tracer::new(),
                 history: HistoryLog::new(),
                 flight: FlightRecorder::new(),
+                decisions: 0,
                 cancelled_timers: HashSet::new(),
                 next_timer_id: 0,
                 events_processed: 0,
@@ -688,7 +714,7 @@ impl<M: Payload> Engine<M> {
     }
 
     /// Every recorded history event, in execution order.
-    pub fn history(&self) -> &[HistoryEvent] {
+    pub fn history(&self) -> &[Rc<HistoryEvent>] {
         self.core.history.events()
     }
 
@@ -706,19 +732,12 @@ impl<M: Payload> Engine<M> {
         &mut self,
         node: NodeId,
         label: &'static str,
-        subject: impl Into<String>,
-        actor: impl Into<String>,
-        detail: impl Into<String>,
+        subject: impl fmt::Display,
+        actor: impl fmt::Display,
+        detail: impl fmt::Display,
     ) {
         let now = self.core.now;
-        let subject = subject.into();
-        let actor = actor.into();
-        let detail = detail.into();
-        let fired = self.core.flight.observe(now, node, label, &subject, &actor, &detail);
-        if fired > 0 {
-            self.core.metrics(node).add(names::ENGINE_FLIGHT_DUMPS, fired as u64);
-        }
-        self.core.history.record(now, node, label, subject, actor, detail);
+        self.core.record_history(now, node, label, subject, actor, detail);
     }
 
     /// Turn on the anomaly flight recorder (see [`crate::flight`]). Off
@@ -1344,6 +1363,43 @@ mod tests {
             (event.label, &*event.subject, &*event.actor, &*event.detail),
             ("daemon.shed", "app", "user", "k=v")
         );
+    }
+
+    #[test]
+    fn history_and_flight_rings_share_each_event() {
+        use crate::flight::TRIGGER_BREAKER_OPEN;
+
+        /// Records one decision per ping; every fifth opens a breaker.
+        struct Decider;
+        impl Actor<Ping> for Decider {
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, _: NodeId, ping: Ping) {
+                let label = if ping.0 % 5 == 4 { TRIGGER_BREAKER_OPEN } else { "op.accepted" };
+                ctx.record_history(label, "app", "user", format_args!("n={}", ping.0));
+            }
+        }
+        let mut eng = Engine::new(1);
+        eng.enable_history();
+        let cooldown = SimDuration::ZERO;
+        eng.enable_flight_recorder(FlightConfig { capacity: 3, cooldown, ..FlightConfig::default() });
+        let nodes = [eng.add_node("a", Decider), eng.add_node("b", Decider)];
+        for i in 0..40 {
+            let n = nodes[i % 2];
+            eng.inject(n, n, Ping(i), SimDuration::from_millis(i as u64));
+        }
+        // The out-of-band path shares the same body.
+        eng.record_history(nodes[0], TRIGGER_BREAKER_OPEN, "app", "harness", "n=-1");
+        eng.run_to_quiescence();
+
+        let history = eng.history();
+        assert_eq!(history.len(), 41);
+        assert!(history.iter().zip(0..).all(|(e, seq)| e.seq == seq), "one dense count");
+        let dumps = eng.flight_dumps();
+        assert_eq!(dumps.len(), 9, "the out-of-band breaker plus eight recorded ones");
+        for event in dumps.iter().flat_map(|d| &d.events) {
+            let logged = &history[event.seq as usize];
+            assert!(Rc::ptr_eq(event, logged), "dump holds a copy of {}", event.render());
+            assert_eq!(logged.seq, event.seq);
+        }
     }
 
     // ---- keys on the heap, payloads in the slab ----

@@ -11,12 +11,14 @@
 //!
 //! Like tracing and history recording, the recorder is opt-in and
 //! side-effect free: it observes the same decision points that
-//! `Ctx::record_history` sees, appends to internal buffers only, and
+//! `Ctx::record_history` sees — the very events the history log holds,
+//! shared through one `Rc` each — appends to internal buffers only, and
 //! never touches the RNG, the event queue, or the wire. Runs with the
 //! recorder off are byte-identical to runs that never linked it;
 //! same-seed runs with it on produce byte-identical dumps.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use crate::engine::NodeId;
 use crate::history::HistoryEvent;
@@ -74,7 +76,7 @@ pub struct FlightDump {
     /// What fired: `"breaker.open"`, `"shed.burst"` or `"expiry.spike"`.
     pub trigger: &'static str,
     /// The ring contents, oldest first.
-    pub events: Vec<HistoryEvent>,
+    pub events: Vec<Rc<HistoryEvent>>,
 }
 
 impl FlightDump {
@@ -100,7 +102,7 @@ impl FlightDump {
 /// Per-node ring state plus trigger bookkeeping.
 #[derive(Debug, Default)]
 struct NodeRing {
-    ring: VecDeque<HistoryEvent>,
+    ring: VecDeque<Rc<HistoryEvent>>,
     shed_marks: VecDeque<SimTime>,
     expiry_marks: VecDeque<SimTime>,
     last_dump: Option<SimTime>,
@@ -113,7 +115,6 @@ pub struct FlightRecorder {
     config: FlightConfig,
     rings: Vec<NodeRing>,
     dumps: Vec<FlightDump>,
-    observed: u64,
 }
 
 impl FlightRecorder {
@@ -147,23 +148,14 @@ impl FlightRecorder {
         &mut self.rings[idx]
     }
 
-    /// Observe one decision point (same arguments as
-    /// `Ctx::record_history`). Returns the number of dumps the event
-    /// triggered (0 or 1). No-op while disabled.
-    pub fn observe(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        label: &'static str,
-        subject: &str,
-        actor: &str,
-        detail: &str,
-    ) -> u32 {
+    /// Observe one decision point: keep `event` in its node's ring (a
+    /// reference-count bump, not a copy). Returns the number of dumps the
+    /// event triggered (0 or 1). No-op while disabled.
+    pub fn observe(&mut self, event: &Rc<HistoryEvent>) -> u32 {
         if !self.enabled {
             return 0;
         }
-        let seq = self.observed;
-        self.observed += 1;
+        let (at, node, label) = (event.at, event.node, event.label);
         let capacity = self.config.capacity;
         let window = self.config.window;
         let shed_threshold = self.config.shed_burst_threshold;
@@ -172,15 +164,7 @@ impl FlightRecorder {
         if state.ring.len() == capacity {
             state.ring.pop_front();
         }
-        state.ring.push_back(HistoryEvent {
-            seq,
-            at,
-            node,
-            label,
-            subject: subject.to_string(),
-            actor: actor.to_string(),
-            detail: detail.to_string(),
-        });
+        state.ring.push_back(Rc::clone(event));
         let floor = if at.as_micros() > window.as_micros() {
             SimTime::from_micros(at.as_micros() - window.as_micros())
         } else {
@@ -230,7 +214,7 @@ impl FlightRecorder {
             return 0;
         }
         state.last_dump = Some(at);
-        let events: Vec<HistoryEvent> = state.ring.iter().cloned().collect();
+        let events: Vec<Rc<HistoryEvent>> = state.ring.iter().cloned().collect();
         self.dumps.push(FlightDump { seq, at, node, trigger, events });
         1
     }
@@ -271,8 +255,19 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    /// Observe one event. The recorder never reads `seq` (the engine
+    /// stamps it); no script here records two events at one instant,
+    /// so the time serves as the sequence.
     fn ev(rec: &mut FlightRecorder, at_us: u64, node: u32, label: &'static str) -> u32 {
-        rec.observe(SimTime::from_micros(at_us), NodeId(node), label, "app", "user", "k=v")
+        rec.observe(&Rc::new(HistoryEvent {
+            seq: at_us,
+            at: SimTime::from_micros(at_us),
+            node: NodeId(node),
+            label,
+            subject: "app".into(),
+            actor: "user".into(),
+            detail: "k=v".into(),
+        }))
     }
 
     #[test]

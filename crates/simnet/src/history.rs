@@ -13,6 +13,8 @@
 //! execution order, which per seed is deterministic — rendering the log
 //! of two same-seed runs yields byte-identical text.
 
+use std::rc::Rc;
+
 use crate::engine::NodeId;
 use crate::time::SimTime;
 
@@ -52,11 +54,12 @@ impl HistoryEvent {
     }
 }
 
-/// Append-only event log owned by the engine core.
+/// Append-only event log owned by the engine core. It holds each event
+/// through the same `Rc` the flight recorder's ring does.
 #[derive(Debug, Default)]
 pub struct HistoryLog {
     enabled: bool,
-    events: Vec<HistoryEvent>,
+    events: Vec<Rc<HistoryEvent>>,
 }
 
 impl HistoryLog {
@@ -75,25 +78,16 @@ impl HistoryLog {
         self.enabled
     }
 
-    /// Append an event (no-op while disabled).
-    pub fn record(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        label: &'static str,
-        subject: String,
-        actor: String,
-        detail: String,
-    ) {
-        if !self.enabled {
-            return;
+    /// Append an event (no-op while disabled). The caller stamps its
+    /// `seq`.
+    pub fn record(&mut self, event: Rc<HistoryEvent>) {
+        if self.enabled {
+            self.events.push(event);
         }
-        let seq = self.events.len() as u64;
-        self.events.push(HistoryEvent { seq, at, node, label, subject, actor, detail });
     }
 
     /// Everything recorded so far, in execution order.
-    pub fn events(&self) -> &[HistoryEvent] {
+    pub fn events(&self) -> &[Rc<HistoryEvent>] {
         &self.events
     }
 
@@ -113,10 +107,28 @@ impl HistoryLog {
 mod tests {
     use super::*;
 
+    fn event(
+        seq: u64,
+        at_ms: u64,
+        label: &'static str,
+        actor: &str,
+        detail: &str,
+    ) -> Rc<HistoryEvent> {
+        Rc::new(HistoryEvent {
+            seq,
+            at: SimTime::from_millis(at_ms),
+            node: NodeId(2),
+            label,
+            subject: "app".into(),
+            actor: actor.into(),
+            detail: detail.into(),
+        })
+    }
+
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = HistoryLog::new();
-        log.record(SimTime::ZERO, NodeId(0), "x", String::new(), String::new(), String::new());
+        log.record(event(0, 0, "x", "", ""));
         assert!(log.events().is_empty());
         assert_eq!(log.render(), "");
     }
@@ -125,22 +137,8 @@ mod tests {
     fn enabled_log_is_ordered_and_renders_deterministically() {
         let mut log = HistoryLog::new();
         log.enable();
-        log.record(
-            SimTime::from_millis(5),
-            NodeId(2),
-            "lock.granted",
-            "app".into(),
-            "alice".into(),
-            "origin=local".into(),
-        );
-        log.record(
-            SimTime::from_millis(7),
-            NodeId(2),
-            "lock.denied",
-            "app".into(),
-            "bob".into(),
-            "holder=alice".into(),
-        );
+        log.record(event(0, 5, "lock.granted", "alice", "origin=local"));
+        log.record(event(1, 7, "lock.denied", "bob", "holder=alice"));
         assert_eq!(log.events().len(), 2);
         assert_eq!(log.events()[0].seq, 0);
         assert_eq!(log.events()[1].seq, 1);

@@ -150,13 +150,6 @@ pub mod names {
         SERVER_FANOUT_PAYLOAD_REUSE: CounterDef = "server.fanout_payload_reuse";
         /// Update broadcasts routed (each = exactly one DBP serialization).
         SERVER_COLLAB_BROADCASTS: CounterDef = "server.collab.broadcasts";
-        /// Full DBP serializer walks performed by the wire codec (folded in
-        /// from the codec's thread-local stats at the end of a run).
-        WIRE_ENCODE_CALLS: CounterDef = "wire.encode_calls";
-        /// Bytes produced by those walks.
-        WIRE_BYTES_ENCODED: CounterDef = "wire.bytes_encoded";
-        /// Pre-encoded payloads spliced verbatim (serializer walks avoided).
-        WIRE_PAYLOAD_SPLICES: CounterDef = "wire.payload_splices";
         /// TCP frames handled.
         SERVER_TCP_FRAMES: CounterDef = "server.tcp.frames";
         /// Unexpected TCP frames.

@@ -3,8 +3,12 @@
 
 #![cfg(feature = "proptest")]
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
-use simnet::{Actor, Ctx, Engine, Histogram, LinkSpec, NodeId, Payload, SimDuration, SimTime};
+use simnet::{
+    Actor, Ctx, Engine, Histogram, HistoryEvent, LinkSpec, NodeId, Payload, SimDuration, SimTime,
+};
 
 #[derive(Clone, Debug)]
 struct Packet {
@@ -152,16 +156,17 @@ fn run_recorder(
         cooldown: SimDuration::from_millis(200),
     });
     let mut at = 0u64;
-    for &(gap, node, pick) in events {
+    for (seq, &(gap, node, pick)) in (0u64..).zip(events) {
         at += gap;
-        rec.observe(
-            SimTime::from_micros(at),
-            NodeId(u32::from(node % 3)),
-            flight_label(pick),
-            "app",
-            "user",
-            "k=v",
-        );
+        rec.observe(&Rc::new(HistoryEvent {
+            seq,
+            at: SimTime::from_micros(at),
+            node: NodeId(u32::from(node % 3)),
+            label: flight_label(pick),
+            subject: "app".into(),
+            actor: "user".into(),
+            detail: "k=v".into(),
+        }));
     }
     let text = rec.dumps_rendered();
     (rec, text)

@@ -75,8 +75,6 @@ pub struct FifoBuffer {
     enqueued: u64,
     /// Whether view-class updates collapse into latest-wins slots.
     coalesce: bool,
-    /// Pushes absorbed by replacing a still-queued superseded update.
-    coalesced: u64,
     /// Monotone sequence number of the queue front: entry `i` of
     /// `queue` holds sequence `head_seq + i`. Advanced by every
     /// front-removal (drain or overflow eviction).
@@ -107,7 +105,6 @@ impl FifoBuffer {
             peak: 0,
             enqueued: 0,
             coalesce,
-            coalesced: 0,
             head_seq: 0,
             index: Vec::new(),
         }
@@ -130,7 +127,6 @@ impl FifoBuffer {
         let keyed = key.is_some();
         if let Some(at) = key.and_then(|key| self.slot_of(key)) {
             self.queue[at] = msg;
-            self.coalesced += 1;
             self.enqueued += 1;
             return Pushed::Coalesced;
         }
@@ -224,12 +220,6 @@ impl FifoBuffer {
     /// coalesced).
     pub fn enqueued(&self) -> u64 {
         self.enqueued
-    }
-
-    /// Pushes absorbed by replacing a still-queued superseded view
-    /// update (deliveries the poll channel never had to carry).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
     }
 }
 
@@ -336,6 +326,12 @@ mod tests {
         })
     }
 
+    /// Push every message, counting the pushes that coalesced.
+    fn push_all(buf: &mut FifoBuffer, msgs: impl IntoIterator<Item = ClientMessage>) -> usize {
+        let outcomes = msgs.into_iter().map(|m| buf.push_with_outcome(m));
+        outcomes.filter(|o| *o == Pushed::Coalesced).count()
+    }
+
     fn iteration_of(m: &ClientMessage) -> u64 {
         match m {
             ClientMessage::Update(u) => match u.body() {
@@ -349,12 +345,15 @@ mod tests {
     #[test]
     fn coalescing_replaces_superseded_update_in_place() {
         let mut buf = FifoBuffer::with_coalescing(10, true);
-        buf.push(status(0, 1));
-        buf.push(chat("hello"));
-        buf.push(status(0, 2)); // supersedes iteration 1 in its slot
-        buf.push(status(0, 3)); // supersedes iteration 2
+        let pushes = [
+            status(0, 1),
+            chat("hello"),
+            status(0, 2), // supersedes iteration 1 in its slot
+            status(0, 3), // supersedes iteration 2
+        ];
+        let coalesced = push_all(&mut buf, pushes);
         assert_eq!(buf.len(), 2, "two slots: the status slot and the chat line");
-        assert_eq!(buf.coalesced(), 2);
+        assert_eq!(coalesced, 2);
         assert_eq!(buf.enqueued(), 4);
         let drained = buf.drain(10);
         assert_eq!(iteration_of(&drained[0]), 3, "slot keeps its position, latest value");
@@ -367,29 +366,31 @@ mod tests {
     #[test]
     fn distinct_keys_never_coalesce() {
         let mut buf = FifoBuffer::with_coalescing(10, true);
-        buf.push(status(0, 1));
-        buf.push(status(1, 1)); // different app -> different slot
-        buf.push(param("alpha", 0.5));
-        buf.push(param("beta", 0.25)); // different param name -> different slot
-        buf.push(param("alpha", 0.75)); // same slot as the first alpha
+        let pushes = [
+            status(0, 1),
+            status(1, 1), // different app -> different slot
+            param("alpha", 0.5),
+            param("beta", 0.25),  // different param name -> different slot
+            param("alpha", 0.75), // same slot as the first alpha
+        ];
+        let coalesced = push_all(&mut buf, pushes);
         assert_eq!(buf.len(), 4);
-        assert_eq!(buf.coalesced(), 1);
+        assert_eq!(coalesced, 1);
     }
 
     #[test]
     fn command_class_never_coalesces() {
         use wire::AppCommand;
         let mut buf = FifoBuffer::with_coalescing(10, true);
-        for _ in 0..3 {
-            buf.push(ClientMessage::update(UpdateBody::CommandApplied {
-                app: app(0),
-                command: AppCommand::Checkpoint,
-                by: UserId::new("steerer"),
-            }));
-            buf.push(msg()); // Response class
-        }
+        let command = ClientMessage::update(UpdateBody::CommandApplied {
+            app: app(0),
+            command: AppCommand::Checkpoint,
+            by: UserId::new("steerer"),
+        });
+        // Response class between the commands.
+        let coalesced = push_all(&mut buf, [command, msg()].into_iter().cycle().take(6));
         assert_eq!(buf.len(), 6, "commands and responses all queue individually");
-        assert_eq!(buf.coalesced(), 0);
+        assert_eq!(coalesced, 0);
     }
 
     #[test]
@@ -399,9 +400,8 @@ mod tests {
         assert_eq!(buf.drain(10).len(), 1);
         // The slot left the queue; the next status must enqueue anew,
         // not write through a stale index entry.
-        buf.push(status(0, 2));
+        assert_eq!(push_all(&mut buf, [status(0, 2)]), 0);
         assert_eq!(buf.len(), 1);
-        assert_eq!(buf.coalesced(), 0);
         assert_eq!(iteration_of(&buf.drain(10)[0]), 2);
     }
 
@@ -441,10 +441,8 @@ mod tests {
     #[test]
     fn coalescing_off_preserves_every_update() {
         let mut buf = FifoBuffer::new(10);
-        buf.push(status(0, 1));
-        buf.push(status(0, 2));
+        assert_eq!(push_all(&mut buf, [status(0, 1), status(0, 2)]), 0);
         assert_eq!(buf.len(), 2);
-        assert_eq!(buf.coalesced(), 0);
     }
 
     #[test]

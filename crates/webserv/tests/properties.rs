@@ -196,6 +196,7 @@ proptest! {
         let mut fifo = FifoBuffer::with_coalescing(capacity, true);
         let mut model = HashIndexedFifo::new(capacity);
         let mut scratch = Vec::new();
+        let mut coalesced = 0u64;
         for (version, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Push(k, a, p) => {
@@ -210,7 +211,9 @@ proptest! {
                     } else {
                         Pushed::Appended { peak_rose: model.peak > before.2 }
                     };
-                    prop_assert_eq!(fifo.push_with_outcome(msg), expected);
+                    let outcome = fifo.push_with_outcome(msg);
+                    prop_assert_eq!(outcome, expected);
+                    coalesced += u64::from(outcome == Pushed::Coalesced);
                 }
                 // Both ways out of the queue move the head alike.
                 Op::Drain(n) if version % 2 == 0 => {
@@ -224,7 +227,7 @@ proptest! {
             }
             prop_assert_eq!(fifo.len(), model.queue.len());
             prop_assert_eq!(
-                (fifo.enqueued(), fifo.coalesced(), fifo.dropped(), fifo.peak()),
+                (fifo.enqueued(), coalesced, fifo.dropped(), fifo.peak()),
                 (model.enqueued, model.coalesced, model.dropped, model.peak)
             );
         }
@@ -291,11 +294,13 @@ proptest! {
     ) {
         let mut fifo = FifoBuffer::with_coalescing(capacity, true);
         let mut version = 0u64;
+        let mut coalesced = 0u64;
         let mut delivered: Vec<ClientMessage> = Vec::new();
         for op in ops {
             match op {
                 Op::Push(k, a, p) => {
-                    fifo.push(make(k, a, p, version));
+                    let outcome = fifo.push_with_outcome(make(k, a, p, version));
+                    coalesced += u64::from(outcome == Pushed::Coalesced);
                     version += 1;
                 }
                 Op::Drain(n) => delivered.extend(fifo.drain(n)),
@@ -303,7 +308,7 @@ proptest! {
         }
         delivered.extend(fifo.drain(usize::MAX));
         prop_assert_eq!(
-            delivered.len() as u64 + fifo.dropped() + fifo.coalesced(),
+            delivered.len() as u64 + fifo.dropped() + coalesced,
             fifo.enqueued()
         );
         let mut last_in_bucket: HashMap<Option<Bucket>, u64> = HashMap::new();
