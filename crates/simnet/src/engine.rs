@@ -9,27 +9,31 @@
 //!   busy are deferred to the instant it frees up, preserving order. This
 //!   yields M/G/1-style queueing at saturated servers — the mechanism
 //!   behind every knee in the reproduced experiments.
-//! * The heap and the parked queues below hold *keys* — `(time, seq)` and
-//!   a slot number, 24 bytes — and the payloads (a `wire::Envelope` is
-//!   240 bytes) stay put in a slab, so a sift, a re-stamp or a rotation
-//!   moves keys only. A slot is live exactly while its key is on the heap
-//!   or in a parked queue: `step` reads the payload where it lies to
+//! * The heap and the backlogs below hold *keys* — `(time, seq)` and a
+//!   slot number — and the payloads (a `wire::Envelope` is 240 bytes)
+//!   stay put in a slab, so a sift, a re-stamp or a rotation moves keys
+//!   only. A slot is live exactly while its key is on the heap or in a
+//!   backlog: `step` reads the payload where it lies to
 //!   decide between park, dispatch and discard, and moves it out once, on
 //!   the latter two. Freed slots are reused last-freed-first, so the slab
 //!   stops growing at the peak number of events in flight and a steady
 //!   run allocates nothing per event (a `Box` per event would). Nothing
 //!   compares a slot number, so the schedule does not depend on them.
-//! * A deferred event is *parked* in its node's own queue under the key
+//! * A deferred event is *parked* in its node's own backlog under the key
 //!   `(busy_until, fresh seq)` it would carry on the global heap, and the
 //!   heap holds one wake entry per backlogged node, at the key of that
 //!   node's parked head. The next event overall is still the smallest key
 //!   anywhere, so dispatch order, counters, RNG draws and timestamps are
-//!   those of pushing every deferred event back through the heap. When a
-//!   wake finds the node busy again, the parked entries sorting before
-//!   the heap's head are re-stamped in place in one pass: no handler can
-//!   run between them, so one by one they would have drawn the same
-//!   consecutive seqs. An entry with a foreign event wedged before it
-//!   waits behind its own wake.
+//!   those of pushing every deferred event back through the heap. A
+//!   backlog keeps its keys as runs — one instant, consecutive seqs —
+//!   with the slots beside them. When a wake finds the node busy again,
+//!   the runs sorting before the heap's head become one run at
+//!   `busy_until` under the next seqs: no handler can run between them,
+//!   so one by one they would have drawn the same consecutive seqs. A
+//!   pass rewrites runs, not entries, so a saturated node pays per
+//!   dispatch for the runs parked since its last one, not for its
+//!   backlog. A run with a foreign event wedged before it waits behind
+//!   its own wake.
 //! * A crash puts the node's backlog back on the heap under the keys it
 //!   holds: it is discarded (and `engine.down_drops` counted) at the
 //!   instant it was parked for, not at the crash.
@@ -41,8 +45,9 @@
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -50,6 +55,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::actor::{Actor, Payload};
 use crate::flight::{FlightConfig, FlightDump, FlightRecorder};
+use crate::hash::IdHasher;
 use crate::history::{HistoryEvent, HistoryLog};
 use crate::link::{LinkSpec, LinkState, LinkStats};
 use crate::metrics::{names, MetricsRegistry};
@@ -74,17 +80,13 @@ impl fmt::Debug for NodeId {
     }
 }
 
-/// Handle for cancelling a scheduled timer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(u64);
-
 /// Minimum delivery delay for a node sending to itself with no explicit
 /// loopback link. Non-zero so that self-messaging always advances time.
 const SELF_SEND_LATENCY: SimDuration = SimDuration::from_micros(1);
 
 enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M, epoch: u64 },
-    Timer { node: NodeId, tag: u64, id: u64, epoch: u64 },
+    Timer { node: NodeId, tag: u64, epoch: u64 },
     Start { node: NodeId },
     Crash { node: NodeId },
     Restart { node: NodeId },
@@ -99,9 +101,9 @@ enum Entry {
     Wake(NodeId),
 }
 
-/// A queued event's key. The global heap and the parked queues order and
-/// move these; the payload stays in its slab slot until it is dispatched
-/// or dropped.
+/// A queued event's key. The global heap orders and moves these, and a
+/// backlog hands them out; the payload stays in its slab slot until it is
+/// dispatched or dropped.
 struct Event {
     time: SimTime,
     seq: u64,
@@ -144,12 +146,120 @@ struct NodeState {
     /// means the event straddled a crash and must be discarded (the
     /// "connection" it rode on died with the process).
     epoch: u64,
-    /// Keys of the events that found this node busy, in key order.
-    /// Non-empty only while the node is up, and then every entry's
-    /// payload carries its epoch.
-    parked: VecDeque<Event>,
+    /// Keys of the events that found this node busy. Non-empty only
+    /// while the node is up, and then every entry's payload carries its
+    /// epoch.
+    parked: Backlog,
     parked_peak: usize,
 }
+
+/// `len` parked keys under one instant with consecutive seqs: `(time,
+/// seq)`, `(time, seq + 1)`, …, `(time, seq + len - 1)`.
+#[derive(Clone, Copy)]
+struct Run {
+    time: SimTime,
+    seq: u64,
+    len: u32,
+}
+
+impl Run {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+
+    fn last_key(&self) -> (SimTime, u64) {
+        (self.time, self.seq + u64::from(self.len) - 1)
+    }
+}
+
+/// A node's parked keys in key order, as runs, and their slots beside
+/// them, one per key in the same order.
+#[derive(Default)]
+struct Backlog {
+    runs: VecDeque<Run>,
+    slots: VecDeque<u32>,
+}
+
+impl Backlog {
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn head(&self) -> Option<(SimTime, u64)> {
+        self.runs.front().map(Run::key)
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, slot: u32) {
+        self.append(time, seq, 1);
+        self.slots.push_back(slot);
+    }
+
+    /// Append `len` keys from `(time, seq)` on, extending the last run
+    /// when they continue it.
+    fn append(&mut self, time: SimTime, seq: u64, len: u32) {
+        debug_assert!(self.runs.back().is_none_or(|last| last.last_key() < (time, seq)));
+        match self.runs.back_mut() {
+            Some(last) if last.time == time && last.seq + u64::from(last.len) == seq => {
+                last.len += len;
+            }
+            _ => self.runs.push_back(Run { time, seq, len }),
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<Event> {
+        let run = self.runs.front_mut()?;
+        let slot = self.slots.pop_front().expect("one slot per parked key");
+        let ev = Event { time: run.time, seq: run.seq, entry: Entry::Slot(slot) };
+        run.seq += 1;
+        run.len -= 1;
+        if run.len == 0 {
+            self.runs.pop_front();
+        }
+        Some(ev)
+    }
+
+    /// Re-stamp the leading runs that sort before `horizon` while the node
+    /// is busy past them: they become one run at `busy` under the `n`
+    /// seqs from `seq` on, behind whatever was already parked for `busy`.
+    /// Returns `n`. A seq is drawn once, so `horizon` — a key on the heap,
+    /// or past `run_until`'s limit — never falls inside a run: each is
+    /// taken whole or not at all.
+    fn restamp(&mut self, busy: SimTime, horizon: (SimTime, u64), seq: u64) -> u32 {
+        let (mut runs, mut keys) = (0, 0);
+        for run in &self.runs {
+            if run.time >= busy || run.key() >= horizon {
+                break;
+            }
+            debug_assert!(run.last_key() < horizon, "a key on the heap inside a run");
+            runs += 1;
+            keys += run.len;
+        }
+        if runs == self.runs.len() {
+            // The whole backlog, the common case: its slots stay put.
+            self.runs.truncate(1);
+            if let Some(only) = self.runs.front_mut() {
+                *only = Run { time: busy, seq, len: keys };
+            }
+        } else if runs > 0 {
+            self.runs.drain(..runs);
+            self.slots.rotate_left(keys as usize);
+            self.append(busy, seq, keys);
+        }
+        keys
+    }
+
+    /// Every key with its slot, in key order.
+    fn into_events(self) -> impl Iterator<Item = Event> {
+        let keys = self.runs.into_iter().flat_map(|run| {
+            (run.seq..run.seq + u64::from(run.len)).map(move |seq| (run.time, seq))
+        });
+        let slots = self.slots.into_iter().map(Entry::Slot);
+        keys.zip(slots).map(|((time, seq), entry)| Event { time, seq, entry })
+    }
+}
+
+/// Tables keyed by a directed or unordered node pair.
+type PairMap<V> = HashMap<(u32, u32), V, BuildHasherDefault<IdHasher>>;
 
 /// Everything the engine owns *except* the actors themselves; handlers get
 /// `&mut Core` through [`Ctx`] while their actor is temporarily detached.
@@ -164,10 +274,10 @@ struct Core<M> {
     slab: Vec<Option<EventKind<M>>>,
     free: Vec<u32>,
     nodes: Vec<NodeState>,
-    links: HashMap<(u32, u32), LinkState>,
+    links: PairMap<LinkState>,
     /// Timed partition windows keyed by unordered node pair; traffic in
     /// either direction departing inside a window is dropped.
-    partitions: HashMap<(u32, u32), Vec<(SimTime, SimTime)>>,
+    partitions: PairMap<Vec<(SimTime, SimTime)>>,
     rng: StdRng,
     /// One registry per node, parallel to `nodes`: the only store of
     /// every counter, gauge and timer a node writes (`Ctx::metrics`).
@@ -178,8 +288,6 @@ struct Core<M> {
     /// Sequence of the next decision event: the history log and the
     /// flight rings hold the same events, so they share one count.
     decisions: u64,
-    cancelled_timers: HashSet<u64>,
-    next_timer_id: u64,
     events_processed: u64,
     event_limit: u64,
     queue_peak: usize,
@@ -220,8 +328,7 @@ impl<M: Payload> Core<M> {
         let seq = self.seq;
         self.seq += 1;
         let state = &mut self.nodes[node.index()];
-        debug_assert!(state.parked.back().is_none_or(|last| last.key() < (until, seq)));
-        state.parked.push_back(Event { time: until, seq, entry: Entry::Slot(slot) });
+        state.parked.push(until, seq, slot);
         state.parked_peak = state.parked_peak.max(state.parked.len());
         if state.parked.len() == 1 {
             self.enqueue(Event { time: until, seq, entry: Entry::Wake(node) });
@@ -230,40 +337,14 @@ impl<M: Payload> Core<M> {
 
     /// The next event overall, if it is `node`'s parked head; otherwise
     /// re-arm the node's wake (if a backlog remains) and return `None`.
-    /// A parked entry is next when it sorts before `horizon`: the heap's
-    /// head, or the end of the run. While the node is busy past such
-    /// entries they are first re-stamped where they lie and rotated
-    /// behind whatever was already parked for `busy_until`; the pass
-    /// stops at an entry that must take the ordinary path (the node is
-    /// free at its instant, or it is a cancelled timer) or is not next.
-    fn next_parked(&mut self, node: NodeId, limit: SimTime) -> Option<Event> {
-        let run_end = (limit, u64::MAX);
-        let horizon = self.queue.peek().map_or(run_end, |Reverse(head)| head.key().min(run_end));
+    /// A parked key is next when it sorts before `horizon`: the heap's
+    /// head, or the end of the run. While the node is busy past such keys
+    /// they are first re-stamped ([`Backlog::restamp`]); the pass stops at
+    /// a run the node is free at, or one that is not next.
+    fn next_parked(&mut self, node: NodeId, horizon: (SimTime, u64)) -> Option<Event> {
         let state = &mut self.nodes[node.index()];
-        let busy = state.busy_until;
-        let (slab, cancelled) = (&self.slab, &self.cancelled_timers);
-        let cancelled_timer = |entry| {
-            let Entry::Slot(slot) = entry else { return false };
-            matches!(&slab[slot as usize], Some(EventKind::Timer { id, .. }) if cancelled.contains(id))
-        };
-        // Decided once, outside the loop: with no cancellation outstanding
-        // the pass reads and writes keys alone.
-        let any_cancelled = !cancelled.is_empty();
-        let mut restamped = 0;
-        for ev in state.parked.iter_mut() {
-            if ev.key() >= horizon || ev.time >= busy {
-                break;
-            }
-            if any_cancelled && cancelled_timer(ev.entry) {
-                break;
-            }
-            debug_assert!(ev.time <= self.now);
-            (ev.time, ev.seq) = (busy, self.seq);
-            self.seq += 1;
-            restamped += 1;
-        }
-        state.parked.rotate_left(restamped);
-        let (time, seq) = state.parked.front()?.key();
+        self.seq += u64::from(state.parked.restamp(state.busy_until, horizon, self.seq));
+        let (time, seq) = state.parked.head()?;
         if (time, seq) < horizon {
             return state.parked.pop_front();
         }
@@ -408,18 +489,10 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// Schedule `on_timer(tag)` on this node after `delay`. The timer is
     /// bound to the node's current incarnation: if the node crashes before
     /// the timer fires, it never fires (even after a restart).
-    pub fn schedule(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = self.core.next_timer_id;
-        self.core.next_timer_id += 1;
+    pub fn schedule(&mut self, delay: SimDuration, tag: u64) {
         let time = self.local_now + delay;
         let epoch = self.core.nodes[self.me.index()].epoch;
-        self.core.push(time, EventKind::Timer { node: self.me, tag, id, epoch });
-        TimerId(id)
-    }
-
-    /// Cancel a previously scheduled timer (no-op if already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.cancelled_timers.insert(id.0);
+        self.core.push(time, EventKind::Timer { node: self.me, tag, epoch });
     }
 
     /// Deterministic simulation RNG.
@@ -522,16 +595,14 @@ impl<M: Payload> Engine<M> {
                 slab: Vec::new(),
                 free: Vec::new(),
                 nodes: Vec::new(),
-                links: HashMap::new(),
-                partitions: HashMap::new(),
+                links: PairMap::default(),
+                partitions: PairMap::default(),
                 rng: StdRng::seed_from_u64(seed),
                 node_metrics: Vec::new(),
                 tracer: Tracer::new(),
                 history: HistoryLog::new(),
                 flight: FlightRecorder::new(),
                 decisions: 0,
-                cancelled_timers: HashSet::new(),
-                next_timer_id: 0,
                 events_processed: 0,
                 event_limit: u64::MAX,
                 queue_peak: 0,
@@ -553,7 +624,7 @@ impl<M: Payload> Engine<M> {
             busy_micros: 0,
             up: true,
             epoch: 0,
-            parked: VecDeque::new(),
+            parked: Backlog::default(),
             parked_peak: 0,
         });
         self.actors.push(Some(Box::new(actor)));
@@ -817,13 +888,31 @@ impl<M: Payload> Engine<M> {
     /// Run until the queue is empty or the next event is after `limit`.
     /// Returns the number of events processed by this call.
     pub fn run_until(&mut self, limit: SimTime) -> u64 {
+        self.run_observed(limit, |_, _| {})
+    }
+
+    /// [`Engine::run_until`], showing `before_pass` the node whose backlog
+    /// a re-stamp pass is about to read, and the pass's horizon: the tests
+    /// watch the runs it holds.
+    fn run_observed(
+        &mut self,
+        limit: SimTime,
+        mut before_pass: impl FnMut(&NodeState, (SimTime, u64)),
+    ) -> u64 {
         let before = self.core.events_processed;
+        let run_end = (limit, u64::MAX);
         // The node whose wake surfaced last, for as long as its parked
-        // entries remain the next events overall.
-        let mut draining = None;
+        // keys remain the next events overall.
+        let mut draining: Option<NodeId> = None;
         loop {
             let next = match draining {
-                Some(node) => self.core.next_parked(node, limit),
+                Some(node) => {
+                    let core = &mut self.core;
+                    let horizon =
+                        core.queue.peek().map_or(run_end, |Reverse(head)| head.key().min(run_end));
+                    before_pass(&core.nodes[node.index()], horizon);
+                    core.next_parked(node, horizon)
+                }
                 None => match self.core.queue.peek() {
                     Some(Reverse(head)) if head.time <= limit => {
                         self.core.queue.pop().map(|Reverse(ev)| ev)
@@ -836,8 +925,8 @@ impl<M: Payload> Engine<M> {
                 Some(Event { entry: Entry::Wake(node), seq, .. }) => {
                     // A crash hands the backlog back to the heap and
                     // leaves its wake behind: that one matches no head.
-                    let head = self.core.nodes[node.index()].parked.front();
-                    if head.map(|head| head.seq) == Some(seq) {
+                    let head = self.core.nodes[node.index()].parked.head();
+                    if head.map(|(_, head)| head) == Some(seq) {
                         draining = Some(node);
                     }
                 }
@@ -863,18 +952,16 @@ impl<M: Payload> Engine<M> {
         }
         let payload = core.slab[slot as usize].as_ref().expect("a queued key names a live slot");
         let addressed = match payload {
-            EventKind::Deliver { to, epoch, .. } => Some((*to, *epoch, false)),
-            EventKind::Timer { node, id, epoch, .. } => {
-                Some((*node, *epoch, core.cancelled_timers.remove(id)))
-            }
+            EventKind::Deliver { to, epoch, .. } => Some((*to, *epoch)),
+            EventKind::Timer { node, epoch, .. } => Some((*node, *epoch)),
             _ => None,
         };
-        // A delivery or timer is live unless it was cancelled, or stamped
-        // by an incarnation of its node that has since crashed.
+        // A delivery or timer is live unless it was stamped by an
+        // incarnation of its node that has since crashed.
         let mut live = true;
-        if let Some((node, epoch, cancelled)) = addressed {
+        if let Some((node, epoch)) = addressed {
             let state = &core.nodes[node.index()];
-            live = !cancelled && state.up && state.epoch == epoch;
+            live = state.up && state.epoch == epoch;
             if live && state.busy_until > at {
                 return core.park(node, state.busy_until, slot);
             }
@@ -894,7 +981,7 @@ impl<M: Payload> Engine<M> {
                     actor.on_timer(ctx, tag);
                 });
             }
-            // Cancelled, or armed by an incarnation that crashed.
+            // Armed by an incarnation that crashed.
             EventKind::Timer { .. } => {}
             EventKind::Crash { node } => {
                 let state = &mut self.core.nodes[node.index()];
@@ -908,7 +995,7 @@ impl<M: Payload> Engine<M> {
                     // there, even if the node restarts sooner; the wake
                     // left behind matches no parked head.
                     state.busy_until = at;
-                    for parked in std::mem::take(&mut state.parked) {
+                    for parked in std::mem::take(&mut state.parked).into_events() {
                         self.core.enqueue(parked);
                     }
                     self.core.metrics(node).incr(names::ENGINE_CRASHES);
@@ -1067,16 +1154,14 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire_in_deadline_order() {
         struct TimerUser {
             fired: Vec<u64>,
         }
         impl Actor<Ping> for TimerUser {
             fn on_start(&mut self, ctx: &mut Ctx<'_, Ping>) {
-                ctx.schedule(SimDuration::from_millis(5), 1);
-                let t = ctx.schedule(SimDuration::from_millis(6), 2);
-                ctx.cancel_timer(t);
                 ctx.schedule(SimDuration::from_millis(7), 3);
+                ctx.schedule(SimDuration::from_millis(5), 1);
             }
             fn on_message(&mut self, _: &mut Ctx<'_, Ping>, _: NodeId, _: Ping) {}
             fn on_timer(&mut self, _ctx: &mut Ctx<'_, Ping>, tag: u64) {
@@ -1406,8 +1491,9 @@ mod tests {
 
     #[test]
     fn a_heap_entry_is_a_key() {
-        // Every sift level and every parked rotation moves one of these.
+        // Every sift level moves one of these; a backlog moves runs.
         assert!(std::mem::size_of::<Event>() <= 24);
+        assert!(std::mem::size_of::<Run>() <= 24);
     }
 
     #[test]
@@ -1479,33 +1565,6 @@ mod tests {
     }
 
     #[test]
-    fn timer_cancelled_while_parked_never_fires() {
-        // At 10 the server arms a timer for 15 and goes busy until 110.
-        // Note 2 (at 12), the timer (at 15) and note 4 (at 30) park for 110
-        // in that order. Note 3, native at 110, cancels the timer and
-        // consumes 5: the bulk pass re-stamps note 2, stops at the
-        // cancelled timer, which is discarded, and re-stamps note 4.
-        let server = vec![
-            vec![],
-            vec![Act::Schedule { delay: 5, keep: true }, Act::Consume(100)],
-            vec![Act::Cancel, Act::Consume(5)],
-        ];
-        let s = backlog_scenario(
-            vec![server.clone(), vec![]],
-            &[(1, 0), (2, 2), (4, 20), (3, 100)],
-        );
-        let (outcome, eng) = s.agree();
-        assert!(outcome.seen[0].iter().all(|s| s.1 != "timer"), "{:?}", outcome.seen[0]);
-        assert_eq!(server_messages(&outcome.seen[0]), vec![(10, 1), (110, 3), (115, 2), (115, 4)]);
-        assert_eq!(eng.parked_peak(NodeId(SERVER)), 3);
-        // Alone in the backlog, the timer is discarded at 110, where it
-        // surfaced cancelled — not carried to 115: the run ends at 110.
-        let s = backlog_scenario(vec![server, vec![]], &[(1, 0), (3, 100)]);
-        let (outcome, _) = s.agree();
-        assert_eq!(outcome.checkpoints.last().unwrap().0, SimTime::from_micros(110));
-    }
-
-    #[test]
     fn crashed_backlog_is_dropped_at_its_parked_instant() {
         // Note 2 is parked for 110 when the server crashes at 50. It
         // restarts at 60; the source then sends two notes (sent earlier,
@@ -1515,7 +1574,7 @@ mod tests {
         // and counted, at 110: not at the crash, not by 100.
         let server = vec![vec![], vec![Act::Consume(100)], vec![], vec![Act::Consume(20)]];
         let source = vec![
-            vec![Act::Schedule { delay: 60, keep: false }],
+            vec![Act::Schedule(60)],
             vec![Act::Send { to: SERVER, delay: 0 }, Act::Send { to: SERVER, delay: 5 }],
         ];
         let mut s = backlog_scenario(vec![server, source], &[(1, 0), (2, 20)]);
@@ -1532,16 +1591,16 @@ mod tests {
 
     #[test]
     fn every_slot_is_free_at_quiescence() {
-        // A backlog, a timer cancelled while parked and a wedged foreign
-        // timer: each payload leaves the slab exactly once, however many
-        // times its key was re-stamped, rotated or re-armed behind a wake.
+        // A backlog holding a timer, and a wedged foreign timer: each
+        // payload leaves the slab exactly once, however many times its key
+        // was re-stamped, rotated or re-armed behind a wake.
         let server = vec![
             vec![],
-            vec![Act::Schedule { delay: 5, keep: true }, Act::Consume(100)],
-            vec![Act::Cancel, Act::Consume(5)],
+            vec![Act::Schedule(5), Act::Consume(100)],
+            vec![Act::Consume(5)],
         ];
         let bystander = vec![
-            vec![Act::Schedule { delay: 110, keep: false }],
+            vec![Act::Schedule(110)],
             vec![Act::Send { to: SERVER, delay: 0 }],
         ];
         let s = backlog_scenario(
@@ -1565,7 +1624,7 @@ mod tests {
         eng.run_until(SimTime::from_micros(45));
         assert_eq!(eng.core.nodes[SERVER as usize].parked.len(), 2);
         eng.run_until(SimTime::from_micros(100));
-        assert!(eng.core.nodes[SERVER as usize].parked.is_empty());
+        assert!(eng.core.nodes[SERVER as usize].parked.slots.is_empty());
         let live = eng.core.slab.iter().flatten().count();
         assert_eq!((live, eng.stats().counter("engine.down_drops")), (2, 0));
         eng.run_to_quiescence();
@@ -1618,6 +1677,25 @@ mod tests {
     }
 
     #[test]
+    fn a_long_burst_drains_as_one_run() {
+        // 4 096 notes reach the server at 10, where it spends 1 µs on
+        // each: 4 095 of them wait, and each pass re-stamps them all at
+        // once, as the one run they were parked as.
+        let mut server = vec![vec![Act::Consume(1)]; 4097];
+        server[0].clear();
+        let injects: Vec<(u32, u64)> = (0..4096).map(|i| (i, 0)).collect();
+        let s = backlog_scenario(vec![server, vec![]], &injects);
+        s.agree();
+        let mut runs = 0;
+        let (outcome, eng) = s.play(|eng, limit| {
+            eng.run_observed(limit, |state, _| runs = runs.max(state.parked.runs.len()))
+        });
+        assert_eq!(server_messages(&outcome.seen[0]).last(), Some(&(4105, 4095)));
+        assert_eq!(eng.parked_peak(NodeId(SERVER)), 4095);
+        assert!(runs <= 2, "a pass read {runs} runs");
+    }
+
+    #[test]
     fn bulk_restamp_stops_at_a_wedged_foreign_event() {
         // Server busy 10..110; notes 2 and 3 park for 110 at 20 and 40.
         // In between, at 30, node 2 arms a timer for exactly 110, so its
@@ -1629,8 +1707,8 @@ mod tests {
         // both in one pass would have put 20000 last.
         let server = vec![vec![], vec![Act::Consume(100)], vec![Act::Consume(5)]];
         let bystander = vec![
-            vec![Act::Schedule { delay: 30, keep: false }],
-            vec![Act::Schedule { delay: 80, keep: false }],
+            vec![Act::Schedule(30)],
+            vec![Act::Schedule(80)],
             vec![Act::Draw, Act::Send { to: SERVER, delay: 0 }],
         ];
         let s = backlog_scenario(

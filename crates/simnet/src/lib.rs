@@ -61,6 +61,7 @@ mod actor;
 mod engine;
 mod fault;
 pub mod flight;
+mod hash;
 pub mod history;
 mod link;
 pub mod metrics;
@@ -70,9 +71,10 @@ mod time;
 pub mod trace;
 
 pub use actor::{Actor, Payload};
-pub use engine::{Ctx, Engine, NodeId, TimerId};
+pub use engine::{Ctx, Engine, NodeId};
 pub use fault::FaultPlan;
 pub use flight::{FlightConfig, FlightDump, FlightRecorder};
+pub use hash::IdHasher;
 pub use history::HistoryEvent;
 pub use link::{LinkSpec, LinkStats};
 pub use metrics::{names, CounterDef, GaugeDef, MetricsRegistry, TimerDef};

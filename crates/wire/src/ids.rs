@@ -16,6 +16,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
+// The hasher behind `IdMap` lives in `simnet`, whose link table is keyed
+// by node ids; it keeps its old path here.
+pub use simnet::IdHasher;
+
 macro_rules! fmt_via_debug {
     () => {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -224,33 +228,9 @@ impl fmt::Display for ClientId {
 }
 
 /// Map keyed by an id this program issued itself ([`ClientId`], [`AppId`]:
-/// a server address and a local count). Such keys cannot be crafted to
-/// collide, so the table is probed with one multiply per word instead of
-/// SipHash — and with a fixed state, so iteration order repeats between
-/// processes. Never key it by anything a client chose.
+/// a server address and a local count), probed with [`IdHasher`]. Never
+/// key it by anything a client chose.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
-/// The hasher behind [`IdMap`]: multiply-rotate over the id's words.
-#[derive(Clone, Copy, Default)]
-pub struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(b.into());
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        // The odd multiplier spreads a count's low bits over the high
-        // ones the table takes its tags from.
-        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A client-server-application interaction session (client id + app id per
 /// the paper's master-handler description).
