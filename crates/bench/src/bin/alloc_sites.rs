@@ -164,10 +164,9 @@ fn attach_portal(
     mix: &OpMix,
     login_delay_ms: u64,
 ) -> NodeId {
-    let mut portal = workload_portal(user, app, mix.clone(), 200);
-    portal.server = Some(home.node);
-    portal.config.login_delay = SimDuration::from_millis(login_delay_ms);
-    b.attach(home, &format!("portal-{user}"), portal)
+    let mut cfg = workload_portal(user, app, mix.clone(), 200);
+    cfg.login_delay = SimDuration::from_millis(login_delay_ms);
+    b.portal(home, &format!("portal-{user}"), cfg)
 }
 
 fn steer_local() -> Shape {
@@ -230,23 +229,18 @@ fn fanout_steady() -> Shape {
     acl.push(("steerer", Privilege::Steer));
     let (_, app) =
         b.application(server, synthetic_app(2, u64::MAX), hot_app_config("storm0", &acl));
-    let attach = |b: &mut CollaboratoryBuilder, name: &str, config: PortalConfig| {
-        let mut portal = Portal::new(config);
-        portal.server = Some(server.node);
-        b.attach(server, name, portal)
-    };
     let steerer = PortalConfig::new("steerer")
         .select_app(app)
         .poll_every(ms(500))
         .workload(Workload::new(app, OpMix::steering_only(), ms(200)));
-    let mut portals = vec![attach(&mut b, "steerer", steerer)];
+    let mut portals = vec![b.portal(server, "steerer", steerer)];
     for (i, user) in users.iter().enumerate() {
         let mut viewer =
             PortalConfig::new(user).select_app(app).poll_every(SimDuration::from_secs(4));
         // Logins spread over the first 8 s; the 60 s warm-up drains the
         // join broadcast.
         viewer.login_delay = ms(200 + (i as u64 * 15) % 7800);
-        portals.push(attach(&mut b, &format!("viewer{i}"), viewer));
+        portals.push(b.portal(server, &format!("viewer{i}"), viewer));
     }
     let unit = "messages delivered";
     Shape { collab: b.build(), portals, warmup: 60, window: 480, unit, done: total_deliveries }

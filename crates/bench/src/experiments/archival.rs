@@ -106,12 +106,9 @@ fn run_bounded() -> BoundedRun {
             .at(SimDuration::from_secs(FETCH_SECS[i]), ClientRequest::CatchUp { app, since: 0 });
         // Spread logins so the login burst drains before the first probe.
         cfg.login_delay = SimDuration::from_millis(100 + (i as u64 * 97) % 900);
-        portals.push(b.attach(srv, &format!("portal{i}"), Portal::new(cfg)));
+        portals.push(b.portal(srv, &format!("portal{i}"), cfg));
     }
     let mut c = b.build();
-    for &node in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(srv.node);
-    }
     c.engine.run_until(SimTime::from_secs(A_END_SECS));
     let stats = c.engine.stats();
 
@@ -200,19 +197,16 @@ fn run_fidelity(crash: bool) -> FidelityRun {
             ClientRequest::Op { app, op: AppOp::Command(wire::AppCommand::Pause) },
         )
         .resume();
-    let steerer = b.attach(srv, "portal-steerer", Portal::new(steer_cfg));
+    b.portal(srv, "portal-steerer", steer_cfg);
     // The viewer survives the crash via resume/fallback-login and probes
     // the recovered host with a snapshot-aware catch-up.
     let view_cfg = PortalConfig::new("viewer")
         .poll_every(SimDuration::from_millis(POLL_MS))
         .at(SimDuration::from_secs(B_FETCH_SECS), ClientRequest::CatchUp { app, since: 0 })
         .resume();
-    let viewer = b.attach(srv, "portal-viewer", Portal::new(view_cfg));
+    let viewer = b.portal(srv, "portal-viewer", view_cfg);
 
     let mut c = b.build();
-    for node in [steerer, viewer] {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(srv.node);
-    }
     if crash {
         let mut plan = FaultPlan::new(seed);
         plan.crash(

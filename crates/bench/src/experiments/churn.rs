@@ -130,12 +130,9 @@ fn run_churn(mode: Mode) -> ChurnRun {
             .resume();
         // Spread logins so the select burst drains inside warmup.
         cfg.login_delay = SimDuration::from_millis(100 + (i as u64 * 97) % 4900);
-        portals.push(b.attach(srv, &format!("portal{i}"), Portal::new(cfg)));
+        portals.push(b.portal(srv, &format!("portal{i}"), cfg));
     }
     let mut c = b.build();
-    for &node in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(srv.node);
-    }
 
     // The burst: the last CHURNERS portals drop off the network together
     // and all come back at the same instant.

@@ -39,7 +39,7 @@ pub fn e11_push_vs_poll() -> Table {
         // One remote viewer; one local chatter providing timestamped content.
         let mut viewer = PortalConfig::new("viewer").select_app(app);
         viewer.login_delay = SimDuration::from_millis(200);
-        let viewer_node = b.attach(far, "viewer", Portal::new(viewer));
+        let viewer_node = b.portal(far, "viewer", viewer);
         let mut chatter = PortalConfig::new("chatter").select_app(app);
         chatter.login_delay = SimDuration::from_millis(200);
         let mut send_times = Vec::new();
@@ -48,10 +48,8 @@ pub fn e11_push_vs_poll() -> Table {
             send_times.push(t);
             chatter = chatter.at(t, ClientRequest::Chat { app, text: format!("chat-{k}") });
         }
-        let chatter_node = b.attach(host, "chatter", Portal::new(chatter));
+        b.portal(host, "chatter", chatter);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(viewer_node).unwrap().server = Some(far.node);
-        c.engine.actor_mut::<Portal>(chatter_node).unwrap().server = Some(host.node);
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
         let p = c.engine.actor_ref::<Portal>(viewer_node).unwrap();
@@ -126,7 +124,7 @@ pub fn e4_collab_traffic() -> Table {
             let srv = servers[i % s];
             let mut cfg = PortalConfig::new(&format!("user{i}")).select_app(app);
             cfg.login_delay = SimDuration::from_millis(200);
-            viewer_nodes.push((b.attach(srv, &format!("viewer{i}"), Portal::new(cfg)), srv));
+            viewer_nodes.push(b.portal(srv, &format!("viewer{i}"), cfg));
         }
         // The chatter at server0 sends timestamped chats.
         let mut chatter = PortalConfig::new("chatter").select_app(app);
@@ -137,19 +135,15 @@ pub fn e4_collab_traffic() -> Table {
             send_times.push(t);
             chatter = chatter.at(t, ClientRequest::Chat { app, text: format!("chat-{k}") });
         }
-        let chatter_node = b.attach(servers[0], "chatter", Portal::new(chatter));
+        b.portal(servers[0], "chatter", chatter);
 
         let mut c = b.build();
-        for (node, srv) in &viewer_nodes {
-            c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(srv.node);
-        }
-        c.engine.actor_mut::<Portal>(chatter_node).unwrap().server = Some(servers[0].node);
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
         // Chat delivery latency across every viewer.
         let mut latencies = Vec::new();
-        for (node, _) in &viewer_nodes {
-            let p = c.engine.actor_ref::<Portal>(*node).unwrap();
+        for &node in &viewer_nodes {
+            let p = c.engine.actor_ref::<Portal>(node).unwrap();
             for (at, m) in &p.received {
                 if let ClientMessage::Update(u) = m {
                     let UpdateBody::Chat { text, .. } = u.body() else { continue };
@@ -229,9 +223,8 @@ pub fn e5_remote_vs_local() -> Table {
             .poll_every(fixtures::poll_period())
             .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
         cfg.login_delay = SimDuration::from_millis(200);
-        let node = b.attach(home, "probe", Portal::new(cfg));
+        let node = b.portal(home, "probe", cfg);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
         let lat = summarize_us(&fixtures::collect_op_latencies(&c, &[node]));
         table.row(vec![
@@ -265,9 +258,8 @@ pub fn e6_discovery_auth() -> Table {
         }
         let mut cfg = PortalConfig::new("probe");
         cfg.login_delay = SimDuration::from_millis(300);
-        let node = b.attach(servers[0], "probe", Portal::new(cfg));
+        let node = b.portal(servers[0], "probe", cfg);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(servers[0].node);
         c.engine.run_until(SimTime::from_secs(20));
 
         let p = c.engine.actor_ref::<Portal>(node).unwrap();

@@ -5,7 +5,7 @@ use appsim::synthetic_app;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{CollaboratoryBuilder, DiscoverNode};
 use simnet::{SimDuration, SimTime};
-use wire::{ClientMessage, ClientRequest, Privilege, ResponseBody};
+use wire::{ClientRequest, Privilege};
 
 use crate::fixtures::{self, hot_app_config, interactive_app_config, RUN_SECS};
 use crate::report::{f2, summarize_us, Table};
@@ -40,19 +40,15 @@ pub fn e7_lock_contention() -> Table {
                 .poll_every(fixtures::poll_period())
                 .workload(w);
             cfg.login_delay = SimDuration::from_millis(200 + i as u64 * 10);
-            nodes.push((b.attach(srv, &format!("steerer-{u}"), Portal::new(cfg)), srv));
+            nodes.push(b.portal(srv, &format!("steerer-{u}"), cfg));
         }
         let mut c = b.build();
-        for (node, srv) in &nodes {
-            c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(srv.node);
-        }
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
-        let node_ids: Vec<_> = nodes.iter().map(|(n, _)| *n).collect();
-        let acq = fixtures::collect_lock_latencies(&c, &node_ids);
+        let acq = fixtures::collect_lock_latencies(&c, &nodes);
         let lat = summarize_us(&acq);
         let denials = c.engine.stats().counter("server.lock.denied");
-        let ops = fixtures::total_ops(&c, &node_ids);
+        let ops = fixtures::total_ops(&c, &nodes);
         table.row(vec![
             n.to_string(),
             lat.count.to_string(),
@@ -109,16 +105,12 @@ pub fn e8_network_scalability() -> Table {
                 .poll_every(fixtures::poll_period())
                 .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
             cfg.login_delay = SimDuration::from_millis(200 + i as u64 * 5);
-            nodes.push((b.attach(srv, &format!("client-{u}"), Portal::new(cfg)), srv));
+            nodes.push(b.portal(srv, &format!("client-{u}"), cfg));
         }
         let mut c = b.build();
-        for (node, srv) in &nodes {
-            c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(srv.node);
-        }
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
-        let node_ids: Vec<_> = nodes.iter().map(|(n, _)| *n).collect();
-        let lat = summarize_us(&fixtures::collect_op_latencies(&c, &node_ids));
+        let lat = summarize_us(&fixtures::collect_op_latencies(&c, &nodes));
         let max_util = servers
             .iter()
             .map(|srv| c.engine.node_utilization(srv.node))
@@ -160,15 +152,12 @@ pub fn e9_fifo_slow_clients() -> Table {
             .select_app(app)
             .poll_every(SimDuration::from_millis(period_ms));
         cfg.login_delay = SimDuration::from_millis(delay);
-        Portal::new(cfg)
+        cfg
     };
-    let fast = b.attach(server, "fast", mk("fast", 200, 50));
-    let slow = b.attach(server, "slow", mk("slow", 2_000, 60));
-    let dead = b.attach(server, "dead", mk("dead", 3_600_000, 70));
+    b.portal(server, "fast", mk("fast", 200, 50));
+    b.portal(server, "slow", mk("slow", 2_000, 60));
+    b.portal(server, "dead", mk("dead", 3_600_000, 70));
     let mut c = b.build();
-    for n in [fast, slow, dead] {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(server.node);
-    }
     c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
     let core = &c.engine.actor_ref::<DiscoverNode>(server.node).unwrap().core;
@@ -213,27 +202,23 @@ pub fn e10_latecomer_replay() -> Table {
             .select_app(app)
             .poll_every(fixtures::poll_period())
             .workload(w);
-        let driver_node = b.attach(server, "driver", Portal::new(driver));
+        b.portal(server, "driver", driver);
         // The latecomer joins at T and fetches the archive.
         let fetch_at = SimDuration::from_secs(join_at) + SimDuration::from_secs(2);
         let mut late = PortalConfig::new("late")
             .select_app(app)
             .at(fetch_at, ClientRequest::GetHistory { app, since: 0 });
         late.login_delay = SimDuration::from_secs(join_at);
-        let late_node = b.attach(server, "late", Portal::new(late));
+        let late_node = b.portal(server, "late", late);
 
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(driver_node).unwrap().server = Some(server.node);
-        c.engine.actor_mut::<Portal>(late_node).unwrap().server = Some(server.node);
         c.engine.run_until(SimTime::from_secs(join_at + 20));
 
         let p = c.engine.actor_ref::<Portal>(late_node).unwrap();
-        let result = p.received.iter().find_map(|(t, m)| match m {
-            ClientMessage::Response(ResponseBody::History { records, .. }) => {
-                Some((records.len(), wire::codec::encoded_len(records), *t))
-            }
-            _ => None,
-        });
+        let result = p
+            .histories(app)
+            .next()
+            .map(|(t, records, _)| (records.len(), wire::codec::encoded_len(records), t));
         match result {
             Some((count, bytes, at)) => {
                 let fetch_ms =

@@ -112,12 +112,9 @@ fn run_fanout(collabs: usize, servers: usize) -> FanoutRun {
         // Spread logins across the first ~8 s so the warmup window
         // absorbs the select/MemberJoined burst even at 512 viewers.
         cfg.login_delay = SimDuration::from_millis(200 + (i as u64 * 15) % 7800);
-        viewers.push((b.attach(srv, &format!("viewer{i}"), Portal::new(cfg)), srv));
+        viewers.push(b.portal(srv, &format!("viewer{i}"), cfg));
     }
     let mut c = b.build();
-    for (node, srv) in &viewers {
-        c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(srv.node);
-    }
 
     // Warmup: logins, remote-privilege resolution and peer subscriptions
     // all settle; then snapshot both counter families and measure a
@@ -134,8 +131,8 @@ fn run_fanout(collabs: usize, servers: usize) -> FanoutRun {
     let stats = c.engine.stats();
 
     let mut delivered = 0u64;
-    for (node, _) in &viewers {
-        let p = c.engine.actor_ref::<Portal>(*node).unwrap();
+    for &node in &viewers {
+        let p = c.engine.actor_ref::<Portal>(node).unwrap();
         delivered += p
             .received
             .iter()

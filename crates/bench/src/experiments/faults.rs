@@ -87,13 +87,10 @@ fn run_chaos(loss: f64, retry: RetryPolicy) -> ChaosOutcome {
             .poll_every(fixtures::poll_period())
             .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
         cfg.login_delay = SimDuration::from_millis(200 + i as u64 * 10);
-        portals.push(b.attach(gateway, &format!("client-{u}"), Portal::new(cfg)));
+        portals.push(b.portal(gateway, &format!("client-{u}"), cfg));
     }
 
     let mut c = b.build();
-    for &node in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
-    }
 
     // One crash/restart cycle per backend, staggered across the middle of
     // the run; the gateway stays up so clients always have a way in.

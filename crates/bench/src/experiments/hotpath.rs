@@ -29,7 +29,7 @@
 //! diffs two same-seed runs for byte-identity) and the usual CSV.
 
 use appsim::synthetic_app;
-use discover_client::{OpMix, Portal, PortalConfig, Workload};
+use discover_client::{OpMix, PortalConfig, Workload};
 use discover_core::CollaboratoryBuilder;
 use simnet::{names, SimDuration, SimTime};
 use wire::http::HttpResponse;
@@ -145,19 +145,16 @@ fn run_storm(collabs: usize) -> StormRun {
         .select_app(app)
         .poll_every(SimDuration::from_millis(500))
         .workload(Workload::new(app, OpMix::steering_only(), SimDuration::from_millis(200)));
-    let steerer = b.attach(srv, "steerer", Portal::new(steer_cfg));
+    b.portal(srv, "steerer", steer_cfg);
     // The telemetry audience: slow pollers, logins spread across the
     // warmup window (see E14's join-storm note).
     let mut viewers = Vec::new();
     for (i, (u, _)) in viewers_acl.iter().enumerate() {
         let mut cfg = PortalConfig::new(u).select_app(app).poll_every(poll_every(collabs));
         cfg.login_delay = SimDuration::from_millis(200 + (i as u64 * 15) % 7800);
-        viewers.push(b.attach(srv, &format!("viewer{i}"), Portal::new(cfg)));
+        viewers.push(b.portal(srv, &format!("viewer{i}"), cfg));
     }
     let mut c = b.build();
-    for node in viewers.iter().chain(std::iter::once(&steerer)) {
-        c.engine.actor_mut::<Portal>(*node).unwrap().server = Some(srv.node);
-    }
 
     let warmup = warmup_secs(collabs);
     c.engine.run_until(SimTime::from_secs(warmup));

@@ -132,12 +132,9 @@ fn run_overload(clients: usize, mode: Mode) -> OverloadRun {
         if let Mode::Protected { deadline_ms } = mode {
             cfg = cfg.deadline(SimDuration::from_millis(deadline_ms));
         }
-        portals.push(b.attach(srv, &format!("portal{i}"), Portal::new(cfg)));
+        portals.push(b.portal(srv, &format!("portal{i}"), cfg));
     }
     let mut c = b.build();
-    for &node in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(srv.node);
-    }
 
     c.engine.run_until(SimTime::from_secs(WARMUP_SECS));
     let stats0 = c.engine.stats();

@@ -4,7 +4,7 @@
 //! of commodity technologies).
 
 use appsim::synthetic_app;
-use discover_client::{OpMix, Portal, PortalConfig, Workload};
+use discover_client::{OpMix, PortalConfig, Workload};
 use discover_core::CollaboratoryBuilder;
 use simnet::{SimDuration, SimTime};
 use wire::Privilege;
@@ -37,9 +37,8 @@ pub fn e1_app_scalability() -> Table {
         // The probe selects app0 and measures status-op completion.
         let app0 = wire::AppId { server: server.addr, seq: 0 };
         let probe = fixtures::workload_portal("probe", app0, OpMix::status_only(), 500);
-        let probe_node = b.attach(server, "probe", probe);
+        let probe_node = b.portal(server, "probe", probe);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(probe_node).unwrap().server = Some(server.node);
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
         let frames = c.engine.stats().counter("server.tcp.frames");
@@ -91,12 +90,9 @@ pub fn e2_client_scalability() -> Table {
         let mut nodes = Vec::new();
         for (u, _) in &users {
             let portal = fixtures::workload_portal(u, app, OpMix::status_only(), 1000);
-            nodes.push(b.attach(server, &format!("portal-{u}"), portal));
+            nodes.push(b.portal(server, &format!("portal-{u}"), portal));
         }
         let mut c = b.build();
-        for &node in &nodes {
-            c.engine.actor_mut::<Portal>(node).unwrap().server = Some(server.node);
-        }
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
         let lat = summarize_us(&fixtures::collect_op_latencies(&c, &nodes));
@@ -166,12 +162,9 @@ pub fn e3_protocol_asymmetry() -> Table {
         let mut nodes = Vec::new();
         for (u, _) in &users {
             let portal = fixtures::workload_portal(u, app, OpMix::status_only(), 500);
-            nodes.push(b.attach(server, &format!("portal-{u}"), portal));
+            nodes.push(b.portal(server, &format!("portal-{u}"), portal));
         }
         let mut c = b.build();
-        for &node in &nodes {
-            c.engine.actor_mut::<Portal>(node).unwrap().server = Some(server.node);
-        }
         c.engine.run_until(SimTime::from_secs(secs));
         let http = c.engine.stats().counter("server.http.requests").max(1);
         let frames = c.engine.stats().counter("server.tcp.frames");
@@ -200,9 +193,8 @@ pub fn e3_protocol_asymmetry() -> Table {
             .poll_every(fixtures::poll_period())
             .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(300)));
         cfg.login_delay = SimDuration::from_millis(200);
-        let node = b.attach(gateway, "probe", Portal::new(cfg));
+        b.portal(gateway, "probe", cfg);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
         c.engine.run_until(SimTime::from_secs(secs));
         let giop = c.engine.stats().counter("server.giop.calls").max(1);
         let frames = c.engine.stats().counter("server.tcp.frames");

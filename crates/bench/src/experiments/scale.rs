@@ -140,13 +140,10 @@ fn run_tier(tier: Tier) -> ScaleRun {
             ));
         // Spread logins so the select burst drains inside warmup.
         cfg.login_delay = SimDuration::from_millis(100 + (j as u64 * 131) % 4900);
-        portals.push((b.attach(servers[home], &format!("portal{j}"), Portal::new(cfg)), home));
+        portals.push(b.portal(servers[home], &format!("portal{j}"), cfg));
     }
 
     let mut c = b.build();
-    for &(node, home) in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(servers[home].node);
-    }
     // Steady-state cache counters: snapshot at the end of warmup so the
     // hit rate reflects the measured window, not the cold start.
     c.engine.run_until(SimTime::from_secs(WARMUP_SECS));
@@ -159,7 +156,7 @@ fn run_tier(tier: Tier) -> ScaleRun {
 
     let (lo, hi) = (WARMUP_SECS * 1_000_000, END_SECS * 1_000_000);
     let mut ok_in_window = 0u64;
-    for &(node, _) in &portals {
+    for &node in &portals {
         let p = c.engine.actor_ref::<Portal>(node).unwrap();
         for &(at, _, ok) in &p.op_completions {
             let t = at.as_micros();

@@ -114,18 +114,15 @@ fn run_variant(variant: Variant) -> TelemetryRun {
             cfg = cfg.deadline(SimDuration::from_millis(400));
         }
         cfg.login_delay = SimDuration::from_millis(100 + 30 * i as u64);
-        portals.push(b.attach(srv, user, Portal::new(cfg)));
+        portals.push(b.portal(srv, user, cfg));
     }
     let operator = (variant == Variant::Probed).then(|| {
         let mut cfg =
             PortalConfig::new("operator").status_every(SimDuration::from_millis(PROBE_MS));
         cfg.login_delay = SimDuration::from_millis(150);
-        b.attach(srv, "operator", Portal::new(cfg))
+        b.portal(srv, "operator", cfg)
     });
     let mut c = b.build();
-    for &n in portals.iter().chain(operator.iter()) {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(srv.node);
-    }
     c.engine.run_until(SimTime::from_secs(END_SECS));
 
     let ops_ok = portals

@@ -20,7 +20,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use appsim::synthetic_app;
-use discover_client::{OpMix, Portal, PortalConfig, Workload};
+use discover_client::{OpMix, PortalConfig, Workload};
 use discover_core::CollaboratoryBuilder;
 use simnet::{names, FaultPlan, NodeId, SimDuration, SimTime, SpanRecord};
 use wire::Privilege;
@@ -87,13 +87,10 @@ fn run_traced(loss: f64) -> TraceRun {
             .poll_every(fixtures::poll_period())
             .workload(Workload::new(*app, OpMix::sensors_only(), SimDuration::from_millis(500)));
         cfg.login_delay = SimDuration::from_millis(200 + i as u64 * 10);
-        portals.push(b.attach(gateway, name, Portal::new(cfg)));
+        portals.push(b.portal(gateway, name, cfg));
     }
 
     let mut c = b.build();
-    for &node in &portals {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
-    }
 
     // One crash/restart cycle on the failover path's host, mid-run.
     let mut plan = FaultPlan::new(TRACE_SEED);

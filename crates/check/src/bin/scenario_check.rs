@@ -2,10 +2,11 @@
 //! and validate every run against the correctness oracles.
 //!
 //! ```text
-//! scenario_check [--seeds N] [--start-seed S]
-//!                [--family all|locks|acl|replay|churn|flashcrowd|slowconsumer|recovery|discovery]
+//! scenario_check [--seeds N] [--start-seed S] [--family all|<name>]
 //!                [--budget-secs T] [--out DIR] [--mutation]
 //! ```
+//!
+//! A family `<name>` is its [`Family::name`]; `--help` lists them.
 //!
 //! For each seed × family the scenario is generated, executed **twice**
 //! (byte-identical run logs required — nondeterminism is itself a
@@ -61,15 +62,10 @@ fn parse_args() -> Result<Args, String> {
                 let v = value("--family")?;
                 args.families = match v.as_str() {
                     "all" => Family::ALL.to_vec(),
-                    "locks" => vec![Family::Locks],
-                    "acl" => vec![Family::Acl],
-                    "replay" => vec![Family::Replay],
-                    "churn" => vec![Family::Churn],
-                    "flashcrowd" => vec![Family::FlashCrowd],
-                    "slowconsumer" => vec![Family::SlowConsumer],
-                    "recovery" => vec![Family::Recovery],
-                    "discovery" => vec![Family::Discovery],
-                    other => return Err(format!("unknown family {other:?}")),
+                    name => match Family::ALL.into_iter().find(|f| f.name() == name) {
+                        Some(family) => vec![family],
+                        None => return Err(format!("unknown family {name:?}")),
+                    },
                 };
             }
             "--budget-secs" => {
@@ -79,12 +75,12 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = value("--out")?,
             "--mutation" => args.mutation = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: scenario_check [--seeds N] [--start-seed S] \
-                     [--family all|locks|acl|replay|churn|flashcrowd|slowconsumer|recovery|\
-                     discovery] [--budget-secs T] [--out DIR] [--mutation]"
-                        .into(),
-                );
+                let families: Vec<&str> = Family::ALL.iter().map(|f| f.name()).collect();
+                return Err(format!(
+                    "usage: scenario_check [--seeds N] [--start-seed S] [--family all|{}] \
+                     [--budget-secs T] [--out DIR] [--mutation]",
+                    families.join("|")
+                ));
             }
             other => return Err(format!("unknown flag {other:?}")),
         }

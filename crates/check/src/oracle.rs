@@ -58,10 +58,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use discover_core::CacheEventKind;
-use wire::Privilege;
+use simnet::names;
+use wire::{LogRecord, Privilege};
 
 use crate::lin::{self, LinKind, LinOp};
-use crate::run::{LockObsKind, RunResult};
+use crate::run::{lock_responses, op_done, LockObsKind, RunResult};
+use crate::scenario::{ActionKind, UserSpec};
 
 /// Slack around host-recorded event times (µs), absorbing the gap
 /// between a decision and its observable effect.
@@ -82,6 +84,11 @@ impl Violation {
     fn new(oracle: &'static str, detail: impl Into<String>) -> Self {
         Violation { oracle, detail: detail.into() }
     }
+}
+
+/// Script times of `user`'s `kind` invocations, µs, in issue order.
+fn invocations_us(user: &UserSpec, kind: ActionKind) -> Vec<u64> {
+    user.actions.iter().filter(|a| a.kind == kind).map(|a| a.at_ms * 1000).collect()
 }
 
 /// Extract `key=` from a `key=value` token list.
@@ -159,7 +166,7 @@ pub fn build_lock_ops(run: &RunResult) -> Vec<LinOp> {
     };
 
     let mut seen_users = BTreeSet::new();
-    for u in &run.users {
+    for (i, u) in run.scenario.users.iter().enumerate() {
         seen_users.insert(u.name.clone());
         let h = host.get(&u.name);
 
@@ -169,11 +176,11 @@ pub fn build_lock_ops(run: &RunResult) -> Vec<LinOp> {
         // not a lock decision.
         let mut acquire: Vec<(u64, LinKind)> = Vec::new();
         let mut release: Vec<(u64, LinKind)> = Vec::new();
-        for obs in &u.lock_responses {
-            match &obs.kind {
+        for obs in lock_responses(run.portal(i), run.app) {
+            match obs.kind {
                 LockObsKind::Granted => acquire.push((obs.at_us, LinKind::Granted)),
                 LockObsKind::Denied(Some(holder)) => {
-                    acquire.push((obs.at_us, LinKind::Denied { holder: holder.clone() }));
+                    acquire.push((obs.at_us, LinKind::Denied { holder }));
                 }
                 LockObsKind::Denied(None) => {}
                 LockObsKind::Released => release.push((obs.at_us, LinKind::ReleaseOk)),
@@ -182,14 +189,14 @@ pub fn build_lock_ops(run: &RunResult) -> Vec<LinOp> {
                     // A remote release failure may be a relay fast-fail
                     // that the host never saw; only the host's local
                     // clients observe verified rejections.
-                    LinKind::ReleaseFail { checked: u.local_to_host },
+                    LinKind::ReleaseFail { checked: u.server == 0 },
                 )),
             }
         }
 
         for (class, client, invocations) in [
-            ("acquire", acquire, &u.acquire_invocations_us),
-            ("release", release, &u.release_invocations_us),
+            ("acquire", acquire, invocations_us(u, ActionKind::Acquire)),
+            ("release", release, invocations_us(u, ActionKind::Release)),
         ] {
             let host_events = h
                 .map(|h| if class == "acquire" { &h.acquire } else { &h.release })
@@ -296,11 +303,12 @@ fn check_acl(run: &RunResult, out: &mut Vec<Violation>) {
     }
     // Client side: a user with no grant must never see a completion on
     // the main app.
-    for u in &run.users {
-        if u.privilege.is_none() && u.op_done > 0 {
+    for (i, u) in run.scenario.users.iter().enumerate() {
+        let done = op_done(run.portal(i), run.app);
+        if u.privilege.is_none() && done > 0 {
             out.push(Violation::new(
                 "acl",
-                format!("ungranted user {} observed {} OpDone completions", u.name, u.op_done),
+                format!("ungranted user {} observed {done} OpDone completions", u.name),
             ));
         }
     }
@@ -376,22 +384,22 @@ fn check_replay(run: &RunResult, out: &mut Vec<Violation>) {
 }
 
 fn check_latecomer_replay(run: &RunResult, out: &mut Vec<Violation>) {
-    if run.scenario.latecomer.is_none() {
-        return;
-    }
-    if run.latecomer_fetches.len() < 2 {
+    let Some(late) = run.latecomer_portal() else { return };
+    let fetches: Vec<&Vec<LogRecord>> = late.histories(run.app).map(|(_, f, _)| f).collect();
+    if fetches.len() < 2 {
         out.push(Violation::new(
             "replay",
             format!(
                 "latecomer completed {} history fetches, expected 2 (catch-up + final)",
-                run.latecomer_fetches.len()
+                fetches.len()
             ),
         ));
         return;
     }
-    let catchup = &run.latecomer_fetches[0];
-    let fin = run.latecomer_fetches.last().expect("len checked above");
-    if run.host_archive.is_empty() {
+    let catchup = fetches[0];
+    let fin = fetches[fetches.len() - 1];
+    let archive = run.host_archive();
+    if archive.is_empty() {
         out.push(Violation::new("replay", "host archive is empty"));
         return;
     }
@@ -409,11 +417,10 @@ fn check_latecomer_replay(run: &RunResult, out: &mut Vec<Violation>) {
     // replayed view IS the host's archive as of the fetch, not merely
     // similar. The archive keeps growing after the fetch (the app
     // streams status updates), so compare against the prefix up to the
-    // last sequence the latecomer saw.
+    // last sequence the latecomer saw. (A slice, passed as `&&[_]`,
+    // encodes to the same bytes as a `Vec` of it.)
     let cut = match fin.last() {
-        Some(last) => {
-            run.host_archive.partition_point(|r| r.seq <= last.seq)
-        }
+        Some(last) => archive.partition_point(|r| r.seq <= last.seq),
         None => {
             out.push(Violation::new(
                 "replay",
@@ -422,9 +429,7 @@ fn check_latecomer_replay(run: &RunResult, out: &mut Vec<Violation>) {
             return;
         }
     };
-    let fin_bytes = wire::codec::encode(fin);
-    let host_bytes = wire::codec::encode(&run.host_archive[..cut].to_vec());
-    if fin_bytes != host_bytes {
+    if wire::codec::encode(fin) != wire::codec::encode(&&archive[..cut]) {
         out.push(Violation::new(
             "replay",
             format!(
@@ -432,7 +437,7 @@ fn check_latecomer_replay(run: &RunResult, out: &mut Vec<Violation>) {
                  (len {} of {}) under the wire codec",
                 fin.len(),
                 cut,
-                run.host_archive.len()
+                archive.len()
             ),
         ));
     }
@@ -455,18 +460,19 @@ fn check_resume_replay(run: &RunResult, out: &mut Vec<Violation>) {
     if run.scenario.churn.is_none() {
         return;
     }
-    for u in &run.users {
-        if u.resumes_ok == 0 {
+    let archive = run.host_archive();
+    for (i, u) in run.scenario.users.iter().enumerate() {
+        let portal = run.portal(i);
+        if portal.resumed_at.is_empty() {
             continue;
         }
-        for f in &u.history_fetches {
+        for (_, f, _) in portal.histories(run.app) {
             let Some(first) = f.first() else { continue };
             let last = f.last().expect("non-empty");
-            let start = run.host_archive.partition_point(|r| r.seq < first.seq);
+            let start = archive.partition_point(|r| r.seq < first.seq);
             let end = start + f.len();
-            let matches = end <= run.host_archive.len()
-                && wire::codec::encode(f)
-                    == wire::codec::encode(&run.host_archive[start..end].to_vec());
+            let matches = end <= archive.len()
+                && wire::codec::encode(f) == wire::codec::encode(&&archive[start..end]);
             if !matches {
                 out.push(Violation::new(
                     "replay",
@@ -477,7 +483,7 @@ fn check_resume_replay(run: &RunResult, out: &mut Vec<Violation>) {
                         first.seq,
                         last.seq,
                         f.len(),
-                        run.host_archive.len()
+                        archive.len()
                     ),
                 ));
                 break;
@@ -506,13 +512,13 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
         }
     }
     let resumed = resumed_at.len() as u64;
-    if parked != resumed + reclaimed || run.parked_at_end != 0 {
+    let parked_at_end = run.parked_at_end();
+    if parked != resumed + reclaimed || parked_at_end != 0 {
         out.push(Violation::new(
             "reclaim",
             format!(
                 "lease leak: parked={parked} resumed={resumed} reclaimed={reclaimed} \
-                 parked_at_end={}",
-                run.parked_at_end
+                 parked_at_end={parked_at_end}"
             ),
         ));
     }
@@ -547,11 +553,12 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
     let disconnected: BTreeSet<usize> = churn.disconnects.iter().map(|d| d.user).collect();
     let max_heal_us = churn.disconnects.iter().filter_map(|d| d.until_ms).max().map(|ms| ms * 1000);
     if let Some(heal) = max_heal_us {
-        for (ui, u) in run.users.iter().enumerate() {
+        for (ui, u) in run.scenario.users.iter().enumerate() {
             if disconnected.contains(&ui) {
                 continue;
             }
-            if !u.op_completions_us.iter().any(|(at, ok)| *ok && *at > heal) {
+            let completions = &run.portal(ui).op_completions;
+            if !completions.iter().any(|(at, _, ok)| *ok && at.as_micros() > heal) {
                 out.push(Violation::new(
                     "goodput",
                     format!(
@@ -570,22 +577,24 @@ fn check_churn(run: &RunResult, out: &mut Vec<Violation>) {
     let returning: Vec<_> = churn.disconnects.iter().filter(|d| d.until_ms.is_some()).collect();
     let k = returning.len() as u64;
     for d in &returning {
-        let u = &run.users[d.user];
-        if u.resumes_sent == 0 {
+        let u = &run.scenario.users[d.user];
+        let resumed_at = &run.portal(d.user).resumed_at;
+        if run.portal_counter(d.user, names::CLIENT_RESUMES) == 0 {
             out.push(Violation::new(
                 "recovery",
                 format!("returning user {} never attempted a resume", u.name),
             ));
             continue;
         }
-        if u.resumes_ok == 0 && u.resume_fallbacks == 0 {
+        let fallbacks = run.portal_counter(d.user, names::CLIENT_RESUME_FALLBACKS);
+        if resumed_at.is_empty() && fallbacks == 0 {
             out.push(Violation::new(
                 "recovery",
                 format!("returning user {} neither resumed nor fell back to re-login", u.name),
             ));
             continue;
         }
-        if let Some(&first) = u.resumed_at_us.first() {
+        if let Some(first) = resumed_at.first().map(|t| t.as_micros()) {
             let until = d.until_ms.expect("returning");
             let budget_ms = match churn.resume_rate {
                 Some(r) => until + 5_000 + 2_000 * k.div_ceil(r as u64),
@@ -613,26 +622,28 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
 
     // Cadence: one snapshot per `every` appended records. The seeded
     // skip fault breaks exactly this equality.
-    let expected = run.host_next_seq / every;
-    if run.host_snapshots.len() as u64 != expected {
+    let archive = run.host_archive();
+    let (snapshots, next_seq) =
+        run.host_log().map_or((&[][..], 0), |log| (log.snapshots(), log.next_seq()));
+    let expected = next_seq / every;
+    if snapshots.len() as u64 != expected {
         out.push(Violation::new(
             "snapshot",
             format!(
-                "snapshot cadence broken: {} snapshots for {} records at interval {every} \
-                 (expected {expected})",
-                run.host_snapshots.len(),
-                run.host_next_seq
+                "snapshot cadence broken: {} snapshots for {next_seq} records at interval \
+                 {every} (expected {expected})",
+                snapshots.len()
             ),
         ));
     }
 
     // Torn snapshots: a snapshot at seq S must equal the fold of the
     // records strictly before S — never a half-applied boundary. (The
-    // check families keep compaction off, so the harvested archive is
-    // the full dense log.)
-    for snap in &run.host_snapshots {
-        let cut = run.host_archive.partition_point(|r| r.seq < snap.seq);
-        let folded = wire::FoldedAppState::fold(&run.host_archive[..cut]);
+    // check families keep compaction off, so the host's archive is the
+    // full dense log.)
+    for snap in snapshots {
+        let cut = archive.partition_point(|r| r.seq < snap.seq);
+        let folded = wire::FoldedAppState::fold(&archive[..cut]);
         if wire::codec::encode(&snap.state) != wire::codec::encode(&folded) {
             out.push(Violation::new(
                 "snapshot",
@@ -648,10 +659,12 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
     // Catch-up service: every reply a viewer received — before the
     // crash or from the recovered host — must be byte-identical to the
     // host's own record of the same range.
-    for u in &run.users {
-        for (i, (at_us, snap, tail, next_seq)) in u.catchup_fetches.iter().enumerate() {
+    for (ui, u) in run.scenario.users.iter().enumerate() {
+        let portal = run.portal(ui);
+        for (i, (at, snap, tail, next_seq)) in portal.catch_ups(run.app).enumerate() {
+            let at_us = at.as_micros();
             if let Some(s) = snap {
-                match run.host_snapshots.iter().find(|h| h.seq == s.seq) {
+                match snapshots.iter().find(|h| h.seq == s.seq) {
                     Some(h) if wire::codec::encode(&h.state) == wire::codec::encode(&s.state) => {}
                     Some(_) => out.push(Violation::new(
                         "snapshot",
@@ -687,11 +700,10 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
                 }
             }
             if let Some(first) = tail.first() {
-                let start = run.host_archive.partition_point(|r| r.seq < first.seq);
+                let start = archive.partition_point(|r| r.seq < first.seq);
                 let end = start + tail.len();
-                let matches = end <= run.host_archive.len()
-                    && wire::codec::encode(tail)
-                        == wire::codec::encode(&run.host_archive[start..end].to_vec());
+                let matches = end <= archive.len()
+                    && wire::codec::encode(tail) == wire::codec::encode(&&archive[start..end]);
                 if !matches {
                     out.push(Violation::new(
                         "snapshot",
@@ -701,13 +713,13 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
                             u.name,
                             first.seq,
                             tail.len(),
-                            run.host_archive.len()
+                            archive.len()
                         ),
                     ));
                 }
             }
             if let Some(last) = tail.last() {
-                if *next_seq != last.seq + 1 {
+                if next_seq != last.seq + 1 {
                     out.push(Violation::new(
                         "snapshot",
                         format!(
@@ -722,26 +734,14 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
         // Every scripted catch-up must have produced a reply: losing
         // the post-restart fetch would hide a recovery that never came
         // back up.
-        let scripted = run
-            .scenario
-            .users
-            .iter()
-            .find(|su| su.name == u.name)
-            .map(|su| {
-                su.actions
-                    .iter()
-                    .filter(|a| a.kind == crate::scenario::ActionKind::CatchUp)
-                    .count()
-            })
-            .unwrap_or(0);
-        if u.catchup_fetches.len() != scripted {
+        let scripted = u.actions.iter().filter(|a| a.kind == ActionKind::CatchUp).count();
+        let replies = portal.catch_ups(run.app).count();
+        if replies != scripted {
             out.push(Violation::new(
                 "snapshot",
                 format!(
-                    "{} received {} catch-up replies for {} scripted fetches",
-                    u.name,
-                    u.catchup_fetches.len(),
-                    scripted
+                    "{} received {replies} catch-up replies for {scripted} scripted fetches",
+                    u.name
                 ),
             ));
         }
@@ -788,8 +788,8 @@ fn check_discovery(run: &RunResult, out: &mut Vec<Violation>) {
         poisoned_gen: Option<u64>,
     }
     let mut state: BTreeMap<(usize, &str), KeyState> = BTreeMap::new();
-    for (srv, e) in &run.cache_events {
-        let ks = state.entry((*srv, e.key.as_str())).or_default();
+    for (srv, e) in run.cache_events() {
+        let ks = state.entry((srv, e.key.as_str())).or_default();
         match e.kind {
             CacheEventKind::Insert | CacheEventKind::InsertNegative => {
                 if e.generation != ks.last_insert_gen + 1 {

@@ -1,35 +1,37 @@
 //! Scenario driver: executes a [`Scenario`] on the real DISCOVER stack
-//! and collects everything the oracles need.
+//! and hands the finished run to the oracles.
 //!
 //! The driver builds a server mesh with [`CollaboratoryBuilder`], hosts
 //! the scenario's main application at server 0, anchors every user with
 //! a ReadOnly grant on a per-server anchor application (so first-level
-//! login succeeds everywhere), attaches one scripted [`Portal`] per
-//! user, applies the fault schedule as a [`FaultPlan`], injects admin
-//! revocations between run steps, and finally harvests:
+//! login succeeds everywhere), places one scripted [`Portal`] per user,
+//! applies the fault schedule as a [`FaultPlan`], and injects admin
+//! revocations between run steps. The [`RunResult`] keeps the network as
+//! the run left it — portals, host archive, discovery caches — plus the
+//! engine's semantic history (lock/ACL/daemon decision points).
 //!
-//! * the engine's semantic history (lock/ACL/daemon decision points),
-//! * each portal's lock responses, completions and denials,
-//! * the host's application archive and the latecomer's fetches.
-//!
-//! Everything is folded into [`RunResult::run_log`], a deterministic
+//! Everything is rendered into [`RunResult::run_log`], a deterministic
 //! text rendering: two runs of the same scenario produce byte-identical
 //! logs, which is both the reproducibility guarantee and the cheapest
 //! possible regression check.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use appsim::{synthetic_app, DriverConfig};
 use discover_bench::fixtures::poll_period;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{
-    CacheEvent, CollaboratoryBuilder, DiscoverNode, DiscoveryCacheConfig, ServerHandle,
+    CacheEvent, Collaboratory, CollaboratoryBuilder, DiscoverNode, DiscoveryCacheConfig,
+    ServerHandle,
 };
-use simnet::{names, FaultPlan, FlightConfig, HistoryEvent, LinkSpec, SimDuration, SimTime};
+use discover_server::Log;
+use simnet::{
+    names, CounterDef, FaultPlan, FlightConfig, HistoryEvent, LinkSpec, NodeId, SimDuration,
+    SimTime,
+};
 use wire::{
-    AppCommand, AppId, AppOp, ArchiveSnapshot, ClientMessage, ClientRequest, ErrorCode, LogRecord,
-    Privilege, ResponseBody, UserId, Value,
+    AppCommand, AppId, AppOp, ClientMessage, ClientRequest, ErrorCode, LogRecord, Privilege,
+    ResponseBody, UserId, Value,
 };
 
 use crate::scenario::{ActionKind, Family, Scenario};
@@ -70,78 +72,69 @@ impl LockObsKind {
     }
 }
 
-/// Everything one user's portal observed, plus their script timing.
-#[derive(Clone, Debug)]
-pub struct UserObservation {
-    /// Login name.
-    pub name: String,
-    /// Home server index.
-    pub server: usize,
-    /// Grant on the main app.
-    pub privilege: Option<Privilege>,
-    /// Whether the user talks to the app's host server directly (their
-    /// release failures are then host decisions, not relay fast-fails).
-    pub local_to_host: bool,
-    /// Script times of `RequestLock` invocations, µs, in issue order.
-    pub acquire_invocations_us: Vec<u64>,
-    /// Script times of `ReleaseLock` invocations, µs, in issue order.
-    pub release_invocations_us: Vec<u64>,
-    /// Lock responses in arrival order.
-    pub lock_responses: Vec<LockObs>,
-    /// `OpDone` completions observed for the main app.
-    pub op_done: usize,
-    /// `AccessDenied` errors observed.
-    pub denied: usize,
-    /// Tracked workload completions `(completion µs, success)` (churn
-    /// families attach closed-loop workloads instead of scripts).
-    pub op_completions_us: Vec<(u64, bool)>,
-    /// `Resume` requests the portal sent (including paced retries).
-    pub resumes_sent: u64,
-    /// Successful resumes (`Resumed` replies).
-    pub resumes_ok: u64,
-    /// Resume attempts that fell back to a full re-login.
-    pub resume_fallbacks: u64,
-    /// Completion times of successful resumes, µs.
-    pub resumed_at_us: Vec<u64>,
-    /// Every `History` batch this portal received for the main app, in
-    /// order (resume replays land here).
-    pub history_fetches: Vec<Vec<LogRecord>>,
-    /// Every snapshot-aware `CatchUp` reply for the main app, in order.
-    pub catchup_fetches: Vec<CatchUpObservation>,
+/// Every decisive lock response `portal` received for `app`, in arrival
+/// order.
+pub fn lock_responses(portal: &Portal, app: AppId) -> Vec<LockObs> {
+    portal
+        .received
+        .iter()
+        .filter_map(|(at, m)| {
+            let kind = match m {
+                ClientMessage::Response(ResponseBody::LockGranted { app: a }) if *a == app => {
+                    LockObsKind::Granted
+                }
+                ClientMessage::Response(ResponseBody::LockDenied { app: a, holder })
+                    if *a == app =>
+                {
+                    LockObsKind::Denied(holder.as_ref().map(|h| h.as_str().to_string()))
+                }
+                ClientMessage::Response(ResponseBody::LockReleased { app: a }) if *a == app => {
+                    LockObsKind::Released
+                }
+                ClientMessage::Error(e)
+                    if e.code == ErrorCode::BadRequest && e.detail == "not the lock holder" =>
+                {
+                    LockObsKind::ReleaseFailed
+                }
+                _ => return None,
+            };
+            Some(LockObs { at_us: at.as_micros(), kind })
+        })
+        .collect()
 }
 
-/// One snapshot-aware `CatchUp` reply as a portal saw it: arrival µs,
-/// served snapshot (the host's own, shared), tail records, next sequence.
-pub type CatchUpObservation = (u64, Option<Arc<ArchiveSnapshot>>, Vec<LogRecord>, u64);
+/// `OpDone` completions `portal` observed for `app`.
+pub fn op_done(portal: &Portal, app: AppId) -> usize {
+    portal
+        .received
+        .iter()
+        .filter(|(_, m)| {
+            matches!(m, ClientMessage::Response(ResponseBody::OpDone { app: a, .. }) if *a == app)
+        })
+        .count()
+}
 
-/// The harvest of one scenario execution.
-#[derive(Clone, Debug)]
+/// One finished scenario execution: the network as the run left it, and
+/// handles into it. The oracles and the run-log renderer read each fact
+/// where it lives — user facts in [`Scenario::users`], replies and
+/// completions on the portals, resume counts in the portal nodes'
+/// counters, the archive at the host, cache events in each server's
+/// cache — so nothing is copied out.
 pub struct RunResult {
     /// The executed scenario.
     pub scenario: Scenario,
     /// The main application.
     pub app: AppId,
+    /// The network as the run left it.
+    pub collab: Collaboratory,
+    /// The servers in scenario index order; server 0 hosts the main app.
+    pub servers: Vec<ServerHandle>,
+    /// Each scenario user's portal node, in scenario user order.
+    pub portals: Vec<NodeId>,
+    /// The latecomer's portal node, if the scenario has one.
+    pub latecomer: Option<NodeId>,
     /// The engine's semantic history, in execution order.
     pub history: Vec<Rc<HistoryEvent>>,
-    /// Per-user observations, in scenario user order.
-    pub users: Vec<UserObservation>,
-    /// The host's full application archive at the end of the run.
-    pub host_archive: Vec<LogRecord>,
-    /// The host's archive snapshots for the main app, in seq order.
-    pub host_snapshots: Vec<Arc<ArchiveSnapshot>>,
-    /// The host's archive next-sequence for the main app at run end.
-    pub host_next_seq: u64,
-    /// Every `History` response the latecomer received, in order
-    /// (replay family: first = catch-up snapshot, last = full replay).
-    pub latecomer_fetches: Vec<Vec<LogRecord>>,
-    /// Sessions still parked across all servers when the run ended (a
-    /// correct lease plane drains this to zero once TTLs pass).
-    pub parked_at_end: usize,
-    /// Recorded discovery-cache transitions, `(server index, event)` in
-    /// per-server log order (discovery scenarios only). The directory-
-    /// consistency oracle replays these: an invalidated generation must
-    /// never be re-served, and no hit may land past its entry's expiry.
-    pub cache_events: Vec<(usize, CacheEvent)>,
     /// Flight-recorder harvest: every triggered anomaly dump followed by
     /// each server's final ring (the last events it recorded). Attached
     /// to repro artifacts so a failing scenario ships with the context
@@ -150,6 +143,55 @@ pub struct RunResult {
     /// Deterministic text rendering of the whole run (byte-identical
     /// across same-seed executions).
     pub run_log: String,
+}
+
+impl RunResult {
+    /// The portal of scenario user `i`.
+    pub fn portal(&self, i: usize) -> &Portal {
+        self.portal_at(self.portals[i])
+    }
+
+    /// The latecomer's portal, if the scenario has one.
+    pub fn latecomer_portal(&self) -> Option<&Portal> {
+        self.latecomer.map(|node| self.portal_at(node))
+    }
+
+    fn portal_at(&self, node: NodeId) -> &Portal {
+        self.collab.engine.actor_ref::<Portal>(node).expect("a portal node")
+    }
+
+    /// A counter of scenario user `i`'s portal node.
+    pub fn portal_counter(&self, i: usize, def: CounterDef) -> u64 {
+        self.collab.engine.node_metrics(self.portals[i]).counter(def)
+    }
+
+    /// The main app's archive log at its host, if it archived anything.
+    pub fn host_log(&self) -> Option<&Log> {
+        let host = self.collab.server_core(self.servers[0]).expect("host server exists");
+        host.archive().app_log(self.app)
+    }
+
+    /// The host's full archive of the main app (the check families keep
+    /// compaction off, so this is the dense log).
+    pub fn host_archive(&self) -> &[LogRecord] {
+        self.host_log().map_or(&[], Log::all)
+    }
+
+    /// Sessions still parked across all servers (a correct lease plane
+    /// drains this to zero once TTLs pass).
+    pub fn parked_at_end(&self) -> usize {
+        let parked = |&srv| self.collab.server_core(srv).map_or(0, |s| s.parked_count());
+        self.servers.iter().map(parked).sum()
+    }
+
+    /// Recorded discovery-cache transitions, `(server index, event)` in
+    /// server order, each server's in log order.
+    pub fn cache_events(&self) -> impl Iterator<Item = (usize, &CacheEvent)> {
+        self.servers.iter().enumerate().flat_map(move |(i, &srv)| {
+            let events = self.collab.node(srv).map(|n| &n.substrate.discovery_cache().events);
+            events.into_iter().flatten().map(move |e| (i, e))
+        })
+    }
 }
 
 fn action_request(app: AppId, user_index: usize, n: u64, kind: ActionKind) -> ClientRequest {
@@ -281,7 +323,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
     // Portals: scripted for the classic families; churn families use
     // closed-loop sensor-read workloads with reconnect-with-resume on,
     // so completion timestamps feed the goodput/recovery oracles.
-    let mut portal_nodes = Vec::new();
+    let mut portals = Vec::new();
     for (ui, u) in s.users.iter().enumerate() {
         let mut cfg = PortalConfig::new(&u.name).poll_every(poll_period());
         if s.churn.is_some() {
@@ -308,9 +350,9 @@ pub fn run(scenario: &Scenario) -> RunResult {
                 action_request(app, ui, writes, a.kind),
             );
         }
-        portal_nodes.push(b.attach(servers[u.server], &u.name, Portal::new(cfg)));
+        portals.push(b.portal(servers[u.server], &u.name, cfg));
     }
-    let late_node = s.latecomer.as_ref().map(|l| {
+    let latecomer = s.latecomer.as_ref().map(|l| {
         let mut cfg = PortalConfig::new(&l.user).poll_every(poll_period());
         cfg.login_delay = SimDuration::from_millis(l.join_ms);
         let cfg = cfg
@@ -324,7 +366,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
                 SimDuration::from_millis(s.horizon_ms.saturating_sub(1500)),
                 ClientRequest::GetHistory { app, since: 0 },
             );
-        b.attach(servers[0], &l.user, Portal::new(cfg))
+        b.portal(servers[0], &l.user, cfg)
     });
 
     let dir_crash = s.discovery.as_ref().and_then(|d| {
@@ -334,13 +376,6 @@ pub fn run(scenario: &Scenario) -> RunResult {
     });
 
     let mut c = b.build();
-    for (ui, u) in s.users.iter().enumerate() {
-        c.engine.actor_mut::<Portal>(portal_nodes[ui]).unwrap().server =
-            Some(servers[u.server].node);
-    }
-    if let Some(node) = late_node {
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(servers[0].node);
-    }
 
     // Fault schedule. A discovery directory crash targets the shard
     // owning the main app's naming key, so failover resolves in the
@@ -370,7 +405,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
         for d in &churn.disconnects {
             let user = &s.users[d.user];
             plan.partition(
-                portal_nodes[d.user],
+                portals[d.user],
                 servers[user.server].node,
                 SimTime::from_millis(d.from_ms),
                 SimTime::from_millis(d.until_ms.unwrap_or(s.horizon_ms + 10_000)),
@@ -443,144 +478,7 @@ pub fn run(scenario: &Scenario) -> RunResult {
     }
     c.engine.run_until(SimTime::from_millis(s.horizon_ms));
 
-    // Harvest.
     let history = c.engine.history().to_vec();
-    let mut users = Vec::new();
-    for (ui, u) in s.users.iter().enumerate() {
-        let p = c.engine.actor_ref::<Portal>(portal_nodes[ui]).unwrap();
-        let mut lock_responses = Vec::new();
-        let mut op_done = 0usize;
-        let mut denied = 0usize;
-        for (at, m) in &p.received {
-            match m {
-                ClientMessage::Response(ResponseBody::LockGranted { app: a }) if *a == app => {
-                    lock_responses
-                        .push(LockObs { at_us: at.as_micros(), kind: LockObsKind::Granted });
-                }
-                ClientMessage::Response(ResponseBody::LockDenied { app: a, holder })
-                    if *a == app =>
-                {
-                    lock_responses.push(LockObs {
-                        at_us: at.as_micros(),
-                        kind: LockObsKind::Denied(
-                            holder.as_ref().map(|h| h.as_str().to_string()),
-                        ),
-                    });
-                }
-                ClientMessage::Response(ResponseBody::LockReleased { app: a }) if *a == app => {
-                    lock_responses
-                        .push(LockObs { at_us: at.as_micros(), kind: LockObsKind::Released });
-                }
-                ClientMessage::Response(ResponseBody::OpDone { app: a, .. }) if *a == app => {
-                    op_done += 1;
-                }
-                ClientMessage::Error(e) => match e.code {
-                    ErrorCode::AccessDenied => denied += 1,
-                    ErrorCode::BadRequest if e.detail == "not the lock holder" => {
-                        lock_responses.push(LockObs {
-                            at_us: at.as_micros(),
-                            kind: LockObsKind::ReleaseFailed,
-                        });
-                    }
-                    _ => {}
-                },
-                _ => {}
-            }
-        }
-        let history_fetches: Vec<Vec<LogRecord>> = p
-            .received
-            .iter()
-            .filter_map(|(_, m)| match m {
-                ClientMessage::Response(ResponseBody::History { app: a, records, .. })
-                    if *a == app =>
-                {
-                    Some(records.clone())
-                }
-                _ => None,
-            })
-            .collect();
-        let catchup_fetches: Vec<CatchUpObservation> = p
-            .catch_ups(app)
-            .map(|(at, snap, recs, next)| (at.as_micros(), snap.clone(), recs.clone(), next))
-            .collect();
-        let metrics = c.engine.node_metrics(portal_nodes[ui]);
-        users.push(UserObservation {
-            name: u.name.clone(),
-            server: u.server,
-            privilege: u.privilege,
-            local_to_host: u.server == 0,
-            acquire_invocations_us: u
-                .actions
-                .iter()
-                .filter(|a| a.kind == ActionKind::Acquire)
-                .map(|a| a.at_ms * 1000)
-                .collect(),
-            release_invocations_us: u
-                .actions
-                .iter()
-                .filter(|a| a.kind == ActionKind::Release)
-                .map(|a| a.at_ms * 1000)
-                .collect(),
-            lock_responses,
-            op_done,
-            denied,
-            op_completions_us: p
-                .op_completions
-                .iter()
-                .map(|(at, _, ok)| (at.as_micros(), *ok))
-                .collect(),
-            resumes_sent: metrics.counter(names::CLIENT_RESUMES),
-            resumes_ok: p.resumed_at.len() as u64,
-            resume_fallbacks: metrics.counter(names::CLIENT_RESUME_FALLBACKS),
-            resumed_at_us: p.resumed_at.iter().map(|t| t.as_micros()).collect(),
-            history_fetches,
-            catchup_fetches,
-        });
-    }
-    let host_archive = c
-        .server_core(servers[0])
-        .expect("host server exists")
-        .archive()
-        .fetch_app(app, 0)
-        .0;
-    let (host_snapshots, host_next_seq) = c
-        .server_core(servers[0])
-        .expect("host server exists")
-        .archive()
-        .app_log(app)
-        .map(|log| (log.snapshots().to_vec(), log.next_seq()))
-        .unwrap_or_default();
-    let parked_at_end: usize =
-        servers.iter().map(|&srv| c.server_core(srv).map_or(0, |s| s.parked_count())).sum();
-    let latecomer_fetches: Vec<Vec<LogRecord>> = late_node
-        .and_then(|node| c.engine.actor_ref::<Portal>(node))
-        .map(|p| {
-            p.received
-                .iter()
-                .filter_map(|(_, m)| match m {
-                    ClientMessage::Response(ResponseBody::History { app: a, records, .. })
-                        if *a == app =>
-                    {
-                        Some(records.clone())
-                    }
-                    _ => None,
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-
-    // Discovery harvest: every server's recorded cache transitions, in
-    // server order (the oracle replays them per (server, key)).
-    let mut cache_events: Vec<(usize, CacheEvent)> = Vec::new();
-    if s.discovery.is_some() {
-        for (i, &srv) in servers.iter().enumerate() {
-            if let Some(n) = c.node(srv) {
-                for e in &n.substrate.discovery_cache().events {
-                    cache_events.push((i, e.clone()));
-                }
-            }
-        }
-    }
 
     // Flight harvest: triggered dumps first, then each server's final
     // ring so a repro shows what every node was doing at the end even
@@ -591,46 +489,72 @@ pub fn run(scenario: &Scenario) -> RunResult {
         flight.push_str(&c.engine.flight_ring_rendered(srv.node));
     }
 
+    let mut result = RunResult {
+        scenario: s.clone(),
+        app,
+        collab: c,
+        servers,
+        portals,
+        latecomer,
+        history,
+        flight,
+        run_log: String::new(),
+    };
+    result.run_log = render_log(&result);
+    result
+}
+
+/// The deterministic text rendering of a finished run.
+fn render_log(r: &RunResult) -> String {
+    let (s, app) = (&r.scenario, r.app);
     let mut run_log = String::new();
     run_log.push_str(&s.describe());
     run_log.push_str("--- history ---\n");
-    for e in &history {
+    for e in &r.history {
         run_log.push_str(&e.render());
         run_log.push('\n');
     }
     run_log.push_str("--- observations ---\n");
-    for u in &users {
-        let locks: Vec<String> =
-            u.lock_responses.iter().map(|o| format!("{}@{}", o.kind.render(), o.at_us)).collect();
+    for (i, u) in s.users.iter().enumerate() {
+        let p = r.portal(i);
+        let locks: Vec<String> = lock_responses(p, app)
+            .iter()
+            .map(|o| format!("{}@{}", o.kind.render(), o.at_us))
+            .collect();
+        let denied = p.received.iter().filter(|(_, m)| match m {
+            ClientMessage::Error(e) => e.code == ErrorCode::AccessDenied,
+            _ => false,
+        });
+        let denied = denied.count();
         run_log.push_str(&format!(
-            "user {} s{} opdone={} denied={} locks=[{}]\n",
+            "user {} s{} opdone={} denied={denied} locks=[{}]\n",
             u.name,
             u.server,
-            u.op_done,
-            u.denied,
+            op_done(p, app),
             locks.join(", ")
         ));
         if s.churn.is_some() {
-            let completions_ok = u.op_completions_us.iter().filter(|(_, ok)| *ok).count();
+            let completions_ok = p.op_completions.iter().filter(|(_, _, ok)| *ok).count();
+            let resumed_at: Vec<u64> = p.resumed_at.iter().map(|t| t.as_micros()).collect();
             run_log.push_str(&format!(
                 "  churn {}: resumes={} ok={} fallbacks={} completions_ok={} resumed_at={:?}\n",
                 u.name,
-                u.resumes_sent,
-                u.resumes_ok,
-                u.resume_fallbacks,
+                r.portal_counter(i, names::CLIENT_RESUMES),
+                p.resumed_at.len(),
+                r.portal_counter(i, names::CLIENT_RESUME_FALLBACKS),
                 completions_ok,
-                u.resumed_at_us,
+                resumed_at,
             ));
         }
     }
     if s.churn.is_some() {
-        run_log.push_str(&format!("parked at end={parked_at_end}\n"));
+        run_log.push_str(&format!("parked at end={}\n", r.parked_at_end()));
     }
     if s.discovery.is_some() {
         run_log.push_str("--- discovery ---\n");
-        for (i, &srv) in servers.iter().enumerate() {
-            if let Some(n) = c.node(srv) {
-                let count = |def| c.engine.node_metrics(srv.node).counter(def);
+        for (i, &srv) in r.servers.iter().enumerate() {
+            if let Some(n) = r.collab.node(srv) {
+                let count = |def| r.collab.engine.node_metrics(srv.node).counter(def);
                 run_log.push_str(&format!(
                     "s{i} cache: hits={} neg={} misses={} expired={} inval={} events={}\n",
                     count(names::SUBSTRATE_CACHE_HITS),
@@ -643,40 +567,31 @@ pub fn run(scenario: &Scenario) -> RunResult {
             }
         }
     }
-    run_log.push_str(&format!("archive len={}\n", host_archive.len()));
+    run_log.push_str(&format!("archive len={}\n", r.host_archive().len()));
     if s.snapshot_every.is_some() {
-        let seqs: Vec<String> = host_snapshots.iter().map(|sn| sn.seq.to_string()).collect();
-        run_log
-            .push_str(&format!("snapshots=[{}] next_seq={host_next_seq}\n", seqs.join(", ")));
-        for u in &users {
-            for (i, (at_us, snap, recs, next)) in u.catchup_fetches.iter().enumerate() {
+        let (snapshots, next_seq) =
+            r.host_log().map_or((&[][..], 0), |log| (log.snapshots(), log.next_seq()));
+        let seqs: Vec<String> = snapshots.iter().map(|sn| sn.seq.to_string()).collect();
+        run_log.push_str(&format!("snapshots=[{}] next_seq={next_seq}\n", seqs.join(", ")));
+        for (ui, u) in s.users.iter().enumerate() {
+            for (i, (at, snap, recs, next)) in r.portal(ui).catch_ups(app).enumerate() {
                 run_log.push_str(&format!(
-                    "catchup {} {i}@{at_us}: snap={:?} tail={} next={next}\n",
+                    "catchup {} {i}@{}: snap={:?} tail={} next={next}\n",
                     u.name,
+                    at.as_micros(),
                     snap.as_ref().map(|sn| sn.seq),
                     recs.len(),
                 ));
             }
         }
     }
-    for (i, f) in latecomer_fetches.iter().enumerate() {
-        let first = f.first().map(|r| r.seq as i64).unwrap_or(-1);
-        let last = f.last().map(|r| r.seq as i64).unwrap_or(-1);
-        run_log.push_str(&format!("latecomer fetch {i}: len={} seq={first}..={last}\n", f.len()));
+    if let Some(late) = r.latecomer_portal() {
+        for (i, (_, f, _)) in late.histories(app).enumerate() {
+            let first = f.first().map(|r| r.seq as i64).unwrap_or(-1);
+            let last = f.last().map(|r| r.seq as i64).unwrap_or(-1);
+            run_log
+                .push_str(&format!("latecomer fetch {i}: len={} seq={first}..={last}\n", f.len()));
+        }
     }
-
-    RunResult {
-        scenario: s.clone(),
-        app,
-        history,
-        users,
-        host_archive,
-        host_snapshots,
-        host_next_seq,
-        latecomer_fetches,
-        parked_at_end,
-        cache_events,
-        flight,
-        run_log,
-    }
+    run_log
 }

@@ -90,11 +90,6 @@ impl Family {
             Family::Discovery => "discovery",
         }
     }
-
-    /// True for the session-churn families (lease/park/resume plane).
-    pub fn is_churn(self) -> bool {
-        matches!(self, Family::Churn | Family::FlashCrowd | Family::SlowConsumer)
-    }
 }
 
 /// One client-side action in a user's script.
@@ -1294,7 +1289,7 @@ mod tests {
     fn churn_mutation_scenario_is_tiny() {
         let s = Scenario::mutation_churn(1);
         assert_eq!(s.mutation, Some(Mutation::NoReclaim));
-        assert!(s.family.is_churn());
+        assert_eq!(s.family, Family::FlashCrowd);
         assert!(s.event_count() <= 10);
         // Park (idle + sweep) and the TTL both fit well inside the
         // horizon, so a correct server reclaims before the run ends.

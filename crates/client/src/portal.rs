@@ -26,6 +26,14 @@ const TAG_RESUME: u64 = 4;
 const TAG_STATUS: u64 = 5;
 const TAG_SCRIPT_BASE: u64 = 1000;
 
+/// Extra pause before reissuing after an `Overloaded` rejection (the
+/// server's retry-after hint, honoured client-side), and the resume
+/// watchdog's period. The actual pause adds deterministic per-client
+/// jitter in `[0, OVERLOAD_BACKOFF)` so a shed burst never re-arrives
+/// synchronized; the jitter is a pure function of the user name and the
+/// retry ordinal, keeping same-seed runs byte-identical.
+const OVERLOAD_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
 /// Relative frequencies of closed-loop operations.
 #[derive(Clone, Debug)]
 pub struct OpMix {
@@ -149,14 +157,6 @@ pub struct PortalConfig {
     /// work once the stamp expires. `None` (the default) leaves the wire
     /// byte-identical to an undeadlined run.
     pub deadline: Option<SimDuration>,
-    /// Extra pause before reissuing after an `Overloaded` rejection (the
-    /// server's retry-after hint, honoured client-side). The actual pause
-    /// adds deterministic per-client jitter in `[0, overload_backoff)` so
-    /// a shed burst never re-arrives synchronized; the jitter is a pure
-    /// function of the user name and the retry ordinal, keeping same-seed
-    /// runs byte-identical. Only reachable when a server runs admission
-    /// control, so the default changes nothing for unprotected runs.
-    pub overload_backoff: SimDuration,
     /// Probe the server's live status page at this interval (the
     /// read-only [`ClientRequest::Status`] introspection request). `None`
     /// (the default) sends nothing, so untraced runs stay byte-identical;
@@ -183,7 +183,6 @@ impl PortalConfig {
             script: Vec::new(),
             workload: None,
             deadline: None,
-            overload_backoff: SimDuration::from_millis(500),
             status_every: None,
             resume: false,
         }
@@ -236,7 +235,8 @@ impl PortalConfig {
 pub struct Portal {
     /// Configuration.
     pub config: PortalConfig,
-    /// The server node to talk to (set by the wiring code).
+    /// The local server this portal talks to (`CollaboratoryBuilder::portal`
+    /// sets it when it places the portal).
     pub server: Option<NodeId>,
     /// Session cookie once logged in.
     pub cookie: Option<u64>,
@@ -340,6 +340,19 @@ impl Portal {
         })
     }
 
+    /// Every `History` batch received for `app`, oldest first: arrival
+    /// time, the records, and the next sequence to read from.
+    pub fn histories(&self, app: AppId) -> impl Iterator<Item = (SimTime, &Vec<LogRecord>, u64)> {
+        self.received.iter().filter_map(move |(at, m)| match m {
+            ClientMessage::Response(ResponseBody::History { app: a, records, next_seq })
+                if *a == app =>
+            {
+                Some((*at, records, *next_seq))
+            }
+            _ => None,
+        })
+    }
+
     /// Render the most recent status report as a text status page, the
     /// way the paper's portals render server-side views for the browser.
     pub fn status_page(&self) -> Option<String> {
@@ -360,6 +373,21 @@ impl Portal {
     /// Messages of one kind.
     pub fn of_kind(&self, kind: MessageKind) -> Vec<&ClientMessage> {
         self.received.iter().map(|(_, m)| m).filter(|m| m.kind() == kind).collect()
+    }
+
+    /// Send `req` to the home server `delay` from now, carrying `trace`
+    /// and `deadline`: every request a portal makes leaves through here.
+    fn send(
+        &self,
+        ctx: &mut Ctx<'_, Envelope>,
+        req: HttpRequest,
+        delay: SimDuration,
+        trace: Option<TraceContext>,
+        deadline: Option<DeadlineStamp>,
+    ) {
+        let server = self.server.expect("portal not wired to a server");
+        let msg = Envelope::http_request(req).with_trace(trace).with_deadline(deadline);
+        ctx.send_after(server, msg, delay);
     }
 
     fn post(&mut self, ctx: &mut Ctx<'_, Envelope>, req: ClientRequest) {
@@ -394,13 +422,8 @@ impl Portal {
                 )
             })
             .map(|budget| DeadlineStamp::after(ctx.now(), budget, Priority::of_request(&req)));
-        let server = self.server.expect("portal not wired to a server");
-        ctx.send(
-            server,
-            Envelope::http_request(HttpRequest::post(webserv::paths::COMMAND, self.cookie, req))
-                .with_trace(trace)
-                .with_deadline(stamp),
-        );
+        let req = HttpRequest::post(webserv::paths::COMMAND, self.cookie, req);
+        self.send(ctx, req, SimDuration::ZERO, trace, stamp);
     }
 
     /// Send (or re-send) a `Resume` carrying the stale token and the
@@ -410,15 +433,9 @@ impl Portal {
         self.resuming = true;
         ctx.metrics().incr(names::CLIENT_RESUMES);
         let cursors: Vec<(AppId, u64)> = self.cursors.iter().map(|(a, s)| (*a, *s)).collect();
-        let server = self.server.expect("portal not wired to a server");
-        ctx.send(
-            server,
-            Envelope::http_request(HttpRequest::post(
-                webserv::paths::COMMAND,
-                Some(cookie),
-                ClientRequest::Resume { cookie, cursors },
-            )),
-        );
+        let resume = ClientRequest::Resume { cookie, cursors };
+        let req = HttpRequest::post(webserv::paths::COMMAND, Some(cookie), resume);
+        self.send(ctx, req, SimDuration::ZERO, None, None);
         // Paced watchdog: if no definitive reply lands (the request was
         // lost in a partition, or the server deferred it under its resume
         // rate limit), re-send after the backoff plus per-client jitter —
@@ -427,9 +444,9 @@ impl Portal {
         let jit = wire::jitter::retry_jitter_us(
             self.config.user.as_str(),
             self.backoff_attempt,
-            self.config.overload_backoff.as_micros(),
+            OVERLOAD_BACKOFF.as_micros(),
         );
-        ctx.schedule(self.config.overload_backoff + SimDuration::from_micros(jit), TAG_RESUME);
+        ctx.schedule(OVERLOAD_BACKOFF + SimDuration::from_micros(jit), TAG_RESUME);
     }
 
     /// Drop every in-flight tracked operation (their completions are
@@ -569,17 +586,12 @@ impl Portal {
                     if w.take_lock && !self.lock_held {
                         let app = w.app;
                         ctx.metrics().incr(names::CLIENT_LOCK_RETRIES);
-                        let cookie = self.cookie;
-                        let server = self.server.expect("wired");
-                        ctx.send_after(
-                            server,
-                            Envelope::http_request(HttpRequest::post(
-                                webserv::paths::COMMAND,
-                                cookie,
-                                ClientRequest::RequestLock { app },
-                            )),
-                            SimDuration::from_millis(500),
+                        let req = HttpRequest::post(
+                            webserv::paths::COMMAND,
+                            self.cookie,
+                            ClientRequest::RequestLock { app },
                         );
+                        self.send(ctx, req, SimDuration::from_millis(500), None, None);
                     }
                 }
             }
@@ -654,10 +666,9 @@ impl Portal {
                             let jit = wire::jitter::retry_jitter_us(
                                 self.config.user.as_str(),
                                 self.backoff_attempt,
-                                self.config.overload_backoff.as_micros(),
+                                OVERLOAD_BACKOFF.as_micros(),
                             );
-                            backoff =
-                                self.config.overload_backoff + SimDuration::from_micros(jit);
+                            backoff = OVERLOAD_BACKOFF + SimDuration::from_micros(jit);
                         }
                         ErrorCode::DeadlineExceeded => {
                             ctx.metrics().incr(names::CLIENT_OPS_EXPIRED)
@@ -712,30 +723,19 @@ impl Actor<Envelope> for Portal {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Envelope>, tag: u64) {
-        let server = self.server.expect("portal not wired to a server");
         match tag {
             TAG_LOGIN => {
-                ctx.send(
-                    server,
-                    Envelope::http_request(HttpRequest::post(
-                        webserv::paths::MASTER,
-                        None,
-                        ClientRequest::Login {
-                            user: self.config.user.clone(),
-                            password: self.config.password.clone(),
-                        },
-                    )),
-                );
+                let login = ClientRequest::Login {
+                    user: self.config.user.clone(),
+                    password: self.config.password.clone(),
+                };
+                let req = HttpRequest::post(webserv::paths::MASTER, None, login);
+                self.send(ctx, req, SimDuration::ZERO, None, None);
             }
             TAG_POLL => {
                 if let Some(cookie) = self.cookie {
-                    ctx.send(
-                        server,
-                        Envelope::http_request(HttpRequest::get(
-                            webserv::paths::POLL,
-                            Some(cookie),
-                        )),
-                    );
+                    let req = HttpRequest::get(webserv::paths::POLL, Some(cookie));
+                    self.send(ctx, req, SimDuration::ZERO, None, None);
                 }
                 ctx.schedule(self.config.poll_every, TAG_POLL);
             }

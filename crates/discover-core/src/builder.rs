@@ -20,6 +20,7 @@
 use std::collections::HashMap;
 
 use appsim::{AppDriver, DriverConfig, Kernel, SteerableApp};
+use discover_client::{Portal, PortalConfig};
 use orb::{AddressBook, Directory, DirectoryCosts};
 use simnet::{Actor, Engine, LinkSpec, NodeId, SimDuration};
 use wire::{AppId, Envelope, ServerAddr};
@@ -96,19 +97,6 @@ impl Collaboratory {
         handle
     }
 
-    /// Attach an actor (client portal, application driver) to a server of
-    /// the running network.
-    pub fn attach(
-        &mut self,
-        server: ServerHandle,
-        name: &str,
-        actor: impl Actor<Envelope>,
-        spec: LinkSpec,
-    ) -> NodeId {
-        let node = self.engine.add_node(name, actor);
-        self.engine.link(node, server.node, spec);
-        node
-    }
 }
 
 /// Builder for a collaboratory network. Creates the directory node up
@@ -356,11 +344,20 @@ impl CollaboratoryBuilder {
         self.engine.link(a, b, spec);
     }
 
-    /// Attach an arbitrary actor (e.g. a client portal) to a server.
+    /// Attach an arbitrary actor to a server over the edge link. A client
+    /// portal wants [`CollaboratoryBuilder::portal`], which also wires it.
     pub fn attach(&mut self, server: ServerHandle, name: &str, actor: impl Actor<Envelope>) -> NodeId {
         let node = self.engine.add_node(name, actor);
         self.engine.link(node, server.node, self.edge_link);
         node
+    }
+
+    /// Place a client portal at its local `server`: the portal is built
+    /// already talking to that server and linked to it.
+    pub fn portal(&mut self, server: ServerHandle, name: &str, config: PortalConfig) -> NodeId {
+        let mut portal = Portal::new(config);
+        portal.server = Some(server.node);
+        self.attach(server, name, portal)
     }
 
     /// Finalize the network. Runs a brief settling window so servers

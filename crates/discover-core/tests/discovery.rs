@@ -48,7 +48,7 @@ fn steering_portal(
         .poll_every(SimDuration::from_millis(200))
         .workload(Workload::new(app, OpMix::steering_only(), SimDuration::from_millis(500)));
     cfg.login_delay = SimDuration::from_millis(100);
-    b.attach(server, user, Portal::new(cfg))
+    b.portal(server, user, cfg)
 }
 
 /// The satellite bugfix regression: two hosts die at once while the
@@ -80,13 +80,11 @@ fn failover_storm_coalesces_trader_queries() {
 
     // Both steer through the gateway, so the gateway keeps remote calls
     // outstanding to both hosts at crash time.
-    let p1 = steering_portal(&mut b, gateway, "alice", app1);
-    let p2 = steering_portal(&mut b, gateway, "bob", app2);
+    steering_portal(&mut b, gateway, "alice", app1);
+    steering_portal(&mut b, gateway, "bob", app2);
     let directory = b.directory_node();
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(p1).unwrap().server = Some(gateway.node);
-    c.engine.actor_mut::<Portal>(p2).unwrap().server = Some(gateway.node);
 
     let crash = SimTime::from_secs(10);
     c.engine.crash_at(host1.node, crash);
@@ -147,7 +145,6 @@ fn sharded_directory_places_bindings_by_ring_owner() {
     assert_eq!(shards.len(), 4);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(portal).unwrap().server = Some(servers[0].node);
     c.engine.run_until(SimTime::from_secs(15));
 
     assert!(
@@ -203,15 +200,12 @@ fn discovery_cache_serves_dispatch_and_reports_status() {
     anchor.name = "anchor".into();
     b.application(gateway, synthetic_app(1, u64::MAX), anchor);
 
-    let steerer = steering_portal(&mut b, gateway, "vijay", app);
+    steering_portal(&mut b, gateway, "vijay", app);
     let mut op = PortalConfig::new("operator").status_every(SimDuration::from_millis(500));
     op.login_delay = SimDuration::from_millis(150);
-    let operator = b.attach(gateway, "operator", Portal::new(op));
+    let operator = b.portal(gateway, "operator", op);
 
     let mut c = b.build();
-    for n in [steerer, operator] {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(gateway.node);
-    }
     c.engine.run_until(SimTime::from_secs(30));
 
     let hits = c.engine.stats().counter("substrate.cache.hits");

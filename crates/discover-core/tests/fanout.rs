@@ -47,20 +47,15 @@ fn broadcast_reaches_every_target_with_one_encode() {
             .select_app(app)
             .poll_every(SimDuration::from_millis(200));
         cfg.login_delay = SimDuration::from_millis(200 + i as u64 * 50);
-        viewers.push(b.attach(srv, &format!("viewer{i}"), Portal::new(cfg)));
+        viewers.push(b.portal(srv, &format!("viewer{i}"), cfg));
     }
     let mut chatter = PortalConfig::new("chatter")
         .select_app(app)
         .at(SimDuration::from_secs(10), ClientRequest::Chat { app, text: "hello group".into() });
     chatter.login_delay = SimDuration::from_millis(200);
-    let chatter_node = b.attach(host, "chatter", Portal::new(chatter));
+    b.portal(host, "chatter", chatter);
 
     let mut c = b.build();
-    for (i, &node) in viewers.iter().enumerate() {
-        let srv = if i < 3 { host } else { remote };
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(srv.node);
-    }
-    c.engine.actor_mut::<Portal>(chatter_node).unwrap().server = Some(host.node);
 
     // Warm up past logins, selects (each broadcasts a MemberJoined) and
     // the remote server's subscription, then measure a window holding

@@ -35,16 +35,13 @@ fn fifo_overflow_shows_up_in_folded_node_metrics() {
             .select_app(app)
             .poll_every(SimDuration::from_millis(poll_ms));
         cfg.login_delay = SimDuration::from_millis(100);
-        Portal::new(cfg)
+        cfg
     };
-    let fast = b.attach(server, "fast", mk("fast", 200));
+    b.portal(server, "fast", mk("fast", 200));
     // The "dead" client selects the app and then never polls: its FIFO
     // fills with updates and sheds the oldest (§6.2's overflow concern).
-    let dead = b.attach(server, "dead", mk("dead", 3_600_000));
+    b.portal(server, "dead", mk("dead", 3_600_000));
     let mut c = b.build();
-    for n in [fast, dead] {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(server.node);
-    }
     c.engine.run_until(SimTime::from_secs(20));
 
     // The per-node registry on the server carries the fold.
@@ -91,9 +88,8 @@ fn buffered_ops_past_deadline_are_dropped_at_dequeue() {
         if let Some(budget) = deadline {
             cfg = cfg.deadline(budget);
         }
-        let node = b.attach(server, "vijay", Portal::new(cfg));
+        let node = b.portal(server, "vijay", cfg);
         let mut c = b.build();
-        c.engine.actor_mut::<Portal>(node).unwrap().server = Some(server.node);
         c.engine.run_until(SimTime::from_secs(30));
         (c, node, server.node)
     };
@@ -153,7 +149,7 @@ fn admission_control_sheds_views_but_admits_commands() {
             .poll_every(SimDuration::from_millis(500))
             .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(250)));
         cfg.login_delay = SimDuration::from_millis(100 + 50 * i as u64);
-        nodes.push(b.attach(server, user, Portal::new(cfg)));
+        nodes.push(b.portal(server, user, cfg));
     }
     // The driver issues steering commands (mutating ops) on a schedule.
     let mut cfg = PortalConfig::new("driver").select_app(app);
@@ -165,13 +161,10 @@ fn admission_control_sheds_views_but_admits_commands() {
             ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(k as f64)) },
         );
     }
-    let driver = b.attach(server, "driver", Portal::new(cfg));
+    let driver = b.portal(server, "driver", cfg);
     nodes.push(driver);
 
     let mut c = b.build();
-    for &n in &nodes {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(server.node);
-    }
     c.engine.run_until(SimTime::from_secs(30));
 
     let sm = c.engine.node_metrics(server.node);

@@ -35,16 +35,13 @@ fn run_status_fixture() -> (Collaboratory, simnet::NodeId, discover_core::Server
         .poll_every(SimDuration::from_millis(200))
         .workload(Workload::new(app, OpMix::steering_only(), SimDuration::from_millis(400)));
     steer.login_delay = SimDuration::from_millis(100);
-    let steerer = b.attach(gateway, "vijay", Portal::new(steer));
+    b.portal(gateway, "vijay", steer);
 
     let mut op = PortalConfig::new("operator").status_every(SimDuration::from_millis(500));
     op.login_delay = SimDuration::from_millis(150);
-    let operator = b.attach(gateway, "operator", Portal::new(op));
+    let operator = b.portal(gateway, "operator", op);
 
     let mut c = b.build();
-    for n in [steerer, operator] {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(gateway.node);
-    }
     c.engine.run_until(SimTime::from_secs(20));
     (c, operator, gateway)
 }
@@ -153,12 +150,9 @@ fn run_expiry_fixture(flight: Option<FlightConfig>, history: bool) -> (Collabora
             .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(300)))
             .deadline(SimDuration::from_millis(400));
         cfg.login_delay = SimDuration::from_millis(100 + 30 * i as u64);
-        nodes.push(b.attach(server, user, Portal::new(cfg)));
+        nodes.push(b.portal(server, user, cfg));
     }
     let mut c = b.build();
-    for &n in &nodes {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(server.node);
-    }
     c.engine.run_until(SimTime::from_secs(30));
     (c, server.node)
 }
@@ -265,10 +259,10 @@ fn run_every_key_fixture() -> Collaboratory {
         .poll_every(SimDuration::from_millis(200))
         .workload(Workload::new(app, OpMix::steering_only(), SimDuration::from_millis(300)));
     steer.login_delay = SimDuration::from_millis(100);
-    let steerer = b.attach(gateway, "vijay", Portal::new(steer));
+    let steerer = b.portal(gateway, "vijay", steer);
     let mut op = PortalConfig::new("operator").status_every(SimDuration::from_millis(500));
     op.login_delay = SimDuration::from_millis(150);
-    let operator = b.attach(gateway, "operator", Portal::new(op));
+    let operator = b.portal(gateway, "operator", op);
     let mut portals = vec![steerer, operator];
 
     // A 2 s compute phase against a 400 ms budget: the watchers' buffered
@@ -288,13 +282,10 @@ fn run_every_key_fixture() -> Collaboratory {
             .workload(Workload::new(slow_app, OpMix::sensors_only(), SimDuration::from_millis(300)))
             .deadline(SimDuration::from_millis(400));
         cfg.login_delay = SimDuration::from_millis(100 + 30 * i as u64);
-        portals.push(b.attach(gateway, w, Portal::new(cfg)));
+        portals.push(b.portal(gateway, w, cfg));
     }
 
     let mut c = b.build();
-    for n in portals {
-        c.engine.actor_mut::<Portal>(n).unwrap().server = Some(gateway.node);
-    }
     c.engine.partition(gateway.node, host.node, SimTime::from_secs(4), SimTime::from_secs(6));
     c.engine.crash_at(host.node, SimTime::from_secs(10));
     c.engine.restart_at(host.node, SimTime::from_secs(13));

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use appsim::{synthetic_app, DriverConfig};
-use discover_client::{OpMix, Portal, PortalConfig, Workload};
+use discover_client::{OpMix, PortalConfig, Workload};
 use discover_core::{Collaboratory, CollaboratoryBuilder};
 use simnet::{names, SimDuration, SimTime, SpanRecord};
 use wire::{Privilege, UserId};
@@ -51,10 +51,9 @@ fn run_remote_steering(traced: bool) -> (Collaboratory, simnet::NodeId, simnet::
         .select_app(app)
         .poll_every(SimDuration::from_millis(200))
         .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
-    let portal = b.attach(gateway, "vijay", Portal::new(cfg));
+    let portal = b.portal(gateway, "vijay", cfg);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(portal).unwrap().server = Some(gateway.node);
     c.engine.run_until(SimTime::from_secs(RUN_SECS));
     (c, portal, gateway.node, host.node)
 }

@@ -43,10 +43,9 @@ fn host_crash_fails_fast_then_recovers_after_restart() {
         .select_app(app)
         .poll_every(SimDuration::from_millis(200))
         .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
-    let node = b.attach(gateway, "vijay", Portal::new(cfg));
+    let node = b.portal(gateway, "vijay", cfg);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
 
     // The host dies mid-session and comes back 10 s later.
     let crash_at = SimTime::from_secs(15);

@@ -21,9 +21,9 @@ pub struct HttpCosts {
     pub per_body_byte: SimDuration,
     /// One-time SSL/TLS handshake charged at session creation (the
     /// paper's SSL-based secure server; crypto cost only, no key model).
+    /// It carries all of the SSL cost: a per-byte cipher cost of 0.1 µs
+    /// is below the clock's 1 µs resolution.
     pub ssl_handshake: SimDuration,
-    /// Symmetric crypto cost per byte on established sessions.
-    pub ssl_per_byte: SimDuration,
 }
 
 impl HttpCosts {
@@ -35,20 +35,17 @@ impl HttpCosts {
         render: SimDuration::from_micros(1500),
         per_body_byte: SimDuration::from_micros(3),
         ssl_handshake: SimDuration::from_millis(18),
-        // 0.1 µs per byte is below the clock's 1 µs resolution and has
-        // always rounded to zero: the handshake carries the SSL cost.
-        ssl_per_byte: SimDuration::ZERO,
     };
 
     /// Total CPU to receive and parse a request of `body_bytes` on the
     /// paper's SSL-based secure server.
     pub fn request_cost(&self, body_bytes: usize) -> SimDuration {
-        self.parse_dispatch + (self.per_body_byte + self.ssl_per_byte) * body_bytes as u64
+        self.parse_dispatch + self.per_body_byte * body_bytes as u64
     }
 
     /// Total CPU to render and send a response of `body_bytes`.
     pub fn response_cost(&self, body_bytes: usize) -> SimDuration {
-        self.render + (self.per_body_byte + self.ssl_per_byte) * body_bytes as u64
+        self.render + self.per_body_byte * body_bytes as u64
     }
 }
 

@@ -48,7 +48,7 @@ fn main() {
             },
         )
         .at(SimDuration::from_secs(8), ClientRequest::ReleaseLock { app });
-    let alice_node = b.attach(server, "alice", Portal::new(alice));
+    let alice_node = b.portal(server, "alice", alice);
 
     // Bob works privately (collaboration off) but shares one view.
     let bob = PortalConfig::new("bob")
@@ -59,18 +59,15 @@ fn main() {
             ClientRequest::ShareView { app, view: "observer-signal plot, t in [0,40]".into() },
         )
         .at(SimDuration::from_secs(9), ClientRequest::RequestLock { app });
-    let bob_node = b.attach(server, "bob", Portal::new(bob));
+    let bob_node = b.portal(server, "bob", bob);
 
     // Carol arrives late and replays the session archive.
     let mut carol = PortalConfig::new("carol").select_app(app);
     carol.login_delay = SimDuration::from_secs(12);
     carol = carol.at(SimDuration::from_secs(14), ClientRequest::GetHistory { app, since: 0 });
-    let carol_node = b.attach(server, "carol", Portal::new(carol));
+    let carol_node = b.portal(server, "carol", carol);
 
     let mut collab = b.build();
-    for n in [alice_node, bob_node, carol_node] {
-        collab.engine.actor_mut::<Portal>(n).unwrap().server = Some(server.node);
-    }
     collab.engine.run_until(SimTime::from_secs(20));
 
     let alice = collab.engine.actor_ref::<Portal>(alice_node).unwrap();
@@ -96,11 +93,7 @@ fn main() {
     println!("bob got the lock after release  : {bob_lock}");
 
     // Carol's archive replay shows the session's past.
-    let history = carol.received.iter().find_map(|(_, m)| match m {
-        ClientMessage::Response(ResponseBody::History { records, .. }) => Some(records),
-        _ => None,
-    });
-    let records = history.expect("carol should receive the archive");
+    let (_, records, _) = carol.histories(app).next().expect("carol should receive the archive");
     let saw_steering = records.iter().any(|r| {
         matches!(&r.entry, wire::LogEntry::Request(AppOp::SetParam(name, _)) if name == "mass")
     });

@@ -98,10 +98,9 @@ fn main() {
                 op: AppOp::SetParam("source_freq".into(), Value::Float(30.0)),
             },
         );
-    let portal_node = b.attach(server, "meera", Portal::new(cfg));
+    let portal_node = b.portal(server, "meera", cfg);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(portal_node).unwrap().server = Some(server.node);
     c.engine.run_until(SimTime::from_secs(30));
 
     let l = c.engine.actor_ref::<GridLauncher>(launcher_node).unwrap();

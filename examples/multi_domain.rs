@@ -62,14 +62,12 @@ fn main() {
             SimDuration::from_secs(8),
             ClientRequest::Chat { app: seismic, text: "doubled the source frequency".into() },
         );
-    let meera_node = b.attach(rutgers, "meera", Portal::new(meera));
+    let meera_node = b.portal(rutgers, "meera", meera);
 
     let carlos = PortalConfig::new("carlos").select_app(seismic);
-    let carlos_node = b.attach(caltech, "carlos", Portal::new(carlos));
+    let carlos_node = b.portal(caltech, "carlos", carlos);
 
     let mut collab = b.build();
-    collab.engine.actor_mut::<Portal>(meera_node).unwrap().server = Some(rutgers.node);
-    collab.engine.actor_mut::<Portal>(carlos_node).unwrap().server = Some(caltech.node);
     collab.engine.run_until(SimTime::from_secs(20));
 
     let meera = collab.engine.actor_ref::<Portal>(meera_node).unwrap();

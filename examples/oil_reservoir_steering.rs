@@ -37,15 +37,13 @@ fn main() {
                 op: AppOp::SetParam("injection_rate".into(), Value::Float(4.0)),
             },
         );
-    let engineer_node = b.attach(csm, "engineer", Portal::new(engineer));
+    let engineer_node = b.portal(csm, "engineer", engineer);
 
     // The analyst just watches.
     let analyst = PortalConfig::new("analyst").select_app(app);
-    let analyst_node = b.attach(csm, "analyst", Portal::new(analyst));
+    let analyst_node = b.portal(csm, "analyst", analyst);
 
     let mut collab = b.build();
-    collab.engine.actor_mut::<Portal>(engineer_node).unwrap().server = Some(csm.node);
-    collab.engine.actor_mut::<Portal>(analyst_node).unwrap().server = Some(csm.node);
     collab.engine.run_until(SimTime::from_secs(60));
 
     // Trace the recovery curve as the analyst saw it.

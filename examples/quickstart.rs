@@ -29,10 +29,9 @@ fn main() {
             ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(3.5)) },
         )
         .at(SimDuration::from_secs(3), ClientRequest::Op { app, op: AppOp::GetSensors });
-    let portal_node = b.attach(server, "vijay-portal", Portal::new(cfg));
+    let portal_node = b.portal(server, "vijay-portal", cfg);
 
     let mut collab = b.build();
-    collab.engine.actor_mut::<Portal>(portal_node).unwrap().server = Some(server.node);
 
     // Run 10 virtual seconds.
     collab.engine.run_until(SimTime::from_secs(10));

@@ -15,15 +15,7 @@ fn steer_acl() -> Vec<(UserId, Privilege)> {
 /// Every `History` page `portal` received for `app`, in arrival order:
 /// (records on the page, the cursor it leaves).
 fn history_pages(portal: &Portal, app: AppId) -> Vec<(usize, u64)> {
-    let page = |(_, m): &(SimTime, ClientMessage)| match m {
-        ClientMessage::Response(ResponseBody::History { app: a, records, next_seq })
-            if *a == app =>
-        {
-            Some((records.len(), *next_seq))
-        }
-        _ => None,
-    };
-    portal.received.iter().filter_map(page).collect()
+    portal.histories(app).map(|(_, records, next_seq)| (records.len(), next_seq)).collect()
 }
 
 #[test]
@@ -59,9 +51,8 @@ fn lossy_wan_link_degrades_gracefully() {
                 op: AppOp::SetParam("knob0".into(), Value::Float(2.0)),
             },
         );
-    let node = b.attach(home, "vijay", Portal::new(cfg));
+    let node = b.portal(home, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
     c.engine.run_until(SimTime::from_secs(30));
 
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
@@ -113,9 +104,8 @@ fn severed_wan_times_out_remote_ops() {
         SimDuration::from_secs(2),
         ClientRequest::Op { app: remote_app, op: AppOp::GetSensors },
     );
-    let node = b.attach(home, "vijay", Portal::new(cfg));
+    let node = b.portal(home, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
     c.engine.run_until(SimTime::from_secs(10));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     let failed = p.received.iter().any(|(_, m)| matches!(
@@ -155,9 +145,8 @@ fn app_termination_propagates_to_remote_watchers() {
             SimDuration::from_secs(5),
             ClientRequest::Op { app, op: AppOp::Command(AppCommand::Terminate) },
         );
-    let node = b.attach(home, "vijay", Portal::new(cfg));
+    let node = b.portal(home, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
     c.engine.run_until(SimTime::from_secs(12));
 
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
@@ -224,9 +213,8 @@ fn peer_rate_policy_throttles_excessive_peers() {
             discover_client::OpMix::sensors_only(),
             SimDuration::from_millis(50),
         ));
-    let node = b.attach(gateway, "vijay", Portal::new(cfg));
+    let node = b.portal(gateway, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
     c.engine.run_until(SimTime::from_secs(30));
 
     let throttled = c.engine.stats().counter("server.peer.throttled");
@@ -273,9 +261,8 @@ fn throttled_history_fetch_still_answers_its_client() {
         let at = SimDuration::from_millis(10_000 + 10 * k);
         cfg = cfg.at(at, ClientRequest::GetHistory { app, since: SINCE });
     }
-    let node = b.attach(gateway, "vijay", Portal::new(cfg));
+    let node = b.portal(gateway, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(gateway.node);
     c.engine.run_until(SimTime::from_secs(20));
 
     assert!(c.engine.stats().counter("server.peer.throttled") > 0, "the burst must be throttled");
@@ -317,9 +304,8 @@ fn history_fetch_abandoned_after_host_crash_keeps_the_cursor() {
         .select_app(app)
         .at(SimDuration::from_secs(4), ClientRequest::GetHistory { app, since: 0 })
         .at(SimDuration::from_secs(8), ClientRequest::GetHistory { app, since: SINCE });
-    let node = b.attach(home, "vijay", Portal::new(cfg));
+    let node = b.portal(home, "vijay", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(home.node);
     // Down 10 ms after the second fetch leaves the portal: mid-fetch.
     c.engine.crash_at(far.node, SimTime::from_millis(8_010));
     c.engine.run_until(SimTime::from_secs(25));
@@ -382,7 +368,7 @@ fn shedding_composes_with_relayed_ops_under_partition() {
                 SimDuration::from_millis(250),
             ));
         cfg.login_delay = SimDuration::from_millis(300 + 70 * i as u64);
-        floods.push(b.attach(host, user, Portal::new(cfg)));
+        floods.push(b.portal(host, user, cfg));
     }
     let remote_cfg = discover_client::PortalConfig::new("remote")
         .select_app(app)
@@ -392,13 +378,9 @@ fn shedding_composes_with_relayed_ops_under_partition() {
             discover_client::OpMix::sensors_only(),
             SimDuration::from_secs(1),
         ));
-    let remote = b.attach(mirror, "remote", Portal::new(remote_cfg));
+    let remote = b.portal(mirror, "remote", remote_cfg);
 
     let mut c = b.build();
-    for &f in &floods {
-        c.engine.actor_mut::<Portal>(f).unwrap().server = Some(host.node);
-    }
-    c.engine.actor_mut::<Portal>(remote).unwrap().server = Some(mirror.node);
     // Sever the host↔mirror WAN for 6 s in the middle of the run.
     c.engine.partition(host.node, mirror.node, SimTime::from_secs(10), SimTime::from_secs(16));
     c.engine.run_until(SimTime::from_secs(30));
@@ -469,17 +451,15 @@ fn idle_sessions_are_reaped_and_locks_freed() {
         .select_app(app)
         .at(SimDuration::from_secs(1), ClientRequest::RequestLock { app });
     vanishing.poll_every = SimDuration::from_secs(3600);
-    let vijay_node = b.attach(server, "vijay", Portal::new(vanishing));
+    b.portal(server, "vijay", vanishing);
 
     // manish keeps polling and tries for the lock later.
     let manish = discover_client::PortalConfig::new("manish")
         .select_app(app)
         .at(SimDuration::from_secs(30), ClientRequest::RequestLock { app });
-    let manish_node = b.attach(server, "manish", Portal::new(manish));
+    let manish_node = b.portal(server, "manish", manish);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(vijay_node).unwrap().server = Some(server.node);
-    c.engine.actor_mut::<Portal>(manish_node).unwrap().server = Some(server.node);
     c.engine.run_until(SimTime::from_secs(40));
 
     assert!(c.engine.stats().counter("server.sessions.reaped") >= 1, "idle session reaped");
@@ -521,9 +501,8 @@ fn stale_directory_route_is_invalidated_on_nak() {
         .at(SimDuration::from_secs(6), ClientRequest::Op { app, op: AppOp::GetSensors })
         .at(SimDuration::from_secs(14), ClientRequest::Op { app, op: AppOp::GetSensors });
     cfg.login_delay = SimDuration::from_millis(200);
-    let node = b.attach(rutgers, "vijay-portal", Portal::new(cfg));
+    let node = b.portal(rutgers, "vijay-portal", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(rutgers.node);
 
     // Let discovery, login and remote selection settle, then poison
     // rutgers' route for the app: point it at gamma, which will Nak.
@@ -596,7 +575,7 @@ fn parked_session_is_reclaimed_after_ttl_and_lock_freed() {
         .select_app(app)
         .at(SimDuration::from_secs(1), ClientRequest::RequestLock { app });
     vanishing.poll_every = SimDuration::from_secs(3600);
-    let vijay_node = b.attach(server, "vijay", Portal::new(vanishing));
+    b.portal(server, "vijay", vanishing);
 
     // manish keeps polling; he asks for the lock while vijay is merely
     // parked (must be denied) and again after the TTL reclaim (must win).
@@ -604,11 +583,9 @@ fn parked_session_is_reclaimed_after_ttl_and_lock_freed() {
         .select_app(app)
         .at(SimDuration::from_secs(16), ClientRequest::RequestLock { app })
         .at(SimDuration::from_secs(32), ClientRequest::RequestLock { app });
-    let manish_node = b.attach(server, "manish", Portal::new(manish));
+    let manish_node = b.portal(server, "manish", manish);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(vijay_node).unwrap().server = Some(server.node);
-    c.engine.actor_mut::<Portal>(manish_node).unwrap().server = Some(server.node);
     c.engine.run_until(SimTime::from_secs(40));
 
     // Phase 1: parked, not torn down — lock interest survived, so

@@ -100,19 +100,16 @@ fn run_scenario(
                 to_request(a, app, k),
             ));
         }
-        Portal::new(cfg)
+        cfg
     };
-    let a_node = b.attach(s0, "alice", mk("alice", script_a));
-    let bb_node = b.attach(s1, "bob", mk("bob", script_b));
+    let a_node = b.portal(s0, "alice", mk("alice", script_a));
+    let bb_node = b.portal(s1, "bob", mk("bob", script_b));
     // Mallory logs in at s0 but never selects the app.
     let mut mcfg = discover_client::PortalConfig::new("mallory");
     mcfg.login_delay = SimDuration::from_millis(300);
-    let m_node = b.attach(s0, "mallory", Portal::new(mcfg));
+    let m_node = b.portal(s0, "mallory", mcfg);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(a_node).unwrap().server = Some(s0.node);
-    c.engine.actor_mut::<Portal>(bb_node).unwrap().server = Some(s1.node);
-    c.engine.actor_mut::<Portal>(m_node).unwrap().server = Some(s0.node);
     let horizon =
         SimTime::from_millis(3000 + 400 * script_a.len().max(script_b.len()) as u64 + 10_000);
     c.engine.run_until(horizon);

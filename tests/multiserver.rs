@@ -67,12 +67,8 @@ fn remote_app_visible_after_login() {
     b.application(rutgers, synthetic_app(1, 100), dc);
     let mut cfg = portal("vijay", app);
     cfg.login_delay = SimDuration::from_millis(200); // let discovery settle
-    let node = {
-        let p = Portal::new(cfg);
-        b.attach(rutgers, "vijay-portal", p)
-    };
+    let node = b.portal(rutgers, "vijay-portal", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(rutgers.node);
     c.engine.run_until(SimTime::from_secs(5));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     assert_eq!(p.login_status, Some(200));
@@ -108,12 +104,11 @@ fn remote_steering_applies_at_host() {
     );
     cfg.login_delay = SimDuration::from_millis(200);
     cfg.script.insert(0, (SimDuration::from_secs(2), ClientRequest::RequestLock { app }));
-    let portal_node = b.attach(rutgers, "vijay-portal", Portal::new(cfg));
+    let portal_node = b.portal(rutgers, "vijay-portal", cfg);
 
     // App driver node is the second node created for utexas' app; find it
     // from the builder return value instead.
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(portal_node).unwrap().server = Some(rutgers.node);
     c.engine.run_until(SimTime::from_secs(10));
 
     let p = c.engine.actor_ref::<Portal>(portal_node).unwrap();
@@ -158,16 +153,14 @@ fn distributed_lock_is_exclusive_across_servers() {
     let mut vijay = portal("vijay", app);
     vijay.login_delay = SimDuration::from_millis(200);
     vijay.script.push((SimDuration::from_secs(2), ClientRequest::RequestLock { app }));
-    let vijay_node = b.attach(rutgers, "vijay-portal", Portal::new(vijay));
+    let vijay_node = b.portal(rutgers, "vijay-portal", vijay);
 
     let mut manish = portal("manish", app);
     manish.script.push((SimDuration::from_millis(2050), ClientRequest::RequestLock { app }));
     manish.script.push((SimDuration::from_secs(6), ClientRequest::RequestLock { app }));
-    let manish_node = b.attach(utexas, "manish-portal", Portal::new(manish));
+    let manish_node = b.portal(utexas, "manish-portal", manish);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(vijay_node).unwrap().server = Some(rutgers.node);
-    c.engine.actor_mut::<Portal>(manish_node).unwrap().server = Some(utexas.node);
     // vijay releases later:
     // (simplest: logout is not scripted; vijay keeps it past manish's 1st try)
     c.engine.run_until(SimTime::from_secs(4));
@@ -204,9 +197,8 @@ fn mutating_op_without_lock_rejected_at_host() {
         ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(1.0)) },
     );
     cfg.login_delay = SimDuration::from_millis(200);
-    let node = b.attach(rutgers, "vijay-portal", Portal::new(cfg));
+    let node = b.portal(rutgers, "vijay-portal", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(rutgers.node);
     c.engine.run_until(SimTime::from_secs(5));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     assert!(p.received.iter().any(|(_, m)| matches!(
@@ -229,14 +221,12 @@ fn run_cross_server_chat(mode: CollabMode, seed: u64) {
     sender
         .script
         .push((SimDuration::from_secs(3), ClientRequest::Chat { app, text: "hello wan".into() }));
-    let sender_node = b.attach(rutgers, "vijay-portal", Portal::new(sender));
+    let sender_node = b.portal(rutgers, "vijay-portal", sender);
 
     let receiver = portal("manish", app);
-    let receiver_node = b.attach(utexas, "manish-portal", Portal::new(receiver));
+    let receiver_node = b.portal(utexas, "manish-portal", receiver);
 
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(sender_node).unwrap().server = Some(rutgers.node);
-    c.engine.actor_mut::<Portal>(receiver_node).unwrap().server = Some(utexas.node);
     c.engine.run_until(SimTime::from_secs(8));
 
     let rx = c.engine.actor_ref::<Portal>(receiver_node).unwrap();
@@ -283,12 +273,9 @@ fn collab_fanout_sends_one_message_per_remote_server() {
     for user in ["vijay", "manish", "viewer"] {
         let mut cfg = portal(user, app);
         cfg.login_delay = SimDuration::from_millis(200);
-        nodes.push(b.attach(rutgers, &format!("{user}-portal"), Portal::new(cfg)));
+        nodes.push(b.portal(rutgers, &format!("{user}-portal"), cfg));
     }
     let mut c = b.build();
-    for n in &nodes {
-        c.engine.actor_mut::<Portal>(*n).unwrap().server = Some(rutgers.node);
-    }
     c.engine.run_until(SimTime::from_secs(20));
 
     let pushes = c.engine.stats().counter("substrate.collab.pushes");
@@ -324,16 +311,12 @@ fn latecomer_fetches_remote_history() {
     let mut cfg = portal("vijay", app)
         .at(SimDuration::from_secs(6), ClientRequest::GetHistory { app, since: 0 });
     cfg.login_delay = SimDuration::from_millis(200);
-    let node = b.attach(rutgers, "vijay-portal", Portal::new(cfg));
+    let node = b.portal(rutgers, "vijay-portal", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(rutgers.node);
     c.engine.run_until(SimTime::from_secs(10));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
-    let history = p.received.iter().find_map(|(_, m)| match m {
-        ClientMessage::Response(ResponseBody::History { records, .. }) => Some(records),
-        _ => None,
-    });
-    let history = history.expect("history should arrive from the remote host");
+    let (_, history, _) =
+        p.histories(app).next().expect("history should arrive from the remote host");
     assert!(!history.is_empty(), "app log must contain status entries");
     assert!(history.windows(2).all(|w| w[0].seq < w[1].seq));
 }
@@ -357,9 +340,8 @@ fn local_and_remote_access_are_symmetric_for_clients() {
             SimDuration::from_secs(2),
             ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(4.0)) },
         );
-    let node = b.attach(solo, "vijay-portal", Portal::new(cfg));
+    let node = b.portal(solo, "vijay-portal", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(solo.node);
     c.engine.run_until(SimTime::from_secs(6));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     assert!(p.received.iter().any(|(_, m)| matches!(

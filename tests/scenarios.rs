@@ -1,6 +1,7 @@
 //! Tier-1 smoke run of the scenario checker (`discover-check`): a few
 //! seeds of every fuzz family against every oracle, and every seeded
-//! mutation against the oracle that exists to catch it. The CI
+//! mutation against the oracle that exists to catch it, with every
+//! family's run log and flight dump pinned byte for byte. The CI
 //! `scenario-check` job sweeps 50 seeds and also shrinks; this keeps the
 //! root `cargo test` honest in under a second.
 
@@ -8,9 +9,42 @@ use discover_check::oracle::check_run;
 use discover_check::run::run;
 use discover_check::scenario::{Family, Scenario};
 use discover_check::{mutation_case, Mutation};
+use wire::codec::digest_fnv1a;
+
+/// `digest_fnv1a` of each (family, seed) run's `run_log` and `flight`,
+/// in `Family::ALL` order, seeds 0..3. A change that moves any history
+/// event, observation, archive figure or flight-ring line of these runs
+/// fails here; a change that means to must say why and update the table.
+const RUN_DIGESTS: [(&str, u64, u64, u64); 24] = [
+    ("locks", 0, 0x881a_b855_6a8c_32aa, 0x8eb3_4928_88fc_9d85),
+    ("locks", 1, 0x8a22_a156_5841_8fc4, 0x263d_320e_92a6_fdb9),
+    ("locks", 2, 0x2ffa_1448_b40d_300e, 0xd4b1_eb23_edfc_ce10),
+    ("acl", 0, 0x7569_fb09_80b4_5813, 0xcf2f_b010_c714_4d4a),
+    ("acl", 1, 0x0e88_cd7c_455d_db65, 0x3782_d14e_b2be_861e),
+    ("acl", 2, 0x5bb5_d47d_1759_10d4, 0xe00c_ca0a_d123_5136),
+    ("replay", 0, 0x027b_2469_b70f_a960, 0x8a39_02b4_e64b_6d96),
+    ("replay", 1, 0xd903_2a5a_b825_093c, 0x4489_10d9_da4f_55ca),
+    ("replay", 2, 0xf647_2f21_0da1_2ea7, 0xa280_629b_75ca_940c),
+    ("churn", 0, 0x4dab_e944_74f5_4496, 0xad45_c2c0_1261_80b7),
+    ("churn", 1, 0x162b_0073_90c7_ef18, 0x4b90_a6a2_c985_a63c),
+    ("churn", 2, 0x870d_9529_86b8_8a16, 0x93c6_413a_79e5_701b),
+    ("flashcrowd", 0, 0xcdeb_50b1_b848_3970, 0xa288_4bba_c88a_fe07),
+    ("flashcrowd", 1, 0x7637_ab87_7bf1_3aaf, 0x561d_78c8_64a7_967c),
+    ("flashcrowd", 2, 0x96b1_ab4c_910c_b20e, 0x3556_f988_a6f6_bbd7),
+    ("slowconsumer", 0, 0xb683_a706_ce00_9d69, 0x037a_1354_cc64_7631),
+    ("slowconsumer", 1, 0x29aa_4653_76b1_f3b6, 0x1577_8b9c_2cb7_9ae6),
+    ("slowconsumer", 2, 0x6544_1aab_f2b5_8987, 0x32ae_7ff7_9201_8bef),
+    ("recovery", 0, 0x48c4_9759_e48c_14c5, 0x9bdc_c46d_517a_6658),
+    ("recovery", 1, 0x7f5b_5241_26c2_8550, 0x2832_7d42_8e9a_a15c),
+    ("recovery", 2, 0x9eb4_f5af_d762_201e, 0x82fd_8192_91cc_eeb3),
+    ("discovery", 0, 0x845d_834f_039c_99fd, 0x4d2c_8612_3869_6a59),
+    ("discovery", 1, 0xcab2_28da_c817_6c6e, 0x5b62_a6ea_078a_8148),
+    ("discovery", 2, 0x536a_fe0f_708b_2dff, 0x6f61_93f4_d9b6_b771),
+];
 
 #[test]
 fn every_family_runs_deterministically_and_trips_no_oracle() {
+    let mut pinned = RUN_DIGESTS.iter();
     for family in Family::ALL {
         for seed in 0..3u64 {
             let scenario = Scenario::generate(family, seed);
@@ -21,6 +55,13 @@ fn every_family_runs_deterministically_and_trips_no_oracle() {
                 second.run_log,
                 "nondeterministic run for {} seed {seed}",
                 family.name()
+            );
+            let &(name, pinned_seed, log, flight) = pinned.next().expect("a digest per run");
+            assert_eq!((name, pinned_seed), (family.name(), seed), "table order");
+            assert_eq!(
+                (digest_fnv1a(&first.run_log), digest_fnv1a(&first.flight)),
+                (log, flight),
+                "{name} seed {seed}: run log or flight dump differs from the pinned bytes"
             );
             let violations = check_run(&first);
             assert!(

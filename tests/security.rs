@@ -57,9 +57,8 @@ fn off_acl_user_is_rejected_at_second_level() {
     let cfg = PortalConfig::new("mallory")
         .at(SimDuration::from_secs(1), ClientRequest::Op { app, op: AppOp::GetStatus })
         .at(SimDuration::from_secs(2), ClientRequest::Op { app, op: AppOp::GetSensors });
-    let node = b.attach(s0, "mallory", Portal::new(cfg));
+    let node = b.portal(s0, "mallory", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(s0.node);
     c.engine.run_until(SimTime::from_secs(6));
 
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
@@ -90,9 +89,8 @@ fn readonly_steer_attempts_are_denied_and_counted() {
             ClientRequest::Op { app, op: AppOp::Command(AppCommand::Pause) },
         )
         .at(SimDuration::from_secs(3), ClientRequest::Op { app, op: AppOp::GetStatus });
-    let node = b.attach(s0, "carol", Portal::new(cfg));
+    let node = b.portal(s0, "carol", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(s0.node);
     c.engine.run_until(SimTime::from_secs(8));
 
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
@@ -126,9 +124,8 @@ fn revoked_credential_is_denied_mid_session() {
             SimDuration::from_secs(6),
             ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(3.0)) },
         );
-    let node = b.attach(s0, "alice", Portal::new(cfg));
+    let node = b.portal(s0, "alice", cfg);
     let mut c = b.build();
-    c.engine.actor_mut::<Portal>(node).unwrap().server = Some(s0.node);
 
     c.engine.run_until(SimTime::from_secs(4));
     {
