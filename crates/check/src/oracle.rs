@@ -429,7 +429,7 @@ fn check_latecomer_replay(run: &RunResult, out: &mut Vec<Violation>) {
             return;
         }
     };
-    if wire::codec::encode(fin) != wire::codec::encode(&&archive[..cut]) {
+    if wire::codec::encode(fin) != wire::codec::encode(&archive[..cut]) {
         out.push(Violation::new(
             "replay",
             format!(
@@ -472,7 +472,7 @@ fn check_resume_replay(run: &RunResult, out: &mut Vec<Violation>) {
             let start = archive.partition_point(|r| r.seq < first.seq);
             let end = start + f.len();
             let matches = end <= archive.len()
-                && wire::codec::encode(f) == wire::codec::encode(&&archive[start..end]);
+                && wire::codec::encode(f) == wire::codec::encode(&archive[start..end]);
             if !matches {
                 out.push(Violation::new(
                     "replay",
@@ -703,7 +703,7 @@ fn check_snapshot(run: &RunResult, out: &mut Vec<Violation>) {
                 let start = archive.partition_point(|r| r.seq < first.seq);
                 let end = start + tail.len();
                 let matches = end <= archive.len()
-                    && wire::codec::encode(tail) == wire::codec::encode(&&archive[start..end]);
+                    && wire::codec::encode(tail) == wire::codec::encode(&archive[start..end]);
                 if !matches {
                     out.push(Violation::new(
                         "snapshot",

@@ -3,10 +3,14 @@
 //! The paper's optimized application↔server path uses "a more optimized,
 //! custom protocol using TCP sockets", and its other paths serialize Java
 //! objects. This module is our equivalent: a compact, non-self-describing
-//! binary serde format. Integers are fixed-width little-endian; strings,
-//! byte arrays, sequences and maps are length-prefixed with a `u32`; enum
-//! variants are encoded as a `u32` variant index followed by the variant
-//! payload; `Option` is a single presence byte.
+//! binary format, written and read by one trait, [`Dbp`]. Integers are
+//! fixed-width little-endian; strings, sequences and maps are
+//! length-prefixed with a `u32`; a struct is its fields in order; an
+//! enum is a `u32` declaration-order variant index followed by the
+//! variant's fields; `Option` is a single presence byte; `Box` and `Arc`
+//! are what they point to. The wire types are declared through the
+//! crate's `dbp!` macro, which writes both halves from the one
+//! definition.
 //!
 //! Five entry points:
 //! * [`encode`] — serialize a value to bytes,
@@ -17,9 +21,9 @@
 //! * [`decode_borrowed`] — deserialize from a refcounted receive buffer,
 //!   letting frozen payloads borrow slices of it instead of copying.
 //!
-//! The first three are one serializer walk over three sinks (a buffer,
-//! a byte count, a hash state), so they cannot disagree on a byte or on
-//! which inputs they reject.
+//! The first three are one [`Dbp::walk`] over three sinks (a buffer, a
+//! byte count, a hash state), so they cannot disagree on a byte. The
+//! last two are one [`Dbp::read`] from a [`Reader`].
 //!
 //! Three hot-path mechanisms keep broadcast fan-out cheap:
 //! * a per-thread **pooled encode buffer** ([`encode`] fills a
@@ -29,33 +33,26 @@
 //!   leaves with the result and the pool is allocated a new one of that
 //!   capacity, so the result pins the pool's capacity, not its own
 //!   length),
-//! * a **raw-splice fast path** (the `SPLICE_TOKEN` newtype name)
-//!   letting pre-encoded payloads pass through the serializer verbatim,
-//!   so a payload frozen once is never walked again,
-//! * a **zero-copy ingress path** ([`decode_borrowed`]): while decoding
-//!   from a registered receive buffer, a frozen payload's bytes are
-//!   taken as a refcounted slice of that buffer — the payload is never
-//!   re-encoded and never copied after its origin.
+//! * **pre-encoded payloads**: a [`FrozenUpdate`](crate::FrozenUpdate)
+//!   walks as its frozen bytes, put into the sink verbatim, so a payload
+//!   frozen once is never walked again,
+//! * a **zero-copy ingress path** ([`decode_borrowed`]): the reader
+//!   carries the receive buffer, and a frozen payload takes the range it
+//!   was read from as a refcounted slice of that buffer — the payload is
+//!   never re-encoded and never copied after its origin.
 //!
 //! All three are observable through the deterministic per-thread
 //! [`CodecStats`] counters ([`stats`] / [`reset_stats`]).
 
 use std::cell::Cell;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
+use bytes::{BufMut, Bytes, BytesMut};
 
-/// Sentinel newtype-struct name that arms the raw-splice fast path.
-///
-/// A shared payload (see [`FrozenUpdate`](crate::FrozenUpdate)) that
-/// already holds its own DBP encoding serializes itself as
-/// `serialize_newtype_struct(SPLICE_TOKEN, raw_bytes)`; the serializer
-/// recognises the token and hands the bytes to its sink verbatim — no
-/// length prefix, no second traversal — so the result is byte-identical
-/// to serializing the payload inline.
-pub(crate) const SPLICE_TOKEN: &str = "\0dbp-splice";
+use crate::ids::Name;
 
 /// Initial capacity of pooled encode buffers: large enough that a
 /// typical update message (well under 1 KiB) never grows one. It is also
@@ -63,17 +60,17 @@ pub(crate) const SPLICE_TOKEN: &str = "\0dbp-splice";
 /// larger message has grown the pool's buffer: from then on, that.
 const POOL_BUF_CAPACITY: usize = 1024;
 
-/// Errors produced by the codec.
+/// Errors produced by the codec. None allocates, so rejecting hostile
+/// input costs no allocation either.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// Input ended before the value was complete.
     Eof,
     /// Trailing bytes remained after decoding the value.
     TrailingBytes(usize),
-    /// A length prefix or variant index was out of range.
-    Invalid(String),
-    /// Error bubbled up from a `Serialize`/`Deserialize` impl.
-    Custom(String),
+    /// A length prefix, variant index, or bool, option, char or text
+    /// byte was out of range.
+    Invalid(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -82,24 +79,11 @@ impl fmt::Display for CodecError {
             CodecError::Eof => write!(f, "unexpected end of input"),
             CodecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             CodecError::Invalid(s) => write!(f, "invalid encoding: {s}"),
-            CodecError::Custom(s) => write!(f, "{s}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
-
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::Custom(msg.to_string())
-    }
-}
-
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError::Custom(msg.to_string())
-    }
-}
 
 /// Deterministic per-thread codec activity counters.
 ///
@@ -109,11 +93,11 @@ impl de::Error for CodecError {
 /// [`reset_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodecStats {
-    /// Full serializer walks that materialized bytes ([`encode`] calls).
+    /// Full walks that materialized bytes ([`encode`] calls).
     pub encode_calls: u64,
     /// Total bytes produced by those walks.
     pub bytes_encoded: u64,
-    /// Size-only serializer walks ([`encoded_len`] calls).
+    /// Size-only walks ([`encoded_len`] calls).
     pub len_walks: u64,
     /// Pre-encoded payloads spliced verbatim into an outer walk — each
     /// one is a traversal of the payload that did NOT happen.
@@ -129,13 +113,12 @@ pub struct CodecStats {
     /// crept back in (asserted in `codec_properties`).
     pub encode_copy_bytes: u64,
     /// Frozen payloads whose bytes were captured during decode (no
-    /// re-encode serializer walk — the wire bytes are adopted verbatim).
+    /// re-encoding walk — the wire bytes are adopted verbatim).
     pub frozen_decodes: u64,
-    /// Frozen-payload captures served as refcounted slices of a
-    /// registered ingress buffer ([`decode_borrowed`]) — zero-copy.
+    /// Frozen-payload captures served as refcounted slices of the
+    /// receive buffer ([`decode_borrowed`]) — zero-copy.
     pub ingress_slices: u64,
-    /// Frozen-payload captures that had to copy (plain [`decode`], or a
-    /// source outside the registered ingress buffer).
+    /// Frozen-payload captures that had to copy (plain [`decode`]).
     pub ingress_copies: u64,
     /// FIFO drains served by a caller-provided scratch buffer instead of
     /// a fresh per-poll `Vec` allocation (see
@@ -161,13 +144,6 @@ thread_local! {
         })
     };
     static POOL: Cell<Option<BytesMut>> = const { Cell::new(None) };
-    /// The receive buffer registered by [`decode_borrowed`] for the
-    /// duration of one decode: frozen payloads whose consumed range lies
-    /// inside it are taken as refcounted slices of it.
-    static INGRESS: Cell<Option<Bytes>> = const { Cell::new(None) };
-    /// Hand-off slot between the DBP deserializer's splice-token capture
-    /// and `FrozenUpdate`'s visitor (same decode call, same thread).
-    static CAPTURE: Cell<Option<Bytes>> = const { Cell::new(None) };
 }
 
 fn bump(f: impl FnOnce(&mut CodecStats)) {
@@ -188,21 +164,17 @@ pub fn reset_stats() {
     STATS.with(|s| s.set(CodecStats::default()));
 }
 
-/// Why the entry points may `expect` a walk: every wire type serializes
-/// through derived impls that always pass sequence and map lengths.
-const INFALLIBLE: &str = "DBP serialization is infallible for wire types";
-
 /// Serialize `value` to bytes using this thread's pooled buffer.
 ///
-/// The pooled `BytesMut` is cleared, filled by a single serializer walk,
-/// then *split*: the contents leave as the immutable [`Bytes`] result
+/// The pooled `BytesMut` is cleared, filled by a single walk, then
+/// *split*: the contents leave as the immutable [`Bytes`] result
 /// without a finalizing memcpy (see [`CodecStats::encode_copy_bytes`]).
 /// The `vendor/bytes` stand-in has no shared-buffer split, so the result
 /// takes the buffer's whole `Vec` — its length is exact, its allocation
 /// is the pool's capacity — and the pool gets a newly allocated `Vec` of
 /// that capacity back: one pool-sized allocation per call (DESIGN.md §8,
 /// "Why `encode` still gives its pool buffer away").
-pub fn encode<T: Serialize>(value: &T) -> Bytes {
+pub fn encode<T: Dbp + ?Sized>(value: &T) -> Bytes {
     let mut buf = match POOL.with(|p| p.take()) {
         Some(b) => {
             bump(|s| s.pool_hits += 1);
@@ -214,7 +186,7 @@ pub fn encode<T: Serialize>(value: &T) -> Bytes {
         }
     };
     buf.clear();
-    let mut buf = walk(buf, value).expect(INFALLIBLE);
+    value.walk(&mut buf);
     let bytes = buf.split().freeze();
     POOL.with(|p| p.set(Some(buf)));
     bump(|s| {
@@ -228,54 +200,40 @@ pub fn encode<T: Serialize>(value: &T) -> Bytes {
 /// touching the encode pool or the hot-path stats ledger. The archive
 /// fold digests every event-class record it absorbs; that bookkeeping
 /// must not register as wire traffic (the encode-once gates count
-/// every [`encode`] call), so the digest is the same serializer walk
-/// feeding a hash state instead of a buffer.
-pub fn digest_fnv1a<T: Serialize>(value: &T) -> u64 {
-    walk(Fnv1a(0xcbf2_9ce4_8422_2325), value).expect(INFALLIBLE).0
+/// every [`encode`] call), so the digest is the same walk feeding a hash
+/// state instead of a buffer.
+pub fn digest_fnv1a<T: Dbp + ?Sized>(value: &T) -> u64 {
+    let mut hash = Fnv1a(0xcbf2_9ce4_8422_2325);
+    value.walk(&mut hash);
+    hash.0
 }
 
 /// Byte length `encode(value)` would produce, without allocating it.
-pub fn encoded_len<T: Serialize>(value: &T) -> usize {
-    let len = walk(0usize, value).expect(INFALLIBLE);
+pub fn encoded_len<T: Dbp + ?Sized>(value: &T) -> usize {
+    let mut len = 0;
+    value.walk(&mut len);
     bump(|s| s.len_walks += 1);
     len
 }
 
 /// Deserialize a value of type `T` from `bytes`, requiring full consumption.
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = DbpDeserializer { input: bytes };
-    let value = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(CodecError::TrailingBytes(de.input.len()));
-    }
-    Ok(value)
+pub fn decode<T: Dbp>(bytes: &[u8]) -> Result<T, CodecError> {
+    Reader { input: bytes, ingress: None }.read_all()
 }
 
 /// Deserialize a value of type `T` from a refcounted receive buffer,
 /// requiring full consumption.
 ///
-/// While this decode runs, `bytes` is registered as the thread's
-/// *ingress source*: every frozen payload
-/// ([`FrozenUpdate`](crate::FrozenUpdate)) encountered adopts its
-/// already-on-the-wire encoding as a refcounted slice of `bytes`
+/// The reader carries `bytes` as its *ingress source*: every frozen
+/// payload ([`FrozenUpdate`](crate::FrozenUpdate)) encountered adopts
+/// its already-on-the-wire encoding as a refcounted slice of `bytes`
 /// instead of re-encoding (or copying) it. An update that transits
 /// portal → home server → peer server is therefore serialized once at
 /// its origin and never copied again: each hop's decode borrows the
-/// receive buffer, and each hop's re-encode splices the borrowed bytes
-/// verbatim. Nested calls save and restore the outer source, so the
-/// registration is re-entrancy safe.
-pub fn decode_borrowed<T: DeserializeOwned>(bytes: &Bytes) -> Result<T, CodecError> {
-    let prev = INGRESS.with(|c| c.replace(Some(bytes.clone())));
-    let result = decode(bytes.as_slice());
-    INGRESS.with(|c| c.set(prev));
-    result
-}
-
-/// Take the frozen-payload bytes captured by the innermost splice-token
-/// decode, if the active deserializer was DBP's (foreign deserializers
-/// leave this empty and the caller falls back to re-freezing).
-pub(crate) fn take_captured() -> Option<Bytes> {
-    CAPTURE.with(|c| c.take())
+/// receive buffer, and each hop's re-encode puts the borrowed bytes in
+/// verbatim.
+pub fn decode_borrowed<T: Dbp>(bytes: &Bytes) -> Result<T, CodecError> {
+    Reader { input: bytes.as_slice(), ingress: Some(bytes) }.read_all()
 }
 
 /// Record one FIFO drain served by a reusable scratch buffer (an
@@ -287,12 +245,25 @@ pub fn note_drain_reuse() {
 }
 
 // ---------------------------------------------------------------------------
-// Serializer: one walk, three sinks
+// The trait, its sinks and its reader
 // ---------------------------------------------------------------------------
 
-/// Where a serializer walk puts the bytes it produces. Monomorphised per
-/// sink, so the counting walk compiles down to `len += n`.
-trait Sink {
+/// A type with a DBP encoding: [`walk`](Dbp::walk) writes it and
+/// [`read`](Dbp::read) reads it back.
+pub trait Dbp {
+    /// Feed this value's encoding to `out`, front to back.
+    fn walk<S: Sink>(&self, out: &mut S);
+
+    /// Read one value off the front of `r`.
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError>
+    where
+        Self: Sized;
+}
+
+/// Where a walk puts the bytes it produces. Monomorphised per sink, so
+/// the counting walk compiles down to `len += n`.
+pub trait Sink {
+    /// Take the next bytes of the encoding.
     fn put(&mut self, bytes: &[u8]);
 }
 
@@ -321,268 +292,36 @@ impl Sink for Fnv1a {
     }
 }
 
-/// Run the one DBP serializer walk over `value` into `out`.
-fn walk<S: Sink, T: Serialize + ?Sized>(out: S, value: &T) -> Result<S, CodecError> {
-    let mut ser = DbpSerializer { out, splice_armed: false };
-    value.serialize(&mut ser)?;
-    Ok(ser.out)
+/// Put pre-encoded bytes into `out` verbatim: no length prefix, no walk
+/// of what they encode, counted as a splice.
+pub(crate) fn splice<S: Sink>(out: &mut S, encoded: &[u8]) {
+    bump(|s| s.payload_splices += 1);
+    out.put(encoded);
 }
 
-struct DbpSerializer<S> {
-    out: S,
-    /// Set while serializing the immediate payload of a
-    /// [`SPLICE_TOKEN`] newtype struct: the next `serialize_bytes` call
-    /// emits its input verbatim, with no length prefix.
-    splice_armed: bool,
+/// A length prefix, the one place a `usize` becomes a wire `u32`.
+fn put_len<S: Sink>(out: &mut S, len: usize) {
+    let len = u32::try_from(len).expect("a DBP length fits in a u32");
+    len.walk(out);
 }
 
-impl<S: Sink> DbpSerializer<S> {
-    fn put_u32(&mut self, v: u32) {
-        self.out.put(&v.to_le_bytes());
-    }
-
-    fn put_len(&mut self, len: usize) -> Result<(), CodecError> {
-        let len32 =
-            u32::try_from(len).map_err(|_| CodecError::Invalid("length > u32::MAX".into()))?;
-        self.put_u32(len32);
-        Ok(())
-    }
+/// The input a [`Dbp::read`] has yet to consume, and the refcounted
+/// receive buffer it lies in when [`decode_borrowed`] is reading.
+pub struct Reader<'a> {
+    input: &'a [u8],
+    ingress: Option<&'a Bytes>,
 }
 
-macro_rules! ser_fixed {
-    ($($name:ident($ty:ty),)*) => {$(
-        fn $name(self, v: $ty) -> Result<(), CodecError> {
-            self.out.put(&v.to_le_bytes());
-            Ok(())
+impl<'a> Reader<'a> {
+    fn read_all<T: Dbp>(mut self) -> Result<T, CodecError> {
+        let value = T::read(&mut self)?;
+        match self.input.len() {
+            0 => Ok(value),
+            n => Err(CodecError::TrailingBytes(n)),
         }
-    )*};
-}
-
-impl<S: Sink> ser::Serializer for &mut DbpSerializer<S> {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.put(&[v as u8]);
-        Ok(())
     }
 
-    ser_fixed! {
-        serialize_i8(i8),
-        serialize_i16(i16),
-        serialize_i32(i32),
-        serialize_i64(i64),
-        serialize_u8(u8),
-        serialize_u16(u16),
-        serialize_u32(u32),
-        serialize_u64(u64),
-        serialize_f32(f32),
-        serialize_f64(f64),
-    }
-
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.put_u32(v as u32);
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.put_len(v.len())?;
-        self.out.put(v.as_bytes());
-        Ok(())
-    }
-
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        if self.splice_armed {
-            self.splice_armed = false;
-            bump(|s| s.payload_splices += 1);
-        } else {
-            self.put_len(v.len())?;
-        }
-        self.out.put(v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.put(&[0]);
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.put(&[1]);
-        value.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.put_u32(variant_index);
-        Ok(())
-    }
-
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        if name == SPLICE_TOKEN {
-            self.splice_armed = true;
-            let r = value.serialize(&mut *self);
-            debug_assert!(!self.splice_armed, "splice token payload must be raw bytes");
-            return r;
-        }
-        value.serialize(self)
-    }
-
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.put_u32(variant_index);
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError::Invalid("seq without length".into()))?;
-        self.put_len(len)?;
-        Ok(self)
-    }
-
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.put_u32(variant_index);
-        Ok(self)
-    }
-
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError::Invalid("map without length".into()))?;
-        self.put_len(len)?;
-        Ok(self)
-    }
-
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CodecError> {
-        self.put_u32(variant_index);
-        Ok(self)
-    }
-}
-
-macro_rules! ser_compound {
-    ($tr:path, $func:ident) => {
-        impl<S: Sink> $tr for &mut DbpSerializer<S> {
-            type Ok = ();
-            type Error = CodecError;
-            fn $func<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-ser_compound!(ser::SerializeSeq, serialize_element);
-ser_compound!(ser::SerializeTuple, serialize_element);
-ser_compound!(ser::SerializeTupleStruct, serialize_field);
-ser_compound!(ser::SerializeTupleVariant, serialize_field);
-
-impl<S: Sink> ser::SerializeMap for &mut DbpSerializer<S> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl<S: Sink> ser::SerializeStruct for &mut DbpSerializer<S> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl<S: Sink> ser::SerializeStructVariant for &mut DbpSerializer<S> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserializer
-// ---------------------------------------------------------------------------
-
-struct DbpDeserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> DbpDeserializer<'de> {
-    fn take(&mut self, n: usize) -> Result<&'de [u8], CodecError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.input.len() < n {
             return Err(CodecError::Eof);
         }
@@ -591,337 +330,407 @@ impl<'de> DbpDeserializer<'de> {
         Ok(head)
     }
 
-    fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    fn get_u32(&mut self) -> Result<u32, CodecError> {
-        let mut b = self.take(4)?;
-        Ok(b.get_u32_le())
-    }
-
-    fn get_len(&mut self) -> Result<usize, CodecError> {
-        let len = self.get_u32()? as usize;
+    /// A length prefix. It can never exceed the input left, which
+    /// catches corruption before anything is allocated for it.
+    fn len_prefix(&mut self) -> Result<usize, CodecError> {
+        let len = u32::read(self)? as usize;
         if len > self.input.len() {
-            // A length prefix can never exceed the remaining input; this
-            // catches corruption early instead of over-allocating.
-            return Err(CodecError::Invalid(format!(
-                "length prefix {len} exceeds remaining {} bytes",
-                self.input.len()
-            )));
+            return Err(CodecError::Invalid("length prefix exceeds the input left"));
         }
         Ok(len)
     }
+
+    /// A byte that must be 0 or 1.
+    fn flag(&mut self, what: &'static str) -> Result<bool, CodecError> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CodecError::Invalid(what)),
+        }
+    }
+
+    fn text(&mut self) -> Result<&'a str, CodecError> {
+        let len = self.len_prefix()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| CodecError::Invalid("text is not UTF-8"))
+    }
+
+    /// Read a `T` together with the bytes it was read from: DBP is
+    /// deterministic, so they are `encode(&value)` without the walk. A
+    /// refcounted slice of the receive buffer under [`decode_borrowed`],
+    /// one copy under [`decode`].
+    pub(crate) fn capture<T: Dbp>(&mut self) -> Result<(T, Bytes), CodecError> {
+        let start = self.input;
+        let value = T::read(self)?;
+        let len = start.len() - self.input.len();
+        let bytes = match self.ingress {
+            Some(buf) => {
+                bump(|s| s.ingress_slices += 1);
+                let at = buf.len() - start.len();
+                buf.slice(at..at + len)
+            }
+            None => {
+                bump(|s| s.ingress_copies += 1);
+                Bytes::copy_from_slice(&start[..len])
+            }
+        };
+        bump(|s| s.frozen_decodes += 1);
+        Ok((value, bytes))
+    }
 }
 
-macro_rules! de_fixed {
-    ($name:ident, $visit:ident, $n:expr, $get:ident) => {
-        fn $name<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            let mut b = self.take($n)?;
-            visitor.$visit(b.$get())
+// ---------------------------------------------------------------------------
+// The std types the wire types are made of
+// ---------------------------------------------------------------------------
+
+macro_rules! fixed_width {
+    ($($ty:ty)*) => {$(
+        impl Dbp for $ty {
+            fn walk<S: Sink>(&self, out: &mut S) {
+                out.put(&self.to_le_bytes());
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                r.array().map(<$ty>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+fixed_width!(u8 u16 u32 u64 i8 i16 i32 i64 f32 f64);
+
+impl Dbp for bool {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        out.put(&[u8::from(*self)]);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.flag("bool byte")
+    }
+}
+
+impl Dbp for char {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        u32::from(*self).walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        char::from_u32(u32::read(r)?).ok_or(CodecError::Invalid("char scalar"))
+    }
+}
+
+impl Dbp for str {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        put_len(out, self.len());
+        out.put(self.as_bytes());
+    }
+}
+
+impl Dbp for String {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        self.as_str().walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.text().map(String::from)
+    }
+}
+
+/// On the wire a [`Name`] is the `String` it replaced, byte for byte.
+impl Dbp for Name {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        self.as_str().walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.text().map(Name::from)
+    }
+}
+
+impl<T: Dbp> Dbp for Option<T> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        match self {
+            None => out.put(&[0]),
+            Some(value) => {
+                out.put(&[1]);
+                value.walk(out);
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(if r.flag("option byte")? { Some(T::read(r)?) } else { None })
+    }
+}
+
+impl<T: Dbp, E: Dbp> Dbp for Result<T, E> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        match self {
+            Ok(value) => {
+                0u32.walk(out);
+                value.walk(out);
+            }
+            Err(error) => {
+                1u32.walk(out);
+                error.walk(out);
+            }
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match u32::read(r)? {
+            0 => T::read(r).map(Ok),
+            1 => E::read(r).map(Err),
+            _ => Err(CodecError::Invalid("variant index")),
+        }
+    }
+}
+
+impl<T: Dbp> Dbp for Box<T> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        (**self).walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::read(r).map(Box::new)
+    }
+}
+
+impl<T: Dbp> Dbp for Arc<T> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        (**self).walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::read(r).map(Arc::new)
+    }
+}
+
+impl<T: Dbp> Dbp for [T] {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        put_len(out, self.len());
+        for item in self {
+            item.walk(out);
+        }
+    }
+}
+
+impl<T: Dbp> Dbp for Vec<T> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        self.as_slice().walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let len = r.len_prefix()?;
+        let mut items = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
+    }
+}
+
+macro_rules! map {
+    ($map:ident, $($bound:path),+) => {
+        impl<K: Dbp $(+ $bound)+, V: Dbp> Dbp for $map<K, V> {
+            fn walk<S: Sink>(&self, out: &mut S) {
+                put_len(out, self.len());
+                for (key, value) in self {
+                    key.walk(out);
+                    value.walk(out);
+                }
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let len = r.len_prefix()?;
+                let mut map = $map::new();
+                for _ in 0..len {
+                    let key = K::read(r)?;
+                    map.insert(key, V::read(r)?);
+                }
+                Ok(map)
+            }
         }
     };
 }
 
-impl<'de> de::Deserializer<'de> for &mut DbpDeserializer<'de> {
-    type Error = CodecError;
+map!(BTreeMap, Ord);
+map!(HashMap, Hash, Eq);
 
-    fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Invalid("DBP is not self-describing".into()))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.get_u8()? {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            b => Err(CodecError::Invalid(format!("bool byte {b}"))),
+macro_rules! tuple {
+    ($($item:ident)+) => {
+        impl<$($item: Dbp),+> Dbp for ($($item,)+) {
+            #[allow(non_snake_case)]
+            fn walk<S: Sink>(&self, out: &mut S) {
+                let ($($item,)+) = self;
+                $($item.walk(out);)+
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(($($item::read(r)?,)+))
+            }
         }
-    }
+    };
+}
 
-    de_fixed!(deserialize_i8, visit_i8, 1, get_i8);
-    de_fixed!(deserialize_i16, visit_i16, 2, get_i16_le);
-    de_fixed!(deserialize_i32, visit_i32, 4, get_i32_le);
-    de_fixed!(deserialize_i64, visit_i64, 8, get_i64_le);
-    de_fixed!(deserialize_u8, visit_u8, 1, get_u8);
-    de_fixed!(deserialize_u16, visit_u16, 2, get_u16_le);
-    de_fixed!(deserialize_u32, visit_u32, 4, get_u32_le);
-    de_fixed!(deserialize_u64, visit_u64, 8, get_u64_le);
-    de_fixed!(deserialize_f32, visit_f32, 4, get_f32_le);
-    de_fixed!(deserialize_f64, visit_f64, 8, get_f64_le);
+tuple!(A B);
+tuple!(A B C);
+tuple!(A B C D);
+tuple!(A B C D E);
 
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let raw = self.get_u32()?;
-        let c = char::from_u32(raw)
-            .ok_or_else(|| CodecError::Invalid(format!("char scalar {raw:#x}")))?;
-        visitor.visit_char(c)
-    }
+// ---------------------------------------------------------------------------
+// The wire types
+// ---------------------------------------------------------------------------
 
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|e| CodecError::Invalid(format!("utf8: {e}")))?;
-        visitor.visit_borrowed_str(s)
-    }
-
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_borrowed_bytes(self.take(len)?)
-    }
-
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.get_u8()? {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
-            b => Err(CodecError::Invalid(format!("option byte {b}"))),
+/// Declare wire types and their [`Dbp`] impls from one definition each.
+///
+/// Takes any number of non-generic structs (named fields, or one
+/// unnamed field) and enums (unit variants, variants of one or two
+/// unnamed fields, and variants with named fields), attributes and docs
+/// included. A struct is its fields in order; an enum is its `u32`
+/// declaration-order variant index, then the variant's fields in order.
+/// `@bind` names the fields of a tuple variant: its type is only there
+/// to say the field exists.
+macro_rules! dbp {
+    () => {};
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_attr:meta])* $field_vis:vis $field:ident: $ty:ty),* $(,)?
         }
-    }
+        $($rest:tt)*
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty),*
+        }
 
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
+        impl $crate::codec::Dbp for $name {
+            fn walk<S: $crate::codec::Sink>(&self, out: &mut S) {
+                $($crate::codec::Dbp::walk(&self.$field, out);)*
+            }
+            fn read(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($name { $($field: $crate::codec::Dbp::read(r)?),* })
+            }
+        }
 
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
+        $crate::codec::dbp! { $($rest)* }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident($field_vis:vis $ty:ty);
+        $($rest:tt)*
+    ) => {
+        $(#[$attr])*
+        $vis struct $name($field_vis $ty);
 
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        if name == SPLICE_TOKEN {
-            // A frozen payload is decoding: its wire form is the plain
-            // inline encoding of the body (spliced verbatim, no length
-            // prefix), so the bytes the visitor consumes ARE the
-            // payload's canonical encoding. Capture that consumed range
-            // — as a refcounted slice of the registered ingress buffer
-            // when the range lies inside it (zero-copy), else by one
-            // memcpy — and stash it for `FrozenUpdate`'s visitor to
-            // adopt in place of a re-encoding serializer walk.
-            let before = self.input;
-            let value = visitor.visit_newtype_struct(&mut *self)?;
-            let consumed = before.len() - self.input.len();
-            let raw = &before[..consumed];
-            let sliced = INGRESS.with(|c| {
-                let src = c.take();
-                let out = src.as_ref().and_then(|s| {
-                    let base = s.as_slice().as_ptr() as usize;
-                    let off = (raw.as_ptr() as usize).checked_sub(base)?;
-                    (off + raw.len() <= s.len()).then(|| s.slice(off..off + raw.len()))
-                });
-                c.set(src);
-                out
-            });
-            let bytes = match sliced {
-                Some(b) => {
-                    bump(|s| s.ingress_slices += 1);
-                    b
+        impl $crate::codec::Dbp for $name {
+            fn walk<S: $crate::codec::Sink>(&self, out: &mut S) {
+                $crate::codec::Dbp::walk(&self.0, out);
+            }
+            fn read(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok($name($crate::codec::Dbp::read(r)?))
+            }
+        }
+
+        $crate::codec::dbp! { $($rest)* }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$variant_attr:meta])*
+                $variant:ident
+                $(($a:ty $(, $b:ty)?))?
+                $({ $($(#[$field_attr:meta])* $field:ident: $ty:ty),* $(,)? })?
+            ),* $(,)?
+        }
+        $($rest:tt)*
+    ) => {
+        $(#[$attr])*
+        $vis enum $name {
+            $(
+                $(#[$variant_attr])*
+                $variant
+                $(($a $(, $b)?))?
+                $({ $($(#[$field_attr])* $field: $ty),* })?
+            ),*
+        }
+
+        const _: () = {
+            use $crate::codec::{CodecError, Dbp, Reader, Sink};
+
+            /// The variants in declaration order, so `as u32` is the
+            /// wire index.
+            enum Index {
+                $($variant),*
+            }
+
+            impl Dbp for $name {
+                fn walk<S: Sink>(&self, out: &mut S) {
+                    match self {
+                        $(
+                            Self::$variant
+                            $((
+                                $crate::codec::dbp!(@bind $a, a)
+                                $(, $crate::codec::dbp!(@bind $b, b))?
+                            ))?
+                            $({ $($field),* })?
+                            => {
+                                (Index::$variant as u32).walk(out);
+                                $(
+                                    $crate::codec::dbp!(@bind $a, a).walk(out);
+                                    $($crate::codec::dbp!(@bind $b, b).walk(out);)?
+                                )?
+                                $($($field.walk(out);)*)?
+                            }
+                        )*
+                    }
                 }
-                None => {
-                    bump(|s| s.ingress_copies += 1);
-                    Bytes::copy_from_slice(raw)
+
+                fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                    const ORDER: &[Index] = &[$(Index::$variant),*];
+                    match ORDER.get(u32::read(r)? as usize) {
+                        $(
+                            Some(Index::$variant) => Ok(Self::$variant
+                                $((<$a>::read(r)? $(, <$b>::read(r)?)?))?
+                                $({ $($field: Dbp::read(r)?),* })?),
+                        )*
+                        None => Err(CodecError::Invalid("variant index")),
+                    }
                 }
-            };
-            bump(|s| s.frozen_decodes += 1);
-            CAPTURE.with(|c| c.set(Some(bytes)));
-            return Ok(value);
-        }
-        visitor.visit_newtype_struct(self)
-    }
+            }
+        };
 
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_seq(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let len = self.get_len()?;
-        visitor.visit_map(Counted { de: self, remaining: len })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Invalid("DBP does not encode identifiers".into()))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, CodecError> {
-        Err(CodecError::Invalid("cannot skip values in a non-self-describing format".into()))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
-    }
+        $crate::codec::dbp! { $($rest)* }
+    };
+    (@bind $ty:ty, $binding:ident) => {
+        $binding
+    };
 }
 
-struct Counted<'de, 'a> {
-    de: &'a mut DbpDeserializer<'de>,
-    remaining: usize,
-}
-
-impl<'de, 'a> de::SeqAccess<'de> for Counted<'de, 'a> {
-    type Error = CodecError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-impl<'de, 'a> de::MapAccess<'de> for Counted<'de, 'a> {
-    type Error = CodecError;
-
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
-struct EnumAccess<'de, 'a> {
-    de: &'a mut DbpDeserializer<'de>,
-}
-
-impl<'de, 'a> de::EnumAccess<'de> for EnumAccess<'de, 'a> {
-    type Error = CodecError;
-    type Variant = VariantAccess<'de, 'a>;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self::Variant), CodecError> {
-        let index = self.de.get_u32()?;
-        let value = seed.deserialize(index.into_deserializer())?;
-        Ok((value, VariantAccess { de: self.de }))
-    }
-}
-
-struct VariantAccess<'de, 'a> {
-    de: &'a mut DbpDeserializer<'de>,
-}
-
-impl<'de, 'a> de::VariantAccess<'de> for VariantAccess<'de, 'a> {
-    type Error = CodecError;
-
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.de)
-    }
-
-    fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, len, visitor)
-    }
-
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
-    }
-}
+pub(crate) use dbp;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    #[derive(Serialize, Deserialize, Debug, PartialEq, Clone)]
-    enum Sample {
-        Unit,
-        New(u32),
-        Tup(u8, String),
-        Struct { a: i64, b: Option<f64>, c: Vec<bool> },
+    dbp! {
+        #[derive(Debug, PartialEq, Clone)]
+        enum Sample {
+            Unit,
+            New(u32),
+            Tup(u8, String),
+            Struct { a: i64, b: Option<f64>, c: Vec<bool> },
+        }
+
+        #[derive(Debug, PartialEq)]
+        struct Nested {
+            name: String,
+            items: Vec<Sample>,
+            table: BTreeMap<String, u64>,
+            blob: Vec<u8>,
+        }
     }
 
-    #[derive(Serialize, Deserialize, Debug, PartialEq)]
-    struct Nested {
-        name: String,
-        items: Vec<Sample>,
-        table: BTreeMap<String, u64>,
-        blob: Vec<u8>,
-    }
-
-    fn roundtrip<T: Serialize + de::DeserializeOwned + PartialEq + std::fmt::Debug>(v: &T) {
+    fn roundtrip<T: Dbp + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = encode(v);
         assert_eq!(bytes.len(), encoded_len(v), "encoded_len disagrees with encode");
         let back: T = decode(&bytes).expect("decode");
@@ -1020,18 +829,25 @@ mod tests {
         assert_eq!(encode(&"abc".to_string()).len(), 7);
     }
 
-    /// Serializes as a raw splice of pre-encoded bytes.
-    struct Spliced(Bytes);
+    /// A pre-encoded `Sample` that walks as its bytes and reads back
+    /// keeping the bytes it was read from: what `FrozenUpdate` does for
+    /// an update.
+    struct Spliced(Sample, Bytes);
 
-    impl Serialize for Spliced {
-        fn serialize<S: ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            struct Raw<'a>(&'a [u8]);
-            impl Serialize for Raw<'_> {
-                fn serialize<S: ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                    s.serialize_bytes(self.0)
-                }
-            }
-            s.serialize_newtype_struct(SPLICE_TOKEN, &Raw(&self.0))
+    impl Spliced {
+        fn new(sample: Sample) -> Self {
+            let bytes = encode(&sample);
+            Spliced(sample, bytes)
+        }
+    }
+
+    impl Dbp for Spliced {
+        fn walk<S: Sink>(&self, out: &mut S) {
+            splice(out, &self.1);
+        }
+        fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            let (sample, bytes) = r.capture()?;
+            Ok(Spliced(sample, bytes))
         }
     }
 
@@ -1039,66 +855,45 @@ mod tests {
     fn splice_is_byte_identical_to_inline() {
         let inner = Sample::Struct { a: 9, b: Some(1.5), c: vec![true] };
         let inline = encode(&(7u32, inner.clone(), "tail".to_string()));
-        let spliced = encode(&(7u32, Spliced(encode(&inner)), "tail".to_string()));
-        assert_eq!(inline, spliced);
-        // The counting sink agrees with both.
-        assert_eq!(
-            encoded_len(&(7u32, Spliced(encode(&inner)), "tail".to_string())),
-            inline.len()
-        );
+        let spliced = (7u32, Spliced::new(inner.clone()), "tail".to_string());
+        assert_eq!(encode(&spliced), inline);
+        // The counting and hashing sinks agree with both.
+        assert_eq!(encoded_len(&spliced), inline.len());
+        let inline_digest = digest_fnv1a(&(7u32, inner.clone(), "tail".to_string()));
+        assert_eq!(digest_fnv1a(&spliced), inline_digest);
+        // Read back, it keeps exactly the bytes it was read from.
+        let (_, back, _): (u32, Spliced, String) = decode(&inline).expect("decode");
+        assert_eq!(back.0, inner);
+        assert_eq!(back.1, encode(&inner));
     }
 
     #[test]
     fn splice_skips_length_prefix() {
-        // Raw bytes via the splice token occupy exactly their own length;
-        // ordinary `serialize_bytes` adds the 4-byte u32 prefix.
-        let raw = encode(&42u64);
-        assert_eq!(encode(&Spliced(raw.clone())).len(), raw.len());
-        assert_eq!(encode(&serde_bytes_wrapper(&raw)).len(), raw.len() + 4);
+        // Spliced bytes occupy exactly their own length; the same bytes
+        // as a `Vec<u8>` add the 4-byte u32 prefix.
+        let raw = encode(&Sample::New(42));
+        assert_eq!(encode(&Spliced::new(Sample::New(42))).len(), raw.len());
+        assert_eq!(encode(&raw.to_vec()).len(), raw.len() + 4);
     }
 
-    /// Plain `serialize_bytes` (length-prefixed) for contrast.
-    fn serde_bytes_wrapper(b: &Bytes) -> impl Serialize + '_ {
-        struct Plain<'a>(&'a [u8]);
-        impl Serialize for Plain<'_> {
-            fn serialize<S: ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                s.serialize_bytes(self.0)
-            }
-        }
-        Plain(b)
-    }
+    /// Encodes as nothing, so 2³² of them take no memory.
+    #[derive(Clone, Copy)]
+    struct Nothing;
 
-    /// Opens a compound the way no derived impl does.
-    enum Malformed {
-        SeqWithoutLen,
-        MapWithoutLen,
-        SeqTooLong,
-    }
-
-    impl Serialize for Malformed {
-        fn serialize<S: ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-            match self {
-                Malformed::SeqWithoutLen => ser::SerializeSeq::end(s.serialize_seq(None)?),
-                Malformed::MapWithoutLen => ser::SerializeMap::end(s.serialize_map(None)?),
-                Malformed::SeqTooLong => {
-                    ser::SerializeSeq::end(s.serialize_seq(Some(u32::MAX as usize + 1))?)
-                }
-            }
+    impl Dbp for Nothing {
+        fn walk<S: Sink>(&self, _: &mut S) {}
+        fn read(_: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Nothing)
         }
     }
 
     #[test]
-    fn all_three_sinks_reject_the_same_malformed_input() {
-        for (bad, why) in [
-            (Malformed::SeqWithoutLen, "seq without length"),
-            (Malformed::MapWithoutLen, "map without length"),
-            (Malformed::SeqTooLong, "length > u32::MAX"),
-        ] {
-            let expect = Err(CodecError::Invalid(why.into()));
-            assert_eq!(walk(BytesMut::new(), &bad).map(drop), expect, "encode sink, {why}");
-            assert_eq!(walk(0usize, &bad).map(drop), expect, "counting sink, {why}");
-            assert_eq!(walk(Fnv1a(0), &bad).map(drop), expect, "digest sink, {why}");
-        }
+    fn all_three_sinks_refuse_a_length_past_u32_max() {
+        let too_long = [Nothing; u32::MAX as usize + 1];
+        let too_long = &too_long[..];
+        assert!(std::panic::catch_unwind(|| encode(too_long)).is_err(), "encode sink");
+        assert!(std::panic::catch_unwind(|| encoded_len(too_long)).is_err(), "counting sink");
+        assert!(std::panic::catch_unwind(|| digest_fnv1a(too_long)).is_err(), "digest sink");
     }
 
     #[test]

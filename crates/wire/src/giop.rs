@@ -10,51 +10,51 @@
 //! visible to the bandwidth model (the paper's §6.2 CORBA-overhead
 //! discussion).
 
-use serde::{Deserialize, Serialize};
-
-use crate::codec;
+use crate::codec::{self, dbp};
 use crate::ids::{Name, ObjectKey};
 use crate::messages::{PeerMsg, PeerReply};
 
 /// Fixed GIOP header size (magic "GIOP", version, flags, type, length).
 pub const GIOP_HEADER_BYTES: usize = 12;
 
-/// Frame discriminator.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub enum GiopKind {
-    /// Invocation of `operation` on the servant at `target`.
-    Request {
-        /// False for oneway calls (no Reply will follow).
-        response_expected: bool,
-    },
-    /// Reply to the Request with the same `request_id`.
-    Reply,
-    /// System exception reply (transport-level failure).
-    SystemException,
-}
+dbp! {
+    /// Frame discriminator.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum GiopKind {
+        /// Invocation of `operation` on the servant at `target`.
+        Request {
+            /// False for oneway calls (no Reply will follow).
+            response_expected: bool,
+        },
+        /// Reply to the Request with the same `request_id`.
+        Reply,
+        /// System exception reply (transport-level failure).
+        SystemException,
+    }
 
-/// Body of a GIOP frame: either a peer request or a peer reply.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub enum GiopBody {
-    /// Request arguments.
-    Call(PeerMsg),
-    /// Reply value.
-    Return(PeerReply),
-}
+    /// Body of a GIOP frame: either a peer request or a peer reply.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum GiopBody {
+        /// Request arguments.
+        Call(PeerMsg),
+        /// Reply value.
+        Return(PeerReply),
+    }
 
-/// One GIOP frame.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct GiopFrame {
-    /// Frame kind.
-    pub kind: GiopKind,
-    /// Correlation id scoped to the (caller, callee) pair.
-    pub request_id: u64,
-    /// Target servant key (e.g. `"DiscoverCorbaServer"`, `"apps/10.0.0.1#2"`).
-    pub target: ObjectKey,
-    /// Operation name, as it would appear in IDL.
-    pub operation: Name,
-    /// Marshalled arguments or return value.
-    pub body: GiopBody,
+    /// One GIOP frame.
+    #[derive(Clone, PartialEq, Debug)]
+    pub struct GiopFrame {
+        /// Frame kind.
+        pub kind: GiopKind,
+        /// Correlation id scoped to the (caller, callee) pair.
+        pub request_id: u64,
+        /// Target servant key (e.g. `"DiscoverCorbaServer"`, `"apps/10.0.0.1#2"`).
+        pub target: ObjectKey,
+        /// Operation name, as it would appear in IDL.
+        pub operation: Name,
+        /// Marshalled arguments or return value.
+        pub body: GiopBody,
+    }
 }
 
 impl GiopFrame {

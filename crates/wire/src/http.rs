@@ -11,9 +11,7 @@
 
 use std::fmt::Write;
 
-use serde::{Deserialize, Serialize};
-
-use crate::codec;
+use crate::codec::{self, dbp};
 use crate::ids::Name;
 use crate::messages::{ClientMessage, ClientRequest};
 
@@ -102,13 +100,15 @@ fn end_of_head(rest: &str) -> Result<(), String> {
     }
 }
 
-/// HTTP request methods used by DISCOVER portals.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum HttpMethod {
-    /// Used for polls.
-    Get,
-    /// Used for commands and logins.
-    Post,
+dbp! {
+    /// HTTP request methods used by DISCOVER portals.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum HttpMethod {
+        /// Used for polls.
+        Get,
+        /// Used for commands and logins.
+        Post,
+    }
 }
 
 impl HttpMethod {
@@ -121,17 +121,19 @@ impl HttpMethod {
     }
 }
 
-/// An HTTP request from a client portal.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct HttpRequest {
-    /// GET or POST.
-    pub method: HttpMethod,
-    /// Servlet path, e.g. `/discover/master`.
-    pub path: Name,
-    /// Session cookie issued by the master servlet at login.
-    pub session: Option<u64>,
-    /// Typed body (absent for bare GET polls without parameters).
-    pub body: Option<ClientRequest>,
+dbp! {
+    /// An HTTP request from a client portal.
+    #[derive(Clone, PartialEq, Debug)]
+    pub struct HttpRequest {
+        /// GET or POST.
+        pub method: HttpMethod,
+        /// Servlet path, e.g. `/discover/master`.
+        pub path: Name,
+        /// Session cookie issued by the master servlet at login.
+        pub session: Option<u64>,
+        /// Typed body (absent for bare GET polls without parameters).
+        pub body: Option<ClientRequest>,
+    }
 }
 
 impl HttpRequest {
@@ -234,15 +236,17 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// An HTTP response to a client portal.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct HttpResponse {
-    /// Status code (200, 401, 403, 404, 500, ...).
-    pub status: u16,
-    /// Session cookie set at login.
-    pub set_session: Option<u64>,
-    /// Typed payload: the messages delivered by this response.
-    pub body: Vec<ClientMessage>,
+dbp! {
+    /// An HTTP response to a client portal.
+    #[derive(Clone, PartialEq, Debug)]
+    pub struct HttpResponse {
+        /// Status code (200, 401, 403, 404, 500, ...).
+        pub status: u16,
+        /// Session cookie set at login.
+        pub set_session: Option<u64>,
+        /// Typed payload: the messages delivered by this response.
+        pub body: Vec<ClientMessage>,
+    }
 }
 
 impl HttpResponse {

@@ -14,7 +14,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use crate::codec::dbp;
 
 // The hasher behind `IdMap` lives in `simnet`, whose link table is keyed
 // by node ids; it keeps its old path here.
@@ -128,32 +128,12 @@ impl fmt::Display for Name {
     }
 }
 
-impl Serialize for Name {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.as_str())
-    }
+dbp! {
+    /// Simulated network address of a DISCOVER server (stands in for the IP
+    /// address in the paper's identifier scheme).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct ServerAddr(pub u32);
 }
-
-impl<'de> Deserialize<'de> for Name {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct Text;
-        impl serde::de::Visitor<'_> for Text {
-            type Value = Name;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("a string")
-            }
-            fn visit_str<E: serde::de::Error>(self, text: &str) -> Result<Name, E> {
-                Ok(text.into())
-            }
-        }
-        deserializer.deserialize_str(Text)
-    }
-}
-
-/// Simulated network address of a DISCOVER server (stands in for the IP
-/// address in the paper's identifier scheme).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ServerAddr(pub u32);
 
 impl fmt::Debug for ServerAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -166,15 +146,17 @@ impl fmt::Display for ServerAddr {
     fmt_via_debug!();
 }
 
-/// Globally unique application identifier: host server address plus a
-/// per-server registration counter (assigned by the Daemon servlet).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct AppId {
-    /// Address of the application's *host* server (the server it connected
-    /// to directly).
-    pub server: ServerAddr,
-    /// Per-server registration sequence number.
-    pub seq: u32,
+dbp! {
+    /// Globally unique application identifier: host server address plus a
+    /// per-server registration counter (assigned by the Daemon servlet).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct AppId {
+        /// Address of the application's *host* server (the server it connected
+        /// to directly).
+        pub server: ServerAddr,
+        /// Per-server registration sequence number.
+        pub seq: u32,
+    }
 }
 
 impl AppId {
@@ -208,13 +190,15 @@ impl fmt::Display for AppId {
     fmt_via_debug!();
 }
 
-/// Client identifier issued by the master handler at login.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ClientId {
-    /// Address of the server the client logged into (its "local" server).
-    pub server: ServerAddr,
-    /// Per-server client sequence number.
-    pub seq: u32,
+dbp! {
+    /// Client identifier issued by the master handler at login.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct ClientId {
+        /// Address of the server the client logged into (its "local" server).
+        pub server: ServerAddr,
+        /// Per-server client sequence number.
+        pub seq: u32,
+    }
 }
 
 impl fmt::Debug for ClientId {
@@ -232,19 +216,21 @@ impl fmt::Display for ClientId {
 /// key it by anything a client chose.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A client-server-application interaction session (client id + app id per
-/// the paper's master-handler description).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub struct SessionId {
-    /// The client side of the session.
-    pub client: ClientId,
-    /// The application side of the session.
-    pub app: AppId,
-}
+dbp! {
+    /// A client-server-application interaction session (client id + app id per
+    /// the paper's master-handler description).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub struct SessionId {
+        /// The client side of the session.
+        pub client: ClientId,
+        /// The application side of the session.
+        pub app: AppId,
+    }
 
-/// Correlation id for request/response matching on any channel.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct RequestId(pub u64);
+    /// Correlation id for request/response matching on any channel.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct RequestId(pub u64);
+}
 
 impl fmt::Debug for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -256,10 +242,12 @@ impl fmt::Display for RequestId {
     fmt_via_debug!();
 }
 
-/// A user identity. Per the paper, "user-IDs do not belong to a server but
-/// to an application/service", and are assumed consistent across servers.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UserId(pub Name);
+dbp! {
+    /// A user identity. Per the paper, "user-IDs do not belong to a server but
+    /// to an application/service", and are assumed consistent across servers.
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct UserId(pub Name);
+}
 
 impl UserId {
     /// Convenience constructor.
@@ -290,16 +278,18 @@ impl From<&str> for UserId {
     }
 }
 
-/// Access privilege for a (user, application) pair, from the application's
-/// registered ACL. Ordered: each level includes the ones below it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub enum Privilege {
-    /// May view status, parameters and updates only.
-    ReadOnly,
-    /// May additionally change parameters while holding the steering lock.
-    ReadWrite,
-    /// May additionally issue application commands (pause/resume/...).
-    Steer,
+dbp! {
+    /// Access privilege for a (user, application) pair, from the application's
+    /// registered ACL. Ordered: each level includes the ones below it.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+    pub enum Privilege {
+        /// May view status, parameters and updates only.
+        ReadOnly,
+        /// May additionally change parameters while holding the steering lock.
+        ReadWrite,
+        /// May additionally issue application commands (pause/resume/...).
+        Steer,
+    }
 }
 
 impl Privilege {
@@ -309,11 +299,13 @@ impl Privilege {
     }
 }
 
-/// Pre-assigned token an application presents when registering with its
-/// server (the paper: "each application is authenticated at the server
-/// using a pre-assigned unique identifier").
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct AppToken(pub String);
+dbp! {
+    /// Pre-assigned token an application presents when registering with its
+    /// server (the paper: "each application is authenticated at the server
+    /// using a pre-assigned unique identifier").
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    pub struct AppToken(pub String);
+}
 
 impl AppToken {
     /// Convenience constructor.
@@ -322,10 +314,12 @@ impl AppToken {
     }
 }
 
-/// Keys object implementations register under with the ORB's object
-/// adapter; naming and trader entries resolve to (server address, key).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ObjectKey(pub Name);
+dbp! {
+    /// Keys object implementations register under with the ORB's object
+    /// adapter; naming and trader entries resolve to (server address, key).
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub struct ObjectKey(pub Name);
+}
 
 impl ObjectKey {
     /// Convenience constructor.
@@ -345,14 +339,16 @@ impl fmt::Debug for ObjectKey {
     }
 }
 
-/// An interoperable object reference: where the object lives and which
-/// servant it is — the CORBA IOR analogue.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub struct ObjectRef {
-    /// The server hosting the servant.
-    pub server: ServerAddr,
-    /// The servant's key within that server's object adapter.
-    pub key: ObjectKey,
+dbp! {
+    /// An interoperable object reference: where the object lives and which
+    /// servant it is — the CORBA IOR analogue.
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    pub struct ObjectRef {
+        /// The server hosting the servant.
+        pub server: ServerAddr,
+        /// The servant's key within that server's object adapter.
+        pub key: ObjectKey,
+    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,9 @@
 //!   server substrate (plus the Control channel).
 //!
 //! All payloads are marshalled by the DBP binary codec ([`codec`]), a
-//! compact non-self-describing serde format; wire sizes computed from real
-//! framing rules feed the simulator's bandwidth model via [`Envelope`].
+//! compact non-self-describing format written and read by one trait,
+//! [`codec::Dbp`]; wire sizes computed from real framing rules feed the
+//! simulator's bandwidth model via [`Envelope`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

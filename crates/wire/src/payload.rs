@@ -7,12 +7,14 @@
 //! containing frame's `wire_size()` re-traverses the update).
 //!
 //! [`FrozenUpdate`] fixes both: the body is serialized to DBP bytes
-//! exactly once at creation, and a clone shares both halves. When a
-//! message containing a `FrozenUpdate` is serialized (or size-counted),
-//! the pre-encoded bytes are spliced into the stream verbatim via the
-//! codec's `SPLICE_TOKEN` fast path — producing output byte-identical to
-//! inline serialization of the body, so wire sizes, bandwidth costs and
-//! the whole event schedule are unchanged by the optimisation.
+//! exactly once at creation, and a clone shares both halves. Its
+//! [`Dbp`] impl handles its own bytes. Walking a message that contains
+//! one (to encode, size or digest it) puts the frozen bytes into the
+//! sink verbatim — byte-identical to walking the body, so wire sizes,
+//! bandwidth costs and the whole event schedule are unchanged by the
+//! optimisation. Reading one adopts the range the body was read from as
+//! its bytes: a slice of the receive buffer under
+//! [`decode_borrowed`](codec::decode_borrowed), one copy otherwise.
 //!
 //! The two halves are shared differently, because only one of them ever
 //! needs to leave its thread:
@@ -34,10 +36,8 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use serde::de::{Deserialize, Deserializer, Visitor};
-use serde::ser::{Serialize, Serializer};
 
-use crate::codec;
+use crate::codec::{self, CodecError, Dbp, Reader, Sink};
 use crate::messages::UpdateBody;
 
 /// An [`UpdateBody`] frozen to its DBP encoding exactly once.
@@ -62,17 +62,6 @@ impl FrozenUpdate {
     /// Freeze `body`: the one and only DBP serialization it will get.
     pub fn new(body: UpdateBody) -> Self {
         let bytes = codec::encode(&body);
-        FrozenUpdate { body: Rc::new(body), bytes }
-    }
-
-    /// Assemble from a decoded body plus its already-on-the-wire
-    /// encoding (the zero-copy ingress path). The caller — the codec's
-    /// splice-token capture — guarantees `bytes` is exactly the range
-    /// the body was decoded from, which by DBP's determinism equals
-    /// `codec::encode(&body)`, so the freeze invariant holds with no
-    /// serializer walk (`codec_properties` proves the equality; checking
-    /// it here would itself cost the walk being skipped).
-    fn from_wire(body: UpdateBody, bytes: Bytes) -> Self {
         FrozenUpdate { body: Rc::new(body), bytes }
     }
 
@@ -126,51 +115,20 @@ impl fmt::Debug for FrozenUpdate {
     }
 }
 
-/// Raw pass-through payload for the splice token.
-struct RawBytes<'a>(&'a [u8]);
-
-impl Serialize for RawBytes<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(self.0)
+impl Dbp for FrozenUpdate {
+    /// The frozen bytes, verbatim: no length prefix, no walk of the body.
+    fn walk<S: Sink>(&self, out: &mut S) {
+        codec::splice(out, &self.bytes);
     }
-}
 
-impl Serialize for FrozenUpdate {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        // The DBP serializer recognises the token and splices the bytes
-        // verbatim into any of its sinks (no length prefix, no re-walk);
-        // output is byte-identical to serializing the body inline.
-        serializer.serialize_newtype_struct(codec::SPLICE_TOKEN, &RawBytes(&self.bytes))
-    }
-}
-
-impl<'de> Deserialize<'de> for FrozenUpdate {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        // On the wire a FrozenUpdate is indistinguishable from an inline
-        // UpdateBody. Announce the splice token so the DBP deserializer
-        // captures the consumed byte range while the visitor decodes the
-        // body; adopting that range skips the re-encoding walk entirely
-        // (and, under `decode_borrowed`, even the copy). A foreign
-        // deserializer ignores the token, leaves no capture, and we fall
-        // back to re-freezing.
-        struct FrozenVisitor;
-        impl<'de> Visitor<'de> for FrozenVisitor {
-            type Value = UpdateBody;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "a frozen update payload")
-            }
-            fn visit_newtype_struct<D: Deserializer<'de>>(
-                self,
-                d: D,
-            ) -> Result<UpdateBody, D::Error> {
-                UpdateBody::deserialize(d)
-            }
-        }
-        let body = deserializer.deserialize_newtype_struct(codec::SPLICE_TOKEN, FrozenVisitor)?;
-        Ok(match codec::take_captured() {
-            Some(bytes) => FrozenUpdate::from_wire(body, bytes),
-            None => FrozenUpdate::new(body),
-        })
+    /// On the wire a frozen update is its body inline. The range the
+    /// body was read from is, by DBP's determinism, `codec::encode(&body)`,
+    /// so adopting it keeps the freeze invariant with no walk
+    /// (`codec_properties` proves the equality; checking it here would
+    /// itself cost the walk being skipped).
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (body, bytes) = r.capture()?;
+        Ok(FrozenUpdate { body: Rc::new(body), bytes })
     }
 }
 

@@ -4,22 +4,22 @@
 //! followed by the DBP-encoded [`AppMsg`]; its compactness relative to the
 //! HTTP path is the other half of the "more apps than clients" asymmetry.
 
-use serde::{Deserialize, Serialize};
-
-use crate::codec;
+use crate::codec::{self, dbp};
 use crate::messages::{AppMsg, Channel};
 
 /// Fixed framing overhead: 2-byte magic + 1-byte channel + 1-byte flags +
 /// 4-byte length.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
-/// One frame on the custom application protocol.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct TcpFrame {
-    /// Which of the three app channels this frame belongs to.
-    pub channel: Channel,
-    /// The message.
-    pub msg: AppMsg,
+dbp! {
+    /// One frame on the custom application protocol.
+    #[derive(Clone, PartialEq, Debug)]
+    pub struct TcpFrame {
+        /// Which of the three app channels this frame belongs to.
+        pub channel: Channel,
+        /// The message.
+        pub msg: AppMsg,
+    }
 }
 
 impl TcpFrame {

@@ -3,22 +3,24 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use crate::codec::dbp;
 
-/// A dynamically typed value (the CORBA `Any` / Java `Object` analogue in
-//  the original system).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub enum Value {
-    /// Boolean flag.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Double-precision float.
-    Float(f64),
-    /// UTF-8 text.
-    Text(String),
-    /// Dense vector of doubles (field slices, probe traces, ...).
-    Vector(Vec<f64>),
+dbp! {
+    /// A dynamically typed value (the CORBA `Any` / Java `Object` analogue
+    /// in the original system).
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum Value {
+        /// Boolean flag.
+        Bool(bool),
+        /// Signed integer.
+        Int(i64),
+        /// Double-precision float.
+        Float(f64),
+        /// UTF-8 text.
+        Text(String),
+        /// Dense vector of doubles (field slices, probe traces, ...).
+        Vector(Vec<f64>),
+    }
 }
 
 impl Value {

@@ -8,19 +8,22 @@ use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use serde::Serialize;
 use simnet::SimTime;
 use wire::codec::{
-    decode, decode_borrowed, digest_fnv1a, encode, encoded_len, reset_stats, stats, CodecStats,
+    decode, decode_borrowed, digest_fnv1a, encode, encoded_len, reset_stats, stats, CodecError,
+    CodecStats, Dbp,
 };
 use wire::giop::{GiopBody, GiopFrame, GiopKind};
 use wire::http::{HttpMethod, HttpRequest, HttpResponse};
+use wire::tcp::TcpFrame;
 use wire::{
-    AppCommand, AppId, AppOp, AppPhase, AppStatus, AppStatusEntry, ArchiveSnapshot, ClientId,
-    ClientMessage, ClientRequest, DeadlineStamp, DirPlaneStatus, Envelope, ErrorCode,
-    FifoStatusEntry, FoldedAppState, FrozenUpdate, InteractionSpec, LogEntry, LogRecord, Name,
-    ObjectKey, OpOutcome, PeerMsg, PeerStatusEntry, Priority, Privilege, ResponseBody, ServerAddr,
-    StatusReport, UpdateBody, UserId, Value, WhiteboardStroke, WireError,
+    AppCommand, AppDescriptor, AppId, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry,
+    AppToken, ArchiveSnapshot, Channel, ClientId, ClientMessage, ClientRequest, ControlEvent,
+    ControlEventKind, DeadlineStamp, DirPlaneStatus, Envelope, ErrorCode, FifoStatusEntry,
+    FoldedAppState, FrozenUpdate, InteractionSpec, JobSpec, LogEntry, LogRecord, MessageKind,
+    Name, ObjectKey, ObjectRef, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Priority,
+    Privilege, RequestId, ResponseBody, ServerAddr, ServiceOffer, SessionId, StatusReport,
+    UpdateBody, UserId, Value, WhiteboardStroke, WireError,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -328,34 +331,17 @@ fn body_len_strategy() -> impl Strategy<Value = usize> {
     (0u32..=7, 0usize..3).prop_map(|(exp, off)| 10usize.pow(exp) + off - 1)
 }
 
-// The four wire types whose text became a shared `Name`, with the field
-// layout they had while it was a `String`. DBP is not self-describing,
-// so a twin encodes like the original if and only if the fields do.
-#[derive(Serialize)]
-struct UserIdThen(String);
+// The four wire types whose text became a shared `Name` are checked
+// against twins with the field layout they had while it was a `String`.
+// DBP is not self-describing and a struct is its fields in order, so a
+// twin is the tuple of those fields: `UserId` and `ObjectKey` were a
+// `String`, `GiopFrame` was `(GiopKind, u64, String, String, GiopBody)`
+// and `HttpRequest` was `(HttpMethod, String, Option<u64>,
+// Option<ClientRequest>)`. A twin encodes like the original if and only
+// if the fields do.
 
-#[derive(Serialize)]
-struct ObjectKeyThen(String);
-
-#[derive(Serialize)]
-struct GiopFrameThen {
-    kind: GiopKind,
-    request_id: u64,
-    target: ObjectKeyThen,
-    operation: String,
-    body: GiopBody,
-}
-
-#[derive(Serialize)]
-struct HttpRequestThen {
-    method: HttpMethod,
-    path: String,
-    session: Option<u64>,
-    body: Option<ClientRequest>,
-}
-
-/// All three serializer walks agree between `now` and its twin.
-fn same_on_the_wire(now: &impl Serialize, then: &impl Serialize) -> Result<(), TestCaseError> {
+/// All three walks agree between `now` and its twin.
+fn same_on_the_wire(now: &impl Dbp, then: &impl Dbp) -> Result<(), TestCaseError> {
     prop_assert_eq!(&encode(now)[..], &encode(then)[..]);
     prop_assert_eq!(encoded_len(now), encoded_len(then));
     prop_assert_eq!(digest_fnv1a(now), digest_fnv1a(then));
@@ -537,28 +523,22 @@ proptest! {
         body in prop::option::of(request_strategy()),
     ) {
         let user = UserId::new(&text);
-        same_on_the_wire(&user, &UserIdThen(text.clone()))?;
+        same_on_the_wire(&user, &text)?;
         prop_assert_eq!(&decode_borrowed::<UserId>(&encode(&user)).unwrap(), &user);
 
         let key = ObjectKey::new(text.as_str());
-        same_on_the_wire(&key, &ObjectKeyThen(text.clone()))?;
+        same_on_the_wire(&key, &text)?;
         prop_assert_eq!(&decode_borrowed::<ObjectKey>(&encode(&key)).unwrap(), &key);
 
         let call = PeerMsg::LockRelease { app: AppId { server: ServerAddr(2), seq: 7 }, user };
         let frame = GiopFrame::request(request_id, key, operation.as_str(), call);
-        let then = GiopFrameThen {
-            kind: frame.kind.clone(),
-            request_id,
-            target: ObjectKeyThen(text.clone()),
-            operation,
-            body: frame.body.clone(),
-        };
+        let then = (frame.kind.clone(), request_id, text.clone(), operation, frame.body.clone());
         same_on_the_wire(&frame, &then)?;
         prop_assert_eq!(&decode_borrowed::<GiopFrame>(&encode(&frame)).unwrap(), &frame);
 
         let method = if post { HttpMethod::Post } else { HttpMethod::Get };
         let req = HttpRequest { method, path: text.as_str().into(), session, body };
-        let then = HttpRequestThen { method, path: text, session, body: req.body.clone() };
+        let then = (method, text, session, req.body.clone());
         same_on_the_wire(&req, &then)?;
         prop_assert_eq!(&decode_borrowed::<HttpRequest>(&encode(&req)).unwrap(), &req);
     }
@@ -952,6 +932,504 @@ fn a_box_and_an_arc_encode_as_what_they_point_to() {
     let shared = decode::<Option<Arc<ArchiveSnapshot>>>(&encode(&snapshot)).unwrap();
     assert_eq!(shared.as_deref(), snapshot.as_ref());
     assert_eq!(encode(&shared), encode(&snapshot));
+}
+
+/// One value of every variant of every enum the codec writes, built so
+/// that together they reach every struct it writes; handed to `$each`
+/// one array of a type at a time.
+macro_rules! every_variant {
+    ($each:ident) => {{
+        let app = AppId { server: ServerAddr(2), seq: 7 };
+        let vijay = UserId::new("vijay");
+        let client = ClientId { server: ServerAddr(2), seq: 1 };
+        let status = AppStatus { phase: AppPhase::Interacting, iteration: 640, progress: 0.5 };
+        let readings = || vec![("pressure".to_string(), Value::Float(101.25))];
+        let error = WireError::new(ErrorCode::LockHeld, "held by vijay");
+        let object = ObjectRef { server: ServerAddr(1), key: ObjectKey::new("apps/2#7") };
+        let offer = ServiceOffer {
+            service_type: "DISCOVER".into(),
+            object: object.clone(),
+            properties: vec![("region".into(), Value::Text("east".into()))],
+        };
+        let descriptor = AppDescriptor {
+            app,
+            name: "ipars".into(),
+            kind: "oilres".into(),
+            status: status.clone(),
+            privilege: Privilege::ReadWrite,
+            interface: golden_interface(),
+        };
+        let stroke =
+            WhiteboardStroke { points: vec![(0.25, 0.5), (0.75, 1.0)], color: 0xff00_00ff };
+        let chat = FrozenUpdate::new(UpdateBody::Chat {
+            app,
+            from: vijay.clone(),
+            text: "look at well 3".into(),
+        });
+        $each!([Privilege::ReadOnly, Privilege::ReadWrite, Privilege::Steer]);
+        $each!([
+            AppPhase::Computing,
+            AppPhase::Interacting,
+            AppPhase::Paused,
+            AppPhase::Terminated,
+        ]);
+        $each!([
+            AppCommand::Pause,
+            AppCommand::Resume,
+            AppCommand::Checkpoint,
+            AppCommand::Rollback,
+            AppCommand::Terminate,
+        ]);
+        $each!([
+            ErrorCode::AuthFailed,
+            ErrorCode::NoSuchApp,
+            ErrorCode::AccessDenied,
+            ErrorCode::LockRequired,
+            ErrorCode::LockHeld,
+            ErrorCode::BadParameter,
+            ErrorCode::Unavailable,
+            ErrorCode::BadRequest,
+            ErrorCode::DeadlineExceeded,
+            ErrorCode::Overloaded,
+            ErrorCode::SessionExpired,
+        ]);
+        $each!([MessageKind::Response, MessageKind::Error, MessageKind::Update]);
+        $each!([Channel::Main, Channel::Command, Channel::Response, Channel::Control]);
+        $each!([
+            ControlEventKind::ServerUp,
+            ControlEventKind::ServerDown,
+            ControlEventKind::AppRegistered,
+            ControlEventKind::AppClosed,
+            ControlEventKind::RemoteError,
+        ]);
+        $each!([HttpMethod::Get, HttpMethod::Post]);
+        $each!([
+            GiopKind::Request { response_expected: false },
+            GiopKind::Reply,
+            GiopKind::SystemException,
+        ]);
+        $each!([
+            Value::Bool(true),
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::Text("é∑".into()),
+            Value::Vector(vec![0.5, -1.0]),
+        ]);
+        $each!([
+            AppOp::GetStatus,
+            AppOp::GetParam("dt".into()),
+            AppOp::SetParam("dt".into(), Value::Float(0.01)),
+            AppOp::GetSensors,
+            AppOp::Command(AppCommand::Checkpoint),
+        ]);
+        $each!([
+            OpOutcome::Status(status.clone()),
+            OpOutcome::Param("dt".into(), Value::Float(0.01)),
+            OpOutcome::ParamSet("dt".into(), Value::Int(3)),
+            OpOutcome::Sensors(readings()),
+            OpOutcome::CommandDone(AppCommand::Pause),
+        ]);
+        $each!([
+            ClientRequest::Login { user: vijay.clone(), password: "pw".into() },
+            ClientRequest::Logout,
+            ClientRequest::ListApplications,
+            ClientRequest::SelectApp { app },
+            ClientRequest::DeselectApp { app },
+            ClientRequest::Op { app, op: AppOp::GetParam("dt".into()) },
+            ClientRequest::RequestLock { app },
+            ClientRequest::ReleaseLock { app },
+            ClientRequest::Poll,
+            ClientRequest::JoinSubgroup { app, group: "wells".into() },
+            ClientRequest::LeaveSubgroup { app, group: "wells".into() },
+            ClientRequest::SetCollabMode { app, broadcast: true },
+            ClientRequest::ShareView { app, view: "slice z=3".into() },
+            ClientRequest::Chat { app, text: "hi".into() },
+            ClientRequest::Whiteboard { app, stroke: stroke.clone() },
+            ClientRequest::GetHistory { app, since: 5 },
+            ClientRequest::GetMyLog { app, since: 6 },
+            ClientRequest::Resume { cookie: 0xbeef, cursors: vec![(app, 9)] },
+            ClientRequest::Status,
+            ClientRequest::CatchUp { app, since: 42 },
+        ]);
+        $each!([
+            UpdateBody::AppStatus { app, status: status.clone(), readings: readings() },
+            UpdateBody::ParamChanged {
+                app,
+                name: "dt".into(),
+                value: Value::Float(0.02),
+                by: vijay.clone(),
+            },
+            UpdateBody::CommandApplied { app, command: AppCommand::Resume, by: vijay.clone() },
+            UpdateBody::LockChanged { app, holder: Some(vijay.clone()) },
+            UpdateBody::Chat { app, from: vijay.clone(), text: "hi".into() },
+            UpdateBody::Whiteboard { app, from: vijay.clone(), stroke: stroke.clone() },
+            UpdateBody::ViewShared { app, from: vijay.clone(), view: "slice".into() },
+            UpdateBody::MemberJoined { app, user: vijay.clone() },
+            UpdateBody::MemberLeft { app, user: vijay.clone() },
+            UpdateBody::AppClosed { app },
+            UpdateBody::InteractionEcho {
+                app,
+                by: vijay.clone(),
+                outcome: OpOutcome::CommandDone(AppCommand::Pause),
+            },
+        ]);
+        $each!([
+            ResponseBody::LoginOk { client, apps: vec![descriptor.clone()] },
+            ResponseBody::LogoutOk,
+            ResponseBody::Accepted,
+            ResponseBody::Apps(vec![descriptor.clone()]),
+            ResponseBody::AppSelected {
+                app,
+                interface: golden_interface(),
+                privilege: Privilege::Steer,
+            },
+            ResponseBody::AppDeselected { app },
+            ResponseBody::OpDone { app, outcome: OpOutcome::Sensors(readings()) },
+            ResponseBody::LockGranted { app },
+            ResponseBody::LockDenied { app, holder: None },
+            ResponseBody::LockReleased { app },
+            ResponseBody::Batch(vec![ClientMessage::Update(chat.clone())]),
+            ResponseBody::SubgroupOk { app, group: "wells".into(), joined: true },
+            ResponseBody::CollabModeOk { app, broadcast: false },
+            ResponseBody::ClientLog { app, records: golden_tail(), next_seq: 130 },
+            ResponseBody::History { app, records: golden_tail(), next_seq: 130 },
+            ResponseBody::Resumed { client, apps: vec![app] },
+            ResponseBody::Status(Box::new(golden_status_report())),
+            ResponseBody::CatchUp {
+                app,
+                snapshot: Some(Arc::new(golden_snapshot())),
+                records: golden_tail(),
+                next_seq: 130,
+            },
+        ]);
+        $each!([
+            ClientMessage::Response(ResponseBody::LogoutOk),
+            ClientMessage::Error(error.clone()),
+            ClientMessage::Update(chat.clone()),
+        ]);
+        $each!([
+            AppMsg::Register {
+                token: AppToken::new("t-17"),
+                name: "ipars".into(),
+                kind: "oilres".into(),
+                acl: vec![(vijay.clone(), Privilege::Steer)],
+                interface: golden_interface(),
+                slot: Some(7),
+            },
+            AppMsg::RegisterAck { app },
+            AppMsg::RegisterNak { error: error.clone() },
+            AppMsg::Update { app, status: status.clone(), readings: readings() },
+            AppMsg::PhaseChange { app, phase: AppPhase::Paused },
+            AppMsg::Deregister { app },
+            AppMsg::Command { req: RequestId(11), op: AppOp::GetSensors },
+            AppMsg::Response { req: RequestId(11), result: Ok(OpOutcome::Sensors(readings())) },
+        ]);
+        $each!([
+            PeerMsg::Authenticate { user: vijay.clone(), password: "pw".into() },
+            PeerMsg::ListActive,
+            PeerMsg::ProxyOp { app, user: vijay.clone(), op: AppOp::GetStatus },
+            PeerMsg::LockRequest { app, user: vijay.clone(), via: ServerAddr(1) },
+            PeerMsg::LockRelease { app, user: vijay.clone() },
+            PeerMsg::SubscribeApp { app, subscriber: ServerAddr(1) },
+            PeerMsg::UnsubscribeApp { app, subscriber: ServerAddr(1) },
+            PeerMsg::CollabUpdate { update: chat.clone(), origin: ServerAddr(2) },
+            PeerMsg::PollUpdates { app, since: 3, requester: ServerAddr(1) },
+            PeerMsg::FetchHistory { app, since: 4 },
+            PeerMsg::Control(ControlEvent {
+                origin: ServerAddr(2),
+                kind: ControlEventKind::AppRegistered,
+                detail: "ipars".into(),
+            }),
+            PeerMsg::NamingBind { name: "DISCOVER/apps/2#7".into(), object: object.clone() },
+            PeerMsg::NamingResolve { name: "DISCOVER/apps/2#7".into() },
+            PeerMsg::NamingUnbind { name: "DISCOVER/apps/2#7".into() },
+            PeerMsg::NamingList { prefix: "DISCOVER/".into() },
+            PeerMsg::TraderExport { offer: offer.clone() },
+            PeerMsg::TraderWithdraw { object: object.clone() },
+            PeerMsg::GramSubmit {
+                job: JobSpec {
+                    name: "ipars".into(),
+                    kind: "oilres".into(),
+                    stage_bytes: 1 << 20,
+                    est_duration_us: 90_000_000,
+                },
+            },
+            PeerMsg::GramQuery,
+            PeerMsg::TraderQuery {
+                service_type: "DISCOVER".into(),
+                constraints: vec![("region".into(), Value::Text("east".into()))],
+            },
+        ]);
+        $each!([
+            PeerReply::AuthOk { apps: vec![descriptor.clone()] },
+            PeerReply::AuthDenied,
+            PeerReply::Active { apps: vec![descriptor.clone()], users: vec![vijay.clone()] },
+            PeerReply::OpResult { app, result: Err(error.clone()) },
+            PeerReply::LockDecision { app, granted: true, holder: Some(vijay.clone()) },
+            PeerReply::SubscribeOk { app },
+            PeerReply::Updates { app, updates: vec![chat.clone()], next_seq: 8 },
+            PeerReply::History { app, records: golden_tail(), next_seq: 130 },
+            PeerReply::DirectoryOk,
+            PeerReply::NamingResolved { object: Some(object.clone()) },
+            PeerReply::NamingNames { bindings: vec![("DISCOVER/apps/2#7".into(), object.clone())] },
+            PeerReply::GramAccepted { job: 3, eta_us: 1_500_000 },
+            PeerReply::GramStatus { free_slots: 2, queued: 1, speed: 1.5 },
+            PeerReply::TraderOffers { offers: vec![offer.clone()] },
+            PeerReply::Exception(error.clone()),
+        ]);
+        $each!([
+            LogEntry::Request(AppOp::GetSensors),
+            LogEntry::Response(OpOutcome::Status(status.clone())),
+            LogEntry::Error(error.clone()),
+            LogEntry::Status(status.clone()),
+            LogEntry::Update(chat.clone()),
+        ]);
+        $each!([
+            GiopBody::Call(PeerMsg::LockRelease { app, user: vijay.clone() }),
+            GiopBody::Return(PeerReply::DirectoryOk),
+        ]);
+        $each!([GiopFrame {
+            kind: GiopKind::Request { response_expected: true },
+            request_id: 7,
+            target: ObjectKey::from_static("DiscoverCorbaServer"),
+            operation: Name::from_static("lockRequest"),
+            body: GiopBody::Call(PeerMsg::LockRequest {
+                app,
+                user: vijay.clone(),
+                via: ServerAddr(1),
+            }),
+        }]);
+        $each!([HttpRequest {
+            method: HttpMethod::Post,
+            path: Name::from_static("/discover/command"),
+            session: Some(0xabcd),
+            body: Some(ClientRequest::Poll),
+        }]);
+        $each!([HttpResponse {
+            status: 200,
+            set_session: Some(7),
+            body: vec![ClientMessage::Update(chat.clone())],
+        }]);
+        $each!([TcpFrame::new(
+            Channel::Command,
+            AppMsg::Command { req: RequestId(11), op: AppOp::GetStatus },
+        )]);
+        $each!([SessionId { client, app }]);
+    }};
+}
+
+/// `(encoded_len, digest_fnv1a)` of each [`every_variant!`] value, in
+/// order, measured while the codec was still an adapter to a
+/// serializer/visitor framework, before [`Dbp`] replaced it.
+const PINNED: &[(usize, u64)] = &[
+    (4, 0x4d25_767f_9dce_13f5), // ReadOnly
+    (4, 0xad2a_ca77_4798_5764), // ReadWrite
+    (4, 0x8d1a_ce90_4a39_8d17), // Steer
+    (4, 0x4d25_767f_9dce_13f5), // Computing
+    (4, 0xad2a_ca77_4798_5764), // Interacting
+    (4, 0x8d1a_ce90_4a39_8d17), // Paused
+    (4, 0xed20_2287_f403_d086), // Terminated
+    (4, 0x4d25_767f_9dce_13f5), // Pause
+    (4, 0xad2a_ca77_4798_5764), // Resume
+    (4, 0x8d1a_ce90_4a39_8d17), // Checkpoint
+    (4, 0xed20_2287_f403_d086), // Rollback
+    (4, 0xcd3a_c65e_44f7_21b1), // Terminate
+    (4, 0x4d25_767f_9dce_13f5), // AuthFailed
+    (4, 0xad2a_ca77_4798_5764), // NoSuchApp
+    (4, 0x8d1a_ce90_4a39_8d17), // AccessDenied
+    (4, 0xed20_2287_f403_d086), // LockRequired
+    (4, 0xcd3a_c65e_44f7_21b1), // LockHeld
+    (4, 0x2d40_1a55_eec1_6520), // BadParameter
+    (4, 0x0d30_1e6e_f162_9ad3), // Unavailable
+    (4, 0x6d35_7266_9b2c_de42), // BadRequest
+    (4, 0x4cfa_d6c2_4f7b_f87d), // DeadlineExceeded
+    (4, 0xad00_2ab9_f946_3bec), // Overloaded
+    (4, 0x8cf0_2ed2_fbe7_719f), // SessionExpired
+    (4, 0x4d25_767f_9dce_13f5), // Response
+    (4, 0xad2a_ca77_4798_5764), // Error
+    (4, 0x8d1a_ce90_4a39_8d17), // Update
+    (4, 0x4d25_767f_9dce_13f5), // Main
+    (4, 0xad2a_ca77_4798_5764), // Command
+    (4, 0x8d1a_ce90_4a39_8d17), // Response
+    (4, 0xed20_2287_f403_d086), // Control
+    (4, 0x4d25_767f_9dce_13f5), // ServerUp
+    (4, 0xad2a_ca77_4798_5764), // ServerDown
+    (4, 0x8d1a_ce90_4a39_8d17), // AppRegistered
+    (4, 0xed20_2287_f403_d086), // AppClosed
+    (4, 0xcd3a_c65e_44f7_21b1), // RemoteError
+    (4, 0x4d25_767f_9dce_13f5), // Get
+    (4, 0xad2a_ca77_4798_5764), // Post
+    (5, 0xe4bc_4fd9_252b_e94f), // Request
+    (4, 0xad2a_ca77_4798_5764), // Reply
+    (4, 0x8d1a_ce90_4a39_8d17), // SystemException
+    (5, 0xe4bc_4ed9_252b_e79c), // Bool
+    (12, 0x4137_6616_b5ad_2b65), // Int
+    (12, 0x3ee0_e01a_d2a0_dc93), // Float
+    (13, 0x28e5_ba89_807b_4408), // Text
+    (24, 0xf1d8_0459_1907_0813), // Vector
+    (4, 0x4d25_767f_9dce_13f5), // GetStatus
+    (10, 0x09e0_432e_7922_45f6), // GetParam
+    (22, 0xcb3f_f276_9574_ad11), // SetParam
+    (4, 0xed20_2287_f403_d086), // GetSensors
+    (8, 0x6cd2_341e_a8c8_8a63), // Command
+    (24, 0x6574_3f58_c484_c283), // Status
+    (22, 0xb552_d5e4_3410_006e), // Param
+    (22, 0x2eb8_5d9c_7d6e_2cc7), // ParamSet
+    (32, 0x28d5_5ec1_9015_968f), // Sensors
+    (8, 0x2cdc_dc0d_fc5d_1141), // CommandDone
+    (19, 0x9236_3010_1890_c794), // Login
+    (4, 0xad2a_ca77_4798_5764), // Logout
+    (4, 0x8d1a_ce90_4a39_8d17), // ListApplications
+    (12, 0x6bba_fa60_0bca_4c73), // SelectApp
+    (12, 0x5d49_dc73_1deb_d2a4), // DeselectApp
+    (22, 0xdcea_2ee6_1113_2546), // Op
+    (12, 0x4bd0_77b1_00a2_0dc6), // RequestLock
+    (12, 0x9682_4c21_523f_4e37), // ReleaseLock
+    (4, 0x4cfa_d6c2_4f7b_f87d), // Poll
+    (21, 0x322e_891a_1482_02a5), // JoinSubgroup
+    (21, 0xa764_8325_1598_279c), // LeaveSubgroup
+    (13, 0x588e_b706_6c12_8bce), // SetCollabMode
+    (25, 0x6f66_58da_5f08_cce3), // ShareView
+    (18, 0xef0f_f024_ba12_fa84), // Chat
+    (36, 0xbe14_4804_f3fa_cbbd), // Whiteboard
+    (20, 0xd55c_310d_1d2d_4efa), // GetHistory
+    (20, 0xb455_f583_a4e4_f6b6), // GetMyLog
+    (32, 0x28df_9ca5_eecd_b4f8), // Resume
+    (4, 0x8cc5_8f15_ad95_5627), // Status
+    (20, 0xf978_5128_ff86_a6c9), // CatchUp
+    (60, 0x1f31_fbc6_86c2_dcd3), // AppStatus
+    (39, 0xb05e_214b_9d7e_f469), // ParamChanged
+    (25, 0x82e7_c90f_e06f_8e7d), // CommandApplied
+    (22, 0xda50_bf53_8d5e_cd56), // LockChanged
+    (27, 0xfc04_b988_8fb9_05ed), // Chat
+    (45, 0x1903_5711_31d4_3c14), // Whiteboard
+    (30, 0xd138_ef38_fb31_08fb), // ViewShared
+    (21, 0x826a_9124_33bc_cf29), // MemberJoined
+    (21, 0x3d94_f56d_1141_cc74), // MemberLeft
+    (12, 0x2750_7c24_ff85_d6d9), // AppClosed
+    (29, 0x44b1_1209_a867_a956), // InteractionEcho
+    (142, 0x42c8_6387_a1ec_408d), // LoginOk
+    (4, 0xad2a_ca77_4798_5764), // LogoutOk
+    (4, 0x8d1a_ce90_4a39_8d17), // Accepted
+    (134, 0x69f0_bc8f_5994_3fcd), // Apps
+    (91, 0x47d2_fd86_9217_16d8), // AppSelected
+    (12, 0xa7fb_b0e3_6f89_1315), // AppDeselected
+    (44, 0xb70b_2777_701c_833c), // OpDone
+    (12, 0x9682_4c21_523f_4e37), // LockGranted
+    (13, 0xca2d_6003_8237_92b8), // LockDenied
+    (12, 0x2750_7c24_ff85_d6d9), // LockReleased
+    (51, 0xacd5_5783_7749_2f10), // Batch
+    (22, 0x62d0_3175_8e54_c15e), // SubgroupOk
+    (13, 0xefdf_0f6e_3b09_92c4), // CollabModeOk
+    (119, 0xc7e0_ffc9_1026_63c7), // ClientLog
+    (119, 0x3873_99d2_63d0_0c2e), // History
+    (24, 0xf65f_3a90_33a5_6ecd), // Resumed
+    (257, 0xf547_43c0_a59f_0b79), // Status
+    (287, 0x868b_aa5f_ea1e_5b46), // CatchUp
+    (8, 0x08cd_4c29_d1e4_7d34), // Response
+    (25, 0xa6af_3818_1679_c6e8), // Error
+    (43, 0x1189_d5b0_3352_de55), // Update
+    (128, 0x70a7_958b_6ca4_2cd9), // Register
+    (12, 0x7d34_5f22_2914_1151), // RegisterAck
+    (25, 0x3d1d_5910_7704_ebad), // RegisterNak
+    (60, 0x80c9_a0b0_3cda_7690), // Update
+    (16, 0x959e_eef3_81a2_3806), // PhaseChange
+    (12, 0xa7fb_b0e3_6f89_1315), // Deregister
+    (16, 0x9465_8a64_037d_850b), // Command
+    (48, 0x56f6_6f84_4eab_4c7b), // Response
+    (19, 0x9236_3010_1890_c794), // Authenticate
+    (4, 0xad2a_ca77_4798_5764), // ListActive
+    (25, 0xfd54_b9a0_baa0_616a), // ProxyOp
+    (25, 0xb4f1_df3c_c38c_7afc), // LockRequest
+    (21, 0xc972_b057_53eb_cb78), // LockRelease
+    (16, 0xa4a6_6324_81ca_7e54), // SubscribeApp
+    (16, 0x3a7d_7c1e_121a_f1b7), // UnsubscribeApp
+    (47, 0xa6e3_c236_2e1e_8410), // CollabUpdate
+    (24, 0x9246_47d9_709b_ab6a), // PollUpdates
+    (20, 0x6d54_d3be_daaf_947d), // FetchHistory
+    (21, 0x6240_cfba_563b_53a5), // Control
+    (41, 0x64e0_069c_d479_32b0), // NamingBind
+    (25, 0xd497_dcf2_5b49_ee87), // NamingResolve
+    (25, 0xafa4_c58b_96dd_418c), // NamingUnbind
+    (17, 0x75e5_3862_1d5f_89de), // NamingList
+    (58, 0x8ebe_0636_05fa_3712), // TraderExport
+    (20, 0xcdfc_b278_d1c2_cfcb), // TraderWithdraw
+    (39, 0x602f_dd67_42c2_fa9c), // GramSubmit
+    (4, 0x8cc5_8f15_ad95_5627), // GramQuery
+    (42, 0x6d6d_9c8c_c2d4_ed0c), // TraderQuery
+    (134, 0x41ad_1e0a_38ba_622e), // AuthOk
+    (4, 0xad2a_ca77_4798_5764), // AuthDenied
+    (147, 0xa36a_864d_2a07_d0fb), // Active
+    (37, 0x7bfc_2d40_c5a5_8a7e), // OpResult
+    (23, 0xe96e_1ce1_1a72_c122), // LockDecision
+    (12, 0xa7fb_b0e3_6f89_1315), // SubscribeOk
+    (63, 0xb6e5_c3b5_1d51_db9d), // Updates
+    (119, 0x64bb_93b2_0455_637d), // History
+    (4, 0x4cfa_d6c2_4f7b_f87d), // DirectoryOk
+    (21, 0x4e23_707d_9f18_bd69), // NamingResolved
+    (45, 0x11a9_a054_ab75_cd00), // NamingNames
+    (20, 0x9ed7_36f4_e906_1dfa), // GramAccepted
+    (20, 0x21bf_b575_a30d_7bfb), // GramStatus
+    (62, 0x1acf_71ff_c638_4d3d), // TraderOffers
+    (25, 0xde0d_850d_ad44_cb39), // Exception
+    (8, 0x48c2_a43a_7e4f_f656), // Request
+    (28, 0xdd3f_9d41_5edf_e3ae), // Response
+    (25, 0x3d1d_5910_7704_ebad), // Error
+    (24, 0x4de8_7e58_d032_9940), // Status
+    (43, 0x05ac_d367_f03e_76fb), // Update
+    (25, 0x9aa9_0e58_edf1_8428), // Call
+    (8, 0x89a2_916b_ced8_d42c), // Return
+    (80, 0xa847_2935_c23b_7d07), // GiopFrame
+    (39, 0x50df_5e2a_ae3e_d8cd), // HttpRequest
+    (58, 0x64d7_a8c2_c4f6_ef8c), // HttpResponse
+    (20, 0x2335_aced_628c_ecb9), // TcpFrame
+    (16, 0x52e8_8d8e_c047_0b63), // SessionId
+];
+
+/// Every variant encodes exactly as it did: a byte that moves here would
+/// move a wire size, and with it every schedule and run log.
+#[test]
+fn every_variant_encodes_as_pinned() {
+    let mut pins = PINNED.iter();
+    macro_rules! pinned {
+        ($values:expr) => {
+            for v in $values {
+                let got = (encoded_len(&v), digest_fnv1a(&v));
+                assert_eq!(Some(&got), pins.next(), "{v:?}");
+            }
+        };
+    }
+    every_variant!(pinned);
+    assert_eq!(pins.next(), None, "a pin without a value");
+}
+
+/// Every strict prefix of `bytes`, the encoding of `v`, is an error and
+/// one byte more is `TrailingBytes(1)`; the whole decodes back to `v`.
+fn rejects_cut_and_padded<T: PartialEq + std::fmt::Debug>(
+    v: &T,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, CodecError>,
+) {
+    for cut in 0..bytes.len() {
+        assert!(decode(&bytes[..cut]).is_err(), "{cut} of {} bytes decoded: {v:?}", bytes.len());
+    }
+    let padded = [bytes, &[0]].concat();
+    assert_eq!(decode(&padded), Err(CodecError::TrailingBytes(1)), "{v:?}");
+    assert_eq!(decode(bytes).as_ref(), Ok(v));
+}
+
+/// Hostile input on every variant: cut short anywhere, or padded by a
+/// byte, an encoding is refused with an error, never a panic.
+#[test]
+fn every_variant_cut_short_or_padded_is_refused() {
+    macro_rules! refused {
+        ($values:expr) => {
+            for v in $values {
+                rejects_cut_and_padded(&v, &encode(&v), |bytes| decode(bytes));
+            }
+        };
+    }
+    every_variant!(refused);
 }
 
 fn golden_status_report() -> StatusReport {

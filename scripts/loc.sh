@@ -10,8 +10,9 @@
 #
 # Prints one `crate lines` row per crate and a `total` row, then the
 # total under the rule before test modules were recognised (each counted
-# like any other file) as `total-old-rule`; `--files` adds one `path
-# lines` row per file above its crate. ROOT defaults to the repository
+# like any other file) as `total-old-rule`, then the vendored stand-ins'
+# non-test lines under vendor/*/src as `vendor`; `--files` adds one
+# `path lines` row per file above its crate. ROOT defaults to the repository
 # this script lives in, so a `git archive` export of another commit can
 # be measured with `scripts/loc.sh /path/to/export`.
 set -euo pipefail
@@ -48,14 +49,18 @@ test_module() {
     return 1
 }
 
+# Lines of file $1 above its first `#[cfg(test)]`, or all of them.
+code_lines() {
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { print NR - 1; found = 1; exit } END { if (!found) print NR }' "$1"
+}
+
 total=0
 old_total=0
 for crate in crates/*/; do
     [[ -d "${crate}src" ]] || continue
     sum=0
     while IFS= read -r f; do
-        # Line number of the first `#[cfg(test)]`, or the file's length + 1.
-        n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { print NR - 1; found = 1; exit } END { if (!found) print NR }' "$f")
+        n=$(code_lines "$f")
         old_total=$((old_total + n))
         if test_module "$f"; then
             n=0
@@ -70,3 +75,8 @@ for crate in crates/*/; do
 done
 printf '%-54s %6d\n' total "$total"
 printf '%-54s %6d\n' total-old-rule "$old_total"
+vendor=0
+while IFS= read -r f; do
+    vendor=$((vendor + $(code_lines "$f")))
+done < <(find vendor/*/src -name '*.rs' | sort)
+printf '%-54s %6d\n' vendor "$vendor"

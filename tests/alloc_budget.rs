@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use discover_server::{ArchiveStore, ServerConfig, StandaloneServer};
 use simnet::{names, Actor, Ctx, Engine, LinkSpec, NodeId, SimDuration, SimTime};
-use wire::codec::{decode, encode};
+use wire::codec::{decode, encode, CodecError};
 use wire::giop::GiopFrame;
 use wire::http::{paths, HttpRequest};
 use wire::tcp::TcpFrame;
@@ -211,6 +211,24 @@ fn copying_a_name_allocates_nothing() {
         black_box(HttpRequest::parse_head(&head).expect("a rendered head parses"));
     });
     assert_eq!(copies, 0);
+}
+
+#[test]
+fn a_hostile_length_prefix_is_refused_before_any_allocation() {
+    // A length prefix of 2^32 - 1 with nothing behind it: refused before
+    // a buffer is reserved for it, and the error allocates nothing either.
+    let hostile = u32::MAX.to_le_bytes();
+    let refused = CodecError::Invalid("length prefix exceeds the input left");
+    assert_eq!(decode::<String>(&hostile), Err(refused.clone()));
+    assert_eq!(allocations(|| decode::<String>(&hostile)), 0, "text");
+    assert_eq!(allocations(|| decode::<UserId>(&hostile)), 0, "a name");
+    assert_eq!(allocations(|| decode::<Vec<ClientMessage>>(&hostile)), 0, "a sequence");
+    // Inside a message: a resume whose cursor count claims 2^32 - 1.
+    let mut resume = encode(&ClientRequest::Resume { cookie: 7, cursors: vec![] }).to_vec();
+    let count = resume.len() - 4;
+    resume[count..].copy_from_slice(&hostile);
+    assert_eq!(decode::<ClientRequest>(&resume), Err(refused));
+    assert_eq!(allocations(|| decode::<ClientRequest>(&resume)), 0, "a message");
 }
 
 #[test]
