@@ -92,11 +92,11 @@ fn main() {
         let Some((table, secs, tally)) = slot.lock().unwrap().take() else { continue };
         table.print();
         table.write_csv();
-        let EngineTally { events, queue_peak, backlog_peak } = tally;
-        let rate = events as f64 / secs.max(1e-9);
+        let rate = tally.events as f64 / secs.max(1e-9);
         println!(
-            "  [{id} finished in {secs:.1} s wall, {events} events, {rate:.0} events/s, \
-             heap peak {queue_peak}, backlog peak {backlog_peak}]"
+            "  [{id} finished in {secs:.1} s wall, {} events, {rate:.0} events/s, \
+             heap peak {}, backlog peak {}]",
+            tally.events, tally.queue_peak, tally.backlog_peak
         );
     }
 }

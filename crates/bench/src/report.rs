@@ -180,8 +180,6 @@ pub struct LatencySummary {
     pub p50_ms: f64,
     /// 95th percentile, milliseconds.
     pub p95_ms: f64,
-    /// Maximum, milliseconds.
-    pub max_ms: f64,
 }
 
 /// Summarize a set of microsecond latencies via [`Histogram::summary`].
@@ -201,7 +199,6 @@ pub fn summarize_us(values: &[u64]) -> LatencySummary {
         mean_ms: ms(s.mean),
         p50_ms: ms(s.p50),
         p95_ms: ms(p95),
-        max_ms: ms(s.max),
     }
 }
 

@@ -81,7 +81,7 @@ impl ServerCore {
                         .then(|| (proxy.owner.clone(), proxy.acl_users()));
                     self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
                     if let Some((owner, readers)) = record {
-                        self.records.create(app, owner, readers, ctx.now(), readings.to_vec());
+                        self.records.create(app, owner, readers, readings.to_vec());
                     }
                     let update = UpdateBody::AppStatus { app, status, readings };
                     self.route_update(ctx, update, None, None);
@@ -457,7 +457,7 @@ impl ServerCore {
         }
         if let Some(text) = record {
             let data = vec![("outcome".to_string(), Value::Text(text))];
-            self.records.create(app, user, [], ctx.now(), data);
+            self.records.create(app, user, [], data);
         }
     }
 
@@ -832,7 +832,7 @@ mod tests {
         assert_eq!(host.core.records.count_for_app(APP), 1, "only the local read is recorded");
         let client = host.core.sessions.iter().next().expect("logged in").client;
         let answered = ClientMessage::Response(ResponseBody::OpDone { app: APP, outcome: done });
-        let queued = host.core.fifos.get_mut(&client).expect("its FIFO").drain(usize::MAX);
+        let queued = host.core.sessions.get_mut(client).expect("its FIFO").fifo.drain(usize::MAX);
         assert_eq!(queued.iter().filter(|m| **m == answered).count(), 1);
 
         // The same local read by a collaborating client is echoed too.

@@ -75,8 +75,8 @@ impl ServerCore {
         let mut tally = FifoTally::default();
         for client in self.collab.broadcast_targets(update.app(), exclude) {
             targets += 1;
-            if let Some(fifo) = self.fifos.get_mut(&client) {
-                tally.push(fifo, ClientMessage::Update(update.clone()));
+            if let Some(s) = self.sessions.get_mut(client) {
+                tally.push(&mut s.fifo, ClientMessage::Update(update.clone()));
             }
         }
         tally.fold(ctx);
@@ -330,18 +330,15 @@ mod tests {
         })
     }
 
-    /// A core whose group members' FIFOs (capacity 4, coalescing) each
-    /// meet the next status broadcast differently.
-    fn staged_core() -> ServerCore {
-        let mut config = ServerConfig::new(ADDR, "s");
-        config.fifo_capacity = 4;
-        config.coalesce_fifo = true;
-        let mut core = ServerCore::new(config);
+    /// Give `core` group members whose FIFOs (capacity 4, coalescing)
+    /// each meet the next status broadcast differently.
+    fn stage_members(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) {
         let mut stage = |seq: u32, queued: Vec<ClientMessage>, drain: usize| {
             let mut fifo = FifoBuffer::with_coalescing(4, true);
             queued.into_iter().for_each(|msg| fifo.push(msg));
             fifo.drain(drain);
-            core.fifos.insert(client(seq), fifo);
+            let now = ctx.now();
+            core.sessions.create(ctx.rng(), user("u"), client(seq), now, fifo);
             core.collab.join(APP, client(seq));
         };
         let older = || ClientMessage::Update(status(1));
@@ -356,18 +353,23 @@ mod tests {
         stage(4, Vec::new(), 0);
         // A member whose FIFO is gone counts as a target and nothing else.
         core.collab.join(APP, client(5));
-        core
     }
 
-    /// Delivers one status update to the staged group at start: through
+    /// Stages the group at start, keeping or dropping every member's
+    /// session, and delivers one status update to it: through
     /// `route_update`, or with one `fifo_push` per member.
     struct Host {
         core: ServerCore,
         batched: bool,
+        sessions: bool,
     }
 
     impl Actor<Envelope> for Host {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+            stage_members(&mut self.core, ctx);
+            if !self.sessions {
+                self.core.sessions.clear();
+            }
             let update = status(2);
             if self.batched {
                 self.core.route_update(ctx, update, None, None);
@@ -388,7 +390,8 @@ mod tests {
 
     fn deliver(batched: bool) -> Outcome {
         let mut engine = Engine::new(1);
-        let node = engine.add_node("s", Host { core: staged_core(), batched });
+        let core = ServerCore::new(ServerConfig::new(ADDR, "s"));
+        let node = engine.add_node("s", Host { core, batched, sessions: true });
         engine.run_to_quiescence();
         let fifo_counters = |stats: &simnet::Stats| {
             stats
@@ -421,9 +424,8 @@ mod tests {
         // Per-push counting never created a counter it did not bump; the
         // fold must not either (reports list every written key).
         let mut engine = Engine::new(1);
-        let mut core = staged_core();
-        core.fifos.clear();
-        let node = engine.add_node("s", Host { core, batched: true });
+        let core = ServerCore::new(ServerConfig::new(ADDR, "s"));
+        let node = engine.add_node("s", Host { core, batched: true, sessions: false });
         engine.run_to_quiescence();
         assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
         assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
@@ -436,7 +438,7 @@ mod tests {
         config.snapshot_every = Some(4);
         let script: Script = Box::new(|core, ctx| {
             let cookie = open_session(core, ctx);
-            let client = core.sessions.get(cookie).expect("live").client;
+            let client = core.sessions.by_cookie(cookie).expect("live").client;
             for iteration in 1..=10 {
                 let status = AppStatus { phase: AppPhase::Interacting, iteration, progress: 0.0 };
                 tcp(core, ctx, AppMsg::Update { app: APP, status, readings: Vec::new() });

@@ -49,9 +49,8 @@ use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, Pushed, SessionTable
 use wire::http::HttpResponse;
 use wire::{
     AppId, AppOp, AppStatus, AppStatusEntry, AppToken, ClientId, ClientMessage, ControlEventKind,
-    DeadlineStamp, Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, IdMap, InteractionSpec,
-    Name, PeerMsg, PeerStatusEntry, Privilege, RequestId, ServerAddr, StatusReport, UserId,
-    WireError,
+    DeadlineStamp, Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, InteractionSpec, Name,
+    PeerMsg, PeerStatusEntry, Privilege, RequestId, ServerAddr, StatusReport, UserId, WireError,
 };
 
 use crate::archive::ArchiveStore;
@@ -303,21 +302,6 @@ pub struct RemoteApp {
     pub last_status: AppStatus,
 }
 
-/// A session whose lease lapsed, held under the park TTL awaiting a
-/// reconnect-with-resume. Its FIFO (still registered in `fifos` and
-/// still accumulating bounded updates), collaboration membership, and
-/// any held steering lock all survive the park.
-struct ParkedSession {
-    /// The session state, removed from the live table verbatim.
-    session: HttpSession,
-    /// When the lease lapsed (park-TTL expiry is measured from here).
-    parked_at: simnet::SimTime,
-    /// Archive cursor per selected local app at park time: everything
-    /// the host logs past this point is the "missed suffix" a resume
-    /// replays through the paged catch-up path.
-    cursors: Vec<(AppId, u64)>,
-}
-
 /// Where a host-side request came from. The host decides the same way
 /// for both; an origin only selects where the answer goes, whose FIFO a
 /// resulting broadcast skips, and the `origin=` token in the history.
@@ -430,15 +414,11 @@ impl FifoTally {
 pub struct ServerCore {
     /// Configuration (public for inspection in tests/benches).
     pub config: ServerConfig,
+    /// Every client session, live or parked, with its FIFO.
     sessions: SessionTable,
-    /// Parked sessions keyed by cookie (BTreeMap for deterministic
-    /// reclamation order).
-    parked: BTreeMap<u64, ParkedSession>,
     /// Paced-recovery accounting: (window start micros, resumes admitted
     /// in the current one-second window).
     resume_accounting: (u64, u32),
-    cookie_of_client: HashMap<ClientId, u64>,
-    fifos: IdMap<ClientId, FifoBuffer>,
     /// The hosted applications, one record each, walked in `AppId` order.
     apps: BTreeMap<AppId, ApplicationProxy>,
     next_app_seq: u32,
@@ -502,11 +482,8 @@ impl ServerCore {
         archive.mutation = config.mutation;
         ServerCore {
             config,
-            sessions: SessionTable::new(),
-            parked: BTreeMap::new(),
+            sessions: SessionTable::default(),
             resume_accounting: (0, 0),
-            cookie_of_client: HashMap::new(),
-            fifos: IdMap::default(),
             apps: BTreeMap::new(),
             next_app_seq: 0,
             next_client_seq: 0,
@@ -543,13 +520,13 @@ impl ServerCore {
 
     /// Number of live client sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.sessions.live().count()
     }
 
     /// Number of parked sessions awaiting resume or reclamation (the
     /// lease-reclamation oracle's no-leak observable).
     pub fn parked_count(&self) -> usize {
-        self.parked.len()
+        self.sessions.iter().filter(|s| s.parked.is_some()).count()
     }
 
     /// Borrow a local application proxy (tests).
@@ -574,12 +551,12 @@ impl ServerCore {
 
     /// Total messages dropped across all client FIFOs.
     pub fn fifo_dropped_total(&self) -> u64 {
-        self.fifos.values().map(FifoBuffer::dropped).sum()
+        self.sessions.iter().map(|s| s.fifo.dropped()).sum()
     }
 
     /// Peak FIFO occupancy across all clients.
     pub fn fifo_peak_max(&self) -> usize {
-        self.fifos.values().map(FifoBuffer::peak).max().unwrap_or(0)
+        self.sessions.iter().map(|s| s.fifo.peak()).max().unwrap_or(0)
     }
 
     /// Peak Daemon-buffer occupancy across all local application proxies
@@ -605,9 +582,9 @@ impl ServerCore {
     /// enqueued) — the §6.2 slow-client memory-overhead observables.
     pub fn fifo_snapshot(&self) -> Vec<(ClientId, usize, usize, u64, u64)> {
         let mut v: Vec<_> = self
-            .fifos
+            .sessions
             .iter()
-            .map(|(c, f)| (*c, f.len(), f.peak(), f.dropped(), f.enqueued()))
+            .map(|s| (s.client, s.fifo.len(), s.fifo.peak(), s.fifo.dropped(), s.fifo.enqueued()))
             .collect();
         v.sort_by_key(|(c, ..)| *c);
         v
@@ -645,21 +622,21 @@ impl ServerCore {
             })
             .collect();
         let mut fifos: Vec<FifoStatusEntry> = self
-            .fifos
+            .sessions
             .iter()
-            .map(|(client, fifo)| FifoStatusEntry {
-                client: *client,
-                queued: fifo.len() as u32,
-                peak: fifo.peak() as u32,
-                dropped: fifo.dropped(),
+            .map(|s| FifoStatusEntry {
+                client: s.client,
+                queued: s.fifo.len() as u32,
+                peak: s.fifo.peak() as u32,
+                dropped: s.fifo.dropped(),
             })
             .collect();
         fifos.sort_by_key(|f| f.client);
         StatusReport {
             server: self.config.addr,
             at_us,
-            sessions_active: self.sessions.len() as u32,
-            sessions_parked: self.parked.len() as u32,
+            sessions_active: self.session_count() as u32,
+            sessions_parked: self.parked_count() as u32,
             admission_in_flight: self.origins.len() as u32,
             fifo_dropped: self.fifo_dropped_total(),
             shed_total: self.proxy_shed_total(),
@@ -680,8 +657,8 @@ impl ServerCore {
 
     fn fifo_push(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId, msg: ClientMessage) {
         let mut tally = FifoTally::default();
-        if let Some(fifo) = self.fifos.get_mut(&client) {
-            tally.push(fifo, msg);
+        if let Some(s) = self.sessions.get_mut(client) {
+            tally.push(&mut s.fifo, msg);
         }
         tally.fold(ctx);
     }
@@ -882,15 +859,21 @@ mod tests {
         let everyone = acl.iter().map(|(name, _)| (user(name), Privilege::ReadOnly)).collect();
         tcp(core, ctx, register(everyone, ANCHOR.seq));
         tcp(core, ctx, AppMsg::PhaseChange { app: APP, phase: AppPhase::Interacting });
-        acl.iter()
-            .map(|(name, _)| {
-                let user = user(name);
-                let password = security::expected_password(&user);
-                http(core, ctx, None, ClientRequest::Login { user: user.clone(), password });
-                let session = core.sessions.iter().find(|s| s.user == user).expect("logged in");
-                (session.cookie, session.client)
-            })
-            .collect()
+        acl.iter().map(|(name, _)| login(core, ctx, name)).collect()
+    }
+
+    /// Log `name` in once more; returns the new session's (cookie, client
+    /// id).
+    pub(super) fn login(
+        core: &mut ServerCore,
+        ctx: &mut Ctx<'_, Envelope>,
+        name: &str,
+    ) -> (u64, ClientId) {
+        let user = user(name);
+        let password = security::expected_password(&user);
+        http(core, ctx, None, ClientRequest::Login { user: user.clone(), password });
+        let newest = core.sessions.live().filter(|s| s.user == user).max_by_key(|s| s.client);
+        newest.map(|s| (s.cookie, s.client)).expect("logged in")
     }
 
     /// A peer subscribes to `APP`, so every broadcast the host owns shows

@@ -248,3 +248,53 @@ impl ServerCore {
         self.fifo_push(ctx, client, message);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use wire::{ClientRequest, LogEntry, OpOutcome, ResponseBody, Value};
+
+    use super::super::tests::*;
+    use super::*;
+
+    #[test]
+    fn a_relayed_answer_reaches_a_client_that_parked_meanwhile() {
+        // A client here steers `REMOTE`, hosted at the peer, and parks
+        // between the relay and the host's reply. The reply is answered as
+        // a local op's would be: into the parked FIFO and the client's log.
+        const MINUTE: simnet::SimDuration = simnet::SimDuration::from_secs(60);
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.session_idle_timeout = Some(MINUTE);
+        config.session_park_ttl = Some(MINUTE * 10);
+        let outcome = OpOutcome::ParamSet("knob".into(), Value::Float(1.0));
+        let reply = PeerReply::OpResult { app: REMOTE, result: Ok(outcome.clone()) };
+        let script: Script = Box::new(move |core, ctx| {
+            let cookie = open_session(core, ctx);
+            let op = AppOp::SetParam("knob".into(), Value::Float(1.0));
+            let effects = http(core, ctx, Some(cookie), ClientRequest::Op { app: REMOTE, op });
+            let [Effect::Relay { client, .. }] = effects[..] else { panic!("{effects:?}") };
+            ctx.consume(MINUTE + MINUTE / 60);
+            let effects = core.reap_idle_sessions(ctx);
+            assert!(handed_off(core, effects).is_empty());
+            assert_eq!(core.parked_count(), 1);
+            core.complete_relay(ctx, client, REMOTE, Relayed::Op, Ok(reply));
+            assert!(core.drain_effects().is_empty());
+            http(core, ctx, None, ClientRequest::Resume { cookie, cursors: Vec::new() });
+            http(core, ctx, Some(cookie), ClientRequest::Poll);
+            http(core, ctx, Some(cookie), ClientRequest::GetMyLog { app: REMOTE, since: 0 });
+        });
+        let (engine, node) = Loopback::run(config, script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let [.., poll, log] = &host.http[..] else { panic!("{:?}", host.http) };
+        let [ClientMessage::Response(ResponseBody::Batch(batch))] = &poll.body[..] else {
+            panic!("{poll:?}")
+        };
+        let done = ResponseBody::OpDone { app: REMOTE, outcome: outcome.clone() };
+        assert!(batch.contains(&ClientMessage::Response(done)), "{batch:?}");
+        let [ClientMessage::Response(ResponseBody::ClientLog { records, .. })] = &log.body[..]
+        else {
+            panic!("{log:?}")
+        };
+        let response = LogEntry::Response(outcome);
+        assert!(records.iter().any(|r| r.entry == response), "{records:?}");
+    }
+}

@@ -78,10 +78,7 @@ impl ServerCore {
             return;
         }
         let dropped_sessions = self.sessions.clear();
-        self.parked.clear();
         self.resume_accounting = (0, 0);
-        self.cookie_of_client.clear();
-        self.fifos.clear();
         self.origins.clear();
         self.collab.reset();
         self.apps.values_mut().for_each(ApplicationProxy::forget_volatile);

@@ -73,7 +73,6 @@ impl ServerCore {
         };
         let client = session.client;
         let user = session.user.clone();
-        let cookie = session.cookie;
 
         // Admission control: when an inflight budget is configured,
         // view-class operations are rejected at ingress once the budget
@@ -103,9 +102,7 @@ impl ServerCore {
                 // FIFO never touches the heap, and a nonempty drain
                 // reserves exactly once from the iterator's exact size.
                 let mut batch = Vec::new();
-                if let Some(f) = self.fifos.get_mut(&client) {
-                    f.drain_into(POLL_BATCH_MAX, &mut batch);
-                }
+                session.fifo.drain_into(POLL_BATCH_MAX, &mut batch);
                 ctx.metrics().incr(names::SERVER_POLL_REQUESTS);
                 ctx.metrics().add(names::SERVER_POLL_DELIVERED, batch.len() as u64);
                 if !batch.is_empty() {
@@ -114,8 +111,7 @@ impl ServerCore {
                 vec![ClientMessage::Response(ResponseBody::Batch(batch))]
             }
             Some(ClientRequest::Logout) => {
-                self.sessions.remove(cookie);
-                self.end_session(ctx, client, &user);
+                self.end_session(ctx, client);
                 vec![ClientMessage::Response(ResponseBody::LogoutOk)]
             }
             Some(ClientRequest::ListApplications) => {
@@ -207,12 +203,9 @@ impl ServerCore {
         let client = ClientId { server: self.config.addr, seq: self.next_client_seq };
         self.next_client_seq += 1;
         let now = ctx.now();
-        let cookie = self.sessions.create(ctx.rng(), user.clone(), client, now);
-        self.cookie_of_client.insert(client, cookie);
-        self.fifos.insert(
-            client,
-            FifoBuffer::with_coalescing(self.config.fifo_capacity, self.config.coalesce_fifo),
-        );
+        let (capacity, coalesce) = (self.config.fifo_capacity, self.config.coalesce_fifo);
+        let fifo = FifoBuffer::with_coalescing(capacity, coalesce);
+        let cookie = self.sessions.create(ctx.rng(), user.clone(), client, now, fifo);
         // Fan out level-1 authentication to the peer network for the
         // user's global application list.
         self.effects.push(Effect::RemoteAuth {
@@ -238,16 +231,15 @@ impl ServerCore {
         // admissions are metered per accounting second. Deferred clients
         // get a retry-after jittered by stable identity — a flash crowd
         // spreads out instead of re-arriving as one synchronized burst.
-        if let (Some(parked), Some(limit)) =
-            (self.parked.get(&cookie), self.config.resume_rate_limit)
-        {
+        let parked = self.sessions.by_cookie(cookie).filter(|s| s.parked.is_some());
+        if let (Some(parked), Some(limit)) = (parked, self.config.resume_rate_limit) {
             let now_us = ctx.now().as_micros();
             if now_us.saturating_sub(self.resume_accounting.0) >= 1_000_000 {
                 self.resume_accounting = (now_us, 0);
             }
             if self.resume_accounting.1 >= limit {
                 ctx.metrics().incr(names::SERVER_RESUME_THROTTLED);
-                let user = parked.session.user.as_str();
+                let user = parked.user.as_str();
                 ctx.record_history(
                     "session.resume_deferred",
                     "",
@@ -267,30 +259,24 @@ impl ServerCore {
             }
             self.resume_accounting.1 += 1;
         }
-        let (client, selected, park_cursors) = match self.parked.remove(&cookie) {
-            Some(p) => {
+        let Some((session, park)) = self.sessions.resume(cookie, ctx.now()) else {
+            let error = Self::error(ErrorCode::SessionExpired, "session expired; log in again");
+            return (401, vec![error]);
+        };
+        let (client, selected) = (session.client, session.selected.clone());
+        let park_cursors = match park {
+            Some(park) => {
                 ctx.metrics().incr(names::SERVER_SESSIONS_RESUMED);
-                let client = p.session.client;
-                let selected = p.session.selected.clone();
-                let parked_ms =
-                    ctx.now().as_micros().saturating_sub(p.parked_at.as_micros()) / 1000;
+                let parked_ms = (ctx.now() - park.since).as_micros() / 1000;
                 ctx.record_history(
                     "session.resumed",
                     "",
-                    p.session.user.as_str(),
+                    session.user.as_str(),
                     format_args!("parked_ms={parked_ms} apps={}", selected.len()),
                 );
-                self.sessions.restore(p.session, ctx.now());
-                (client, selected, p.cursors)
+                park.cursors
             }
-            None => {
-                let Some(s) = self.sessions.touch(cookie, ctx.now()) else {
-                    let error =
-                        Self::error(ErrorCode::SessionExpired, "session expired; log in again");
-                    return (401, vec![error]);
-                };
-                (s.client, s.selected.clone(), Vec::new())
-            }
+            None => Vec::new(),
         };
         // Missed-suffix replay: park-time cursors establish the suffix
         // start; explicit client cursors override them (a client that
@@ -331,20 +317,19 @@ impl ServerCore {
         out
     }
 
-    /// Tear down a session that has already left the live table: its FIFO
-    /// dropped, every group left (and told), subscriptions dropped and
-    /// steering locks freed. The one path behind a logout, the idle
-    /// reaper and park-TTL reclamation.
-    fn end_session(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId, user: &UserId) {
-        self.cookie_of_client.remove(&client);
-        self.fifos.remove(&client);
+    /// Tear down a session: its record (and FIFO) removed, every group
+    /// left (and told), subscriptions dropped and steering locks freed.
+    /// The one path behind a logout, the idle reaper and park-TTL
+    /// reclamation.
+    fn end_session(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId) {
+        let Some(HttpSession { user, .. }) = self.sessions.remove(client) else { return };
         let affected = self.collab.drop_client(client);
-        let last_session = !self.sessions.iter().any(|s| s.user == *user);
+        let last_session = !self.sessions.live().any(|s| s.user == user);
         for app in affected {
             let update = UpdateBody::MemberLeft { app, user: user.clone() };
             self.route_update(ctx, update, None, None);
             self.maybe_unsubscribe(app);
-            self.release_lock_if_last_session(ctx, app, user);
+            self.release_lock_if_last_session(ctx, app, &user);
             // A lock held on a REMOTE application must be released at its
             // host server via the relay (otherwise the host would strand
             // the lock until lease expiry).
@@ -363,7 +348,7 @@ impl ServerCore {
         app: AppId,
         user: &UserId,
     ) {
-        let still_here = self.sessions.iter().any(|s| s.user == *user);
+        let still_here = self.sessions.live().any(|s| s.user == *user);
         if still_here {
             return;
         }
@@ -388,8 +373,9 @@ impl ServerCore {
         client: ClientId,
         now: simnet::SimTime,
     ) -> Option<&mut HttpSession> {
-        let cookie = *self.cookie_of_client.get(&client)?;
-        self.sessions.touch(cookie, now)
+        let s = self.sessions.get_mut(client).filter(|s| s.parked.is_none())?;
+        s.last_active = now;
+        Some(s)
     }
 
     /// Reap sessions idle past the configured timeout and sweep expired
@@ -412,10 +398,10 @@ impl ServerCore {
         };
         let cutoff_us = now.as_micros().saturating_sub(timeout.as_micros());
         let cutoff = simnet::SimTime::from_micros(cutoff_us);
-        for session in self.sessions.reap_idle(cutoff) {
+        for client in self.sessions.reap_idle(cutoff, now) {
             match self.config.session_park_ttl {
-                Some(_) => self.park_session(ctx, session),
-                None => self.reclaim_session(ctx, &session),
+                Some(_) => self.park_session(ctx, client),
+                None => self.reclaim_session(ctx, client),
             }
         }
         // Park-TTL expiry keeps parked state bounded: the grace window
@@ -424,47 +410,46 @@ impl ServerCore {
         // lease-reclamation oracle exists to catch).
         if let Some(ttl) = self.config.session_park_ttl {
             if self.config.mutation != Some(Mutation::NoReclaim) {
-                let expired: Vec<u64> = self
-                    .parked
-                    .iter()
-                    .filter(|(_, p)| {
-                        now.as_micros().saturating_sub(p.parked_at.as_micros())
-                            >= ttl.as_micros()
-                    })
-                    .map(|(c, _)| *c)
+                let expired: Vec<ClientId> = self
+                    .sessions
+                    .parked()
+                    .into_iter()
+                    .filter(|s| s.parked.as_ref().is_some_and(|p| now - p.since >= ttl))
+                    .map(|s| s.client)
                     .collect();
-                for cookie in expired {
-                    let Some(p) = self.parked.remove(&cookie) else { continue };
+                for client in expired {
+                    let Some(s) = self.sessions.get(client) else { continue };
                     ctx.metrics().incr(names::SERVER_SESSIONS_RECLAIMED);
                     ctx.record_history(
                         "session.reclaimed",
                         "",
-                        p.session.user.as_str(),
-                        format_args!("apps={}", p.session.selected.len()),
+                        s.user.as_str(),
+                        format_args!("apps={}", s.selected.len()),
                     );
-                    self.reclaim_session(ctx, &p.session);
+                    self.reclaim_session(ctx, client);
                 }
             }
         }
         self.drain_effects()
     }
 
-    /// Count and tear down a session the reaper took off the live table
+    /// Count and tear down a session the reaper took off the live set
     /// (or out of the park): from here on it is exactly a logout.
-    fn reclaim_session(&mut self, ctx: &mut Ctx<'_, Envelope>, session: &HttpSession) {
+    fn reclaim_session(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId) {
         ctx.metrics().incr(names::SERVER_SESSIONS_REAPED);
-        self.end_session(ctx, session.client, &session.user);
+        self.end_session(ctx, client);
     }
 
-    /// Park an idle session under the park TTL: the session leaves the
-    /// live table (its token stops validating, so the returning client
-    /// learns to resume), but its FIFO keeps accumulating bounded
-    /// updates, its collaboration membership stands, and any held
-    /// steering lock stays granted until the lock lease or park TTL says
-    /// otherwise.
-    fn park_session(&mut self, ctx: &mut Ctx<'_, Envelope>, session: HttpSession) {
+    /// Keep a session the reaper parked under the park TTL: its token no
+    /// longer validates (so the returning client learns to resume), but
+    /// its FIFO keeps accumulating bounded updates, its collaboration
+    /// membership stands, and any held steering lock stays granted until
+    /// the lock lease or park TTL says otherwise. Records the archive
+    /// cursors a resume replays from.
+    fn park_session(&mut self, ctx: &mut Ctx<'_, Envelope>, client: ClientId) {
+        let Some(session) = self.sessions.get_mut(client) else { return };
         ctx.metrics().incr(names::SERVER_SESSIONS_PARKED);
-        let cursors: Vec<(AppId, u64)> = session
+        let cursors = session
             .selected
             .iter()
             .filter(|a| a.host() == self.config.addr)
@@ -476,8 +461,9 @@ impl ServerCore {
             session.user.as_str(),
             format_args!("apps={}", session.selected.len()),
         );
-        self.parked
-            .insert(session.cookie, ParkedSession { parked_at: ctx.now(), cursors, session });
+        if let Some(park) = &mut session.parked {
+            park.cursors = cursors;
+        }
     }
 
     /// A peer answered the level-1 authentication fan-out for `client`.
@@ -505,10 +491,9 @@ impl ServerCore {
         self.fifo_push(ctx, client, ClientMessage::Response(ResponseBody::Apps(list)));
     }
 
-    /// The user behind a local client's live session.
+    /// The user behind a local client's session, live or parked.
     pub(super) fn user_of(&self, client: ClientId) -> Option<UserId> {
-        let cookie = self.cookie_of_client.get(&client)?;
-        self.sessions.get(*cookie).map(|s| s.user.clone())
+        self.sessions.get(client).map(|s| s.user.clone())
     }
 }
 
@@ -536,7 +521,7 @@ mod tests {
             config.session_park_ttl = park_ttl;
             let script: Script = Box::new(move |core, ctx| {
                 let cookie = open_session(core, ctx);
-                let client = core.sessions.get(cookie).expect("live").client;
+                let client = core.sessions.by_cookie(cookie).expect("live").client;
                 let mut effects = teardown(core, ctx, cookie);
                 let left = |app| FrozenUpdate::new(UpdateBody::MemberLeft { app, user: user("u") });
                 let freed = FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None });
@@ -555,7 +540,7 @@ mod tests {
                 expected.sort_by_key(|e| format!("{e:?}"));
                 assert_eq!(effects, expected);
                 assert_eq!(core.session_count() + core.parked_count(), 0);
-                assert!(core.fifos.is_empty() && core.cookie_of_client.is_empty());
+                assert!(core.sessions.iter().next().is_none());
                 assert_eq!(core.apps[&APP].lock.holder(), None);
             });
             Loopback::run(config, script);
@@ -568,5 +553,72 @@ mod tests {
             assert_eq!(core.parked_count(), 1);
             idle_for_a_minute(core, ctx)
         });
+    }
+
+    #[test]
+    fn one_sweep_takes_every_idle_session_of_a_user_out_before_either_goes() {
+        // User `u` has two idle sessions, both with `APP` (whose lock `u`
+        // holds) and `REMOTE` selected. One sweep takes both off the live
+        // set before it parks or tears down the first, and walks them in
+        // cookie order: the first teardown already finds `u` gone, so it
+        // frees the lock and releases the remote one, and the second
+        // releases the remote one again.
+        const MINUTE: simnet::SimDuration = simnet::SimDuration::from_secs(60);
+
+        fn sweep(park_ttl: Option<simnet::SimDuration>, expected: Vec<Effect>) -> Vec<String> {
+            let mut config = ServerConfig::new(ADDR, "s");
+            config.session_idle_timeout = Some(MINUTE);
+            config.session_park_ttl = park_ttl;
+            let held = expected.is_empty().then(|| user("u"));
+            let script: Script = Box::new(move |core, ctx| {
+                open_session(core, ctx);
+                let (second, _) = login(core, ctx, "u");
+                for app in [APP, REMOTE] {
+                    http(core, ctx, Some(second), ClientRequest::SelectApp { app });
+                }
+                ctx.consume(MINUTE + MINUTE / 60);
+                let effects = core.reap_idle_sessions(ctx);
+                assert_eq!(handed_off(core, effects), expected);
+                assert_eq!(core.apps[&APP].lock.holder(), held.as_ref());
+            });
+            let (engine, _) = Loopback::run(config, script);
+            engine
+                .history()
+                .iter()
+                .filter(|e| e.at >= simnet::SimTime::ZERO + MINUTE)
+                .map(|e| format!("{} {} {} {}", e.label, e.subject, e.actor, e.detail))
+                .collect()
+        }
+
+        let left = |app| FrozenUpdate::new(UpdateBody::MemberLeft { app, user: user("u") });
+        let release = |seq| Effect::Relay {
+            client: ClientId { server: ADDR, seq },
+            app: REMOTE,
+            verb: RelayVerb::Lock { user: user("u"), acquire: false },
+        };
+        let torn_down = vec![
+            // The second login's cookie sorts first.
+            Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
+            Effect::PushToPeers {
+                update: FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None }),
+                peers: vec![PEER],
+            },
+            Effect::ForwardToHost { update: left(REMOTE) },
+            release(1),
+            Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
+            Effect::ForwardToHost { update: left(REMOTE) },
+            Effect::Unsubscribe { app: REMOTE },
+            release(0),
+        ];
+        let parked = "session.parked  u apps=2";
+        let freed = "lock.force_released app:10.0.0.1#0 u origin=logout";
+        let reclaimed = "session.reclaimed  u apps=2";
+
+        assert_eq!(sweep(None, torn_down.clone()), [freed]);
+        assert_eq!(sweep(Some(MINUTE), Vec::new()), [parked, parked]);
+        assert_eq!(
+            sweep(Some(simnet::SimDuration::ZERO), torn_down),
+            [parked, parked, reclaimed, freed, reclaimed]
+        );
     }
 }

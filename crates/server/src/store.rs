@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use simnet::SimTime;
 use wire::{AppId, UserId, Value};
 
 /// A stored record with ownership metadata.
@@ -25,8 +24,6 @@ pub struct Record {
     pub owner: UserId,
     /// Users granted read-only access.
     pub readers: BTreeSet<UserId>,
-    /// When the record was created.
-    pub created: SimTime,
     /// Payload (named values).
     pub data: Vec<(String, Value)>,
 }
@@ -61,14 +58,13 @@ impl RecordStore {
         app: AppId,
         owner: UserId,
         readers: impl IntoIterator<Item = UserId>,
-        created: SimTime,
         data: Vec<(String, Value)>,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         let mut reader_set: BTreeSet<UserId> = readers.into_iter().collect();
         reader_set.remove(&owner); // the owner is not merely a reader
-        self.records.insert(id, Record { id, app, owner, readers: reader_set, created, data });
+        self.records.insert(id, Record { id, app, owner, readers: reader_set, data });
         id
     }
 
@@ -153,7 +149,7 @@ mod tests {
     #[test]
     fn owner_has_full_access_readers_read_only() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [u("peer")], SimTime::ZERO, vec![]);
+        let id = store.create(app(), u("owner"), [u("peer")], vec![]);
         assert_eq!(store.access(id, &u("owner")), RecordAccess::Full);
         assert_eq!(store.access(id, &u("peer")), RecordAccess::Read);
         assert_eq!(store.access(id, &u("stranger")), RecordAccess::None);
@@ -164,7 +160,7 @@ mod tests {
     #[test]
     fn only_owner_deletes_and_grants() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [], SimTime::ZERO, vec![]);
+        let id = store.create(app(), u("owner"), [], vec![]);
         assert!(!store.delete(id, &u("peer")));
         assert!(!store.grant_read(id, &u("peer"), u("x")));
         assert!(store.grant_read(id, &u("owner"), u("x")));
@@ -177,9 +173,9 @@ mod tests {
     fn query_filters_by_app_and_access() {
         let mut store = RecordStore::new();
         let other_app = AppId { server: ServerAddr(1), seq: 2 };
-        store.create(app(), u("a"), [u("b")], SimTime::ZERO, vec![]);
-        store.create(app(), u("c"), [], SimTime::ZERO, vec![]);
-        store.create(other_app, u("a"), [], SimTime::ZERO, vec![]);
+        store.create(app(), u("a"), [u("b")], vec![]);
+        store.create(app(), u("c"), [], vec![]);
+        store.create(other_app, u("a"), [], vec![]);
         assert_eq!(store.query_app(app(), &u("a")).len(), 1);
         assert_eq!(store.query_app(app(), &u("b")).len(), 1);
         assert_eq!(store.query_app(app(), &u("c")).len(), 1);
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn owner_not_downgraded_by_grant() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("a"), [u("a")], SimTime::ZERO, vec![]);
+        let id = store.create(app(), u("a"), [u("a")], vec![]);
         // Listing the owner among readers must not demote them.
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
         store.grant_read(id, &u("a"), u("a"));

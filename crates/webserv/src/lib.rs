@@ -5,9 +5,10 @@
 //! crate supplies the container half of that sentence for the Rust
 //! reproduction:
 //!
-//! * [`SessionTable`] / [`HttpSession`] — cookie-keyed client sessions
-//!   created by the master handler,
-//! * [`FifoBuffer`] — per-client poll buffers required by HTTP's
+//! * [`SessionTable`] / [`HttpSession`] — one record per client session,
+//!   created by the master handler, keyed by client id and indexed by
+//!   cookie, live or [`Park`]ed, holding the client's
+//! * [`FifoBuffer`] — per-client poll buffer required by HTTP's
 //!   request-response (poll-and-pull) nature,
 //! * [`HttpCosts`], [`TcpCosts`], [`OrbCosts`] — the calibrated CPU cost
 //!   model that separates the three protocol stacks (the source of the
@@ -28,6 +29,6 @@ mod session;
 
 pub use costs::{HttpCosts, OrbCosts, TcpCosts};
 pub use fifo::{FifoBuffer, Pushed};
-pub use session::{HttpSession, SessionTable};
+pub use session::{HttpSession, Park, SessionTable};
 
 pub use wire::http::paths;

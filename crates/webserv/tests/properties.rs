@@ -4,12 +4,12 @@
 
 #![cfg(feature = "proptest")]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::SimTime;
+use simnet::{SimDuration, SimTime};
 use webserv::{FifoBuffer, Pushed, SessionTable};
 use wire::{
     AppCommand, AppId, AppPhase, AppStatus, ClientId, ClientMessage, ServerAddr, UpdateBody,
@@ -172,6 +172,19 @@ impl HashIndexedFifo {
         self.head_seq += n as u64;
         self.queue.drain(..n).collect()
     }
+}
+
+/// One scripted session-table operation; indexes pick a held cookie in
+/// cookie order, times are seconds.
+#[derive(Clone, Debug)]
+enum SessionOp {
+    Create,
+    Touch(usize, u64),
+    /// Park the sessions idle before this cutoff.
+    Reap(u64),
+    Resume(usize, u64),
+    Remove(usize),
+    Clear,
 }
 
 proptest! {
@@ -377,38 +390,103 @@ proptest! {
         }
     }
 
-    /// Sessions: create/touch/remove keeps the table consistent and
-    /// cookies unique; reaping removes exactly the idle sessions.
+    /// The session table against a cookie-ordered model, over scripts of
+    /// every operation: both indexes always hold the same clients, a
+    /// parked session never validates by cookie yet keeps its FIFO
+    /// reachable by client, the idle sweep parks exactly the idle live
+    /// sessions in cookie order, and `clear` counts only the live ones.
     #[test]
     fn session_table_consistency(
-        n in 1usize..40,
-        idle_cutoff_s in 1u64..100,
-        activity in prop::collection::vec(0u64..200, 1..40),
+        ops in prop::collection::vec(prop_oneof![
+            2 => Just(SessionOp::Create),
+            3 => (0usize..64, 0u64..200).prop_map(|(k, t)| SessionOp::Touch(k, t)),
+            1 => (0u64..200).prop_map(SessionOp::Reap),
+            2 => (0usize..64, 0u64..200).prop_map(|(k, t)| SessionOp::Resume(k, t)),
+            1 => (0usize..64).prop_map(SessionOp::Remove),
+            1 => Just(SessionOp::Clear),
+        ], 1..120),
     ) {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut table = SessionTable::new();
-        let mut cookies = Vec::new();
-        for i in 0..n {
-            let c = table.create(
-                &mut rng,
-                UserId::new(format!("u{i}")),
-                ClientId { server: ServerAddr(1), seq: i as u32 },
-                SimTime::ZERO,
-            );
-            prop_assert!(!cookies.contains(&c));
-            cookies.push(c);
+        let mut table = SessionTable::default();
+        // cookie -> (client, last active, parked since)
+        let mut model: BTreeMap<u64, (ClientId, SimTime, Option<SimTime>)> = BTreeMap::new();
+        let mut next_seq = 0u32;
+        let mut now = SimTime::ZERO;
+        let pick = |model: &BTreeMap<u64, _>, k: usize| {
+            model.keys().nth(k % model.len().max(1)).copied()
+        };
+        for op in ops {
+            match op {
+                SessionOp::Create => {
+                    let client = ClientId { server: ServerAddr(1), seq: next_seq };
+                    next_seq += 1;
+                    let user = UserId::new(format!("u{}", next_seq % 3));
+                    let c = table.create(&mut rng, user, client, now, FifoBuffer::new(4));
+                    prop_assert!(c != 0 && !model.contains_key(&c), "cookie {} reused", c);
+                    model.insert(c, (client, now, None));
+                }
+                SessionOp::Touch(k, t) => {
+                    let Some(c) = pick(&model, k) else { continue };
+                    let at = SimTime::from_secs(t);
+                    let entry = model.get_mut(&c).unwrap();
+                    prop_assert_eq!(table.touch(c, at).is_some(), entry.2.is_none());
+                    if entry.2.is_none() {
+                        entry.1 = at;
+                    }
+                }
+                SessionOp::Reap(cutoff) => {
+                    let cutoff = SimTime::from_secs(cutoff);
+                    let idle: Vec<ClientId> = model
+                        .values_mut()
+                        .filter(|(_, active, parked)| parked.is_none() && *active < cutoff)
+                        .map(|(client, _, parked)| {
+                            *parked = Some(now);
+                            *client
+                        })
+                        .collect();
+                    prop_assert_eq!(table.reap_idle(cutoff, now), idle);
+                }
+                SessionOp::Resume(k, t) => {
+                    let Some(c) = pick(&model, k) else { continue };
+                    let at = SimTime::from_secs(t);
+                    let entry = model.get_mut(&c).unwrap();
+                    let (s, park) = table.resume(c, at).expect("a held cookie resumes");
+                    prop_assert_eq!(s.client, entry.0);
+                    prop_assert_eq!(park.map(|p| p.since), entry.2.take());
+                    entry.1 = at;
+                }
+                SessionOp::Remove(k) => {
+                    let Some(c) = pick(&model, k) else { continue };
+                    let (client, ..) = model.remove(&c).unwrap();
+                    prop_assert_eq!(table.remove(client).map(|s| s.cookie), Some(c));
+                    prop_assert!(table.touch(c, now).is_none() && table.get(client).is_none());
+                }
+                SessionOp::Clear => {
+                    let live = model.values().filter(|(.., parked)| parked.is_none()).count();
+                    prop_assert_eq!(table.clear(), live);
+                    model.clear();
+                }
+            }
+            now += SimDuration::from_secs(1);
+            // Both indexes hold exactly the model's clients.
+            prop_assert_eq!(table.iter().count(), model.len());
+            for (&c, &(client, active, parked)) in &model {
+                let s = table.by_cookie(c).expect("indexed by cookie");
+                prop_assert_eq!((s.client, s.last_active), (client, active));
+                prop_assert_eq!(table.get(client).map(|s| s.cookie), Some(c));
+                prop_assert_eq!(s.parked.as_ref().map(|p| p.since), parked);
+                if parked.is_some() {
+                    prop_assert!(table.touch(c, now).is_none(), "a parked cookie validated");
+                    let fifo = &mut table.get_mut(client).expect("reachable by client").fifo;
+                    fifo.push(tagged(0));
+                    prop_assert!(fifo.enqueued() > 0);
+                }
+            }
+            let parked: Vec<u64> = table.parked().iter().map(|s| s.cookie).collect();
+            let expected: Vec<u64> =
+                model.iter().filter(|(_, (.., p))| p.is_some()).map(|(c, _)| *c).collect();
+            prop_assert_eq!(parked, expected);
+            prop_assert_eq!(table.live().count(), model.len() - table.parked().len());
         }
-        // Touch a random subset at various times.
-        for (k, &t) in activity.iter().enumerate() {
-            let c = cookies[k % cookies.len()];
-            prop_assert!(table.touch(c, SimTime::from_secs(t)).is_some());
-        }
-        let cutoff = SimTime::from_secs(idle_cutoff_s);
-        let before = table.len();
-        let reaped = table.reap_idle(cutoff);
-        prop_assert_eq!(before, table.len() + reaped.len());
-        // Every reaped session was idle; every surviving one is fresh.
-        prop_assert!(reaped.iter().all(|s| s.last_active < cutoff));
-        prop_assert!(table.iter().all(|s| s.last_active >= cutoff));
     }
 }
