@@ -2,7 +2,9 @@
 //!
 //! * **Client logs** record "all interactions between a client(s) and an
 //!   application", enabling replay and latecomer catch-up; they live at
-//!   the server the client is connected to.
+//!   the server the client is connected to. A client log never compacts
+//!   and nothing folds it, so it is a plain record list whose sequence
+//!   numbers are its indices.
 //! * **Application logs** record "all requests, responses, and status
 //!   messages for each application"; they live at the application's host
 //!   server.
@@ -22,12 +24,11 @@
 //! restarting host replays its folded state to rebuild proxy/lock state
 //! (see `ServerCore::recover_from_archive`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use simnet::SimTime;
 use wire::{
-    AppId, ArchiveSnapshot, ClientId, FoldedAppState, LogEntry, LogRecord, UpdateKey, UserId,
+    AppId, ArchiveSnapshot, ClientId, FoldedAppState, IdMap, LogEntry, LogRecord, UpdateKey, UserId,
 };
 
 use crate::mutation::Mutation;
@@ -68,8 +69,9 @@ fn compact_key(record: &LogRecord) -> Option<CompactKey<'_>> {
     }
 }
 
-/// An append-only sequence of log records, with an optional snapshot
-/// side-index and per-segment compaction (application logs only).
+/// An application's append-only sequence of log records, with its
+/// running fold, an optional snapshot side-index and per-segment
+/// compaction.
 #[derive(Debug, Default)]
 pub struct Log {
     records: Vec<LogRecord>,
@@ -206,8 +208,10 @@ impl Log {
 /// Both archival log families for one server.
 #[derive(Debug, Default)]
 pub struct ArchiveStore {
-    app_logs: HashMap<AppId, Log>,
-    client_logs: HashMap<(ClientId, AppId), Log>,
+    app_logs: IdMap<AppId, Log>,
+    /// Each client's own interactions with one application; a record's
+    /// `seq` is its index.
+    client_logs: IdMap<(ClientId, AppId), Vec<LogRecord>>,
     /// Capture a state snapshot every this many application-log appends
     /// (`None` = snapshots off; catch-up degrades to full prefix replay).
     pub snapshot_every: Option<u64>,
@@ -263,7 +267,9 @@ impl ArchiveStore {
         user: Option<UserId>,
         entry: LogEntry,
     ) {
-        self.client_logs.entry((client, app)).or_default().append(at, user, entry);
+        let log = self.client_logs.entry((client, app)).or_default();
+        let seq = log.len() as u64;
+        log.push(LogRecord { seq, at_us: at.as_micros(), user, entry });
     }
 
     /// Fetch application history from `since` (latecomer catch-up; "direct
@@ -277,10 +283,9 @@ impl ArchiveStore {
 
     /// Fetch a client's own interaction log (replay).
     pub fn fetch_client(&self, client: ClientId, app: AppId, since: u64) -> (Vec<LogRecord>, u64) {
-        match self.client_logs.get(&(client, app)) {
-            Some(log) => log.fetch(since),
-            None => (Vec::new(), 0),
-        }
+        let log = self.client_logs.get(&(client, app)).map_or(&[][..], Vec::as_slice);
+        let start = usize::try_from(since).map_or(log.len(), |since| since.min(log.len()));
+        (log[start..].to_vec(), log.len() as u64)
     }
 
     /// Snapshot-aware catch-up for an application (see [`Log::catch_up`]).
@@ -696,5 +701,26 @@ mod tests {
         assert_eq!(store.fetch_client(client(2), app(), 0).0.len(), 0);
         let other = AppId { server: ServerAddr(2), seq: 9 };
         assert_eq!(store.fetch_app(other, 0).0.len(), 0);
+    }
+
+    #[test]
+    fn a_client_log_is_numbered_by_position_and_fetched_from_any_cursor() {
+        let mut store = ArchiveStore::new();
+        for i in 0..5u64 {
+            let entry = LogEntry::Request(AppOp::GetSensors);
+            store.log_client(client(1), app(), SimTime::from_micros(i), None, entry);
+        }
+        let (all, next_seq) = store.fetch_client(client(1), app(), 0);
+        assert!(all.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+        assert_eq!(next_seq, 5);
+        let (tail, next_seq) = store.fetch_client(client(1), app(), 3);
+        assert_eq!((tail.as_slice(), next_seq), (&all[3..], 5));
+        // At the end or past it: nothing, and the cursor the log ends at.
+        for since in [5, 6, u64::MAX] {
+            let (records, next_seq) = store.fetch_client(client(1), app(), since);
+            assert!(records.is_empty(), "since {since}");
+            assert_eq!(next_seq, 5, "since {since}");
+        }
+        assert_eq!(store.fetch_client(client(2), app(), 7), (Vec::new(), 0));
     }
 }

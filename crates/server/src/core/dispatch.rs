@@ -2,17 +2,18 @@
 //! and status, op admission at the host, the compute-phase buffer and its
 //! shedding, the one completion of an op, and the steering-lock decision.
 
-use std::fmt::Write;
+use std::rc::Rc;
 
 use wire::giop::GiopFrame;
 use wire::tcp::TcpFrame;
+use wire::UpdateBody;
 use wire::{AppMsg, AppPhase, Channel, LogEntry, ObjectKey, OpOutcome, PeerReply, ResponseBody};
-use wire::{UpdateBody, Value};
 
 use super::*;
 use crate::locks::LockOutcome;
 use crate::proxy::BufferPush;
 use crate::security;
+use crate::store::RecordData;
 
 impl ServerCore {
     /// Handle one frame from an application driver.
@@ -81,7 +82,8 @@ impl ServerCore {
                         .then(|| (proxy.owner.clone(), proxy.acl_users()));
                     self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
                     if let Some((owner, readers)) = record {
-                        self.records.create(app, owner, readers, readings.to_vec());
+                        let data = RecordData::Readings(readings.to_vec());
+                        self.records.create(app, owner, readers, data);
                     }
                     let update = UpdateBody::AppStatus { app, status, readings };
                     self.route_update(ctx, update, None, None);
@@ -384,6 +386,10 @@ impl ServerCore {
     /// client's server. Reached from the application's response, from every
     /// path that fails an accepted operation, and (for a local client of
     /// a remote application) from `complete_relay`.
+    ///
+    /// A success is copied once for the keepers: both logs and the record
+    /// share that copy. The delivery takes the original, and an update to
+    /// the group is built from the shared copy.
     pub(super) fn complete_op(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
@@ -393,9 +399,12 @@ impl ServerCore {
         let PendingOp { origin, user, app, call } = pending;
         let hosted = app.host() == self.config.addr;
         let client = origin.client();
-        let entry = match &result {
-            Ok(outcome) => LogEntry::Response(outcome.clone()),
-            Err(e) => LogEntry::Error(e.clone()),
+        let (entry, kept) = match &result {
+            Ok(outcome) => {
+                let kept = Rc::new(outcome.clone());
+                (LogEntry::Response(Rc::clone(&kept)), Some(kept))
+            }
+            Err(e) => (LogEntry::Error(e.clone()), None),
         };
         if hosted {
             if let Some(client) = client {
@@ -405,14 +414,7 @@ impl ServerCore {
         } else if let Some(client) = client {
             self.archive.log_client(client, app, ctx.now(), Some(user.clone()), entry);
         }
-        // What the tail needs of a success: the text of the record, and
-        // a copy of the outcome only if an update will be built from it —
-        // otherwise the delivery below is the outcome's last owner.
-        let record = match (&result, client) {
-            (Ok(outcome), Some(_)) => Some(self.record_text(outcome)),
-            _ => None,
-        };
-        let shared = match &result {
+        let broadcast = match &result {
             // The host owns global fan-out of state changes, whoever
             // steered; a relaying server broadcasts nothing for them.
             Ok(OpOutcome::ParamSet(..) | OpOutcome::CommandDone(_)) => hosted,
@@ -421,7 +423,20 @@ impl ServerCore {
             Ok(_) => client.is_some_and(|client| self.collab.broadcast_enabled(app, client)),
             Err(_) => false,
         };
-        let outcome = result.as_ref().ok().filter(|_| shared).cloned();
+        let update = kept.as_deref().filter(|_| broadcast).map(|outcome| match outcome {
+            OpOutcome::ParamSet(name, value) => UpdateBody::ParamChanged {
+                app,
+                name: name.clone(),
+                value: value.clone(),
+                by: user.clone(),
+            },
+            OpOutcome::CommandDone(command) => {
+                UpdateBody::CommandApplied { app, command: *command, by: user.clone() }
+            }
+            outcome => {
+                UpdateBody::InteractionEcho { app, by: user.clone(), outcome: outcome.clone() }
+            }
+        });
         match origin {
             Origin::Local { client } => {
                 let message = match result {
@@ -443,32 +458,12 @@ impl ServerCore {
                 }
             }
         }
-        let update = outcome.map(|outcome| match outcome {
-            OpOutcome::ParamSet(name, value) => {
-                UpdateBody::ParamChanged { app, name, value, by: user.clone() }
-            }
-            OpOutcome::CommandDone(command) => {
-                UpdateBody::CommandApplied { app, command, by: user.clone() }
-            }
-            outcome => UpdateBody::InteractionEcho { app, by: user.clone(), outcome },
-        });
         if let Some(update) = update {
             self.route_update(ctx, update, client, None);
         }
-        if let Some(text) = record {
-            let data = vec![("outcome".to_string(), Value::Text(text))];
-            self.records.create(app, user, [], data);
+        if let (Some(outcome), Some(_)) = (kept, client) {
+            self.records.create(app, user, [], RecordData::Outcome(outcome));
         }
-    }
-
-    /// The text of an outcome's §6.3 record. Successive records are
-    /// about as long as each other, so the buffer starts at the length
-    /// of the last one instead of growing there in steps.
-    fn record_text(&mut self, outcome: &OpOutcome) -> String {
-        let mut text = String::with_capacity(self.record_len);
-        write!(text, "{outcome:?}").expect("writing to a String cannot fail");
-        self.record_len = text.len();
-        text
     }
 
     /// Finish the proxy/app spans of a request, if any were opened.
@@ -572,7 +567,7 @@ impl ServerCore {
 
 #[cfg(test)]
 mod tests {
-    use wire::ClientRequest;
+    use wire::{ClientRequest, Value};
 
     use super::super::tests::*;
     use super::*;
@@ -814,7 +809,7 @@ mod tests {
         });
         let (mut engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
         let host = engine.actor_mut::<Loopback>(node).expect("the loopback actor");
-        let done = OpOutcome::Sensors(Vec::new());
+        let done = sensors_read();
         assert_eq!(host.giop.len(), 2, "SubscribeOk, then the relayed result");
         assert_eq!(host.giop[1], PeerReply::OpResult { app: APP, result: Ok(done.clone()) });
         let echoes = |effects: &[Effect]| {
@@ -825,7 +820,7 @@ mod tests {
         };
         assert_eq!(echoes(&host.effects), 0);
         let responses = |log: &[wire::LogRecord]| {
-            log.iter().filter(|r| r.entry == LogEntry::Response(done.clone())).count()
+            log.iter().filter(|r| r.entry == LogEntry::Response(Rc::new(done.clone()))).count()
         };
         let app_log = host.core.archive.app_log(APP).expect("logged");
         assert_eq!(responses(app_log.all()), 2, "both reads are in the application's log");
@@ -846,5 +841,50 @@ mod tests {
         let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
         assert_eq!(echoes(&host.effects), 1);
         assert_eq!(host.core.records.count_for_app(APP), 1);
+    }
+
+    #[test]
+    fn a_completion_keeps_one_copy_of_its_outcome() {
+        // A collaborating client's read at the host: both logs and the
+        // §6.3 record share the one copy; the echo to the group carries
+        // an equal one of its own (`UpdateBody` stays as wide as it was).
+        let script: Script = Box::new(|core, ctx| {
+            let sessions = open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let cookie = Some(sessions[0].0);
+            http(core, ctx, cookie, ClientRequest::SelectApp { app: APP });
+            http(core, ctx, cookie, ClientRequest::Op { app: APP, op: AppOp::GetSensors });
+        });
+        let (engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let core = &host.core;
+        let response = |log: &[wire::LogRecord]| {
+            let mut responses = log.iter().filter_map(|r| match &r.entry {
+                LogEntry::Response(outcome) => Some(Rc::clone(outcome)),
+                _ => None,
+            });
+            let response = responses.next().expect("a logged response");
+            assert!(responses.next().is_none(), "one response per completion");
+            response
+        };
+        let client = core.sessions.iter().next().expect("logged in").client;
+        let kept = response(&core.archive.fetch_client(client, APP, 0).0);
+        assert_eq!(*kept, sensors_read());
+        let in_app_log = response(core.archive.app_log(APP).expect("logged").all());
+        let [UpdateBody::InteractionEcho { outcome: echoed, .. }] = pushed(&host.effects)[..] else {
+            panic!("one echo: {:?}", host.effects)
+        };
+        assert_eq!(echoed, &*kept);
+        let [record] = core.records.query_app(APP, &user("u"))[..] else {
+            panic!("one record: {:?}", core.records.query_app(APP, &user("u")))
+        };
+        let RecordData::Outcome(recorded) = &record.data else { panic!("{record:?}") };
+        for (holder, other) in [("app log", &in_app_log), ("record", recorded)] {
+            assert!(Rc::ptr_eq(&kept, other), "the {holder} holds a copy of its own");
+        }
+        // Rendered when read, as the text the record was written with
+        // when it rendered eagerly.
+        let text = Value::Text(r#"Sensors([("pressure", Float(1.5))])"#.into());
+        assert_eq!(record.data().as_ref(), [("outcome".to_string(), text)]);
     }
 }

@@ -49,8 +49,9 @@ use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, Pushed, SessionTable
 use wire::http::HttpResponse;
 use wire::{
     AppId, AppOp, AppStatus, AppStatusEntry, AppToken, ClientId, ClientMessage, ControlEventKind,
-    DeadlineStamp, Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, InteractionSpec, Name,
-    PeerMsg, PeerStatusEntry, Privilege, RequestId, ServerAddr, StatusReport, UserId, WireError,
+    DeadlineStamp, Envelope, ErrorCode, FifoStatusEntry, FrozenUpdate, IdMap, InteractionSpec,
+    Name, PeerMsg, PeerStatusEntry, Privilege, RequestId, ServerAddr, StatusReport, UserId,
+    WireError,
 };
 
 use crate::archive::ArchiveStore;
@@ -424,7 +425,7 @@ pub struct ServerCore {
     next_app_seq: u32,
     next_client_seq: u32,
     next_request: u64,
-    origins: HashMap<RequestId, PendingOp>,
+    origins: IdMap<RequestId, PendingOp>,
     collab: CollabGroups,
     archive: ArchiveStore,
     records: RecordStore,
@@ -451,7 +452,7 @@ pub struct ServerCore {
     /// applications, keyed by request id: (`proxy.execute` span,
     /// `app.command` child once the command actually leaves for the
     /// application). Closed when the response (or failure) arrives.
-    req_traces: HashMap<RequestId, (TraceContext, Option<TraceContext>)>,
+    req_traces: IdMap<RequestId, (TraceContext, Option<TraceContext>)>,
     /// Peer health/breaker lines for status reports, synced by the node
     /// shell (the substrate owns the live state) right before a
     /// `ClientRequest::Status` is dispatched. Purely observational.
@@ -465,8 +466,6 @@ pub struct ServerCore {
     /// allocation is kept for the next phase change instead of being
     /// rebuilt per flush.
     flush_scratch: Vec<BufferedOp>,
-    /// Length of the last §6.3 outcome record (`record_text`).
-    record_len: usize,
     /// Restart-from-archive recoveries executed so far (status page).
     recoveries: u64,
     /// Local apps whose proxy context was rebuilt in the last recovery.
@@ -488,7 +487,7 @@ impl ServerCore {
             next_app_seq: 0,
             next_client_seq: 0,
             next_request: 0,
-            origins: HashMap::new(),
+            origins: IdMap::default(),
             collab: CollabGroups::new(),
             archive,
             records: RecordStore::new(),
@@ -498,11 +497,10 @@ impl ServerCore {
             peer_accounting: HashMap::new(),
             incoming_trace: None,
             incoming_deadline: None,
-            req_traces: HashMap::new(),
+            req_traces: IdMap::default(),
             peer_status: Vec::new(),
             dir_plane: wire::DirPlaneStatus::default(),
             flush_scratch: Vec::new(),
-            record_len: 0,
             recoveries: 0,
             recovered_apps: 0,
         }
@@ -788,6 +786,7 @@ mod tests {
                     let outcome = match op {
                         AppOp::SetParam(name, value) => OpOutcome::ParamSet(name, value),
                         AppOp::Command(command) => OpOutcome::CommandDone(command),
+                        AppOp::GetSensors => sensors_read(),
                         _ => OpOutcome::Sensors(Vec::new()),
                     };
                     let response = AppMsg::Response { req, result: Ok(outcome) };
@@ -796,6 +795,11 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// The loopback application's answer to `GetSensors`.
+    pub(super) fn sensors_read() -> OpOutcome {
+        OpOutcome::Sensors(vec![("pressure".into(), wire::Value::Float(1.5))])
     }
 
     /// Every public entry point that returns effects hands over the whole

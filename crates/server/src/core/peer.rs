@@ -294,7 +294,7 @@ mod tests {
         else {
             panic!("{log:?}")
         };
-        let response = LogEntry::Response(outcome);
+        let response = LogEntry::Response(outcome.into());
         assert!(records.iter().any(|r| r.entry == response), "{records:?}");
     }
 }

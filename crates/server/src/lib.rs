@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod archive;
 mod collab;
@@ -46,4 +47,4 @@ pub use locks::{LockOutcome, SteeringLock};
 pub use mutation::Mutation;
 pub use proxy::{ApplicationProxy, BufferPush, BufferedOp};
 pub use standalone::StandaloneServer;
-pub use store::{Record, RecordAccess, RecordStore};
+pub use store::{Record, RecordAccess, RecordData, RecordStore};

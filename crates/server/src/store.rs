@@ -9,9 +9,11 @@
 //!   access;
 //! * clients can never create records at a remote server.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
-use wire::{AppId, UserId, Value};
+use wire::{AppId, OpOutcome, UserId, Value};
 
 /// A stored record with ownership metadata.
 #[derive(Debug, Clone)]
@@ -24,8 +26,31 @@ pub struct Record {
     pub owner: UserId,
     /// Users granted read-only access.
     pub readers: BTreeSet<UserId>,
-    /// Payload (named values).
-    pub data: Vec<(String, Value)>,
+    pub(crate) data: RecordData,
+}
+
+/// What a record keeps: periodic readings as named values, or the
+/// outcome of a client's interaction, shared with the logs that hold the
+/// same completion.
+#[derive(Debug, Clone)]
+pub enum RecordData {
+    /// Periodic application data.
+    Readings(Vec<(String, Value)>),
+    /// A completed operation's outcome.
+    Outcome(Rc<OpOutcome>),
+}
+
+impl Record {
+    /// The payload as named values. An outcome record is rendered here,
+    /// when read, as one `outcome` text.
+    pub fn data(&self) -> Cow<'_, [(String, Value)]> {
+        match &self.data {
+            RecordData::Readings(values) => Cow::Borrowed(values),
+            RecordData::Outcome(outcome) => {
+                Cow::Owned(vec![("outcome".to_string(), Value::Text(format!("{outcome:?}")))])
+            }
+        }
+    }
 }
 
 /// Access level a user has on a record.
@@ -58,7 +83,7 @@ impl RecordStore {
         app: AppId,
         owner: UserId,
         readers: impl IntoIterator<Item = UserId>,
-        data: Vec<(String, Value)>,
+        data: RecordData,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -149,7 +174,7 @@ mod tests {
     #[test]
     fn owner_has_full_access_readers_read_only() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [u("peer")], vec![]);
+        let id = store.create(app(), u("owner"), [u("peer")], RecordData::Readings(vec![]));
         assert_eq!(store.access(id, &u("owner")), RecordAccess::Full);
         assert_eq!(store.access(id, &u("peer")), RecordAccess::Read);
         assert_eq!(store.access(id, &u("stranger")), RecordAccess::None);
@@ -160,7 +185,7 @@ mod tests {
     #[test]
     fn only_owner_deletes_and_grants() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [], vec![]);
+        let id = store.create(app(), u("owner"), [], RecordData::Readings(vec![]));
         assert!(!store.delete(id, &u("peer")));
         assert!(!store.grant_read(id, &u("peer"), u("x")));
         assert!(store.grant_read(id, &u("owner"), u("x")));
@@ -173,9 +198,9 @@ mod tests {
     fn query_filters_by_app_and_access() {
         let mut store = RecordStore::new();
         let other_app = AppId { server: ServerAddr(1), seq: 2 };
-        store.create(app(), u("a"), [u("b")], vec![]);
-        store.create(app(), u("c"), [], vec![]);
-        store.create(other_app, u("a"), [], vec![]);
+        store.create(app(), u("a"), [u("b")], RecordData::Readings(vec![]));
+        store.create(app(), u("c"), [], RecordData::Readings(vec![]));
+        store.create(other_app, u("a"), [], RecordData::Readings(vec![]));
         assert_eq!(store.query_app(app(), &u("a")).len(), 1);
         assert_eq!(store.query_app(app(), &u("b")).len(), 1);
         assert_eq!(store.query_app(app(), &u("c")).len(), 1);
@@ -186,7 +211,7 @@ mod tests {
     #[test]
     fn owner_not_downgraded_by_grant() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("a"), [u("a")], vec![]);
+        let id = store.create(app(), u("a"), [u("a")], RecordData::Readings(vec![]));
         // Listing the owner among readers must not demote them.
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
         store.grant_read(id, &u("a"), u("a"));

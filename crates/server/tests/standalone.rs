@@ -625,7 +625,7 @@ fn client_log_replays_own_interactions_only() {
     )));
     assert!(driver_log.iter().any(|r| matches!(
         &r.entry,
-        wire::LogEntry::Response(OpOutcome::ParamSet(..))
+        wire::LogEntry::Response(outcome) if matches!(**outcome, OpOutcome::ParamSet(..))
     )));
     // ...but never the writer's GetSensors, and vice versa.
     assert!(!driver_log.iter().any(|r| matches!(

@@ -48,6 +48,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -499,6 +500,15 @@ impl<T: Dbp> Dbp for Arc<T> {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         T::read(r).map(Arc::new)
+    }
+}
+
+impl<T: Dbp> Dbp for Rc<T> {
+    fn walk<S: Sink>(&self, out: &mut S) {
+        (**self).walk(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::read(r).map(Rc::new)
     }
 }
 

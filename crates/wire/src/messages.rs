@@ -14,6 +14,7 @@
 //!   and `CorbaProxy` servants, plus the Control channel events and the
 //!   Naming/Trader directory operations.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::codec::dbp;
@@ -1290,8 +1291,9 @@ dbp! {
     pub enum LogEntry {
         /// A client-issued interaction request.
         Request(AppOp),
-        /// The application's response.
-        Response(OpOutcome),
+        /// The application's response, shared with every other keeper of
+        /// the same completion (the other log, the §6.3 record).
+        Response(Rc<OpOutcome>),
         /// An error outcome.
         Error(WireError),
         /// A periodic status/sensor message.

@@ -5,6 +5,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -1179,7 +1180,7 @@ macro_rules! every_variant {
         ]);
         $each!([
             LogEntry::Request(AppOp::GetSensors),
-            LogEntry::Response(OpOutcome::Status(status.clone())),
+            LogEntry::Response(Rc::new(OpOutcome::Status(status.clone()))),
             LogEntry::Error(error.clone()),
             LogEntry::Status(status.clone()),
             LogEntry::Update(chat.clone()),
