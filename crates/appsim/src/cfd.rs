@@ -99,8 +99,8 @@ impl Cavity {
                     #[allow(clippy::needless_range_loop)] // stencil indexing
                     for j in 1..n - 1 {
                         let c = i * n + j;
-                        row[j] = 0.25
-                            * (psi[c - n] + psi[c + n] + psi[c - 1] + psi[c + 1] + h2 * w[c]);
+                        row[j] =
+                            0.25 * (psi[c - n] + psi[c + n] + psi[c - 1] + psi[c + 1] + h2 * w[c]);
                     }
                 });
             }

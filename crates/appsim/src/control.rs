@@ -8,8 +8,7 @@
 //! `apply` entry point for interaction operations.
 
 use wire::{
-    AppCommand, AppOp, AppPhase, AppStatus, ErrorCode, InteractionSpec, OpOutcome, Value,
-    WireError,
+    AppCommand, AppOp, AppPhase, AppStatus, ErrorCode, InteractionSpec, OpOutcome, Value, WireError,
 };
 
 /// A numeric simulation kernel that can be advanced one iteration at a
@@ -241,9 +240,9 @@ pub fn write_clamped_f64<S>(
     state: &mut S,
     set: impl FnOnce(&mut S, f64),
 ) -> Result<Value, String> {
-    let x = value.as_f64().ok_or_else(|| {
-        format!("expected a numeric value, got {}", value.type_name())
-    })?;
+    let x = value
+        .as_f64()
+        .ok_or_else(|| format!("expected a numeric value, got {}", value.type_name()))?;
     if !x.is_finite() {
         return Err("value must be finite".to_string());
     }
@@ -323,8 +322,7 @@ mod tests {
             .apply(&AppOp::SetParam("gain".into(), Value::Float(99.0)), AppPhase::Interacting)
             .unwrap();
         assert_eq!(out, OpOutcome::ParamSet("gain".into(), Value::Float(10.0)));
-        let out =
-            app.apply(&AppOp::GetParam("gain".into()), AppPhase::Interacting).unwrap();
+        let out = app.apply(&AppOp::GetParam("gain".into()), AppPhase::Interacting).unwrap();
         assert_eq!(out, OpOutcome::Param("gain".into(), Value::Float(10.0)));
     }
 

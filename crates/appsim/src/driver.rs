@@ -17,8 +17,8 @@ use std::sync::Arc;
 use simnet::{names, Actor, Ctx, NodeId, SimDuration};
 use wire::tcp::TcpFrame;
 use wire::{
-    AppCommand, AppId, AppMsg, AppOp, AppPhase, AppToken, Channel, Envelope, ErrorCode,
-    Privilege, RequestId, UserId, WireError,
+    AppCommand, AppId, AppMsg, AppOp, AppPhase, AppToken, Channel, Envelope, ErrorCode, Privilege,
+    RequestId, UserId, WireError,
 };
 
 use crate::control::{Kernel, SteerableApp};
@@ -162,7 +162,12 @@ impl<S: Kernel> AppDriver<S> {
         ctx.send(server, Envelope::tcp(TcpFrame::new(Channel::Main, msg)));
     }
 
-    fn send_response(&mut self, ctx: &mut Ctx<'_, Envelope>, req: RequestId, result: Result<wire::OpOutcome, WireError>) {
+    fn send_response(
+        &mut self,
+        ctx: &mut Ctx<'_, Envelope>,
+        req: RequestId,
+        result: Result<wire::OpOutcome, WireError>,
+    ) {
         let server = self.server.expect("driver server not wired");
         self.ops_answered += 1;
         ctx.send(
@@ -255,13 +260,12 @@ impl<S: Kernel> Actor<Envelope> for AppDriver<S> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, _from: NodeId, msg: Envelope) {
         let wire::Content::Tcp(frame) = msg.content else { return };
         match frame.msg {
-            AppMsg::RegisterAck { app }
-                if self.state == DriverState::AwaitingAck => {
-                    self.assigned = Some(app);
-                    // First status update announces the app, then compute.
-                    self.send_update(ctx);
-                    self.enter_computing(ctx);
-                }
+            AppMsg::RegisterAck { app } if self.state == DriverState::AwaitingAck => {
+                self.assigned = Some(app);
+                // First status update announces the app, then compute.
+                self.send_update(ctx);
+                self.enter_computing(ctx);
+            }
             AppMsg::RegisterNak { error } => {
                 ctx.metrics().incr(names::DRIVER_REGISTER_NAK);
                 let _ = error;
@@ -391,7 +395,10 @@ mod tests {
             let req = RequestId(self.next_req);
             self.next_req += 1;
             if let Some(app) = self.app_node {
-                ctx.send(app, Envelope::tcp(TcpFrame::new(Channel::Command, AppMsg::Command { req, op })));
+                ctx.send(
+                    app,
+                    Envelope::tcp(TcpFrame::new(Channel::Command, AppMsg::Command { req, op })),
+                );
             }
         }
     }
@@ -442,15 +449,14 @@ mod tests {
 
     #[test]
     fn steering_applies_and_echoes() {
-        let script =
-            vec![(SimDuration::from_millis(100), AppOp::SetParam("knob0".into(), Value::Float(7.0)))];
+        let script = vec![(
+            SimDuration::from_millis(100),
+            AppOp::SetParam("knob0".into(), Value::Float(7.0)),
+        )];
         let (mut eng, server, driver) = wire_up(script, DriverConfig::default());
         eng.run_until(SimTime::from_secs(5));
         let srv = eng.actor_ref::<FakeServer>(server).unwrap();
-        assert_eq!(
-            srv.responses[0].1,
-            Ok(OpOutcome::ParamSet("knob0".into(), Value::Float(7.0)))
-        );
+        assert_eq!(srv.responses[0].1, Ok(OpOutcome::ParamSet("knob0".into(), Value::Float(7.0))));
         let drv = eng.actor_ref::<Drv>(driver).unwrap();
         assert_eq!(drv.app().kernel().knobs[0], 7.0);
     }

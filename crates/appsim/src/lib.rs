@@ -19,9 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cfd;
 mod control;
 mod driver;
-pub mod cfd;
 pub mod oilres;
 pub mod relativity;
 pub mod seismic;

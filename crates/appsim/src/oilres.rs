@@ -179,7 +179,11 @@ impl OilReservoir {
                     let o = self.idx(i2, j2);
                     let t = 0.5 * (self.mobility(self.s[c]) + self.mobility(self.s[o]));
                     let v = t * (self.p[c] - self.p[o]); // volumetric flux c -> o
-                    let fw = if v >= 0.0 { self.frac_flow(self.s[c]) } else { self.frac_flow(self.s[o]) };
+                    let fw = if v >= 0.0 {
+                        self.frac_flow(self.s[c])
+                    } else {
+                        self.frac_flow(self.s[o])
+                    };
                     flux[c] -= v * fw;
                     flux[o] += v * fw;
                 }
@@ -303,7 +307,10 @@ mod tests {
         use wire::{AppOp, AppPhase, OpOutcome};
         let mut app = oil_reservoir_app(12);
         let out = app
-            .apply(&AppOp::SetParam("injection_rate".into(), Value::Float(5.0)), AppPhase::Interacting)
+            .apply(
+                &AppOp::SetParam("injection_rate".into(), Value::Float(5.0)),
+                AppPhase::Interacting,
+            )
             .unwrap();
         assert_eq!(out, OpOutcome::ParamSet("injection_rate".into(), Value::Float(5.0)));
         assert_eq!(app.kernel().injection_rate, 5.0);

@@ -175,8 +175,7 @@ impl Kernel for ReggeWheeler {
                         *v = 0.0; // outgoing-ish: kill at far boundaries
                         continue;
                     }
-                    *v = 2.0 * psi[i] - prev[i]
-                        + r2 * (psi[i + 1] - 2.0 * psi[i] + psi[i - 1])
+                    *v = 2.0 * psi[i] - prev[i] + r2 * (psi[i + 1] - 2.0 * psi[i] + psi[i - 1])
                         - dt2 * pot[i] * psi[i];
                 }
             });

@@ -243,8 +243,11 @@ mod tests {
         for _ in 0..30 {
             app.step();
         }
-        app.apply(&AppOp::SetParam("layer_velocity".into(), Value::Float(3.5)), AppPhase::Interacting)
-            .unwrap();
+        app.apply(
+            &AppOp::SetParam("layer_velocity".into(), Value::Float(3.5)),
+            AppPhase::Interacting,
+        )
+        .unwrap();
         for _ in 0..60 {
             app.step();
         }

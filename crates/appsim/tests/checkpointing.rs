@@ -5,7 +5,7 @@
 
 #![cfg(feature = "proptest")]
 
-use appsim::{cfd_app, oil_reservoir_app, relativity_app, seismic_app, SteerableApp, Kernel};
+use appsim::{cfd_app, oil_reservoir_app, relativity_app, seismic_app, Kernel, SteerableApp};
 use proptest::prelude::*;
 use wire::{AppCommand, AppOp, AppPhase, OpOutcome, Value};
 

@@ -136,7 +136,8 @@ impl Actor<Envelope> for FanoutHost {
         };
         self.core.handle_tcp(ctx, me, TcpFrame::new(Channel::Main, register), 0);
         for _ in 0..GROUP {
-            let login = ClientRequest::Login { user: viewer.clone(), password: "secret-viewer".into() };
+            let login =
+                ClientRequest::Login { user: viewer.clone(), password: "secret-viewer".into() };
             self.core.handle_http(ctx, me, HttpRequest::post("/discover/login", None, login), 0);
         }
     }
@@ -226,12 +227,5 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_http,
-    bench_metrics,
-    bench_route_update,
-    bench_engine
-);
+criterion_group!(benches, bench_codec, bench_http, bench_metrics, bench_route_update, bench_engine);
 criterion_main!(benches);

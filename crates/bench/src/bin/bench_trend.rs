@@ -65,9 +65,16 @@ fn gate_one(id: &str, run: fn() -> discover_bench::report::Table) -> Result<usiz
                 errors.push(format!("{id} trend: {} {}", v.key, v.detail));
             }
             if errors.is_empty() {
-                println!("bench-trend: {id} ok ({} gated metrics within tolerance)", report.checked);
+                println!(
+                    "bench-trend: {id} ok ({} gated metrics within tolerance)",
+                    report.checked
+                );
             }
-            if errors.is_empty() { Ok(report.checked) } else { Err(errors) }
+            if errors.is_empty() {
+                Ok(report.checked)
+            } else {
+                Err(errors)
+            }
         }
         Err(e) => {
             errors.push(format!("{id}: fresh summary unreadable after rerun: {e}"));
@@ -79,11 +86,9 @@ fn gate_one(id: &str, run: fn() -> discover_bench::report::Table) -> Result<usiz
 /// Push a gated metric past its tolerance in the bad direction.
 fn inject_regression(baseline: &Baseline) -> Option<(Baseline, String)> {
     let gate = GATES.iter().find(|g| g.experiment == baseline.experiment)?;
-    let idx = baseline.metrics.iter().position(|(k, _)| {
-        match gate.pattern.strip_prefix('*') {
-            Some(suffix) => k.ends_with(suffix),
-            None => k == gate.pattern,
-        }
+    let idx = baseline.metrics.iter().position(|(k, _)| match gate.pattern.strip_prefix('*') {
+        Some(suffix) => k.ends_with(suffix),
+        None => k == gate.pattern,
     })?;
     let mut worse = baseline.clone();
     let key = worse.metrics[idx].0.clone();

@@ -40,10 +40,8 @@ fn main() {
     if wanted.is_empty() || wanted.iter().any(|a| a == "all") {
         wanted = known.iter().map(|(id, _)| id.to_string()).collect();
     }
-    let unknown: Vec<&String> = wanted
-        .iter()
-        .filter(|w| !known.iter().any(|(id, _)| w.eq_ignore_ascii_case(id)))
-        .collect();
+    let unknown: Vec<&String> =
+        wanted.iter().filter(|w| !known.iter().any(|(id, _)| w.eq_ignore_ascii_case(id))).collect();
     if !unknown.is_empty() {
         let ids: Vec<&str> = known.iter().map(|(id, _)| *id).collect();
         for w in &unknown {
@@ -65,7 +63,10 @@ fn main() {
     let workers = if serial {
         1
     } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(selected.len().max(1))
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(selected.len().max(1))
     };
     // Work-stealing by atomic index: each worker claims the next
     // experiment; results land in their original slot so the report

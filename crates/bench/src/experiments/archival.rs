@@ -116,8 +116,7 @@ fn run_bounded() -> BoundedRun {
     for (i, &node) in portals.iter().enumerate() {
         let p = c.engine.actor_ref::<Portal>(node).unwrap();
         for (_, snap, recs, next) in p.catch_ups(app) {
-            let snap_bytes =
-                snap.as_ref().map_or(0, |s| wire::codec::encoded_len(s) as u64);
+            let snap_bytes = snap.as_ref().map_or(0, |s| wire::codec::encoded_len(s) as u64);
             fetches.push(Fetch {
                 age_s: FETCH_SECS[i],
                 depth: next,
@@ -209,11 +208,7 @@ fn run_fidelity(crash: bool) -> FidelityRun {
     let mut c = b.build();
     if crash {
         let mut plan = FaultPlan::new(seed);
-        plan.crash(
-            srv.node,
-            SimTime::from_secs(B_CRASH_SECS),
-            SimTime::from_secs(B_RESTART_SECS),
-        );
+        plan.crash(srv.node, SimTime::from_secs(B_CRASH_SECS), SimTime::from_secs(B_RESTART_SECS));
         c.engine.apply_faults(&plan);
     }
     c.engine.run_until(SimTime::from_secs(B_END_SECS));
@@ -364,23 +359,21 @@ pub fn e19_archival_recovery() -> Table {
     // archive recovery.
     let fold_ok = !s.control.folded.is_empty() && s.control.folded == s.crashed.folded;
     let fetch_ok = !s.control.fetch_sig.is_empty() && s.control.fetch_sig == s.crashed.fetch_sig;
-    table.note(
-        if fold_ok && fetch_ok && s.crashed.recoveries == 1 && s.control.recoveries == 0 {
-            format!(
-                "recovery fidelity: crashed host rebuilt {} apps from its archive and its \
+    table.note(if fold_ok && fetch_ok && s.crashed.recoveries == 1 && s.control.recoveries == 0 {
+        format!(
+            "recovery fidelity: crashed host rebuilt {} apps from its archive and its \
                  folded state ({} bytes) and post-restart catch-up reply are byte-identical \
                  to the uncrashed control",
-                s.crashed.recovered_apps,
-                s.crashed.folded.len()
-            )
-        } else {
-            format!(
-                "recovery VIOLATION: fold_identical={fold_ok} catchup_identical={fetch_ok} \
+            s.crashed.recovered_apps,
+            s.crashed.folded.len()
+        )
+    } else {
+        format!(
+            "recovery VIOLATION: fold_identical={fold_ok} catchup_identical={fetch_ok} \
                  recoveries={} (control {})",
-                s.crashed.recoveries, s.control.recoveries
-            )
-        },
-    );
+            s.crashed.recoveries, s.control.recoveries
+        )
+    });
 
     let summary = summarize(&s);
     // Determinism: the full sweep re-run under the same seeds must

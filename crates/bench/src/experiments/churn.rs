@@ -256,9 +256,7 @@ pub fn e16_churn_recovery() -> Table {
 
     // Acceptance: goodput recovers to >= 80% of pre-burst in both modes,
     // within the measured horizon.
-    let recovered = runs
-        .iter()
-        .all(|r| r.recovery_ms.is_some() && r.post_rate >= 0.8 * r.pre_rate);
+    let recovered = runs.iter().all(|r| r.recovery_ms.is_some() && r.post_rate >= 0.8 * r.pre_rate);
     table.note(if recovered {
         format!(
             "recovery: both modes regained >= 80% of pre-burst goodput ({})",

@@ -116,7 +116,11 @@ pub fn e4_collab_traffic() -> Table {
         let (_, app) = b.application(servers[0], synthetic_app(2, u64::MAX), app_cfg);
         // Anchor apps at the other servers so viewers can log in there.
         for (i, &srv) in servers.iter().enumerate().skip(1) {
-            b.application(srv, synthetic_app(1, u64::MAX), quiet_app_config(&format!("anchor{i}"), &acl));
+            b.application(
+                srv,
+                synthetic_app(1, u64::MAX),
+                quiet_app_config(&format!("anchor{i}"), &acl),
+            );
         }
         // Viewers spread round-robin over servers.
         let mut viewer_nodes = Vec::new();
@@ -147,7 +151,8 @@ pub fn e4_collab_traffic() -> Table {
             for (at, m) in &p.received {
                 if let ClientMessage::Update(u) = m {
                     let UpdateBody::Chat { text, .. } = u.body() else { continue };
-                    if let Some(k) = text.strip_prefix("chat-").and_then(|k| k.parse::<usize>().ok())
+                    if let Some(k) =
+                        text.strip_prefix("chat-").and_then(|k| k.parse::<usize>().ok())
                     {
                         let sent = SimTime::ZERO + send_times[k];
                         latencies.push(at.since(sent).as_micros());
@@ -161,11 +166,8 @@ pub fn e4_collab_traffic() -> Table {
         // Counterfactual: every update delivered to a remote member would
         // have crossed the WAN individually.
         let remote_members = VIEWERS - VIEWERS.div_ceil(s);
-        let updates_broadcast = c
-            .engine
-            .stats()
-            .counter("server.peer.collab_updates")
-            .max(wan_collab); // host-side receptions
+        let updates_broadcast =
+            c.engine.stats().counter("server.peer.collab_updates").max(wan_collab); // host-side receptions
         let naive = if s == 1 {
             0
         } else {
@@ -185,7 +187,9 @@ pub fn e4_collab_traffic() -> Table {
             f2(lat.p95_ms),
         ]);
     }
-    table.note("WAN messages scale with #servers, not #clients; saving grows with remote membership");
+    table.note(
+        "WAN messages scale with #servers, not #clients; saving grows with remote membership",
+    );
     table
 }
 
@@ -254,7 +258,11 @@ pub fn e6_discovery_auth() -> Table {
         b.mesh_servers(simnet::LinkSpec::wan());
         let acl = [("probe", Privilege::ReadOnly)];
         for (i, &srv) in servers.iter().enumerate() {
-            b.application(srv, synthetic_app(1, u64::MAX), quiet_app_config(&format!("app{i}"), &acl));
+            b.application(
+                srv,
+                synthetic_app(1, u64::MAX),
+                quiet_app_config(&format!("app{i}"), &acl),
+            );
         }
         let mut cfg = PortalConfig::new("probe");
         cfg.login_delay = SimDuration::from_millis(300);
@@ -275,9 +283,8 @@ pub fn e6_discovery_auth() -> Table {
             }
             _ => None,
         });
-        let global_ms = complete_at
-            .map(|t| t.since(login_at).as_micros() as f64 / 1000.0)
-            .unwrap_or(f64::NAN);
+        let global_ms =
+            complete_at.map(|t| t.since(login_at).as_micros() as f64 / 1000.0).unwrap_or(f64::NAN);
         let auth_calls = c.engine.stats().counter("substrate.remote_auth.calls");
         let queries = c.engine.stats().counter("substrate.discovery.queries");
         let dir_util = c.engine.node_utilization(c.directory);

@@ -111,10 +111,8 @@ pub fn e8_network_scalability() -> Table {
         c.engine.run_until(SimTime::from_secs(RUN_SECS));
 
         let lat = summarize_us(&fixtures::collect_op_latencies(&c, &nodes));
-        let max_util = servers
-            .iter()
-            .map(|srv| c.engine.node_utilization(srv.node))
-            .fold(0.0f64, f64::max);
+        let max_util =
+            servers.iter().map(|srv| c.engine.node_utilization(srv.node)).fold(0.0f64, f64::max);
         table.row(vec![
             s.to_string(),
             lat.count.to_string(),
@@ -148,9 +146,8 @@ pub fn e9_fifo_slow_clients() -> Table {
     let server = b.server("server0");
     let (_, app) = b.application(server, synthetic_app(2, u64::MAX), hot_app_config("app0", &acl));
     let mk = |user: &str, period_ms: u64, delay: u64| {
-        let mut cfg = PortalConfig::new(user)
-            .select_app(app)
-            .poll_every(SimDuration::from_millis(period_ms));
+        let mut cfg =
+            PortalConfig::new(user).select_app(app).poll_every(SimDuration::from_millis(period_ms));
         cfg.login_delay = SimDuration::from_millis(delay);
         cfg
     };
@@ -221,8 +218,7 @@ pub fn e10_latecomer_replay() -> Table {
             .map(|(t, records, _)| (records.len(), wire::codec::encoded_len(records), t));
         match result {
             Some((count, bytes, at)) => {
-                let fetch_ms =
-                    at.since(SimTime::ZERO + fetch_at).as_micros() as f64 / 1000.0;
+                let fetch_ms = at.since(SimTime::ZERO + fetch_at).as_micros() as f64 / 1000.0;
                 table.row(vec![
                     join_at.to_string(),
                     count.to_string(),

@@ -101,14 +101,17 @@ fn run_fanout(collabs: usize, servers: usize) -> FanoutRun {
     let (_, app) = b.application(handles[0], synthetic_app(2, u64::MAX), app_cfg);
     // Anchor apps so viewers can log in at the other servers.
     for (i, &srv) in handles.iter().enumerate().skip(1) {
-        b.application(srv, synthetic_app(1, u64::MAX), fixtures::quiet_app_config(&format!("anchor{i}"), &acl));
+        b.application(
+            srv,
+            synthetic_app(1, u64::MAX),
+            fixtures::quiet_app_config(&format!("anchor{i}"), &acl),
+        );
     }
     // Viewers round-robin across servers, all watching app0.
     let mut viewers = Vec::new();
     for (i, (u, _)) in users.iter().enumerate() {
         let srv = handles[i % servers];
-        let mut cfg =
-            PortalConfig::new(u).select_app(app).poll_every(poll_every(collabs));
+        let mut cfg = PortalConfig::new(u).select_app(app).poll_every(poll_every(collabs));
         // Spread logins across the first ~8 s so the warmup window
         // absorbs the select/MemberJoined burst even at 512 viewers.
         cfg.login_delay = SimDuration::from_millis(200 + (i as u64 * 15) % 7800);
@@ -219,7 +222,8 @@ pub fn e14_broadcast_fanout() -> Table {
     // visible in counters and wall-clock, never in the schedule).
     let again: Vec<FanoutRun> = CONFIGS.iter().map(|&(g, s)| run_fanout(g, s)).collect();
     table.note(if summarize(&again).to_json() == summary.to_json() {
-        "determinism: two same-seed sweeps produced byte-identical BENCH_E14.json contents".to_string()
+        "determinism: two same-seed sweeps produced byte-identical BENCH_E14.json contents"
+            .to_string()
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });

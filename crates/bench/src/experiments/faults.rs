@@ -203,7 +203,8 @@ pub fn e12_fault_tolerance() -> Table {
     let a = run_chaos(0.01, RetryPolicy::default());
     let b = run_chaos(0.01, RetryPolicy::default());
     table.note(if a == b {
-        "determinism: two runs at loss 0.01 (retry+failover) produced identical counters".to_string()
+        "determinism: two runs at loss 0.01 (retry+failover) produced identical counters"
+            .to_string()
     } else {
         format!("determinism VIOLATION: {a:?} != {b:?}")
     });

@@ -271,10 +271,7 @@ fn summarize(runs: &[StormRun], fid: &Fidelity) -> BenchSummary {
     s.metric_u64("fidelity.ingress_slices", fid.ingress_slices);
     s.metric_u64("fidelity.payload_reencode_walks", fid.payload_reencode_walks);
     s.metric_u64("fidelity.byte_identical", fid.byte_identical as u64);
-    s.metric_u64(
-        "fidelity.peer_payload_borrows_ingress",
-        fid.peer_payload_borrows_ingress as u64,
-    );
+    s.metric_u64("fidelity.peer_payload_borrows_ingress", fid.peer_payload_borrows_ingress as u64);
     s
 }
 
@@ -353,7 +350,8 @@ pub fn e18_hot_path_delivery() -> Table {
     let again: Vec<StormRun> = CONFIGS.iter().map(|&g| run_storm(g)).collect();
     let fid_again = wire_transit_fidelity();
     table.note(if summarize(&again, &fid_again).to_json() == summary.to_json() {
-        "determinism: two same-seed sweeps produced byte-identical BENCH_E18.json contents".to_string()
+        "determinism: two same-seed sweeps produced byte-identical BENCH_E18.json contents"
+            .to_string()
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });

@@ -3,7 +3,6 @@
 //! per-experiment index.
 
 mod archival;
-mod scalability;
 mod churn;
 mod collaboration;
 mod distributed;
@@ -11,22 +10,27 @@ mod fanout;
 mod faults;
 mod hotpath;
 mod overload;
+mod scalability;
 mod scale;
 mod telemetry;
 mod tracing;
 
 pub use archival::e19_archival_recovery;
 pub use churn::e16_churn_recovery;
-pub use collaboration::{e11_push_vs_poll, e4_collab_traffic, e5_remote_vs_local, e6_discovery_auth};
-pub use distributed::{e10_latecomer_replay, e7_lock_contention, e8_network_scalability, e9_fifo_slow_clients};
+pub use collaboration::{
+    e11_push_vs_poll, e4_collab_traffic, e5_remote_vs_local, e6_discovery_auth,
+};
+pub use distributed::{
+    e10_latecomer_replay, e7_lock_contention, e8_network_scalability, e9_fifo_slow_clients,
+};
 pub use fanout::e14_broadcast_fanout;
-pub use hotpath::e18_hot_path_delivery;
 pub use faults::e12_fault_tolerance;
+pub use hotpath::e18_hot_path_delivery;
 pub use overload::e15_overload;
+pub use scalability::{e1_app_scalability, e2_client_scalability, e3_protocol_asymmetry};
 pub use scale::e20_million_clients;
 pub use telemetry::e17_telemetry_overhead;
 pub use tracing::e13_latency_attribution;
-pub use scalability::{e1_app_scalability, e2_client_scalability, e3_protocol_asymmetry};
 
 use crate::report::Table;
 

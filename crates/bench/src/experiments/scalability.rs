@@ -32,7 +32,11 @@ pub fn e1_app_scalability() -> Table {
         let server = b.server("server0");
         for i in 0..n_apps {
             let acl = [("probe", Privilege::ReadOnly)];
-            b.application(server, synthetic_app(2, u64::MAX), hot_app_config(&format!("app{i}"), &acl));
+            b.application(
+                server,
+                synthetic_app(2, u64::MAX),
+                hot_app_config(&format!("app{i}"), &acl),
+            );
         }
         // The probe selects app0 and measures status-op completion.
         let app0 = wire::AppId { server: server.addr, seq: 0 };
@@ -181,7 +185,8 @@ pub fn e3_protocol_asymmetry() -> Table {
         let gateway = b.server("gateway");
         b.link_servers(host, gateway, simnet::LinkSpec::wan());
         let acl = [("probe", Privilege::ReadWrite), ("anchor", Privilege::ReadOnly)];
-        let (_, app) = b.application(host, synthetic_app(2, u64::MAX), quiet_app_config("app0", &acl));
+        let (_, app) =
+            b.application(host, synthetic_app(2, u64::MAX), quiet_app_config("app0", &acl));
         // Anchor app at the gateway so "probe" can log in there.
         b.application(
             gateway,

@@ -209,7 +209,10 @@ pub fn e17_telemetry_overhead() -> Table {
          perturb the system observed: an armed flight recorder shares the bare run's \
          event schedule exactly, and live status probes price in at a bounded \
          round-trip on top of the workload",
-        &["variant", "events", "ops_ok", "expired", "dumps", "probes", "served", "p50_ms", "p99_ms"],
+        &[
+            "variant", "events", "ops_ok", "expired", "dumps", "probes", "served", "p50_ms",
+            "p99_ms",
+        ],
     );
     let bare = run_variant(Variant::Bare);
     let armed = run_variant(Variant::Armed);
@@ -230,9 +233,8 @@ pub fn e17_telemetry_overhead() -> Table {
 
     // Acceptance: arming the recorder leaves the schedule untouched —
     // same event count, same goodput, same expiry count — yet it fired.
-    let zero_cost = bare.events == armed.events
-        && bare.ops_ok == armed.ops_ok
-        && bare.expired == armed.expired;
+    let zero_cost =
+        bare.events == armed.events && bare.ops_ok == armed.ops_ok && bare.expired == armed.expired;
     table.note(if zero_cost && armed.flight_dumps > 0 {
         format!(
             "observer effect: armed run matched bare exactly ({} events, {} ops) while \

@@ -71,15 +71,27 @@ fn run_traced(loss: f64) -> TraceRun {
 
     let users = fixtures::acl_users(3, Privilege::ReadWrite);
     let acl: Vec<(&str, Privilege)> = users.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-    let (_, app_local) =
-        b.application(gateway, synthetic_app(2, u64::MAX), fixtures::interactive_app_config("app-local", &acl));
-    let (_, app_remote) =
-        b.application(backend_r, synthetic_app(2, u64::MAX), fixtures::interactive_app_config("app-remote", &acl));
-    let (_, app_failover) =
-        b.application(backend_f, synthetic_app(2, u64::MAX), fixtures::interactive_app_config("app-failover", &acl));
+    let (_, app_local) = b.application(
+        gateway,
+        synthetic_app(2, u64::MAX),
+        fixtures::interactive_app_config("app-local", &acl),
+    );
+    let (_, app_remote) = b.application(
+        backend_r,
+        synthetic_app(2, u64::MAX),
+        fixtures::interactive_app_config("app-remote", &acl),
+    );
+    let (_, app_failover) = b.application(
+        backend_f,
+        synthetic_app(2, u64::MAX),
+        fixtures::interactive_app_config("app-failover", &acl),
+    );
 
-    let paths: [(&str, wire::AppId); 3] =
-        [("client-local", app_local), ("client-remote", app_remote), ("client-failover", app_failover)];
+    let paths: [(&str, wire::AppId); 3] = [
+        ("client-local", app_local),
+        ("client-remote", app_remote),
+        ("client-failover", app_failover),
+    ];
     let mut portals: Vec<NodeId> = Vec::new();
     for (i, ((name, app), (user, _))) in paths.iter().zip(&users).enumerate() {
         let mut cfg = PortalConfig::new(user)
@@ -202,7 +214,11 @@ pub fn e13_latency_attribution() -> Table {
                 run.paths["client-failover"].backoff_spans, run.retries,
             ));
             if let Some(p) = write_artifact("e13_trace.json", &run.chrome_json) {
-                table.note(format!("chrome trace ({} bytes) -> {}", run.chrome_json.len(), p.display()));
+                table.note(format!(
+                    "chrome trace ({} bytes) -> {}",
+                    run.chrome_json.len(),
+                    p.display()
+                ));
             }
             if let Some(p) = write_artifact("e13_breakdown.txt", &run.breakdown) {
                 table.note(format!("per-layer breakdown -> {}", p.display()));
@@ -210,7 +226,8 @@ pub fn e13_latency_attribution() -> Table {
             // Determinism: the export must be byte-identical when rerun.
             let again = run_traced(loss);
             table.note(if again.chrome_json == run.chrome_json {
-                "determinism: two runs at loss 0.01 produced byte-identical trace exports".to_string()
+                "determinism: two runs at loss 0.01 produced byte-identical trace exports"
+                    .to_string()
             } else {
                 "determinism VIOLATION: trace exports differ between same-seed runs".to_string()
             });

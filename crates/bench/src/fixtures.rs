@@ -58,10 +58,11 @@ pub fn poll_period() -> SimDuration {
 
 /// A portal running a closed-loop workload against `app`.
 pub fn workload_portal(user: &str, app: AppId, mix: OpMix, think_ms: u64) -> PortalConfig {
-    PortalConfig::new(user)
-        .select_app(app)
-        .poll_every(poll_period())
-        .workload(Workload::new(app, mix, SimDuration::from_millis(think_ms)))
+    PortalConfig::new(user).select_app(app).poll_every(poll_period()).workload(Workload::new(
+        app,
+        mix,
+        SimDuration::from_millis(think_ms),
+    ))
 }
 
 /// Collect all op latencies (microseconds) across portals.

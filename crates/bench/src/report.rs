@@ -68,11 +68,8 @@ impl Table {
         println!("  {}", header.join("  "));
         println!("  {}", widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>().join("  "));
         for row in &self.rows {
-            let line: Vec<String> = row
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-                .collect();
+            let line: Vec<String> =
+                row.iter().enumerate().map(|(i, c)| format!("{:>w$}", c, w = widths[i])).collect();
             println!("  {}", line.join("  "));
         }
         for note in &self.notes {
@@ -194,12 +191,7 @@ pub fn summarize_us(values: &[u64]) -> LatencySummary {
     let ms = |d: SimDuration| d.as_micros() as f64 / 1000.0;
     let p95 = h.quantile(0.95);
     let s = h.summary();
-    LatencySummary {
-        count: s.count,
-        mean_ms: ms(s.mean),
-        p50_ms: ms(s.p50),
-        p95_ms: ms(p95),
-    }
+    LatencySummary { count: s.count, mean_ms: ms(s.mean), p50_ms: ms(s.p50), p95_ms: ms(p95) }
 }
 
 /// Format a float with 2 decimals.

@@ -61,9 +61,8 @@ pub fn parse_summary(text: &str) -> Result<Baseline, String> {
         let key = key.trim().trim_matches('"');
         let value = value.trim();
         if in_metrics {
-            let v: f64 = value
-                .parse()
-                .map_err(|e| format!("metric {key:?}: bad value {value:?}: {e}"))?;
+            let v: f64 =
+                value.parse().map_err(|e| format!("metric {key:?}: bad value {value:?}: {e}"))?;
             metrics.push((key.to_string(), v));
         } else if key == "experiment" {
             experiment = Some(value.trim_matches('"').to_string());
@@ -410,7 +409,10 @@ pub fn compare(baseline: &Baseline, fresh: &Baseline) -> TrendReport {
     if baseline.experiment != fresh.experiment {
         violate(
             "experiment",
-            format!("baseline is {:?} but fresh run is {:?}", baseline.experiment, fresh.experiment),
+            format!(
+                "baseline is {:?} but fresh run is {:?}",
+                baseline.experiment, fresh.experiment
+            ),
         );
         return report;
     }
@@ -548,8 +550,7 @@ mod tests {
 
     #[test]
     fn every_gate_names_a_registered_experiment() {
-        let ids: Vec<&str> =
-            crate::experiments::all().iter().map(|&(id, _)| id).collect();
+        let ids: Vec<&str> = crate::experiments::all().iter().map(|&(id, _)| id).collect();
         for gate in GATES {
             assert!(ids.contains(&gate.experiment), "gate on unknown {:?}", gate.experiment);
         }

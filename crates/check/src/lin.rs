@@ -191,10 +191,8 @@ pub fn check_linearizable(ops: &[LinOp]) -> Result<(), String> {
     // No linearization: report the deepest state and the ops that could
     // not be scheduled from it.
     let holder_name = best_holder.map(|h| users[h].clone()).unwrap_or_else(|| "-".into());
-    let remaining: Vec<String> = (0..n)
-        .filter(|i| best_mask & (1 << i) == 0)
-        .map(|i| ops[i].render())
-        .collect();
+    let remaining: Vec<String> =
+        (0..n).filter(|i| best_mask & (1 << i) == 0).map(|i| ops[i].render()).collect();
     Err(format!(
         "no linearization exists: deepest frontier executed {}/{} ops \
          (holder={holder_name}); unschedulable remainder: {}",
@@ -228,10 +226,7 @@ mod tests {
     fn double_grant_is_rejected() {
         // Two disjoint grants with no release between them: no order of a
         // single-holder lock explains this.
-        let ops = vec![
-            op("a", LinKind::Granted, 0, 10),
-            op("b", LinKind::Granted, 20, 30),
-        ];
+        let ops = vec![op("a", LinKind::Granted, 0, 10), op("b", LinKind::Granted, 20, 30)];
         let err = check_linearizable(&ops).unwrap_err();
         assert!(err.contains("no linearization"), "{err}");
     }
@@ -255,10 +250,8 @@ mod tests {
             op("b", LinKind::Granted, 700, 710),
         ];
         assert!(check_linearizable(&with_free).is_ok());
-        let without_free = vec![
-            op("a", LinKind::Granted, 0, 10),
-            op("b", LinKind::Granted, 700, 710),
-        ];
+        let without_free =
+            vec![op("a", LinKind::Granted, 0, 10), op("b", LinKind::Granted, 700, 710)];
         assert!(check_linearizable(&without_free).is_err());
     }
 

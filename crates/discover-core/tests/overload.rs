@@ -7,7 +7,9 @@ use appsim::{synthetic_app, DriverConfig};
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{CollaboratoryBuilder, DiscoverNode};
 use simnet::{names, SimDuration, SimTime};
-use wire::{AppOp, ClientMessage, ClientRequest, ErrorCode, Privilege, ResponseBody, UserId, Value};
+use wire::{
+    AppOp, ClientMessage, ClientRequest, ErrorCode, Privilege, ResponseBody, UserId, Value,
+};
 
 /// Satellite: `FifoBuffer` overflow counters (`enqueued`/`dropped`/`peak`)
 /// must surface in the server node's `MetricsRegistry`.
@@ -31,9 +33,8 @@ fn fifo_overflow_shows_up_in_folded_node_metrics() {
     let (_, app) = b.application(server, synthetic_app(2, u64::MAX), dc);
 
     let mk = |user: &str, poll_ms: u64| {
-        let mut cfg = PortalConfig::new(user)
-            .select_app(app)
-            .poll_every(SimDuration::from_millis(poll_ms));
+        let mut cfg =
+            PortalConfig::new(user).select_app(app).poll_every(SimDuration::from_millis(poll_ms));
         cfg.login_delay = SimDuration::from_millis(100);
         cfg
     };
@@ -181,17 +182,12 @@ fn admission_control_sheds_views_but_admits_commands() {
             ClientMessage::Error(e) if e.code == ErrorCode::Overloaded => Some(&e.detail),
             _ => None,
         })
-        .chain(
-            c.engine
-                .actor_ref::<Portal>(nodes[1])
-                .unwrap()
-                .received
-                .iter()
-                .filter_map(|(_, m)| match m {
-                    ClientMessage::Error(e) if e.code == ErrorCode::Overloaded => Some(&e.detail),
-                    _ => None,
-                }),
-        )
+        .chain(c.engine.actor_ref::<Portal>(nodes[1]).unwrap().received.iter().filter_map(
+            |(_, m)| match m {
+                ClientMessage::Error(e) if e.code == ErrorCode::Overloaded => Some(&e.detail),
+                _ => None,
+            },
+        ))
         .collect::<Vec<_>>();
     assert!(!overloaded.is_empty(), "some watcher saw an Overloaded rejection");
     assert!(

@@ -80,7 +80,10 @@ fn status_probe_reports_sessions_locks_and_peer_health() {
     let reports = p.status_reports().count() as u64;
     let probes = c.engine.node_metrics(operator).counter(names::CLIENT_STATUS_PROBES);
     let served = c.engine.node_metrics(gateway.node).counter(names::SERVER_STATUS_REQUESTS);
-    assert!(reports > 0 && served >= reports && probes >= served, "probe/served/report funnel: {probes} >= {served} >= {reports}");
+    assert!(
+        reports > 0 && served >= reports && probes >= served,
+        "probe/served/report funnel: {probes} >= {served} >= {reports}"
+    );
     let lat = c
         .engine
         .node_metrics(operator)
@@ -124,7 +127,10 @@ fn status_report_matches_core_introspection_exactly() {
 /// 400 ms budget expires buffered ops at dequeue. With the flight
 /// recorder armed at a low spike threshold those expiries must trigger
 /// deterministic `expiry.spike` dumps on the server node.
-fn run_expiry_fixture(flight: Option<FlightConfig>, history: bool) -> (Collaboratory, simnet::NodeId) {
+fn run_expiry_fixture(
+    flight: Option<FlightConfig>,
+    history: bool,
+) -> (Collaboratory, simnet::NodeId) {
     let mut b = CollaboratoryBuilder::new(2602);
     if let Some(cfg) = flight {
         b.flight_recorder(cfg);

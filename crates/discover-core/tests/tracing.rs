@@ -24,7 +24,9 @@ const RUN_SECS: u64 = 30;
 
 /// Gateway + remote host, one steering client at the gateway; returns
 /// the finished collaboratory plus the handles the assertions need.
-fn run_remote_steering(traced: bool) -> (Collaboratory, simnet::NodeId, simnet::NodeId, simnet::NodeId) {
+fn run_remote_steering(
+    traced: bool,
+) -> (Collaboratory, simnet::NodeId, simnet::NodeId, simnet::NodeId) {
     let mut b = CollaboratoryBuilder::new(SEED);
     b.tracing(traced);
     b.substrate_config.call_timeout = SimDuration::from_secs(2);
@@ -81,7 +83,11 @@ fn remote_steering_yields_causally_linked_multi_layer_traces() {
             match s.parent_span {
                 None => roots += 1,
                 Some(p) => {
-                    assert!(ids.contains(&p), "trace {trace_id}: span {} orphaned (parent {p} missing)", s.span_id);
+                    assert!(
+                        ids.contains(&p),
+                        "trace {trace_id}: span {} orphaned (parent {p} missing)",
+                        s.span_id
+                    );
                 }
             }
             assert!(s.end >= s.start, "span {} ends before it starts", s.span_id);
@@ -113,10 +119,11 @@ fn remote_steering_yields_causally_linked_multi_layer_traces() {
 
 #[test]
 fn same_seed_runs_export_identical_traces() {
-    let export = |(mut c, _, _, _): (Collaboratory, simnet::NodeId, simnet::NodeId, simnet::NodeId)| {
-        c.engine.tracer_mut().finish_all(SimTime::from_secs(RUN_SECS));
-        c.engine.tracer_mut().export_chrome_json()
-    };
+    let export =
+        |(mut c, _, _, _): (Collaboratory, simnet::NodeId, simnet::NodeId, simnet::NodeId)| {
+            c.engine.tracer_mut().finish_all(SimTime::from_secs(RUN_SECS));
+            c.engine.tracer_mut().export_chrome_json()
+        };
     let a = export(run_remote_steering(true));
     let b = export(run_remote_steering(true));
     assert_eq!(a, b, "same-seed trace exports must be byte-identical");

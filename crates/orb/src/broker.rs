@@ -544,10 +544,8 @@ mod tests {
     #[test]
     fn breaker_trips_probes_and_recovers() {
         let mut broker: Broker<u32> = Broker::new();
-        broker.breaker = BreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(10),
-        };
+        broker.breaker =
+            BreakerConfig { failure_threshold: 3, open_for: SimDuration::from_secs(10) };
         let peer = NodeId(7);
         let t0 = SimTime::from_secs(1);
         assert_eq!(broker.breaker_state(peer), BreakerState::Closed);

@@ -63,12 +63,7 @@ pub struct Directory {
 impl Directory {
     /// Create a directory with the given cost model.
     pub fn new(costs: DirectoryCosts) -> Self {
-        Directory {
-            costs,
-            bindings: BTreeMap::new(),
-            offer_props: BTreeMap::new(),
-            export_seq: 0,
-        }
+        Directory { costs, bindings: BTreeMap::new(), offer_props: BTreeMap::new(), export_seq: 0 }
     }
 
     /// Number of live bindings (including trader entries).
@@ -110,11 +105,8 @@ impl Directory {
             }
             PeerMsg::TraderExport { offer } => {
                 ctx.consume(self.costs.bind);
-                let name = format!(
-                    "{}{}",
-                    Self::trader_prefix(&offer.service_type),
-                    self.export_seq
-                );
+                let name =
+                    format!("{}{}", Self::trader_prefix(&offer.service_type), self.export_seq);
                 self.export_seq += 1;
                 self.bindings.insert(name.clone(), offer.object);
                 self.offer_props.insert(name, offer.properties);
@@ -147,9 +139,9 @@ impl Directory {
                 {
                     examined += 1;
                     let props = self.offer_props.get(name).cloned().unwrap_or_default();
-                    let matches = constraints.iter().all(|(ck, cv)| {
-                        props.iter().any(|(pk, pv)| pk == ck && pv == cv)
-                    });
+                    let matches = constraints
+                        .iter()
+                        .all(|(ck, cv)| props.iter().any(|(pk, pv)| pk == ck && pv == cv));
                     if matches {
                         offers.push(ServiceOffer {
                             service_type: service_type.clone(),
@@ -247,10 +239,6 @@ pub mod calls {
 
     /// Query offers of `service_type` matching `constraints`.
     pub fn query(service_type: impl Into<String>, constraints: Vec<(String, Value)>) -> Call {
-        (
-            TRADER,
-            "query",
-            PeerMsg::TraderQuery { service_type: service_type.into(), constraints },
-        )
+        (TRADER, "query", PeerMsg::TraderQuery { service_type: service_type.into(), constraints })
     }
 }

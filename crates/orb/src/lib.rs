@@ -25,6 +25,6 @@ pub mod directory;
 pub mod ring;
 
 pub use address::AddressBook;
-pub use broker::{Broker, BreakerConfig, BreakerState, Pending, RetryPolicy, SweepReport};
+pub use broker::{BreakerConfig, BreakerState, Broker, Pending, RetryPolicy, SweepReport};
 pub use directory::{Directory, DirectoryCosts, DISCOVER_SERVICE, NAMING_KEY, TRADER_KEY};
 pub use ring::{hash64, HashRing, DEFAULT_VNODES};

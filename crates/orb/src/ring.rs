@@ -114,10 +114,7 @@ impl HashRing {
     /// in the caller; the ring asserts to keep placement unambiguous.
     pub fn add(&mut self, name: impl Into<String>) -> usize {
         let name = name.into();
-        assert!(
-            !self.members.contains(&name),
-            "ring member {name:?} added twice"
-        );
+        assert!(!self.members.contains(&name), "ring member {name:?} added twice");
         let index = self.members.len();
         for replica in 0..self.vnodes {
             let point = self.vnode_point(&name, replica);
@@ -151,11 +148,7 @@ impl HashRing {
             return None;
         }
         let h = hash64(self.seed, key.as_bytes());
-        self.points
-            .range(h..)
-            .next()
-            .or_else(|| self.points.iter().next())
-            .map(|(_, &i)| i)
+        self.points.range(h..).next().or_else(|| self.points.iter().next()).map(|(_, &i)| i)
     }
 
     /// Owner of `key` by member name.
@@ -288,7 +281,10 @@ mod tests {
                             "seed={seed} n={n}: key {k} moved though its owner survived"
                         );
                     } else {
-                        assert_ne!(a, victim, "seed={seed} n={n}: key {k} still on the dead member");
+                        assert_ne!(
+                            a, victim,
+                            "seed={seed} n={n}: key {k} still on the dead member"
+                        );
                     }
                 }
             }

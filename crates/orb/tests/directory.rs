@@ -154,11 +154,7 @@ fn trader_withdraw_removes_all_offers_of_object() {
 
 #[test]
 fn unknown_servant_raises_exception() {
-    let replies = run_script(vec![(
-        ObjectKey::new("NoSuchServant"),
-        "poke",
-        PeerMsg::ListActive,
-    )]);
+    let replies = run_script(vec![(ObjectKey::new("NoSuchServant"), "poke", PeerMsg::ListActive)]);
     assert!(matches!(replies[0], PeerReply::Exception(_)));
 }
 
@@ -180,11 +176,7 @@ fn directory_cpu_cost_scales_with_offers() {
         let mut eng = Engine::new(3);
         let dir = eng.add_node("directory", Directory::new(DirectoryCosts::default()));
         let drv = eng.add_node("driver", Driver::new(script));
-        eng.link(
-            dir,
-            drv,
-            LinkSpec::loopback().with_latency(SimDuration::from_micros(10)),
-        );
+        eng.link(dir, drv, LinkSpec::loopback().with_latency(SimDuration::from_micros(10)));
         eng.actor_mut::<Driver>(drv).unwrap().directory = Some(dir);
         eng.run_to_quiescence();
         eng.now()

@@ -83,7 +83,10 @@ impl CollabGroups {
 
     /// Leave a named subgroup.
     pub fn leave_subgroup(&mut self, app: AppId, group: &str, client: ClientId) -> bool {
-        self.subgroups.get_mut(&(app, group.to_string())).map(|s| s.remove(&client)).unwrap_or(false)
+        self.subgroups
+            .get_mut(&(app, group.to_string()))
+            .map(|s| s.remove(&client))
+            .unwrap_or(false)
     }
 
     /// Set the collaboration-broadcast mode for (client, app).

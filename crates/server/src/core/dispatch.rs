@@ -302,7 +302,8 @@ impl ServerCore {
                 let node = proxy.node;
                 // Envelope construction performs the one sizing walk;
                 // the cost model reuses its cached size.
-                let env = Envelope::tcp(TcpFrame::new(Channel::Command, AppMsg::Command { req, op }));
+                let env =
+                    Envelope::tcp(TcpFrame::new(Channel::Command, AppMsg::Command { req, op }));
                 ctx.consume(TCP_COSTS.frame_cost(env.wire_size()));
                 ctx.send(node, env);
                 // Application compute time: from command departure to the
@@ -593,7 +594,10 @@ mod tests {
         /// Answered from the proxy's cached context.
         Answered,
         Refused(ErrorCode),
-        Lock { granted: bool, blocked_by: Option<UserId> },
+        Lock {
+            granted: bool,
+            blocked_by: Option<UserId>,
+        },
     }
 
     /// Put one request to a host whose `APP` grants "u" `privilege` and
@@ -871,7 +875,8 @@ mod tests {
         let kept = response(&core.archive.fetch_client(client, APP, 0).0);
         assert_eq!(*kept, sensors_read());
         let in_app_log = response(core.archive.app_log(APP).expect("logged").all());
-        let [UpdateBody::InteractionEcho { outcome: echoed, .. }] = pushed(&host.effects)[..] else {
+        let [UpdateBody::InteractionEcho { outcome: echoed, .. }] = pushed(&host.effects)[..]
+        else {
             panic!("one echo: {:?}", host.effects)
         };
         assert_eq!(echoed, &*kept);

@@ -247,8 +247,7 @@ impl ServerCore {
                     format_args!("limit={limit}"),
                 );
                 let retry_ms = OVERLOAD_RETRY_AFTER_MS
-                    + wire::jitter::retry_jitter_us(user, 0, OVERLOAD_RETRY_AFTER_MS * 1000)
-                        / 1000;
+                    + wire::jitter::retry_jitter_us(user, 0, OVERLOAD_RETRY_AFTER_MS * 1000) / 1000;
                 return (
                     200,
                     vec![Self::error(
@@ -355,12 +354,7 @@ impl ServerCore {
         if let Some(proxy) = self.apps.get_mut(&app) {
             if proxy.lock.is_held_by(user) {
                 proxy.lock.force_release();
-                ctx.record_history(
-                    "lock.force_released",
-                    app,
-                    user.as_str(),
-                    "origin=logout",
-                );
+                ctx.record_history("lock.force_released", app, user.as_str(), "origin=logout");
                 let update = UpdateBody::LockChanged { app, holder: None };
                 self.route_update(ctx, update, None, None);
             }

@@ -40,9 +40,7 @@ mod store;
 
 pub use archive::{ArchiveStore, Log};
 pub use collab::CollabGroups;
-pub use core::{
-    Effect, Relayed, RelayVerb, RemoteApp, ServerConfig, ServerCore, CORBA_SERVER_KEY,
-};
+pub use core::{Effect, RelayVerb, Relayed, RemoteApp, ServerConfig, ServerCore, CORBA_SERVER_KEY};
 pub use locks::{LockOutcome, SteeringLock};
 pub use mutation::Mutation;
 pub use proxy::{ApplicationProxy, BufferPush, BufferedOp};

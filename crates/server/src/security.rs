@@ -13,9 +13,7 @@
 //! ([`expected_password`]) plus a simulated handshake cost in the server's
 //! cost model — the evaluation never measures cryptography itself.
 
-use wire::{
-    AppCommand, AppOp, ErrorCode, InteractionSpec, Privilege, UserId, WireError,
-};
+use wire::{AppCommand, AppOp, ErrorCode, InteractionSpec, Privilege, UserId, WireError};
 
 /// The shared-secret convention standing in for SSL client certificates:
 /// user `u` authenticates with `secret-u`.
@@ -48,11 +46,8 @@ pub fn authorize_op(privilege: Privilege, op: &AppOp) -> Result<(), WireError> {
 /// parameter values but no commands; read-write users additionally steer
 /// parameters; only steer-privileged users see lifecycle commands.
 pub fn filter_interface(spec: &InteractionSpec, privilege: Privilege) -> InteractionSpec {
-    let commands: Vec<AppCommand> = if privilege.allows(Privilege::Steer) {
-        spec.commands.clone()
-    } else {
-        Vec::new()
-    };
+    let commands: Vec<AppCommand> =
+        if privilege.allows(Privilege::Steer) { spec.commands.clone() } else { Vec::new() };
     InteractionSpec { params: spec.params.clone(), sensors: spec.sensors.clone(), commands }
 }
 

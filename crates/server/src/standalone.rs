@@ -33,7 +33,9 @@ impl Actor<Envelope> for StandaloneServer {
             match effect {
                 // Without a peer network these are inert; count them so
                 // tests can assert they were produced.
-                Effect::RemoteAuth { .. } => ctx.metrics().incr(names::STANDALONE_DROPPED_REMOTE_AUTH),
+                Effect::RemoteAuth { .. } => {
+                    ctx.metrics().incr(names::STANDALONE_DROPPED_REMOTE_AUTH)
+                }
                 Effect::Announce { .. } => ctx.metrics().incr(names::STANDALONE_DROPPED_ANNOUNCE),
                 _ => ctx.metrics().incr(names::STANDALONE_DROPPED_OTHER),
             }

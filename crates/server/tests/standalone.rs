@@ -8,9 +8,8 @@ use discover_server::{ServerConfig, StandaloneServer};
 use simnet::{Actor, Ctx, Engine, LinkSpec, NodeId, SimDuration, SimTime};
 use wire::http::HttpRequest;
 use wire::{
-    AppCommand, AppId, AppOp, AppToken, ClientMessage, ClientRequest, Content, Envelope,
-    ErrorCode, MessageKind, OpOutcome, Privilege, ResponseBody, ServerAddr, UpdateBody, UserId,
-    Value,
+    AppCommand, AppId, AppOp, AppToken, ClientMessage, ClientRequest, Content, Envelope, ErrorCode,
+    MessageKind, OpOutcome, Privilege, ResponseBody, ServerAddr, UpdateBody, UserId, Value,
 };
 
 const TAG_POLL: u64 = 1;
@@ -219,10 +218,13 @@ fn bad_credentials_rejected() {
 #[test]
 fn select_and_cached_status() {
     let app = the_app();
-    let mut f = fixture(vec![ScriptedClient::new("viewer", vec![
-        (SimDuration::from_millis(500), ClientRequest::SelectApp { app }),
-        (SimDuration::from_millis(800), ClientRequest::Op { app, op: AppOp::GetStatus }),
-    ])]);
+    let mut f = fixture(vec![ScriptedClient::new(
+        "viewer",
+        vec![
+            (SimDuration::from_millis(500), ClientRequest::SelectApp { app }),
+            (SimDuration::from_millis(800), ClientRequest::Op { app, op: AppOp::GetStatus }),
+        ],
+    )]);
     f.eng.run_until(SimTime::from_secs(2));
     let c = f.eng.actor_ref::<ScriptedClient>(f.clients[0]).unwrap();
     let selected = c
@@ -250,21 +252,27 @@ fn steering_requires_and_respects_lock() {
     let app = the_app();
     let set = AppOp::SetParam("knob0".into(), Value::Float(5.0));
     let mut f = fixture(vec![
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-            // Attempt without the lock: rejected immediately.
-            (SimDuration::from_millis(600), ClientRequest::Op { app, op: set.clone() }),
-            (SimDuration::from_millis(800), ClientRequest::RequestLock { app }),
-            (SimDuration::from_millis(1000), ClientRequest::Op { app, op: set.clone() }),
-            (SimDuration::from_secs(4), ClientRequest::ReleaseLock { app }),
-        ]),
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-            // While writer holds it: denied.
-            (SimDuration::from_millis(1500), ClientRequest::RequestLock { app }),
-            // After release: granted.
-            (SimDuration::from_secs(5), ClientRequest::RequestLock { app }),
-        ]),
+        ScriptedClient::new(
+            "writer",
+            vec![
+                (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+                // Attempt without the lock: rejected immediately.
+                (SimDuration::from_millis(600), ClientRequest::Op { app, op: set.clone() }),
+                (SimDuration::from_millis(800), ClientRequest::RequestLock { app }),
+                (SimDuration::from_millis(1000), ClientRequest::Op { app, op: set.clone() }),
+                (SimDuration::from_secs(4), ClientRequest::ReleaseLock { app }),
+            ],
+        ),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+                // While writer holds it: denied.
+                (SimDuration::from_millis(1500), ClientRequest::RequestLock { app }),
+                // After release: granted.
+                (SimDuration::from_secs(5), ClientRequest::RequestLock { app }),
+            ],
+        ),
     ]);
     f.eng.run_until(SimTime::from_secs(7));
 
@@ -277,10 +285,10 @@ fn steering_requires_and_respects_lock() {
         )),
         "lockless steering must be rejected"
     );
-    assert!(writer.received.iter().any(|(_, m)| matches!(
-        m,
-        ClientMessage::Response(ResponseBody::LockGranted { .. })
-    )));
+    assert!(writer
+        .received
+        .iter()
+        .any(|(_, m)| matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. }))));
     assert!(
         writer.received.iter().any(|(_, m)| matches!(
             m,
@@ -298,10 +306,10 @@ fn steering_requires_and_respects_lock() {
         ClientMessage::Response(ResponseBody::LockDenied { holder: Some(h), .. })
             if h.as_str() == "writer"
     )));
-    assert!(driver.received.iter().any(|(_, m)| matches!(
-        m,
-        ClientMessage::Response(ResponseBody::LockGranted { .. })
-    )));
+    assert!(driver
+        .received
+        .iter()
+        .any(|(_, m)| matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. }))));
     // The driver also observed the ParamChanged broadcast.
     assert!(driver.updates().iter().any(|u| matches!(
         u,
@@ -312,18 +320,21 @@ fn steering_requires_and_respects_lock() {
 #[test]
 fn acl_denies_readonly_steering() {
     let app = the_app();
-    let mut f = fixture(vec![ScriptedClient::new("viewer", vec![
-        (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-        (SimDuration::from_millis(600), ClientRequest::RequestLock { app }),
-        (
-            SimDuration::from_millis(800),
-            ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(1.0)) },
-        ),
-        (
-            SimDuration::from_millis(1000),
-            ClientRequest::Op { app, op: AppOp::Command(AppCommand::Pause) },
-        ),
-    ])]);
+    let mut f = fixture(vec![ScriptedClient::new(
+        "viewer",
+        vec![
+            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+            (SimDuration::from_millis(600), ClientRequest::RequestLock { app }),
+            (
+                SimDuration::from_millis(800),
+                ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(1.0)) },
+            ),
+            (
+                SimDuration::from_millis(1000),
+                ClientRequest::Op { app, op: AppOp::Command(AppCommand::Pause) },
+            ),
+        ],
+    )]);
     f.eng.run_until(SimTime::from_secs(2));
     let c = f.eng.actor_ref::<ScriptedClient>(f.clients[0]).unwrap();
     let denied: Vec<_> = c
@@ -340,10 +351,13 @@ fn compute_phase_buffering_delays_responses() {
     // GetSensors is forwarded to the application (not cache-served), so a
     // request landing in a compute phase is buffered by the Daemon
     // servlet until the next interaction window.
-    let mut f = fixture(vec![ScriptedClient::new("viewer", vec![
-        (SimDuration::from_millis(320), ClientRequest::SelectApp { app }),
-        (SimDuration::from_millis(350), ClientRequest::Op { app, op: AppOp::GetSensors }),
-    ])]);
+    let mut f = fixture(vec![ScriptedClient::new(
+        "viewer",
+        vec![
+            (SimDuration::from_millis(320), ClientRequest::SelectApp { app }),
+            (SimDuration::from_millis(350), ClientRequest::Op { app, op: AppOp::GetSensors }),
+        ],
+    )]);
     f.eng.run_until(SimTime::from_secs(3));
     let c = f.eng.actor_ref::<ScriptedClient>(f.clients[0]).unwrap();
     let done_at = c
@@ -351,7 +365,8 @@ fn compute_phase_buffering_delays_responses() {
         .iter()
         .find_map(|(t, m)| match m {
             ClientMessage::Response(ResponseBody::OpDone {
-                outcome: OpOutcome::Sensors(_), ..
+                outcome: OpOutcome::Sensors(_),
+                ..
             }) => Some(*t),
             _ => None,
         })
@@ -370,16 +385,20 @@ fn compute_phase_buffering_delays_responses() {
 fn chat_and_whiteboard_broadcast_to_group_not_self() {
     let app = the_app();
     let mut f = fixture(vec![
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-            (
-                SimDuration::from_millis(900),
-                ClientRequest::Chat { app, text: "hello from driver".into() },
-            ),
-        ]),
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-        ]),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+                (
+                    SimDuration::from_millis(900),
+                    ClientRequest::Chat { app, text: "hello from driver".into() },
+                ),
+            ],
+        ),
+        ScriptedClient::new(
+            "writer",
+            vec![(SimDuration::from_millis(400), ClientRequest::SelectApp { app })],
+        ),
         ScriptedClient::new("viewer", vec![]), // logged in, never selected
     ]);
     f.eng.run_until(SimTime::from_secs(3));
@@ -404,17 +423,23 @@ fn chat_and_whiteboard_broadcast_to_group_not_self() {
 fn collab_mode_off_stops_receiving_broadcasts() {
     let app = the_app();
     let mut f = fixture(vec![
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-            (SimDuration::from_millis(3000), ClientRequest::Chat { app, text: "one".into() }),
-        ]),
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
-            (
-                SimDuration::from_millis(600),
-                ClientRequest::SetCollabMode { app, broadcast: false },
-            ),
-        ]),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(3000), ClientRequest::Chat { app, text: "one".into() }),
+            ],
+        ),
+        ScriptedClient::new(
+            "writer",
+            vec![
+                (SimDuration::from_millis(400), ClientRequest::SelectApp { app }),
+                (
+                    SimDuration::from_millis(600),
+                    ClientRequest::SetCollabMode { app, broadcast: false },
+                ),
+            ],
+        ),
     ]);
     f.eng.run_until(SimTime::from_secs(5));
     let writer = f.eng.actor_ref::<ScriptedClient>(f.clients[1]).unwrap();
@@ -427,16 +452,14 @@ fn collab_mode_off_stops_receiving_broadcasts() {
 #[test]
 fn periodic_updates_flow_to_members() {
     let app = the_app();
-    let mut f = fixture(vec![ScriptedClient::new("viewer", vec![
-        (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-    ])]);
+    let mut f = fixture(vec![ScriptedClient::new(
+        "viewer",
+        vec![(SimDuration::from_millis(300), ClientRequest::SelectApp { app })],
+    )]);
     f.eng.run_until(SimTime::from_secs(5));
     let c = f.eng.actor_ref::<ScriptedClient>(f.clients[0]).unwrap();
-    let status_updates: Vec<_> = c
-        .updates()
-        .into_iter()
-        .filter(|u| matches!(u, UpdateBody::AppStatus { .. }))
-        .collect();
+    let status_updates: Vec<_> =
+        c.updates().into_iter().filter(|u| matches!(u, UpdateBody::AppStatus { .. })).collect();
     assert!(
         status_updates.len() >= 5,
         "member should stream periodic status updates, got {}",
@@ -448,19 +471,28 @@ fn periodic_updates_flow_to_members() {
 fn history_replays_interactions_for_latecomers() {
     let app = the_app();
     let mut f = fixture(vec![
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-            (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
-            (
-                SimDuration::from_millis(700),
-                ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(2.0)) },
-            ),
-        ]),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
+                (
+                    SimDuration::from_millis(700),
+                    ClientRequest::Op {
+                        app,
+                        op: AppOp::SetParam("knob0".into(), Value::Float(2.0)),
+                    },
+                ),
+            ],
+        ),
         // Latecomer joins much later and fetches history.
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_secs(4), ClientRequest::SelectApp { app }),
-            (SimDuration::from_millis(4200), ClientRequest::GetHistory { app, since: 0 }),
-        ]),
+        ScriptedClient::new(
+            "writer",
+            vec![
+                (SimDuration::from_secs(4), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(4200), ClientRequest::GetHistory { app, since: 0 }),
+            ],
+        ),
     ]);
     f.eng.run_until(SimTime::from_secs(6));
     let writer = f.eng.actor_ref::<ScriptedClient>(f.clients[1]).unwrap();
@@ -486,10 +518,10 @@ fn history_replays_interactions_for_latecomers() {
 fn slow_client_fifo_overflows_oldest_first() {
     let app = the_app();
     // A client that never polls: its FIFO fills with periodic updates.
-    let mut slow = ScriptedClient::new("viewer", vec![(
-        SimDuration::from_millis(300),
-        ClientRequest::SelectApp { app },
-    )]);
+    let mut slow = ScriptedClient::new(
+        "viewer",
+        vec![(SimDuration::from_millis(300), ClientRequest::SelectApp { app })],
+    );
     slow.poll_every = SimDuration::from_secs(3600); // effectively never
     let mut f = fixture(vec![slow]);
     // Shrink the FIFO to force overflow quickly.
@@ -511,23 +543,29 @@ fn slow_client_fifo_overflows_oldest_first() {
 fn logout_releases_lock_and_leaves_groups() {
     let app = the_app();
     let mut f = fixture(vec![
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-            (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
-            (SimDuration::from_secs(2), ClientRequest::Logout),
-        ]),
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-            (SimDuration::from_secs(4), ClientRequest::RequestLock { app }),
-        ]),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
+                (SimDuration::from_secs(2), ClientRequest::Logout),
+            ],
+        ),
+        ScriptedClient::new(
+            "writer",
+            vec![
+                (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+                (SimDuration::from_secs(4), ClientRequest::RequestLock { app }),
+            ],
+        ),
     ]);
     f.eng.run_until(SimTime::from_secs(6));
     let writer = f.eng.actor_ref::<ScriptedClient>(f.clients[1]).unwrap();
     assert!(
-        writer.received.iter().any(|(_, m)| matches!(
-            m,
-            ClientMessage::Response(ResponseBody::LockGranted { .. })
-        )),
+        writer
+            .received
+            .iter()
+            .any(|(_, m)| matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. }))),
         "lock must be force-released by the holder's logout"
     );
     assert!(writer.updates().iter().any(|u| matches!(
@@ -560,14 +598,17 @@ fn app_registration_token_enforced() {
 #[test]
 fn records_created_with_ownership() {
     let app = the_app();
-    let mut f = fixture(vec![ScriptedClient::new("driver", vec![
-        (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-        (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
-        (
-            SimDuration::from_millis(700),
-            ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(3.0)) },
-        ),
-    ])]);
+    let mut f = fixture(vec![ScriptedClient::new(
+        "driver",
+        vec![
+            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+            (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
+            (
+                SimDuration::from_millis(700),
+                ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(3.0)) },
+            ),
+        ],
+    )]);
     f.eng.run_until(SimTime::from_secs(60));
     let server = f.eng.actor_ref::<StandaloneServer>(f.server).unwrap();
     // Client-request records owned by "driver" plus periodic app records.
@@ -581,23 +622,29 @@ fn records_created_with_ownership() {
 fn client_log_replays_own_interactions_only() {
     let app = the_app();
     let mut f = fixture(vec![
-        ScriptedClient::new("driver", vec![
-            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-            (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
-            (
-                SimDuration::from_millis(700),
-                ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(8.0)) },
-            ),
-            (SimDuration::from_secs(4), ClientRequest::GetMyLog { app, since: 0 }),
-        ]),
-        ScriptedClient::new("writer", vec![
-            (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
-            (
-                SimDuration::from_millis(900),
-                ClientRequest::Op { app, op: AppOp::GetSensors },
-            ),
-            (SimDuration::from_secs(4), ClientRequest::GetMyLog { app, since: 0 }),
-        ]),
+        ScriptedClient::new(
+            "driver",
+            vec![
+                (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(500), ClientRequest::RequestLock { app }),
+                (
+                    SimDuration::from_millis(700),
+                    ClientRequest::Op {
+                        app,
+                        op: AppOp::SetParam("knob0".into(), Value::Float(8.0)),
+                    },
+                ),
+                (SimDuration::from_secs(4), ClientRequest::GetMyLog { app, since: 0 }),
+            ],
+        ),
+        ScriptedClient::new(
+            "writer",
+            vec![
+                (SimDuration::from_millis(300), ClientRequest::SelectApp { app }),
+                (SimDuration::from_millis(900), ClientRequest::Op { app, op: AppOp::GetSensors }),
+                (SimDuration::from_secs(4), ClientRequest::GetMyLog { app, since: 0 }),
+            ],
+        ),
     ]);
     f.eng.run_until(SimTime::from_secs(6));
 
@@ -628,18 +675,15 @@ fn client_log_replays_own_interactions_only() {
         wire::LogEntry::Response(outcome) if matches!(**outcome, OpOutcome::ParamSet(..))
     )));
     // ...but never the writer's GetSensors, and vice versa.
-    assert!(!driver_log.iter().any(|r| matches!(
-        &r.entry,
-        wire::LogEntry::Request(AppOp::GetSensors)
-    )));
-    assert!(writer_log.iter().any(|r| matches!(
-        &r.entry,
-        wire::LogEntry::Request(AppOp::GetSensors)
-    )));
-    assert!(!writer_log.iter().any(|r| matches!(
-        &r.entry,
-        wire::LogEntry::Request(AppOp::SetParam(..))
-    )));
+    assert!(!driver_log
+        .iter()
+        .any(|r| matches!(&r.entry, wire::LogEntry::Request(AppOp::GetSensors))));
+    assert!(writer_log
+        .iter()
+        .any(|r| matches!(&r.entry, wire::LogEntry::Request(AppOp::GetSensors))));
+    assert!(!writer_log
+        .iter()
+        .any(|r| matches!(&r.entry, wire::LogEntry::Request(AppOp::SetParam(..)))));
     // Every record in a client log is attributed to that client's user.
     assert!(driver_log.iter().all(|r| r.user.as_ref().map(|u| u.as_str()) == Some("driver")));
     assert!(writer_log.iter().all(|r| r.user.as_ref().map(|u| u.as_str()) == Some("writer")));

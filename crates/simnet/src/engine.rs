@@ -520,7 +520,11 @@ impl<'a, M: Payload> Ctx<'a, M> {
 
     /// Open a child span under `parent` on this node. Passes `None`
     /// through so call sites can chain optional contexts untraced.
-    pub fn trace_child(&mut self, parent: Option<TraceContext>, name: &str) -> Option<TraceContext> {
+    pub fn trace_child(
+        &mut self,
+        parent: Option<TraceContext>,
+        name: &str,
+    ) -> Option<TraceContext> {
         let parent = parent?;
         let core = &mut *self.core;
         core.tracer.start_child(parent, name, &core.nodes[self.me.index()].name, self.local_now)
@@ -566,13 +570,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
     ) {
         if let Some(parent) = parent {
             let core = &mut *self.core;
-            core.tracer.record_window(
-                parent,
-                name,
-                &core.nodes[self.me.index()].name,
-                start,
-                end,
-            );
+            core.tracer.record_window(parent, name, &core.nodes[self.me.index()].name, start, end);
         }
     }
 }
@@ -1359,10 +1357,7 @@ mod tests {
             let sink = eng.add_node("sink", Collector { arrivals: vec![] });
             let mut beacons = Vec::new();
             for i in 0..3 {
-                let n = eng.add_node(
-                    format!("b{i}"),
-                    Beacon { peer: sink, restarts: 0, ticks: 0 },
-                );
+                let n = eng.add_node(format!("b{i}"), Beacon { peer: sink, restarts: 0, ticks: 0 });
                 eng.link(n, sink, fixed_link(10));
                 beacons.push(n);
             }
@@ -1465,7 +1460,11 @@ mod tests {
         let mut eng = Engine::new(1);
         eng.enable_history();
         let cooldown = SimDuration::ZERO;
-        eng.enable_flight_recorder(FlightConfig { capacity: 3, cooldown, ..FlightConfig::default() });
+        eng.enable_flight_recorder(FlightConfig {
+            capacity: 3,
+            cooldown,
+            ..FlightConfig::default()
+        });
         let nodes = [eng.add_node("a", Decider), eng.add_node("b", Decider)];
         for i in 0..40 {
             let n = nodes[i % 2];
@@ -1594,19 +1593,10 @@ mod tests {
         // A backlog holding a timer, and a wedged foreign timer: each
         // payload leaves the slab exactly once, however many times its key
         // was re-stamped, rotated or re-armed behind a wake.
-        let server = vec![
-            vec![],
-            vec![Act::Schedule(5), Act::Consume(100)],
-            vec![Act::Consume(5)],
-        ];
-        let bystander = vec![
-            vec![Act::Schedule(110)],
-            vec![Act::Send { to: SERVER, delay: 0 }],
-        ];
-        let s = backlog_scenario(
-            vec![server, vec![], bystander],
-            &[(1, 0), (2, 2), (4, 20), (3, 100)],
-        );
+        let server = vec![vec![], vec![Act::Schedule(5), Act::Consume(100)], vec![Act::Consume(5)]];
+        let bystander = vec![vec![Act::Schedule(110)], vec![Act::Send { to: SERVER, delay: 0 }]];
+        let s =
+            backlog_scenario(vec![server, vec![], bystander], &[(1, 0), (2, 2), (4, 20), (3, 100)]);
         let (_, eng) = s.agree();
         assert_eq!(eng.parked_peak(NodeId(SERVER)), 3);
         eng.assert_every_slot_free();
@@ -1638,10 +1628,8 @@ mod tests {
         // 10, 20, 30, 40, 50. A horizon at 35 cuts the drain after three.
         let mut server = vec![vec![Act::Consume(10)]; 6];
         server[0].clear();
-        let mut s = backlog_scenario(
-            vec![server, vec![]],
-            &[(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)],
-        );
+        let mut s =
+            backlog_scenario(vec![server, vec![]], &[(1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]);
         s.horizons = vec![35];
         let (outcome, _) = s.agree();
         assert_eq!(

@@ -122,7 +122,10 @@ pub(super) type Seen = (SimTime, &'static str, u32, u64);
 #[derive(Clone, Debug)]
 pub(super) enum Act {
     Consume(u64),
-    Send { to: u32, delay: u64 },
+    Send {
+        to: u32,
+        delay: u64,
+    },
     /// Arm a timer this many µs ahead.
     Schedule(u64),
     /// Draw from the engine RNG, so a reordered handler shifts the stream.

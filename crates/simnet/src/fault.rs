@@ -25,11 +25,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Create an empty plan whose randomised helpers draw from `seed`.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            rng: StdRng::seed_from_u64(seed),
-            crashes: Vec::new(),
-            partitions: Vec::new(),
-        }
+        FaultPlan { rng: StdRng::seed_from_u64(seed), crashes: Vec::new(), partitions: Vec::new() }
     }
 
     /// Crash `node` at `at` and restart it at `restart_at`.
@@ -40,13 +36,7 @@ impl FaultPlan {
     }
 
     /// Sever the `a`↔`b` pair for departures in `[from, until)`.
-    pub fn partition(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        from: SimTime,
-        until: SimTime,
-    ) -> &mut Self {
+    pub fn partition(&mut self, a: NodeId, b: NodeId, from: SimTime, until: SimTime) -> &mut Self {
         assert!(from < until, "empty partition window");
         self.partitions.push((a, b, from, until));
         self

@@ -115,16 +115,12 @@ impl Histogram {
         }
         // Nearest-rank: idx = ceil(q * n) - 1, then walk the cumulative
         // bucket counts until that rank is covered.
-        let rank = ((q * self.total as f64).ceil() as u64)
-            .saturating_sub(1)
-            .min(self.total - 1);
+        let rank = ((q * self.total as f64).ceil() as u64).saturating_sub(1).min(self.total - 1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if c > 0 && seen > rank {
-                return SimDuration::from_micros(
-                    bucket_upper(i).clamp(self.min_v, self.max_v),
-                );
+                return SimDuration::from_micros(bucket_upper(i).clamp(self.min_v, self.max_v));
             }
         }
         self.max()

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn overflow_drops_oldest_and_counts() {
-        use wire::{UpdateBody, AppId, ServerAddr};
+        use wire::{AppId, ServerAddr, UpdateBody};
         let mut buf = FifoBuffer::new(3);
         for i in 0..5u32 {
             buf.push(ClientMessage::update(UpdateBody::AppClosed {
@@ -300,11 +300,7 @@ mod tests {
     fn status(app_seq: u32, iteration: u64) -> ClientMessage {
         ClientMessage::update(UpdateBody::AppStatus {
             app: app(app_seq),
-            status: wire::AppStatus {
-                phase: wire::AppPhase::Computing,
-                iteration,
-                progress: 0.0,
-            },
+            status: wire::AppStatus { phase: wire::AppPhase::Computing, iteration, progress: 0.0 },
             readings: Vec::new(),
         })
     }
@@ -455,7 +451,11 @@ mod tests {
         let mut scratch = Vec::new();
         assert_eq!(buf.drain_into(3, &mut scratch), 3);
         assert_eq!(scratch.len(), 3);
-        assert_eq!(wire::codec::stats().drain_reuses, 0, "first fill of a fresh buffer is not a reuse");
+        assert_eq!(
+            wire::codec::stats().drain_reuses,
+            0,
+            "first fill of a fresh buffer is not a reuse"
+        );
         assert_eq!(buf.drain_into(10, &mut scratch), 2);
         assert_eq!(scratch.len(), 5, "drain_into appends");
         assert_eq!(buf.drain_into(10, &mut scratch), 0, "empty drain is free");

@@ -171,8 +171,7 @@ mod tests {
         use simnet::{SimTime, TraceContext};
         let req = HttpRequest::get("/discover/poll", Some(4));
         let bare = req.wire_size();
-        let stamp =
-            DeadlineStamp { deadline: SimTime::from_secs(2), priority: Priority::Command };
+        let stamp = DeadlineStamp { deadline: SimTime::from_secs(2), priority: Priority::Command };
         let env = Envelope::http_request(req).with_deadline(Some(stamp));
         assert_eq!(env.wire_size(), bare + DeadlineStamp::WIRE_BYTES);
         assert_eq!(env.content_size(), bare);
@@ -186,10 +185,7 @@ mod tests {
         // Trace and deadline stamps compose; content_size excludes both.
         let ctx = TraceContext { trace_id: 1, span_id: 2, parent_span: None };
         let env = env.with_trace(Some(ctx));
-        assert_eq!(
-            env.wire_size(),
-            bare + DeadlineStamp::WIRE_BYTES + TraceContext::WIRE_BYTES
-        );
+        assert_eq!(env.wire_size(), bare + DeadlineStamp::WIRE_BYTES + TraceContext::WIRE_BYTES);
         assert_eq!(env.content_size(), bare);
         // Clearing restores the bare size.
         let env = env.with_deadline(None).with_trace(None);

@@ -155,7 +155,11 @@ mod tests {
             3,
             ObjectKey::new("apps/1"),
             "pollUpdates",
-            PeerReply::Updates { app: crate::ids::AppId { server: crate::ids::ServerAddr(1), seq: 1 }, updates: vec![], next_seq: 5 },
+            PeerReply::Updates {
+                app: crate::ids::AppId { server: crate::ids::ServerAddr(1), seq: 1 },
+                updates: vec![],
+                next_seq: 5,
+            },
         );
         let bytes = codec::encode(&frame);
         assert_eq!(codec::decode::<GiopFrame>(&bytes).unwrap(), frame);

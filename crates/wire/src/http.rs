@@ -446,8 +446,10 @@ mod tests {
 
     #[test]
     fn response_reasons() {
-        assert_eq!(HttpResponse { status: 401, set_session: None, body: vec![] }.reason(),
-            "Unauthorized");
+        assert_eq!(
+            HttpResponse { status: 401, set_session: None, body: vec![] }.reason(),
+            "Unauthorized"
+        );
         assert_eq!(HttpResponse::ok(vec![]).reason(), "OK");
     }
 }

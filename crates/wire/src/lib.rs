@@ -31,16 +31,16 @@ mod value;
 
 pub use deadline::{DeadlineStamp, Priority};
 pub use envelope::{Content, Envelope};
-pub use payload::FrozenUpdate;
 pub use ids::{
-    AppId, AppToken, ClientId, IdMap, Name, ObjectKey, ObjectRef, Privilege, RequestId,
-    ServerAddr, SessionId, UserId,
+    AppId, AppToken, ClientId, IdMap, Name, ObjectKey, ObjectRef, Privilege, RequestId, ServerAddr,
+    SessionId, UserId,
 };
 pub use messages::{
-    AppCommand, AppDescriptor, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry,
-    ArchiveSnapshot, Channel, ClientMessage, ClientRequest, ControlEvent, ControlEventKind,
-    DirPlaneStatus, ErrorCode, FifoStatusEntry, FoldedAppState, InteractionSpec, JobSpec,
-    LogEntry, LogRecord, MessageKind, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry,
-    ResponseBody, ServiceOffer, StatusReport, UpdateBody, UpdateKey, WhiteboardStroke, WireError,
+    AppCommand, AppDescriptor, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry, ArchiveSnapshot,
+    Channel, ClientMessage, ClientRequest, ControlEvent, ControlEventKind, DirPlaneStatus,
+    ErrorCode, FifoStatusEntry, FoldedAppState, InteractionSpec, JobSpec, LogEntry, LogRecord,
+    MessageKind, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, ResponseBody, ServiceOffer,
+    StatusReport, UpdateBody, UpdateKey, WhiteboardStroke, WireError,
 };
+pub use payload::FrozenUpdate;
 pub use value::{assign_readings, Value};

@@ -712,10 +712,7 @@ impl StatusReport {
             ));
         }
         for p in &self.peers {
-            out.push_str(&format!(
-                "peer {} health={} breaker={}\n",
-                p.peer, p.health, p.breaker
-            ));
+            out.push_str(&format!("peer {} health={} breaker={}\n", p.peer, p.health, p.breaker));
         }
         out
     }
@@ -1506,18 +1503,24 @@ mod tests {
         let log = vec![
             upd(0, UpdateBody::MemberJoined { app, user: UserId::new("b") }),
             upd(1, UpdateBody::MemberJoined { app, user: UserId::new("a") }),
-            upd(2, UpdateBody::ParamChanged {
-                app,
-                name: "dt".into(),
-                value: Value::Float(0.1),
-                by: UserId::new("a"),
-            }),
-            upd(3, UpdateBody::ParamChanged {
-                app,
-                name: "dt".into(),
-                value: Value::Float(0.2),
-                by: UserId::new("a"),
-            }),
+            upd(
+                2,
+                UpdateBody::ParamChanged {
+                    app,
+                    name: "dt".into(),
+                    value: Value::Float(0.1),
+                    by: UserId::new("a"),
+                },
+            ),
+            upd(
+                3,
+                UpdateBody::ParamChanged {
+                    app,
+                    name: "dt".into(),
+                    value: Value::Float(0.2),
+                    by: UserId::new("a"),
+                },
+            ),
             upd(4, UpdateBody::LockChanged { app, holder: Some(UserId::new("a")) }),
             rec(5, LogEntry::Request(AppOp::GetStatus)),
             upd(6, UpdateBody::MemberLeft { app, user: UserId::new("b") }),

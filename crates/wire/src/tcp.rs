@@ -60,11 +60,11 @@ mod tests {
             Channel::Command,
             AppMsg::Command { req: RequestId(1), op: AppOp::GetStatus },
         );
-        let http =
-            HttpRequest::post("/discover/command", Some(7), ClientRequest::Op {
-                app,
-                op: AppOp::GetStatus,
-            });
+        let http = HttpRequest::post(
+            "/discover/command",
+            Some(7),
+            ClientRequest::Op { app, op: AppOp::GetStatus },
+        );
         assert!(
             tcp.wire_size() * 2 < http.wire_size(),
             "custom protocol ({}) should be far leaner than HTTP ({})",

@@ -18,13 +18,13 @@ use wire::giop::{GiopBody, GiopFrame, GiopKind};
 use wire::http::{HttpMethod, HttpRequest, HttpResponse};
 use wire::tcp::TcpFrame;
 use wire::{
-    AppCommand, AppDescriptor, AppId, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry,
-    AppToken, ArchiveSnapshot, Channel, ClientId, ClientMessage, ClientRequest, ControlEvent,
+    AppCommand, AppDescriptor, AppId, AppMsg, AppOp, AppPhase, AppStatus, AppStatusEntry, AppToken,
+    ArchiveSnapshot, Channel, ClientId, ClientMessage, ClientRequest, ControlEvent,
     ControlEventKind, DeadlineStamp, DirPlaneStatus, Envelope, ErrorCode, FifoStatusEntry,
-    FoldedAppState, FrozenUpdate, InteractionSpec, JobSpec, LogEntry, LogRecord, MessageKind,
-    Name, ObjectKey, ObjectRef, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Priority,
-    Privilege, RequestId, ResponseBody, ServerAddr, ServiceOffer, SessionId, StatusReport,
-    UpdateBody, UserId, Value, WhiteboardStroke, WireError,
+    FoldedAppState, FrozenUpdate, InteractionSpec, JobSpec, LogEntry, LogRecord, MessageKind, Name,
+    ObjectKey, ObjectRef, OpOutcome, PeerMsg, PeerReply, PeerStatusEntry, Priority, Privilege,
+    RequestId, ResponseBody, ServerAddr, ServiceOffer, SessionId, StatusReport, UpdateBody, UserId,
+    Value, WhiteboardStroke, WireError,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -87,7 +87,12 @@ fn update_strategy() -> impl Strategy<Value = UpdateBody> {
             .prop_map(|(app, name, value, by)| UpdateBody::ParamChanged { app, name, value, by }),
         (app_id_strategy(), user_strategy(), "[ -~]{0,40}")
             .prop_map(|(app, from, text)| UpdateBody::Chat { app, from, text }),
-        (app_id_strategy(), user_strategy(), prop::collection::vec((any::<f32>(), any::<f32>()), 0..12), any::<u32>())
+        (
+            app_id_strategy(),
+            user_strategy(),
+            prop::collection::vec((any::<f32>(), any::<f32>()), 0..12),
+            any::<u32>()
+        )
             .prop_map(|(app, from, points, color)| UpdateBody::Whiteboard {
                 app,
                 from,
@@ -109,7 +114,8 @@ fn request_strategy() -> impl Strategy<Value = ClientRequest> {
         app_id_strategy().prop_map(|app| ClientRequest::SelectApp { app }),
         (app_id_strategy(), op_strategy()).prop_map(|(app, op)| ClientRequest::Op { app, op }),
         app_id_strategy().prop_map(|app| ClientRequest::RequestLock { app }),
-        (app_id_strategy(), any::<u64>()).prop_map(|(app, since)| ClientRequest::GetHistory { app, since }),
+        (app_id_strategy(), any::<u64>())
+            .prop_map(|(app, since)| ClientRequest::GetHistory { app, since }),
     ]
 }
 
@@ -322,8 +328,17 @@ fn session_strategy() -> impl Strategy<Value = Option<u64>> {
 /// width that have none.
 fn http_status_strategy() -> impl Strategy<Value = u16> {
     prop_oneof![
-        Just(200u16), Just(400), Just(401), Just(403), Just(404), Just(500),
-        Just(7), Just(42), Just(299), Just(1000), Just(u16::MAX),
+        Just(200u16),
+        Just(400),
+        Just(401),
+        Just(403),
+        Just(404),
+        Just(500),
+        Just(7),
+        Just(42),
+        Just(299),
+        Just(1000),
+        Just(u16::MAX),
     ]
 }
 
@@ -377,7 +392,11 @@ fn request_head_strategy() -> impl Strategy<Value = String> {
             &["Host: elsewhere\r\nConnection: keep-alive\r\n", "Connection: keep-alive\r\n", ""],
         ),
         piece(
-            &["", "Cookie: JSESSIONID=000000000000001f\r\n", "Cookie: JSESSIONID=ffffffffffffffff\r\n"],
+            &[
+                "",
+                "Cookie: JSESSIONID=000000000000001f\r\n",
+                "Cookie: JSESSIONID=ffffffffffffffff\r\n",
+            ],
             &[
                 "Cookie: JSESSIONID=+00000000000001f\r\n",
                 "Cookie: JSESSIONID=000000000000001F\r\n",
@@ -1223,168 +1242,168 @@ macro_rules! every_variant {
 /// order, measured while the codec was still an adapter to a
 /// serializer/visitor framework, before [`Dbp`] replaced it.
 const PINNED: &[(usize, u64)] = &[
-    (4, 0x4d25_767f_9dce_13f5), // ReadOnly
-    (4, 0xad2a_ca77_4798_5764), // ReadWrite
-    (4, 0x8d1a_ce90_4a39_8d17), // Steer
-    (4, 0x4d25_767f_9dce_13f5), // Computing
-    (4, 0xad2a_ca77_4798_5764), // Interacting
-    (4, 0x8d1a_ce90_4a39_8d17), // Paused
-    (4, 0xed20_2287_f403_d086), // Terminated
-    (4, 0x4d25_767f_9dce_13f5), // Pause
-    (4, 0xad2a_ca77_4798_5764), // Resume
-    (4, 0x8d1a_ce90_4a39_8d17), // Checkpoint
-    (4, 0xed20_2287_f403_d086), // Rollback
-    (4, 0xcd3a_c65e_44f7_21b1), // Terminate
-    (4, 0x4d25_767f_9dce_13f5), // AuthFailed
-    (4, 0xad2a_ca77_4798_5764), // NoSuchApp
-    (4, 0x8d1a_ce90_4a39_8d17), // AccessDenied
-    (4, 0xed20_2287_f403_d086), // LockRequired
-    (4, 0xcd3a_c65e_44f7_21b1), // LockHeld
-    (4, 0x2d40_1a55_eec1_6520), // BadParameter
-    (4, 0x0d30_1e6e_f162_9ad3), // Unavailable
-    (4, 0x6d35_7266_9b2c_de42), // BadRequest
-    (4, 0x4cfa_d6c2_4f7b_f87d), // DeadlineExceeded
-    (4, 0xad00_2ab9_f946_3bec), // Overloaded
-    (4, 0x8cf0_2ed2_fbe7_719f), // SessionExpired
-    (4, 0x4d25_767f_9dce_13f5), // Response
-    (4, 0xad2a_ca77_4798_5764), // Error
-    (4, 0x8d1a_ce90_4a39_8d17), // Update
-    (4, 0x4d25_767f_9dce_13f5), // Main
-    (4, 0xad2a_ca77_4798_5764), // Command
-    (4, 0x8d1a_ce90_4a39_8d17), // Response
-    (4, 0xed20_2287_f403_d086), // Control
-    (4, 0x4d25_767f_9dce_13f5), // ServerUp
-    (4, 0xad2a_ca77_4798_5764), // ServerDown
-    (4, 0x8d1a_ce90_4a39_8d17), // AppRegistered
-    (4, 0xed20_2287_f403_d086), // AppClosed
-    (4, 0xcd3a_c65e_44f7_21b1), // RemoteError
-    (4, 0x4d25_767f_9dce_13f5), // Get
-    (4, 0xad2a_ca77_4798_5764), // Post
-    (5, 0xe4bc_4fd9_252b_e94f), // Request
-    (4, 0xad2a_ca77_4798_5764), // Reply
-    (4, 0x8d1a_ce90_4a39_8d17), // SystemException
-    (5, 0xe4bc_4ed9_252b_e79c), // Bool
-    (12, 0x4137_6616_b5ad_2b65), // Int
-    (12, 0x3ee0_e01a_d2a0_dc93), // Float
-    (13, 0x28e5_ba89_807b_4408), // Text
-    (24, 0xf1d8_0459_1907_0813), // Vector
-    (4, 0x4d25_767f_9dce_13f5), // GetStatus
-    (10, 0x09e0_432e_7922_45f6), // GetParam
-    (22, 0xcb3f_f276_9574_ad11), // SetParam
-    (4, 0xed20_2287_f403_d086), // GetSensors
-    (8, 0x6cd2_341e_a8c8_8a63), // Command
-    (24, 0x6574_3f58_c484_c283), // Status
-    (22, 0xb552_d5e4_3410_006e), // Param
-    (22, 0x2eb8_5d9c_7d6e_2cc7), // ParamSet
-    (32, 0x28d5_5ec1_9015_968f), // Sensors
-    (8, 0x2cdc_dc0d_fc5d_1141), // CommandDone
-    (19, 0x9236_3010_1890_c794), // Login
-    (4, 0xad2a_ca77_4798_5764), // Logout
-    (4, 0x8d1a_ce90_4a39_8d17), // ListApplications
-    (12, 0x6bba_fa60_0bca_4c73), // SelectApp
-    (12, 0x5d49_dc73_1deb_d2a4), // DeselectApp
-    (22, 0xdcea_2ee6_1113_2546), // Op
-    (12, 0x4bd0_77b1_00a2_0dc6), // RequestLock
-    (12, 0x9682_4c21_523f_4e37), // ReleaseLock
-    (4, 0x4cfa_d6c2_4f7b_f87d), // Poll
-    (21, 0x322e_891a_1482_02a5), // JoinSubgroup
-    (21, 0xa764_8325_1598_279c), // LeaveSubgroup
-    (13, 0x588e_b706_6c12_8bce), // SetCollabMode
-    (25, 0x6f66_58da_5f08_cce3), // ShareView
-    (18, 0xef0f_f024_ba12_fa84), // Chat
-    (36, 0xbe14_4804_f3fa_cbbd), // Whiteboard
-    (20, 0xd55c_310d_1d2d_4efa), // GetHistory
-    (20, 0xb455_f583_a4e4_f6b6), // GetMyLog
-    (32, 0x28df_9ca5_eecd_b4f8), // Resume
-    (4, 0x8cc5_8f15_ad95_5627), // Status
-    (20, 0xf978_5128_ff86_a6c9), // CatchUp
-    (60, 0x1f31_fbc6_86c2_dcd3), // AppStatus
-    (39, 0xb05e_214b_9d7e_f469), // ParamChanged
-    (25, 0x82e7_c90f_e06f_8e7d), // CommandApplied
-    (22, 0xda50_bf53_8d5e_cd56), // LockChanged
-    (27, 0xfc04_b988_8fb9_05ed), // Chat
-    (45, 0x1903_5711_31d4_3c14), // Whiteboard
-    (30, 0xd138_ef38_fb31_08fb), // ViewShared
-    (21, 0x826a_9124_33bc_cf29), // MemberJoined
-    (21, 0x3d94_f56d_1141_cc74), // MemberLeft
-    (12, 0x2750_7c24_ff85_d6d9), // AppClosed
-    (29, 0x44b1_1209_a867_a956), // InteractionEcho
+    (4, 0x4d25_767f_9dce_13f5),   // ReadOnly
+    (4, 0xad2a_ca77_4798_5764),   // ReadWrite
+    (4, 0x8d1a_ce90_4a39_8d17),   // Steer
+    (4, 0x4d25_767f_9dce_13f5),   // Computing
+    (4, 0xad2a_ca77_4798_5764),   // Interacting
+    (4, 0x8d1a_ce90_4a39_8d17),   // Paused
+    (4, 0xed20_2287_f403_d086),   // Terminated
+    (4, 0x4d25_767f_9dce_13f5),   // Pause
+    (4, 0xad2a_ca77_4798_5764),   // Resume
+    (4, 0x8d1a_ce90_4a39_8d17),   // Checkpoint
+    (4, 0xed20_2287_f403_d086),   // Rollback
+    (4, 0xcd3a_c65e_44f7_21b1),   // Terminate
+    (4, 0x4d25_767f_9dce_13f5),   // AuthFailed
+    (4, 0xad2a_ca77_4798_5764),   // NoSuchApp
+    (4, 0x8d1a_ce90_4a39_8d17),   // AccessDenied
+    (4, 0xed20_2287_f403_d086),   // LockRequired
+    (4, 0xcd3a_c65e_44f7_21b1),   // LockHeld
+    (4, 0x2d40_1a55_eec1_6520),   // BadParameter
+    (4, 0x0d30_1e6e_f162_9ad3),   // Unavailable
+    (4, 0x6d35_7266_9b2c_de42),   // BadRequest
+    (4, 0x4cfa_d6c2_4f7b_f87d),   // DeadlineExceeded
+    (4, 0xad00_2ab9_f946_3bec),   // Overloaded
+    (4, 0x8cf0_2ed2_fbe7_719f),   // SessionExpired
+    (4, 0x4d25_767f_9dce_13f5),   // Response
+    (4, 0xad2a_ca77_4798_5764),   // Error
+    (4, 0x8d1a_ce90_4a39_8d17),   // Update
+    (4, 0x4d25_767f_9dce_13f5),   // Main
+    (4, 0xad2a_ca77_4798_5764),   // Command
+    (4, 0x8d1a_ce90_4a39_8d17),   // Response
+    (4, 0xed20_2287_f403_d086),   // Control
+    (4, 0x4d25_767f_9dce_13f5),   // ServerUp
+    (4, 0xad2a_ca77_4798_5764),   // ServerDown
+    (4, 0x8d1a_ce90_4a39_8d17),   // AppRegistered
+    (4, 0xed20_2287_f403_d086),   // AppClosed
+    (4, 0xcd3a_c65e_44f7_21b1),   // RemoteError
+    (4, 0x4d25_767f_9dce_13f5),   // Get
+    (4, 0xad2a_ca77_4798_5764),   // Post
+    (5, 0xe4bc_4fd9_252b_e94f),   // Request
+    (4, 0xad2a_ca77_4798_5764),   // Reply
+    (4, 0x8d1a_ce90_4a39_8d17),   // SystemException
+    (5, 0xe4bc_4ed9_252b_e79c),   // Bool
+    (12, 0x4137_6616_b5ad_2b65),  // Int
+    (12, 0x3ee0_e01a_d2a0_dc93),  // Float
+    (13, 0x28e5_ba89_807b_4408),  // Text
+    (24, 0xf1d8_0459_1907_0813),  // Vector
+    (4, 0x4d25_767f_9dce_13f5),   // GetStatus
+    (10, 0x09e0_432e_7922_45f6),  // GetParam
+    (22, 0xcb3f_f276_9574_ad11),  // SetParam
+    (4, 0xed20_2287_f403_d086),   // GetSensors
+    (8, 0x6cd2_341e_a8c8_8a63),   // Command
+    (24, 0x6574_3f58_c484_c283),  // Status
+    (22, 0xb552_d5e4_3410_006e),  // Param
+    (22, 0x2eb8_5d9c_7d6e_2cc7),  // ParamSet
+    (32, 0x28d5_5ec1_9015_968f),  // Sensors
+    (8, 0x2cdc_dc0d_fc5d_1141),   // CommandDone
+    (19, 0x9236_3010_1890_c794),  // Login
+    (4, 0xad2a_ca77_4798_5764),   // Logout
+    (4, 0x8d1a_ce90_4a39_8d17),   // ListApplications
+    (12, 0x6bba_fa60_0bca_4c73),  // SelectApp
+    (12, 0x5d49_dc73_1deb_d2a4),  // DeselectApp
+    (22, 0xdcea_2ee6_1113_2546),  // Op
+    (12, 0x4bd0_77b1_00a2_0dc6),  // RequestLock
+    (12, 0x9682_4c21_523f_4e37),  // ReleaseLock
+    (4, 0x4cfa_d6c2_4f7b_f87d),   // Poll
+    (21, 0x322e_891a_1482_02a5),  // JoinSubgroup
+    (21, 0xa764_8325_1598_279c),  // LeaveSubgroup
+    (13, 0x588e_b706_6c12_8bce),  // SetCollabMode
+    (25, 0x6f66_58da_5f08_cce3),  // ShareView
+    (18, 0xef0f_f024_ba12_fa84),  // Chat
+    (36, 0xbe14_4804_f3fa_cbbd),  // Whiteboard
+    (20, 0xd55c_310d_1d2d_4efa),  // GetHistory
+    (20, 0xb455_f583_a4e4_f6b6),  // GetMyLog
+    (32, 0x28df_9ca5_eecd_b4f8),  // Resume
+    (4, 0x8cc5_8f15_ad95_5627),   // Status
+    (20, 0xf978_5128_ff86_a6c9),  // CatchUp
+    (60, 0x1f31_fbc6_86c2_dcd3),  // AppStatus
+    (39, 0xb05e_214b_9d7e_f469),  // ParamChanged
+    (25, 0x82e7_c90f_e06f_8e7d),  // CommandApplied
+    (22, 0xda50_bf53_8d5e_cd56),  // LockChanged
+    (27, 0xfc04_b988_8fb9_05ed),  // Chat
+    (45, 0x1903_5711_31d4_3c14),  // Whiteboard
+    (30, 0xd138_ef38_fb31_08fb),  // ViewShared
+    (21, 0x826a_9124_33bc_cf29),  // MemberJoined
+    (21, 0x3d94_f56d_1141_cc74),  // MemberLeft
+    (12, 0x2750_7c24_ff85_d6d9),  // AppClosed
+    (29, 0x44b1_1209_a867_a956),  // InteractionEcho
     (142, 0x42c8_6387_a1ec_408d), // LoginOk
-    (4, 0xad2a_ca77_4798_5764), // LogoutOk
-    (4, 0x8d1a_ce90_4a39_8d17), // Accepted
+    (4, 0xad2a_ca77_4798_5764),   // LogoutOk
+    (4, 0x8d1a_ce90_4a39_8d17),   // Accepted
     (134, 0x69f0_bc8f_5994_3fcd), // Apps
-    (91, 0x47d2_fd86_9217_16d8), // AppSelected
-    (12, 0xa7fb_b0e3_6f89_1315), // AppDeselected
-    (44, 0xb70b_2777_701c_833c), // OpDone
-    (12, 0x9682_4c21_523f_4e37), // LockGranted
-    (13, 0xca2d_6003_8237_92b8), // LockDenied
-    (12, 0x2750_7c24_ff85_d6d9), // LockReleased
-    (51, 0xacd5_5783_7749_2f10), // Batch
-    (22, 0x62d0_3175_8e54_c15e), // SubgroupOk
-    (13, 0xefdf_0f6e_3b09_92c4), // CollabModeOk
+    (91, 0x47d2_fd86_9217_16d8),  // AppSelected
+    (12, 0xa7fb_b0e3_6f89_1315),  // AppDeselected
+    (44, 0xb70b_2777_701c_833c),  // OpDone
+    (12, 0x9682_4c21_523f_4e37),  // LockGranted
+    (13, 0xca2d_6003_8237_92b8),  // LockDenied
+    (12, 0x2750_7c24_ff85_d6d9),  // LockReleased
+    (51, 0xacd5_5783_7749_2f10),  // Batch
+    (22, 0x62d0_3175_8e54_c15e),  // SubgroupOk
+    (13, 0xefdf_0f6e_3b09_92c4),  // CollabModeOk
     (119, 0xc7e0_ffc9_1026_63c7), // ClientLog
     (119, 0x3873_99d2_63d0_0c2e), // History
-    (24, 0xf65f_3a90_33a5_6ecd), // Resumed
+    (24, 0xf65f_3a90_33a5_6ecd),  // Resumed
     (257, 0xf547_43c0_a59f_0b79), // Status
     (287, 0x868b_aa5f_ea1e_5b46), // CatchUp
-    (8, 0x08cd_4c29_d1e4_7d34), // Response
-    (25, 0xa6af_3818_1679_c6e8), // Error
-    (43, 0x1189_d5b0_3352_de55), // Update
+    (8, 0x08cd_4c29_d1e4_7d34),   // Response
+    (25, 0xa6af_3818_1679_c6e8),  // Error
+    (43, 0x1189_d5b0_3352_de55),  // Update
     (128, 0x70a7_958b_6ca4_2cd9), // Register
-    (12, 0x7d34_5f22_2914_1151), // RegisterAck
-    (25, 0x3d1d_5910_7704_ebad), // RegisterNak
-    (60, 0x80c9_a0b0_3cda_7690), // Update
-    (16, 0x959e_eef3_81a2_3806), // PhaseChange
-    (12, 0xa7fb_b0e3_6f89_1315), // Deregister
-    (16, 0x9465_8a64_037d_850b), // Command
-    (48, 0x56f6_6f84_4eab_4c7b), // Response
-    (19, 0x9236_3010_1890_c794), // Authenticate
-    (4, 0xad2a_ca77_4798_5764), // ListActive
-    (25, 0xfd54_b9a0_baa0_616a), // ProxyOp
-    (25, 0xb4f1_df3c_c38c_7afc), // LockRequest
-    (21, 0xc972_b057_53eb_cb78), // LockRelease
-    (16, 0xa4a6_6324_81ca_7e54), // SubscribeApp
-    (16, 0x3a7d_7c1e_121a_f1b7), // UnsubscribeApp
-    (47, 0xa6e3_c236_2e1e_8410), // CollabUpdate
-    (24, 0x9246_47d9_709b_ab6a), // PollUpdates
-    (20, 0x6d54_d3be_daaf_947d), // FetchHistory
-    (21, 0x6240_cfba_563b_53a5), // Control
-    (41, 0x64e0_069c_d479_32b0), // NamingBind
-    (25, 0xd497_dcf2_5b49_ee87), // NamingResolve
-    (25, 0xafa4_c58b_96dd_418c), // NamingUnbind
-    (17, 0x75e5_3862_1d5f_89de), // NamingList
-    (58, 0x8ebe_0636_05fa_3712), // TraderExport
-    (20, 0xcdfc_b278_d1c2_cfcb), // TraderWithdraw
-    (39, 0x602f_dd67_42c2_fa9c), // GramSubmit
-    (4, 0x8cc5_8f15_ad95_5627), // GramQuery
-    (42, 0x6d6d_9c8c_c2d4_ed0c), // TraderQuery
+    (12, 0x7d34_5f22_2914_1151),  // RegisterAck
+    (25, 0x3d1d_5910_7704_ebad),  // RegisterNak
+    (60, 0x80c9_a0b0_3cda_7690),  // Update
+    (16, 0x959e_eef3_81a2_3806),  // PhaseChange
+    (12, 0xa7fb_b0e3_6f89_1315),  // Deregister
+    (16, 0x9465_8a64_037d_850b),  // Command
+    (48, 0x56f6_6f84_4eab_4c7b),  // Response
+    (19, 0x9236_3010_1890_c794),  // Authenticate
+    (4, 0xad2a_ca77_4798_5764),   // ListActive
+    (25, 0xfd54_b9a0_baa0_616a),  // ProxyOp
+    (25, 0xb4f1_df3c_c38c_7afc),  // LockRequest
+    (21, 0xc972_b057_53eb_cb78),  // LockRelease
+    (16, 0xa4a6_6324_81ca_7e54),  // SubscribeApp
+    (16, 0x3a7d_7c1e_121a_f1b7),  // UnsubscribeApp
+    (47, 0xa6e3_c236_2e1e_8410),  // CollabUpdate
+    (24, 0x9246_47d9_709b_ab6a),  // PollUpdates
+    (20, 0x6d54_d3be_daaf_947d),  // FetchHistory
+    (21, 0x6240_cfba_563b_53a5),  // Control
+    (41, 0x64e0_069c_d479_32b0),  // NamingBind
+    (25, 0xd497_dcf2_5b49_ee87),  // NamingResolve
+    (25, 0xafa4_c58b_96dd_418c),  // NamingUnbind
+    (17, 0x75e5_3862_1d5f_89de),  // NamingList
+    (58, 0x8ebe_0636_05fa_3712),  // TraderExport
+    (20, 0xcdfc_b278_d1c2_cfcb),  // TraderWithdraw
+    (39, 0x602f_dd67_42c2_fa9c),  // GramSubmit
+    (4, 0x8cc5_8f15_ad95_5627),   // GramQuery
+    (42, 0x6d6d_9c8c_c2d4_ed0c),  // TraderQuery
     (134, 0x41ad_1e0a_38ba_622e), // AuthOk
-    (4, 0xad2a_ca77_4798_5764), // AuthDenied
+    (4, 0xad2a_ca77_4798_5764),   // AuthDenied
     (147, 0xa36a_864d_2a07_d0fb), // Active
-    (37, 0x7bfc_2d40_c5a5_8a7e), // OpResult
-    (23, 0xe96e_1ce1_1a72_c122), // LockDecision
-    (12, 0xa7fb_b0e3_6f89_1315), // SubscribeOk
-    (63, 0xb6e5_c3b5_1d51_db9d), // Updates
+    (37, 0x7bfc_2d40_c5a5_8a7e),  // OpResult
+    (23, 0xe96e_1ce1_1a72_c122),  // LockDecision
+    (12, 0xa7fb_b0e3_6f89_1315),  // SubscribeOk
+    (63, 0xb6e5_c3b5_1d51_db9d),  // Updates
     (119, 0x64bb_93b2_0455_637d), // History
-    (4, 0x4cfa_d6c2_4f7b_f87d), // DirectoryOk
-    (21, 0x4e23_707d_9f18_bd69), // NamingResolved
-    (45, 0x11a9_a054_ab75_cd00), // NamingNames
-    (20, 0x9ed7_36f4_e906_1dfa), // GramAccepted
-    (20, 0x21bf_b575_a30d_7bfb), // GramStatus
-    (62, 0x1acf_71ff_c638_4d3d), // TraderOffers
-    (25, 0xde0d_850d_ad44_cb39), // Exception
-    (8, 0x48c2_a43a_7e4f_f656), // Request
-    (28, 0xdd3f_9d41_5edf_e3ae), // Response
-    (25, 0x3d1d_5910_7704_ebad), // Error
-    (24, 0x4de8_7e58_d032_9940), // Status
-    (43, 0x05ac_d367_f03e_76fb), // Update
-    (25, 0x9aa9_0e58_edf1_8428), // Call
-    (8, 0x89a2_916b_ced8_d42c), // Return
-    (80, 0xa847_2935_c23b_7d07), // GiopFrame
-    (39, 0x50df_5e2a_ae3e_d8cd), // HttpRequest
-    (58, 0x64d7_a8c2_c4f6_ef8c), // HttpResponse
-    (20, 0x2335_aced_628c_ecb9), // TcpFrame
-    (16, 0x52e8_8d8e_c047_0b63), // SessionId
+    (4, 0x4cfa_d6c2_4f7b_f87d),   // DirectoryOk
+    (21, 0x4e23_707d_9f18_bd69),  // NamingResolved
+    (45, 0x11a9_a054_ab75_cd00),  // NamingNames
+    (20, 0x9ed7_36f4_e906_1dfa),  // GramAccepted
+    (20, 0x21bf_b575_a30d_7bfb),  // GramStatus
+    (62, 0x1acf_71ff_c638_4d3d),  // TraderOffers
+    (25, 0xde0d_850d_ad44_cb39),  // Exception
+    (8, 0x48c2_a43a_7e4f_f656),   // Request
+    (28, 0xdd3f_9d41_5edf_e3ae),  // Response
+    (25, 0x3d1d_5910_7704_ebad),  // Error
+    (24, 0x4de8_7e58_d032_9940),  // Status
+    (43, 0x05ac_d367_f03e_76fb),  // Update
+    (25, 0x9aa9_0e58_edf1_8428),  // Call
+    (8, 0x89a2_916b_ced8_d42c),   // Return
+    (80, 0xa847_2935_c23b_7d07),  // GiopFrame
+    (39, 0x50df_5e2a_ae3e_d8cd),  // HttpRequest
+    (58, 0x64d7_a8c2_c4f6_ef8c),  // HttpResponse
+    (20, 0x2335_aced_628c_ecb9),  // TcpFrame
+    (16, 0x52e8_8d8e_c047_0b63),  // SessionId
 ];
 
 /// Every variant encodes exactly as it did: a byte that moves here would
@@ -1545,58 +1564,52 @@ fn golden_interface() -> InteractionSpec {
 fn reply_encodings_pinned_from_the_inline_days() {
     const STATUS: (&[u8], u64) = (
         &[
-            0, 0, 0, 0, 16, 0, 0, 0, 2, 0, 0, 0, 135, 214, 18, 0, 0, 0, 0, 0, 3, 0, 0,
-            0, 1, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
-            1, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 19, 0, 0, 0, 105, 112, 97, 114, 115, 45,
-            111, 105, 108, 45, 114, 101, 115, 101, 114, 118, 111, 105, 114, 1, 0, 0, 0,
-            1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0,
-            130, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0,
-            0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 12, 0, 0, 0, 40, 0, 0, 0, 5,
-            0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 117, 112, 6, 0, 0, 0,
-            99, 108, 111, 115, 101, 100, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0,
-            3, 0, 0, 0, 0, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2,
-            0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 16, 0, 0, 0, 2, 0, 0, 0, 135, 214, 18, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0,
+            0, 2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+            7, 0, 0, 0, 19, 0, 0, 0, 105, 112, 97, 114, 115, 45, 111, 105, 108, 45, 114, 101, 115,
+            101, 114, 118, 111, 105, 114, 1, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 1, 0,
+            0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 130, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 17, 0, 0, 0, 0, 0,
+            0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 12, 0, 0, 0, 40, 0,
+            0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 117, 112, 6, 0, 0, 0, 99, 108, 111,
+            115, 101, 100, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+            100, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
         ],
         0x6913_40ec_3acc_6be9,
     );
     const CATCH_UP_WITH_SNAPSHOT: (&[u8], u64) = (
         &[
-            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 128, 0, 0, 0, 0, 0, 0,
-            0, 64, 84, 137, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 128, 2, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 0, 224, 63, 2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101, 115, 115,
-            117, 114, 101, 2, 0, 0, 0, 0, 0, 0, 0, 0, 80, 89, 64, 5, 0, 0, 0, 119, 101,
-            108, 108, 115, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
-            105, 110, 106, 101, 99, 116, 95, 114, 97, 116, 101, 2, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 4, 64, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 2, 0, 0, 0, 6, 0, 0, 0,
-            109, 97, 110, 105, 115, 104, 5, 0, 0, 0, 118, 105, 106, 97, 121, 0, 31, 0,
-            0, 0, 0, 0, 0, 0, 239, 205, 171, 137, 103, 69, 35, 1, 2, 0, 0, 0, 128, 0, 0,
-            0, 0, 0, 0, 0, 164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106,
-            97, 121, 0, 0, 0, 0, 3, 0, 0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0,
-            0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109,
-            97, 110, 105, 115, 104, 14, 0, 0, 0, 108, 111, 111, 107, 32, 97, 116, 32,
-            119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 128, 0, 0, 0, 0, 0, 0, 0, 64, 84,
+            137, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 128, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 224, 63,
+            2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101, 115, 115, 117, 114, 101, 2, 0, 0, 0, 0, 0, 0, 0,
+            0, 80, 89, 64, 5, 0, 0, 0, 119, 101, 108, 108, 115, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0,
+            0, 1, 0, 0, 0, 11, 0, 0, 0, 105, 110, 106, 101, 99, 116, 95, 114, 97, 116, 101, 2, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 4, 64, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 2, 0, 0, 0, 6, 0,
+            0, 0, 109, 97, 110, 105, 115, 104, 5, 0, 0, 0, 118, 105, 106, 97, 121, 0, 31, 0, 0, 0,
+            0, 0, 0, 0, 239, 205, 171, 137, 103, 69, 35, 1, 2, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0,
+            164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 0, 0, 0, 0, 3, 0,
+            0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0,
+            2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109, 97, 110, 105, 115, 104, 14, 0, 0, 0, 108, 111,
+            111, 107, 32, 97, 116, 32, 119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
         ],
         0x567e_49ee_c2fe_a116,
     );
     const CATCH_UP_BARE: (&[u8], u64) = (
         &[
-            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 128, 0, 0,
-            0, 0, 0, 0, 0, 164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106,
-            97, 121, 0, 0, 0, 0, 3, 0, 0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0,
-            0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109,
-            97, 110, 105, 115, 104, 14, 0, 0, 0, 108, 111, 111, 107, 32, 97, 116, 32,
-            119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 0, 2, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0,
+            0, 164, 84, 137, 0, 0, 0, 0, 0, 1, 5, 0, 0, 0, 118, 105, 106, 97, 121, 0, 0, 0, 0, 3,
+            0, 0, 0, 129, 0, 0, 0, 0, 0, 0, 0, 8, 85, 137, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0,
+            0, 2, 0, 0, 0, 7, 0, 0, 0, 6, 0, 0, 0, 109, 97, 110, 105, 115, 104, 14, 0, 0, 0, 108,
+            111, 111, 107, 32, 97, 116, 32, 119, 101, 108, 108, 32, 51, 130, 0, 0, 0, 0, 0, 0, 0,
         ],
         0x6ca5_4c4b_9769_d211,
     );
     const APP_SELECTED: (&[u8], u64) = (
         &[
-            0, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0,
-            105, 110, 106, 101, 99, 116, 95, 114, 97, 116, 101, 3, 0, 0, 0, 102, 54, 52,
-            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 64, 2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101,
-            115, 115, 117, 114, 101, 5, 0, 0, 0, 119, 101, 108, 108, 115, 2, 0, 0, 0, 0,
-            0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0,
+            0, 0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 11, 0, 0, 0, 105, 110, 106,
+            101, 99, 116, 95, 114, 97, 116, 101, 3, 0, 0, 0, 102, 54, 52, 2, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 4, 64, 2, 0, 0, 0, 8, 0, 0, 0, 112, 114, 101, 115, 115, 117, 114, 101, 5, 0, 0,
+            0, 119, 101, 108, 108, 115, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0,
         ],
         0xecba_87ea_3722_fb08,
     );

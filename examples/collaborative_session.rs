@@ -81,22 +81,24 @@ fn main() {
     println!("bob (collab off) saw whiteboard : {bob_wb}");
 
     // ...but Alice received Bob's explicit view share.
-    let alice_view = alice.updates().iter().any(|u| {
-        matches!(u, UpdateBody::ViewShared { from, .. } if from.as_str() == "bob")
-    });
+    let alice_view = alice
+        .updates()
+        .iter()
+        .any(|u| matches!(u, UpdateBody::ViewShared { from, .. } if from.as_str() == "bob"));
     println!("alice saw bob's shared view     : {alice_view}");
 
     // Bob acquires the lock after Alice released it.
-    let bob_lock = bob.received.iter().any(|(_, m)| {
-        matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. }))
-    });
+    let bob_lock = bob
+        .received
+        .iter()
+        .any(|(_, m)| matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. })));
     println!("bob got the lock after release  : {bob_lock}");
 
     // Carol's archive replay shows the session's past.
     let (_, records, _) = carol.histories(app).next().expect("carol should receive the archive");
-    let saw_steering = records.iter().any(|r| {
-        matches!(&r.entry, wire::LogEntry::Request(AppOp::SetParam(name, _)) if name == "mass")
-    });
+    let saw_steering = records.iter().any(
+        |r| matches!(&r.entry, wire::LogEntry::Request(AppOp::SetParam(name, _)) if name == "mass"),
+    );
     let saw_chat = records.iter().any(|r| {
         matches!(&r.entry, wire::LogEntry::Update(u) if matches!(u.body(), UpdateBody::Chat { .. }))
     });

@@ -296,7 +296,9 @@ impl Actor<Envelope> for GridLauncher {
             (LaunchStep::Discover, PeerReply::TraderOffers { offers }) => {
                 self.candidates = offers
                     .iter()
-                    .filter_map(|o| self.book.resolve(o.object.server).map(|n| (o.object.server, n)))
+                    .filter_map(|o| {
+                        self.book.resolve(o.object.server).map(|n| (o.object.server, n))
+                    })
                     .collect();
                 if self.candidates.is_empty() {
                     // Sites may still be exporting their offers; retry a
@@ -451,8 +453,8 @@ mod tests {
         let dir = eng.add_node("directory", Directory::new(DirectoryCosts::default()));
         let book = AddressBook::new();
         let g1 = LaunchGate::closed();
-        let site = eng
-            .add_node("site", GridSite::new(site_config(100, "s", 1.0), dir, vec![g1.clone()]));
+        let site =
+            eng.add_node("site", GridSite::new(site_config(100, "s", 1.0), dir, vec![g1.clone()]));
         book.register(ServerAddr(100), site);
         eng.link(site, dir, LinkSpec::campus());
         // Two 5-second jobs for one slot: whichever wins, the other must
@@ -469,23 +471,16 @@ mod tests {
         let s = eng.actor_ref::<GridSite>(site).unwrap();
         assert_eq!(s.launched.len(), 2, "both jobs eventually launch");
         let t2 = s.launched[1].2;
-        assert!(
-            t2 >= SimTime::from_secs(5),
-            "second job waits for the slot: launched at {t2:?}"
-        );
+        assert!(t2 >= SimTime::from_secs(5), "second job waits for the slot: launched at {t2:?}");
     }
 
     #[test]
     fn no_sites_means_failed() {
         let mut eng = Engine::new(8);
         let dir = eng.add_node("directory", Directory::new(DirectoryCosts::default()));
-        let launcher =
-            eng.add_node("launcher", GridLauncher::new(dir, AddressBook::new(), job(0)));
+        let launcher = eng.add_node("launcher", GridLauncher::new(dir, AddressBook::new(), job(0)));
         eng.link(launcher, dir, LinkSpec::campus());
         eng.run_until(SimTime::from_secs(5));
-        assert_eq!(
-            eng.actor_ref::<GridLauncher>(launcher).unwrap().phase,
-            LaunchPhase::Failed
-        );
+        assert_eq!(eng.actor_ref::<GridLauncher>(launcher).unwrap().phase, LaunchPhase::Failed);
     }
 }

@@ -104,17 +104,16 @@ fn main() {
     println!("WAN lock relay granted : {lock_ok}");
     println!("WAN steering completed : {steer_ok}");
 
-    let carlos_chat = carlos.updates().iter().any(|u| {
-        matches!(u, UpdateBody::Chat { from, .. } if from.as_str() == "meera")
-    });
-    let carlos_param = carlos.updates().iter().any(|u| {
-        matches!(u, UpdateBody::ParamChanged { name, .. } if name == "source_freq")
-    });
-    let carlos_status = carlos
+    let carlos_chat = carlos
         .updates()
         .iter()
-        .filter(|u| matches!(u, UpdateBody::AppStatus { .. }))
-        .count();
+        .any(|u| matches!(u, UpdateBody::Chat { from, .. } if from.as_str() == "meera"));
+    let carlos_param = carlos
+        .updates()
+        .iter()
+        .any(|u| matches!(u, UpdateBody::ParamChanged { name, .. } if name == "source_freq"));
+    let carlos_status =
+        carlos.updates().iter().filter(|u| matches!(u, UpdateBody::AppStatus { .. })).count();
     println!("carlos saw meera's chat        : {carlos_chat}");
     println!("carlos saw the param change    : {carlos_param}");
     println!("carlos streamed status updates : {carlos_status}");

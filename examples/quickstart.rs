@@ -44,7 +44,10 @@ fn main() {
     for (t, msg) in &portal.received {
         match msg {
             ClientMessage::Response(ResponseBody::LoginOk { apps, .. }) => {
-                println!("[{t}] logged in; visible apps: {:?}", apps.iter().map(|a| &a.name).collect::<Vec<_>>());
+                println!(
+                    "[{t}] logged in; visible apps: {:?}",
+                    apps.iter().map(|a| &a.name).collect::<Vec<_>>()
+                );
             }
             ClientMessage::Response(ResponseBody::AppSelected { privilege, interface, .. }) => {
                 println!(

@@ -108,11 +108,13 @@ fn severed_wan_times_out_remote_ops() {
     let mut c = b.build();
     c.engine.run_until(SimTime::from_secs(10));
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
-    let failed = p.received.iter().any(|(_, m)| matches!(
-        m,
-        ClientMessage::Error(e)
-            if e.code == ErrorCode::AccessDenied || e.code == ErrorCode::Unavailable
-    ));
+    let failed = p.received.iter().any(|(_, m)| {
+        matches!(
+            m,
+            ClientMessage::Error(e)
+                if e.code == ErrorCode::AccessDenied || e.code == ErrorCode::Unavailable
+        )
+    });
     assert!(failed, "a dead WAN must produce a terminal error, not a hang");
     // And the auth fan-out calls to the dead peer eventually expired.
     assert!(
@@ -394,10 +396,12 @@ fn shedding_composes_with_relayed_ops_under_partition() {
     let remote_done = rp
         .received
         .iter()
-        .filter(|(_, m)| matches!(
-            m,
-            ClientMessage::Response(ResponseBody::OpDone { app: a, .. }) if *a == app
-        ))
+        .filter(|(_, m)| {
+            matches!(
+                m,
+                ClientMessage::Response(ResponseBody::OpDone { app: a, .. }) if *a == app
+            )
+        })
         .count();
     assert!(remote_done > 0, "ops via the mirror must be admitted at the host");
     assert!(c.engine.node_metrics(mirror.node).counter(names::SUBSTRATE_REMOTE_OPS) > 0);
@@ -436,10 +440,8 @@ fn idle_sessions_are_reaped_and_locks_freed() {
     let server = b.server("server0");
     let mut dc = DriverConfig::default();
     dc.name = "app0".into();
-    dc.acl = vec![
-        (UserId::new("vijay"), Privilege::Steer),
-        (UserId::new("manish"), Privilege::Steer),
-    ];
+    dc.acl =
+        vec![(UserId::new("vijay"), Privilege::Steer), (UserId::new("manish"), Privilege::Steer)];
     dc.batch_time = SimDuration::from_millis(100);
     dc.batches_per_phase = 1;
     dc.interaction_window = SimDuration::from_millis(500);
@@ -467,10 +469,10 @@ fn idle_sessions_are_reaped_and_locks_freed() {
     assert_eq!(core.session_count(), 1, "only manish's fresh session remains");
     // The reap force-released vijay's lock, so manish's request succeeded.
     let m = c.engine.actor_ref::<Portal>(manish_node).unwrap();
-    assert!(m.received.iter().any(|(_, msg)| matches!(
-        msg,
-        ClientMessage::Response(ResponseBody::LockGranted { .. })
-    )));
+    assert!(m
+        .received
+        .iter()
+        .any(|(_, msg)| matches!(msg, ClientMessage::Response(ResponseBody::LockGranted { .. }))));
 }
 
 #[test]
@@ -561,10 +563,8 @@ fn parked_session_is_reclaimed_after_ttl_and_lock_freed() {
     let server = b.server("server0");
     let mut dc = DriverConfig::default();
     dc.name = "app0".into();
-    dc.acl = vec![
-        (UserId::new("vijay"), Privilege::Steer),
-        (UserId::new("manish"), Privilege::Steer),
-    ];
+    dc.acl =
+        vec![(UserId::new("vijay"), Privilege::Steer), (UserId::new("manish"), Privilege::Steer)];
     dc.batch_time = SimDuration::from_millis(100);
     dc.batches_per_phase = 1;
     dc.interaction_window = SimDuration::from_millis(500);
@@ -597,17 +597,19 @@ fn parked_session_is_reclaimed_after_ttl_and_lock_freed() {
     assert_eq!(core.parked_count(), 0, "no parked session leaks past the TTL");
     assert_eq!(core.session_count(), 1, "only manish's session remains");
     let m = c.engine.actor_ref::<Portal>(manish_node).unwrap();
-    let denied = m.received.iter().any(|(_, msg)| matches!(
-        msg,
-        ClientMessage::Response(ResponseBody::LockDenied { holder: Some(h), .. })
-            if h == &UserId::new("vijay")
-    ));
+    let denied = m.received.iter().any(|(_, msg)| {
+        matches!(
+            msg,
+            ClientMessage::Response(ResponseBody::LockDenied { holder: Some(h), .. })
+                if h == &UserId::new("vijay")
+        )
+    });
     assert!(denied, "while parked, vijay's lock interest must still deny rivals");
     // Phase 2: after reclamation the lock freed and manish won.
-    let granted = m.received.iter().any(|(_, msg)| matches!(
-        msg,
-        ClientMessage::Response(ResponseBody::LockGranted { .. })
-    ));
+    let granted = m
+        .received
+        .iter()
+        .any(|(_, msg)| matches!(msg, ClientMessage::Response(ResponseBody::LockGranted { .. })));
     assert!(granted, "after the reclaim, the lock must be grantable again");
 
     // Single-holder throughout: in history order, vijay's grant, then the

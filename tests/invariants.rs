@@ -95,10 +95,8 @@ fn run_scenario(
         let mut cfg = discover_client::PortalConfig::new(user);
         cfg.login_delay = SimDuration::from_millis(300);
         for (k, a) in script.iter().enumerate() {
-            cfg.script.push((
-                SimDuration::from_millis(1000 + 400 * k as u64),
-                to_request(a, app, k),
-            ));
+            cfg.script
+                .push((SimDuration::from_millis(1000 + 400 * k as u64), to_request(a, app, k)));
         }
         cfg
     };

@@ -8,8 +8,10 @@ use wire::{AppToken, ClientMessage, ErrorCode, OpOutcome, ResponseBody};
 
 /// Two-domain fixture: an app named "ipars" hosted at `utexas`; clients
 /// attach wherever the test wants. Steer/write/view users on the ACL.
-fn two_domains(seed: u64, mode: CollabMode) -> (CollaboratoryBuilder, ServerHandle, ServerHandle, AppId)
-{
+fn two_domains(
+    seed: u64,
+    mode: CollabMode,
+) -> (CollaboratoryBuilder, ServerHandle, ServerHandle, AppId) {
     let mut b = CollaboratoryBuilder::new(seed);
     b.collab_mode(mode);
     let rutgers = b.server("rutgers");
@@ -166,9 +168,10 @@ fn distributed_lock_is_exclusive_across_servers() {
     c.engine.run_until(SimTime::from_secs(4));
 
     let v = c.engine.actor_ref::<Portal>(vijay_node).unwrap();
-    let granted_v = v.received.iter().any(|(_, m)| {
-        matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. }))
-    });
+    let granted_v = v
+        .received
+        .iter()
+        .any(|(_, m)| matches!(m, ClientMessage::Response(ResponseBody::LockGranted { .. })));
     let m = c.engine.actor_ref::<Portal>(manish_node).unwrap();
     let denied_m = m.received.iter().any(|(_, m)| {
         matches!(
@@ -334,9 +337,8 @@ fn local_and_remote_access_are_symmetric_for_clients() {
     dc.batches_per_phase = 2;
     dc.interaction_window = SimDuration::from_millis(300);
     let (_, app) = b.application(solo, synthetic_app(2, 1000), dc);
-    let cfg = portal("vijay", app)
-        .at(SimDuration::from_secs(1), ClientRequest::RequestLock { app })
-        .at(
+    let cfg =
+        portal("vijay", app).at(SimDuration::from_secs(1), ClientRequest::RequestLock { app }).at(
             SimDuration::from_secs(2),
             ClientRequest::Op { app, op: AppOp::SetParam("knob0".into(), Value::Float(4.0)) },
         );

@@ -12,17 +12,13 @@ use wire::{ClientMessage, ErrorCode, ResponseBody};
 /// A one-server collaboratory with a steerable app (alice: Steer,
 /// carol: ReadOnly) and an anchor app whose ACL also lists mallory, so
 /// mallory passes first-level login but holds no grant on the main app.
-fn build_fixture(
-    seed: u64,
-) -> (discover::core::CollaboratoryBuilder, ServerHandle, AppId) {
+fn build_fixture(seed: u64) -> (discover::core::CollaboratoryBuilder, ServerHandle, AppId) {
     let mut b = CollaboratoryBuilder::new(seed);
     let s0 = b.server("s0");
     let mut dc = DriverConfig::default();
     dc.name = "ipars".into();
-    dc.acl = vec![
-        (UserId::new("alice"), Privilege::Steer),
-        (UserId::new("carol"), Privilege::ReadOnly),
-    ];
+    dc.acl =
+        vec![(UserId::new("alice"), Privilege::Steer), (UserId::new("carol"), Privilege::ReadOnly)];
     dc.batch_time = SimDuration::from_millis(200);
     dc.batches_per_phase = 1;
     dc.interaction_window = SimDuration::from_millis(500);
@@ -42,9 +38,7 @@ fn denied_count(portal: &Portal) -> usize {
     portal
         .received
         .iter()
-        .filter(|(_, m)| {
-            matches!(m, ClientMessage::Error(e) if e.code == ErrorCode::AccessDenied)
-        })
+        .filter(|(_, m)| matches!(m, ClientMessage::Error(e) if e.code == ErrorCode::AccessDenied))
         .count()
 }
 
