@@ -184,6 +184,38 @@ impl ServerConfig {
             mutation: None,
         }
     }
+
+    /// What a deployment turns on beyond the paper's server ([`Self::new`],
+    /// the profile every experiment and the wall-clock benchmark start
+    /// from).
+    /// Each value is the one an experiment or test already runs and gates:
+    ///
+    /// * FIFO coalescing — E18 (`experiments/hotpath.rs`);
+    /// * session leases with paced park and resume: a 2 s idle timeout, a
+    ///   30 s park TTL, 8 resumes per second — E16 (`experiments/churn.rs`);
+    /// * admission control (12 view operations in flight) and an 8-op
+    ///   proxy buffer — E15 (`experiments/overload.rs`);
+    /// * snapshots every 16 records with compaction, and recover-from-
+    ///   archive — E19 (`experiments/archival.rs`);
+    /// * 5 served GIOP requests per peer per second —
+    ///   `tests/failures.rs::peer_rate_policy_throttles_excessive_peers`.
+    ///
+    /// The substrate's half is `discover_core::SubstrateConfig::production`.
+    pub fn production(addr: ServerAddr, name: impl Into<String>) -> Self {
+        ServerConfig {
+            coalesce_fifo: true,
+            session_idle_timeout: Some(simnet::SimDuration::from_secs(2)),
+            session_park_ttl: Some(simnet::SimDuration::from_secs(30)),
+            resume_rate_limit: Some(8),
+            admission_inflight_max: Some(12),
+            proxy_buffer_capacity: Some(8),
+            snapshot_every: Some(16),
+            compact_closed_segments: true,
+            recover_from_archive: true,
+            peer_rate_limit: Some(5),
+            ..ServerConfig::new(addr, name)
+        }
+    }
 }
 
 /// Out-calls the core needs the middleware substrate to perform.
