@@ -17,5 +17,5 @@
 mod portal;
 mod whiteboard;
 
-pub use portal::{OpMix, Portal, PortalConfig, Workload};
+pub use portal::{OpMix, Portal, PortalConfig, Workload, PRODUCTION_DEADLINE};
 pub use whiteboard::{CanvasStroke, Whiteboard};
