@@ -16,7 +16,9 @@
 //! failure), and checked with [`discover_check::oracle::check_run`]. On
 //! any violation the scenario is shrunk to a 1-minimal reproduction and
 //! written to `--out` (default `target/scenario-repros`). Exit status is
-//! non-zero if any seed failed.
+//! non-zero if any seed failed. When every requested seed ran, a last
+//! line prints one FNV-1a digest over every run log and flight artifact,
+//! so two trees' logs compare as one line.
 //!
 //! `--mutation` runs the self-test instead: for every
 //! [`discover_check::Mutation`], the crafted scenario that seeds the
@@ -31,6 +33,7 @@ use discover_check::run::run;
 use discover_check::scenario::{Family, Scenario};
 use discover_check::shrink::shrink;
 use discover_check::{mutation_case, Mutation};
+use wire::codec::digest_fnv1a;
 
 struct Args {
     seeds: u64,
@@ -124,10 +127,13 @@ fn write_repro(out_dir: &str, tag: &str, s: &Scenario, violations: &[Violation],
     }
 }
 
-fn check_one(seed: u64, family: Family, out_dir: &str) -> bool {
+/// Run one seed of one family twice and check it; `digests` gains the
+/// first run's log and flight digests.
+fn check_one(seed: u64, family: Family, out_dir: &str, digests: &mut Vec<u64>) -> bool {
     let scenario = Scenario::generate(family, seed);
     let first = run(&scenario);
     let second = run(&scenario);
+    digests.extend([digest_fnv1a(&first.run_log), digest_fnv1a(&first.flight)]);
     if first.run_log != second.run_log {
         eprintln!(
             "FAIL seed={seed} family={}: nondeterministic run (logs differ across \
@@ -222,6 +228,7 @@ fn main() -> ExitCode {
     let started = Instant::now();
     let mut ran = 0u64;
     let mut failed = 0u64;
+    let mut digests = Vec::new();
     let mut out_of_budget = false;
     'outer: for seed in args.start_seed..args.start_seed + args.seeds {
         for &family in &args.families {
@@ -230,7 +237,7 @@ fn main() -> ExitCode {
                 break 'outer;
             }
             ran += 1;
-            if !check_one(seed, family, &args.out) {
+            if !check_one(seed, family, &args.out, &mut digests) {
                 failed += 1;
             }
         }
@@ -240,6 +247,10 @@ fn main() -> ExitCode {
         "scenario-check: {ran} runs, {failed} failures in {:.1}s{note}",
         started.elapsed().as_secs_f64()
     );
+    if !out_of_budget {
+        let digest = digest_fnv1a(&digests);
+        println!("scenario-check: digest {digest:016x} over {ran} run logs and flight artifacts");
+    }
     if failed > 0 {
         ExitCode::FAILURE
     } else {
