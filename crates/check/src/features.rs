@@ -152,11 +152,8 @@ impl Features {
     pub fn apply(self, b: &mut CollaboratoryBuilder, mutation: Option<Mutation>) {
         if let Some(d) = self.discovery {
             b.directory_shards(d.dir_shards);
-            b.substrate_config.discovery_cache = Some(DiscoveryCacheConfig {
-                ttl: d.cache_ttl,
-                negative_ttl: d.negative_ttl,
-                record: true,
-            });
+            b.substrate_config.discovery_cache =
+                Some(DiscoveryCacheConfig { ttl: d.cache_ttl, negative_ttl: d.negative_ttl });
         }
         b.tweak_servers(move |cfg| {
             cfg.lock_lease = Some(self.lock_lease);

@@ -29,7 +29,7 @@ pub mod shard;
 mod substrate;
 
 pub use builder::{Collaboratory, CollaboratoryBuilder, ServerHandle};
-pub use cache::{CacheEvent, CacheEventKind, DiscoveryCache, DiscoveryCacheConfig};
+pub use cache::{DiscoveryCache, DiscoveryCacheConfig};
 pub use node::DiscoverNode;
 pub use shard::DirectoryRing;
 pub use substrate::{
