@@ -286,8 +286,8 @@ pub mod names {
         /// Remote calls fast-failed because the request's deadline had
         /// already passed at dispatch time.
         SUBSTRATE_DEADLINE_FASTFAIL: CounterDef = "substrate.deadline.fastfail";
-        /// Broker retries abandoned because the next attempt would land past
-        /// the request's deadline (remaining budget too small).
+        /// Remote calls abandoned for the request's deadline: the next
+        /// attempt would land past it, or it passed with no reply yet.
         SUBSTRATE_DEADLINE_GAVE_UP: CounterDef = "substrate.deadline.gave_up";
         /// Discovery-cache lookups served from a fresh positive entry.
         SUBSTRATE_CACHE_HITS: CounterDef = "substrate.cache.hits";
