@@ -8,8 +8,8 @@
 //! stack: portal → gateway server → substrate → crashed host.
 
 use appsim::{synthetic_app, DriverConfig};
-use discover_client::{OpMix, Portal, PortalConfig, Workload};
-use discover_core::CollaboratoryBuilder;
+use discover_client::{OpMix, Portal, PortalConfig, Workload, PRODUCTION_DEADLINE};
+use discover_core::{CollaboratoryBuilder, DiscoverNode};
 use simnet::{LinkSpec, SimDuration, SimTime};
 use wire::{ClientMessage, ErrorCode, Privilege, ResponseBody, UserId};
 
@@ -122,4 +122,71 @@ fn restarted_host_rebinds_local_apps_into_naming() {
     // The peer still sees the host after its post-restart publish.
     assert_eq!(c.node(peer).unwrap().substrate.peer_addrs(), vec![host.addr]);
     let _ = app;
+}
+
+#[test]
+fn deadlined_relays_still_mark_a_dead_host_down_and_fail_over() {
+    // The portal's deadline (2.5 s) is far shorter than the call timeout
+    // (10 s), so every relay to a dead host is answered at its deadline,
+    // long before it could time out. The calls must still time out and
+    // judge the host: it is marked down, which re-resolves the mirrored
+    // app through naming and fails its route over to where the app
+    // really is.
+    let mut b = CollaboratoryBuilder::new(93);
+    // No trader refresh within the run: only the down verdict can move
+    // the route.
+    b.substrate_config.discovery_interval = SimDuration::from_secs(600);
+    let gateway = b.server("gateway");
+    let host = b.server("host");
+    let mirror = b.server("mirror");
+    b.mesh_servers(LinkSpec::wan());
+
+    let mut dc = DriverConfig::default();
+    dc.name = "ipars".into();
+    dc.acl = vec![(UserId::new("vijay"), Privilege::Steer)];
+    dc.batch_time = SimDuration::from_millis(50);
+    dc.batches_per_phase = 1;
+    dc.interaction_window = SimDuration::from_secs(1);
+    let (_, app) = b.application(host, synthetic_app(2, u64::MAX), dc.clone());
+    let mut anchor = dc;
+    anchor.name = "anchor".into();
+    b.application(gateway, synthetic_app(1, u64::MAX), anchor);
+
+    let cfg = PortalConfig::new("vijay")
+        .select_app(app)
+        .deadline(PRODUCTION_DEADLINE)
+        .poll_every(SimDuration::from_millis(200))
+        .workload(Workload::new(app, OpMix::sensors_only(), SimDuration::from_millis(500)));
+    let node = b.portal(gateway, "vijay", cfg);
+    let mut c = b.build();
+
+    // The app had failed over to the mirror, which now dies: the
+    // gateway's route points at a dead host while the app's own host is
+    // up and bound in naming.
+    let crash_at = SimTime::from_secs(10);
+    c.engine.crash_at(mirror.node, crash_at);
+    c.engine.run_until(crash_at + SimDuration::from_millis(1));
+    let n = c.engine.actor_mut::<DiscoverNode>(gateway.node).unwrap();
+    n.substrate.install_route(app, mirror.addr);
+    c.engine.run_until(SimTime::from_secs(40));
+
+    // The trader still lists the dead host, and the refresh the down
+    // verdict triggers marks it up again, so its health is no witness
+    // here: the failover is.
+    let n = c.node(gateway).unwrap();
+    assert_eq!(n.substrate.route_of(app), app.host(), "the app failed over to its live host");
+    assert!(c.engine.stats().counter("substrate.failovers") >= 1);
+
+    let p = c.engine.actor_ref::<Portal>(node).unwrap();
+    let lapsed = p.received.iter().any(|(t, m)| {
+        *t > crash_at
+            && matches!(m, ClientMessage::Error(e) if e.code == ErrorCode::DeadlineExceeded)
+    });
+    assert!(lapsed, "ops to the dead host are answered at their deadline");
+    let done_after = SimTime::from_secs(30);
+    let ok_after = p.received.iter().any(|(t, m)| {
+        *t > done_after
+            && matches!(m, ClientMessage::Response(ResponseBody::OpDone { app: a, .. }) if *a == app)
+    });
+    assert!(ok_after, "ops succeed again once the route has failed over");
 }
