@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use simnet::NodeId;
-use wire::{ObjectRef, ServerAddr};
+use wire::ServerAddr;
 
 /// Shared, concurrently readable address registry.
 #[derive(Clone, Default)]
@@ -29,19 +29,9 @@ impl AddressBook {
         self.inner.write().insert(addr, node);
     }
 
-    /// Remove a server (it left the network).
-    pub fn unregister(&self, addr: ServerAddr) {
-        self.inner.write().remove(&addr);
-    }
-
     /// Node hosting `addr`, if known.
     pub fn resolve(&self, addr: ServerAddr) -> Option<NodeId> {
         self.inner.read().get(&addr).copied()
-    }
-
-    /// Node hosting the server in an object reference.
-    pub fn resolve_ref(&self, obj: &ObjectRef) -> Option<NodeId> {
-        self.resolve(obj.server)
     }
 
     /// Number of registered servers.
@@ -58,10 +48,9 @@ impl AddressBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::ObjectKey;
 
     #[test]
-    fn register_resolve_unregister() {
+    fn register_and_resolve() {
         let book = AddressBook::new();
         assert!(book.is_empty());
         book.register(ServerAddr(1), NodeId(10));
@@ -69,10 +58,6 @@ mod tests {
         assert_eq!(book.len(), 2);
         assert_eq!(book.resolve(ServerAddr(1)), Some(NodeId(10)));
         assert_eq!(book.resolve(ServerAddr(3)), None);
-        let obj = ObjectRef { server: ServerAddr(2), key: ObjectKey::new("x") };
-        assert_eq!(book.resolve_ref(&obj), Some(NodeId(20)));
-        book.unregister(ServerAddr(1));
-        assert_eq!(book.resolve(ServerAddr(1)), None);
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl HashRing {
         self.points.range(h..).next().or_else(|| self.points.iter().next()).map(|(_, &i)| i)
     }
 
-    /// Owner of `key` by member name.
-    pub fn owner_name(&self, key: &str) -> Option<&str> {
-        self.owner(key).map(|i| self.members[i].as_str())
-    }
-
     /// Per-member key counts over an arbitrary key sample (balance
     /// diagnostics; E20 reports max/mean over the virtual-client
     /// keyspace).
@@ -304,7 +299,7 @@ mod tests {
         r.remove("a");
         assert_eq!(r.epoch(), 3);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.owner_name("anything"), Some("b"));
+        assert_eq!(r.owner("anything").map(|i| r.members[i].as_str()), Some("b"));
         r.remove("nope"); // unknown: no epoch bump
         assert_eq!(r.epoch(), 3);
     }

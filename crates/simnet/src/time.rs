@@ -73,11 +73,6 @@ impl SimDuration {
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
-    /// Construct from fractional seconds (rounded down to the microsecond).
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s >= 0.0 && s.is_finite(), "duration must be finite and non-negative");
-        SimDuration((s * 1e6) as u64)
-    }
     /// Raw microsecond count.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -189,7 +184,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimDuration::from_secs(1).as_micros(), 1_000_000);
-        assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
     }
 
     #[test]

@@ -53,27 +53,6 @@ impl Value {
         }
     }
 
-    /// As a bool if the value is `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// As text if the value is `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// True if `self` and `other` are the same runtime type.
-    pub fn same_type(&self, other: &Value) -> bool {
-        self.type_name() == other.type_name()
-    }
-
     /// `*self = src.clone()`, into the buffer `self` already owns when
     /// both are `Text` or both are `Vector`.
     pub fn assign(&mut self, src: &Value) {
@@ -153,15 +132,11 @@ mod tests {
         assert_eq!(Value::Int(4).as_f64(), Some(4.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::Text("x".into()).as_f64(), None);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert_eq!(Value::from("hi").as_text(), Some("hi"));
         assert_eq!(Value::Int(9).as_i64(), Some(9));
     }
 
     #[test]
-    fn type_names_and_compat() {
-        assert!(Value::Int(1).same_type(&Value::Int(9)));
-        assert!(!Value::Int(1).same_type(&Value::Float(1.0)));
+    fn type_names() {
         assert_eq!(Value::Vector(vec![1.0]).type_name(), "vector");
     }
 
