@@ -822,7 +822,13 @@ mod tests {
         assert_eq!(host.core.records.count_for_app(APP), 1, "only the local read is recorded");
         let client = host.core.sessions.iter().next().expect("logged in").client;
         let answered = ClientMessage::Response(ResponseBody::OpDone { app: APP, outcome: done });
-        let queued = host.core.sessions.get_mut(client).expect("its FIFO").fifo.drain(usize::MAX);
+        let mut queued = Vec::new();
+        host.core
+            .sessions
+            .get_mut(client)
+            .expect("its FIFO")
+            .fifo
+            .drain_into(usize::MAX, &mut queued);
         assert_eq!(queued.iter().filter(|m| **m == answered).count(), 1);
 
         // The same local read by a collaborating client is echoed too.

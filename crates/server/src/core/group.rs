@@ -61,26 +61,80 @@ impl ServerCore {
         ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
     }
 
-    /// Push `update` into the FIFO of every local broadcast target of its
-    /// application (members minus `exclude` minus muted clients) and fold
-    /// the FIFO counters once for the whole fan-out. Returns the number
-    /// of targets; each got a reference to the one frozen encoding.
+    /// Deliver `update` to the FIFO of every local broadcast target of
+    /// its application (members minus `exclude` minus muted clients) and
+    /// fold the FIFO counters once for the whole fan-out. Returns the
+    /// number of targets; each got a reference to the one frozen
+    /// encoding. On a coalescing server a view-class update is written
+    /// once to its shared slot instead ([`ServerCore::share_latest`]).
     fn fan_out(
         &mut self,
         ctx: &mut Ctx<'_, Envelope>,
         update: &FrozenUpdate,
         exclude: Option<ClientId>,
     ) -> u64 {
-        let mut targets = 0;
+        let app = update.app();
         let mut tally = FifoTally::default();
-        for client in self.collab.broadcast_targets(update.app(), exclude) {
-            targets += 1;
-            if let Some(s) = self.sessions.get_mut(client) {
-                tally.push(&mut s.fifo, ClientMessage::Update(update.clone()));
+        let targets = if self.config.coalesce_fifo && update.coalesce_key().is_some() {
+            self.share_latest(update, exclude, &mut tally);
+            self.collab.target_count(app, exclude)
+        } else {
+            let mut targets = 0;
+            for client in self.collab.broadcast_targets(app, exclude) {
+                targets += 1;
+                if let Some(s) = self.sessions.get_mut(client) {
+                    tally.push(&mut s.fifo, ClientMessage::Update(update.clone()));
+                }
             }
-        }
+            targets
+        };
         tally.fold(ctx);
         targets
+    }
+
+    /// The view-class broadcast of a coalescing server, in O(members that
+    /// polled since the last one) instead of O(group): each target still
+    /// holding a handle to the key's shared slot has exactly one queued
+    /// entry the per-member push would coalesce into, so one write to
+    /// the slot does all of those pushes; the pending members get a
+    /// handle through the ordinary push. The FIFOs and counters end as
+    /// that push loop leaves them.
+    fn share_latest(
+        &mut self,
+        update: &FrozenUpdate,
+        exclude: Option<ClientId>,
+        tally: &mut FifoTally,
+    ) {
+        let app = update.app();
+        let slot = self.collab.latest_for(update);
+        // The excluded client keeps what it holds, not what follows.
+        if let Some(s) = exclude.and_then(|client| self.sessions.get_mut(client)) {
+            s.fifo.detach(&slot);
+        }
+        let holders = slot.set(update.clone());
+        tally.enqueued += holders;
+        tally.coalesced += holders;
+        let mut pending = slot.take_pending();
+        pending.retain(|&client| {
+            if Some(client) == exclude || !self.collab.broadcast_enabled(app, client) {
+                return true;
+            }
+            let Some(s) = self.sessions.get_mut(client) else { return true };
+            tally.note(s.fifo.push_latest(&slot, client));
+            false
+        });
+        slot.restore_pending(pending);
+    }
+
+    /// `client` stops following `app`'s shared slots (it leaves, or mutes
+    /// the group): each handle its FIFO holds becomes a copy of the value
+    /// it reads now.
+    pub(super) fn unshare(&mut self, client: ClientId, app: AppId) {
+        if let Some(s) = self.sessions.get_mut(client) {
+            self.collab.latest(app).iter().for_each(|slot| {
+                s.fifo.detach(slot);
+            });
+        }
     }
 
     /// Append to an app's archive log, folding the archival tick
@@ -169,6 +223,7 @@ impl ServerCore {
         user: &UserId,
         app: AppId,
     ) {
+        self.unshare(client, app);
         self.collab.leave(app, client);
         if let Some(s) = self.session_of(client, ctx.now()) {
             s.selected.retain(|a| *a != app);
@@ -304,7 +359,10 @@ impl ServerCore {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
     use simnet::{Actor, Engine};
+    use wire::http::HttpResponse;
     use wire::{AppMsg, AppPhase, ClientRequest};
 
     use super::super::tests::*;
@@ -336,7 +394,7 @@ mod tests {
         let mut stage = |seq: u32, queued: Vec<ClientMessage>, drain: usize| {
             let mut fifo = FifoBuffer::with_coalescing(4, true);
             queued.into_iter().for_each(|msg| fifo.push(msg));
-            fifo.drain(drain);
+            fifo.drain_into(drain, &mut Vec::new());
             let now = ctx.now();
             core.sessions.create(ctx.rng(), user("u"), client(seq), now, fifo);
             core.collab.join(APP, client(seq));
@@ -430,6 +488,311 @@ mod tests {
         assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
         assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
         assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
+    }
+
+    /// A coalescing server whose FIFOs hold four messages.
+    fn coalescing(fifo_capacity: usize) -> ServerConfig {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.coalesce_fifo = true;
+        config.fifo_capacity = fifo_capacity;
+        config.recover_from_archive = true;
+        config
+    }
+
+    fn drain_fifo(core: &mut ServerCore, client: ClientId, max: usize) -> Vec<ClientMessage> {
+        let mut batch = Vec::new();
+        if let Some(s) = core.sessions.get_mut(client) {
+            s.fifo.drain_into(max, &mut batch);
+        }
+        batch
+    }
+
+    #[test]
+    fn a_status_update_pushes_only_to_the_viewer_that_polled() {
+        let names: Vec<String> = (0..256).map(|i| format!("v{i}")).collect();
+        let script: Script = Box::new(move |core, ctx| {
+            let acl: Vec<_> =
+                names.iter().map(|n| (n.as_str(), Some(Privilege::ReadOnly))).collect();
+            let viewers = open_host(core, ctx, &acl);
+            for &(cookie, _) in &viewers {
+                http(core, ctx, Some(cookie), ClientRequest::SelectApp { app: APP });
+            }
+            for &(_, client) in &viewers {
+                drain_fifo(core, client, usize::MAX);
+            }
+            let update = |core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>, iteration| {
+                let status = AppStatus { phase: AppPhase::Interacting, iteration, progress: 0.0 };
+                tcp(core, ctx, AppMsg::Update { app: APP, status, readings: Vec::new() });
+            };
+            // The first status opens the slot and pushes to everyone; the
+            // second is one write.
+            update(core, ctx, 1);
+            update(core, ctx, 2);
+            let [slot] = core.collab.latest(APP) else { panic!("one slot") };
+            let slot = Rc::clone(slot);
+            assert_eq!((slot.holders(), slot.take_pending()), (256, Vec::new()));
+            // One viewer polls the newest status and goes back on the list.
+            let (cookie, first) = viewers[0];
+            http(core, ctx, Some(cookie), ClientRequest::Poll);
+            let pending = slot.take_pending();
+            assert_eq!((slot.holders(), &pending[..]), (255, &[first][..]));
+            slot.restore_pending(pending);
+            // The next status: one push, to it; 255 writes through the slot.
+            let counter =
+                |ctx: &mut Ctx<'_, Envelope>, name: simnet::CounterDef| ctx.metrics().counter(name);
+            let before = [names::WEBSERV_FIFO_ENQUEUED, names::WEBSERV_FIFO_COALESCED]
+                .map(|name| counter(ctx, name));
+            update(core, ctx, 3);
+            let after = [names::WEBSERV_FIFO_ENQUEUED, names::WEBSERV_FIFO_COALESCED]
+                .map(|name| counter(ctx, name));
+            assert_eq!([after[0] - before[0], after[1] - before[1]], [256, 255]);
+            assert_eq!((slot.holders(), slot.take_pending()), (256, Vec::new()));
+            for &(cookie, _) in &viewers {
+                http(core, ctx, Some(cookie), ClientRequest::Poll);
+            }
+        });
+        let (engine, node) = Loopback::run(coalescing(256), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let iteration = |body: &[ClientMessage]| match body {
+            [ClientMessage::Response(ResponseBody::Batch(batch))] => match &batch[..] {
+                [ClientMessage::Update(u)] => match u.body() {
+                    UpdateBody::AppStatus { status, .. } => status.iteration,
+                    other => panic!("{other:?}"),
+                },
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        };
+        let polls = &host.http[host.http.len() - 257..];
+        assert_eq!(iteration(&polls[0].body), 2, "the first poll read the second status");
+        for poll in &polls[1..] {
+            assert_eq!(iteration(&poll.body), 3, "every viewer reads the newest status");
+        }
+        assert_eq!(engine.node_metrics(node).counter(names::SERVER_POLL_DELIVERED), 257);
+    }
+
+    /// One step of a fan-out script; numbers pick one of the script's
+    /// six users.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Login(usize),
+        Select(usize),
+        Deselect(usize),
+        Mute(usize, bool),
+        /// Drain up to this many messages, as a poll does.
+        Poll(usize, usize),
+        Logout(usize),
+        Park(usize),
+        Resume(usize),
+        /// A view-class update (status, two parameters, the lock),
+        /// skipping a user's client or nobody.
+        Keyed(u64, Option<usize>),
+        /// A chat line, skipping a user's client or nobody.
+        Unkeyed(Option<usize>),
+        Recover,
+    }
+
+    const USERS: usize = 6;
+
+    /// SplitMix64: scripts from a seed, without a dependency.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn user(&mut self) -> usize {
+            self.below(USERS as u64) as usize
+        }
+
+        fn skipped(&mut self) -> Option<usize> {
+            (self.below(3) > 0).then(|| self.user())
+        }
+
+        fn step(&mut self) -> Step {
+            match self.below(40) {
+                0..=2 => Step::Login(self.user()),
+                3..=6 => Step::Select(self.user()),
+                7 => Step::Deselect(self.user()),
+                8..=9 => Step::Mute(self.user(), self.below(2) == 0),
+                10..=17 => Step::Poll(self.user(), 1 + self.below(5) as usize),
+                18 => Step::Logout(self.user()),
+                19 => Step::Park(self.user()),
+                20 => Step::Resume(self.user()),
+                21..=35 => Step::Keyed(self.below(4), self.skipped()),
+                36..=38 => Step::Unkeyed(self.skipped()),
+                _ => Step::Recover,
+            }
+        }
+    }
+
+    /// What a script run shows of the FIFOs: every drained batch and
+    /// every FIFO's (len, peak, dropped, enqueued), after each step.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Batch(usize, Vec<ClientMessage>),
+        Fifos(Vec<(ClientId, usize, usize, u64, u64)>),
+    }
+
+    type Run = (Vec<Seen>, Vec<HttpResponse>, Vec<(String, u64)>);
+
+    /// The per-member push loop the shared slots replaced: every target's
+    /// FIFO gets its own push.
+    fn push_to_each(
+        core: &mut ServerCore,
+        ctx: &mut Ctx<'_, Envelope>,
+        update: &FrozenUpdate,
+        exclude: Option<ClientId>,
+    ) {
+        let mut tally = FifoTally::default();
+        for client in core.collab.broadcast_targets(update.app(), exclude) {
+            if let Some(s) = core.sessions.get_mut(client) {
+                tally.push(&mut s.fifo, ClientMessage::Update(update.clone()));
+            }
+        }
+        tally.fold(ctx);
+    }
+
+    fn keyed(kind: u64, n: u64) -> FrozenUpdate {
+        let param = |name: &str| UpdateBody::ParamChanged {
+            app: APP,
+            name: name.into(),
+            value: wire::Value::Float(n as f64),
+            by: user("u0"),
+        };
+        match kind {
+            0 => status(n),
+            1 => FrozenUpdate::new(param("alpha")),
+            2 => FrozenUpdate::new(param("beta")),
+            _ => FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None }),
+        }
+    }
+
+    /// Run `steps` on a coalescing server whose FIFOs hold four messages,
+    /// broadcasting view-class updates through `route_update` or, for
+    /// the reference, through `push_to_each` (logged alike, so that
+    /// resumes and recoveries read the same archive). Returns what the
+    /// FIFOs showed, every HTTP reply, the `webserv.fifo.*` totals, and
+    /// how many handles the slot writes reached.
+    fn run_script(steps: Vec<Step>, shared: bool) -> (Run, u64) {
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log = Rc::clone(&seen);
+        let absorbed = Rc::new(std::cell::Cell::new(0));
+        let reached = Rc::clone(&absorbed);
+        let script: Script = Box::new(move |core, ctx| {
+            let names: Vec<String> = (0..USERS).map(|i| format!("u{i}")).collect();
+            let acl: Vec<_> =
+                names.iter().map(|n| (n.as_str(), Some(Privilege::ReadOnly))).collect();
+            let mut sessions: Vec<Option<(u64, ClientId)>> =
+                open_host(core, ctx, &acl).into_iter().map(Some).collect();
+            let mut n = 0;
+            for step in steps {
+                n += 1;
+                let session = |i: usize| sessions[i];
+                let cookie = |i: usize| session(i).map(|(cookie, _)| cookie);
+                let client = |i: Option<usize>| i.and_then(session).map(|(_, client)| client);
+                match step {
+                    Step::Login(i) if session(i).is_none() => {
+                        sessions[i] = Some(login(core, ctx, &names[i]));
+                    }
+                    Step::Login(_) => {}
+                    Step::Select(i) => {
+                        http(core, ctx, cookie(i), ClientRequest::SelectApp { app: APP });
+                    }
+                    Step::Deselect(i) => {
+                        http(core, ctx, cookie(i), ClientRequest::DeselectApp { app: APP });
+                    }
+                    Step::Mute(i, broadcast) => {
+                        let mode = ClientRequest::SetCollabMode { app: APP, broadcast };
+                        http(core, ctx, cookie(i), mode);
+                    }
+                    Step::Poll(i, max) => {
+                        if let Some(c) = client(Some(i)) {
+                            let batch = drain_fifo(core, c, max);
+                            log.borrow_mut().push(Seen::Batch(i, batch));
+                        }
+                    }
+                    Step::Logout(i) => {
+                        http(core, ctx, cookie(i), ClientRequest::Logout);
+                        sessions[i] = None;
+                    }
+                    Step::Park(i) => {
+                        if let Some(s) = client(Some(i)).and_then(|c| core.sessions.get_mut(c)) {
+                            let since = ctx.now();
+                            s.parked = Some(Box::new(webserv::Park { since, cursors: Vec::new() }));
+                        }
+                    }
+                    Step::Resume(i) => {
+                        if let Some(cookie) = cookie(i) {
+                            let resume = ClientRequest::Resume { cookie, cursors: Vec::new() };
+                            http(core, ctx, None, resume);
+                        }
+                    }
+                    Step::Keyed(kind, skipped) => {
+                        let update = keyed(kind, n);
+                        if shared {
+                            core.route_update(ctx, update, client(skipped), None);
+                            let slots = core.collab.latest(APP);
+                            let holders: u64 = slots.iter().map(|slot| slot.holders()).sum();
+                            reached.set(reached.get() + holders);
+                        } else {
+                            push_to_each(core, ctx, &update, client(skipped));
+                            let entry = LogEntry::Update(update);
+                            core.log_app_metered(ctx, APP, None, entry);
+                        }
+                    }
+                    Step::Unkeyed(skipped) => {
+                        let line =
+                            UpdateBody::Chat { app: APP, from: user("u0"), text: "hi".into() };
+                        core.route_update(ctx, line, client(skipped), None);
+                    }
+                    Step::Recover => {
+                        core.recover_from_archive(ctx);
+                        sessions.iter_mut().for_each(|s| *s = None);
+                    }
+                }
+                log.borrow_mut().push(Seen::Fifos(core.fifo_snapshot()));
+                // Every member either holds a handle or is pending, once.
+                let members = core.collab.members(APP).len();
+                for slot in core.collab.latest(APP) {
+                    let pending = slot.take_pending();
+                    assert_eq!(pending.len() as u64 + slot.holders(), members as u64, "{step:?}");
+                    slot.restore_pending(pending);
+                }
+            }
+        });
+        let (engine, node) = Loopback::run(coalescing(4), script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        let totals = engine
+            .node_metrics(node)
+            .stats()
+            .counters()
+            .filter(|(key, _)| key.starts_with("webserv.fifo."))
+            .map(|(key, n)| (key.to_owned(), n))
+            .collect();
+        let seen = seen.take();
+        ((seen, host.http.clone(), totals), absorbed.get())
+    }
+
+    #[test]
+    fn shared_slots_deliver_what_a_push_to_each_member_delivers() {
+        let mut reached = 0;
+        for seed in 0..300 {
+            let mut draw = Draw(seed);
+            let steps: Vec<Step> = (0..80).map(|_| draw.step()).collect();
+            let ((seen, replies, totals), absorbed) = run_script(steps.clone(), true);
+            let (reference, _) = run_script(steps.clone(), false);
+            assert_eq!(seen, reference.0, "seed {seed}: {steps:?}");
+            assert_eq!(replies, reference.1, "seed {seed}: replies");
+            assert_eq!(totals, reference.2, "seed {seed}: totals");
+            reached += absorbed;
+        }
+        assert!(reached > 1000, "the slot writes reached {reached} queued handles");
     }
 
     #[test]

@@ -417,8 +417,13 @@ struct FifoTally {
 impl FifoTally {
     /// Push `msg` and take note of what the buffer did with it.
     fn push(&mut self, fifo: &mut FifoBuffer, msg: ClientMessage) {
+        self.note(fifo.push_with_outcome(msg));
+    }
+
+    /// Take note of one push and what the buffer did with it.
+    fn note(&mut self, pushed: Pushed) {
         self.enqueued += 1;
-        match fifo.push_with_outcome(msg) {
+        match pushed {
             Pushed::Appended { peak_rose } => self.peak_growth += u64::from(peak_rose),
             Pushed::Coalesced => self.coalesced += 1,
             Pushed::EvictedOldest => self.dropped += 1,

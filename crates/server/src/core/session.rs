@@ -147,6 +147,9 @@ impl ServerCore {
             }
             Some(ClientRequest::SetCollabMode { app, broadcast }) => {
                 self.collab.set_broadcast(app, client, broadcast);
+                if !broadcast {
+                    self.unshare(client, app);
+                }
                 vec![ClientMessage::Response(ResponseBody::CollabModeOk { app, broadcast })]
             }
             Some(ClientRequest::Chat { app, text }) => {

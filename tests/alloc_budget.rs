@@ -309,6 +309,80 @@ fn a_completed_read_is_copied_once_at_its_host() {
     assert!(per_read <= 14.18, "{per_read} allocations per completed read");
 }
 
+/// A portal that logs in and selects the application, then only
+/// watches: it never polls, so its FIFO keeps a slot for the
+/// application's newest status.
+struct Viewer {
+    server: NodeId,
+    cookie: Option<u64>,
+}
+
+impl Actor<Envelope> for Viewer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Envelope>) {
+        ctx.schedule(SimDuration::from_millis(50), 0);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Envelope>, _: NodeId, msg: Envelope) {
+        let Content::HttpResponse(response) = msg.content else { return };
+        if let (None, Some(cookie)) = (self.cookie, response.set_session) {
+            self.cookie = Some(cookie);
+            let select = ClientRequest::SelectApp { app: APP };
+            let request = HttpRequest::post(paths::COMMAND, self.cookie, select);
+            ctx.send(self.server, Envelope::http_request(request));
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Envelope>, _: u64) {
+        let user = UserId::new(USER);
+        let login = ClientRequest::Login { user, password: format!("secret-{USER}") };
+        ctx.send(
+            self.server,
+            Envelope::http_request(HttpRequest::post(paths::MASTER, None, login)),
+        );
+    }
+}
+
+/// A coalescing standalone server whose application sends a status
+/// update every [`TICK`] to `viewers` watching portals. After twenty
+/// seconds of warm-up (256 logins and selections keep the server busy
+/// for eleven), returns the allocations of the whole simulation per
+/// update in the next ten, and the FIFO pushes each update cost.
+fn allocations_per_watched_update(viewers: usize) -> (f64, u64) {
+    let mut engine = Engine::new(1);
+    let mut config = ServerConfig::new(ADDR, "s");
+    config.coalesce_fifo = true;
+    let server = engine.add_node("server", StandaloneServer::new(config));
+    let app = engine.add_node("app", App { server, updating: true, iteration: 0 });
+    engine.link(app, server, LinkSpec::lan());
+    for i in 0..viewers {
+        let viewer = engine.add_node(format!("viewer{i}"), Viewer { server, cookie: None });
+        engine.link(viewer, server, LinkSpec::lan());
+    }
+    engine.run_until(SimTime::from_secs(20));
+    let counters = |engine: &Engine<Envelope>| {
+        let stats = engine.stats();
+        [names::SERVER_TCP_FRAMES, names::WEBSERV_FIFO_ENQUEUED].map(|c| stats.counter(c.key()))
+    };
+    let before = counters(&engine);
+    let allocated = allocations(|| engine.run_until(SimTime::from_secs(30)));
+    let after = counters(&engine);
+    let handled = after[0] - before[0];
+    assert_eq!(handled, 1000, "status updates in ten seconds");
+    (allocated as f64 / handled as f64, (after[1] - before[1]) / handled)
+}
+
+#[test]
+fn a_status_broadcast_to_viewers_holding_their_slot_allocates_nothing() {
+    // Each of the 256 viewers' FIFOs keeps its status slot: every update
+    // is one write to the shared slot, which allocates nothing, and
+    // stands for 256 coalesced pushes.
+    let (alone, pushes) = allocations_per_watched_update(0);
+    assert_eq!(pushes, 0);
+    let (watched, pushes) = allocations_per_watched_update(256);
+    assert_eq!(pushes, 256, "FIFO pushes per update");
+    assert!(watched <= alone, "{watched} allocations per watched update, {alone} unwatched");
+}
+
 /// A status update with two sensor readings, frozen once.
 fn status_update(iteration: u64) -> FrozenUpdate {
     FrozenUpdate::new(UpdateBody::AppStatus {
