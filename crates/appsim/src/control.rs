@@ -213,11 +213,6 @@ impl<S: Kernel> SteerableApp<S> {
         }
     }
 
-    /// True if a checkpoint exists.
-    pub fn has_checkpoint(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
     fn actuator_index(&self, name: &str) -> Result<usize, WireError> {
         self.net
             .actuators
@@ -349,7 +344,7 @@ mod tests {
         for _ in 0..3 {
             app.step();
         }
-        assert!(!app.has_checkpoint());
+        assert!(app.checkpoint.is_none());
         let err =
             app.apply(&AppOp::Command(AppCommand::Rollback), AppPhase::Interacting).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest);

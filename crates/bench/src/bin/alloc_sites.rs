@@ -188,7 +188,7 @@ fn mesh_remote() -> Shape {
     const PORTALS: usize = 16;
     let mut b = CollaboratoryBuilder::new(SEED);
     b.directory_shards(2);
-    b.collab_mode(CollabMode::Push);
+    b.substrate_config.collab_mode = CollabMode::Push;
     b.substrate_config.discovery_cache =
         Some(DiscoveryCacheConfig { ttl: SimDuration::from_secs(15), ..Default::default() });
     b.substrate_config.discovery_interval = SimDuration::from_secs(5);

@@ -27,7 +27,7 @@ pub fn e11_push_vs_poll() -> Table {
         ("poll 1s", CollabMode::Poll { interval: SimDuration::from_secs(1) }),
     ] {
         let mut b = CollaboratoryBuilder::new(1100);
-        b.collab_mode(mode);
+        b.substrate_config.collab_mode = mode;
         let host = b.server("host");
         let far = b.server("far");
         b.link_servers(host, far, simnet::LinkSpec::wan());

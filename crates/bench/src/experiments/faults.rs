@@ -6,13 +6,13 @@
 //! every client op crosses the peer network. A [`FaultPlan`] gives each
 //! backend one crash/restart cycle during the run. The same scenario is
 //! run with the fault-tolerant substrate (retry with backoff, circuit
-//! breaker, peer health + failover) and with `RetryPolicy::none()` —
-//! the seed behaviour, where the first expired call fails the client op.
+//! breaker, peer health + failover) and with one send attempt per call
+//! (`max_attempts = 1`) — the seed behaviour, where the first expired
+//! call fails the client op.
 
 use appsim::synthetic_app;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{Collaboratory, CollaboratoryBuilder};
-use orb::RetryPolicy;
 use simnet::{names, FaultPlan, Histogram, NodeId, SimDuration, SimTime};
 use wire::{ClientMessage, Privilege, ResponseBody};
 
@@ -50,13 +50,13 @@ impl ChaosOutcome {
     }
 }
 
-fn run_chaos(loss: f64, retry: RetryPolicy) -> ChaosOutcome {
+fn run_chaos(loss: f64, max_attempts: u32) -> ChaosOutcome {
     let mut b = CollaboratoryBuilder::new(CHAOS_SEED);
     // Short call timeout / sweep so both modes resolve stuck calls well
     // within the run; identical for both modes so only the policy varies.
     b.substrate_config.call_timeout = SimDuration::from_secs(2);
     b.substrate_config.sweep_interval = SimDuration::from_millis(500);
-    b.substrate_config.retry = retry;
+    b.substrate_config.max_attempts = max_attempts;
     b.substrate_config.discovery_interval = SimDuration::from_secs(5);
 
     let gateway = b.server("gateway");
@@ -152,19 +152,18 @@ pub fn e12_fault_tolerance() -> Table {
             "retries", "brk_open", "failovers", "fastfails",
         ],
     );
-    let modes: [(&str, RetryPolicy); 2] =
-        [("retry+failover", RetryPolicy::default()), ("fail-on-timeout", RetryPolicy::none())];
+    let modes = [("retry+failover", 3), ("fail-on-timeout", 1)];
     let mut compared: Vec<(f64, f64, f64)> = Vec::new();
     let mut summary = BenchSummary::new("e12", CHAOS_SEED);
     for &loss in &[0.0f64, 0.01, 0.05] {
         let mut rates = Vec::new();
-        for (mode, retry) in &modes {
-            let out = run_chaos(loss, *retry);
+        for &(mode, max_attempts) in &modes {
+            let out = run_chaos(loss, max_attempts);
             rates.push(out.success_rate());
             let key = format!(
                 "loss{:03}_{}",
                 (loss * 100.0) as u64,
-                if retry.max_attempts > 1 { "retry" } else { "noretry" },
+                if max_attempts > 1 { "retry" } else { "noretry" },
             );
             summary.metric_u64(format!("{key}.ops_ok"), out.ok);
             summary.metric_u64(format!("{key}.ops_err"), out.err);
@@ -200,8 +199,8 @@ pub fn e12_fault_tolerance() -> Table {
     }
     // Determinism: the acceptance scenario (1% loss, retries on) must
     // produce an identical counter fingerprint when run again.
-    let a = run_chaos(0.01, RetryPolicy::default());
-    let b = run_chaos(0.01, RetryPolicy::default());
+    let a = run_chaos(0.01, 3);
+    let b = run_chaos(0.01, 3);
     table.note(if a == b {
         "determinism: two runs at loss 0.01 (retry+failover) produced identical counters"
             .to_string()

@@ -23,7 +23,7 @@
 
 use appsim::{synthetic_app, DriverConfig};
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
-use simnet::{names, FlightConfig, SimDuration, SimTime};
+use simnet::{names, SimDuration, SimTime};
 use wire::{Privilege, UserId};
 
 use crate::report::{f2, BenchSummary, Table};
@@ -76,12 +76,6 @@ struct TelemetryRun {
     status_page: String,
 }
 
-fn flight_config() -> FlightConfig {
-    let mut cfg = FlightConfig::default();
-    cfg.expiry_spike_threshold = 4;
-    cfg
-}
-
 /// The shared fixture: one server, a slow application (2 s batches), six
 /// read-only watchers whose 400 ms deadlines expire at every phase
 /// boundary. All variants share [`E17_SEED`] so bare and armed runs are
@@ -89,7 +83,7 @@ fn flight_config() -> FlightConfig {
 fn run_variant(variant: Variant) -> TelemetryRun {
     let mut b = discover_core::CollaboratoryBuilder::new(E17_SEED);
     if variant == Variant::Armed {
-        b.flight_recorder(flight_config());
+        b.flight_recorder(4);
     }
     let srv = b.server("server0");
     let mut dc = DriverConfig::default();

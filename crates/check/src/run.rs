@@ -20,10 +20,7 @@ use discover_bench::fixtures::poll_period;
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{Collaboratory, CollaboratoryBuilder, DiscoverNode, ServerHandle};
 use discover_server::Log;
-use simnet::{
-    names, CounterDef, FaultPlan, FlightConfig, HistoryEvent, LinkSpec, NodeId, SimDuration,
-    SimTime,
-};
+use simnet::{names, CounterDef, FaultPlan, HistoryEvent, LinkSpec, NodeId, SimDuration, SimTime};
 use wire::{
     AppCommand, AppId, AppOp, ClientMessage, ClientRequest, ErrorCode, Event, LockStep, LogRecord,
     Origin, Privilege, ResponseBody, UserId, Value,
@@ -213,8 +210,9 @@ pub fn run(scenario: &Scenario) -> RunResult {
     // The flight recorder observes the same decision points as the
     // history log and appends to side buffers only, so arming it keeps
     // run logs byte-identical while giving every repro the recent-past
-    // context of each server (breaker trips, shed bursts, expiry spikes).
-    b.flight_recorder(FlightConfig::default());
+    // context of each server (breaker trips, shed bursts, expiry spikes,
+    // the last at eight deadline expiries within a second).
+    b.flight_recorder(8);
     let servers: Vec<ServerHandle> = (0..s.n_servers).map(|i| b.server(&format!("s{i}"))).collect();
     // Link pairs in index order (not mesh_servers, whose map iteration
     // order is not deterministic) so the wiring is a pure function of

@@ -126,15 +126,13 @@ pub struct Workload {
     /// Release and re-acquire the lock after this many operations
     /// (0 = hold it for the whole session). Drives contention experiments.
     pub ops_per_lock: u64,
-    /// Stop issuing after this many operations (0 = unlimited).
-    pub max_ops: u64,
 }
 
 impl Workload {
     /// A closed-loop workload over `app` with the given mix and think time.
     pub fn new(app: AppId, mix: OpMix, think: SimDuration) -> Self {
         let take_lock = mix.set_param > 0;
-        Workload { app, think, mix, take_lock, ops_per_lock: 0, max_ops: 0 }
+        Workload { app, think, mix, take_lock, ops_per_lock: 0 }
     }
 }
 
@@ -645,9 +643,6 @@ impl Portal {
             return; // the Resumed reply restarts the loop
         }
         let Some(w) = self.config.workload.clone() else { return };
-        if w.max_ops > 0 && self.ops_issued >= w.max_ops {
-            return;
-        }
         // Lock cycling: release after the configured burst, then
         // immediately contend again (drives the E7 experiment).
         if w.take_lock

@@ -45,16 +45,6 @@ impl Whiteboard {
         &self.strokes
     }
 
-    /// Strokes by one author, in order.
-    pub fn by_author(&self, author: &UserId) -> Vec<&CanvasStroke> {
-        self.strokes.iter().filter(|s| &s.author == author).collect()
-    }
-
-    /// Total polyline points on the canvas (memory/diagnostics).
-    pub fn point_count(&self) -> usize {
-        self.strokes.iter().map(|s| s.stroke.points.len()).sum()
-    }
-
     /// Bounding box of everything drawn, if anything is.
     pub fn bounds(&self) -> Option<(f32, f32, f32, f32)> {
         let mut it = self.strokes.iter().flat_map(|s| s.stroke.points.iter());
@@ -105,8 +95,8 @@ mod tests {
         wb.apply(UserId::new("a"), stroke(vec![(0.1, 0.2)], 1));
         wb.apply(UserId::new("b"), stroke(vec![(0.3, 0.4), (0.5, 0.6)], 2));
         assert_eq!(wb.strokes().len(), 2);
-        assert_eq!(wb.point_count(), 3);
-        assert_eq!(wb.by_author(&UserId::new("a")).len(), 1);
+        assert_eq!(wb.strokes.iter().map(|s| s.stroke.points.len()).sum::<usize>(), 3);
+        assert_eq!(wb.strokes.iter().filter(|s| s.author.as_str() == "a").count(), 1);
     }
 
     #[test]

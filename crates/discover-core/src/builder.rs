@@ -29,7 +29,7 @@ use discover_server::{ServerConfig, ServerCore};
 
 use crate::node::DiscoverNode;
 use crate::shard::DirectoryRing;
-use crate::substrate::{CollabMode, Substrate, SubstrateConfig};
+use crate::substrate::{Substrate, SubstrateConfig};
 
 /// Handle to a server created by the builder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -54,7 +54,6 @@ pub struct Collaboratory {
     /// Shared address book.
     pub book: AddressBook,
     pub(crate) substrate_config: SubstrateConfig,
-    pub(crate) directory_link: LinkSpec,
     pub(crate) next_addr: u32,
 }
 
@@ -86,7 +85,7 @@ impl Collaboratory {
         );
         let node = self.engine.add_node(name, DiscoverNode::new(config, substrate));
         for &shard in self.directory_ring.nodes() {
-            self.engine.link(node, shard, self.directory_link);
+            self.engine.link(node, shard, LinkSpec::campus());
         }
         for handle in self.servers.values() {
             self.engine.link(node, handle.node, peer_link);
@@ -100,7 +99,9 @@ impl Collaboratory {
 
 /// Builder for a collaboratory network. Creates the directory node up
 /// front; servers, applications, clients and links are added before
-/// [`CollaboratoryBuilder::build`].
+/// [`CollaboratoryBuilder::build`]. Servers reach the directory over a
+/// campus link ([`LinkSpec::campus`]), applications and clients their
+/// server over a LAN ([`LinkSpec::lan`]).
 pub struct CollaboratoryBuilder {
     engine: Engine<Envelope>,
     directory: NodeId,
@@ -111,10 +112,6 @@ pub struct CollaboratoryBuilder {
     next_addr: u32,
     /// Substrate configuration applied to servers created afterwards.
     pub substrate_config: SubstrateConfig,
-    /// Link used between servers and the directory.
-    pub directory_link: LinkSpec,
-    /// Link used between applications/clients and their server.
-    pub edge_link: LinkSpec,
     /// Customize the server config of subsequently created servers.
     #[allow(clippy::type_complexity)]
     server_tweak: Option<Box<dyn FnMut(&mut ServerConfig)>>,
@@ -135,8 +132,6 @@ impl CollaboratoryBuilder {
             servers: HashMap::new(),
             next_addr: 1,
             substrate_config: SubstrateConfig::default(),
-            directory_link: LinkSpec::campus(),
-            edge_link: LinkSpec::lan(),
             server_tweak: None,
             app_counts: HashMap::new(),
         }
@@ -167,17 +162,11 @@ impl CollaboratoryBuilder {
     /// default: a disarmed recorder observes nothing, so uninstrumented
     /// runs stay byte-identical. Armed, it keeps a bounded ring of recent
     /// history events per node and dumps them deterministically when a
-    /// breaker opens, a shed burst crosses the threshold, or a deadline-
-    /// expiry spike lands (see [`simnet::FlightConfig`]).
-    pub fn flight_recorder(&mut self, config: simnet::FlightConfig) -> &mut Self {
-        self.engine.enable_flight_recorder(config);
-        self
-    }
-
-    /// Set the collaboration transport mode for servers created after
-    /// this call.
-    pub fn collab_mode(&mut self, mode: CollabMode) -> &mut Self {
-        self.substrate_config.collab_mode = mode;
+    /// breaker opens, a shed burst crosses the threshold, or
+    /// `expiry_spike_threshold` deadline expiries land within a second
+    /// on one node (see [`simnet::flight`]).
+    pub fn flight_recorder(&mut self, expiry_spike_threshold: usize) -> &mut Self {
+        self.engine.enable_flight_recorder(expiry_spike_threshold);
         self
     }
 
@@ -246,7 +235,7 @@ impl CollaboratoryBuilder {
         );
         let node = self.engine.add_node(name, DiscoverNode::new(config, substrate));
         for &shard in &self.directory_nodes() {
-            self.engine.link(node, shard, self.directory_link);
+            self.engine.link(node, shard, LinkSpec::campus());
         }
         self.book.register(addr, node);
         let handle = ServerHandle { addr, node };
@@ -291,7 +280,7 @@ impl CollaboratoryBuilder {
         let seq = self.app_counter(server);
         driver.slot = Some(seq);
         let node = self.engine.add_node(format!("app:{name}"), driver);
-        self.engine.link(node, server.node, self.edge_link);
+        self.engine.link(node, server.node, LinkSpec::lan());
         (node, AppId { server: server.addr, seq })
     }
 
@@ -347,7 +336,7 @@ impl CollaboratoryBuilder {
         self.engine.link(a, b, spec);
     }
 
-    /// Attach an arbitrary actor to a server over the edge link. A client
+    /// Attach an arbitrary actor to a server over a LAN link. A client
     /// portal wants [`CollaboratoryBuilder::portal`], which also wires it.
     pub fn attach(
         &mut self,
@@ -356,7 +345,7 @@ impl CollaboratoryBuilder {
         actor: impl Actor<Envelope>,
     ) -> NodeId {
         let node = self.engine.add_node(name, actor);
-        self.engine.link(node, server.node, self.edge_link);
+        self.engine.link(node, server.node, LinkSpec::lan());
         node
     }
 
@@ -379,7 +368,6 @@ impl CollaboratoryBuilder {
             book,
             servers,
             substrate_config,
-            directory_link,
             next_addr,
             ..
         } = self;
@@ -391,7 +379,6 @@ impl CollaboratoryBuilder {
             servers,
             book,
             substrate_config,
-            directory_link,
             next_addr,
         }
     }

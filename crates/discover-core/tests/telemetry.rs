@@ -7,7 +7,7 @@
 use appsim::{synthetic_app, DriverConfig};
 use discover_client::{OpMix, Portal, PortalConfig, Workload};
 use discover_core::{Collaboratory, CollaboratoryBuilder, DiscoverNode, DiscoveryCacheConfig};
-use simnet::{names, FlightConfig, SimDuration, SimTime};
+use simnet::{names, SimDuration, SimTime};
 use wire::{DaemonStep, Event, Privilege, UserId};
 
 /// Two linked servers, one app on the gateway, a steering portal that
@@ -126,14 +126,12 @@ fn status_report_matches_core_introspection_exactly() {
 /// Deadline-expiry overload fixture: a 2 s compute phase against a
 /// 400 ms budget expires buffered ops at dequeue. With the flight
 /// recorder armed at a low spike threshold those expiries must trigger
-/// deterministic `expiry.spike` dumps on the server node.
-fn run_expiry_fixture(
-    flight: Option<FlightConfig>,
-    history: bool,
-) -> (Collaboratory, simnet::NodeId) {
+/// deterministic `expiry.spike` dumps on the server node. `flight` is
+/// the recorder's expiry-spike threshold, `None` to leave it disarmed.
+fn run_expiry_fixture(flight: Option<usize>, history: bool) -> (Collaboratory, simnet::NodeId) {
     let mut b = CollaboratoryBuilder::new(2602);
-    if let Some(cfg) = flight {
-        b.flight_recorder(cfg);
+    if let Some(expiry_spike_threshold) = flight {
+        b.flight_recorder(expiry_spike_threshold);
     }
     b.history(history);
     let server = b.server("server0");
@@ -163,15 +161,9 @@ fn run_expiry_fixture(
     (c, server.node)
 }
 
-fn spiky_flight() -> FlightConfig {
-    let mut cfg = FlightConfig::default();
-    cfg.expiry_spike_threshold = 4;
-    cfg
-}
-
 #[test]
 fn expiry_spikes_trigger_flight_dumps_with_recent_context() {
-    let (c, server) = run_expiry_fixture(Some(spiky_flight()), false);
+    let (c, server) = run_expiry_fixture(Some(4), false);
     assert!(
         c.engine.stats().counter(names::SERVER_DEADLINE_DEQUEUE_EXPIRED.key()) > 0,
         "fixture must actually expire buffered ops"
@@ -194,8 +186,8 @@ fn expiry_spikes_trigger_flight_dumps_with_recent_context() {
 
 #[test]
 fn same_seed_flight_dumps_are_byte_identical() {
-    let (a, _) = run_expiry_fixture(Some(spiky_flight()), false);
-    let (b, _) = run_expiry_fixture(Some(spiky_flight()), false);
+    let (a, _) = run_expiry_fixture(Some(4), false);
+    let (b, _) = run_expiry_fixture(Some(4), false);
     let ra = a.engine.flight_dumps_rendered();
     assert!(!ra.is_empty());
     assert_eq!(ra, b.engine.flight_dumps_rendered());
@@ -206,7 +198,7 @@ fn same_seed_flight_dumps_are_byte_identical() {
 /// one event schedule — byte-identical history, identical counters.
 #[test]
 fn armed_flight_recorder_leaves_the_event_schedule_untouched() {
-    let (armed, server_a) = run_expiry_fixture(Some(spiky_flight()), true);
+    let (armed, server_a) = run_expiry_fixture(Some(4), true);
     let (bare, server_b) = run_expiry_fixture(None, true);
     assert!(!armed.engine.flight_dumps().is_empty());
     assert_eq!(bare.engine.flight_dumps().len(), 0);
@@ -239,9 +231,7 @@ fn run_every_key_fixture() -> Collaboratory {
     let mut b = CollaboratoryBuilder::new(2603);
     b.directory_shards(2);
     b.substrate_config.discovery_cache = Some(DiscoveryCacheConfig::default());
-    let mut flight = FlightConfig::default();
-    flight.expiry_spike_threshold = 2;
-    b.flight_recorder(flight);
+    b.flight_recorder(2);
     let gateway = b.server("gateway");
     let host = b.server("host");
     b.link_servers(gateway, host, simnet::LinkSpec::wan().with_loss(0.05));

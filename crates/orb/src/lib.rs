@@ -7,8 +7,8 @@
 //! rebuilt on the simulation substrate:
 //!
 //! * [`AddressBook`] — IOR host resolution (server address → node),
-//! * [`Broker`] — client-side request issue/correlate/expire, with a
-//!   [`RetryPolicy`] (exponential backoff, deterministic jitter) and a
+//! * [`Broker`] — client-side request issue/correlate/expire, with retries
+//!   (exponential backoff, deterministic jitter) and a
 //!   per-peer circuit breaker ([`BreakerState`]) for fault tolerance,
 //! * [`Directory`] — a Naming service with a minimalist Trader layered on
 //!   top of it (exactly the paper's prototype arrangement), plus the
@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod address;
 mod broker;
@@ -25,6 +26,6 @@ pub mod directory;
 pub mod ring;
 
 pub use address::AddressBook;
-pub use broker::{BreakerConfig, BreakerState, Broker, Pending, RetryPolicy, SweepReport};
+pub use broker::{BreakerState, Broker, Pending, SweepReport};
 pub use directory::{Directory, DirectoryCosts, DISCOVER_SERVICE, NAMING_KEY, TRADER_KEY};
 pub use ring::{hash64, HashRing, DEFAULT_VNODES};

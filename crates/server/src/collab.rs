@@ -180,14 +180,6 @@ impl CollabGroups {
             .filter(move |c| Some(*c) != exclude && !self.muted.contains(&(*c, app)))
     }
 
-    /// Members of a named subgroup.
-    pub fn subgroup_members(&self, app: AppId, group: &str) -> Vec<ClientId> {
-        self.subgroups
-            .get(&(app, group.to_string()))
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// True if the client is in the default group of `app`.
     pub fn is_member(&self, app: AppId, client: ClientId) -> bool {
         self.members.get(&app).map(|s| s.contains(&client)).unwrap_or(false)
@@ -215,6 +207,11 @@ mod tests {
     }
     fn client(seq: u32) -> ClientId {
         ClientId { server: ServerAddr(1), seq }
+    }
+    /// Members of a named subgroup.
+    fn subgroup(g: &CollabGroups, app: AppId, group: &str) -> Vec<ClientId> {
+        let members = g.subgroups.get(&(app, group.to_string()));
+        members.into_iter().flatten().copied().collect()
     }
 
     #[test]
@@ -249,7 +246,7 @@ mod tests {
         g.join(app(1), client(1));
         g.join(app(1), client(2));
         g.join_subgroup(app(1), "vis", client(1));
-        assert_eq!(g.subgroup_members(app(1), "vis"), vec![client(1)]);
+        assert_eq!(subgroup(&g, app(1), "vis"), vec![client(1)]);
         assert!(g.leave_subgroup(app(1), "vis", client(1)));
         assert!(!g.leave_subgroup(app(1), "vis", client(1)));
         assert!(g.is_member(app(1), client(1)), "subgroup leave keeps default membership");
@@ -266,7 +263,7 @@ mod tests {
 
         let affected = g.drop_client(client(1));
         assert_eq!(affected, vec![app(1), app(2)]);
-        assert!(g.subgroup_members(app(1), "x").is_empty());
+        assert!(subgroup(&g, app(1), "x").is_empty());
         assert!(g.broadcast_enabled(app(1), client(1)), "mute cleared on drop");
 
         let members = g.drop_app(app(1));

@@ -485,8 +485,10 @@ mod tests {
         let core = ServerCore::new(ServerConfig::new(ADDR, "s"));
         let node = engine.add_node("s", Host { core, batched: true, sessions: false });
         engine.run_to_quiescence();
-        assert_eq!(engine.stats().counter_prefix_sum("webserv.fifo."), 0);
-        assert!(engine.stats().counters().all(|(key, _)| !key.starts_with("webserv.fifo.")));
+        let stats = engine.stats();
+        let fifo = || stats.counters().filter(|(key, _)| key.starts_with("webserv.fifo."));
+        assert_eq!(fifo().map(|(_, n)| n).sum::<u64>(), 0);
+        assert_eq!(fifo().count(), 0);
         assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
     }
 

@@ -64,16 +64,6 @@ impl SteeringLock {
         self.holder.as_ref()
     }
 
-    /// When the current holder acquired it.
-    pub fn held_since(&self) -> Option<SimTime> {
-        self.acquired_at
-    }
-
-    /// Last holder activity (lease clock).
-    pub fn active_since(&self) -> Option<SimTime> {
-        self.active_at
-    }
-
     /// Request the lock for `user`, stealing it if the current holder's
     /// lease (if any) has expired — a lazy-expiry guard against
     /// disconnected or crashed holders. Re-acquisition by the holder is
@@ -193,8 +183,8 @@ mod tests {
         let mut lock = SteeringLock::new();
         lock.try_acquire(&u("a"), SimTime::ZERO);
         assert_eq!(lock.try_acquire(&u("a"), SimTime::from_secs(1)), LockOutcome::Granted);
-        assert_eq!(lock.held_since(), Some(SimTime::ZERO), "original acquisition time kept");
-        assert_eq!(lock.active_since(), Some(SimTime::from_secs(1)), "lease clock refreshed");
+        assert_eq!(lock.acquired_at, Some(SimTime::ZERO), "original acquisition time kept");
+        assert_eq!(lock.active_at, Some(SimTime::from_secs(1)), "lease clock refreshed");
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
         lock.try_acquire(&u("a"), SimTime::ZERO);
         lock.release(&u("a"));
         assert_eq!(lock.try_acquire(&u("b"), SimTime::from_secs(2)), LockOutcome::Granted);
-        assert_eq!(lock.held_since(), Some(SimTime::from_secs(2)));
+        assert_eq!(lock.acquired_at, Some(SimTime::from_secs(2)));
     }
 
     #[test]
@@ -258,7 +248,7 @@ mod tests {
         );
         // A non-holder touch does nothing.
         lock.touch(&u("b"), SimTime::from_secs(41));
-        assert_eq!(lock.active_since(), Some(SimTime::from_secs(25)));
+        assert_eq!(lock.active_at, Some(SimTime::from_secs(25)));
         // Silence past the lease: expired, eager sweep would reap it.
         assert!(!lock.expired(SimTime::from_secs(50), lease));
         assert!(lock.expired(SimTime::from_secs(56), lease));

@@ -111,19 +111,6 @@ impl RecordStore {
         }
     }
 
-    /// Grant `reader` read-only access; only the owner may grant.
-    pub fn grant_read(&mut self, id: u64, owner: &UserId, reader: UserId) -> bool {
-        match self.records.get_mut(&id) {
-            Some(r) if r.owner == *owner => {
-                if r.owner != reader {
-                    r.readers.insert(reader);
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Delete a record; only the owner may delete.
     pub fn delete(&mut self, id: u64, user: &UserId) -> bool {
         if self.access(id, user) == RecordAccess::Full {
@@ -183,12 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn only_owner_deletes_and_grants() {
+    fn only_owner_deletes() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [], RecordData::Readings(vec![]));
+        let id = store.create(app(), u("owner"), [u("x")], RecordData::Readings(vec![]));
         assert!(!store.delete(id, &u("peer")));
-        assert!(!store.grant_read(id, &u("peer"), u("x")));
-        assert!(store.grant_read(id, &u("owner"), u("x")));
+        assert!(!store.delete(id, &u("x")), "a reader may not delete");
         assert_eq!(store.access(id, &u("x")), RecordAccess::Read);
         assert!(store.delete(id, &u("owner")));
         assert!(store.is_empty());
@@ -209,12 +195,13 @@ mod tests {
     }
 
     #[test]
-    fn owner_not_downgraded_by_grant() {
+    fn owner_not_downgraded_by_reader_entry() {
         let mut store = RecordStore::new();
         let id = store.create(app(), u("a"), [u("a")], RecordData::Readings(vec![]));
         // Listing the owner among readers must not demote them.
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
-        store.grant_read(id, &u("a"), u("a"));
+        // Nor does a reader entry that slips in after creation.
+        store.records.get_mut(&id).unwrap().readers.insert(u("a"));
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
     }
 }

@@ -54,10 +54,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::{Actor, Payload};
-use crate::flight::{FlightConfig, FlightDump, FlightRecorder};
+use crate::flight::{FlightDump, FlightRecorder};
 use crate::hash::IdHasher;
 use crate::history::{Decision, HistoryEvent};
-use crate::link::{LinkSpec, LinkState, LinkStats};
+use crate::link::{LinkSpec, LinkState};
 use crate::metrics::{names, MetricsRegistry};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
@@ -662,11 +662,6 @@ impl<M: Payload> Engine<M> {
         self.core.partitions.entry(key).or_default().push((from, until));
     }
 
-    /// True unless the node is currently crashed.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.core.nodes[node.index()].up
-    }
-
     /// Schedule every crash/restart cycle and partition window described
     /// by `plan`.
     pub fn apply_faults(&mut self, plan: &crate::FaultPlan) {
@@ -677,12 +672,6 @@ impl<M: Payload> Engine<M> {
         for &(a, b, from, until) in plan.partitions() {
             self.partition(a, b, from, until);
         }
-    }
-
-    /// Cap the total number of events processed (live-lock guard in
-    /// tests); the engine panics if exceeded.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.core.event_limit = limit;
     }
 
     /// Current virtual time.
@@ -781,11 +770,13 @@ impl<M: Payload> Engine<M> {
         self.core.record(now, node, make);
     }
 
-    /// Turn on the anomaly flight recorder (see [`crate::flight`]). Off
-    /// by default; like history recording it appends to internal buffers
-    /// only, so the event schedule is identical either way.
-    pub fn enable_flight_recorder(&mut self, config: FlightConfig) {
-        self.core.flight.enable(config);
+    /// Turn on the anomaly flight recorder (see [`crate::flight`]), with
+    /// `expiry_spike_threshold` deadline expiries within one second on
+    /// one node counting as a spike. Off by default; like history
+    /// recording it appends to internal buffers only, so the event
+    /// schedule is identical either way.
+    pub fn enable_flight_recorder(&mut self, expiry_spike_threshold: usize) {
+        self.core.flight.enable(expiry_spike_threshold);
     }
 
     /// Every triggered flight dump so far, in trigger order.
@@ -808,15 +799,6 @@ impl<M: Payload> Engine<M> {
     /// One node's metrics registry.
     pub fn node_metrics(&self, id: NodeId) -> &MetricsRegistry {
         &self.core.node_metrics[id.index()]
-    }
-
-    /// Traffic accounting for the directed link `from -> to`.
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.core.links.get(&(from.0, to.0)).map(|l| LinkStats {
-            msgs: l.msgs,
-            bytes: l.bytes,
-            dropped: l.lost + l.partitioned,
-        })
     }
 
     /// Name given to a node at `add_node` time.
@@ -1062,6 +1044,11 @@ mod tests {
         LinkSpec::loopback().with_latency(SimDuration::from_micros(latency_us))
     }
 
+    /// A `fixed_link` labelled `pair`.
+    fn pair(latency_us: u64) -> LinkSpec {
+        LinkSpec { label: "pair", ..fixed_link(latency_us) }
+    }
+
     #[test]
     fn round_trip_latency_is_twice_one_way() {
         let mut eng = Engine::new(1);
@@ -1099,7 +1086,7 @@ mod tests {
         let mut eng = Engine::new(1);
         let a = eng.add_node("a", Collector { arrivals: vec![] });
         let b = eng.add_node("b", Collector { arrivals: vec![] });
-        eng.link(a, b, fixed_link(0).with_bandwidth_bps(1_000_000));
+        eng.link(a, b, LinkSpec { bandwidth_bps: Some(1_000_000), ..fixed_link(0) });
         eng.inject(a, b, Ping(1000), SimDuration::ZERO);
         eng.inject(a, b, Ping(1000), SimDuration::ZERO);
         eng.run_to_quiescence();
@@ -1149,17 +1136,18 @@ mod tests {
         let mut eng = Engine::new(42);
         let a = eng.add_node("a", Collector { arrivals: vec![] });
         let b = eng.add_node("b", Collector { arrivals: vec![] });
-        eng.link(a, b, fixed_link(10).with_loss(0.5).with_label("lossy"));
+        eng.link(a, b, LinkSpec { label: "lossy", ..fixed_link(10).with_loss(0.5) });
         for _ in 0..200 {
             eng.inject(a, b, Ping(1), SimDuration::ZERO);
         }
         eng.run_to_quiescence();
         let delivered = eng.actor_ref::<Collector>(b).unwrap().arrivals.len() as u64;
-        let ls = eng.link_stats(a, b).unwrap();
+        let ls = eng.core.links.get(&(a.0, b.0)).unwrap();
+        let dropped = ls.lost + ls.partitioned;
         assert_eq!(delivered, ls.msgs);
-        assert_eq!(ls.msgs + ls.dropped, 200);
-        assert!(ls.dropped > 50 && ls.dropped < 150, "loss far from 50%: {}", ls.dropped);
-        assert_eq!(eng.stats().counter("link.lossy.dropped"), ls.dropped);
+        assert_eq!(ls.msgs + dropped, 200);
+        assert!(dropped > 50 && dropped < 150, "loss far from 50%: {dropped}");
+        assert_eq!(eng.stats().counter("link.lossy.dropped"), dropped);
     }
 
     #[test]
@@ -1246,7 +1234,7 @@ mod tests {
         eng.run_until(SimTime::from_millis(20));
         assert_eq!(eng.actor_ref::<Beacon>(beacon).unwrap().ticks, 5);
         assert_eq!(eng.actor_ref::<Collector>(sink).unwrap().arrivals.len(), 5);
-        assert!(!eng.is_up(beacon));
+        assert!(!eng.core.nodes[beacon.index()].up);
         assert_eq!(eng.stats().counter("engine.crashes"), 1);
         assert_eq!(eng.stats().counter("engine.down_drops"), 1);
     }
@@ -1264,7 +1252,7 @@ mod tests {
         assert_eq!(b.restarts, 1);
         // 3 ticks before the crash (1,2,3 ms) + 5 after (11..=15 ms).
         assert_eq!(b.ticks, 8);
-        assert!(eng.is_up(beacon));
+        assert!(eng.core.nodes[beacon.index()].up);
     }
 
     #[test]
@@ -1272,7 +1260,7 @@ mod tests {
         let mut eng = Engine::new(1);
         let a = eng.add_node("a", Collector { arrivals: vec![] });
         let b = eng.add_node("b", Collector { arrivals: vec![] });
-        eng.link(a, b, fixed_link(10).with_label("pair"));
+        eng.link(a, b, pair(10));
         eng.partition(a, b, SimTime::from_millis(2), SimTime::from_millis(4));
         for ms in 0..6 {
             eng.inject(a, b, Ping(1), SimDuration::from_millis(ms));
@@ -1290,17 +1278,17 @@ mod tests {
         let mut eng = Engine::new(1);
         let a = eng.add_node("a", Collector { arrivals: vec![] });
         let b = eng.add_node("b", Collector { arrivals: vec![] });
-        eng.link(a, b, fixed_link(10).with_label("pair"));
+        eng.link(a, b, pair(10));
         for _ in 0..3 {
             eng.inject(a, b, Ping(100), SimDuration::ZERO);
         }
         eng.run_to_quiescence();
-        eng.link(a, b, fixed_link(20).with_label("pair"));
+        eng.link(a, b, pair(20));
         eng.inject(a, b, Ping(50), SimDuration::ZERO);
         eng.run_to_quiescence();
         assert_eq!(eng.actor_ref::<Collector>(b).unwrap().arrivals.len(), 4);
-        let ls = eng.link_stats(a, b).unwrap();
-        assert_eq!((ls.msgs, ls.bytes, ls.dropped), (4, 350, 0));
+        let ls = eng.core.links.get(&(a.0, b.0)).unwrap();
+        assert_eq!((ls.msgs, ls.bytes, ls.lost + ls.partitioned), (4, 350, 0));
         let stats = eng.stats();
         assert_eq!((stats.counter("link.pair.msgs"), stats.counter("link.pair.bytes")), (4, 350));
     }
@@ -1311,8 +1299,8 @@ mod tests {
         let a = eng.add_node("a", Collector { arrivals: vec![] });
         let b = eng.add_node("b", Collector { arrivals: vec![] });
         let c = eng.add_node("c", Collector { arrivals: vec![] });
-        eng.link(a, b, fixed_link(10).with_label("pair"));
-        eng.link(a, c, fixed_link(10).with_label("idle"));
+        eng.link(a, b, pair(10));
+        eng.link(a, c, LinkSpec { label: "idle", ..fixed_link(10) });
         eng.inject(a, b, Ping(0), SimDuration::ZERO);
         eng.run_to_quiescence();
         let keys: Vec<(String, u64)> =
@@ -1372,7 +1360,7 @@ mod tests {
         }
         let mut eng = Engine::new(1);
         let n = eng.add_node("s", SelfTalker { count: 0 });
-        eng.set_event_limit(1_000);
+        eng.core.event_limit = 1_000;
         eng.run_to_quiescence();
         assert_eq!(eng.actor_ref::<SelfTalker>(n).unwrap().count, 10);
         assert!(eng.now() >= SimTime::from_micros(10));
@@ -1405,7 +1393,7 @@ mod tests {
         assert!(eng.history().is_empty());
 
         eng.enable_history();
-        eng.enable_flight_recorder(FlightConfig::default());
+        eng.enable_flight_recorder(8);
         eng.inject(n, n, Ping(0), SimDuration::ZERO);
         eng.run_to_quiescence();
         assert_eq!(built.get(), 1, "both sinks on: built once, shared");
@@ -1429,16 +1417,13 @@ mod tests {
         }
         let mut eng = Engine::new(1);
         eng.enable_history();
-        let cooldown = SimDuration::ZERO;
-        eng.enable_flight_recorder(FlightConfig {
-            capacity: 3,
-            cooldown,
-            ..FlightConfig::default()
-        });
+        eng.enable_flight_recorder(8);
         let nodes = [eng.add_node("a", Decider), eng.add_node("b", Decider)];
+        // Two seconds apart, so a node's breakers are 20 s apart and each
+        // dumps: the cooldown is 5 s.
         for i in 0..40 {
             let n = nodes[i % 2];
-            eng.inject(n, n, Ping(i), SimDuration::from_millis(i as u64));
+            eng.inject(n, n, Ping(i), SimDuration::from_secs(2 * i as u64));
         }
         // The out-of-band path shares the same body.
         eng.record(nodes[0], || Mark(TRIGGER_BREAKER_OPEN));

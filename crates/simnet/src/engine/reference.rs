@@ -235,7 +235,7 @@ impl Scenario {
         }
         // The re-push loop's count grows with the square of a backlog.
         let injects = self.injects.len() as u64;
-        eng.set_event_limit(5_000_000 + injects * injects);
+        eng.core.event_limit = 5_000_000 + injects * injects;
         eng
     }
 
@@ -333,8 +333,8 @@ mod generated {
                 match rng.gen_range(0..4) {
                     0 => exact,
                     1 => exact.with_jitter(SimDuration::from_micros(rng.gen_range(1..8))),
-                    2 => exact.with_loss(0.2).with_bandwidth_bps(50_000_000),
-                    _ => exact.with_bandwidth_bps(20_000_000),
+                    2 => LinkSpec { bandwidth_bps: Some(50_000_000), ..exact.with_loss(0.2) },
+                    _ => LinkSpec { bandwidth_bps: Some(20_000_000), ..exact },
                 }
             })
             .collect();

@@ -34,36 +34,16 @@ pub const TRIGGER_SHED: &str = "daemon.shed";
 /// Label counted toward the deadline-expiry-spike trigger window.
 pub const TRIGGER_EXPIRED: &str = "daemon.expired";
 
-/// Flight-recorder tuning: ring size and anomaly trigger thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct FlightConfig {
-    /// Events retained per node (the ring bound).
-    pub capacity: usize,
-    /// `daemon.shed` events within `window` on one node that count as a
-    /// shed burst.
-    pub shed_burst_threshold: usize,
-    /// `daemon.expired` events within `window` on one node that count as
-    /// an expiry spike.
-    pub expiry_spike_threshold: usize,
-    /// Sliding window for the burst/spike counters.
-    pub window: SimDuration,
-    /// Minimum spacing between dumps from the same node; triggers inside
-    /// the cooldown are suppressed (the first dump already has the
-    /// context).
-    pub cooldown: SimDuration,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            capacity: 64,
-            shed_burst_threshold: 16,
-            expiry_spike_threshold: 8,
-            window: SimDuration::from_secs(1),
-            cooldown: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Events retained per node (the ring bound).
+const CAPACITY: usize = 64;
+/// `daemon.shed` events within `WINDOW` on one node that count as a shed
+/// burst.
+const SHED_BURST_THRESHOLD: usize = 16;
+/// Sliding window for the burst/spike counters.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Minimum spacing between dumps from the same node; triggers inside the
+/// cooldown are suppressed (the first dump already has the context).
+const COOLDOWN: SimDuration = SimDuration::from_secs(5);
 
 /// One triggered snapshot: the recording node's ring at the instant the
 /// trigger fired.
@@ -109,8 +89,9 @@ struct NodeRing {
 /// The recorder: bounded per-node rings plus the dumps collected so far.
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
-    enabled: bool,
-    config: FlightConfig,
+    /// `daemon.expired` events within `WINDOW` on one node that count as
+    /// an expiry spike; `None` while disabled.
+    expiry_spike_threshold: Option<usize>,
     rings: Vec<NodeRing>,
     dumps: Vec<FlightDump>,
 }
@@ -121,21 +102,15 @@ impl FlightRecorder {
         Self::default()
     }
 
-    /// Turn recording on with the given tuning.
-    pub fn enable(&mut self, config: FlightConfig) {
-        assert!(config.capacity > 0, "flight ring capacity must be positive");
-        self.enabled = true;
-        self.config = config;
+    /// Turn recording on: `expiry_spike_threshold` deadline expiries
+    /// within one second on one node count as a spike.
+    pub fn enable(&mut self, expiry_spike_threshold: usize) {
+        self.expiry_spike_threshold = Some(expiry_spike_threshold);
     }
 
     /// Whether recording is on.
     pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The active tuning.
-    pub fn config(&self) -> &FlightConfig {
-        &self.config
+        self.expiry_spike_threshold.is_some()
     }
 
     fn node_mut(&mut self, node: NodeId) -> &mut NodeRing {
@@ -150,20 +125,14 @@ impl FlightRecorder {
     /// reference-count bump, not a copy). Returns the number of dumps the
     /// event triggered (0 or 1). No-op while disabled.
     pub fn observe(&mut self, event: &Rc<HistoryEvent>) -> u32 {
-        if !self.enabled {
-            return 0;
-        }
+        let Some(expiry_threshold) = self.expiry_spike_threshold else { return 0 };
         let (at, node, label) = (event.at, event.node, event.decision.label());
-        let capacity = self.config.capacity;
-        let window = self.config.window;
-        let shed_threshold = self.config.shed_burst_threshold;
-        let expiry_threshold = self.config.expiry_spike_threshold;
         let state = self.node_mut(node);
-        if state.ring.len() == capacity {
+        if state.ring.len() == CAPACITY {
             state.ring.pop_front();
         }
         state.ring.push_back(Rc::clone(event));
-        let floor = at.checked_sub(window).unwrap_or(SimTime::ZERO);
+        let floor = at.checked_sub(WINDOW).unwrap_or(SimTime::ZERO);
         // Mark `at` in a sliding window; a full window fires (and empties).
         let burst = |marks: &mut VecDeque<SimTime>, threshold: usize| {
             marks.push_back(at);
@@ -178,7 +147,9 @@ impl FlightRecorder {
         };
         let trigger = match label {
             TRIGGER_BREAKER_OPEN => Some("breaker.open"),
-            TRIGGER_SHED => burst(&mut state.shed_marks, shed_threshold).then_some("shed.burst"),
+            TRIGGER_SHED => {
+                burst(&mut state.shed_marks, SHED_BURST_THRESHOLD).then_some("shed.burst")
+            }
             TRIGGER_EXPIRED => {
                 burst(&mut state.expiry_marks, expiry_threshold).then_some("expiry.spike")
             }
@@ -193,10 +164,9 @@ impl FlightRecorder {
     /// Snapshot `node`'s ring under `trigger` unless the node dumped
     /// within the cooldown.
     fn dump(&mut self, node: NodeId, at: SimTime, trigger: &'static str) -> u32 {
-        let cooldown = self.config.cooldown;
         let seq = self.dumps.len() as u64;
         let state = self.node_mut(node);
-        if state.last_dump.is_some_and(|last| at < last + cooldown) {
+        if state.last_dump.is_some_and(|last| at < last + COOLDOWN) {
             return 0;
         }
         state.last_dump = Some(at);
@@ -245,22 +215,22 @@ mod tests {
     #[test]
     fn ring_never_exceeds_capacity() {
         let mut rec = FlightRecorder::new();
-        rec.enable(FlightConfig { capacity: 8, ..FlightConfig::default() });
+        rec.enable(8);
         for i in 0..1000 {
             ev(&mut rec, i, 0, "op.accepted");
-            assert!(rec.ring_rendered(NodeId(0)).lines().count() <= 8);
+            assert!(rec.ring_rendered(NodeId(0)).lines().count() <= CAPACITY);
         }
-        assert_eq!(rec.ring_rendered(NodeId(0)).lines().count(), 8);
-        // Oldest events were evicted: the ring holds the last 8 only.
+        // Oldest events were evicted: the ring holds the last 64 only.
         let text = rec.ring_rendered(NodeId(0));
-        assert_eq!(text.lines().count(), 8);
+        assert_eq!(text.lines().count(), CAPACITY);
         assert!(text.contains(" 999 "), "ring should hold the newest event:\n{text}");
+        assert!(!text.contains(" 935 "), "ring should have evicted the 65th newest:\n{text}");
     }
 
     #[test]
     fn breaker_open_triggers_immediately() {
         let mut rec = FlightRecorder::new();
-        rec.enable(FlightConfig::default());
+        rec.enable(8);
         ev(&mut rec, 10, 1, "op.accepted");
         assert_eq!(ev(&mut rec, 20, 1, TRIGGER_BREAKER_OPEN), 1);
         assert_eq!(rec.dumps().len(), 1);
@@ -273,18 +243,19 @@ mod tests {
     #[test]
     fn shed_burst_requires_threshold_within_window() {
         let mut rec = FlightRecorder::new();
-        rec.enable(FlightConfig {
-            shed_burst_threshold: 3,
-            window: SimDuration::from_millis(100),
-            ..FlightConfig::default()
-        });
-        assert_eq!(ev(&mut rec, 1_000, 0, TRIGGER_SHED), 0);
-        assert_eq!(ev(&mut rec, 2_000, 0, TRIGGER_SHED), 0);
-        // Third shed lands outside the window of the first two: no burst.
-        assert_eq!(ev(&mut rec, 500_000, 0, TRIGGER_SHED), 0);
-        // Two more inside 100 ms of the third: burst.
-        assert_eq!(ev(&mut rec, 510_000, 0, TRIGGER_SHED), 0);
-        assert_eq!(ev(&mut rec, 520_000, 0, TRIGGER_SHED), 1);
+        rec.enable(8);
+        // Fifteen sheds within 15 ms: one short of a burst.
+        for i in 1..=15 {
+            assert_eq!(ev(&mut rec, i * 1_000, 0, TRIGGER_SHED), 0);
+        }
+        // The sixteenth lands outside the 1 s window of the first fifteen:
+        // no burst.
+        assert_eq!(ev(&mut rec, 1_100_000, 0, TRIGGER_SHED), 0);
+        // Fifteen more inside 1 s of it: the last makes sixteen, a burst.
+        for i in 1..15 {
+            assert_eq!(ev(&mut rec, 1_100_000 + i * 10_000, 0, TRIGGER_SHED), 0);
+        }
+        assert_eq!(ev(&mut rec, 1_250_000, 0, TRIGGER_SHED), 1);
         assert_eq!(rec.dumps().len(), 1);
         assert_eq!(rec.dumps()[0].trigger, "shed.burst");
     }
@@ -292,11 +263,12 @@ mod tests {
     #[test]
     fn cooldown_suppresses_back_to_back_dumps_per_node() {
         let mut rec = FlightRecorder::new();
-        rec.enable(FlightConfig { cooldown: SimDuration::from_secs(5), ..FlightConfig::default() });
+        rec.enable(8);
         assert_eq!(ev(&mut rec, 1_000_000, 0, TRIGGER_BREAKER_OPEN), 1);
         assert_eq!(ev(&mut rec, 2_000_000, 0, TRIGGER_BREAKER_OPEN), 0, "inside cooldown");
         assert_eq!(ev(&mut rec, 2_500_000, 1, TRIGGER_BREAKER_OPEN), 1, "another node's cooldown");
-        assert_eq!(ev(&mut rec, 8_000_000, 0, TRIGGER_BREAKER_OPEN), 1, "cooldown elapsed");
+        assert_eq!(ev(&mut rec, 5_999_999, 0, TRIGGER_BREAKER_OPEN), 0, "a microsecond short");
+        assert_eq!(ev(&mut rec, 6_000_000, 0, TRIGGER_BREAKER_OPEN), 1, "cooldown elapsed");
         assert_eq!(rec.dumps().len(), 3);
         assert_eq!(rec.dumps()[1].node, NodeId(1));
     }
@@ -305,16 +277,17 @@ mod tests {
     fn dumps_render_deterministically() {
         fn run() -> String {
             let mut rec = FlightRecorder::new();
-            rec.enable(FlightConfig { capacity: 4, ..FlightConfig::default() });
-            for i in 0..10 {
+            rec.enable(8);
+            // A hundred events per node: each ring wraps.
+            for i in 0..200 {
                 ev(&mut rec, 100 * i, (i % 2) as u32, "op.accepted");
             }
-            ev(&mut rec, 2_000, 0, TRIGGER_BREAKER_OPEN);
+            ev(&mut rec, 20_000, 0, TRIGGER_BREAKER_OPEN);
             rec.dumps_rendered()
         }
         let a = run();
         let b = run();
         assert_eq!(a, b);
-        assert!(a.starts_with("=== flight dump #0 trigger=breaker.open node=n0"));
+        assert!(a.starts_with("=== flight dump #0 trigger=breaker.open node=n0 at=20000 events=64"));
     }
 }

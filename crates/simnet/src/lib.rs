@@ -73,10 +73,10 @@ pub mod trace;
 pub use actor::{Actor, Payload};
 pub use engine::{Ctx, Engine, NodeId};
 pub use fault::FaultPlan;
-pub use flight::{FlightConfig, FlightDump, FlightRecorder};
+pub use flight::{FlightDump, FlightRecorder};
 pub use hash::IdHasher;
 pub use history::HistoryEvent;
-pub use link::{LinkSpec, LinkStats};
+pub use link::LinkSpec;
 pub use metrics::{names, CounterDef, GaugeDef, MetricsRegistry, TimerDef};
 pub use stats::{Histogram, HistogramSummary, Stats};
 pub use tally::EngineTally;

@@ -76,12 +76,6 @@ impl LinkSpec {
         self
     }
 
-    /// Override the bandwidth (bytes/second).
-    pub fn with_bandwidth_bps(mut self, bps: u64) -> Self {
-        self.bandwidth_bps = Some(bps);
-        self
-    }
-
     /// Override the jitter bound.
     pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
         self.jitter = jitter;
@@ -92,12 +86,6 @@ impl LinkSpec {
     pub fn with_loss(mut self, loss: f64) -> Self {
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
         self.loss = loss;
-        self
-    }
-
-    /// Override the stats label.
-    pub fn with_label(mut self, label: &'static str) -> Self {
-        self.label = label;
         self
     }
 
@@ -136,17 +124,6 @@ impl LinkState {
     }
 }
 
-/// Read-only traffic accounting for one link direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages accepted onto the wire.
-    pub msgs: u64,
-    /// Payload bytes accepted onto the wire.
-    pub bytes: u64,
-    /// Messages dropped by the loss process or a partition window.
-    pub dropped: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,11 +145,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let spec = LinkSpec::wan()
-            .with_latency(SimDuration::from_millis(80))
-            .with_bandwidth_bps(1_000_000)
-            .with_loss(0.01)
-            .with_label("transatlantic");
+        let spec = LinkSpec::wan().with_latency(SimDuration::from_millis(80)).with_loss(0.01);
+        let spec = LinkSpec { bandwidth_bps: Some(1_000_000), label: "transatlantic", ..spec };
         assert_eq!(spec.latency, SimDuration::from_millis(80));
         assert_eq!(spec.bandwidth_bps, Some(1_000_000));
         assert_eq!(spec.label, "transatlantic");

@@ -10,7 +10,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 use crate::metrics::{CounterDef, GaugeDef, TimerDef};
 use crate::time::SimDuration;
@@ -368,16 +367,6 @@ impl Stats {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_prefix_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .dir
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &at)| self.counters.values[at as usize])
-            .sum()
-    }
-
     /// Set gauge `key` to `v`.
     pub fn set_gauge(&mut self, key: &str, v: f64) {
         self.assert_kind(key, "gauge");
@@ -427,11 +416,6 @@ impl Stats {
         self.counters.iter().map(|(k, v)| (k, *v))
     }
 
-    /// Iterate all histogram names in key order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.iter().map(|(k, _)| k)
-    }
-
     /// Merge another stats sink into this one (counters add, gauges take
     /// the other's value, histograms merge samples).
     pub fn merge(&mut self, other: &Stats) {
@@ -445,6 +429,11 @@ impl Stats {
 mod tests {
     use super::*;
 
+    /// Sum of all counters whose name starts with `prefix`.
+    fn prefix_sum(s: &Stats, prefix: &str) -> u64 {
+        s.counters().filter(|(k, _)| k.starts_with(prefix)).map(|(_, v)| v).sum()
+    }
+
     #[test]
     fn counters_accumulate() {
         let mut s = Stats::new();
@@ -453,8 +442,8 @@ mod tests {
         s.incr("a.c");
         assert_eq!(s.counter("a.b"), 5);
         assert_eq!(s.counter("missing"), 0);
-        assert_eq!(s.counter_prefix_sum("a."), 6);
-        assert_eq!(s.counter_prefix_sum("a.b"), 5);
+        assert_eq!(prefix_sum(&s, "a."), 6);
+        assert_eq!(prefix_sum(&s, "a.b"), 5);
     }
 
     #[test]
@@ -736,13 +725,13 @@ mod tests {
                     .filter(|(k, _)| k.starts_with(prefix))
                     .map(|(_, v)| *v)
                     .sum();
-                assert_eq!(sut.counter_prefix_sum(prefix), sum, "prefix {prefix:?}");
+                assert_eq!(super::prefix_sum(sut, prefix), sum, "prefix {prefix:?}");
             }
             for key in GAUGES.iter().map(|g| g.key()).chain(NAMED_GAUGES) {
                 assert_eq!(sut.gauge(key), model.gauges.get(key).copied().unwrap_or(0.0));
             }
             let names: Vec<&str> = model.samples.keys().map(String::as_str).collect();
-            assert_eq!(sut.histogram_names().collect::<Vec<_>>(), names);
+            assert_eq!(sut.histograms().map(|(k, _)| k).collect::<Vec<_>>(), names);
             for (name, h) in sut.histograms() {
                 let samples = &model.samples[name];
                 assert_eq!(h.count(), samples.len());

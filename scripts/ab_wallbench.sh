@@ -5,8 +5,12 @@
 #   scripts/ab_wallbench.sh [--pairs N] [--workload W]... [--base REV]
 #                           [--seed S] [--dir D]
 #
-# Exports the base revision into D/parent, builds `benchmark/` once per
-# side into its own CARGO_TARGET_DIR, then runs N pairs of the
+# Exports the base revision into D/parent and the checkout into D/change
+# (its tracked files as they stand, edits included, plus the untracked
+# files git does not ignore), so both sides build and run at paths of
+# the same length and neither rewrites the checkout's
+# benchmark/Cargo.lock. Builds `benchmark/` once per side into its own
+# CARGO_TARGET_DIR, then runs N pairs of the
 # BENCHMARK.json command per workload (run length from BENCHMARK.json,
 # pair i on both sides under seed S+i, the side that goes first
 # alternating, because the box drifts between two speeds for seconds at a
@@ -16,10 +20,11 @@
 # metric's bound. Exit status 1 if any is, or if any run failed an
 # operation or its own checks.
 #
-# The base is exported with `git archive`, not `git worktree`, so the
-# repository's metadata is left alone; D (default $TMPDIR/ab_wallbench)
-# can be deleted at will. Nothing under benchmark/ is touched on either
-# side: this drives the judge, it is not part of it.
+# Both sides are exported with `git archive`, not `git worktree`, so the
+# repository's metadata is left alone (the checkout's edits become a
+# dangling commit via `git stash create`, which leaves the stash list and
+# the tree alone); D (default $TMPDIR/ab_wallbench) can be deleted at
+# will. This drives the judge, it is not part of it.
 set -euo pipefail
 
 pairs=10
@@ -34,7 +39,7 @@ while [ $# -gt 0 ]; do
         --base) base=$2; shift 2 ;;
         --seed) seed=$2; shift 2 ;;
         --dir) dir=$2; shift 2 ;;
-        -h | --help) sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+        -h | --help) sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
         *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
 done
@@ -59,7 +64,15 @@ if [ "$(cat "$dir/parent.rev" 2>/dev/null)" != "$rev" ]; then
     echo "$rev" >"$dir/parent.rev"
 fi
 
-declare -A tree=([parent]=$dir/parent [change]=$root)
+# The checkout as a commit: its tracked edits, or HEAD when it has none.
+change=$(git -C "$root" stash create)
+change=${change:-$(git -C "$root" rev-parse HEAD)}
+rm -rf "$dir/change"
+mkdir -p "$dir/change"
+git -C "$root" archive "$change" | tar -x -C "$dir/change"
+git -C "$root" ls-files -z --others --exclude-standard | tar -c -C "$root" --null -T - | tar -x -C "$dir/change"
+
+declare -A tree=([parent]=$dir/parent [change]=$dir/change)
 for side in parent change; do
     echo "building $side ($([ $side = parent ] && echo "${rev:0:7}" || echo "working tree")) ..." >&2
     CARGO_TARGET_DIR=$dir/target-$side cargo build --release --offline --quiet \

@@ -13,7 +13,7 @@ fn two_domains(
     mode: CollabMode,
 ) -> (CollaboratoryBuilder, ServerHandle, ServerHandle, AppId) {
     let mut b = CollaboratoryBuilder::new(seed);
-    b.collab_mode(mode);
+    b.substrate_config.collab_mode = mode;
     let rutgers = b.server("rutgers");
     let utexas = b.server("utexas");
     b.link_servers(rutgers, utexas, LinkSpec::wan());
