@@ -385,9 +385,7 @@ pub fn e19_archival_recovery() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note(format!(
         "timelines (virtual s): A streams to {A_END_SECS} with snapshot-every={SNAP_EVERY} and \
          compaction on, probes at {FETCH_SECS:?}; B steerer pauses the app at {B_PAUSE_SECS}, \

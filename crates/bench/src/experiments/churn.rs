@@ -304,9 +304,7 @@ pub fn e16_churn_recovery() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note(format!(
         "timeline (virtual s): warmup 0-{WARMUP_SECS}, pre-burst {WARMUP_SECS}-{DROP_SECS}, \
          {CHURNERS}/{CLIENTS} clients partitioned {DROP_SECS}-{HEAL_SECS}, flash-crowd rejoin \

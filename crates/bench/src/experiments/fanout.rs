@@ -227,9 +227,7 @@ pub fn e14_broadcast_fanout() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note("reuse/bcast tracks N+M+2 (N local fifos, M peer pushes, host log + archive); the seed would have run that many serializer walks per update");
     table
 }

@@ -207,9 +207,7 @@ pub fn e12_fault_tolerance() -> Table {
     } else {
         format!("determinism VIOLATION: {a:?} != {b:?}")
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note("retries ride out 6 s backend downtime; the breaker converts repeat timeouts into fast Unavailable+redirect errors");
     table
 }

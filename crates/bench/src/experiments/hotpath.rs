@@ -355,8 +355,6 @@ pub fn e18_hot_path_delivery() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table
 }

@@ -292,9 +292,7 @@ pub fn e15_overload() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note(format!(
         "modes: raw = unbounded buffer, no admission, no deadlines; dl{TIGHT_MS}/dl{LOOSE_MS} = proxy cap {PROXY_CAP} + inflight budget {ADMIT_MAX} + per-op deadline stamps checked at ingress, dispatch, orb call and dequeue",
     ));

@@ -304,9 +304,7 @@ pub fn e20_million_clients() -> Table {
     } else {
         "determinism VIOLATION: same-seed sweeps disagree".to_string()
     });
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table.note(format!(
         "aggregation: each portal actor stands in for virtual_clients/actors identical \
          closed-loop clients; wire observables are the sampled pool's real traffic, \

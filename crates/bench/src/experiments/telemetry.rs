@@ -285,8 +285,6 @@ pub fn e17_telemetry_overhead() -> Table {
     });
 
     let summary = summarize(&bare, &armed, &probed, armed_deterministic, probed_deterministic);
-    if let Some(p) = summary.write_repo_root() {
-        table.note(format!("machine-readable summary -> {}", p.display()));
-    }
+    summary.write_repo_root(&mut table);
     table
 }

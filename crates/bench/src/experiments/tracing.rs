@@ -59,7 +59,7 @@ struct TraceRun {
 
 fn run_traced(loss: f64) -> TraceRun {
     let mut b = CollaboratoryBuilder::new(TRACE_SEED);
-    b.tracing(true);
+    b.tracing();
     b.substrate_config.call_timeout = SimDuration::from_secs(2);
     b.substrate_config.sweep_interval = SimDuration::from_millis(500);
     b.substrate_config.discovery_interval = SimDuration::from_secs(5);
@@ -196,9 +196,7 @@ pub fn e13_latency_attribution() -> Table {
                 summary.metric_u64(format!("{key}.backoff_spans"), p.backoff_spans);
             }
             summary.metric_u64("retries", run.retries);
-            if let Some(p) = summary.write_repo_root() {
-                table.note(format!("machine-readable summary -> {}", p.display()));
-            }
+            summary.write_repo_root(&mut table);
             // Acceptance: a remote steering op yields one causally-linked
             // tree of at least five spans across the stack's layers.
             let remote = &run.paths["client-remote"];

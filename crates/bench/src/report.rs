@@ -155,14 +155,16 @@ impl BenchSummary {
         out
     }
 
-    /// Write `BENCH_<ID>.json` at the repository root; returns the path
-    /// on success.
-    pub fn write_repo_root(&self) -> Option<PathBuf> {
+    /// Write `BENCH_<ID>.json` at the repository root and, on success,
+    /// note its path in `table`, relative to that root so that what a
+    /// run prints does not depend on where the checkout lives.
+    pub fn write_repo_root(&self, table: &mut Table) {
+        let name = format!("BENCH_{}.json", self.experiment.to_uppercase());
         // crates/bench/ -> crates/ -> repo root.
-        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).parent()?.parent()?.to_path_buf();
-        let path = root.join(format!("BENCH_{}.json", self.experiment.to_uppercase()));
-        fs::write(&path, self.to_json()).ok()?;
-        Some(path)
+        let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        if fs::write(root.join(&name), self.to_json()).is_ok() {
+            table.note(format!("machine-readable summary -> {name}"));
+        }
     }
 }
 

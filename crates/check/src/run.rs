@@ -205,7 +205,7 @@ fn action_request(app: AppId, user_index: usize, n: u64, kind: ActionKind) -> Cl
 pub fn run(scenario: &Scenario) -> RunResult {
     let s = scenario;
     let mut b = CollaboratoryBuilder::new(s.seed);
-    b.history(true);
+    b.history();
     s.features.apply(&mut b, s.mutation);
     // The flight recorder observes the same decision points as the
     // history log and appends to side buffers only, so arming it keeps

@@ -140,10 +140,8 @@ impl CollaboratoryBuilder {
     /// Turn on end-to-end request tracing for this collaboratory. Off by
     /// default: untraced runs stamp no contexts onto envelopes and their
     /// event schedule is byte-identical to pre-tracing builds.
-    pub fn tracing(&mut self, enabled: bool) -> &mut Self {
-        if enabled {
-            self.engine.enable_tracing();
-        }
+    pub fn tracing(&mut self) -> &mut Self {
+        self.engine.enable_tracing();
         self
     }
 
@@ -151,10 +149,8 @@ impl CollaboratoryBuilder {
     /// points) for this collaboratory. Off by default; recording appends
     /// to a side log and leaves the event schedule byte-identical to an
     /// unrecorded run, so it is safe for correctness checking.
-    pub fn history(&mut self, enabled: bool) -> &mut Self {
-        if enabled {
-            self.engine.enable_history();
-        }
+    pub fn history(&mut self) -> &mut Self {
+        self.engine.enable_history();
         self
     }
 

@@ -69,8 +69,9 @@ pub struct SubstrateConfig {
     pub call_timeout: SimDuration,
     /// How often the timeout sweep runs.
     pub sweep_interval: SimDuration,
-    /// Send attempts per peer call, the first included: 3 by default; 1
-    /// gives the original fail-on-first-timeout behaviour.
+    /// Send attempts per peer call, the first included:
+    /// [`orb::DEFAULT_MAX_ATTEMPTS`] by default; 1 gives the original
+    /// fail-on-first-timeout behaviour.
     pub max_attempts: u32,
     /// Discovery route cache. `None` (the default) disables caching and
     /// keeps the pre-sharding dispatch schedule byte-identical;
@@ -86,7 +87,7 @@ impl Default for SubstrateConfig {
             discovery_interval: SimDuration::from_secs(30),
             call_timeout: SimDuration::from_secs(10),
             sweep_interval: SimDuration::from_secs(5),
-            max_attempts: 3,
+            max_attempts: orb::DEFAULT_MAX_ATTEMPTS,
             discovery_cache: None,
         }
     }
@@ -308,8 +309,7 @@ impl Substrate {
         directory: DirectoryRing,
         book: AddressBook,
     ) -> Self {
-        let mut broker = Broker::new();
-        broker.max_attempts = config.max_attempts;
+        let broker = Broker::with_max_attempts(config.max_attempts);
         Substrate {
             config,
             addr,
@@ -752,8 +752,7 @@ impl Substrate {
     /// re-confirmed with their hosts. The discovery cache is dropped too
     /// — the new incarnation must not trust the dead one's routes.
     pub fn on_restart(&mut self) {
-        self.broker = Broker::new();
-        self.broker.max_attempts = self.config.max_attempts;
+        self.broker = Broker::with_max_attempts(self.config.max_attempts);
         self.cache.clear();
         self.dir_in_flight.clear();
         self.hand_back.clear();

@@ -100,7 +100,8 @@ fn status_probe_reports_sessions_locks_and_peer_health() {
 fn status_report_matches_core_introspection_exactly() {
     let (c, _, gateway) = run_status_fixture();
     let node = c.engine.actor_ref::<DiscoverNode>(gateway.node).unwrap();
-    let report = node.core.status_report(c.engine.now().as_micros());
+    let metrics = c.engine.node_metrics(gateway.node);
+    let report = node.core.status_report(c.engine.now().as_micros(), metrics);
 
     assert_eq!(report.sessions_active as usize, node.core.session_count());
     assert_eq!(report.sessions_parked as usize, node.core.parked_count());
@@ -133,7 +134,9 @@ fn run_expiry_fixture(flight: Option<usize>, history: bool) -> (Collaboratory, s
     if let Some(expiry_spike_threshold) = flight {
         b.flight_recorder(expiry_spike_threshold);
     }
-    b.history(history);
+    if history {
+        b.history();
+    }
     let server = b.server("server0");
     let mut dc = DriverConfig::default();
     dc.name = "slow".into();

@@ -28,7 +28,9 @@ fn run_remote_steering(
     traced: bool,
 ) -> (Collaboratory, simnet::NodeId, simnet::NodeId, simnet::NodeId) {
     let mut b = CollaboratoryBuilder::new(SEED);
-    b.tracing(traced);
+    if traced {
+        b.tracing();
+    }
     b.substrate_config.call_timeout = SimDuration::from_secs(2);
     b.substrate_config.sweep_interval = SimDuration::from_millis(500);
     b.substrate_config.discovery_interval = SimDuration::from_secs(5);

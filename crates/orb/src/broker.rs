@@ -136,6 +136,10 @@ pub struct SweepReport<T> {
     pub lapsed: Vec<(T, Option<TraceContext>)>,
 }
 
+/// Send attempts per logical call, the first included, unless a caller
+/// asks for another number.
+pub const DEFAULT_MAX_ATTEMPTS: u32 = 3;
+
 /// Request-id allocator plus pending-call table, retry engine, and
 /// per-peer circuit breakers.
 pub struct Broker<T> {
@@ -145,19 +149,25 @@ pub struct Broker<T> {
     /// Total send attempts per logical call, applied by
     /// [`Broker::sweep_expired`] (1 = no retries: an expired call fails
     /// at once).
-    pub max_attempts: u32,
+    max_attempts: u32,
 }
 
 impl<T> Default for Broker<T> {
     fn default() -> Self {
-        Broker { next_id: 0, pending: BTreeMap::new(), breakers: BTreeMap::new(), max_attempts: 3 }
+        Self::with_max_attempts(DEFAULT_MAX_ATTEMPTS)
     }
 }
 
 impl<T> Broker<T> {
-    /// Create an empty broker that makes three attempts per call.
+    /// Create an empty broker that makes [`DEFAULT_MAX_ATTEMPTS`] attempts
+    /// per call.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Create an empty broker that makes `max_attempts` attempts per call.
+    pub fn with_max_attempts(max_attempts: u32) -> Self {
+        Broker { next_id: 0, pending: BTreeMap::new(), breakers: BTreeMap::new(), max_attempts }
     }
 
     /// Current breaker state for `to` (Closed if never failed).
@@ -578,8 +588,7 @@ mod tests {
     }
     impl RetryCaller {
         fn new(max_attempts: u32, servant: Option<NodeId>) -> Self {
-            let mut broker = Broker::new();
-            broker.max_attempts = max_attempts;
+            let broker = Broker::with_max_attempts(max_attempts);
             let timeout = SimDuration::from_secs(2);
             RetryCaller { broker, servant, timeout, retried: 0, failed: 0, draws: Vec::new() }
         }

@@ -26,6 +26,6 @@ pub mod directory;
 pub mod ring;
 
 pub use address::AddressBook;
-pub use broker::{BreakerState, Broker, Pending, SweepReport};
+pub use broker::{BreakerState, Broker, Pending, SweepReport, DEFAULT_MAX_ATTEMPTS};
 pub use directory::{Directory, DirectoryCosts, DISCOVER_SERVICE, NAMING_KEY, TRADER_KEY};
 pub use ring::{hash64, HashRing, DEFAULT_VNODES};

@@ -56,15 +56,7 @@ impl ServerCore {
                         detail: format!("{name} as {app}"),
                         app: Some(app),
                     });
-                    let mut proxy = ApplicationProxy::new(
-                        app,
-                        name,
-                        kind,
-                        from,
-                        interface,
-                        acl,
-                        UPDATE_LOG_CAPACITY,
-                    );
+                    let mut proxy = ApplicationProxy::new(app, name, kind, from, interface, acl);
                     proxy.buffer_capacity = self.config.proxy_buffer_capacity;
                     proxy.lock.mutation = self.config.mutation;
                     self.apps.insert(app, proxy);
@@ -100,7 +92,6 @@ impl ServerCore {
                 // every phase change.
                 let mut to_flush: Vec<BufferedOp> = std::mem::take(&mut self.flush_scratch);
                 if let Some(proxy) = self.apps.get_mut(&app) {
-                    proxy.phase = phase;
                     proxy.last_status.phase = phase;
                     if matches!(phase, AppPhase::Interacting | AppPhase::Paused)
                         && !proxy.buffered.is_empty()
@@ -242,7 +233,7 @@ impl ServerCore {
         self.log_app_metered(ctx, app, Some(user.clone()), request);
         ctx.record(|| Event::OpAccepted(app, user.clone(), op.clone(), origin.into()));
         let call = call.map(|(id, operation)| (id, operation.clone()));
-        self.origins.insert(req, PendingOp { origin, user: user.clone(), app, call });
+        self.origins.insert(req, PendingOp { origin, user: user.clone(), app, call, spans: None });
         let deadline = self.incoming_deadline;
         self.dispatch_to_app(ctx, app, req, op, deadline);
         Ok(None)
@@ -273,16 +264,18 @@ impl ServerCore {
                 return self.resolve_op(ctx, req, Err(error));
             }
         }
+        // Admission put the op in `origins` before its first dispatch.
+        let Some(pending) = self.origins.get_mut(&req) else { return };
         // A request reaches here once at ingress and possibly again when
         // flushed from the compute-phase buffer; the proxy span is opened
         // only on first dispatch so buffering time stays inside it.
-        if !self.req_traces.contains_key(&req) {
-            if let Some(span) = ctx.trace_child(self.incoming_trace, "proxy.execute") {
-                self.req_traces.insert(req, (span, None));
-            }
+        if pending.spans.is_none() {
+            let execute = ctx.trace_child(self.incoming_trace, "proxy.execute");
+            pending.spans = execute.map(|span| (span, None));
         }
+        let execute = pending.spans.map(|(execute, _)| execute);
         let Some(proxy) = self.apps.get_mut(&app) else { return };
-        match proxy.phase {
+        match proxy.last_status.phase {
             AppPhase::Interacting | AppPhase::Paused => {
                 let node = proxy.node;
                 // Envelope construction performs the one sizing walk;
@@ -293,14 +286,8 @@ impl ServerCore {
                 ctx.send(node, env);
                 // Application compute time: from command departure to the
                 // daemon's response.
-                let parent = self.req_traces.get(&req).map(|(p, _)| *p);
-                let app_span = ctx.trace_child(parent, "app.command");
-                if let Some(entry) = self.req_traces.get_mut(&req) {
-                    if entry.1.is_none() {
-                        entry.1 = app_span;
-                    } else {
-                        ctx.trace_finish(app_span);
-                    }
+                if let Some((_, command)) = &mut pending.spans {
+                    *command = ctx.trace_child(execute, "app.command");
                 }
             }
             AppPhase::Computing => {
@@ -314,8 +301,7 @@ impl ServerCore {
                 if shed.as_ref().is_none_or(|victim| victim.req != req) {
                     ctx.metrics().incr(names::SERVER_DAEMON_BUFFERED);
                     ctx.record(|| Event::Daemon(DaemonStep::Buffered, app, req, class));
-                    let span = self.req_traces.get(&req).map(|(p, _)| *p);
-                    ctx.trace_annotate(span, "buffered: application computing");
+                    ctx.trace_annotate(execute, "buffered: application computing");
                 }
                 if let Some(victim) = shed {
                     self.shed_op(ctx, app, victim);
@@ -334,8 +320,8 @@ impl ServerCore {
         ctx.metrics().incr(names::SERVER_PROXY_SHED);
         let (req, class) = (victim.req, victim.priority());
         ctx.record(|| Event::Daemon(DaemonStep::Shed, app, req, class));
-        let span = self.req_traces.get(&victim.req).map(|(p, _)| *p);
-        ctx.trace_annotate(span, "shed: daemon buffer full");
+        let spans = self.origins.get(&victim.req).and_then(|pending| pending.spans);
+        ctx.trace_annotate(spans.map(|(execute, _)| execute), "shed: daemon buffer full");
         let detail = format!("daemon buffer full; retry-after: {OVERLOAD_RETRY_AFTER_MS}ms");
         self.resolve_op(ctx, victim.req, Err(WireError::new(ErrorCode::Overloaded, detail)));
     }
@@ -348,8 +334,11 @@ impl ServerCore {
         req: RequestId,
         result: Result<OpOutcome, WireError>,
     ) {
-        self.close_req_trace(ctx, req);
         if let Some(pending) = self.origins.remove(&req) {
+            if let Some((execute, command)) = pending.spans {
+                ctx.trace_finish(command);
+                ctx.trace_finish(Some(execute));
+            }
             self.complete_op(ctx, pending, result);
         }
     }
@@ -373,7 +362,7 @@ impl ServerCore {
         pending: PendingOp,
         result: Result<OpOutcome, WireError>,
     ) {
-        let PendingOp { origin, user, app, call } = pending;
+        let PendingOp { origin, user, app, call, .. } = pending;
         let hosted = app.host() == self.config.addr;
         let client = origin.client();
         let (entry, kept) = match &result {
@@ -440,14 +429,6 @@ impl ServerCore {
         }
         if let (Some(outcome), Some(_)) = (kept, client) {
             self.records.create(app, user, [], RecordData::Outcome(outcome));
-        }
-    }
-
-    /// Finish the proxy/app spans of a request, if any were opened.
-    fn close_req_trace(&mut self, ctx: &mut Ctx<'_, Envelope>, req: RequestId) {
-        if let Some((proxy_span, app_span)) = self.req_traces.remove(&req) {
-            ctx.trace_finish(app_span);
-            ctx.trace_finish(Some(proxy_span));
         }
     }
 
@@ -780,6 +761,41 @@ mod tests {
         assert_eq!(pushed(&host.effects), [&changed, &changed], "one per completed operation");
         assert!(host.core.effects.is_empty());
         assert!(host.core.origins.is_empty(), "both operations settled");
+    }
+
+    #[test]
+    fn a_settled_op_finishes_its_spans() {
+        // Traced, with a one-slot Daemon buffer: a read buffered while the
+        // application computes is shed for a steering command, which runs
+        // once the application interacts again. Both settle, and so does
+        // every span they opened.
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.proxy_buffer_capacity = Some(1);
+        let script: Script = Box::new(|core, ctx| {
+            let (cookie, _) = open_host(core, ctx, &[("u", Some(Privilege::Steer))])[0];
+            http(core, ctx, Some(cookie), ClientRequest::RequestLock { app: APP });
+            tcp(core, ctx, AppMsg::PhaseChange { app: APP, phase: AppPhase::Computing });
+            let request = ctx.trace_root("client.request");
+            core.incoming_trace = request;
+            http(core, ctx, Some(cookie), ClientRequest::Op { app: APP, op: AppOp::GetSensors });
+            let knob = AppOp::SetParam("knob".into(), Value::Float(1.0));
+            http(core, ctx, Some(cookie), ClientRequest::Op { app: APP, op: knob });
+            core.incoming_trace = None;
+            ctx.trace_finish(request);
+            assert_eq!(core.proxy_shed_total(), 1, "the read was shed");
+            tcp(core, ctx, AppMsg::PhaseChange { app: APP, phase: AppPhase::Interacting });
+        });
+        let mut engine = simnet::Engine::new(1);
+        engine.enable_tracing();
+        let (mut engine, node) = Loopback::run_in(engine, config, script);
+        let host = engine.actor_ref::<Loopback>(node).expect("the loopback actor");
+        assert_eq!(host.commands.len(), 1, "the command ran");
+        assert!(host.core.origins.is_empty(), "both operations settled");
+        let tracer = engine.tracer_mut();
+        assert_eq!(tracer.open_count(), 0, "a settled operation left a span open");
+        let finished = tracer.finished();
+        let opened = |name: &str| finished.iter().filter(|s| s.name == name).count();
+        assert_eq!((opened("proxy.execute"), opened("app.command")), (2, 1));
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod session;
 
 use std::collections::{BTreeMap, HashMap};
 
-use simnet::{names, Ctx, NodeId, TraceContext};
+use simnet::{names, Ctx, MetricsRegistry, NodeId, TraceContext};
 use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, Pushed, SessionTable, TcpCosts};
 use wire::http::HttpResponse;
 use wire::{
@@ -70,8 +70,6 @@ const TCP_COSTS: TcpCosts = TcpCosts::CALIBRATED;
 const ORB_COSTS: OrbCosts = OrbCosts::CALIBRATED;
 /// Maximum messages returned by one poll.
 const POLL_BATCH_MAX: usize = 32;
-/// Recent-update log capacity per application (poll-mode peers).
-const UPDATE_LOG_CAPACITY: usize = 512;
 /// Create a database record every N application updates.
 const RECORD_EVERY: u64 = 16;
 /// Deterministic retry-after hint (milliseconds) embedded in
@@ -400,6 +398,11 @@ struct PendingOp {
     /// The relayed GIOP call the result answers (request id, operation
     /// name); `None` for a local client, whose result goes to its FIFO.
     call: Option<(u64, Name)>,
+    /// Open spans while the operation is in flight to its application:
+    /// `proxy.execute`, opened at its first dispatch so buffering time
+    /// stays inside it, and its `app.command` child once the command
+    /// actually leaves for the application. Finished when it settles.
+    spans: Option<(TraceContext, Option<TraceContext>)>,
 }
 
 /// What a run of FIFO pushes did, summed so one handler folds it into the
@@ -447,15 +450,43 @@ impl FifoTally {
     }
 }
 
+/// Admissions counted over one-second windows, for the per-peer request
+/// policy and for paced resumes.
+#[derive(Default)]
+struct RateWindow {
+    /// Start of the current window, in micros.
+    start_us: u64,
+    /// Admissions in the current window.
+    admitted: u32,
+}
+
+impl RateWindow {
+    /// A window opening at `now_us`.
+    fn opening(now_us: u64) -> Self {
+        RateWindow { start_us: now_us, admitted: 0 }
+    }
+
+    /// Admit one more at `now_us` unless `limit` were admitted in the
+    /// current window. The first check a second or more after a window
+    /// opened opens the next one, at its own time.
+    fn admit(&mut self, now_us: u64, limit: u32) -> bool {
+        if now_us.saturating_sub(self.start_us) >= 1_000_000 {
+            *self = RateWindow::opening(now_us);
+        }
+        let admitted = self.admitted < limit;
+        self.admitted += u32::from(admitted);
+        admitted
+    }
+}
+
 /// The server core. See module docs.
 pub struct ServerCore {
     /// Configuration (public for inspection in tests/benches).
     pub config: ServerConfig,
     /// Every client session, live or parked, with its FIFO.
     sessions: SessionTable,
-    /// Paced-recovery accounting: (window start micros, resumes admitted
-    /// in the current one-second window).
-    resume_accounting: (u64, u32),
+    /// Paced recovery: resumes admitted in the current second.
+    resume_window: RateWindow,
     /// The hosted applications, one record each, walked in `AppId` order.
     apps: BTreeMap<AppId, ApplicationProxy>,
     next_app_seq: u32,
@@ -472,9 +503,10 @@ pub struct ServerCore {
     /// The one effect channel: every handler queues its out-calls here
     /// and each public entry point drains it once on the way out.
     effects: Vec<Effect>,
-    /// Per-peer request accounting: (window start micros, count in window,
-    /// lifetime total, lifetime throttled).
-    peer_accounting: HashMap<NodeId, (u64, u32, u64, u64)>,
+    /// Per-peer resource policy: GIOP requests served to each peer in
+    /// the current second. Lifetime totals are the node's
+    /// `server.giop.calls` and `server.peer.throttled` counters.
+    peer_windows: HashMap<NodeId, RateWindow>,
     /// Ambient span of the request currently being handled (the node
     /// shell sets it around `handle_http`/`handle_giop`); operations
     /// dispatched to applications parent their proxy spans under it.
@@ -484,11 +516,6 @@ pub struct ServerCore {
     /// dispatch, and parked with operations buffered during compute
     /// phases so expiry is re-checked at dequeue.
     pub incoming_deadline: Option<DeadlineStamp>,
-    /// Open proxy-execution spans of operations in flight to local
-    /// applications, keyed by request id: (`proxy.execute` span,
-    /// `app.command` child once the command actually leaves for the
-    /// application). Closed when the response (or failure) arrives.
-    req_traces: IdMap<RequestId, (TraceContext, Option<TraceContext>)>,
     /// Peer health/breaker lines for status reports, synced by the node
     /// shell (the substrate owns the live state) right before a
     /// `ClientRequest::Status` is dispatched. Purely observational.
@@ -502,8 +529,6 @@ pub struct ServerCore {
     /// allocation is kept for the next phase change instead of being
     /// rebuilt per flush.
     flush_scratch: Vec<BufferedOp>,
-    /// Restart-from-archive recoveries executed so far (status page).
-    recoveries: u64,
     /// Local apps whose proxy context was rebuilt in the last recovery.
     recovered_apps: u32,
 }
@@ -518,7 +543,7 @@ impl ServerCore {
         ServerCore {
             config,
             sessions: SessionTable::default(),
-            resume_accounting: (0, 0),
+            resume_window: RateWindow::default(),
             apps: BTreeMap::new(),
             next_app_seq: 0,
             next_client_seq: 0,
@@ -530,14 +555,12 @@ impl ServerCore {
             remote_apps: HashMap::new(),
             remote_privs: HashMap::new(),
             effects: Vec::new(),
-            peer_accounting: HashMap::new(),
+            peer_windows: HashMap::new(),
             incoming_trace: None,
             incoming_deadline: None,
-            req_traces: IdMap::default(),
             peer_status: Vec::new(),
             dir_plane: wire::DirPlaneStatus::default(),
             flush_scratch: Vec::new(),
-            recoveries: 0,
             recovered_apps: 0,
         }
     }
@@ -604,14 +627,6 @@ impl ServerCore {
         self.apps.values().map(ApplicationProxy::shed_total).sum()
     }
 
-    /// Lifetime served / throttled GIOP request counts per peer node.
-    pub fn peer_accounting(&self) -> Vec<(NodeId, u64, u64)> {
-        let mut v: Vec<_> =
-            self.peer_accounting.iter().map(|(n, (_, _, total, thr))| (*n, *total, *thr)).collect();
-        v.sort_by_key(|(n, ..)| n.index());
-        v
-    }
-
     /// Per-client FIFO statistics: (client, queued, peak, dropped,
     /// enqueued) — the §6.2 slow-client memory-overhead observables.
     pub fn fifo_snapshot(&self) -> Vec<(ClientId, usize, usize, u64, u64)> {
@@ -633,9 +648,10 @@ impl ServerCore {
     /// table, lock holders, FIFO depths, admission in-flight, shed
     /// counts, plus the peer lines last synced into
     /// [`ServerCore::peer_status`]. Every number comes from the same
-    /// state the folded node metrics are derived from, so a report and
-    /// the run's metrics always agree.
-    pub fn status_report(&self, at_us: u64) -> StatusReport {
+    /// state the folded node metrics are derived from, and the lifetime
+    /// totals are read from `metrics`, this node's registry, so a report
+    /// and the run's metrics always agree.
+    pub fn status_report(&self, at_us: u64, metrics: &MetricsRegistry) -> StatusReport {
         let apps: Vec<AppStatusEntry> = self
             .apps
             .values()
@@ -644,7 +660,7 @@ impl ServerCore {
                 AppStatusEntry {
                     app: p.app,
                     name: p.name.clone(),
-                    phase: p.phase,
+                    phase: p.last_status.phase,
                     lock_holder: p.lock.holder().cloned(),
                     buffered: p.buffered.len() as u32,
                     shed_total: p.shed_total(),
@@ -678,7 +694,7 @@ impl ServerCore {
             fifos,
             peers: self.peer_status.clone(),
             recovered_apps: self.recovered_apps,
-            recoveries: self.recoveries,
+            recoveries: metrics.counter(names::SERVER_RECOVERIES),
             dir_plane: self.dir_plane.clone(),
         }
     }
@@ -786,7 +802,15 @@ mod tests {
 
     impl Loopback {
         pub(super) fn run(config: ServerConfig, script: Script) -> (Engine<Envelope>, NodeId) {
-            let mut engine = Engine::new(1);
+            Self::run_in(Engine::new(1), config, script)
+        }
+
+        /// [`Loopback::run`] on an engine the caller set up (tracing, say).
+        pub(super) fn run_in(
+            mut engine: Engine<Envelope>,
+            config: ServerConfig,
+            script: Script,
+        ) -> (Engine<Envelope>, NodeId) {
             engine.enable_history();
             let node = engine.add_node(
                 "s",

@@ -27,15 +27,11 @@ impl ServerCore {
         // §6.3 resource accounting: meter each peer's request rate and
         // enforce the configured access policy.
         let now_us = ctx.now().as_micros();
-        let entry = self.peer_accounting.entry(from).or_insert((now_us, 0, 0, 0));
-        if now_us.saturating_sub(entry.0) >= 1_000_000 {
-            entry.0 = now_us;
-            entry.1 = 0;
-        }
-        entry.1 += 1;
-        entry.2 += 1;
-        if self.config.peer_rate_limit.is_some_and(|limit| entry.1 > limit) {
-            entry.3 += 1;
+        let admitted = self.config.peer_rate_limit.is_none_or(|limit| {
+            let window = self.peer_windows.entry(from).or_insert(RateWindow::opening(now_us));
+            window.admit(now_us, limit)
+        });
+        if !admitted {
             ctx.metrics().incr(names::SERVER_PEER_THROTTLED);
             // Refused before the skeleton runs: no marshalling is charged.
             if expects_reply {
@@ -229,7 +225,8 @@ impl ServerCore {
                     Ok(_) => Err(WireError::new(ErrorCode::Unavailable, "unexpected peer reply")),
                 };
                 let Some(user) = self.user_of(client) else { return };
-                let pending = PendingOp { origin: Origin::Local { client }, user, app, call: None };
+                let origin = Origin::Local { client };
+                let pending = PendingOp { origin, user, app, call: None, spans: None };
                 return self.complete_op(ctx, pending, result);
             }
             (Relayed::Lock { acquire }, Ok(PeerReply::LockDecision { granted, holder, .. })) => {

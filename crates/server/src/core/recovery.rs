@@ -81,7 +81,7 @@ impl ServerCore {
             return;
         }
         let dropped_sessions = self.sessions.clear();
-        self.resume_accounting = (0, 0);
+        self.resume_window = RateWindow::default();
         self.collab.reset();
         self.apps.values_mut().for_each(ApplicationProxy::forget_volatile);
         if self.config.mutation == Some(Mutation::ForgetAccepted) {
@@ -90,8 +90,7 @@ impl ServerCore {
         }
         self.remote_apps.clear();
         self.remote_privs.clear();
-        self.peer_accounting.clear();
-        self.req_traces.clear();
+        self.peer_windows.clear();
         self.effects.clear();
         let now = ctx.now();
         let mut recovered = 0u32;
@@ -115,7 +114,6 @@ impl ServerCore {
             }
             recovered += 1;
         }
-        self.recoveries += 1;
         self.recovered_apps = recovered;
         ctx.metrics().incr(names::SERVER_RECOVERIES);
         ctx.metrics().add(names::SERVER_RECOVERED_APPS, recovered as u64);
@@ -208,6 +206,22 @@ mod tests {
             panic!("{:?}", host.giop.last());
         };
         assert_eq!(apps.iter().map(|d| d.app).collect::<Vec<_>>(), ordered);
+    }
+
+    #[test]
+    fn the_status_page_counts_recoveries_on_the_node() {
+        let mut config = ServerConfig::new(ADDR, "s");
+        config.recover_from_archive = true;
+        let script: Script = Box::new(|core, ctx| {
+            open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            core.recover_from_archive(ctx);
+            core.recover_from_archive(ctx);
+            let now_us = ctx.now().as_micros();
+            let report = core.status_report(now_us, ctx.metrics());
+            assert_eq!(report.recoveries, 2);
+            assert_eq!(report.recoveries, ctx.metrics().counter(names::SERVER_RECOVERIES));
+        });
+        Loopback::run(config, script);
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl ServerCore {
             // must be able to probe a node whose session plane is wedged.
             Some(ClientRequest::Status) => {
                 ctx.metrics().incr(names::SERVER_STATUS_REQUESTS);
-                let report = Box::new(self.status_report(ctx.now().as_micros()));
+                let now_us = ctx.now().as_micros();
+                let report = Box::new(self.status_report(now_us, ctx.metrics()));
                 return (200, None, vec![ClientMessage::Response(ResponseBody::Status(report))]);
             }
             request => request,
@@ -236,11 +237,7 @@ impl ServerCore {
         // spreads out instead of re-arriving as one synchronized burst.
         let parked = self.sessions.by_cookie(cookie).filter(|s| s.parked.is_some());
         if let (Some(parked), Some(limit)) = (parked, self.config.resume_rate_limit) {
-            let now_us = ctx.now().as_micros();
-            if now_us.saturating_sub(self.resume_accounting.0) >= 1_000_000 {
-                self.resume_accounting = (now_us, 0);
-            }
-            if self.resume_accounting.1 >= limit {
+            if !self.resume_window.admit(ctx.now().as_micros(), limit) {
                 ctx.metrics().incr(names::SERVER_RESUME_THROTTLED);
                 ctx.record(|| Event::ResumeDeferred(parked.user.clone(), limit));
                 let user = parked.user.as_str();
@@ -254,7 +251,6 @@ impl ServerCore {
                     )],
                 );
             }
-            self.resume_accounting.1 += 1;
         }
         let Some((session, park)) = self.sessions.resume(cookie, ctx.now()) else {
             let error = Self::error(ErrorCode::SessionExpired, "session expired; log in again");

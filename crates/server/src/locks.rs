@@ -26,7 +26,6 @@ use crate::mutation::Mutation;
 #[derive(Debug, Default)]
 pub struct SteeringLock {
     holder: Option<UserId>,
-    acquired_at: Option<SimTime>,
     /// Last holder activity (grant, re-acquisition, or mutating op);
     /// the lease clock.
     active_at: Option<SimTime>,
@@ -112,7 +111,6 @@ impl SteeringLock {
         match &self.holder {
             None => {
                 self.holder = Some(user.clone());
-                self.acquired_at = Some(now);
                 self.active_at = Some(now);
                 self.granted_via = None;
                 LockOutcome::Granted
@@ -134,7 +132,6 @@ impl SteeringLock {
     pub fn release(&mut self, user: &UserId) -> bool {
         if self.holder.as_ref() == Some(user) {
             self.holder = None;
-            self.acquired_at = None;
             self.active_at = None;
             self.granted_via = None;
             true
@@ -146,7 +143,6 @@ impl SteeringLock {
     /// Force-release regardless of holder (logout/disconnect cleanup).
     /// Returns the previous holder.
     pub fn force_release(&mut self) -> Option<UserId> {
-        self.acquired_at = None;
         self.active_at = None;
         self.granted_via = None;
         self.holder.take()
@@ -183,8 +179,10 @@ mod tests {
         let mut lock = SteeringLock::new();
         lock.try_acquire(&u("a"), SimTime::ZERO);
         assert_eq!(lock.try_acquire(&u("a"), SimTime::from_secs(1)), LockOutcome::Granted);
-        assert_eq!(lock.acquired_at, Some(SimTime::ZERO), "original acquisition time kept");
-        assert_eq!(lock.active_at, Some(SimTime::from_secs(1)), "lease clock refreshed");
+        assert_eq!(lock.holder(), Some(&u("a")));
+        let lease = Some(SimDuration::from_secs(30));
+        assert!(!lock.expired(SimTime::from_secs(31), lease), "lease clock refreshed");
+        assert!(lock.expired(SimTime::from_secs(32), lease));
     }
 
     #[test]
@@ -204,7 +202,10 @@ mod tests {
         lock.try_acquire(&u("a"), SimTime::ZERO);
         lock.release(&u("a"));
         assert_eq!(lock.try_acquire(&u("b"), SimTime::from_secs(2)), LockOutcome::Granted);
-        assert_eq!(lock.acquired_at, Some(SimTime::from_secs(2)));
+        assert_eq!(lock.holder(), Some(&u("b")));
+        let lease = Some(SimDuration::from_secs(30));
+        assert!(!lock.expired(SimTime::from_secs(32), lease), "the lease runs from the new grant");
+        assert!(lock.expired(SimTime::from_secs(33), lease));
     }
 
     #[test]

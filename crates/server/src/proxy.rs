@@ -16,6 +16,9 @@ use wire::{
 
 use crate::locks::SteeringLock;
 
+/// Recent-update log capacity per application (poll-mode peers).
+const UPDATE_LOG_CAPACITY: usize = 512;
+
 /// One operation parked in the Daemon servlet's buffer while the
 /// application computes, with the deadline stamp it arrived under (if
 /// any) so expiry can be checked again at dequeue time.
@@ -65,9 +68,8 @@ pub struct ApplicationProxy {
     /// Owner (record ownership per §6.3): the first Steer-privileged ACL
     /// entry, else a synthetic `"system"` user.
     pub owner: UserId,
-    /// Current phase, maintained from PhaseChange messages.
-    pub phase: AppPhase,
-    /// Latest status update.
+    /// Latest status update; its phase is also maintained from
+    /// `PhaseChange` messages.
     pub last_status: AppStatus,
     /// Latest sensor readings.
     pub last_readings: Vec<(String, Value)>,
@@ -92,7 +94,6 @@ pub struct ApplicationProxy {
     pub(crate) status_updates: u64,
     update_log: VecDeque<(u64, FrozenUpdate, Option<ServerAddr>)>,
     update_next_seq: u64,
-    update_log_capacity: usize,
 }
 
 impl ApplicationProxy {
@@ -104,7 +105,6 @@ impl ApplicationProxy {
         node: NodeId,
         interface: InteractionSpec,
         acl_list: Vec<(UserId, Privilege)>,
-        update_log_capacity: usize,
     ) -> Self {
         let owner = acl_list
             .iter()
@@ -119,7 +119,6 @@ impl ApplicationProxy {
             interface,
             acl: acl_list.into_iter().collect(),
             owner,
-            phase: AppPhase::Computing,
             last_status: AppStatus { phase: AppPhase::Computing, iteration: 0, progress: 0.0 },
             last_readings: Vec::new(),
             buffered: VecDeque::new(),
@@ -131,7 +130,6 @@ impl ApplicationProxy {
             status_updates: 0,
             update_log: VecDeque::new(),
             update_next_seq: 0,
-            update_log_capacity: update_log_capacity.max(1),
         }
     }
 
@@ -227,7 +225,7 @@ impl ApplicationProxy {
     pub fn push_update(&mut self, update: FrozenUpdate, origin: Option<ServerAddr>) -> u64 {
         let seq = self.update_next_seq;
         self.update_next_seq += 1;
-        if self.update_log.len() == self.update_log_capacity {
+        if self.update_log.len() == UPDATE_LOG_CAPACITY {
             self.update_log.pop_front();
         }
         self.update_log.push_back((seq, update, origin));
@@ -255,7 +253,6 @@ impl ApplicationProxy {
     /// Keep the cached state in sync with a Main-channel update. The
     /// readings are assigned into the vector the proxy already owns.
     pub fn apply_status(&mut self, status: AppStatus, readings: &[(String, Value)]) {
-        self.phase = status.phase;
         self.last_status = status;
         wire::assign_readings(&mut self.last_readings, readings);
     }
@@ -290,7 +287,6 @@ mod tests {
                 (UserId::new("viewer"), Privilege::ReadOnly),
                 (UserId::new("driver"), Privilege::Steer),
             ],
-            4,
         )
     }
 
@@ -305,7 +301,6 @@ mod tests {
             NodeId(1),
             InteractionSpec::default(),
             vec![(UserId::new("viewer"), Privilege::ReadOnly)],
-            4,
         );
         assert_eq!(q.owner, UserId::new("system"));
     }
@@ -321,18 +316,19 @@ mod tests {
     #[test]
     fn update_log_is_bounded_and_sequenced() {
         let mut p = proxy();
-        for i in 0..6 {
+        let pushed = UPDATE_LOG_CAPACITY as u64 + 2;
+        for i in 0..pushed {
             let seq = p.push_update(FrozenUpdate::new(UpdateBody::AppClosed { app: p.app }), None);
             assert_eq!(seq, i);
         }
-        // Capacity 4: sequences 0 and 1 were evicted.
+        // Sequences 0 and 1 were evicted.
         let (updates, next) = p.updates_since(0, None);
-        assert_eq!(updates.len(), 4);
-        assert_eq!(next, 6);
-        let (updates, next) = p.updates_since(5, None);
+        assert_eq!(updates.len(), UPDATE_LOG_CAPACITY);
+        assert_eq!(next, pushed);
+        let (updates, next) = p.updates_since(pushed - 1, None);
         assert_eq!(updates.len(), 1);
-        assert_eq!(next, 6);
-        let (updates, _) = p.updates_since(6, None);
+        assert_eq!(next, pushed);
+        let (updates, _) = p.updates_since(pushed, None);
         assert!(updates.is_empty());
     }
 
@@ -416,7 +412,7 @@ mod tests {
             AppStatus { phase: AppPhase::Interacting, iteration: 42, progress: 0.5 },
             &[("t".into(), Value::Int(1))],
         );
-        assert_eq!(p.phase, AppPhase::Interacting);
+        assert_eq!(p.last_status.phase, AppPhase::Interacting);
         assert_eq!(p.last_status.iteration, 42);
         assert_eq!(p.last_readings.len(), 1);
     }

@@ -221,9 +221,13 @@ fn peer_rate_policy_throttles_excessive_peers() {
 
     let throttled = c.engine.stats().counter("server.peer.throttled");
     assert!(throttled > 0, "the access policy should have throttled the peer");
-    let host_node = c.node(*c.servers.get(&app.host()).unwrap()).unwrap();
-    let accounting = host_node.core.peer_accounting();
-    assert!(accounting.iter().any(|(_, total, thr)| *total > 0 && *thr > 0));
+    // The host's lifetime totals are its own node's counters: it served
+    // the peer and throttled it, and it is the only server that throttled.
+    use simnet::names;
+    let at_host = c.engine.node_metrics(host.node);
+    let throttled_at_host = at_host.counter(names::SERVER_PEER_THROTTLED);
+    assert!(at_host.counter(names::SERVER_GIOP_CALLS) > throttled_at_host);
+    assert_eq!(throttled_at_host, throttled);
     // The client still made progress within the allowed budget.
     let p = c.engine.actor_ref::<Portal>(node).unwrap();
     assert!(!p.op_completions.is_empty());
@@ -554,7 +558,7 @@ fn parked_session_is_reclaimed_after_ttl_and_lock_freed() {
     // stay single-holder throughout: the reclaim's force-release has to
     // precede the rival grant.
     let mut b = CollaboratoryBuilder::new(42);
-    b.history(true);
+    b.history();
     b.substrate_config.sweep_interval = SimDuration::from_secs(2);
     b.tweak_servers(|cfg| {
         cfg.session_idle_timeout = Some(SimDuration::from_secs(10));

@@ -210,7 +210,6 @@ proptest! {
             simnet::NodeId(7),
             InteractionSpec::default(),
             vec![(UserId::new("driver"), Privilege::Steer)],
-            4,
         );
         p.buffer_capacity = Some(cap);
         for (i, is_command) in script.iter().enumerate() {
