@@ -964,8 +964,8 @@ impl Substrate {
                         Broker::<CallCtx>::oneway(ctx, node, server_key(), "unsubscribeApp", msg);
                     }
                 }
-                Effect::PushToPeers { update, peers } => {
-                    for peer in peers {
+                Effect::PushToPeers { update, peers, skip } => {
+                    for &peer in peers.iter().filter(|&&peer| Some(peer) != skip) {
                         if let Some(node) = self.node_of(peer) {
                             ctx.metrics().incr(names::SUBSTRATE_COLLAB_PUSHES);
                             let msg =

@@ -69,16 +69,17 @@ impl ServerCore {
                 if let Some(proxy) = self.apps.get_mut(&app) {
                     proxy.apply_status(status.clone(), &readings);
                     // Periodic data records owned by the app's owner, with
-                    // read-only grants for the ACL users (§6.3).
+                    // read-only grants for the ACL users (§6.3): the record
+                    // shares the ACL as it stands now.
                     proxy.status_updates += 1;
                     let record = proxy
                         .status_updates
                         .is_multiple_of(RECORD_EVERY)
-                        .then(|| (proxy.owner.clone(), proxy.acl_users()));
+                        .then(|| (proxy.owner.clone(), Rc::clone(&proxy.acl)));
                     self.log_app_metered(ctx, app, None, LogEntry::Status(status.clone()));
                     if let Some((owner, readers)) = record {
                         let data = RecordData::Readings(readings.to_vec());
-                        self.records.create(app, owner, readers, data);
+                        self.records.create(app, owner, Some(readers), data);
                     }
                     let update = UpdateBody::AppStatus { app, status, readings };
                     self.route_update(ctx, update, None, None);
@@ -428,7 +429,7 @@ impl ServerCore {
             self.route_update(ctx, update, client, None);
         }
         if let (Some(outcome), Some(_)) = (kept, client) {
-            self.records.create(app, user, [], RecordData::Outcome(outcome));
+            self.records.create(app, user, None, RecordData::Outcome(outcome));
         }
     }
 
@@ -524,6 +525,8 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use wire::{ClientRequest, Value};
+
+    use crate::store::{Record, RecordAccess};
 
     use super::super::tests::*;
     use super::*;
@@ -796,6 +799,42 @@ mod tests {
         let finished = tracer.finished();
         let opened = |name: &str| finished.iter().filter(|s| s.name == name).count();
         assert_eq!((opened("proxy.execute"), opened("app.command")), (2, 1));
+    }
+
+    #[test]
+    fn a_record_keeps_the_acl_it_was_granted_under() {
+        // §6.3: every ACL user may read the periodic records. Records
+        // share the proxy's ACL until a revoke copies it, so the records
+        // made before it still grant the revoked user and later ones do
+        // not.
+        let script: Script = Box::new(|core, ctx| {
+            open_host(
+                core,
+                ctx,
+                &[("o", Some(Privilege::Steer)), ("v", Some(Privilege::ReadOnly))],
+            );
+            let status = AppStatus { phase: AppPhase::Interacting, iteration: 0, progress: 0.0 };
+            let update = AppMsg::Update { app: APP, status, readings: Vec::new() };
+            for _ in 0..2 * RECORD_EVERY {
+                tcp(core, ctx, update.clone());
+            }
+            assert_eq!(core.revoke_user(APP, &user("v")), (true, false));
+            for _ in 0..RECORD_EVERY {
+                tcp(core, ctx, update.clone());
+            }
+        });
+        let (engine, node) = Loopback::run(ServerConfig::new(ADDR, "s"), script);
+        let core = &engine.actor_ref::<Loopback>(node).expect("the loopback actor").core;
+        let records = core.records.query_app(APP, &user("o"));
+        let [first, second, after] = records[..] else { panic!("three records: {records:?}") };
+        let acl = |record: &Record| Rc::clone(record.readers.as_ref().expect("an ACL"));
+        assert!(Rc::ptr_eq(&acl(first), &acl(second)), "one ACL until the revoke");
+        assert!(!Rc::ptr_eq(&acl(second), &acl(after)));
+        assert!(Rc::ptr_eq(&acl(after), &core.apps[&APP].acl));
+        for (record, viewer) in [(first, RecordAccess::Read), (after, RecordAccess::None)] {
+            assert_eq!(core.records.access(record.id, &user("o")), RecordAccess::Full);
+            assert_eq!(core.records.access(record.id, &user("v")), viewer);
+        }
     }
 
     #[test]

@@ -38,19 +38,23 @@ impl ServerCore {
         let mut reuses = self.fan_out(ctx, &update, exclude);
         ctx.metrics().add(names::SERVER_COLLAB_LOCAL_FANOUT, reuses);
         if app.host() == self.config.addr {
-            // We are the host: record and fan out to subscribed peers.
-            let mut peers = Vec::new();
+            // We are the host: record and fan out to subscribed peers,
+            // all but the one the update came from.
+            let mut peers = None;
             if let Some(proxy) = self.apps.get_mut(&app) {
                 proxy.push_update(update.clone(), origin_peer);
                 reuses += 1;
-                let others = proxy.subscribers.iter().filter(|p| Some(**p) != origin_peer);
-                peers.extend(others);
+                peers = Some(Rc::clone(&proxy.subscribers));
             }
             self.log_app_metered(ctx, app, None, LogEntry::Update(update.clone()));
             reuses += 1;
-            if !peers.is_empty() {
-                reuses += peers.len() as u64;
-                self.effects.push(Effect::PushToPeers { update, peers });
+            if let Some(peers) = peers {
+                let echo = origin_peer.is_some_and(|origin| peers.contains(&origin));
+                let targets = peers.len() - usize::from(echo);
+                if targets > 0 {
+                    reuses += targets as u64;
+                    self.effects.push(Effect::PushToPeers { update, peers, skip: origin_peer });
+                }
             }
         } else if origin_peer.is_none() {
             // Locally generated update about a remote app: the host owns
@@ -273,10 +277,10 @@ impl ServerCore {
         let mut reuses = self.fan_out(ctx, &update, None);
         self.log_app_metered(ctx, app, None, LogEntry::Update(update.clone()));
         reuses += 1;
-        let peers: Vec<ServerAddr> = proxy.subscribers.into_iter().collect();
+        let peers = proxy.subscribers;
         if !peers.is_empty() {
             reuses += peers.len() as u64;
-            self.effects.push(Effect::PushToPeers { update, peers });
+            self.effects.push(Effect::PushToPeers { update, peers, skip: None });
         }
         ctx.metrics().add(names::SERVER_FANOUT_PAYLOAD_REUSE, reuses);
         self.collab.drop_app(app);
@@ -490,6 +494,28 @@ mod tests {
         assert_eq!(fifo().map(|(_, n)| n).sum::<u64>(), 0);
         assert_eq!(fifo().count(), 0);
         assert_eq!(engine.node_metrics(node).counter(names::SERVER_COLLAB_LOCAL_FANOUT), 6);
+    }
+
+    #[test]
+    fn a_peer_push_keeps_the_subscriber_set_it_was_built_with() {
+        // The push shares the proxy's set; a subscribe handled before the
+        // push is handed off copies the set rather than widening the push.
+        const LATE: ServerAddr = ServerAddr(3);
+        let script: Script = Box::new(|core, ctx| {
+            open_host(core, ctx, &[("u", Some(Privilege::Steer))]);
+            subscribe_peer(core, ctx);
+            let freed = FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None });
+            core.route_update(ctx, freed.clone(), None, None);
+            let effects = giop(core, ctx, PeerMsg::SubscribeApp { app: APP, subscriber: LATE });
+            assert_eq!(effects.len(), 2, "{effects:?}");
+            assert_eq!(effects[0], to_peer(freed));
+            let Effect::PushToPeers { peers: seeded, .. } = &effects[1] else {
+                panic!("the late subscriber's seed: {effects:?}")
+            };
+            assert_eq!(**seeded, BTreeSet::from([LATE]));
+            assert_eq!(*core.apps[&APP].subscribers, BTreeSet::from([PEER, LATE]));
+        });
+        Loopback::run(ServerConfig::new(ADDR, "s"), script);
     }
 
     /// A coalescing server whose FIFOs hold four messages.

@@ -41,7 +41,8 @@ mod peer;
 mod recovery;
 mod session;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 use simnet::{names, Ctx, MetricsRegistry, NodeId, TraceContext};
 use webserv::{FifoBuffer, HttpCosts, HttpSession, OrbCosts, Pushed, SessionTable, TcpCosts};
@@ -254,8 +255,12 @@ pub enum Effect {
         /// The update, frozen once; every peer message splices the same
         /// encoding.
         update: FrozenUpdate,
-        /// Target servers.
-        peers: Vec<ServerAddr>,
+        /// Target servers: the application's subscriber set as it stood
+        /// when the update was routed, shared with its proxy rather than
+        /// copied per broadcast.
+        peers: Rc<BTreeSet<ServerAddr>>,
+        /// The peer the update came from, which is not pushed it back.
+        skip: Option<ServerAddr>,
     },
     /// Forward a locally generated update for a REMOTE app to its host
     /// server, which owns fan-out.
@@ -944,6 +949,11 @@ mod tests {
     /// up as a `PushToPeers` effect.
     pub(super) fn subscribe_peer(core: &mut ServerCore, ctx: &mut Ctx<'_, Envelope>) {
         giop(core, ctx, PeerMsg::SubscribeApp { app: APP, subscriber: PEER });
+    }
+
+    /// The push of `update` to the one peer [`subscribe_peer`] subscribed.
+    pub(super) fn to_peer(update: FrozenUpdate) -> Effect {
+        Effect::PushToPeers { update, peers: Rc::new(BTreeSet::from([PEER])), skip: None }
     }
 
     pub(super) fn pushed(effects: &[Effect]) -> Vec<&UpdateBody> {

@@ -131,7 +131,7 @@ impl ServerCore {
             PeerMsg::SubscribeApp { app, subscriber } => {
                 ctx.metrics().incr(names::SERVER_PEER_SUBSCRIBES);
                 let Some(proxy) = self.apps.get_mut(&app) else { return Some(no_such_app(app)) };
-                proxy.subscribers.insert(subscriber);
+                Rc::make_mut(&mut proxy.subscribers).insert(subscriber);
                 // Seed the subscriber with the current status.
                 self.effects.push(Effect::PushToPeers {
                     update: FrozenUpdate::new(UpdateBody::AppStatus {
@@ -139,13 +139,14 @@ impl ServerCore {
                         status: proxy.last_status.clone(),
                         readings: proxy.last_readings.clone(),
                     }),
-                    peers: vec![subscriber],
+                    peers: Rc::new(BTreeSet::from([subscriber])),
+                    skip: None,
                 });
                 PeerReply::SubscribeOk { app }
             }
             PeerMsg::UnsubscribeApp { app, subscriber } => {
                 if let Some(proxy) = self.apps.get_mut(&app) {
-                    proxy.subscribers.remove(&subscriber);
+                    Rc::make_mut(&mut proxy.subscribers).remove(&subscriber);
                 }
                 PeerReply::SubscribeOk { app }
             }

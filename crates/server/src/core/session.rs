@@ -504,8 +504,8 @@ mod tests {
                 let left = |app| FrozenUpdate::new(UpdateBody::MemberLeft { app, user: user("u") });
                 let freed = FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None });
                 let mut expected = vec![
-                    Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
-                    Effect::PushToPeers { update: freed, peers: vec![PEER] },
+                    to_peer(left(APP)),
+                    to_peer(freed),
                     Effect::ForwardToHost { update: left(REMOTE) },
                     Effect::Unsubscribe { app: REMOTE },
                     Effect::Relay {
@@ -572,14 +572,11 @@ mod tests {
         };
         let torn_down = vec![
             // The second login's cookie sorts first.
-            Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
-            Effect::PushToPeers {
-                update: FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None }),
-                peers: vec![PEER],
-            },
+            to_peer(left(APP)),
+            to_peer(FrozenUpdate::new(UpdateBody::LockChanged { app: APP, holder: None })),
             Effect::ForwardToHost { update: left(REMOTE) },
             release(1),
-            Effect::PushToPeers { update: left(APP), peers: vec![PEER] },
+            to_peer(left(APP)),
             Effect::ForwardToHost { update: left(REMOTE) },
             Effect::Unsubscribe { app: REMOTE },
             release(0),

@@ -7,6 +7,7 @@
 //! the one record of a hosted application (DESIGN.md §5).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::rc::Rc;
 
 use simnet::NodeId;
 use wire::{
@@ -63,8 +64,11 @@ pub struct ApplicationProxy {
     pub node: NodeId,
     /// Published interaction interface.
     pub interface: InteractionSpec,
-    /// Access-control list.
-    pub acl: HashMap<UserId, Privilege>,
+    /// Access-control list, copy-on-write: every §6.3 periodic record
+    /// made under it holds the same map, and [`ApplicationProxy::revoke`]
+    /// (its only writer) copies it first while a record still does, so a
+    /// record keeps the ACL it was granted under.
+    pub acl: Rc<HashMap<UserId, Privilege>>,
     /// Owner (record ownership per §6.3): the first Steer-privileged ACL
     /// entry, else a synthetic `"system"` user.
     pub owner: UserId,
@@ -87,8 +91,10 @@ pub struct ApplicationProxy {
     shed_total: u64,
     /// The steering lock — authoritative only here, at the host server.
     pub lock: SteeringLock,
-    /// Peer servers subscribed to this application's updates (push mode).
-    pub(crate) subscribers: BTreeSet<ServerAddr>,
+    /// Peer servers subscribed to this application's updates (push
+    /// mode), copy-on-write: a `PushToPeers` effect shares the set as it
+    /// stood when the update was routed.
+    pub(crate) subscribers: Rc<BTreeSet<ServerAddr>>,
     /// Status updates received since registration (or the last
     /// recovery); every `RECORD_EVERY`-th creates a §6.3 data record.
     pub(crate) status_updates: u64,
@@ -117,7 +123,7 @@ impl ApplicationProxy {
             kind,
             node,
             interface,
-            acl: acl_list.into_iter().collect(),
+            acl: Rc::new(acl_list.into_iter().collect()),
             owner,
             last_status: AppStatus { phase: AppPhase::Computing, iteration: 0, progress: 0.0 },
             last_readings: Vec::new(),
@@ -126,7 +132,7 @@ impl ApplicationProxy {
             buffered_peak: 0,
             shed_total: 0,
             lock: SteeringLock::new(),
-            subscribers: BTreeSet::new(),
+            subscribers: Rc::default(),
             status_updates: 0,
             update_log: VecDeque::new(),
             update_next_seq: 0,
@@ -200,7 +206,10 @@ impl ApplicationProxy {
     /// a de-authorized client cannot keep driving. Returns
     /// `(was_on_acl, lock_was_freed)`.
     pub fn revoke(&mut self, user: &UserId) -> (bool, bool) {
-        let had = self.acl.remove(user).is_some();
+        let had = self.acl.contains_key(user);
+        if had {
+            Rc::make_mut(&mut self.acl).remove(user);
+        }
         let freed = had && self.lock.is_held_by(user) && self.lock.force_release().is_some();
         (had, freed)
     }
@@ -261,13 +270,8 @@ impl ApplicationProxy {
     /// subscriptions and the record cadence. Buffered requests stay: each
     /// was archived at admission and its pending op survives the restart.
     pub(crate) fn forget_volatile(&mut self) {
-        self.subscribers.clear();
+        self.subscribers = Rc::default();
         self.status_updates = 0;
-    }
-
-    /// ACL users other than the owner (read grant targets for records).
-    pub fn acl_users(&self) -> Vec<UserId> {
-        self.acl.keys().cloned().collect()
     }
 }
 

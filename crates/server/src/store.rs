@@ -10,10 +10,10 @@
 //! * clients can never create records at a remote server.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use wire::{AppId, OpOutcome, UserId, Value};
+use wire::{AppId, OpOutcome, Privilege, UserId, Value};
 
 /// A stored record with ownership metadata.
 #[derive(Debug, Clone)]
@@ -24,8 +24,10 @@ pub struct Record {
     pub app: AppId,
     /// Owning user (full access).
     pub owner: UserId,
-    /// Users granted read-only access.
-    pub readers: BTreeSet<UserId>,
+    /// The application's ACL as it stood when the record was made, shared
+    /// with the proxy: everyone on it but the owner reads the record. An
+    /// outcome record has none.
+    pub readers: Option<Rc<HashMap<UserId, Privilege>>>,
     pub(crate) data: RecordData,
 }
 
@@ -77,28 +79,30 @@ impl RecordStore {
         Self::default()
     }
 
-    /// Create a record owned by `owner`, readable by `readers`.
+    /// Create a record owned by `owner`, readable by everyone else on
+    /// `readers`.
     pub fn create(
         &mut self,
         app: AppId,
         owner: UserId,
-        readers: impl IntoIterator<Item = UserId>,
+        readers: Option<Rc<HashMap<UserId, Privilege>>>,
         data: RecordData,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let mut reader_set: BTreeSet<UserId> = readers.into_iter().collect();
-        reader_set.remove(&owner); // the owner is not merely a reader
-        self.records.insert(id, Record { id, app, owner, readers: reader_set, data });
+        self.records.insert(id, Record { id, app, owner, readers, data });
         id
     }
 
-    /// Access level of `user` on record `id`.
+    /// Access level of `user` on record `id`. The owner is checked first,
+    /// so an owner also on the ACL is never demoted to a reader.
     pub fn access(&self, id: u64, user: &UserId) -> RecordAccess {
         match self.records.get(&id) {
             None => RecordAccess::None,
             Some(r) if r.owner == *user => RecordAccess::Full,
-            Some(r) if r.readers.contains(user) => RecordAccess::Read,
+            Some(r) if r.readers.as_ref().is_some_and(|acl| acl.contains_key(user)) => {
+                RecordAccess::Read
+            }
             Some(_) => RecordAccess::None,
         }
     }
@@ -157,11 +161,14 @@ mod tests {
     fn u(s: &str) -> UserId {
         UserId::new(s)
     }
+    fn acl(users: &[&str]) -> Option<Rc<HashMap<UserId, Privilege>>> {
+        Some(Rc::new(users.iter().map(|name| (u(name), Privilege::ReadOnly)).collect()))
+    }
 
     #[test]
     fn owner_has_full_access_readers_read_only() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [u("peer")], RecordData::Readings(vec![]));
+        let id = store.create(app(), u("owner"), acl(&["peer"]), RecordData::Readings(vec![]));
         assert_eq!(store.access(id, &u("owner")), RecordAccess::Full);
         assert_eq!(store.access(id, &u("peer")), RecordAccess::Read);
         assert_eq!(store.access(id, &u("stranger")), RecordAccess::None);
@@ -172,7 +179,7 @@ mod tests {
     #[test]
     fn only_owner_deletes() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("owner"), [u("x")], RecordData::Readings(vec![]));
+        let id = store.create(app(), u("owner"), acl(&["x"]), RecordData::Readings(vec![]));
         assert!(!store.delete(id, &u("peer")));
         assert!(!store.delete(id, &u("x")), "a reader may not delete");
         assert_eq!(store.access(id, &u("x")), RecordAccess::Read);
@@ -184,9 +191,9 @@ mod tests {
     fn query_filters_by_app_and_access() {
         let mut store = RecordStore::new();
         let other_app = AppId { server: ServerAddr(1), seq: 2 };
-        store.create(app(), u("a"), [u("b")], RecordData::Readings(vec![]));
-        store.create(app(), u("c"), [], RecordData::Readings(vec![]));
-        store.create(other_app, u("a"), [], RecordData::Readings(vec![]));
+        store.create(app(), u("a"), acl(&["b"]), RecordData::Readings(vec![]));
+        store.create(app(), u("c"), None, RecordData::Readings(vec![]));
+        store.create(other_app, u("a"), None, RecordData::Readings(vec![]));
         assert_eq!(store.query_app(app(), &u("a")).len(), 1);
         assert_eq!(store.query_app(app(), &u("b")).len(), 1);
         assert_eq!(store.query_app(app(), &u("c")).len(), 1);
@@ -197,11 +204,13 @@ mod tests {
     #[test]
     fn owner_not_downgraded_by_reader_entry() {
         let mut store = RecordStore::new();
-        let id = store.create(app(), u("a"), [u("a")], RecordData::Readings(vec![]));
-        // Listing the owner among readers must not demote them.
+        let id = store.create(app(), u("a"), acl(&["a"]), RecordData::Readings(vec![]));
+        // Listing the owner on the readers' ACL must not demote them.
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
         // Nor does a reader entry that slips in after creation.
-        store.records.get_mut(&id).unwrap().readers.insert(u("a"));
+        let record = store.records.get_mut(&id).unwrap();
+        let readers = record.readers.as_mut().unwrap();
+        Rc::make_mut(readers).insert(u("a"), Privilege::Steer);
         assert_eq!(store.access(id, &u("a")), RecordAccess::Full);
     }
 }
