@@ -119,11 +119,17 @@ const fn server_key() -> ObjectKey {
 /// operation targets the application's own `CorbaProxy` servant (level
 /// 2), lock and history verbs the host's `DiscoverCorbaServer` (level 1).
 /// `via` is the relaying server, which a lock request names so the host
-/// can evict the lock if the relay dies.
-fn relay_call(app: AppId, verb: RelayVerb, via: ServerAddr) -> (Relayed, Call) {
+/// can evict the lock if the relay dies; `servant` gives an operation
+/// the application's servant key.
+fn relay_call(
+    app: AppId,
+    verb: RelayVerb,
+    via: ServerAddr,
+    servant: impl FnOnce() -> ObjectKey,
+) -> (Relayed, Call) {
     match verb {
         RelayVerb::Op { user, op } => {
-            (Relayed::Op, (app.servant_key(), "proxyOp", PeerMsg::ProxyOp { app, user, op }))
+            (Relayed::Op, (servant(), "proxyOp", PeerMsg::ProxyOp { app, user, op }))
         }
         RelayVerb::Lock { user, acquire: true } => {
             let request = PeerMsg::LockRequest { app, user, via };
@@ -296,6 +302,10 @@ pub struct Substrate {
     /// Lock acquires answered "denied" at their deadline: a late grant is
     /// released again, unless the client relayed another lock verb since.
     hand_back: BTreeSet<(ClientId, AppId)>,
+    /// The servant key of each app an operation was relayed to, built at
+    /// the first: a clone is a refcount bump, formatting one a `String`
+    /// and its copy into the key.
+    servant_keys: BTreeMap<AppId, ObjectKey>,
 }
 
 impl Substrate {
@@ -325,6 +335,7 @@ impl Substrate {
             health: BTreeMap::new(),
             routes: BTreeMap::new(),
             hand_back: BTreeSet::new(),
+            servant_keys: BTreeMap::new(),
         }
     }
 
@@ -878,7 +889,10 @@ impl Substrate {
         app: AppId,
         verb: RelayVerb,
     ) {
-        let (verb, call) = relay_call(app, verb, self.addr);
+        let keys = &mut self.servant_keys;
+        let (verb, call) = relay_call(app, verb, self.addr, || {
+            keys.entry(app).or_insert_with(|| app.servant_key()).clone()
+        });
         let row = Verb::of(verb);
         let user = CallCtx::Relay { client, app, verb };
         let parent = core.incoming_trace;
@@ -1142,7 +1156,7 @@ mod tests {
             (Relayed::History { since: SINCE }, CORBA_SERVER_KEY, "fetchHistory", 20, 84),
         ];
         for (verb, (then, key, operation, msg_len, wire_size)) in verbs().into_iter().zip(pinned) {
-            let (relayed, (k, op, msg)) = relay_call(APP, verb, GATEWAY);
+            let (relayed, (k, op, msg)) = relay_call(APP, verb, GATEWAY, || APP.servant_key());
             assert_eq!((relayed, k.0.as_str(), op), (then, key, operation));
             assert_eq!(wire::codec::encoded_len(&msg), msg_len, "{operation}: request size");
             let request = Envelope::giop(GiopFrame::request(1, k, op, msg));
@@ -1379,7 +1393,7 @@ mod tests {
             DeadlineLapsed,
         ];
         for verb in verbs() {
-            let row = Verb::of(relay_call(APP, verb.clone(), GATEWAY).0);
+            let row = Verb::of(relay_call(APP, verb.clone(), GATEWAY, || APP.servant_key()).0);
             for exit in exits {
                 if matches!(exit, DeadlinePassed | DeadlineLapsed) && !row.deadlined {
                     continue; // a history fetch runs under no deadline
