@@ -10,6 +10,10 @@
 //!   cargo run --release -p discover-bench --bin harness -- e1 e4 e7
 //!   cargo run --release -p discover-bench --bin harness -- --filter e14
 //!   cargo run --release -p discover-bench --bin harness -- --serial all
+//!
+//! Exits 1 when an experiment's acceptance check notes a `VIOLATION`
+//! (the notes are also repeated on stderr), and 2 on an unknown
+//! experiment id.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,11 +49,9 @@ fn main() {
     if !unknown.is_empty() {
         let ids: Vec<&str> = known.iter().map(|(id, _)| *id).collect();
         for w in &unknown {
-            eprintln!("warning: unknown experiment id '{}' (known: {})", w, ids.join(", "));
+            eprintln!("error: unknown experiment id '{}' (known: {})", w, ids.join(", "));
         }
-        if unknown.len() == wanted.len() {
-            std::process::exit(2);
-        }
+        std::process::exit(2);
     }
     #[allow(clippy::type_complexity)]
     let selected: Vec<(&'static str, fn() -> Table)> = known
@@ -89,8 +91,10 @@ fn main() {
             });
         }
     });
+    let mut violations = Vec::new();
     for ((id, _), slot) in selected.iter().zip(&results) {
         let Some((table, secs, tally)) = slot.lock().unwrap().take() else { continue };
+        violations.extend(table.violations().map(|note| format!("{id}: {note}")));
         table.print();
         table.write_csv();
         let rate = tally.events as f64 / secs.max(1e-9);
@@ -99,5 +103,13 @@ fn main() {
              heap peak {}, backlog peak {}]",
             tally.events, tally.queue_peak, tally.backlog_peak
         );
+    }
+    // An experiment's acceptance checks fail by noting a VIOLATION; the
+    // run fails with them, and stdout stays what the digest covers.
+    if !violations.is_empty() {
+        for v in &violations {
+            eprintln!("error: {v}");
+        }
+        std::process::exit(1);
     }
 }

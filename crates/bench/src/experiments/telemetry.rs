@@ -11,15 +11,16 @@
 //! * **bare**: no opt-in telemetry. The reference schedule.
 //! * **armed**: flight recorder on at a low spike threshold. The
 //!   recorder only appends to side rings, so the event schedule must be
-//!   *identical* to bare — `schedule_delta` is gated at exactly 0 — and
-//!   a second armed run must reproduce the dumps byte for byte.
+//!   *identical* to bare — its acceptance check holds `schedule_delta`
+//!   at exactly 0 — and a second armed run must reproduce the dumps byte
+//!   for byte.
 //! * **probed**: an operator portal polls `ClientRequest::Status` every
 //!   500 ms. Probes are real traffic (they do change the schedule), so
 //!   here we price them: probe round-trip percentiles and the goodput
 //!   delta against bare.
 //!
-//! Artifacts: `BENCH_E17.json` at the repo root; `bench_trend` gates
-//! `armed.schedule_delta == 0` and both determinism bits across PRs.
+//! Artifacts: `BENCH_E17.json` at the repo root, which CI holds byte
+//! for byte to the committed file across PRs.
 
 use appsim::{synthetic_app, DriverConfig};
 use discover_client::{OpMix, Portal, PortalConfig, Workload};

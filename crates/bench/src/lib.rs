@@ -14,4 +14,3 @@
 pub mod experiments;
 pub mod fixtures;
 pub mod report;
-pub mod trend;

@@ -48,6 +48,12 @@ impl Table {
         self.notes.push(s.into());
     }
 
+    /// The notes in which an acceptance check reports that it failed:
+    /// each says `VIOLATION`.
+    pub fn violations(&self) -> impl Iterator<Item = &str> {
+        self.notes.iter().map(String::as_str).filter(|n| n.contains("VIOLATION"))
+    }
+
     /// Render to the console.
     pub fn print(&self) {
         println!();
@@ -199,4 +205,20 @@ pub fn summarize_us(values: &[u64]) -> LatencySummary {
 /// Format a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_violation_notes_are_reported() {
+        let mut table = Table::new("E0", "t", "c", &["x"]);
+        table.note("encode-once holds: 1 encode per broadcast");
+        table.note("machine-readable summary -> BENCH_E0.json");
+        assert_eq!(table.violations().count(), 0);
+        table.note("determinism VIOLATION: same-seed sweeps disagree");
+        let found: Vec<&str> = table.violations().collect();
+        assert_eq!(found, ["determinism VIOLATION: same-seed sweeps disagree"]);
+    }
 }

@@ -38,7 +38,7 @@ use simnet::{names, CounterDef, Ctx, MetricsRegistry, NodeId, SimDuration, SimTi
 use wire::giop::GiopFrame;
 use wire::{
     AppId, CacheStep, ClientId, ControlEvent, ControlEventKind, DeadlineStamp, Envelope, ErrorCode,
-    Event, Lookup, ObjectKey, ObjectRef, PeerMsg, PeerReply, ServerAddr, ServiceOffer, Value,
+    Event, Lookup, Name, ObjectKey, ObjectRef, PeerMsg, PeerReply, ServerAddr, ServiceOffer, Value,
     WireError,
 };
 
@@ -302,10 +302,11 @@ pub struct Substrate {
     /// Lock acquires answered "denied" at their deadline: a late grant is
     /// released again, unless the client relayed another lock verb since.
     hand_back: BTreeSet<(ClientId, AppId)>,
-    /// The servant key of each app an operation was relayed to, built at
-    /// the first: a clone is a refcount bump, formatting one a `String`
-    /// and its copy into the key.
-    servant_keys: BTreeMap<AppId, ObjectKey>,
+    /// The servant key and naming path of each app an operation was
+    /// relayed to or looked up in the discovery cache for, built at the
+    /// first: a clone is a refcount bump, formatting one a `String` and
+    /// its copy into the name.
+    app_names: BTreeMap<AppId, (ObjectKey, Name)>,
 }
 
 impl Substrate {
@@ -335,7 +336,7 @@ impl Substrate {
             health: BTreeMap::new(),
             routes: BTreeMap::new(),
             hand_back: BTreeSet::new(),
-            servant_keys: BTreeMap::new(),
+            app_names: BTreeMap::new(),
         }
     }
 
@@ -461,6 +462,11 @@ impl Substrate {
         ctx.record(|| Event::Cache(app, CacheStep::Insert(route, now + ttl)));
     }
 
+    /// `app`'s servant key and naming path, built at the first use.
+    fn app_names(&mut self, app: AppId) -> &(ObjectKey, Name) {
+        self.app_names.entry(app).or_insert_with(|| (app.servant_key(), app.naming_path().into()))
+    }
+
     /// Effective target of `app` — routed address plus its node —
     /// through the discovery cache. With the cache disabled this is
     /// [`Substrate::route_of`]; enabled, a fresh entry serves the route
@@ -473,7 +479,7 @@ impl Substrate {
     ) -> Option<(ServerAddr, NodeId)> {
         let mut addr = self.route_of(app);
         if let Some(cfg) = self.config.discovery_cache {
-            let name = app.naming_path();
+            let name = self.app_names(app).1.clone();
             match self.cache_lookup(ctx, app, &name) {
                 Lookup::Hit(Some(cached), _) => addr = cached,
                 // "Not bound" within the negative TTL: dispatch falls back
@@ -889,10 +895,7 @@ impl Substrate {
         app: AppId,
         verb: RelayVerb,
     ) {
-        let keys = &mut self.servant_keys;
-        let (verb, call) = relay_call(app, verb, self.addr, || {
-            keys.entry(app).or_insert_with(|| app.servant_key()).clone()
-        });
+        let (verb, call) = relay_call(app, verb, self.addr, || self.app_names(app).0.clone());
         let row = Verb::of(verb);
         let user = CallCtx::Relay { client, app, verb };
         let parent = core.incoming_trace;

@@ -207,8 +207,8 @@ impl ServerCore {
         };
         if let Some((reason, error)) = refusal {
             // Counted where the user's session lives, as it always was
-            // (the trend gates read this counter); the history records
-            // both origins.
+            // (`tests/security.rs` pins this counter); the history
+            // records both origins.
             if origin.client().is_some() {
                 ctx.metrics().incr(names::SERVER_ACL_DENIED);
             }
